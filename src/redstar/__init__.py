@@ -6,7 +6,7 @@ from .scalars import GaussRational, PiScalar
 from .poly import Poly
 from .series import LambdaSeries, series_inverse, series_mul, series_sqrt
 from .funcs import Func
-from .diffop import DiffOperator, diffop_apply, diffop_formal_adjoint
+from .diffop import DiffOperator
 from .integrate import gaussian_integrate
 from .geometry import (
     DensityWeight,

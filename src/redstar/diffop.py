@@ -3,12 +3,21 @@
 An operator is stored in normal form sum_r lam^r sum_d c_{r,d} * partial^d
 with Poly coefficients c_{r,d} and derivative multi-indices d over the named
 generators.  Composition, application and formal adjoints are exact.
+
+Application and composition work on flat term dicts {exponent:
+GaussRational}, one per lam order, and build each output Poly,
+LambdaSeries and Func once, at the end.  Application differentiates the
+input's terms; under a Gaussian envelope exp(-a x^2) the derivative d/dx
+also yields the envelope term -2a*x*p.  Composition differentiates the
+right factor's coefficients by the Leibniz remainder monomial by monomial.
+Both accumulate products through one loop, _mul_into.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf, perm
+from operator import add, gt, sub
 
 from .funcs import Func
 from .poly import Poly
@@ -124,56 +133,78 @@ class DiffOperator:
     # -- application and composition -----------------------------------------
 
     def apply(self, f: Func) -> Func:
-        """Exact application; linear in f and Leibniz for first-order parts."""
+        """Exact application, evaluated on the term dicts of f.
+
+        partial^d f is computed once per multi-index d, one generator below a
+        cached lower derivative; entries whose derivative vanishes by degree
+        are skipped.  On an input with envelope exp(-a x^2), d/dx also adds the
+        -2a*x*p term, as Func.diff does.  The result is truncated at f.order
+        and carries f's envelope and pi-grade; an operator without entries
+        gives f.zero_like().
+        """
         if f.gens != self.gens:
             raise ValueError("operator and function live on different generators")
-        diff_cache: dict = {_zero_d(self.gens): f}
+        if self.is_zero():
+            return f.zero_like()
+        order = f.order
+        envs = [-2 * f.profile[g] if g in f.profile else None for g in self.gens]
+        coeffs = [p.terms for p in f.series.coeffs]
+        # partial^d f vanishes once d exceeds f's degree in a coordinate
+        # without envelope; under an envelope only when f itself is zero.
+        # Entries past the bound are skipped before any differentiation.
+        exps = [e for t in coeffs for e in t]
+        bound = [
+            inf if env is not None and exps else max((e[i] for e in exps), default=-1)
+            for i, env in enumerate(envs)
+        ]
+        derivs: dict = {_zero_d(self.gens): coeffs}
 
         def deriv(d):
-            if d in diff_cache:
-                return diff_cache[d]
-            for i, k in enumerate(d):
-                if k:
-                    lower = list(d)
-                    lower[i] = k - 1
-                    base = deriv(tuple(lower))
-                    out = base.diff(self.gens[i])
-                    diff_cache[d] = out
-                    return out
-            raise AssertionError
+            # lam coefficients of partial^d f as term dicts
+            if d not in derivs:
+                i = next(i for i, k in enumerate(d) if k)
+                lower = deriv(d[:i] + (d[i] - 1,) + d[i + 1:])
+                derivs[d] = [_diff_terms(t, i, envs[i]) for t in lower]
+            return derivs[d]
 
-        total = f.zero_like()
-        for r, table in enumerate(self.tables):
+        acc = [{} for _ in range(order + 1)]
+        for r, table in enumerate(self.tables[: order + 1]):
             for d, c in table.items():
-                g = deriv(d)
-                term = g * Func.from_poly(c, f.order)
-                total = total + Func(term.series.shift(r), term.profile, term.pi4)
-        return total
+                if any(map(gt, d, bound)):
+                    continue
+                for s, terms in enumerate(deriv(d)[: order + 1 - r]):
+                    if terms:
+                        _mul_into(acc[r + s], terms, c.terms)
+        series = LambdaSeries([Poly(self.gens, t) for t in acc], order)
+        return Func(series, f.profile, f.pi4)
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """self after other, in normal form via the multi-index Leibniz rule."""
+        """self after other, in normal form via the multi-index Leibniz rule.
+
+        For each split of a left multi-index d1 into (kept, rest), the right
+        coefficients are differentiated by rest monomial by monomial and
+        multiplied into the entry kept + d2 on term dicts.
+        """
         if self.gens != other.gens or self.order != other.order:
             raise ValueError("operator mismatch")
-        n = len(self.gens)
-        tabs = [{} for _ in range(self.order + 1)]
+        acc = [{} for _ in range(self.order + 1)]
         for r1, t1 in enumerate(self.tables):
             for r2, t2 in enumerate(other.tables):
-                r = r1 + r2
-                if r > self.order:
-                    continue
+                if r1 + r2 > self.order:
+                    break
+                tgt = acc[r1 + r2]
                 for d1, c1 in t1.items():
-                    for d2, c2 in t2.items():
-                        for split, dcoeff in _leibniz_splits(d1):
-                            pc = c2
-                            for i in range(n):
-                                for _ in range(d1[i] - split[i]):
-                                    pc = pc.diff(self.gens[i])
-                            if pc.is_zero():
-                                continue
-                            d = tuple(split[i] + d2[i] for i in range(n))
-                            coeff = c1 * pc * dcoeff
-                            tgt = tabs[r]
-                            tgt[d] = tgt.get(d, Poly.zero(self.gens)) + coeff
+                    for split, dcoeff in _leibniz_splits(d1):
+                        rest = tuple(map(sub, d1, split))
+                        left = c1.terms
+                        if dcoeff != 1:
+                            left = {e: _scale(c, dcoeff) for e, c in left.items()}
+                        for d2, c2 in t2.items():
+                            right = _diff_monomials(c2.terms, rest)
+                            if right:
+                                d = tuple(map(add, split, d2))
+                                _mul_into(tgt.setdefault(d, {}), left, right)
+        tabs = [{d: Poly(self.gens, t) for d, t in tab.items()} for tab in acc]
         return DiffOperator(self.gens, self.order, tabs)
 
     def exp(self) -> "DiffOperator":
@@ -252,6 +283,54 @@ class DiffOperator:
         return " + ".join(parts) if parts else "0"
 
 
+def _mul_into(acc: dict, left: dict, right: dict) -> None:
+    """acc += left * right on term dicts {exponent: GaussRational}.
+
+    Zero sums stay in acc; the Poly built from it drops them.
+    """
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            prev = acc.get(e)
+            acc[e] = c if prev is None else prev + c
+
+
+def _scale(c: GaussRational, k) -> GaussRational:
+    """c times a rational k, without promoting k to a GaussRational."""
+    return GaussRational(c.re * k, c.im * k)
+
+
+def _diff_terms(terms: dict, i: int, env) -> dict:
+    """d/dx_i of one lam coefficient; env is -2a under an envelope exp(-a x_i^2)."""
+    out: dict = {}
+    for e, c in terms.items():
+        k = e[i]
+        if k:
+            out[e[:i] + (k - 1,) + e[i + 1:]] = _scale(c, k)
+    if env is not None:
+        for e, c in terms.items():
+            up = e[:i] + (e[i] + 1,) + e[i + 1:]
+            prev = out.get(up)
+            out[up] = _scale(c, env) if prev is None else prev + _scale(c, env)
+        out = {e: c for e, c in out.items() if not c.is_zero()}
+    return out
+
+
+def _diff_monomials(terms: dict, m) -> dict:
+    """partial^m of one coefficient, monomial by monomial."""
+    if not any(m):
+        return terms
+    out = {}
+    for e, c in terms.items():
+        k = 1
+        for ei, mi in zip(e, m):
+            k *= perm(ei, mi)
+        if k:
+            out[tuple(map(sub, e, m))] = _scale(c, k)
+    return out
+
+
 def _leibniz_splits(d):
     """All ways to split the multi-index d over (operator, coefficient).
 
@@ -269,10 +348,3 @@ def _leibniz_splits(d):
 
     yield from rec(0)
 
-
-def diffop_apply(op: DiffOperator, f: Func) -> Func:
-    return op.apply(f)
-
-
-def diffop_formal_adjoint(op: DiffOperator, weight) -> DiffOperator:
-    return op.formal_adjoint(weight)

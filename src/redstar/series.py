@@ -129,11 +129,11 @@ class LambdaSeries:
         return None, None
 
     def __eq__(self, other):
+        """Equality with a series, or with a ring scalar read as a constant series."""
         if not isinstance(other, LambdaSeries):
-            try:
-                other = self.zero_like() + other
-            except Exception:
+            if not isinstance(other, (int, Fraction, GaussRational, type(self.coeffs[0]))):
                 return NotImplemented
+            other = self.zero_like() + other
         return self.order == other.order and all(
             a == b for a, b in zip(self.coeffs, other.coeffs)
         )

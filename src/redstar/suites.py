@@ -144,7 +144,7 @@ class SuiteContext:
     # -- recording ----------------------------------------------------------
 
     def check(self, ident: str, statement: str, defects) -> bool:
-        t0 = time.time()
+        t0 = time.perf_counter()
         first = None
         detail = ""
         status = "pass"
@@ -173,7 +173,7 @@ class SuiteContext:
             "status": status,
             "first_bad_order": first,
             "detail": detail,
-            "seconds": round(time.time() - t0, 3),
+            "seconds": round(time.perf_counter() - t0, 3),
         })
         return status == "pass"
 

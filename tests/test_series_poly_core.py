@@ -80,6 +80,18 @@ class TestSeries:
         with pytest.raises(ValueError):
             series_mul(a, b.truncate(2))
 
+    def test_equality_with_scalars_and_foreign_objects(self):
+        zero = Func.zero(GENS, K).series
+        assert zero == 0
+        assert not (zero == object())
+        assert zero != object()
+        two = (one() * 2).series
+        assert two == 2
+        assert two == GaussRational(2)
+        assert two == Poly.constant(GENS, 2)
+        assert not (two == "2")
+        assert LambdaSeries.of(GaussRational(3), K) == Fraction(3)
+
     def test_inverse_examples(self):
         assert series_inverse(one().series) == one().series
         two = one() * 2
