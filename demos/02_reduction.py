@@ -20,7 +20,6 @@ from redstar import (
     koszul,
     left_module,
     moyal,
-    prolong,
     quantized_koszul,
     reduced_star,
     right_module,

@@ -17,7 +17,6 @@ from .geometry import (
     classical_BC_member,
     classical_reduced_bracket,
     fiber_integral,
-    fundamental_vector_field,
     gaussian_base_weight,
     heisenberg3,
     lebesgue_weight,
@@ -33,7 +32,6 @@ from .starprod import (
     schroedinger_rep,
     star_G,
     star_std,
-    star_total,
     stdrep,
 )
 from .koszul import (
@@ -44,7 +42,6 @@ from .koszul import (
     homotopy_h,
     koszul,
     left_module,
-    prolong,
     quantized_BC_member,
     quantized_koszul,
     reduced_star,
@@ -70,20 +67,11 @@ from .morita import (
     RankOneOperator,
     VerticalOperator,
     complete_positivity_sample,
-    crossed_act,
-    crossed_conv,
-    crossed_star,
     deformation_comparison_H,
     external_tensor,
     fullness_element,
     inner_product_red,
-    rank_one_adjoint,
-    rank_one_apply,
-    rank_one_compose,
     rieffel_induce,
-    vertical_act,
-    vertical_adjoint,
-    vertical_compose,
 )
 
 __version__ = "0.1.0"

@@ -36,6 +36,13 @@ class SceneError(Exception):
     pass
 
 
+def _truncation_order(value) -> int:
+    order = int(value)
+    if order < 0:
+        raise SceneError(f"truncation order must be at least 0, got {order}")
+    return order
+
+
 class Scene:
     def __init__(self, data: dict, path: str = "<memory>"):
         self.path = path
@@ -57,14 +64,21 @@ class Scene:
         self.base_dim = int(base.get("dim", 2))
         matrix = base.get("poisson_matrix")
         if matrix is not None:
+            if not (isinstance(matrix, list) and len(matrix) == self.base_dim
+                    and all(isinstance(row, list) and len(row) == self.base_dim
+                            for row in matrix)):
+                raise SceneError(
+                    f"poisson_matrix must be {self.base_dim}x{self.base_dim} "
+                    f"for a {self.base_dim}-dimensional base")
             matrix = [[Fraction(str(v)) for v in row] for row in matrix]
         self.poisson_matrix = matrix
-        self.order = int(data.get("truncation_order", 4))
+        self.order = _truncation_order(data.get("truncation_order", 4))
         caps = data.get("degree_caps", {})
         self.degree_cap = int(caps.get("polynomial", 3))
-        self.operator_cap = int(caps.get("operator_basis", 4))
         self.seed = int(data.get("seed", 0))
         self.trials = int(data.get("trials", 8))
+        if self.trials < 1:
+            raise SceneError(f"trials must be at least 1, got {self.trials}")
         self.suites = list(data.get("suites", ["all"]))
         self.weights = dict(data.get("weights", {}))
         self.star_product = data.get("star_product", "total")
@@ -94,8 +108,7 @@ class Scene:
 
     def context(self, model: ModelSpace) -> SuiteContext:
         return SuiteContext(model, seed=self.seed, trials=self.trials,
-                            degree_cap=self.degree_cap,
-                            operator_cap=self.operator_cap)
+                            degree_cap=self.degree_cap)
 
 
 def load_scene(path: str) -> Scene:
@@ -262,7 +275,7 @@ def cmd_verify(args) -> int:
     if args.seed is not None:
         scene.seed = args.seed
     if args.order is not None:
-        scene.order = args.order
+        scene.order = _truncation_order(args.order)
     if args.degree_cap is not None:
         scene.degree_cap = args.degree_cap
     model = scene.model()
@@ -282,7 +295,7 @@ def cmd_verify(args) -> int:
 def cmd_star(args) -> int:
     scene = load_scene(args.scene)
     if args.order is not None:
-        scene.order = args.order
+        scene.order = _truncation_order(args.order)
     model = scene.model()
     name = args.product or scene.star_product
     product = StarProduct(model, name)
@@ -298,7 +311,7 @@ def cmd_star(args) -> int:
 def cmd_reduce(args) -> int:
     scene = load_scene(args.scene)
     if args.order is not None:
-        scene.order = args.order
+        scene.order = _truncation_order(args.order)
     model = scene.model()
     cfg = ReductionConfig(model, Fraction(1, 2))
     if args.left and args.right:
@@ -321,7 +334,7 @@ def cmd_reduce(args) -> int:
 def cmd_involve(args) -> int:
     scene = load_scene(args.scene)
     if args.order is not None:
-        scene.order = args.order
+        scene.order = _truncation_order(args.order)
     model = scene.model()
     u = parse_expr(args.input, model)
     weight = scene.weight(model, args.weight)

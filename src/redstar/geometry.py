@@ -317,14 +317,6 @@ class ModelSpace:
         )
 
 
-def fundamental_vector_field(model: ModelSpace, xi, on: str = "M") -> DiffOperator:
-    if on == "C":
-        return model.fundamental_field_C(xi)
-    if on == "M":
-        return model.fundamental_field_M(xi)
-    raise ValueError("on must be 'M' or 'C'")
-
-
 def poisson_bracket(model: ModelSpace, f: Func, g: Func) -> Func:
     """{f, g} on the full model: base part plus the canonical momentum part."""
     out = model.zero()

@@ -22,11 +22,10 @@ from .integrate import gaussian_integrate
 from .koszul import (
     ReductionConfig,
     SuperObservable,
+    _neumann_resolve,
     deformed_restriction,
     homotopy_h,
-    koszul,
     left_module,
-    quantized_koszul,
 )
 from .linalg import solve_linear
 from .poly import Poly
@@ -39,70 +38,34 @@ from .series import LambdaSeries, series_inverse
 # ---------------------------------------------------------------------------
 
 
-def _transport_T(cfg: ReductionConfig, f: Func) -> Func:
-    """(k_1 - qk_1) h_0 f: the O(lam) building block of the transport sums."""
+def transport_inner(cfg: ReductionConfig, g: Func) -> SuperObservable:
+    """h_0 conj(R conj(g)) with R = sum_k T^k and T = -(qk_1 - k_1) h_0:
+    the part of the transport sums shared by every contraction."""
     model = cfg.model
-    hx = homotopy_h(model, SuperObservable.scalar(model, f), 0)
-    diff = koszul(model, hx) - quantized_koszul(cfg, hx)
-    return diff.comps.get((), model.zero())
+    resolved = _neumann_resolve(cfg, g.conj()).conj()
+    return homotopy_h(model, SuperObservable.scalar(model, resolved), 0)
 
 
-def _geometric_tail(cfg: ReductionConfig, seed: Func, budget: int) -> Func:
-    """sum_{j=0..budget} T^j seed."""
-    acc = seed
-    val = seed
-    for _ in range(budget):
-        val = _transport_T(cfg, val)
-        acc = acc + val
-    return acc
+def transport(cfg: ReductionConfig, inner: SuperObservable, covector) -> Func:
+    """sum_{m,j} T^j ins(covector) h_0 conj(T^m conj(g)) for
+    inner = transport_inner(cfg, g).
 
-
-def transport_A(cfg: ReductionConfig, a: int, g: Func) -> Func:
-    """A^a on the argument g: sum_{m,j} T^j ins(e^a) h_0 conj(T^m conj(g))."""
-    model = cfg.model
-    order = model.order
-    inner = [g.conj()]
-    for _ in range(order):
-        inner.append(_transport_T(cfg, inner[-1]))
-    total = model.zero()
-    for m in range(order + 1):
-        h0 = homotopy_h(model, SuperObservable.scalar(model, inner[m].conj()), 0)
-        seed = h0.insert_basis(a).comps.get((), model.zero())
-        if seed.is_zero():
-            continue
-        total = total + _geometric_tail(cfg, seed, order - m)
-    return total
-
-
-def transport_B(cfg: ReductionConfig, g: Func) -> Func:
-    """B on the argument g: the modular-covector contraction of the A sums."""
-    model = cfg.model
-    order = model.order
-    inner = [g.conj()]
-    for _ in range(order):
-        inner.append(_transport_T(cfg, inner[-1]))
-    total = model.zero()
-    for m in range(order + 1):
-        h0 = homotopy_h(model, SuperObservable.scalar(model, inner[m].conj()), 0)
-        seed = h0.insert_covector(model.lie.modular).comps.get((), model.zero())
-        if seed.is_zero():
-            continue
-        total = total + _geometric_tail(cfg, seed, order - m)
-    return total
+    The basis covector e^a gives A^a(g) and the modular covector gives
+    B(g).  Every term with m + j > K vanishes, since T raises the lam order,
+    so the double sum is the resolvent R applied to the contracted inner sum.
+    """
+    seed = inner.insert_covector(covector).comps.get((), cfg.model.zero())
+    return _neumann_resolve(cfg, seed)
 
 
 def conj_transport(cfg: ReductionConfig, f: Func) -> dict:
     """The transport decomposition {A^a(f), B(f)} of the conjugated resolvent."""
     model = cfg.model
+    inner = transport_inner(cfg, f)
     return {
-        "A": [transport_A(cfg, a, f) for a in range(model.lie.dim)],
-        "B": transport_B(cfg, f),
+        "A": [transport(cfg, inner, model.basis_vector(a)) for a in range(model.lie.dim)],
+        "B": transport(cfg, inner, model.lie.modular),
     }
-
-
-def resolvent(cfg: ReductionConfig, f: Func) -> Func:
-    """(id + (qk_1 - k_1) h_0)^{-1} f = sum_k T^k f."""
-    return _geometric_tail(cfg, f, cfg.model.order)
 
 
 def _i_lam(f: Func) -> Func:
@@ -113,22 +76,23 @@ def conj_transport_check(cfg: ReductionConfig, f: Func) -> dict:
     """Verify both commutation displays and the contraction identity."""
     model = cfg.model
     fc = f.conj()
-    lhs = resolvent(cfg, f).conj()
-    base = resolvent(cfg, fc)
+    lhs = _neumann_resolve(cfg, f).conj()
+    base = _neumann_resolve(cfg, fc)
     kk = cfg.kappa_plus_conj()
-    b_fc = transport_B(cfg, fc)
+    inner_fc = transport_inner(cfg, fc)
+    b_fc = transport(cfg, inner_fc, model.lie.modular)
 
     term_a1 = model.zero()
     for a in range(model.lie.dim):
         term_a1 = term_a1 + model.fundamental_field_M(model.basis_vector(a)).apply(
-            transport_A(cfg, a, fc)
+            transport(cfg, inner_fc, model.basis_vector(a))
         )
     first = base + _i_lam(term_a1) + _i_lam(Func(b_fc.series * kk, b_fc.profile, b_fc.pi4))
 
     term_a2 = model.zero()
     for a in range(model.lie.dim):
         lie_fc = model.fundamental_field_M(model.basis_vector(a)).apply(fc)
-        term_a2 = term_a2 + transport_A(cfg, a, lie_fc)
+        term_a2 = term_a2 + transport(cfg, transport_inner(cfg, lie_fc), model.basis_vector(a))
     second = base + _i_lam(term_a2) + _i_lam(
         Func(b_fc.series * (kk - 1), b_fc.profile, b_fc.pi4)
     )
@@ -236,13 +200,17 @@ def _base_pairs(model: ModelSpace):
     return out
 
 
-def right_mult_operator(model: ModelSpace, u: Func) -> DiffOperator:
-    """w -> w *_red u as a differential operator in the base coordinates."""
+def mult_operator(model: ModelSpace, u: Func, pairs) -> DiffOperator:
+    """w -> w *_red u as a differential operator in the base coordinates,
+    for pairs = _base_pairs(model).
+
+    With i and j swapped in every pair the same expansion gives
+    w -> u *_red w.
+    """
     if u.profile:
         raise ValueError("multiplication operators need polynomial symbols")
     gens = model.gens
     order = model.order
-    pairs = _base_pairs(model)
     tables = [dict() for _ in range(order + 1)]
     half_i = IMAG * GaussRational(Fraction(1, 2))
     for r in range(order + 1):
@@ -265,35 +233,6 @@ def right_mult_operator(model: ModelSpace, u: Func) -> DiffOperator:
     return DiffOperator(gens, order, tables)
 
 
-def left_mult_operator(model: ModelSpace, v: Func) -> DiffOperator:
-    """w -> v *_red w as a differential operator in the base coordinates."""
-    if v.profile:
-        raise ValueError("multiplication operators need polynomial symbols")
-    gens = model.gens
-    order = model.order
-    pairs = _base_pairs(model)
-    tables = [dict() for _ in range(order + 1)]
-    half_i = IMAG * GaussRational(Fraction(1, 2))
-    for r in range(order + 1):
-        scale = half_i ** r * GaussRational(Fraction(1, factorial(r)))
-        for seq in product(pairs, repeat=r):
-            d = [0] * len(gens)
-            dv = v
-            factor = scale
-            for (i, j, lam) in seq:
-                d[j] += 1
-                dv = dv.diff(model.base_names[i])
-                factor = factor * lam
-            if dv.is_zero():
-                continue
-            for s, p in enumerate(dv.series.coeffs):
-                if r + s > order or p.is_zero():
-                    continue
-                key = tuple(d)
-                tables[r + s][key] = tables[r + s].get(key, Poly.zero(gens)) + p * factor
-    return DiffOperator(gens, order, tables)
-
-
 def _transpose_at_one(model: ModelSpace, op: DiffOperator, omega: DensityWeight) -> Func:
     """D^T(1) with respect to the bilinear pairing integral(f g omega)."""
     adj = op.formal_adjoint(omega)
@@ -305,10 +244,12 @@ def reduced_involution(model_or_cfg, u: Func, omega: DensityWeight) -> Func:
     model = model_or_cfg.model if isinstance(model_or_cfg, ReductionConfig) else model_or_cfg
     if not omega.has_constant_leading_prefactor():
         raise ValueError("weight is outside the supported class for the involution")
-    target = _transpose_at_one(model, right_mult_operator(model, u), omega)
+    right = _base_pairs(model)
+    left = [(j, i, lam) for i, j, lam in right]
+    target = _transpose_at_one(model, mult_operator(model, u, right), omega)
     v = model.zero()
     for r in range(model.order + 1):
-        current = _transpose_at_one(model, left_mult_operator(model, v), omega)
+        current = _transpose_at_one(model, mult_operator(model, v, left), omega)
         defect = target - current
         slice_r = defect.series.coeffs[r]
         if not slice_r.is_zero():

@@ -16,7 +16,7 @@ from .funcs import Func
 from .geometry import ModelSpace
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries
-from .starprod import star_total
+from .starprod import star_G
 
 
 def kappa_series(model: ModelSpace, value) -> LambdaSeries:
@@ -35,7 +35,7 @@ class ReductionConfig:
     def __init__(self, model: ModelSpace, kappa=Fraction(1, 2), star=None):
         self.model = model
         self.kappa = kappa_series(model, kappa)
-        self.star = star if star is not None else (lambda f, g: star_total(model, f, g))
+        self.star = star if star is not None else (lambda f, g: star_G(model, f, g))
 
     def kappa_plus_conj(self) -> LambdaSeries:
         return self.kappa + self.kappa.conj()
@@ -183,14 +183,6 @@ def homotopy_h(model: ModelSpace, x: SuperObservable, k: int | None = None) -> S
     return out
 
 
-def prolong(model: ModelSpace, phi: Func) -> Func:
-    return model.prolong(phi)
-
-
-def restriction(model: ModelSpace, f: Func) -> Func:
-    return model.restrict(f)
-
-
 # ---------------------------------------------------------------------------
 # quantized complex
 # ---------------------------------------------------------------------------
@@ -240,10 +232,15 @@ def _perturbation(cfg: ReductionConfig, f: Func) -> Func:
 
 
 def _neumann_resolve(cfg: ReductionConfig, f: Func) -> Func:
-    """(id + (qk_1 - k_1) h_0)^{-1} f by the terminating geometric series."""
-    y = f
+    """(id + (qk_1 - k_1) h_0)^{-1} f by the terminating geometric series.
+
+    The series sum_k (-P)^k f with P = (qk_1 - k_1) h_0 is summed term by
+    term, so P only ever sees the newest, O(lam^k) term.
+    """
+    y = term = f
     for _ in range(cfg.model.order):
-        y = f - _perturbation(cfg, y)
+        term = -_perturbation(cfg, term)
+        y = y + term
     return y
 
 

@@ -110,19 +110,6 @@ def _graded_right_module(cfg: ReductionConfig, phi: Func, u: Func) -> Func:
     return Func(out.series, out.profile, out.pi4 + u.pi4)
 
 
-def rank_one_apply(cfg: ReductionConfig, phi: Func, psi: Func, chi: Func) -> Func:
-    return RankOneOperator(cfg, phi, psi)(chi)
-
-
-def rank_one_compose(cfg: ReductionConfig, t1: RankOneOperator,
-                     t2: RankOneOperator) -> RankOneOperator:
-    return t1.compose(t2)
-
-
-def rank_one_adjoint(t: RankOneOperator) -> RankOneOperator:
-    return t.adjoint()
-
-
 # ---------------------------------------------------------------------------
 # complete positivity sampling
 # ---------------------------------------------------------------------------
@@ -269,18 +256,6 @@ class VerticalOperator:
                 piece = gen.compose(piece)
             total = total + piece
         return VerticalOperator(model, total)
-
-
-def vertical_act(cfg_or_model, d: VerticalOperator, phi: Func) -> Func:
-    return d.act(phi)
-
-
-def vertical_compose(d: VerticalOperator, e: VerticalOperator) -> VerticalOperator:
-    return d.compose(e)
-
-
-def vertical_adjoint(d: VerticalOperator) -> VerticalOperator:
-    return d.adjoint()
 
 
 def canonical_inner_product(cfg: ReductionConfig, phi: Func, psi: Func) -> Func:
@@ -455,18 +430,6 @@ class KernelSpace:
         swap = dict(zip(self.left_names, self.right_names))
         swap.update(dict(zip(self.right_names, self.left_names)))
         return k.conj().rename(swap, self.gens)
-
-
-def crossed_conv(ks: KernelSpace, k1: Func, k2: Func) -> Func:
-    return ks.conv(k1, k2)
-
-
-def crossed_act(ks: KernelSpace, k: Func, phi: Func) -> Func:
-    return ks.act(k, phi)
-
-
-def crossed_star(ks: KernelSpace, k: Func) -> Func:
-    return ks.star(k)
 
 
 def classical_inner_product(model: ModelSpace, phi: Func, psi: Func) -> Func:

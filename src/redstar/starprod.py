@@ -2,10 +2,15 @@
 
 The base carries the constant-coefficient exponential bidifferential product
 (the Weyl-Moyal product for the matrix Lam).  The cotangent factor carries
-two products: a standard-ordered one defined through a symbol calculus on
-left-invariant derivatives, and its Hermitian normalization obtained by
-conjugating with the exponential N of the momentum Laplacian minus the
-vertical modular field.  The total product acts blockwise.
+products built from one PBW word calculus: normal ordering of words in the
+generators with [J_a, J_b] = i lam C_ab^c J_c, symmetrized quantization of
+momentum polynomials and its inverse.  On group models the words are
+left-invariant derivatives, group fields act on the coefficients, and the
+calculus gives the standard-ordered product; its Hermitian normalization
+conjugates with the exponential N of the momentum Laplacian minus the
+vertical modular field.  On momentum-level models no field acts, and the
+same calculus gives Gutt's symmetrization product on g* directly.  The
+total product acts blockwise.
 
 Operators coming from the symbol calculus are held in a "stripped" normal
 form sum_w c_w (i lam)^{|w|} L_{w_1} ... L_{w_k}: every stored word is
@@ -86,7 +91,9 @@ class SymbolOp:
 
     Words are kept PBW-sorted (non-decreasing generator indices).  The
     coefficients c_w are momentum-free Funcs that multiply through the base
-    product and pointwise in the group coordinates.  The per-generator
+    product and pointwise in the group coordinates.  On momentum-level
+    models the L_a are the abstract generators J_a of the enveloping
+    algebra, which commute with every coefficient.  The per-generator
     factor F is (i lam) for the symbol calculus and 1 for plain vertical
     differential operators.
     """
@@ -166,17 +173,22 @@ class SymbolOp:
         return out
 
     def compose(self, other: "SymbolOp") -> "SymbolOp":
-        """self after other."""
+        """self after other.
+
+        Group fields act on the coefficients only on group models; without
+        group coordinates the coefficients commute with every word.
+        """
         if self.lam_weighted != other.lam_weighted:
             raise ValueError("cannot mix calculi with different generator factors")
         model = self.model
-        fields = [model.left_invariant_field(a) for a in range(model.lie.dim)]
+        fields = ([model.left_invariant_field(a) for a in range(model.lie.dim)]
+                  if model.has_group else None)
         out = self._new()
 
         def push(word, coeff):
             # F^{|word|} L_word o M_coeff = sum_v M_{c_v} F^{|v|} L_v
-            if not word:
-                return {(): coeff}
+            if not word or fields is None:
+                return {word: coeff}
             head = word[:-1]
             a = word[-1]
             branches = {}
@@ -197,15 +209,13 @@ class SymbolOp:
         return out
 
 
-def stdrep(model: ModelSpace, f: Func) -> SymbolOp:
-    """Standard-ordered quantization of a momentum-polynomial symbol.
+def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
+    """Symmetrized quantization of a momentum-polynomial symbol.
 
     The symmetrized derivative expansion lands every momentum monomial on a
     sum over its distinct arrangements, which the normal ordering folds back
     into the PBW basis.
     """
-    if not model.has_group:
-        raise ValueError("the symbol calculus needs group coordinates")
     op = SymbolOp(model)
     jnames = model.momentum_names
     degree = max(p.degree_in(jnames) for p in f.series.coeffs) if not f.is_zero() else 0
@@ -233,8 +243,16 @@ def stdrep(model: ModelSpace, f: Func) -> SymbolOp:
     return op
 
 
+def stdrep(model: ModelSpace, f: Func) -> SymbolOp:
+    """Standard-ordered quantization of a momentum-polynomial symbol as an
+    operator of left-invariant derivatives."""
+    if not model.has_group:
+        raise ValueError("the symbol calculus needs group coordinates")
+    return _symmetrize(model, f)
+
+
 def _dequantize(model: ModelSpace, op: SymbolOp) -> Func:
-    """Invert stdrep on a PBW-sorted operator."""
+    """Invert _symmetrize on a PBW-sorted operator."""
     jnames = model.momentum_names
     residue = SymbolOp(model, dict(op.terms))
     total = None
@@ -253,7 +271,7 @@ def _dequantize(model: ModelSpace, op: SymbolOp) -> Func:
             contrib = c * mono
             piece = contrib if piece is None else piece + contrib
         total = piece if total is None else total + piece
-        residue = residue - stdrep(model, piece)
+        residue = residue - _symmetrize(model, piece)
     if total is None:
         total = Func.zero(model.gens, model.order)
     return total
@@ -309,120 +327,6 @@ def neumaier_N_inverse(model: ModelSpace) -> DiffOperator:
 
 
 # ---------------------------------------------------------------------------
-# enveloping-algebra product for momentum polynomials without group data
-# ---------------------------------------------------------------------------
-
-
-class _UElement:
-    """sum_w c_w J_{w_1}...J_{w_k} with [J_a, J_b] = i lam C_ab^c J_c."""
-
-    def __init__(self, model: ModelSpace, terms=None):
-        self.model = model
-        self.terms: dict = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    self._add(tuple(w), c)
-
-    def _add(self, word, coeff):
-        if coeff.is_zero():
-            return
-        cur = self.terms.get(word)
-        s = coeff if cur is None else cur + coeff
-        if s.is_zero():
-            self.terms.pop(word, None)
-        else:
-            self.terms[word] = s
-
-    def _add_normal_ordered(self, word, coeff):
-        if coeff.is_zero():
-            return
-        for k in range(len(word) - 1):
-            a, b = word[k], word[k + 1]
-            if a > b:
-                swapped = word[:k] + (b, a) + word[k + 2:]
-                self._add_normal_ordered(swapped, coeff)
-                for c in range(self.model.lie.dim):
-                    v = self.model.lie.c(a, b, c)
-                    if v:
-                        shorter = word[:k] + (c,) + word[k + 2:]
-                        self._add_normal_ordered(
-                            shorter, _mul_ilam(coeff) * GaussRational(v)
-                        )
-                return
-        self._add(word, coeff)
-
-    def multiply(self, other: "_UElement") -> "_UElement":
-        out = _UElement(self.model)
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                out._add_normal_ordered(w1 + w2, moyal(self.model, c1, c2))
-        return out
-
-    def subtract(self, other: "_UElement") -> "_UElement":
-        out = _UElement(self.model, dict(self.terms))
-        for w, c in other.terms.items():
-            out._add(w, -c)
-        return out
-
-
-def _symmetrize(model: ModelSpace, f: Func) -> _UElement:
-    jnames = model.momentum_names
-    out = _UElement(model)
-    degree = max(p.degree_in(jnames) for p in f.series.coeffs) if not f.is_zero() else 0
-    multis = [()]
-    all_multis = [()]
-    for _ in range(degree):
-        multis = [m + (a,) for m in multis for a in range(model.lie.dim) if not m or a >= m[-1]]
-        all_multis.extend(multis)
-    for multi in all_multis:
-        g = f
-        for a in multi:
-            g = g.diff(jnames[a])
-        g = g.set_zero(jnames)
-        if g.is_zero():
-            continue
-        r = len(multi)
-        seen = set()
-        for arrangement in permutations(multi):
-            if arrangement in seen:
-                continue
-            seen.add(arrangement)
-            out._add_normal_ordered(
-                arrangement, g * GaussRational(Fraction(1, factorial(r)))
-            )
-    return out
-
-
-def _unsymmetrize(model: ModelSpace, u: _UElement) -> Func:
-    jnames = model.momentum_names
-    residue = _UElement(model, dict(u.terms))
-    total = Func.zero(model.gens, model.order)
-    while residue.terms:
-        length = max(len(w) for w in residue.terms)
-        if length == 0:
-            total = total + residue.terms[()]
-            break
-        piece = None
-        for w, c in residue.terms.items():
-            if len(w) != length:
-                continue
-            mono = Func.one(model.gens, model.order)
-            for a in w:
-                mono = mono * Func.var(model.gens, jnames[a], model.order)
-            contrib = c * mono
-            piece = contrib if piece is None else piece + contrib
-        total = total + piece
-        residue = residue.subtract(_symmetrize(model, piece))
-    return total
-
-
-def _gutt_total(model: ModelSpace, f: Func, g: Func) -> Func:
-    """Base product tensor the symmetrization product on the momenta."""
-    return _unsymmetrize(model, _symmetrize(model, f).multiply(_symmetrize(model, g)))
-
-
-# ---------------------------------------------------------------------------
 # public products
 # ---------------------------------------------------------------------------
 
@@ -431,16 +335,10 @@ def star_G(model: ModelSpace, f: Func, g: Func) -> Func:
     """Hermitian product on the cotangent factor: N^{-1}(Nf star_std Ng);
     for momentum-level models the symmetrization product directly."""
     if not model.has_group:
-        return _gutt_total(model, f, g)
+        return _dequantize(model, _symmetrize(model, f).compose(_symmetrize(model, g)))
     n = neumaier_N(model)
     ninv = neumaier_N_inverse(model)
     return ninv.apply(star_std(model, n.apply(f), n.apply(g)))
-
-
-def star_total(model: ModelSpace, f: Func, g: Func) -> Func:
-    """The product of the full model: base product tensor the Hermitian
-    fiber product, acting blockwise."""
-    return star_G(model, f, g)
 
 
 def schroedinger_rep(model: ModelSpace, f: Func, psi: Func) -> Func:
@@ -467,9 +365,7 @@ class StarProduct:
             return moyal(self.model, f, g)
         if self.kind == "std":
             return star_std(self.model, f, g)
-        if self.kind == "weyl_g":
-            return star_G(self.model, f, g)
-        return star_total(self.model, f, g)
+        return star_G(self.model, f, g)
 
     def series_mul(self, a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
         """Adapter so series utilities can use this product as multiplication."""
@@ -481,7 +377,7 @@ class StarProduct:
         return f"StarProduct({self.kind!r} on {self.model.lie.label})"
 
 
-def check_strong_invariance(model: ModelSpace, star, funcs, kappa_delta=None) -> list:
+def check_strong_invariance(model: ModelSpace, star, funcs) -> list:
     """Verify J_xi * f - f * J_xi = -i lam L_{xi_M} f on all basis vectors.
 
     Returns a list of failure records (basis index, function index, first

@@ -80,7 +80,6 @@ from .starprod import (
     schroedinger_rep,
     star_G,
     star_std,
-    star_total,
     stdrep,
 )
 
@@ -95,12 +94,11 @@ class SuiteContext:
     """A configured model plus reproducible random input generators."""
 
     def __init__(self, model: ModelSpace, seed: int = 0, trials: int = 8,
-                 degree_cap: int = 3, operator_cap: int = 4):
+                 degree_cap: int = 3):
         self.model = model
         self.seed = seed
         self.trials = trials
         self.degree_cap = degree_cap
-        self.operator_cap = operator_cap
         self.rng = random.Random(seed)
         self.records: list = []
 
@@ -197,7 +195,7 @@ def suite_star(ctx: SuiteContext) -> list:
     ctx.reseed()
     m = ctx.model
     products = {"moyal": lambda f, g: moyal(m, f, g),
-                "total": lambda f, g: star_total(m, f, g)}
+                "total": lambda f, g: star_G(m, f, g)}
     if m.has_group:
         products["std"] = lambda f, g: star_std(m, f, g)
         products["weyl_g"] = lambda f, g: star_G(m, f, g)
@@ -303,7 +301,7 @@ def suite_star(ctx: SuiteContext) -> list:
             for _ in range(max(2, ctx.trials // 2)):
                 f, g = ctx.rand_poly(2), ctx.rand_poly(2)
                 psi = ctx.rand_state(2)
-                lhs = schroedinger_rep(m, star_total(m, f, g), psi)
+                lhs = schroedinger_rep(m, star_G(m, f, g), psi)
                 rhs = schroedinger_rep(m, f, schroedinger_rep(m, g, psi))
                 yield lhs - rhs
         ctx.check("star.schroedinger_hom",

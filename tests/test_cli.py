@@ -20,7 +20,7 @@ HEIS_SCENE = {
                     "label": "heis3"},
     "base": {"dim": 2},
     "truncation_order": 2,
-    "degree_caps": {"polynomial": 2, "operator_basis": 3},
+    "degree_caps": {"polynomial": 2},
     "seed": 5,
     "trials": 2,
     "suites": ["koszul"],
@@ -87,6 +87,35 @@ class TestSceneLoading:
     def test_missing_file(self):
         with pytest.raises(SceneError):
             load_scene("/nonexistent/scene.json")
+
+
+class TestMalformedScenes:
+    """Each malformed scene is rejected at load: exit 2, one line on stderr."""
+
+    @pytest.mark.parametrize("changes,extra,message", [
+        ({"base": {"dim": 2, "poisson_matrix": [[0]]}}, [],
+         "poisson_matrix must be 2x2"),
+        ({"base": {"dim": 2, "poisson_matrix": [[0, 1, 0], [-1, 0]]}}, [],
+         "poisson_matrix must be 2x2"),
+        ({"truncation_order": -1}, [], "truncation order must be at least 0"),
+        ({}, ["--order", "-1"], "truncation order must be at least 0"),
+        ({"trials": -3}, [], "trials must be at least 1"),
+        ({"trials": 0}, [], "trials must be at least 1"),
+    ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
+            "negative_order_override", "negative_trials", "zero_trials"])
+    def test_verify_rejects(self, tmp_path, capsys, changes, extra, message):
+        path = write_scene(tmp_path, {**HEIS_SCENE, **changes})
+        assert main(["verify", "--scene", path, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+
+    def test_operator_basis_key_still_loads(self, tmp_path):
+        data = dict(HEIS_SCENE)
+        data["degree_caps"] = {"polynomial": 2, "operator_basis": 3}
+        scene = load_scene(write_scene(tmp_path, data))
+        assert scene.degree_cap == 2
 
 
 class TestExpressions:

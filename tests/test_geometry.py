@@ -14,7 +14,6 @@ from redstar.geometry import (
     classical_BC_member,
     classical_reduced_bracket,
     fiber_integral,
-    fundamental_vector_field,
     gaussian_base_weight,
     heisenberg3,
     lebesgue_weight,
@@ -56,19 +55,19 @@ class TestLieAlgebraData:
 
 class TestFundamentalFields:
     def test_abelian_line(self, model_r):
-        xi = fundamental_vector_field(model_r, (1,), on="C")
+        xi = model_r.fundamental_field_C((1,))
         g = model_r.var("g")
         assert (xi.apply(g) + model_r.one()).is_zero()  # -d/dg
 
     def test_heisenberg_example(self, model_heis):
-        xi = fundamental_vector_field(model_heis, model_heis.basis_vector(0), on="C")
+        xi = model_heis.fundamental_field_C(model_heis.basis_vector(0))
         # -(d/dg1 - (g2/2) d/dg3)
         assert (xi.apply(model_heis.var("g1")) + model_heis.one()).is_zero()
         assert (xi.apply(model_heis.var("g3"))
                 - model_heis.var("g2") * Fraction(1, 2)).is_zero()
 
     def test_coadjoint_part_abelian(self, model_r):
-        xi = fundamental_vector_field(model_r, (1,), on="M")
+        xi = model_r.fundamental_field_M((1,))
         assert xi.apply(model_r.var("J")).is_zero()
 
     def test_bracket_antihomomorphism(self, model_heis, rand):

@@ -30,7 +30,8 @@ from redstar.involution import (
     modular_inner_difference,
     omega_mu,
     reduced_involution,
-    transport_A,
+    transport,
+    transport_inner,
 )
 from redstar.koszul import ReductionConfig, SuperObservable, quantized_koszul, right_module
 from redstar.scalars import GaussRational, I
@@ -60,7 +61,7 @@ class TestConjTransport:
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))
         phi = m.prolong(rand.poly(m, 2, m.base_names + m.group_names))
-        a0 = transport_A(cfg, 0, phi)
+        a0 = transport(cfg, transport_inner(cfg, phi), m.basis_vector(0))
         assert a0.series.coeffs[0].is_zero()
 
     def test_invariant_functions_conjugate_cleanly(self, model_r, rand):

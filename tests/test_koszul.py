@@ -14,7 +14,6 @@ from redstar.koszul import (
     homotopy_h,
     koszul,
     left_module,
-    prolong,
     quantized_BC_member,
     quantized_koszul,
     reduced_star,
@@ -52,7 +51,7 @@ class TestClassicalComplex:
         h = homotopy_h(m, SuperObservable.scalar(m, j * j), 0)
         assert (h.comps[(0,)] - j).is_zero()
         phi = m.var("g") * m.var("q")
-        assert homotopy_h(m, SuperObservable.scalar(m, prolong(m, phi)), 0).is_zero()
+        assert homotopy_h(m, SuperObservable.scalar(m, m.prolong(phi)), 0).is_zero()
         h1 = homotopy_h(m, SuperObservable.scalar(m, j), 0)
         assert (h1.comps[(0,)] - m.one()).is_zero()
         assert (koszul(m, h1).comps[()] - j).is_zero()
@@ -60,9 +59,9 @@ class TestClassicalComplex:
     def test_prolongation(self, model_r, rand):
         m = model_r
         phi = rand.poly(m, 2, m.base_names + m.group_names)
-        assert (m.restrict(prolong(m, phi)) - phi).is_zero()
+        assert (m.restrict(m.prolong(phi)) - phi).is_zero()
         with pytest.raises(ValueError):
-            prolong(m, m.momentum(0))
+            m.prolong(m.momentum(0))
 
 
 class TestQuantizedKoszul:
@@ -96,7 +95,7 @@ class TestDeformedRestriction:
         m = model_heis
         cfg = ReductionConfig(m, Fraction(1, 2))
         phi = rand.poly(m, 2, m.base_names + m.group_names)
-        assert (deformed_restriction(cfg, prolong(m, phi)) - phi).is_zero()
+        assert (deformed_restriction(cfg, m.prolong(phi)) - phi).is_zero()
 
     def test_momentum_pairing_example(self, model_r):
         m = model_r
@@ -169,7 +168,7 @@ class TestBimodule:
     def test_normalizer_examples(self, model_r, rand):
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))
-        assert quantized_BC_member(cfg, prolong(m, rand.base(m, 2)))
+        assert quantized_BC_member(cfg, m.prolong(rand.base(m, 2)))
         assert not quantized_BC_member(cfg, m.var("g"))
         x = SuperObservable(m, {(0,): rand.poly(m, 1)})
         elt = quantized_koszul(cfg, x).comps.get((), m.zero())

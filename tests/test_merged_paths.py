@@ -1,0 +1,440 @@
+"""Differential tests: the merged word calculus, transport and multiplication
+operators against the separate constructions they replace.
+
+The reference code below is the former implementation, kept here only as
+the construction the merged code must reproduce exactly (equal values and
+equal repr):
+
+- a second PBW word algebra with its own symmetrization and inverse, which
+  gave Gutt's symmetrization product on momentum-level models;
+- the resolvent of koszul as the Neumann iteration y <- f - P(y), which
+  applies P = (qk_1 - k_1) h_0 to the whole partial sum;
+- the conjugation transports A^a and B as finite geometric tails of the
+  operator T = (k_1 - qk_1) h_0;
+- the left and right multiplication operators as mirror-image builders.
+"""
+
+import random
+from fractions import Fraction
+from itertools import permutations, product
+from math import factorial
+
+import pytest
+
+from redstar.diffop import DiffOperator
+from redstar.funcs import Func
+from redstar.geometry import ModelSpace, abelian_lie, aff1, heisenberg3
+from redstar.involution import (
+    _base_pairs,
+    conj_transport,
+    mult_operator,
+    transport,
+    transport_inner,
+)
+from redstar.koszul import (
+    ReductionConfig,
+    SuperObservable,
+    _neumann_resolve,
+    _perturbation,
+    homotopy_h,
+    koszul,
+    quantized_koszul,
+)
+from redstar.poly import Poly
+from redstar.scalars import GaussRational, I as IMAG
+from redstar.starprod import _mul_ilam, moyal, star_G
+
+
+# ---------------------------------------------------------------------------
+# reference: the enveloping-algebra product without group data
+# ---------------------------------------------------------------------------
+
+
+class RefUElement:
+    """sum_w c_w J_{w_1}...J_{w_k} with [J_a, J_b] = i lam C_ab^c J_c."""
+
+    def __init__(self, model, terms=None):
+        self.model = model
+        self.terms = {}
+        if terms:
+            for w, c in terms.items():
+                if not c.is_zero():
+                    self._add(tuple(w), c)
+
+    def _add(self, word, coeff):
+        if coeff.is_zero():
+            return
+        cur = self.terms.get(word)
+        s = coeff if cur is None else cur + coeff
+        if s.is_zero():
+            self.terms.pop(word, None)
+        else:
+            self.terms[word] = s
+
+    def _add_normal_ordered(self, word, coeff):
+        if coeff.is_zero():
+            return
+        for k in range(len(word) - 1):
+            a, b = word[k], word[k + 1]
+            if a > b:
+                swapped = word[:k] + (b, a) + word[k + 2:]
+                self._add_normal_ordered(swapped, coeff)
+                for c in range(self.model.lie.dim):
+                    v = self.model.lie.c(a, b, c)
+                    if v:
+                        shorter = word[:k] + (c,) + word[k + 2:]
+                        self._add_normal_ordered(
+                            shorter, _mul_ilam(coeff) * GaussRational(v)
+                        )
+                return
+        self._add(word, coeff)
+
+    def multiply(self, other):
+        out = RefUElement(self.model)
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                out._add_normal_ordered(w1 + w2, moyal(self.model, c1, c2))
+        return out
+
+    def subtract(self, other):
+        out = RefUElement(self.model, dict(self.terms))
+        for w, c in other.terms.items():
+            out._add(w, -c)
+        return out
+
+
+def ref_symmetrize(model, f):
+    jnames = model.momentum_names
+    out = RefUElement(model)
+    degree = max(p.degree_in(jnames) for p in f.series.coeffs) if not f.is_zero() else 0
+    multis = [()]
+    all_multis = [()]
+    for _ in range(degree):
+        multis = [m + (a,) for m in multis for a in range(model.lie.dim) if not m or a >= m[-1]]
+        all_multis.extend(multis)
+    for multi in all_multis:
+        g = f
+        for a in multi:
+            g = g.diff(jnames[a])
+        g = g.set_zero(jnames)
+        if g.is_zero():
+            continue
+        r = len(multi)
+        seen = set()
+        for arrangement in permutations(multi):
+            if arrangement in seen:
+                continue
+            seen.add(arrangement)
+            out._add_normal_ordered(
+                arrangement, g * GaussRational(Fraction(1, factorial(r)))
+            )
+    return out
+
+
+def ref_unsymmetrize(model, u):
+    jnames = model.momentum_names
+    residue = RefUElement(model, dict(u.terms))
+    total = Func.zero(model.gens, model.order)
+    while residue.terms:
+        length = max(len(w) for w in residue.terms)
+        if length == 0:
+            total = total + residue.terms[()]
+            break
+        piece = None
+        for w, c in residue.terms.items():
+            if len(w) != length:
+                continue
+            mono = Func.one(model.gens, model.order)
+            for a in w:
+                mono = mono * Func.var(model.gens, jnames[a], model.order)
+            contrib = c * mono
+            piece = contrib if piece is None else piece + contrib
+        total = total + piece
+        residue = residue.subtract(ref_symmetrize(model, piece))
+    return total
+
+
+def ref_gutt(model, f, g):
+    """Base product tensor the symmetrization product on the momenta."""
+    return ref_unsymmetrize(model, ref_symmetrize(model, f).multiply(ref_symmetrize(model, g)))
+
+
+# ---------------------------------------------------------------------------
+# reference: the resolvent as a Neumann iteration on the partial sum
+# ---------------------------------------------------------------------------
+
+
+def ref_neumann_resolve(cfg, f):
+    y = f
+    for _ in range(cfg.model.order):
+        y = f - _perturbation(cfg, y)
+    return y
+
+
+# ---------------------------------------------------------------------------
+# reference: the conjugation transports as geometric tails
+# ---------------------------------------------------------------------------
+
+
+def ref_transport_T(cfg, f):
+    """(k_1 - qk_1) h_0 f."""
+    model = cfg.model
+    hx = homotopy_h(model, SuperObservable.scalar(model, f), 0)
+    diff = koszul(model, hx) - quantized_koszul(cfg, hx)
+    return diff.comps.get((), model.zero())
+
+
+def ref_geometric_tail(cfg, seed, budget):
+    acc = seed
+    val = seed
+    for _ in range(budget):
+        val = ref_transport_T(cfg, val)
+        acc = acc + val
+    return acc
+
+
+def _ref_transport(cfg, g, contract):
+    model = cfg.model
+    order = model.order
+    inner = [g.conj()]
+    for _ in range(order):
+        inner.append(ref_transport_T(cfg, inner[-1]))
+    total = model.zero()
+    for m in range(order + 1):
+        h0 = homotopy_h(model, SuperObservable.scalar(model, inner[m].conj()), 0)
+        seed = contract(h0).comps.get((), model.zero())
+        if seed.is_zero():
+            continue
+        total = total + ref_geometric_tail(cfg, seed, order - m)
+    return total
+
+
+def ref_transport_A(cfg, a, g):
+    return _ref_transport(cfg, g, lambda h0: h0.insert_basis(a))
+
+
+def ref_transport_B(cfg, g):
+    return _ref_transport(cfg, g, lambda h0: h0.insert_covector(cfg.model.lie.modular))
+
+
+# ---------------------------------------------------------------------------
+# reference: one-sided multiplication operators
+# ---------------------------------------------------------------------------
+
+
+def _ref_mult(model, u, left):
+    if u.profile:
+        raise ValueError("multiplication operators need polynomial symbols")
+    gens = model.gens
+    order = model.order
+    pairs = _base_pairs(model)
+    tables = [dict() for _ in range(order + 1)]
+    half_i = IMAG * GaussRational(Fraction(1, 2))
+    for r in range(order + 1):
+        scale = half_i ** r * GaussRational(Fraction(1, factorial(r)))
+        for seq in product(pairs, repeat=r):
+            d = [0] * len(gens)
+            du = u
+            factor = scale
+            for (i, j, lam) in seq:
+                if left:
+                    d[j] += 1
+                    du = du.diff(model.base_names[i])
+                else:
+                    d[i] += 1
+                    du = du.diff(model.base_names[j])
+                factor = factor * lam
+            if du.is_zero():
+                continue
+            for s, p in enumerate(du.series.coeffs):
+                if r + s > order or p.is_zero():
+                    continue
+                key = tuple(d)
+                tables[r + s][key] = tables[r + s].get(key, Poly.zero(gens)) + p * factor
+    return DiffOperator(gens, order, tables)
+
+
+def ref_right_mult_operator(model, u):
+    """w -> w *_red u."""
+    return _ref_mult(model, u, left=False)
+
+
+def ref_left_mult_operator(model, v):
+    """w -> v *_red w."""
+    return _ref_mult(model, v, left=True)
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+
+def rand_poly(rng, model, gens, deg, nterms=3):
+    out = model.zero()
+    for _ in range(nterms):
+        t = model.one()
+        for _ in range(rng.randint(0, deg)):
+            t = t * model.var(rng.choice(gens))
+        out = out + t * GaussRational(rng.randint(-3, 3), rng.randint(-1, 1))
+    return out
+
+
+def lam_shifted(f, r):
+    return Func(f.series.shift(r), f.profile, f.pi4)
+
+
+def assert_same(got, expect):
+    assert (got - expect).is_zero()
+    assert repr(got) == repr(expect)
+    assert got.profile == expect.profile and got.pi4 == expect.pi4
+
+
+MOMENTUM_MODELS = {
+    "aff1": lambda: ModelSpace(aff1(), 2, 3),
+    "heis3": lambda: ModelSpace(heisenberg3(), 2, 3, group_level=False),
+    "abelian1": lambda: ModelSpace(abelian_lie(1), 2, 3, group_level=False),
+    "abelian2": lambda: ModelSpace(abelian_lie(2), 2, 3, group_level=False),
+}
+
+
+# ---------------------------------------------------------------------------
+# star_G on momentum-level models is the reference Gutt product
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(MOMENTUM_MODELS))
+def test_star_G_is_gutt_product(name):
+    m = MOMENTUM_MODELS[name]()
+    assert not m.has_group
+    rng = random.Random(7)
+    pairs = [(m.momentum(a), m.momentum(b))
+             for a in range(m.lie.dim) for b in range(m.lie.dim)]
+    for _ in range(4):
+        f = rand_poly(rng, m, m.gens, 3)
+        g = rand_poly(rng, m, m.gens, 3)
+        pairs.append((f, g))
+        pairs.append((lam_shifted(f, 1), g))
+        pairs.append((f, lam_shifted(g, 2)))
+    pairs.append((m.zero(), rand_poly(rng, m, m.gens, 2)))
+    pairs.append((m.one(), m.one()))
+    for f, g in pairs:
+        assert_same(star_G(m, f, g), ref_gutt(m, f, g))
+
+
+def test_star_G_is_gutt_product_with_envelope():
+    m = MOMENTUM_MODELS["aff1"]()
+    rng = random.Random(11)
+    for _ in range(3):
+        f = rand_poly(rng, m, m.gens, 2).with_profile({"q": Fraction(1, 2)})
+        g = rand_poly(rng, m, m.gens, 2).with_profile({"q": Fraction(1, 2)})
+        assert_same(star_G(m, f, g), ref_gutt(m, f, g))
+
+
+def test_reference_sees_the_commutator():
+    """The momenta do not commute under either product on heis3, so the
+    comparison above exercises the reordering, not only the base product."""
+    m = MOMENTUM_MODELS["heis3"]()
+    j1, j2 = m.momentum(0), m.momentum(1)
+    ref = ref_gutt(m, j1, j2) - ref_gutt(m, j2, j1)
+    assert not ref.is_zero()
+    assert_same(star_G(m, j1, j2) - star_G(m, j2, j1), ref)
+
+
+# ---------------------------------------------------------------------------
+# the resolvent summed term by term
+# ---------------------------------------------------------------------------
+
+
+RESOLVE_MODELS = {
+    "abelian1-K4": lambda: ModelSpace(abelian_lie(1), 2, 4),
+    "heis3-K4": lambda: ModelSpace(heisenberg3(), 2, 4),
+    "aff1-K4": lambda: ModelSpace(aff1(), 2, 4),
+    "aff1-K2": lambda: ModelSpace(aff1(), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVE_MODELS))
+@pytest.mark.parametrize("kappa", [0, Fraction(1, 2), [Fraction(1, 2), 1]],
+                         ids=["k0", "khalf", "kseries"])
+def test_resolve_matches_neumann_iteration(name, kappa):
+    m = RESOLVE_MODELS[name]()
+    cfg = ReductionConfig(m, kappa)
+    rng = random.Random(19)
+    momenta = m.one()
+    for k in range(4):
+        momenta = momenta * m.momentum(k % m.lie.dim)
+    inputs = [rand_poly(rng, m, m.gens, 4, nterms=4) for _ in range(3)]
+    inputs.append(momenta * rand_poly(rng, m, m.base_names + m.group_names, 2))
+    inputs.append(lam_shifted(rand_poly(rng, m, m.gens, 3), 1))
+    inputs.append(m.zero())
+    for f in inputs:
+        assert_same(_neumann_resolve(cfg, f), ref_neumann_resolve(cfg, f))
+    if name == "aff1-K2" and kappa != 0:
+        # the last term of the series, (-P)^K f, is nonzero here
+        last = inputs[3]
+        for _ in range(m.order):
+            last = _perturbation(cfg, last)
+        assert not last.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the merged transport
+# ---------------------------------------------------------------------------
+
+
+TRANSPORT_MODELS = {
+    "abelian1": lambda: ModelSpace(abelian_lie(1), 2, 3),
+    "heis3": lambda: ModelSpace(heisenberg3(), 2, 2),
+    "aff1": lambda: ModelSpace(aff1(), 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_MODELS))
+@pytest.mark.parametrize("kappa", [0, Fraction(1, 2), [Fraction(1, 2), 1]],
+                         ids=["k0", "khalf", "kseries"])
+def test_transport_matches_reference(name, kappa):
+    m = TRANSPORT_MODELS[name]()
+    cfg = ReductionConfig(m, kappa)
+    rng = random.Random(5)
+    top = 0
+    for _ in range(3):
+        g = rand_poly(rng, m, m.gens, 4, nterms=5)
+        inner = transport_inner(cfg, g)
+        expect_a = [ref_transport_A(cfg, a, g) for a in range(m.lie.dim)]
+        expect_b = ref_transport_B(cfg, g)
+        for a in range(m.lie.dim):
+            assert_same(transport(cfg, inner, m.basis_vector(a)), expect_a[a])
+        assert_same(transport(cfg, inner, m.lie.modular), expect_b)
+        ops = conj_transport(cfg, g)
+        for a in range(m.lie.dim):
+            assert_same(ops["A"][a], expect_a[a])
+        assert_same(ops["B"], expect_b)
+        for f in expect_a + [expect_b]:
+            top = max([top] + [r for r, c in enumerate(f.series.coeffs) if not c.is_zero()])
+    if name == "aff1" and kappa != 0:
+        # the modular term makes the geometric tails reach past the leading order
+        assert top >= 2
+
+
+# ---------------------------------------------------------------------------
+# the merged multiplication operator
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["abelian1", "heis3", "aff1"])
+def test_mult_operator_matches_reference_pair(name):
+    m = {"abelian1": lambda: ModelSpace(abelian_lie(1), 2, 3),
+         "heis3": lambda: ModelSpace(heisenberg3(), 2, 3),
+         "aff1": lambda: ModelSpace(aff1(), 4, 3)}[name]()
+    right = _base_pairs(m)
+    left = [(j, i, lam) for i, j, lam in right]
+    rng = random.Random(17)
+    for _ in range(4):
+        u = rand_poly(rng, m, m.base_names, 3)
+        u = u + lam_shifted(rand_poly(rng, m, m.base_names, 2), 1)
+        w = rand_poly(rng, m, m.base_names, 2)
+        for got, expect in ((mult_operator(m, u, right), ref_right_mult_operator(m, u)),
+                            (mult_operator(m, u, left), ref_left_mult_operator(m, u))):
+            assert got == expect
+            assert repr(got) == repr(expect)
+            assert_same(got.apply(w), expect.apply(w))

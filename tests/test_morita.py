@@ -17,9 +17,6 @@ from redstar.morita import (
     canonical_inner_product,
     classical_inner_product,
     complete_positivity_sample,
-    crossed_act,
-    crossed_conv,
-    crossed_star,
     deformation_comparison_H,
     external_inner_product,
     fullness_element,
@@ -211,28 +208,28 @@ class TestCrossedProduct:
                 return ks.kernel(out)
 
             k1, k2, k3 = rk(), rk(), rk()
-            assert (crossed_conv(ks, crossed_conv(ks, k1, k2), k3)
-                    - crossed_conv(ks, k1, crossed_conv(ks, k2, k3))).is_zero()
-            assert (crossed_star(ks, crossed_conv(ks, k1, k2))
-                    - crossed_conv(ks, crossed_star(ks, k2), crossed_star(ks, k1))
+            assert (ks.conv(ks.conv(k1, k2), k3)
+                    - ks.conv(k1, ks.conv(k2, k3))).is_zero()
+            assert (ks.star(ks.conv(k1, k2))
+                    - ks.conv(ks.star(k2), ks.star(k1))
                     ).is_zero()
-            assert (crossed_star(ks, crossed_star(ks, k1)) - k1).is_zero()
+            assert (ks.star(ks.star(k1)) - k1).is_zero()
             phi = rand.state(m, 1)
-            assert (crossed_act(ks, crossed_conv(ks, k1, k2), phi)
-                    - crossed_act(ks, k1, crossed_act(ks, k2, phi))).is_zero()
+            assert (ks.act(ks.conv(k1, k2), phi)
+                    - ks.act(k1, ks.act(k2, phi))).is_zero()
 
     def test_rank_one_embedding(self, model_r, rand):
         m = model_r
         ks = KernelSpace(m)
         a, b, chi = rand.state(m, 1), rand.state(m, 1), rand.state(m, 1)
         emb = ks.from_pair(a, b)
-        lhs = crossed_act(ks, emb, chi)
+        lhs = ks.act(emb, chi)
         cl = classical_inner_product(m, b, chi)
         rhs = Func((a * Func(cl.series, cl.profile, 0)).series, a.profile,
                    a.pi4 + cl.pi4)
         assert (lhs - rhs).is_zero()
         c, d = rand.state(m, 1), rand.state(m, 1)
-        lhs2 = crossed_conv(ks, ks.from_pair(a, b), ks.from_pair(c, d))
+        lhs2 = ks.conv(ks.from_pair(a, b), ks.from_pair(c, d))
         mid = classical_inner_product(m, b, c)
         rhs2 = ks.from_pair(
             Func((a * Func(mid.series, {}, 0)).series, a.profile, a.pi4 + mid.pi4),

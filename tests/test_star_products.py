@@ -15,7 +15,6 @@ from redstar.starprod import (
     schroedinger_rep,
     star_G,
     star_std,
-    star_total,
     stdrep,
 )
 from redstar.suites import SuiteContext, suite_star
@@ -160,9 +159,9 @@ class TestStarG:
         m = model_r
         q = m.var("q")
         p_sym = m.momentum(0) * GaussRational(-1)
-        assert (star_total(m, q, p_sym) - q * p_sym).is_zero()
+        assert (star_G(m, q, p_sym) - q * p_sym).is_zero()
         u, v = m.var("q"), m.var("p")
-        assert (star_total(m, u, v) - moyal(m, u, v)).is_zero()
+        assert (star_G(m, u, v) - moyal(m, u, v)).is_zero()
 
 
 class TestSchroedinger:
