@@ -7,8 +7,6 @@ Everything is exact: coefficients are Gaussian rationals and all identities
 hold coefficient by coefficient.
 """
 
-from fractions import Fraction
-
 from redstar import (
     ModelSpace,
     abelian_lie,

@@ -17,7 +17,6 @@ from redstar import (
     lebesgue_weight,
     lift_density,
     modular_vector_field,
-    moyal,
 )
 from redstar.involution import (
     PositiveFunctional,
@@ -26,11 +25,9 @@ from redstar.involution import (
     modular_class,
     reduced_involution,
 )
-from redstar.funcs import Func
 
 m = ModelSpace(abelian_lie(1), base_dim=2, order=4)
 cfg = ReductionConfig(m, Fraction(1, 2))
-mul = lambda a, b: moyal(m, a, b)
 leb = lebesgue_weight(m)
 gauss = gaussian_base_weight(m, 1)
 
@@ -45,17 +42,17 @@ print("  modular field of the weight applied to q:",
 
 print("\nKMS identity for the Gaussian weight:")
 u, v = q * p, q + p * p
-rep = kms_check(cfg, u, v, gauss, star=mul)
+rep = kms_check(m, u, v, gauss)
 print("  tau(v * u)    =", rep["lhs"])
 print("  tau(I(u) * v) =", rep["rhs"])
 print("  holds:", rep["holds"])
 
 print("\ndensity ratio between scaled weights:")
 rho = m.one() + q * q
-print("  rho_hat       =", density_ratio_hat(cfg, gauss, rho, cap=4, star=mul))
+print("  rho_hat       =", density_ratio_hat(m, gauss, rho, cap=4))
 
 print("\nmodular class data:")
-mc = modular_class(cfg, gauss, cap=2)
+mc = modular_class(m, gauss, cap=2)
 print("  D(q) =", mc["D"].image((1, 0)))
 print("  first order is -i times the modular field:",
       mc["first_order_is_minus_i_delta"])

@@ -10,20 +10,17 @@ induces representations of the full algebra.
 
 from fractions import Fraction
 
-from redstar import ModelSpace, ReductionConfig, abelian_lie, moyal, star_G, neumaier_N
-from redstar.funcs import Func
-from redstar.geometry import fiber_integral
+from redstar import ModelSpace, ReductionConfig, abelian_lie
 from redstar.morita import (
     InducedVector,
     InnerProductModule,
     KernelSpace,
     RankOneOperator,
     VerticalOperator,
-    canonical_inner_product,
     deformation_comparison_H,
-    external_inner_product,
     fullness_element,
     inner_product_red,
+    inner_product_red_closed_form,
     rieffel_induce,
     schroedinger_class,
     vertical_sqrt,
@@ -47,7 +44,7 @@ theta = RankOneOperator(cfg, phi, ehat)
 print("  Theta_{phi,e}(e) - phi = ", (theta(ehat) - phi))
 
 print("\nvertical operators: a planted deformation and its recovery:")
-can = lambda a, b: canonical_inner_product(cfg, a, b)
+can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
 l0 = VerticalOperator.fundamental(m, 0)
 pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
 ip2 = lambda a, b: can(a, pert.act(b))

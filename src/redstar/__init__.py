@@ -4,7 +4,7 @@ identities of the reduced *-algebra and its representation theory."""
 
 from .scalars import GaussRational, PiScalar
 from .poly import Poly
-from .series import LambdaSeries, series_inverse, series_mul, series_sqrt
+from .series import LambdaSeries, series_inverse, series_sqrt
 from .funcs import Func
 from .diffop import DiffOperator
 from .integrate import gaussian_integrate

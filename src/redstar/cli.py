@@ -43,6 +43,13 @@ def _truncation_order(value) -> int:
     return order
 
 
+def _degree_cap(value) -> int:
+    cap = int(value)
+    if cap < 0:
+        raise SceneError(f"degree cap must be at least 0, got {cap}")
+    return cap
+
+
 class Scene:
     def __init__(self, data: dict, path: str = "<memory>"):
         self.path = path
@@ -74,7 +81,7 @@ class Scene:
         self.poisson_matrix = matrix
         self.order = _truncation_order(data.get("truncation_order", 4))
         caps = data.get("degree_caps", {})
-        self.degree_cap = int(caps.get("polynomial", 3))
+        self.degree_cap = _degree_cap(caps.get("polynomial", 3))
         self.seed = int(data.get("seed", 0))
         self.trials = int(data.get("trials", 8))
         if self.trials < 1:
@@ -277,7 +284,7 @@ def cmd_verify(args) -> int:
     if args.order is not None:
         scene.order = _truncation_order(args.order)
     if args.degree_cap is not None:
-        scene.degree_cap = args.degree_cap
+        scene.degree_cap = _degree_cap(args.degree_cap)
     model = scene.model()
     ctx = scene.context(model)
     suites = [args.suite] if args.suite else scene.suites

@@ -65,9 +65,6 @@ class Func:
     def zero_like(self) -> "Func":
         return Func.zero(self.gens, self.order)
 
-    def one_like(self) -> "Func":
-        return Func.one(self.gens, self.order)
-
     @property
     def order(self) -> int:
         return self.series.order
@@ -142,12 +139,6 @@ class Func:
             out = out + self.series.map(lambda p: p * c * GaussRational(-2 * a))
         return Func(out, self.profile, self.pi4)
 
-    def diff_multi(self, names) -> "Func":
-        out = self
-        for n in names:
-            out = out.diff(n)
-        return out
-
     def set_zero(self, names) -> "Func":
         """Restrict by putting the listed coordinates to zero (no envelope there)."""
         for n in names:
@@ -173,9 +164,6 @@ class Func:
         return Func(
             self.series.map(lambda p: p.rename(mapping, new_gens)), prof, self.pi4
         )
-
-    def embed(self, new_gens) -> "Func":
-        return self.rename({}, new_gens)
 
     def with_profile(self, extra: dict) -> "Func":
         prof = dict(self.profile)

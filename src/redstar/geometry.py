@@ -295,9 +295,6 @@ class ModelSpace:
     def lie_derivative_C(self, a: int, f: Func) -> Func:
         return self.fundamental_field_C(self.basis_vector(a)).apply(f)
 
-    def lie_derivative_M(self, a: int, f: Func) -> Func:
-        return self.fundamental_field_M(self.basis_vector(a)).apply(f)
-
     # -- restriction / prolongation -------------------------------------------
 
     def restrict(self, f: Func) -> Func:

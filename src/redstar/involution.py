@@ -31,6 +31,7 @@ from .linalg import solve_linear
 from .poly import Poly
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries, series_inverse
+from .starprod import _mul_ilam, moyal
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +69,6 @@ def conj_transport(cfg: ReductionConfig, f: Func) -> dict:
     }
 
 
-def _i_lam(f: Func) -> Func:
-    return Func(f.series.shift(1) * IMAG, f.profile, f.pi4)
-
-
 def conj_transport_check(cfg: ReductionConfig, f: Func) -> dict:
     """Verify both commutation displays and the contraction identity."""
     model = cfg.model
@@ -87,13 +84,15 @@ def conj_transport_check(cfg: ReductionConfig, f: Func) -> dict:
         term_a1 = term_a1 + model.fundamental_field_M(model.basis_vector(a)).apply(
             transport(cfg, inner_fc, model.basis_vector(a))
         )
-    first = base + _i_lam(term_a1) + _i_lam(Func(b_fc.series * kk, b_fc.profile, b_fc.pi4))
+    first = base + _mul_ilam(term_a1) + _mul_ilam(
+        Func(b_fc.series * kk, b_fc.profile, b_fc.pi4)
+    )
 
     term_a2 = model.zero()
     for a in range(model.lie.dim):
         lie_fc = model.fundamental_field_M(model.basis_vector(a)).apply(fc)
         term_a2 = term_a2 + transport(cfg, transport_inner(cfg, lie_fc), model.basis_vector(a))
-    second = base + _i_lam(term_a2) + _i_lam(
+    second = base + _mul_ilam(term_a2) + _mul_ilam(
         Func(b_fc.series * (kk - 1), b_fc.profile, b_fc.pi4)
     )
 
@@ -126,15 +125,11 @@ def omega_mu(cfg: ReductionConfig, f: Func, mu: DensityWeight) -> LambdaSeries:
 
 def inner_product_mu(cfg: ReductionConfig, phi: Func, psi: Func,
                      mu: DensityWeight) -> LambdaSeries:
-    """<phi, psi>_mu through the deformed restriction of the starred product."""
+    """<phi, psi>_mu = omega_mu(conj(prol phi) * prol psi)."""
     model = cfg.model
     if not mu.is_real():
         raise ValueError("the pre-Hilbert structure needs a real weight")
-    integrand = deformed_restriction(
-        cfg, cfg.star(model.prolong(phi).conj(), model.prolong(psi))
-    )
-    block = list(model.base_names) + list(model.group_names)
-    return gaussian_integrate(integrand, mu, block).scalar_series()
+    return omega_mu(cfg, cfg.star(model.prolong(phi).conj(), model.prolong(psi)), mu)
 
 
 def inner_product_mu_alt(cfg: ReductionConfig, phi: Func, psi: Func,
@@ -239,9 +234,8 @@ def _transpose_at_one(model: ModelSpace, op: DiffOperator, omega: DensityWeight)
     return adj.apply(model.one()).conj()
 
 
-def reduced_involution(model_or_cfg, u: Func, omega: DensityWeight) -> Func:
+def reduced_involution(model: ModelSpace, u: Func, omega: DensityWeight) -> Func:
     """The unique u* adjoint to right multiplication by u for the weight."""
-    model = model_or_cfg.model if isinstance(model_or_cfg, ReductionConfig) else model_or_cfg
     if not omega.has_constant_leading_prefactor():
         raise ValueError("weight is outside the supported class for the involution")
     right = _base_pairs(model)
@@ -262,16 +256,11 @@ def kms_functional(model: ModelSpace, u: Func, omega: DensityWeight) -> LambdaSe
     return gaussian_integrate(u, omega, list(model.base_names)).scalar_series()
 
 
-def kms_check(cfg: ReductionConfig, u: Func, v: Func, omega: DensityWeight,
-              ustar: Func | None = None, star=None) -> dict:
-    """tau(v * u) = tau(I(u) * v) with I(u) = conj(u*)."""
-    model = cfg.model
-    mul = star if star is not None else cfg.star
-    if ustar is None:
-        ustar = reduced_involution(model, u, omega)
-    i_u = ustar.conj()
-    lhs = kms_functional(model, mul(v, u), omega)
-    rhs = kms_functional(model, mul(i_u, v), omega)
+def kms_check(model: ModelSpace, u: Func, v: Func, omega: DensityWeight) -> dict:
+    """tau(v * u) = tau(I(u) * v) with I(u) = conj(u*), * the base product."""
+    ustar = reduced_involution(model, u, omega)
+    lhs = kms_functional(model, moyal(model, v, u), omega)
+    rhs = kms_functional(model, moyal(model, ustar.conj(), v), omega)
     return {"holds": lhs == rhs, "lhs": lhs, "rhs": rhs, "ustar": ustar}
 
 
@@ -280,93 +269,84 @@ def kms_check(cfg: ReductionConfig, u: Func, v: Func, omega: DensityWeight,
 # ---------------------------------------------------------------------------
 
 
-def _base_monomials(model: ModelSpace, cap: int):
-    """Exponent vectors over the base coordinates of total degree <= cap."""
-    names = model.base_names
-    vecs = set()
-
-    def gen(idx, left, current):
-        if idx == len(names):
-            vecs.add(tuple(current))
-            return
-        for k in range(left + 1):
-            gen(idx + 1, left - k, current + [k])
-
-    gen(0, cap, [])
+def _monomials(names, cap: int) -> list:
+    """Exponent vectors over the coordinate block names of total degree
+    <= cap, by degree and then lexicographically."""
+    vecs = (e for e in product(range(cap + 1), repeat=len(names)) if sum(e) <= cap)
     return sorted(vecs, key=lambda e: (sum(e), e))
 
 
-def _monomial_func(model: ModelSpace, expo) -> Func:
-    p = Poly(model.gens, {tuple(
-        [expo[model.base_names.index(n)] if n in model.base_names else 0
-         for n in model.gens]
-    ): GaussRational(1)})
-    return Func.from_poly(p, model.order)
+def _monomial(model: ModelSpace, names, expo) -> Func:
+    """The monomial with exponents expo in the coordinate block names."""
+    full = [0] * len(model.gens)
+    for n, k in zip(names, expo):
+        full[model.gens.index(n)] = k
+    return Func.from_poly(Poly(model.gens, {tuple(full): GaussRational(1)}), model.order)
 
 
-def density_ratio_hat(cfg: ReductionConfig, omega: DensityWeight, rho: Func,
-                      cap: int = 4, star=None) -> Func:
+def _poly_vector(model: ModelSpace, p: Poly, cap: int):
+    """Coefficient vector of a base polynomial over monomials of degree <= cap."""
+    basis = _monomials(model.base_names, cap)
+    base_idx = [p.gens.index(n) for n in model.base_names]
+    vec = {e: GaussRational(0) for e in basis}
+    for expo, c in p.terms.items():
+        key = tuple(expo[i] for i in base_idx)
+        if key not in vec:
+            raise ValueError("polynomial exceeds the comparison cap")
+        vec[key] = vec[key] + c
+    return [vec[e] for e in basis]
+
+
+def density_ratio_hat(model: ModelSpace, omega: DensityWeight, rho: Func,
+                      cap: int = 4) -> Func:
     """Solve tau_{rho Omega}(u) = tau_Omega(rho_hat * u) on a monomial basis.
 
     The order-by-order systems are Gram matrices of base monomials against
     the order-zero weight, hence invertible; a cap that is too small to
     carry the corrections raises an error.
     """
-    model = cfg.model
-    mul = star if star is not None else cfg.star
     if not omega.gauss:
         raise ValueError("the density-ratio solve needs a Gaussian base weight")
-    basis = _base_monomials(model, cap)
-    monos = [_monomial_func(model, e) for e in basis]
-
-    gram = []
-    for eu in basis:
-        row = []
-        for em in basis:
-            val = kms_functional(
-                model, _monomial_func(model, eu) * _monomial_func(model, em), omega
-            ).coeffs[0]
-            row.append(val.value)
-        gram.append(row)
+    monos = [_monomial(model, model.base_names, e)
+             for e in _monomials(model.base_names, cap)]
+    gram = [[kms_functional(model, u * w, omega).coeffs[0].value for w in monos]
+            for u in monos]
 
     rho_hat = model.zero()
     for r in range(model.order + 1):
         rhs_vec = []
-        for k, eu in enumerate(basis):
-            u = monos[k]
-            lhs = kms_functional(model, (u * rho), omega)
-            cur = kms_functional(model, mul(rho_hat, u), omega)
+        for u in monos:
+            lhs = kms_functional(model, u * rho, omega)
+            cur = kms_functional(model, moyal(model, rho_hat, u), omega)
             d = lhs - cur
             rhs_vec.append(d.coeffs[r].value)
         sol = solve_linear(gram, rhs_vec)
         if sol is None:
             raise ValueError("degree cap too small for the density-ratio solve")
         poly = Poly.zero(model.gens)
-        for val, em in zip(sol, basis):
+        for val, mm in zip(sol, monos):
             if not val.is_zero():
-                poly = poly + _monomial_func(model, em).series.coeffs[0] * val
+                poly = poly + mm.series.coeffs[0] * val
         if not poly.is_zero():
             rho_hat = rho_hat + Func(LambdaSeries.lam_power(poly, r, model.order))
     return rho_hat
 
 
-def involution_comparison(cfg: ReductionConfig, omega: DensityWeight, rho: Func,
-                          us: list, star=None, cap: int = 4) -> dict:
+def involution_comparison(model: ModelSpace, omega: DensityWeight, rho: Func,
+                          us: list, cap: int = 4) -> dict:
     """u^{*'} = conj(rho_hat) * u^* * conj(rho_hat)^{-1} for the scaled weight."""
-    model = cfg.model
-    mul = star if star is not None else cfg.star
     omega_p = omega.scaled(rho)
-    rho_hat = density_ratio_hat(cfg, omega, rho, cap=cap, star=mul)
+    rho_hat = density_ratio_hat(model, omega, rho, cap=cap)
     crh = rho_hat.conj()
 
-    def series_mul(a, b):
-        return mul(Func(a), Func(b)).series
+    def moyal_series(a, b):
+        return moyal(model, Func(a), Func(b)).series
 
-    crh_inv = Func(series_inverse(crh.series, series_mul))
+    crh_inv = Func(series_inverse(crh.series, moyal_series))
     failures = []
     for k, u in enumerate(us):
         lhs = reduced_involution(model, u, omega_p)
-        rhs = mul(mul(crh, reduced_involution(model, u, omega)), crh_inv)
+        rhs = moyal(model, moyal(model, crh, reduced_involution(model, u, omega)), crh_inv)
         if not (lhs - rhs).is_zero():
             failures.append(k)
     return {"holds": not failures, "failures": failures, "rho_hat": rho_hat}
@@ -394,7 +374,8 @@ class AutomorphismSeries:
     def image(self, expo) -> Func:
         expo = tuple(expo)
         if expo not in self._cache:
-            self._cache[expo] = self._fn(_monomial_func(self.model, expo))
+            self._cache[expo] = self._fn(
+                _monomial(self.model, self.model.base_names, expo))
         return self._cache[expo]
 
     def _decompose(self, f: Func):
@@ -444,19 +425,15 @@ class AutomorphismSeries:
 
         return AutomorphismSeries(self.model, d_of)
 
-    def basis_images(self, cap: int) -> dict:
-        return {e: self.image(e) for e in _base_monomials(self.model, cap)}
 
-
-def modular_automorphism(cfg: ReductionConfig, omega: DensityWeight) -> AutomorphismSeries:
+def modular_automorphism(model: ModelSpace, omega: DensityWeight) -> AutomorphismSeries:
     """I_Omega: u -> conj(u*)."""
-    model = cfg.model
     return AutomorphismSeries(
         model, lambda m: reduced_involution(model, m, omega).conj()
     )
 
 
-def modular_class(cfg: ReductionConfig, omega: DensityWeight, cap: int = 4) -> dict:
+def modular_class(model: ModelSpace, omega: DensityWeight, cap: int = 4) -> dict:
     """I_Omega, its logarithm, and the first-order comparison.
 
     Under the pinned conventions X_u = {., u} and Delta(u) = X_u(log w), the
@@ -466,13 +443,12 @@ def modular_class(cfg: ReductionConfig, omega: DensityWeight, cap: int = 4) -> d
     """
     from .geometry import modular_vector_field
 
-    model = cfg.model
-    i_map = modular_automorphism(cfg, omega)
+    i_map = modular_automorphism(model, omega)
     d_map = i_map.log()
     delta = modular_vector_field(model, omega)
     first_ok = True
-    for e in _base_monomials(model, cap):
-        m = _monomial_func(model, e)
+    for e in _monomials(model.base_names, cap):
+        m = _monomial(model, model.base_names, e)
         expected = Func(delta.apply(m).series.shift(1) * (-IMAG))
         got = Func(
             LambdaSeries.lam_power(d_map.image(e).series.coeffs[1], 1, model.order)
@@ -484,37 +460,30 @@ def modular_class(cfg: ReductionConfig, omega: DensityWeight, cap: int = 4) -> d
             "cap": cap}
 
 
-def modular_inner_difference(cfg: ReductionConfig, om1: DensityWeight,
-                             om2: DensityWeight, cap: int = 2, star=None,
-                             unknown_cap: int | None = None,
-                             window: int | None = None) -> dict:
+def modular_inner_difference(model: ModelSpace, om1: DensityWeight,
+                             om2: DensityWeight, cap: int = 2) -> dict:
     """Solve D_1 - D_2 = ad_star(w) on the monomial basis up to the cap.
 
     The certificate is finite: w is sought with degree at most unknown_cap
-    (default cap + 2K, since the conjugator degree grows with the lam order)
-    and both sides are compared as polynomials of degree at most the window
-    on basis monomials of degree at most cap.
+    = cap + 2K, since the conjugator degree grows with the lam order, and
+    both sides are compared as polynomials of degree at most the window
+    cap + unknown_cap on basis monomials of degree at most cap.
     """
-    model = cfg.model
-    mul = star if star is not None else cfg.star
-    if unknown_cap is None:
-        unknown_cap = cap + 2 * model.order
-    if window is None:
-        window = cap + unknown_cap
-    d1 = modular_class(cfg, om1, cap)["D"]
-    d2 = modular_class(cfg, om2, cap)["D"]
-    basis = _base_monomials(model, cap)
-    unknown_basis = _base_monomials(model, unknown_cap)
+    unknown_cap = cap + 2 * model.order
+    window = cap + unknown_cap
+    d1 = modular_class(model, om1, cap)["D"]
+    d2 = modular_class(model, om2, cap)["D"]
+    basis = _monomials(model.base_names, cap)
+    monos = [_monomial(model, model.base_names, e) for e in basis]
 
     columns = []
     for s in range(model.order):
-        for em in unknown_basis:
+        for em in _monomials(model.base_names, unknown_cap):
             w = Func(LambdaSeries.lam_power(
-                _monomial_func(model, em).series.coeffs[0], s, model.order))
+                _monomial(model, model.base_names, em).series.coeffs[0], s, model.order))
             col = []
-            for eb in basis:
-                m = _monomial_func(model, eb)
-                ad = mul(w, m) - mul(m, w)
+            for m in monos:
+                ad = moyal(model, w, m) - moyal(model, m, w)
                 for r in range(model.order + 1):
                     col.extend(_poly_vector(model, ad.series.coeffs[r], window))
             columns.append(col)
@@ -529,16 +498,3 @@ def modular_inner_difference(cfg: ReductionConfig, om1: DensityWeight,
     sol = solve_linear(rows, rhs)
     return {"inner": sol is not None, "cap": cap, "unknown_cap": unknown_cap,
             "window": window}
-
-
-def _poly_vector(model: ModelSpace, p: Poly, cap: int):
-    """Coefficient vector of a base polynomial over monomials of degree <= cap."""
-    basis = _base_monomials(model, cap)
-    base_idx = [p.gens.index(n) for n in model.base_names]
-    vec = {e: GaussRational(0) for e in basis}
-    for expo, c in p.terms.items():
-        key = tuple(expo[i] for i in base_idx)
-        if key not in vec:
-            raise ValueError("polynomial exceeds the comparison cap")
-        vec[key] = vec[key] + c
-    return [vec[e] for e in basis]

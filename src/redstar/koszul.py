@@ -30,12 +30,14 @@ def kappa_series(model: ModelSpace, value) -> LambdaSeries:
 
 
 class ReductionConfig:
-    """kappa, the ambient product, and the truncation order."""
+    """The model, kappa and the ambient product star_G."""
 
-    def __init__(self, model: ModelSpace, kappa=Fraction(1, 2), star=None):
+    def __init__(self, model: ModelSpace, kappa=Fraction(1, 2)):
         self.model = model
         self.kappa = kappa_series(model, kappa)
-        self.star = star if star is not None else (lambda f, g: star_G(model, f, g))
+
+    def star(self, f: Func, g: Func) -> Func:
+        return star_G(self.model, f, g)
 
     def kappa_plus_conj(self) -> LambdaSeries:
         return self.kappa + self.kappa.conj()
@@ -69,14 +71,6 @@ class SuperObservable:
 
     def is_zero(self) -> bool:
         return not self.comps
-
-    def degree_part(self, k: int) -> "SuperObservable":
-        return SuperObservable(
-            self.model, {i: f for i, f in self.comps.items() if len(i) == k}
-        )
-
-    def degrees(self):
-        return sorted({len(i) for i in self.comps})
 
     def __add__(self, other: "SuperObservable") -> "SuperObservable":
         out = SuperObservable(self.model, dict(self.comps))
@@ -249,21 +243,21 @@ def deformed_restriction(cfg: ReductionConfig, f: Func) -> Func:
     return cfg.model.restrict(_neumann_resolve(cfg, f))
 
 
-def deformed_h0(cfg: ReductionConfig, f: Func) -> SuperObservable:
-    return homotopy_h(
-        cfg.model, SuperObservable.scalar(cfg.model, _neumann_resolve(cfg, f)), 0
-    )
-
-
 def deformed_homotopy(cfg: ReductionConfig, x: SuperObservable, k: int) -> SuperObservable:
-    """h^kappa_k = h_k (h_{k-1} qk_k + qk_{k+1} h_k)^{-1} in degree k >= 0."""
+    """h^kappa_k = h_k (h_{k-1} qk_k + qk_{k+1} h_k)^{-1} in degree k >= 0.
+
+    For k >= 1 the inverse is the terminating series sum_j (-P)^j x with
+    P = h_{k-1} qk_k + qk_{k+1} h_k - id, summed term by term like
+    _neumann_resolve.
+    """
     model = cfg.model
     if k == 0:
         out = SuperObservable(model)
         for idx, f in x.comps.items():
             if idx != ():
                 raise ValueError("degree-0 homotopy expects a scalar input")
-            out = out + deformed_h0(cfg, f)
+            resolved = SuperObservable.scalar(model, _neumann_resolve(cfg, f))
+            out = out + homotopy_h(model, resolved, 0)
         return out
 
     def op(y: SuperObservable) -> SuperObservable:
@@ -271,9 +265,10 @@ def deformed_homotopy(cfg: ReductionConfig, x: SuperObservable, k: int) -> Super
             cfg, homotopy_h(model, y, k)
         )
 
-    y = x
+    y = term = x
     for _ in range(model.order):
-        y = x - (op(y) - y)
+        term = term - op(term)
+        y = y + term
     return homotopy_h(model, y, k)
 
 

@@ -5,20 +5,15 @@ from __future__ import annotations
 from .scalars import GaussRational
 
 
-def solve_linear(rows, rhs):
-    """Solve A x = b exactly; A given as list of rows of GaussRational.
-
-    Returns a solution vector if one exists (least constrained variables set
-    to zero), or None if the system is inconsistent.  The system may be
-    over- or under-determined.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[GaussRational.coerce(v) for v in row] + [GaussRational.coerce(rhs[i])]
-         for i, row in enumerate(rows)]
+def _eliminate(a, n: int) -> list:
+    """Gauss-Jordan elimination in place over the first n columns of the
+    rows a; returns the pivot columns, pivot i sitting in row i."""
+    m = len(a)
     pivots = []
     r = 0
     for c in range(n):
+        if r == m:
+            break
         pivot = None
         for i in range(r, m):
             if not a[i][c].is_zero():
@@ -35,11 +30,22 @@ def solve_linear(rows, rhs):
                 a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if not a[i][n].is_zero():
-            return None
+    return pivots
+
+
+def solve_linear(rows, rhs):
+    """Solve A x = b exactly; A given as list of rows of GaussRational.
+
+    Returns a solution vector if one exists (least constrained variables set
+    to zero), or None if the system is inconsistent.  The system may be
+    over- or under-determined.
+    """
+    n = len(rows[0]) if rows else 0
+    a = [[GaussRational.coerce(v) for v in row] + [GaussRational.coerce(rhs[i])]
+         for i, row in enumerate(rows)]
+    pivots = _eliminate(a, n)
+    if any(not row[n].is_zero() for row in a[len(pivots):]):
+        return None
     x = [GaussRational(0)] * n
     for i, c in enumerate(pivots):
         x[c] = a[i][n]
@@ -47,31 +53,10 @@ def solve_linear(rows, rhs):
 
 
 def rank(rows) -> int:
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return 0
-    n = len(rows[0])
     a = [[GaussRational.coerce(v) for v in row] for row in rows]
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if not a[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(_eliminate(a, len(a[0])))
 
 
 def determinant(rows) -> GaussRational:

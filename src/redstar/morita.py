@@ -16,12 +16,13 @@ from fractions import Fraction
 from .funcs import Func
 from .geometry import FIBER_EXPONENT, ModelSpace, fiber_integral
 from .integrate import gaussian_integrate
+from .involution import _monomial, _monomials, _poly_vector
 from .koszul import ReductionConfig, deformed_restriction, right_module
 from .linalg import is_psd_hermitian, solve_linear
 from .poly import Poly
 from .scalars import GaussRational
 from .series import LambdaSeries
-from .starprod import SymbolOp, moyal, neumaier_N
+from .starprod import SymbolOp, moyal, neumaier_N, pbw_words
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +259,6 @@ class VerticalOperator:
         return VerticalOperator(model, total)
 
 
-def canonical_inner_product(cfg: ReductionConfig, phi: Func, psi: Func) -> Func:
-    """<phi, psi>_can for the trivialized model: fiber-average the starred
-    product of the states (no momentum machinery enters)."""
-    return inner_product_red_closed_form(cfg, phi, psi)
-
-
 def deformation_comparison_H(cfg: ReductionConfig, ip1, ip2, g_cap: int = 2,
                              word_cap: int = 2, probe_cap: int = 2) -> VerticalOperator:
     """Solve ip2(phi, psi) = ip1(phi, H bullet' psi) for a vertical H.
@@ -276,45 +271,15 @@ def deformation_comparison_H(cfg: ReductionConfig, ip1, ip2, g_cap: int = 2,
     model = cfg.model
     order = model.order
     gnames = model.group_names
-
-    def g_monomials(cap):
-        vecs = set()
-
-        def gen(idx, left, cur):
-            if idx == len(gnames):
-                vecs.add(tuple(cur))
-                return
-            for k in range(left + 1):
-                gen(idx + 1, left - k, cur + [k])
-
-        gen(0, cap, [])
-        return sorted(vecs, key=lambda e: (sum(e), e))
-
-    def mono_func(expo):
-        p = Poly(model.gens, {tuple(
-            expo[gnames.index(n)] if n in gnames else 0 for n in model.gens
-        ): GaussRational(1)})
-        return Func.from_poly(p, order)
-
-    def words(cap):
-        layer = [()]
-        out = [()]
-        for _ in range(cap):
-            layer = [w + (a,) for w in layer for a in range(model.lie.dim)
-                     if not w or a >= w[-1]]
-            out.extend(layer)
-        return out
-
-    probes = [model.fiber_state(mono_func(e)) for e in g_monomials(probe_cap)]
-    unknowns = []
-    for w in words(word_cap):
-        for e in g_monomials(g_cap):
-            unknowns.append((w, e))
+    probes = [model.fiber_state(_monomial(model, gnames, e))
+              for e in _monomials(gnames, probe_cap)]
+    unknowns = [(w, e) for w in pbw_words(model.lie.dim, word_cap)
+                for e in _monomials(gnames, g_cap)]
 
     candidate_vals = []
     for (w, e) in unknowns:
         cand = VerticalOperator(
-            model, SymbolOp(model, {tuple(w): mono_func(e)}, lam_weighted=False)
+            model, SymbolOp(model, {w: _monomial(model, gnames, e)}, lam_weighted=False)
         )
         vals = [ip1(phi, cand.act(psi)) for phi in probes for psi in probes]
         candidate_vals.append(vals)
@@ -333,10 +298,10 @@ def deformation_comparison_H(cfg: ReductionConfig, ip1, ip2, g_cap: int = 2,
             for f in vals:
                 window = max(window, *(p.total_degree() for p in f.series.coeffs))
         columns = [
-            [x for f in vals for x in _scalarize(model, f, 0, window)]
+            [x for f in vals for x in _poly_vector(model, f.series.coeffs[0], window)]
             for vals in candidate_vals
         ]
-        rhs = [x for d in defects for x in _scalarize(model, d, r, window)]
+        rhs = [x for d in defects for x in _poly_vector(model, d.series.coeffs[r], window)]
         rows = [[columns[c][k] for c in range(len(columns))] for k in range(len(rhs))]
         sol = solve_linear(rows, rhs)
         if sol is None:
@@ -344,27 +309,13 @@ def deformation_comparison_H(cfg: ReductionConfig, ip1, ip2, g_cap: int = 2,
         add = SymbolOp(model, None, lam_weighted=False)
         for coeff, (w, e) in zip(sol, unknowns):
             if not coeff.is_zero():
-                add._add_term(tuple(w), Func(
+                add._add_term(w, Func(
                     LambdaSeries.lam_power(
-                        mono_func(e).series.coeffs[0] * coeff, r, order
+                        _monomial(model, gnames, e).series.coeffs[0] * coeff, r, order
                     )
                 ))
         h = h + VerticalOperator(model, add)
     return h
-
-
-def _scalarize(model: ModelSpace, f: Func, r: int, cap: int):
-    """Flatten the lam-order-r coefficient of a base function into numbers."""
-    from .involution import _base_monomials
-
-    basis = _base_monomials(model, cap)
-    p = f.series.coeffs[r]
-    base_idx = [f.gens.index(n) for n in model.base_names]
-    vec = {e: GaussRational(0) for e in basis}
-    for expo, c in p.terms.items():
-        key = tuple(expo[i] for i in base_idx)
-        vec[key] = vec[key] + c
-    return [vec[e] for e in sorted(vec)]
 
 
 def vertical_sqrt(cfg: ReductionConfig, h: VerticalOperator) -> VerticalOperator:
@@ -473,11 +424,6 @@ def schroedinger_class(model: ModelSpace, b: Func) -> Func:
     return model.restrict(neumaier_N(model).apply(b))
 
 
-def schroedinger_pairing(model: ModelSpace, beta1: Func, beta2: Func) -> Func:
-    """The scalar inner product on position-space states: plain fiber L^2."""
-    return fiber_integral(model, beta1.conj() * beta2)
-
-
 class InducedVector:
     """A finite sum of simple tensors (position-space state) x (module element)."""
 
@@ -490,12 +436,13 @@ class InducedVector:
 
 def external_inner_product(cfg: ReductionConfig, module: InnerProductModule,
                            v1: InducedVector, v2: InducedVector) -> Func:
-    """<beta (x) x, beta' (x) y> = pairing(beta, beta') * ip(x, y)."""
+    """<beta (x) x, beta' (x) y> = <beta, beta'>_0 * ip(x, y), with the
+    plain fiber L^2 pairing classical_inner_product on position-space states."""
     model = cfg.model
     total = model.zero()
     for (b1, x1) in v1.terms:
         for (b2, x2) in v2.terms:
-            scal = schroedinger_pairing(model, b1, b2)
+            scal = classical_inner_product(model, b1, b2)
             val = scal * module.ip(x1, x2)
             total = total + val
     return total

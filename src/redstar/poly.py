@@ -67,9 +67,6 @@ class Poly:
     def ring_zero(self) -> "Poly":
         return Poly.zero(self.gens)
 
-    def ring_one(self) -> "Poly":
-        return Poly.one(self.gens)
-
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "Poly"):
@@ -231,18 +228,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff_of(self, **powers) -> "Poly":
-        """Collect the coefficient polynomial of a product of generator powers."""
-        idxs = {self.gens.index(n): p for n, p in powers.items()}
-        out = {}
-        for expo, c in self.terms.items():
-            if all(expo[i] == p for i, p in idxs.items()):
-                e = list(expo)
-                for i in idxs:
-                    e[i] = 0
-                out[tuple(e)] = c
-        return Poly(self.gens, out)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _degrevlex_key(kv[0]), reverse=True)

@@ -142,10 +142,6 @@ class PiScalar:
     def __setattr__(self, name, value):
         raise AttributeError("PiScalar is immutable")
 
-    @property
-    def pi_half_power(self) -> Fraction:
-        return Fraction(self.pi4, 2)
-
     @staticmethod
     def coerce(x) -> "PiScalar":
         if isinstance(x, PiScalar):

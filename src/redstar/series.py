@@ -155,11 +155,6 @@ class LambdaSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def series_mul(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-    """Cauchy product truncated at the common order; commutative for Poly."""
-    return a * b
-
-
 def _leading_constant(a: LambdaSeries):
     """The constant value of the order-zero coefficient, or raise."""
     c0 = a.coeffs[0]
@@ -179,7 +174,7 @@ def series_inverse(a: LambdaSeries, mul=None) -> LambdaSeries:
     result satisfies mul(a, inv) == 1 exactly modulo lam^(K+1).
     """
     if mul is None:
-        mul = series_mul
+        mul = LambdaSeries.__mul__
     c0 = _leading_constant(a)
     if c0.is_zero():
         raise ZeroDivisionError("leading term is zero; series is not invertible")
@@ -199,7 +194,7 @@ def series_sqrt(a: LambdaSeries, mul=None) -> LambdaSeries:
     the result v satisfies mul(v, v) == a exactly modulo lam^(K+1).
     """
     if mul is None:
-        mul = series_mul
+        mul = LambdaSeries.__mul__
     c0 = _leading_constant(a)
     if not c0.is_real() or c0.re <= 0:
         raise ValueError("leading term must be a positive rational constant")

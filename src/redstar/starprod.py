@@ -30,7 +30,6 @@ from .diffop import DiffOperator
 from .funcs import Func
 from .geometry import ModelSpace
 from .scalars import GaussRational, I as IMAG
-from .series import LambdaSeries
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +208,17 @@ class SymbolOp:
         return out
 
 
+def pbw_words(dim: int, cap: int) -> list:
+    """The non-decreasing words in dim generators of length <= cap, shortest
+    first and lexicographic within a length."""
+    layer = [()]
+    words = [()]
+    for _ in range(cap):
+        layer = [w + (a,) for w in layer for a in range(dim) if not w or a >= w[-1]]
+        words.extend(layer)
+    return words
+
+
 def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
     """Symmetrized quantization of a momentum-polynomial symbol.
 
@@ -219,12 +229,7 @@ def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
     op = SymbolOp(model)
     jnames = model.momentum_names
     degree = max(p.degree_in(jnames) for p in f.series.coeffs) if not f.is_zero() else 0
-    layer = [()]
-    multis = [()]
-    for _ in range(degree):
-        layer = [m + (a,) for m in layer for a in range(model.lie.dim) if not m or a >= m[-1]]
-        multis.extend(layer)
-    for multi in multis:
+    for multi in pbw_words(model.lie.dim, degree):
         g = f
         for a in multi:
             g = g.diff(jnames[a])
@@ -301,29 +306,27 @@ def _normalization_argument(model: ModelSpace) -> DiffOperator:
     return delta
 
 
-def neumaier_N(model: ModelSpace) -> DiffOperator:
-    """exp((lam/2i)(Delta_0 - Delta_ver)) on momentum-polynomial symbols."""
+def _normalizer(model: ModelSpace, sign: int) -> DiffOperator:
+    """exp(sign (lam/2i)(Delta_0 - Delta_ver)), built once per model."""
     if not model.has_group:
         raise ValueError("the normalization operator needs group coordinates")
-    key = ("norm_op", 1)
+    key = ("norm_op", sign)
     if key not in model._field_cache:
         arg = _normalization_argument(model).lam_shift(1) * (
-            IMAG * GaussRational(Fraction(-1, 2))
+            IMAG * GaussRational(Fraction(-sign, 2))
         )
         model._field_cache[key] = arg.exp()
     return model._field_cache[key]
+
+
+def neumaier_N(model: ModelSpace) -> DiffOperator:
+    """exp((lam/2i)(Delta_0 - Delta_ver)) on momentum-polynomial symbols."""
+    return _normalizer(model, 1)
 
 
 def neumaier_N_inverse(model: ModelSpace) -> DiffOperator:
-    if not model.has_group:
-        raise ValueError("the normalization operator needs group coordinates")
-    key = ("norm_op", -1)
-    if key not in model._field_cache:
-        arg = _normalization_argument(model).lam_shift(1) * (
-            IMAG * GaussRational(Fraction(1, 2))
-        )
-        model._field_cache[key] = arg.exp()
-    return model._field_cache[key]
+    """exp(-(lam/2i)(Delta_0 - Delta_ver)), the inverse of neumaier_N."""
+    return _normalizer(model, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +369,6 @@ class StarProduct:
         if self.kind == "std":
             return star_std(self.model, f, g)
         return star_G(self.model, f, g)
-
-    def series_mul(self, a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-        """Adapter so series utilities can use this product as multiplication."""
-        fa = Func(a)
-        fb = Func(b)
-        return self(fa, fb).series
 
     def __repr__(self):
         return f"StarProduct({self.kind!r} on {self.model.lie.label})"

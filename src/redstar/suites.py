@@ -24,6 +24,8 @@ from .geometry import (
     poisson_bracket,
 )
 from .involution import (
+    _monomial,
+    _monomials,
     conj_transport_check,
     density_ratio_hat,
     gns_check,
@@ -57,7 +59,6 @@ from .morita import (
     KernelSpace,
     RankOneOperator,
     VerticalOperator,
-    canonical_inner_product,
     classical_inner_product,
     complete_positivity_sample,
     deformation_comparison_H,
@@ -73,6 +74,7 @@ from .morita import (
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries
 from .starprod import (
+    _mul_ilam,
     check_strong_invariance,
     moyal,
     neumaier_N,
@@ -84,10 +86,6 @@ from .starprod import (
 )
 
 KAPPA_VALUES = (0, Fraction(1, 2), (Fraction(1, 2), 1))
-
-
-def _ilam(f: Func, scalar=IMAG) -> Func:
-    return Func(f.series.shift(1) * scalar, f.profile, f.pi4)
 
 
 class SuiteContext:
@@ -314,7 +312,7 @@ def suite_star(ctx: SuiteContext) -> list:
                 mul = products.get("weyl_g", products["total"])
                 lhs = mul(m.momentum(a), m.momentum(b)) - mul(m.momentum(b), m.momentum(a))
                 br = m.lie.bracket_vec(m.basis_vector(a), m.basis_vector(b))
-                yield lhs - _ilam(m.momentum_of(br))
+                yield lhs - _mul_ilam(m.momentum_of(br))
     ctx.check("star.covariance",
               "momentum commutators quantize the structure constants", covariance)
     return ctx.records
@@ -397,7 +395,7 @@ def suite_reduction(ctx: SuiteContext) -> list:
     small = max(1, ctx.trials // 4)
 
     for kap in KAPPA_VALUES:
-        cfg = ReductionConfig(m, list(kap) if isinstance(kap, tuple) else kap)
+        cfg = ReductionConfig(m, kap)
         tag = {0: "0", Fraction(1, 2): "half"}.get(kap, "half_plus_lam")
 
         def q_square():
@@ -538,10 +536,10 @@ def suite_reduction(ctx: SuiteContext) -> list:
                 lhs = left_module(cfg, m.momentum(a), phi)
                 rhs = m.zero()
                 if m.has_group:
-                    rhs = _ilam(m.lie_derivative_C(a, phi)) * GaussRational(-1)
+                    rhs = _mul_ilam(m.lie_derivative_C(a, phi)) * GaussRational(-1)
                 mod = m.lie.modular[a]
                 if mod:
-                    rhs = rhs - _ilam(
+                    rhs = rhs - _mul_ilam(
                         Func(phi.series * cfg.kappa, phi.profile, phi.pi4)
                     ) * GaussRational(mod)
                 yield lhs - rhs
@@ -557,7 +555,7 @@ def suite_reduction(ctx: SuiteContext) -> list:
                 lhs = lhs - left_module(cfg, m.momentum(b),
                                         left_module(cfg, m.momentum(a), phi))
                 br = m.lie.bracket_vec(m.basis_vector(a), m.basis_vector(b))
-                rhs = _ilam(left_module(cfg, m.momentum_of(br), phi))
+                rhs = _mul_ilam(left_module(cfg, m.momentum_of(br), phi))
                 yield lhs - rhs
     ctx.check("reduction.representation",
               "the momentum action represents the bracket", representation_property)
@@ -633,7 +631,7 @@ def suite_reduction(ctx: SuiteContext) -> list:
                 diff = left_module(cfg2, m.momentum(a), phi) - left_module(
                     cfg0, m.momentum(a), phi
                 )
-                expected = _ilam(phi) * GaussRational(Fraction(-mod, 2))
+                expected = _mul_ilam(phi) * GaussRational(Fraction(-mod, 2))
                 yield diff - expected
         ctx.check("reduction.modular_weight",
                   "kappa shifts the momentum action by the modular weight",
@@ -679,7 +677,7 @@ def suite_involution(ctx: SuiteContext) -> list:
 
     def transport():
         for kap in KAPPA_VALUES:
-            cfgk = ReductionConfig(m, list(kap) if isinstance(kap, tuple) else kap)
+            cfgk = ReductionConfig(m, kap)
             for _ in range(max(1, small // 2)):
                 rep = conj_transport_check(cfgk, ctx.rand_poly(2))
                 yield rep["display_one"]
@@ -724,7 +722,7 @@ def suite_involution(ctx: SuiteContext) -> list:
         us = reduced_involution(m, q, gauss)
         corr = us - q
         got = Func(LambdaSeries.of(corr.series.coeffs[1], m.order))
-        want = _ilam(modular_vector_field(m, gauss).apply(q))
+        want = _mul_ilam(modular_vector_field(m, gauss).apply(q))
         want = Func(LambdaSeries.of(want.series.coeffs[1], m.order))
         yield got - want
         delta = modular_vector_field(m, gauss)
@@ -749,13 +747,12 @@ def suite_involution(ctx: SuiteContext) -> list:
     def comparisons():
         one = m.one()
         us = [m.var("q"), m.var("p"), ctx.rand_base(2)]
-        mul = lambda a, b: moyal(m, a, b)
-        rep = involution_comparison(cfg, gauss, one, us, star=mul, cap=3)
+        rep = involution_comparison(m, gauss, one, us, cap=3)
         yield rep["holds"]
-        rep2 = involution_comparison(cfg, gauss, one * 2, us, star=mul, cap=3)
+        rep2 = involution_comparison(m, gauss, one * 2, us, cap=3)
         yield rep2["holds"]
         rho_l = one + Func((m.var("q") * m.var("q")).series.shift(1))
-        rep3 = involution_comparison(cfg, gauss, rho_l, us, star=mul, cap=4)
+        rep3 = involution_comparison(m, gauss, rho_l, us, cap=4)
         yield rep3["holds"]
     ctx.check("involution.comparison",
               "involutions of scaled weights differ by an inner conjugation",
@@ -764,10 +761,10 @@ def suite_involution(ctx: SuiteContext) -> list:
     def ratio():
         one = m.one()
         mul = lambda a, b: moyal(m, a, b)
-        yield density_ratio_hat(cfg, gauss, one, cap=2, star=mul) - one
-        yield density_ratio_hat(cfg, gauss, one * 2, cap=2, star=mul) - one * 2
+        yield density_ratio_hat(m, gauss, one, cap=2) - one
+        yield density_ratio_hat(m, gauss, one * 2, cap=2) - one * 2
         rho = one + m.var("q") * m.var("q")
-        rh = density_ratio_hat(cfg, gauss, rho, cap=4, star=mul)
+        rh = density_ratio_hat(m, gauss, rho, cap=4)
         yield Func(LambdaSeries.of(rh.series.coeffs[0], m.order)) - rho
         for mono in [m.var("q") * m.var("p"), m.var("p") * m.var("p")]:
             lhs = kms_functional(m, mono * rho, gauss)
@@ -778,20 +775,18 @@ def suite_involution(ctx: SuiteContext) -> list:
 
     def modular():
         mul = lambda a, b: moyal(m, a, b)
-        mc = modular_class(cfg, gauss, cap=2)
+        mc = modular_class(m, gauss, cap=2)
         yield mc["first_order_is_minus_i_delta"]
         imap = mc["I"]
         for _ in range(2):
             u, v = ctx.rand_base(1, 2), ctx.rand_base(1, 2)
             yield imap.apply(mul(u, v)) - mul(imap.apply(u), imap.apply(v))
-        mc0 = modular_class(cfg, leb, cap=2)
-        from .involution import _base_monomials
-        for e in _base_monomials(m, 2):
+        mc0 = modular_class(m, leb, cap=2)
+        for e in _monomials(m.base_names, 2):
             yield mc0["D"].image(e)
         # infinitesimal KMS display
         for e in [(1, 0), (0, 1)]:
-            from .involution import _monomial_func
-            u = _monomial_func(m, e)
+            u = _monomial(m, m.base_names, e)
             for v in [m.var("q"), m.var("p"), m.var("q") * m.var("q")]:
                 t1 = kms_functional(m, poisson_bracket(m, u, v), gauss).coeffs[0] * IMAG
                 d1u = Func(LambdaSeries.of(
@@ -803,10 +798,8 @@ def suite_involution(ctx: SuiteContext) -> list:
               modular)
 
     def inner_difference():
-        mul = lambda a, b: moyal(m, a, b)
         rho_l = m.one() + Func((m.var("q") * m.var("q")).series.shift(1))
-        rep = modular_inner_difference(cfg, gauss, gauss.scaled(rho_l),
-                                       cap=1, star=mul)
+        rep = modular_inner_difference(m, gauss, gauss.scaled(rho_l), cap=1)
         yield rep["inner"]
     ctx.check("involution.inner_difference",
               "modular derivations of scaled weights differ by an inner one",
@@ -886,7 +879,6 @@ def suite_gns(ctx: SuiteContext) -> list:
 def suite_kms(ctx: SuiteContext) -> list:
     ctx.reseed()
     m = ctx.model
-    cfg = ReductionConfig(m, Fraction(1, 2))
     gauss = gaussian_base_weight(m, 1)
     leb = lebesgue_weight(m)
     mul = lambda a, b: moyal(m, a, b)
@@ -895,7 +887,7 @@ def suite_kms(ctx: SuiteContext) -> list:
     def kms_gaussian():
         for _ in range(small):
             u, v = ctx.rand_base(3, 2), ctx.rand_base(3, 2)
-            rep = kms_check(cfg, u, v, gauss, star=mul)
+            rep = kms_check(m, u, v, gauss)
             yield rep["holds"]
     ctx.check("kms.gaussian", "the KMS identity for the Gaussian weight",
               kms_gaussian)
@@ -912,7 +904,7 @@ def suite_kms(ctx: SuiteContext) -> list:
     def kms_constants():
         u = m.constant(Fraction(3, 2))
         v = ctx.rand_base(2)
-        rep = kms_check(cfg, u, v, gauss, star=mul)
+        rep = kms_check(m, u, v, gauss)
         yield rep["holds"]
         yield rep["ustar"] - u
     ctx.check("kms.constants", "constants are fixed by the modular structure",
@@ -1010,7 +1002,7 @@ def suite_morita(ctx: SuiteContext) -> list:
               gram)
 
     def vertical():
-        can = lambda a, b: canonical_inner_product(cfg, a, b)
+        can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         d1 = VerticalOperator.fundamental(m, 0)
         d2 = VerticalOperator.multiplication(
             m, m.var("q") + m.var(m.group_names[0]))
@@ -1026,7 +1018,7 @@ def suite_morita(ctx: SuiteContext) -> list:
               vertical)
 
     def comparison():
-        can = lambda a, b: canonical_inner_product(cfg, a, b)
+        can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         h0 = deformation_comparison_H(cfg, can, can, g_cap=1, word_cap=1,
                                       probe_cap=1)
         yield h0 - VerticalOperator.identity(m)

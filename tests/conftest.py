@@ -1,9 +1,7 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from redstar.funcs import Func
 from redstar.geometry import ModelSpace, abelian_lie, aff1, heisenberg3
 from redstar.scalars import GaussRational
 

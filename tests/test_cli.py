@@ -101,8 +101,11 @@ class TestMalformedScenes:
         ({}, ["--order", "-1"], "truncation order must be at least 0"),
         ({"trials": -3}, [], "trials must be at least 1"),
         ({"trials": 0}, [], "trials must be at least 1"),
+        ({"degree_caps": {"polynomial": -2}}, [], "degree cap must be at least 0"),
+        ({}, ["--degree-cap", "-1"], "degree cap must be at least 0"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
-            "negative_order_override", "negative_trials", "zero_trials"])
+            "negative_order_override", "negative_trials", "zero_trials",
+            "negative_degree_cap", "negative_degree_cap_override"])
     def test_verify_rejects(self, tmp_path, capsys, changes, extra, message):
         path = write_scene(tmp_path, {**HEIS_SCENE, **changes})
         assert main(["verify", "--scene", path, *extra]) == 2

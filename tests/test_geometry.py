@@ -6,7 +6,6 @@ import pytest
 
 from redstar.funcs import Func
 from redstar.geometry import (
-    DensityWeight,
     LieAlgebraData,
     ModelSpace,
     abelian_lie,

@@ -1,10 +1,14 @@
-"""Byte-identical verify reports for the word calculus and the involution.
+"""Byte-identical verify reports for the word calculus, the involution,
+the Koszul homotopy, the KMS functions and the Morita layer.
 
-The digests are the sha256 of `redstar verify --format json --out <file>`
-recorded before the momentum-level product, the standard-ordered product
-and the conjugation transport were folded onto one word calculus and one
-resolvent; a refactor of that code must leave every byte of these reports
-unchanged.
+The digests are the sha256 of `redstar verify --format json --out <file>`.
+The star and involution digests were recorded before the momentum-level
+product, the standard-ordered product and the conjugation transport were
+folded onto one word calculus and one resolvent.  The full abelian_r report
+(all nine suites), the heisenberg reduction suite and the affine-line KMS
+suite were recorded before the involution and Morita helpers were merged
+and `deformed_homotopy` moved to the term-by-term resolvent.  A refactor of
+that code must leave every byte of these reports unchanged.
 """
 
 import hashlib
@@ -17,6 +21,12 @@ from redstar.cli import main
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 GOLDEN = {
+    ("all", "abelian_r"):
+        "49dae4605a9f51c59d8fd8f0678b36fbd7e7df63015f5e29f95c0cd10b0e83e9",
+    ("reduction", "heisenberg"):
+        "39ea48c5ddaf95b4050a01f8687044c931f74e80212b046987248c2e95892a3c",
+    ("kms", "affine_line"):
+        "812eea0fd6fb2f4e7a3f4103e556e279de9414d39897e9a303408205a9426b17",
     ("star", "affine_line"):
         "2d2a9a445dc3d496c593c2dc5e185eeed4115b3a6ca961d86b485c9a1aa3b7ec",
     ("star", "heisenberg"):

@@ -14,7 +14,6 @@ from redstar.geometry import (
     heisenberg3,
     lebesgue_weight,
     lift_density,
-    modular_vector_field,
 )
 from redstar.involution import (
     PositiveFunctional,
@@ -172,11 +171,10 @@ class TestReducedInvolution:
 class TestKMS:
     def test_gaussian_kms(self, model_r, rand):
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
         om = gaussian_base_weight(m, 1)
         for _ in range(6):
             u, v = rand.base(m, 3), rand.base(m, 3)
-            rep = kms_check(cfg, u, v, om, star=mstar(m))
+            rep = kms_check(m, u, v, om)
             assert rep["holds"]
 
     def test_lebesgue_trace(self, model_r, rand):
@@ -192,31 +190,24 @@ class TestKMS:
 
     def test_constant_trivial(self, model_r, rand):
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
         om = gaussian_base_weight(m, 1)
-        rep = kms_check(cfg, m.constant(Fraction(2, 7)), rand.base(m, 2),
-                        om, star=mstar(m))
+        rep = kms_check(m, m.constant(Fraction(2, 7)), rand.base(m, 2), om)
         assert rep["holds"]
 
 
 class TestDensityRatio:
     def test_constants(self, model_r):
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
         om = gaussian_base_weight(m, 1)
-        mul = mstar(m)
-        assert (density_ratio_hat(cfg, om, m.one(), cap=2, star=mul)
-                - m.one()).is_zero()
-        assert (density_ratio_hat(cfg, om, m.one() * 2, cap=2, star=mul)
-                - m.one() * 2).is_zero()
+        assert (density_ratio_hat(m, om, m.one(), cap=2) - m.one()).is_zero()
+        assert (density_ratio_hat(m, om, m.one() * 2, cap=2) - m.one() * 2).is_zero()
 
     def test_polynomial_ratio(self, model_r):
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
         om = gaussian_base_weight(m, 1)
         mul = mstar(m)
         rho = m.one() + m.var("q") * m.var("q")
-        rh = density_ratio_hat(cfg, om, rho, cap=4, star=mul)
+        rh = density_ratio_hat(m, om, rho, cap=4)
         assert Func(LambdaSeries.of(rh.series.coeffs[0], m.order)) == rho
         # the defining identity on monomials beyond the solve basis
         for mono in (m.var("q") * m.var("p") * m.var("p"),
@@ -227,39 +218,31 @@ class TestDensityRatio:
 
     def test_needs_gaussian_weight(self, model_r):
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
         with pytest.raises(ValueError):
-            density_ratio_hat(cfg, lebesgue_weight(m), m.one(), cap=2,
-                              star=mstar(m))
+            density_ratio_hat(m, lebesgue_weight(m), m.one(), cap=2)
 
 
 class TestInvolutionComparison:
     def test_trivial_and_constant(self, model_r, rand):
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
         om = gaussian_base_weight(m, 1)
         us = [m.var("q"), m.var("p"), rand.base(m, 2)]
-        assert involution_comparison(cfg, om, m.one(), us, star=mstar(m),
-                                     cap=3)["holds"]
-        assert involution_comparison(cfg, om, m.one() * 2, us, star=mstar(m),
-                                     cap=3)["holds"]
+        assert involution_comparison(m, om, m.one(), us, cap=3)["holds"]
+        assert involution_comparison(m, om, m.one() * 2, us, cap=3)["holds"]
 
     def test_lam_corrected_weight(self, model_r):
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
         om = gaussian_base_weight(m, 1)
         rho = m.one() + Func((m.var("q") * m.var("q")).series.shift(1))
         us = [m.var("q"), m.var("p"), m.var("q") * m.var("p")]
-        assert involution_comparison(cfg, om, rho, us, star=mstar(m),
-                                     cap=4)["holds"]
+        assert involution_comparison(m, om, rho, us, cap=4)["holds"]
 
 
 class TestModularClass:
     def test_first_order_and_display(self, model_r):
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
         om = gaussian_base_weight(m, 1)
-        mc = modular_class(cfg, om, cap=2)
+        mc = modular_class(m, om, cap=2)
         assert mc["first_order_is_minus_i_delta"]
         d1q = mc["D"].image((1, 0)).series.coeffs[1]
         assert d1q == (m.var("p").series.coeffs[0] * (I * (-2)))
@@ -268,20 +251,18 @@ class TestModularClass:
         assert us.series.coeffs[1] == (m.var("p").series.coeffs[0] * (I * 2))
 
     def test_lebesgue_derivation_vanishes(self, model_r):
-        from redstar.involution import _base_monomials
+        from redstar.involution import _monomials
 
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
-        mc = modular_class(cfg, lebesgue_weight(m), cap=2)
-        for e in _base_monomials(m, 2):
+        mc = modular_class(m, lebesgue_weight(m), cap=2)
+        for e in _monomials(m.base_names, 2):
             assert mc["D"].image(e).is_zero()
 
     def test_automorphism(self, model_r, rand):
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
         om = gaussian_base_weight(m, 1)
         mul = mstar(m)
-        imap = modular_class(cfg, om, cap=2)["I"]
+        imap = modular_class(m, om, cap=2)["I"]
         for _ in range(4):
             u, v = rand.base(m, 1, 2), rand.base(m, 1, 2)
             assert (imap.apply(mul(u, v)) - mul(imap.apply(u), imap.apply(v))
@@ -289,11 +270,9 @@ class TestModularClass:
 
     def test_inner_difference(self, model_r):
         m = model_r
-        cfg = ReductionConfig(m, Fraction(1, 2))
         om = gaussian_base_weight(m, 1)
         rho = m.one() + Func((m.var("q") * m.var("q")).series.shift(1))
-        rep = modular_inner_difference(cfg, om, om.scaled(rho), cap=1,
-                                       star=mstar(m))
+        rep = modular_inner_difference(m, om, om.scaled(rho), cap=1)
         assert rep["inner"]
 
 

@@ -9,6 +9,8 @@ equal repr):
   gave Gutt's symmetrization product on momentum-level models;
 - the resolvent of koszul as the Neumann iteration y <- f - P(y), which
   applies P = (qk_1 - k_1) h_0 to the whole partial sum;
+- the deformed homotopy h^kappa_k by the same partial-sum iteration
+  y <- x - (op(y) - y) with op = h_{k-1} qk_k + qk_{k+1} h_k;
 - the conjugation transports A^a and B as finite geometric tails of the
   operator T = (k_1 - qk_1) h_0;
 - the left and right multiplication operators as mirror-image builders.
@@ -16,7 +18,7 @@ equal repr):
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -36,6 +38,7 @@ from redstar.koszul import (
     SuperObservable,
     _neumann_resolve,
     _perturbation,
+    deformed_homotopy,
     homotopy_h,
     koszul,
     quantized_koszul,
@@ -169,6 +172,29 @@ def ref_neumann_resolve(cfg, f):
     for _ in range(cfg.model.order):
         y = f - _perturbation(cfg, y)
     return y
+
+
+def homotopy_perturbation(cfg, x, k):
+    """P x = (h_{k-1} qk_k + qk_{k+1} h_k - id) x in degree k >= 1."""
+    model = cfg.model
+    op = homotopy_h(model, quantized_koszul(cfg, x), k - 1) + quantized_koszul(
+        cfg, homotopy_h(model, x, k)
+    )
+    return op - x
+
+
+def ref_deformed_homotopy(cfg, x, k):
+    model = cfg.model
+    if k == 0:
+        out = SuperObservable(model)
+        for f in x.comps.values():
+            resolved = SuperObservable.scalar(model, _neumann_resolve(cfg, f))
+            out = out + homotopy_h(model, resolved, 0)
+        return out
+    y = x
+    for _ in range(model.order):
+        y = x - homotopy_perturbation(cfg, y, k)
+    return homotopy_h(model, y, k)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +401,59 @@ def test_resolve_matches_neumann_iteration(name, kappa):
         for _ in range(m.order):
             last = _perturbation(cfg, last)
         assert not last.is_zero()
+
+
+HOMOTOPY_MODELS = {
+    "heis3-K4": lambda: ModelSpace(heisenberg3(), 2, 4),
+    "aff1-K4": lambda: ModelSpace(aff1(), 2, 4),
+    "abelian2-K4": lambda: ModelSpace(abelian_lie(2), 2, 4),
+    "aff1-K2": lambda: ModelSpace(aff1(), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOMOTOPY_MODELS))
+@pytest.mark.parametrize("kappa", [0, Fraction(1, 2), [Fraction(1, 2), 1]],
+                         ids=["k0", "khalf", "kseries"])
+def test_deformed_homotopy_matches_neumann_iteration(name, kappa):
+    m = HOMOTOPY_MODELS[name]()
+    cfg = ReductionConfig(m, kappa)
+    rng = random.Random(23)
+    depth = 0
+    for k in range(m.lie.dim + 1):
+        comps = {idx: rand_poly(rng, m, m.gens, 4, nterms=4)
+                 for idx in combinations(range(m.lie.dim), k)}
+        x = SuperObservable(m, comps)
+        got = deformed_homotopy(cfg, x, k)
+        expect = ref_deformed_homotopy(cfg, x, k)
+        assert got == expect
+        assert repr(got) == repr(expect)
+        if k:
+            term = x
+            for j in range(1, m.order + 1):
+                term = homotopy_perturbation(cfg, term, k)
+                if term.is_zero():
+                    break
+                depth = max(depth, j)
+    # P acts on every model; on aff1 at K=2 the last term (-P)^K x is nonzero
+    assert depth >= (m.order if name == "aff1-K2" else 1)
+
+
+def test_deformed_homotopy_keeps_the_last_term():
+    """On aff1 at K=2 and kappa=0, h_1 (-P)^K x is nonzero for this input, so
+    a resolvent one term short would change the result."""
+    m = ModelSpace(aff1(), 2, 2)
+    cfg = ReductionConfig(m, 0)
+    rng = random.Random(0)
+    x = SuperObservable(m, {(a,): rand_poly(rng, m, m.gens, 5, nterms=5)
+                            for a in range(m.lie.dim)})
+    last = x
+    for _ in range(m.order):
+        last = homotopy_perturbation(cfg, last, 1)
+    assert not homotopy_h(m, last, 1).is_zero()
+    got = deformed_homotopy(cfg, x, 1)
+    expect = ref_deformed_homotopy(cfg, x, 1)
+    assert got == expect
+    assert repr(got) == repr(expect)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from redstar.funcs import Func
-from redstar.geometry import ModelSpace, abelian_lie, aff1, heisenberg3, fiber_integral
+from redstar.geometry import fiber_integral
 from redstar.koszul import ReductionConfig, left_module, right_module
 from redstar.morita import (
     InducedVector,
@@ -14,7 +14,6 @@ from redstar.morita import (
     KernelSpace,
     RankOneOperator,
     VerticalOperator,
-    canonical_inner_product,
     classical_inner_product,
     complete_positivity_sample,
     deformation_comparison_H,
@@ -135,7 +134,7 @@ class TestVerticalOperators:
     def test_fundamental_adjoint(self, model_r, model_heis, rand):
         for m in (model_r, model_heis):
             cfg = ReductionConfig(m, Fraction(1, 2))
-            can = lambda a, b: canonical_inner_product(cfg, a, b)
+            can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
             d = VerticalOperator.fundamental(m, 0)
             for _ in range(3):
                 phi, psi = rand.state(m, 1), rand.state(m, 1)
@@ -147,7 +146,7 @@ class TestVerticalOperators:
     def test_multiplication_self_adjoint(self, model_r, rand):
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))
-        can = lambda a, b: canonical_inner_product(cfg, a, b)
+        can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         dq = VerticalOperator.multiplication(m, m.var("q"))
         phi, psi = rand.state(m, 1), rand.state(m, 1)
         assert (can(phi, dq.act(psi)) - can(dq.adjoint().act(phi), psi)).is_zero()
@@ -163,7 +162,7 @@ class TestVerticalOperators:
     def test_comparison_roundtrip(self, model_r, rand):
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))
-        can = lambda a, b: canonical_inner_product(cfg, a, b)
+        can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         h0 = deformation_comparison_H(cfg, can, can, g_cap=1, word_cap=1,
                                       probe_cap=1)
         assert (h0 - VerticalOperator.identity(m)).is_zero()
@@ -183,7 +182,7 @@ class TestVerticalOperators:
     def test_caps_too_small_raise(self, model_r):
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))
-        can = lambda a, b: canonical_inner_product(cfg, a, b)
+        can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
         ip2 = lambda a, b: can(a, pert.act(b))
