@@ -182,7 +182,10 @@ class _ExprParser:
         base = self.atom()
         if self.peek() in ("^", "**"):
             self.take()
-            exp = int(self.take())
+            tok = self.take()
+            if tok is None or not tok.isdigit():
+                raise SceneError(f"exponent must be a non-negative integer, got {tok!r}")
+            exp = int(tok)
             out = self.model.one()
             for _ in range(exp):
                 out = out * base
@@ -201,7 +204,10 @@ class _ExprParser:
         if tok == "-":
             return -self.atom()
         if tok.replace("/", "").isdigit():
-            return self.model.constant(Fraction(tok))
+            try:
+                return self.model.constant(Fraction(tok))
+            except ZeroDivisionError:
+                raise SceneError(f"division by zero in {tok!r}") from None
         if tok in self.model.gens:
             return self.model.var(tok)
         if tok == "i":

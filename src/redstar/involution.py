@@ -27,7 +27,7 @@ from .koszul import (
     homotopy_h,
     left_module,
 )
-from .linalg import solve_linear
+from .linalg import poly_equations, solve_linear
 from .poly import Poly
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries, series_inverse
@@ -284,19 +284,6 @@ def _monomial(model: ModelSpace, names, expo) -> Func:
     return Func.from_poly(Poly(model.gens, {tuple(full): GaussRational(1)}), model.order)
 
 
-def _poly_vector(model: ModelSpace, p: Poly, cap: int):
-    """Coefficient vector of a base polynomial over monomials of degree <= cap."""
-    basis = _monomials(model.base_names, cap)
-    base_idx = [p.gens.index(n) for n in model.base_names]
-    vec = {e: GaussRational(0) for e in basis}
-    for expo, c in p.terms.items():
-        key = tuple(expo[i] for i in base_idx)
-        if key not in vec:
-            raise ValueError("polynomial exceeds the comparison cap")
-        vec[key] = vec[key] + c
-    return [vec[e] for e in basis]
-
-
 def density_ratio_hat(model: ModelSpace, omega: DensityWeight, rho: Func,
                       cap: int = 4) -> Func:
     """Solve tau_{rho Omega}(u) = tau_Omega(rho_hat * u) on a monomial basis.
@@ -309,18 +296,17 @@ def density_ratio_hat(model: ModelSpace, omega: DensityWeight, rho: Func,
         raise ValueError("the density-ratio solve needs a Gaussian base weight")
     monos = [_monomial(model, model.base_names, e)
              for e in _monomials(model.base_names, cap)]
-    gram = [[kms_functional(model, u * w, omega).coeffs[0].value for w in monos]
-            for u in monos]
+    gram = [{i: kms_functional(model, u * w, omega).coeffs[0].value
+             for i, u in enumerate(monos)} for w in monos]
 
     rho_hat = model.zero()
     for r in range(model.order + 1):
-        rhs_vec = []
-        for u in monos:
+        rhs = {}
+        for i, u in enumerate(monos):
             lhs = kms_functional(model, u * rho, omega)
             cur = kms_functional(model, moyal(model, rho_hat, u), omega)
-            d = lhs - cur
-            rhs_vec.append(d.coeffs[r].value)
-        sol = solve_linear(gram, rhs_vec)
+            rhs[i] = (lhs - cur).coeffs[r].value
+        sol = solve_linear(gram, rhs)
         if sol is None:
             raise ValueError("degree cap too small for the density-ratio solve")
         poly = Poly.zero(model.gens)
@@ -466,11 +452,10 @@ def modular_inner_difference(model: ModelSpace, om1: DensityWeight,
 
     The certificate is finite: w is sought with degree at most unknown_cap
     = cap + 2K, since the conjugator degree grows with the lam order, and
-    both sides are compared as polynomials of degree at most the window
-    cap + unknown_cap on basis monomials of degree at most cap.
+    both sides are compared coefficient by coefficient, for every basis
+    monomial of degree at most cap and every lam order.
     """
     unknown_cap = cap + 2 * model.order
-    window = cap + unknown_cap
     d1 = modular_class(model, om1, cap)["D"]
     d2 = modular_class(model, om2, cap)["D"]
     basis = _monomials(model.base_names, cap)
@@ -481,20 +466,9 @@ def modular_inner_difference(model: ModelSpace, om1: DensityWeight,
         for em in _monomials(model.base_names, unknown_cap):
             w = Func(LambdaSeries.lam_power(
                 _monomial(model, model.base_names, em).series.coeffs[0], s, model.order))
-            col = []
-            for m in monos:
-                ad = moyal(model, w, m) - moyal(model, m, w)
-                for r in range(model.order + 1):
-                    col.extend(_poly_vector(model, ad.series.coeffs[r], window))
-            columns.append(col)
-
-    rhs = []
-    for eb in basis:
-        diff = d1.image(eb) - d2.image(eb)
-        for r in range(model.order + 1):
-            rhs.extend(_poly_vector(model, diff.series.coeffs[r], window))
-
-    rows = [[columns[c][r] for c in range(len(columns))] for r in range(len(rhs))]
-    sol = solve_linear(rows, rhs)
-    return {"inner": sol is not None, "cap": cap, "unknown_cap": unknown_cap,
-            "window": window}
+            ads = [moyal(model, w, m) - moyal(model, m, w) for m in monos]
+            columns.append(poly_equations([c for ad in ads for c in ad.series.coeffs]))
+    diffs = [d1.image(e) - d2.image(e) for e in basis]
+    target = poly_equations([c for d in diffs for c in d.series.coeffs])
+    sol = solve_linear(columns, target)
+    return {"inner": sol is not None, "cap": cap, "unknown_cap": unknown_cap}

@@ -1,62 +1,80 @@
-"""Small exact linear algebra helpers over GaussRational entries."""
+"""Small exact linear algebra helpers over GaussRational entries.
+
+A linear system is sparse: each unknown's column and the target are dicts
+{equation key: value}, where a key is any hashable label of one scalar
+equation, such as (slot, exponent tuple) for one coefficient of a list of
+polynomial identities.
+"""
 
 from __future__ import annotations
 
 from .scalars import GaussRational
 
 
-def _eliminate(a, n: int) -> list:
-    """Gauss-Jordan elimination in place over the first n columns of the
-    rows a; returns the pivot columns, pivot i sitting in row i."""
-    m = len(a)
+def poly_equations(polys) -> dict:
+    """The coefficients of a list of polynomials as {(slot, exponents): c}."""
+    return {(slot, expo): c for slot, p in enumerate(polys)
+            for expo, c in p.terms.items()}
+
+
+def _eliminate(rows: list, n: int) -> list:
+    """Gauss-Jordan elimination in place on sparse rows {column: value} with
+    no zero entries, pivoting on the columns 0..n-1 in order; entries at
+    columns >= n ride along.  Returns the pivot columns, pivot i sitting in
+    row i."""
     pivots = []
-    r = 0
     for c in range(n):
-        if r == m:
-            break
-        pivot = None
-        for i in range(r, m):
-            if not a[i][c].is_zero():
-                pivot = i
-                break
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        prow = rows[r] = {k: v * inv for k, v in rows[r].items()}
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for k, v in prow.items():
+                x = row[k] - f * v if k in row else -(f * v)
+                if x.is_zero():
+                    del row[k]
+                else:
+                    row[k] = x
         pivots.append(c)
-        r += 1
     return pivots
 
 
-def solve_linear(rows, rhs):
-    """Solve A x = b exactly; A given as list of rows of GaussRational.
+def solve_linear(columns: list, target: dict):
+    """Solve sum_j x_j columns[j] = target exactly, equation by equation.
 
-    Returns a solution vector if one exists (least constrained variables set
-    to zero), or None if the system is inconsistent.  The system may be
-    over- or under-determined.
+    Returns the list x if a solution exists, unknowns left free by the
+    system set to zero, or None if the system is inconsistent.  The system
+    may be over- or under-determined.
     """
-    n = len(rows[0]) if rows else 0
-    a = [[GaussRational.coerce(v) for v in row] + [GaussRational.coerce(rhs[i])]
-         for i, row in enumerate(rows)]
+    n = len(columns)
+    rows: dict = {}
+    for j, col in enumerate(columns + [target]):
+        for key, v in col.items():
+            v = GaussRational.coerce(v)
+            if not v.is_zero():
+                rows.setdefault(key, {})[j] = v
+    a = list(rows.values())
     pivots = _eliminate(a, n)
-    if any(not row[n].is_zero() for row in a[len(pivots):]):
+    if any(a[len(pivots):]):
         return None
     x = [GaussRational(0)] * n
     for i, c in enumerate(pivots):
-        x[c] = a[i][n]
+        x[c] = a[i].get(n, GaussRational(0))
     return x
 
 
 def rank(rows) -> int:
     if not rows:
         return 0
-    a = [[GaussRational.coerce(v) for v in row] for row in rows]
-    return len(_eliminate(a, len(a[0])))
+    a = [{j: c for j, v in enumerate(row) if not (c := GaussRational.coerce(v)).is_zero()}
+         for row in rows]
+    return len(_eliminate(a, len(rows[0])))
 
 
 def determinant(rows) -> GaussRational:

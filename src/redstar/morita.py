@@ -16,9 +16,9 @@ from fractions import Fraction
 from .funcs import Func
 from .geometry import FIBER_EXPONENT, ModelSpace, fiber_integral
 from .integrate import gaussian_integrate
-from .involution import _monomial, _monomials, _poly_vector
+from .involution import _monomial, _monomials
 from .koszul import ReductionConfig, deformed_restriction, right_module
-from .linalg import is_psd_hermitian, solve_linear
+from .linalg import is_psd_hermitian, poly_equations, solve_linear
 from .poly import Poly
 from .scalars import GaussRational
 from .series import LambdaSeries
@@ -276,13 +276,13 @@ def deformation_comparison_H(cfg: ReductionConfig, ip1, ip2, g_cap: int = 2,
     unknowns = [(w, e) for w in pbw_words(model.lie.dim, word_cap)
                 for e in _monomials(gnames, g_cap)]
 
-    candidate_vals = []
+    columns = []
     for (w, e) in unknowns:
         cand = VerticalOperator(
             model, SymbolOp(model, {w: _monomial(model, gnames, e)}, lam_weighted=False)
         )
         vals = [ip1(phi, cand.act(psi)) for phi in probes for psi in probes]
-        candidate_vals.append(vals)
+        columns.append(poly_equations([f.series.coeffs[0] for f in vals]))
 
     h = VerticalOperator.identity(model)
     for r in range(1, order + 1):
@@ -291,19 +291,7 @@ def deformation_comparison_H(cfg: ReductionConfig, ip1, ip2, g_cap: int = 2,
         ]
         if all(d.is_zero() for d in defects):
             continue
-        window = 0
-        for f in defects:
-            window = max(window, *(p.total_degree() for p in f.series.coeffs))
-        for vals in candidate_vals:
-            for f in vals:
-                window = max(window, *(p.total_degree() for p in f.series.coeffs))
-        columns = [
-            [x for f in vals for x in _poly_vector(model, f.series.coeffs[0], window)]
-            for vals in candidate_vals
-        ]
-        rhs = [x for d in defects for x in _poly_vector(model, d.series.coeffs[r], window)]
-        rows = [[columns[c][k] for c in range(len(columns))] for k in range(len(rhs))]
-        sol = solve_linear(rows, rhs)
+        sol = solve_linear(columns, poly_equations([d.series.coeffs[r] for d in defects]))
         if sol is None:
             raise ValueError("caps too small to determine the comparison operator")
         add = SymbolOp(model, None, lam_weighted=False)

@@ -88,6 +88,20 @@ from .starprod import (
 KAPPA_VALUES = (0, Fraction(1, 2), (Fraction(1, 2), 1))
 
 
+def random_poly(rng: random.Random, model: ModelSpace, deg: int, gens=None,
+                nterms: int = 3) -> Func:
+    """The sum of nterms random monomials of at most deg factors drawn from
+    gens (all coordinates by default), with integer coefficients in [-3, 3]."""
+    gens = gens or model.gens
+    out = model.zero()
+    for _ in range(nterms):
+        t = model.one()
+        for _ in range(rng.randint(0, deg)):
+            t = t * model.var(rng.choice(gens))
+        out = out + t * GaussRational(rng.randint(-3, 3))
+    return out
+
+
 class SuiteContext:
     """A configured model plus reproducible random input generators."""
 
@@ -106,16 +120,8 @@ class SuiteContext:
         self.rng = random.Random(self.seed)
 
     def rand_poly(self, deg=None, gens=None, nterms=3) -> Func:
-        model = self.model
         deg = self.degree_cap if deg is None else deg
-        gens = gens or model.gens
-        out = model.zero()
-        for _ in range(nterms):
-            t = model.one()
-            for _ in range(self.rng.randint(0, deg)):
-                t = t * model.var(self.rng.choice(gens))
-            out = out + t * GaussRational(self.rng.randint(-3, 3))
-        return out
+        return random_poly(self.rng, self.model, deg, gens, nterms)
 
     def rand_base(self, deg=None, nterms=3) -> Func:
         return self.rand_poly(deg, self.model.base_names, nterms)

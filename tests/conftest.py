@@ -3,7 +3,7 @@ import random
 import pytest
 
 from redstar.geometry import ModelSpace, abelian_lie, aff1, heisenberg3
-from redstar.scalars import GaussRational
+from redstar.suites import random_poly
 
 
 @pytest.fixture
@@ -31,14 +31,7 @@ class RandomFuncs:
         self.rng = random.Random(seed)
 
     def poly(self, model, deg=3, gens=None, nterms=3):
-        gens = gens or model.gens
-        out = model.zero()
-        for _ in range(nterms):
-            t = model.one()
-            for _ in range(self.rng.randint(0, deg)):
-                t = t * model.var(self.rng.choice(gens))
-            out = out + t * GaussRational(self.rng.randint(-3, 3))
-        return out
+        return random_poly(self.rng, model, deg, gens, nterms)
 
     def base(self, model, deg=3, nterms=3):
         return self.poly(model, deg, model.base_names, nterms)

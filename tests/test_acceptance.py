@@ -72,6 +72,7 @@ from redstar.starprod import (
     star_std,
     stdrep,
 )
+from redstar.suites import random_poly
 
 ORDER = 4
 SEED = 20260808
@@ -98,14 +99,7 @@ class Rand:
         self.rng = random.Random(seed)
 
     def poly(self, m, deg, gens=None, nterms=3):
-        gens = gens or m.gens
-        out = m.zero()
-        for _ in range(nterms):
-            t = m.one()
-            for _ in range(self.rng.randint(0, deg)):
-                t = t * m.var(self.rng.choice(gens))
-            out = out + t * GaussRational(self.rng.randint(-3, 3))
-        return out
+        return random_poly(self.rng, m, deg, gens, nterms)
 
     def base(self, m, deg=6, nterms=3):
         return self.poly(m, deg, m.base_names, nterms)

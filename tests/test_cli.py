@@ -160,6 +160,15 @@ class TestVerbs:
         path = write_scene(tmp_path, bad)
         assert main(["verify", "--scene", path]) == 2
 
+    @pytest.mark.parametrize("expr", ["q^", "1/0"],
+                             ids=["dangling_power", "zero_denominator"])
+    def test_malformed_expression_exit_two(self, tmp_path, capsys, expr):
+        path = write_scene(tmp_path, HEIS_SCENE)
+        code = main(["star", "--scene", path, "--left", expr, "--right", "p"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
     def test_star_verb(self, tmp_path, capsys):
         path = write_scene(tmp_path, HEIS_SCENE)
         code = main(["star", "--scene", path, "--product", "weyl_g",

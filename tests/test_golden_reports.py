@@ -7,8 +7,10 @@ product, the standard-ordered product and the conjugation transport were
 folded onto one word calculus and one resolvent.  The full abelian_r report
 (all nine suites), the heisenberg reduction suite and the affine-line KMS
 suite were recorded before the involution and Morita helpers were merged
-and `deformed_homotopy` moved to the term-by-term resolvent.  A refactor of
-that code must leave every byte of these reports unchanged.
+and `deformed_homotopy` moved to the term-by-term resolvent.  The
+heisenberg Morita suite was recorded before the comparison operator's
+solve moved from dense coefficient vectors to sparse equations.  A refactor
+of that code must leave every byte of these reports unchanged.
 """
 
 import hashlib
@@ -33,6 +35,8 @@ GOLDEN = {
         "2fa1103fe89c446dde8172170d280e9cf8e75d1e4c0168f0b92913ea4fc5f554",
     ("involution", "affine_line"):
         "beefa0951549659e8b61bbba907ebdcdb224c2823171f76c0ae9857fb7ecebe1",
+    ("morita", "heisenberg"):
+        "ee15b603f711f23706fb9502b87a0b5abeef253a4428dbf29b435705dbafd0d4",
 }
 
 
