@@ -7,7 +7,7 @@ are sorted by identity and coefficients print as exact rationals with
 explicit powers of pi.
 
 Exit codes: 0 all identities pass, 1 some identity fails, 2 configuration
-error.
+error, 3 an exception inside the engine during some check (status "error").
 """
 
 from __future__ import annotations
@@ -36,18 +36,11 @@ class SceneError(Exception):
     pass
 
 
-def _truncation_order(value) -> int:
-    order = int(value)
-    if order < 0:
-        raise SceneError(f"truncation order must be at least 0, got {order}")
-    return order
-
-
-def _degree_cap(value) -> int:
-    cap = int(value)
-    if cap < 0:
-        raise SceneError(f"degree cap must be at least 0, got {cap}")
-    return cap
+def _at_least(value, low: int, what: str) -> int:
+    value = int(value)
+    if value < low:
+        raise SceneError(f"{what} must be at least {low}, got {value}")
+    return value
 
 
 class Scene:
@@ -59,16 +52,15 @@ class Scene:
             for entry in lie_spec.get("structure_constants", []):
                 a, b, c, v = entry
                 structure[(int(a) - 1, int(b) - 1, int(c) - 1)] = Fraction(str(v))
-            self.lie = LieAlgebraData(
-                int(lie_spec["dim"]), structure, lie_spec.get("label", "")
-            )
+            self.lie = LieAlgebraData(_at_least(lie_spec["dim"], 1, "lie_algebra dim"),
+                                      structure, lie_spec.get("label", ""))
         except (KeyError, TypeError, IndexError) as exc:
             raise SceneError(f"bad lie_algebra block: {exc}") from exc
         except ValueError as exc:
             raise SceneError(str(exc)) from exc
 
         base = data.get("base", {})
-        self.base_dim = int(base.get("dim", 2))
+        self.base_dim = _at_least(base.get("dim", 2), 0, "base dim")
         matrix = base.get("poisson_matrix")
         if matrix is not None:
             if not (isinstance(matrix, list) and len(matrix) == self.base_dim
@@ -79,13 +71,11 @@ class Scene:
                     f"for a {self.base_dim}-dimensional base")
             matrix = [[Fraction(str(v)) for v in row] for row in matrix]
         self.poisson_matrix = matrix
-        self.order = _truncation_order(data.get("truncation_order", 4))
+        self.order = _at_least(data.get("truncation_order", 4), 0, "truncation order")
         caps = data.get("degree_caps", {})
-        self.degree_cap = _degree_cap(caps.get("polynomial", 3))
+        self.degree_cap = _at_least(caps.get("polynomial", 3), 0, "degree cap")
         self.seed = int(data.get("seed", 0))
-        self.trials = int(data.get("trials", 8))
-        if self.trials < 1:
-            raise SceneError(f"trials must be at least 1, got {self.trials}")
+        self.trials = _at_least(data.get("trials", 8), 1, "trials")
         self.suites = list(data.get("suites", ["all"]))
         self.weights = dict(data.get("weights", {}))
         self.star_product = data.get("star_product", "total")
@@ -232,11 +222,10 @@ def emit_report(records: list, fmt: str, scene_label: str = "",
     wall-clock timings are therefore opt-in.
     """
     records = sorted(records, key=lambda r: r["id"])
-    counts = {
-        "pass": sum(1 for r in records if r["status"] == "pass"),
-        "fail": sum(1 for r in records if r["status"] == "fail"),
-        "skip": sum(1 for r in records if r["status"] == "skip"),
-    }
+    counts = {s: sum(r["status"] == s for r in records)
+              for s in ("pass", "fail", "skip", "error")}
+    if not counts["error"]:  # absent unless an engine error occurred
+        del counts["error"]
     if fmt == "json":
         out_records = []
         for r in records:
@@ -255,17 +244,15 @@ def emit_report(records: list, fmt: str, scene_label: str = "",
     if fmt == "text":
         lines = [f"scene: {scene_label}"]
         for r in records:
-            mark = {"pass": "ok  ", "fail": "FAIL", "skip": "skip"}[r["status"]]
+            mark = {"pass": "ok  ", "fail": "FAIL", "skip": "skip",
+                    "error": "ERR "}[r["status"]]
             extra = ""
             if r["status"] == "fail":
                 extra = f"  [first bad order {r['first_bad_order']}] {r['detail']}"
-            elif r["status"] == "skip":
+            elif r["status"] in ("skip", "error"):
                 extra = f"  [{r['detail']}]"
             lines.append(f"{mark}  {r['id']}: {r['statement']}{extra}")
-        lines.append(
-            f"total: {counts['pass']} pass, {counts['fail']} fail, "
-            f"{counts['skip']} skip"
-        )
+        lines.append("total: " + ", ".join(f"{n} {s}" for s, n in counts.items()))
         return "\n".join(lines)
     raise SceneError(f"unknown report format {fmt!r}")
 
@@ -288,27 +275,29 @@ def cmd_verify(args) -> int:
     if args.seed is not None:
         scene.seed = args.seed
     if args.order is not None:
-        scene.order = _truncation_order(args.order)
+        scene.order = _at_least(args.order, 0, "truncation order")
     if args.degree_cap is not None:
-        scene.degree_cap = _degree_cap(args.degree_cap)
-    model = scene.model()
-    ctx = scene.context(model)
+        scene.degree_cap = _at_least(args.degree_cap, 0, "degree cap")
     suites = [args.suite] if args.suite else scene.suites
     for name in suites:
         if name != "all" and name not in SUITES:
             raise SceneError(
                 f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'"
             )
+    model = scene.model()
+    ctx = scene.context(model)
+    for name in suites:
         run_suite(ctx, name)
     text = emit_report(ctx.records, args.format, scene.label, timings=args.timings)
     _write_out(text, args.out)
-    return 1 if any(r["status"] == "fail" for r in ctx.records) else 0
+    statuses = {r["status"] for r in ctx.records}
+    return 3 if "error" in statuses else 1 if "fail" in statuses else 0
 
 
 def cmd_star(args) -> int:
     scene = load_scene(args.scene)
     if args.order is not None:
-        scene.order = _truncation_order(args.order)
+        scene.order = _at_least(args.order, 0, "truncation order")
     model = scene.model()
     name = args.product or scene.star_product
     product = StarProduct(model, name)
@@ -324,7 +313,7 @@ def cmd_star(args) -> int:
 def cmd_reduce(args) -> int:
     scene = load_scene(args.scene)
     if args.order is not None:
-        scene.order = _truncation_order(args.order)
+        scene.order = _at_least(args.order, 0, "truncation order")
     model = scene.model()
     cfg = ReductionConfig(model, Fraction(1, 2))
     if args.left and args.right:
@@ -347,7 +336,7 @@ def cmd_reduce(args) -> int:
 def cmd_involve(args) -> int:
     scene = load_scene(args.scene)
     if args.order is not None:
-        scene.order = _truncation_order(args.order)
+        scene.order = _at_least(args.order, 0, "truncation order")
     model = scene.model()
     u = parse_expr(args.input, model)
     weight = scene.weight(model, args.weight)
@@ -409,10 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SceneError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (SceneError, ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

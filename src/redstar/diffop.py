@@ -5,28 +5,23 @@ with Poly coefficients c_{r,d} and derivative multi-indices d over the named
 generators.  Composition, application and formal adjoints are exact.
 
 Application and composition work on flat term dicts {exponent:
-GaussRational}, one per lam order, and build each output Poly,
-LambdaSeries and Func once, at the end.  Application differentiates the
-input's terms; under a Gaussian envelope exp(-a x^2) the derivative d/dx
-also yields the envelope term -2a*x*p.  Composition differentiates the
-right factor's coefficients by the Leibniz remainder monomial by monomial.
-Both accumulate products through one loop, _mul_into.
+GaussRational}, one per lam order, with the kernels of poly, and build each
+output Poly, LambdaSeries and Func once, at the end.  Application reads
+partial^d f from the input's Func.partials cache, envelope terms included.
+Composition differentiates the right factor's coefficients by the Leibniz
+remainder monomial by monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, inf, perm
-from operator import add, gt, sub
+from math import comb, factorial, perm
+from operator import add, sub
 
 from .funcs import Func
-from .poly import Poly
+from .poly import Poly, _mul_into, _scale
 from .scalars import GaussRational
 from .series import LambdaSeries, series_inverse
-
-
-def _zero_d(gens):
-    return (0,) * len(gens)
 
 
 class DiffOperator:
@@ -59,11 +54,11 @@ class DiffOperator:
     @staticmethod
     def identity(gens, order: int) -> "DiffOperator":
         gens = tuple(gens)
-        return DiffOperator(gens, order, [{_zero_d(gens): Poly.one(gens)}])
+        return DiffOperator(gens, order, [{(0,) * len(gens): Poly.one(gens)}])
 
     @staticmethod
     def multiplication(p: Poly, order: int) -> "DiffOperator":
-        return DiffOperator(p.gens, order, [{_zero_d(p.gens): p}])
+        return DiffOperator(p.gens, order, [{(0,) * len(p.gens): p}])
 
     @staticmethod
     def first_order(gens, order: int, coeffs: dict) -> "DiffOperator":
@@ -135,44 +130,21 @@ class DiffOperator:
     def apply(self, f: Func) -> Func:
         """Exact application, evaluated on the term dicts of f.
 
-        partial^d f is computed once per multi-index d, one generator below a
-        cached lower derivative; entries whose derivative vanishes by degree
-        are skipped.  On an input with envelope exp(-a x^2), d/dx also adds the
-        -2a*x*p term, as Func.diff does.  The result is truncated at f.order
-        and carries f's envelope and pi-grade; an operator without entries
-        gives f.zero_like().
+        partial^d f comes from f.partials(), taken once per multi-index and
+        skipped where it vanishes by degree.  The result is truncated at
+        f.order and carries f's envelope and pi-grade; an operator without
+        entries gives f.zero_like().
         """
         if f.gens != self.gens:
             raise ValueError("operator and function live on different generators")
         if self.is_zero():
             return f.zero_like()
         order = f.order
-        envs = [-2 * f.profile[g] if g in f.profile else None for g in self.gens]
-        coeffs = [p.terms for p in f.series.coeffs]
-        # partial^d f vanishes once d exceeds f's degree in a coordinate
-        # without envelope; under an envelope only when f itself is zero.
-        # Entries past the bound are skipped before any differentiation.
-        exps = [e for t in coeffs for e in t]
-        bound = [
-            inf if env is not None and exps else max((e[i] for e in exps), default=-1)
-            for i, env in enumerate(envs)
-        ]
-        derivs: dict = {_zero_d(self.gens): coeffs}
-
-        def deriv(d):
-            # lam coefficients of partial^d f as term dicts
-            if d not in derivs:
-                i = next(i for i, k in enumerate(d) if k)
-                lower = deriv(d[:i] + (d[i] - 1,) + d[i + 1:])
-                derivs[d] = [_diff_terms(t, i, envs[i]) for t in lower]
-            return derivs[d]
-
+        partials = f.partials()
         acc = [{} for _ in range(order + 1)]
         for r, table in enumerate(self.tables[: order + 1]):
             for d, c in table.items():
-                if any(map(gt, d, bound)):
-                    continue
-                for s, terms in enumerate(deriv(d)[: order + 1 - r]):
+                for s, terms in enumerate(partials[d][: order + 1 - r]):
                     if terms:
                         _mul_into(acc[r + s], terms, c.terms)
         series = LambdaSeries([Poly(self.gens, t) for t in acc], order)
@@ -281,40 +253,6 @@ class DiffOperator:
                 lam = "" if r == 0 else (f"lam^{r}*" if r > 1 else "lam*")
                 parts.append(f"{lam}({c!r}){'*' + ds if ds else ''}")
         return " + ".join(parts) if parts else "0"
-
-
-def _mul_into(acc: dict, left: dict, right: dict) -> None:
-    """acc += left * right on term dicts {exponent: GaussRational}.
-
-    Zero sums stay in acc; the Poly built from it drops them.
-    """
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            e = tuple(map(add, e1, e2))
-            c = c1 * c2
-            prev = acc.get(e)
-            acc[e] = c if prev is None else prev + c
-
-
-def _scale(c: GaussRational, k) -> GaussRational:
-    """c times a rational k, without promoting k to a GaussRational."""
-    return GaussRational(c.re * k, c.im * k)
-
-
-def _diff_terms(terms: dict, i: int, env) -> dict:
-    """d/dx_i of one lam coefficient; env is -2a under an envelope exp(-a x_i^2)."""
-    out: dict = {}
-    for e, c in terms.items():
-        k = e[i]
-        if k:
-            out[e[:i] + (k - 1,) + e[i + 1:]] = _scale(c, k)
-    if env is not None:
-        for e, c in terms.items():
-            up = e[:i] + (e[i] + 1,) + e[i + 1:]
-            prev = out.get(up)
-            out[up] = _scale(c, env) if prev is None else prev + _scale(c, env)
-        out = {e: c for e, c in out.items() if not c.is_zero()}
-    return out
 
 
 def _diff_monomials(terms: dict, m) -> dict:

@@ -6,14 +6,17 @@ pi-grade (quarter powers of pi) for normalization constants.  Plain
 observables are Funcs with empty envelope and grade zero; fiber states and
 Gaussian-damped test functions carry envelopes.  All differential operators
 act through profile-aware differentiation, so the class is closed under
-every operation of the engine.
+every operation of the engine.  Func.partials is the one derivative cache
+of DiffOperator.apply, the base product and its multiplication operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
+from operator import gt
 
-from .poly import Poly
+from .poly import Poly, _diff_terms
 from .scalars import GaussRational, PiScalar
 from .series import LambdaSeries
 
@@ -131,13 +134,16 @@ class Func:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, name: str) -> "Func":
-        """Envelope-aware partial derivative."""
-        out = self.series.map(lambda p: p.diff(name))
-        a = self.profile.get(name)
-        if a:
-            c = Poly.var(self.gens, name)
-            out = out + self.series.map(lambda p: p * c * GaussRational(-2 * a))
+        """Envelope-aware partial derivative: under exp(-a x^2), d/dx also
+        adds -2a*x*p."""
+        i = self.gens.index(name)
+        env = -2 * self.profile[name] if name in self.profile else None
+        out = self.series.map(lambda p: Poly(self.gens, _diff_terms(p.terms, i, env)))
         return Func(out, self.profile, self.pi4)
+
+    def partials(self) -> "Partials":
+        """The cache alpha -> partial^alpha f, as lam coefficients' term dicts."""
+        return Partials(self)
 
     def set_zero(self, names) -> "Func":
         """Restrict by putting the listed coordinates to zero (no envelope there)."""
@@ -218,3 +224,26 @@ class Func:
         if self.pi4:
             body = f"({body})*pi^({self.pi4}/4)"
         return body
+
+
+class Partials(dict):
+    """alpha -> the lam coefficients of partial^alpha f as term dicts, each
+    taken once from a cached lower derivative, envelope-aware as Func.diff.
+    Past f's degree in a coordinate without envelope the list is empty."""
+
+    def __init__(self, f: Func):
+        coeffs = [p.terms for p in f.series.coeffs]
+        super().__init__({(0,) * len(f.gens): coeffs})
+        self.envs = [-2 * f.profile[g] if g in f.profile else None for g in f.gens]
+        exps = [e for t in coeffs for e in t]
+        self.bound = [inf if env is not None and exps
+                      else max((e[i] for e in exps), default=-1)
+                      for i, env in enumerate(self.envs)]
+
+    def __missing__(self, d):
+        if any(map(gt, d, self.bound)):
+            return []
+        i = next(i for i, k in enumerate(d) if k)
+        lower = self[d[:i] + (d[i] - 1,) + d[i + 1:]]
+        out = self[d] = [_diff_terms(t, i, self.envs[i]) for t in lower]
+        return out

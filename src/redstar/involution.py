@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
 
 from .diffop import DiffOperator
 from .funcs import Func
@@ -28,10 +27,10 @@ from .koszul import (
     left_module,
 )
 from .linalg import poly_equations, solve_linear
-from .poly import Poly
+from .poly import Poly, _mul_into
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries, series_inverse
-from .starprod import _mul_ilam, moyal
+from .starprod import _mul_ilam, moyal, moyal_table
 
 
 # ---------------------------------------------------------------------------
@@ -184,48 +183,27 @@ def gns_check(cfg: ReductionConfig, f: Func, g: Func, mu: DensityWeight) -> dict
 # ---------------------------------------------------------------------------
 
 
-def _base_pairs(model: ModelSpace):
-    names = model.base_names
-    out = []
-    for i in range(len(names)):
-        for j in range(len(names)):
-            lam = model.poisson_matrix[i][j]
-            if lam:
-                out.append((i, j, GaussRational(lam)))
-    return out
+def mult_operator(model: ModelSpace, u: Func, right: bool = True) -> DiffOperator:
+    """w -> w *_red u (right) or w -> u *_red w (left) as a differential
+    operator in the base coordinates.
 
-
-def mult_operator(model: ModelSpace, u: Func, pairs) -> DiffOperator:
-    """w -> w *_red u as a differential operator in the base coordinates,
-    for pairs = _base_pairs(model).
-
-    With i and j swapped in every pair the same expansion gives
-    w -> u *_red w.
+    Each entry (alpha, beta) of the moyal table puts its other half onto
+    u's partials: beta on the right side, alpha on the left.
     """
     if u.profile:
         raise ValueError("multiplication operators need polynomial symbols")
-    gens = model.gens
     order = model.order
-    tables = [dict() for _ in range(order + 1)]
-    half_i = IMAG * GaussRational(Fraction(1, 2))
-    for r in range(order + 1):
-        scale = half_i ** r * GaussRational(Fraction(1, factorial(r)))
-        for seq in product(pairs, repeat=r):
-            d = [0] * len(gens)
-            du = u
-            factor = scale
-            for (i, j, lam) in seq:
-                d[i] += 1
-                du = du.diff(model.base_names[j])
-                factor = factor * lam
-            if du.is_zero():
-                continue
-            for s, p in enumerate(du.series.coeffs):
-                if r + s > order or p.is_zero():
-                    continue
-                key = tuple(d)
-                tables[r + s][key] = tables[r + s].get(key, Poly.zero(gens)) + p * factor
-    return DiffOperator(gens, order, tables)
+    partials = u.partials()
+    origin = (0,) * len(model.gens)
+    tables = [{} for _ in range(order + 1)]
+    for r, level in enumerate(moyal_table(model, order)):
+        for (alpha, beta), c in level.items():
+            d, k = (alpha, beta) if right else (beta, alpha)
+            for s, terms in enumerate(partials[k][: order + 1 - r]):
+                if terms:
+                    _mul_into(tables[r + s].setdefault(d, {}), terms, {origin: c})
+    tables = [{d: Poly(model.gens, t) for d, t in tab.items()} for tab in tables]
+    return DiffOperator(model.gens, order, tables)
 
 
 def _transpose_at_one(model: ModelSpace, op: DiffOperator, omega: DensityWeight) -> Func:
@@ -238,12 +216,10 @@ def reduced_involution(model: ModelSpace, u: Func, omega: DensityWeight) -> Func
     """The unique u* adjoint to right multiplication by u for the weight."""
     if not omega.has_constant_leading_prefactor():
         raise ValueError("weight is outside the supported class for the involution")
-    right = _base_pairs(model)
-    left = [(j, i, lam) for i, j, lam in right]
-    target = _transpose_at_one(model, mult_operator(model, u, right), omega)
+    target = _transpose_at_one(model, mult_operator(model, u), omega)
     v = model.zero()
     for r in range(model.order + 1):
-        current = _transpose_at_one(model, mult_operator(model, v, left), omega)
+        current = _transpose_at_one(model, mult_operator(model, v, right=False), omega)
         defect = target - current
         slice_r = defect.series.coeffs[r]
         if not slice_r.is_zero():

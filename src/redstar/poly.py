@@ -4,11 +4,15 @@ Terms are stored sparsely as a map from exponent tuples to coefficients; no
 zero coefficient is ever kept, so equality is plain coefficient-wise equality.
 Canonical term order for printing and iteration is degrevlex over the fixed
 generator order.
+
+The term-dict kernels _mul_into, _scale and _diff_terms on {exponent:
+GaussRational} dicts are shared by Poly, Func, DiffOperator and moyal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .scalars import GaussRational
 
@@ -33,9 +37,13 @@ class Poly:
                 expo = tuple(int(e) for e in expo)
                 if len(expo) != len(self.gens):
                     raise ValueError("exponent length does not match generators")
-                clean[expo] = clean.get(expo, GaussRational(0)) + coeff
-                if clean[expo].is_zero():
-                    del clean[expo]
+                prev = clean.get(expo)
+                if prev is not None:
+                    coeff = prev + coeff
+                    if coeff.is_zero():
+                        del clean[expo]
+                        continue
+                clean[expo] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -106,15 +114,8 @@ class Poly:
                 return Poly.zero(self.gens)
             return Poly(self.gens, {e: v * c for e, v in self.terms.items()})
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if e in out:
-                    out[e] = out[e] + c
-                else:
-                    out[e] = c
+        out: dict = {}
+        _mul_into(out, self.terms, other.terms)
         return Poly(self.gens, out)
 
     __rmul__ = __mul__
@@ -134,16 +135,7 @@ class Poly:
     # -- calculus and structure ----------------------------------------
 
     def diff(self, name: str) -> "Poly":
-        idx = self.gens.index(name)
-        out = {}
-        for expo, c in self.terms.items():
-            k = expo[idx]
-            if k == 0:
-                continue
-            e = list(expo)
-            e[idx] = k - 1
-            out[tuple(e)] = c * k
-        return Poly(self.gens, out)
+        return Poly(self.gens, _diff_terms(self.terms, self.gens.index(name)))
 
     def conj(self) -> "Poly":
         return Poly(self.gens, {e: c.conj() for e, c in self.terms.items()})
@@ -260,3 +252,43 @@ class Poly:
             else:
                 parts.append(cs)
         return " + ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# term-dict kernels
+# ---------------------------------------------------------------------------
+
+
+def _mul_into(acc: dict, left: dict, right: dict) -> None:
+    """acc += left * right on term dicts {exponent: GaussRational}.
+
+    Zero sums stay in acc; the Poly built from it drops them.
+    """
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            prev = acc.get(e)
+            acc[e] = c if prev is None else prev + c
+
+
+def _scale(c: GaussRational, k) -> GaussRational:
+    """c times a rational k, without promoting k to a GaussRational."""
+    return GaussRational(c.re * k, c.im * k)
+
+
+def _diff_terms(terms: dict, i: int, env=None) -> dict:
+    """d/dx_i of one term dict; env is -2a under an envelope exp(-a x_i^2),
+    whose derivative adds the term -2a*x_i*p."""
+    out: dict = {}
+    for e, c in terms.items():
+        k = e[i]
+        if k:
+            out[e[:i] + (k - 1,) + e[i + 1:]] = _scale(c, k)
+    if env is not None:
+        for e, c in terms.items():
+            up = e[:i] + (e[i] + 1,) + e[i + 1:]
+            prev = out.get(up)
+            out[up] = _scale(c, env) if prev is None else prev + _scale(c, env)
+        out = {e: c for e, c in out.items() if not c.is_zero()}
+    return out

@@ -1,16 +1,18 @@
 """Star products on the product model.
 
 The base carries the constant-coefficient exponential bidifferential product
-(the Weyl-Moyal product for the matrix Lam).  The cotangent factor carries
-products built from one PBW word calculus: normal ordering of words in the
-generators with [J_a, J_b] = i lam C_ab^c J_c, symmetrized quantization of
-momentum polynomials and its inverse.  On group models the words are
-left-invariant derivatives, group fields act on the coefficients, and the
-calculus gives the standard-ordered product; its Hermitian normalization
-conjugates with the exponential N of the momentum Laplacian minus the
-vertical modular field.  On momentum-level models no field acts, and the
-same calculus gives Gutt's symmetrization product on g* directly.  The
-total product acts blockwise.
+(the Weyl-Moyal product for the matrix Lam), expanded once per model into
+moyal_table; moyal and the one-sided multiplication operators of involution
+apply that table to Func.partials on term dicts.  The cotangent factor
+carries products built from one PBW word calculus: normal ordering of words
+in the generators with [J_a, J_b] = i lam C_ab^c J_c, symmetrized
+quantization of momentum polynomials and its inverse.  On group models the
+words are left-invariant derivatives, group fields act on the
+coefficients, and the calculus gives the standard-ordered product; its
+Hermitian normalization conjugates with the exponential N of the momentum
+Laplacian minus the vertical modular field.  On momentum-level models no
+field acts, and the same calculus gives Gutt's symmetrization product on
+g* directly.  The total product acts blockwise.
 
 Operators coming from the symbol calculus are held in a "stripped" normal
 form sum_w c_w (i lam)^{|w|} L_{w_1} ... L_{w_k}: every stored word is
@@ -25,11 +27,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from operator import add
 
 from .diffop import DiffOperator
 from .funcs import Func
 from .geometry import ModelSpace
+from .poly import Poly, _mul_into
 from .scalars import GaussRational, I as IMAG
+from .series import LambdaSeries
 
 
 # ---------------------------------------------------------------------------
@@ -37,39 +42,57 @@ from .scalars import GaussRational, I as IMAG
 # ---------------------------------------------------------------------------
 
 
+def moyal_table(model: ModelSpace, order: int) -> list:
+    """Per lam order r, {(alpha, beta): c} over the model's generators, with
+    c = (i/2)^r / r! times the sum of Lam^{i_1 j_1} ... Lam^{i_r j_r} over
+    the pair sequences with e_{i_1} + ... + e_{i_r} = alpha and
+    e_{j_1} + ... + e_{j_r} = beta.  Built once per model and order."""
+    key = ("moyal_table", order)
+    if key not in model._field_cache:
+        names = model.base_names
+        unit = {a: tuple(int(g == a) for g in model.gens) for a in names}
+        pairs = [(unit[a], unit[b], lam) for a, row in zip(names, model.poisson_matrix)
+                 for b, lam in zip(names, row) if lam]
+        origin = (0,) * len(model.gens)
+        level, table = {(origin, origin): 1}, []
+        for r in range(order + 1):
+            if r:
+                nxt: dict = {}
+                for (alpha, beta), s in level.items():
+                    for da, db, lam in pairs:
+                        k = (tuple(map(add, alpha, da)), tuple(map(add, beta, db)))
+                        nxt[k] = nxt.get(k, 0) + s * lam
+                level = {k: v for k, v in nxt.items() if v}
+            scale = GaussRational(0, Fraction(1, 2)) ** r * Fraction(1, factorial(r))
+            table.append({k: scale * v for k, v in level.items()})
+        model._field_cache[key] = table
+    return model._field_cache[key]
+
+
 def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
     """Exponential bidifferential product in the base coordinates only.
 
     Functions of the fiber variables are multiplied pointwise, so this also
-    serves as the coefficient product of the symbol calculus.
+    serves as the coefficient product of the symbol calculus.  Envelopes and
+    pi-grades add, also on a zero result.
     """
-    names = model.base_names
-    lam = model.poisson_matrix
-    n = len(names)
-    out = f * g
-    level = [(f, g, GaussRational(1))]
-    for r in range(1, f.order + 1):
-        nxt = []
-        for fd, gd, s in level:
-            for i in range(n):
-                for j in range(n):
-                    if lam[i][j] == 0:
-                        continue
-                    nxt.append((fd.diff(names[i]), gd.diff(names[j]),
-                                s * GaussRational(lam[i][j])))
-        level = [(a, b, s) for a, b, s in nxt if not (a.is_zero() or b.is_zero())]
-        if not level:
-            break
-        scale = (IMAG * GaussRational(Fraction(1, 2))) ** r * GaussRational(
-            Fraction(1, factorial(r))
-        )
-        term = None
-        for fd, gd, s in level:
-            piece = fd * gd * (s * scale)
-            term = piece if term is None else term + piece
-        if term is not None and not term.is_zero():
-            out = out + Func(term.series.shift(r), term.profile, term.pi4)
-    return out
+    if f.gens != g.gens or f.gens != model.gens:
+        raise ValueError("generator mismatch")
+    if f.order != g.order:
+        raise ValueError(f"mismatched truncation orders {f.order} and {g.order}")
+    order = f.order
+    pf, pg = f.partials(), g.partials()
+    acc = [{} for _ in range(order + 1)]
+    for r, level in enumerate(moyal_table(model, order)):
+        for (alpha, beta), c in level.items():
+            for s, left in enumerate(pf[alpha][: order + 1 - r]):
+                if left:
+                    left = {e: v * c for e, v in left.items()}
+                    for t, right in enumerate(pg[beta][: order + 1 - r - s]):
+                        if right:
+                            _mul_into(acc[r + s + t], left, right)
+    series = LambdaSeries([Poly(model.gens, t) for t in acc], order)
+    return Func(series, f.profile, f.pi4 + g.pi4).with_profile(g.profile)
 
 
 # ---------------------------------------------------------------------------

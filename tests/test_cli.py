@@ -12,6 +12,7 @@ from redstar.cli import (
     main,
     parse_expr,
 )
+from redstar.suites import SUITES
 
 HEIS_SCENE = {
     "label": "heis-test",
@@ -103,12 +104,24 @@ class TestMalformedScenes:
         ({"trials": 0}, [], "trials must be at least 1"),
         ({"degree_caps": {"polynomial": -2}}, [], "degree cap must be at least 0"),
         ({}, ["--degree-cap", "-1"], "degree cap must be at least 0"),
+        ({"suites": ["star", "bogus"]}, [], "unknown suite 'bogus'"),
+        ({"lie_algebra": {"dim": 0, "structure_constants": []}}, [],
+         "lie_algebra dim must be at least 1"),
+        ({"lie_algebra": {"dim": -1, "structure_constants": []}}, [],
+         "lie_algebra dim must be at least 1"),
+        ({"base": {"dim": -2}}, [], "base dim must be at least 0"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
-            "negative_degree_cap", "negative_degree_cap_override"])
-    def test_verify_rejects(self, tmp_path, capsys, changes, extra, message):
+            "negative_degree_cap", "negative_degree_cap_override",
+            "unknown_suite_in_list", "zero_lie_dim",
+            "negative_lie_dim", "negative_base_dim"])
+    def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
+                            message):
+        ran = []
+        monkeypatch.setattr("redstar.cli.run_suite", lambda ctx, name: ran.append(name))
         path = write_scene(tmp_path, {**HEIS_SCENE, **changes})
         assert main(["verify", "--scene", path, *extra]) == 2
+        assert ran == []  # rejected before any suite runs
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
@@ -119,6 +132,76 @@ class TestMalformedScenes:
         data["degree_caps"] = {"polynomial": 2, "operator_basis": 3}
         scene = load_scene(write_scene(tmp_path, data))
         assert scene.degree_cap == 2
+
+
+class TestOutsideThePlane:
+    """Checks written in (q, p) skip on other bases; the rest still run."""
+
+    SCENE = {"label": "small", "lie_algebra": {"dim": 1, "structure_constants": []},
+             "truncation_order": 1, "degree_caps": {"polynomial": 1}, "trials": 1}
+    PLANE_ONLY = {"involution.first_order", "involution.comparison",
+                  "involution.density_ratio", "involution.modular_class",
+                  "involution.inner_difference", "morita.gram_psd", "morita.vertical"}
+
+    def report(self, tmp_path, base, suites):
+        path = write_scene(tmp_path, {**self.SCENE, "base": base, "suites": suites})
+        out = tmp_path / "report.json"
+        code = main(["verify", "--scene", path, "--format", "json", "--out", str(out)])
+        return code, {r["id"]: r for r in json.loads(out.read_text())["records"]}
+
+    def test_four_dimensional_base_skips_plane_checks(self, tmp_path):
+        code, recs = self.report(tmp_path, {"dim": 4}, ["involution", "morita"])
+        assert code == 0
+        skipped = {k for k, r in recs.items() if r["status"] == "skip"}
+        assert skipped == self.PLANE_ONLY
+        assert all("(q, p) plane" in recs[k]["detail"] for k in skipped)
+
+    def test_first_order_reads_the_poisson_matrix(self, tmp_path):
+        code, recs = self.report(
+            tmp_path, {"dim": 2, "poisson_matrix": [[0, 2], [-2, 0]]}, ["involution"])
+        assert recs["involution.first_order"]["status"] == "pass"
+        assert code == 0
+
+    def test_zero_dimensional_base_draws_constants(self, tmp_path):
+        code, recs = self.report(tmp_path, {"dim": 0}, ["star"])
+        assert recs["star.bracket.moyal"]["status"] == "pass"
+        assert code == 0
+
+
+class TestEngineErrors:
+    """An exception inside a check is an error, not a failed identity."""
+
+    def run(self, tmp_path, monkeypatch, capsys, defects, fmt="json"):
+        def suite(ctx):
+            ctx.check("demo.boom", "a check whose engine raises", defects)
+            return ctx.records
+
+        monkeypatch.setitem(SUITES, "koszul", suite)
+        path = write_scene(tmp_path, HEIS_SCENE)
+        code = main(["verify", "--scene", path, "--format", fmt])
+        return code, capsys.readouterr().out
+
+    @staticmethod
+    def boom():
+        yield False
+        raise RuntimeError("engine broke")
+
+    def test_error_exits_three_failure_one(self, tmp_path, monkeypatch, capsys):
+        code, out = self.run(tmp_path, monkeypatch, capsys, self.boom)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["counts"] == {"pass": 0, "fail": 0, "skip": 0, "error": 1}
+        rec = doc["records"][0]
+        assert rec["status"] == "error" and rec["detail"] == "RuntimeError: engine broke"
+        code, out = self.run(tmp_path, monkeypatch, capsys, [False])
+        assert code == 1
+        assert json.loads(out)["counts"] == {"pass": 0, "fail": 1, "skip": 0}
+
+    def test_text_marks_error(self, tmp_path, monkeypatch, capsys):
+        code, out = self.run(tmp_path, monkeypatch, capsys, self.boom, fmt="text")
+        assert code == 3
+        assert "ERR   demo.boom" in out and "[RuntimeError: engine broke]" in out
+        assert out.splitlines()[-1] == "total: 0 pass, 0 fail, 0 skip, 1 error"
 
 
 class TestExpressions:

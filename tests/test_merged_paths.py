@@ -13,13 +13,17 @@ equal repr):
   y <- x - (op(y) - y) with op = h_{k-1} qk_k + qk_{k+1} h_k;
 - the conjugation transports A^a and B as finite geometric tails of the
   operator T = (k_1 - qk_1) h_0;
-- the left and right multiplication operators as mirror-image builders.
+- the left and right multiplication operators as mirror-image builders,
+  each expanding exp((i lam/2) Lam^{ij} d_i (x) d_j) over pair sequences;
+- the base product as a Func-level recursion over pair sequences, with the
+  two-pass envelope-aware Func.diff and the loop Poly.__mul__ and Poly.diff
+  beneath it.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -27,7 +31,6 @@ from redstar.diffop import DiffOperator
 from redstar.funcs import Func
 from redstar.geometry import ModelSpace, abelian_lie, aff1, heisenberg3
 from redstar.involution import (
-    _base_pairs,
     conj_transport,
     mult_operator,
     transport,
@@ -45,7 +48,8 @@ from redstar.koszul import (
 )
 from redstar.poly import Poly
 from redstar.scalars import GaussRational, I as IMAG
-from redstar.starprod import _mul_ilam, moyal, star_G
+from redstar.series import LambdaSeries
+from redstar.starprod import _mul_ilam, moyal, moyal_table, star_G
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,18 @@ def ref_transport_B(cfg, g):
 # ---------------------------------------------------------------------------
 # reference: one-sided multiplication operators
 # ---------------------------------------------------------------------------
+
+
+def _base_pairs(model):
+    """(i, j, Lam^{ij}) for every nonzero entry of the Poisson matrix."""
+    names = model.base_names
+    out = []
+    for i in range(len(names)):
+        for j in range(len(names)):
+            lam = model.poisson_matrix[i][j]
+            if lam:
+                out.append((i, j, GaussRational(lam)))
+    return out
 
 
 def _ref_mult(model, u, left):
@@ -505,15 +521,206 @@ def test_mult_operator_matches_reference_pair(name):
     m = {"abelian1": lambda: ModelSpace(abelian_lie(1), 2, 3),
          "heis3": lambda: ModelSpace(heisenberg3(), 2, 3),
          "aff1": lambda: ModelSpace(aff1(), 4, 3)}[name]()
-    right = _base_pairs(m)
-    left = [(j, i, lam) for i, j, lam in right]
     rng = random.Random(17)
     for _ in range(4):
         u = rand_poly(rng, m, m.base_names, 3)
         u = u + lam_shifted(rand_poly(rng, m, m.base_names, 2), 1)
         w = rand_poly(rng, m, m.base_names, 2)
-        for got, expect in ((mult_operator(m, u, right), ref_right_mult_operator(m, u)),
-                            (mult_operator(m, u, left), ref_left_mult_operator(m, u))):
+        for got, expect in ((mult_operator(m, u), ref_right_mult_operator(m, u)),
+                            (mult_operator(m, u, right=False),
+                             ref_left_mult_operator(m, u))):
             assert got == expect
             assert repr(got) == repr(expect)
             assert_same(got.apply(w), expect.apply(w))
+
+
+# ---------------------------------------------------------------------------
+# reference: the Func-level base product and the loop derivatives
+# ---------------------------------------------------------------------------
+
+
+def ref_poly_mul(a, b):
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return Poly(a.gens, out)
+
+
+def ref_poly_diff(p, name):
+    idx = p.gens.index(name)
+    out = {}
+    for expo, c in p.terms.items():
+        k = expo[idx]
+        if k:
+            e = list(expo)
+            e[idx] = k - 1
+            out[tuple(e)] = c * k
+    return Poly(p.gens, out)
+
+
+def ref_func_diff(f, name):
+    """Two passes: the polynomial derivative, then the envelope term."""
+    out = f.series.map(lambda p: ref_poly_diff(p, name))
+    a = f.profile.get(name)
+    if a:
+        c = Poly.var(f.gens, name)
+        out = out + f.series.map(
+            lambda p: ref_poly_mul(ref_poly_mul(p, c), Poly.constant(f.gens, -2 * a)))
+    return Func(out, f.profile, f.pi4)
+
+
+def ref_moyal(model, f, g):
+    """The expansion level by level over pair sequences, in Func arithmetic."""
+    names = model.base_names
+    lam = model.poisson_matrix
+    n = len(names)
+    out = f * g
+    level = [(f, g, GaussRational(1))]
+    for r in range(1, f.order + 1):
+        nxt = []
+        for fd, gd, s in level:
+            for i in range(n):
+                for j in range(n):
+                    if lam[i][j]:
+                        nxt.append((ref_func_diff(fd, names[i]),
+                                    ref_func_diff(gd, names[j]),
+                                    s * GaussRational(lam[i][j])))
+        level = [(a, b, s) for a, b, s in nxt if not (a.is_zero() or b.is_zero())]
+        if not level:
+            break
+        scale = (IMAG * GaussRational(Fraction(1, 2))) ** r * GaussRational(
+            Fraction(1, factorial(r)))
+        term = None
+        for fd, gd, s in level:
+            piece = fd * gd * (s * scale)
+            term = piece if term is None else term + piece
+        if not term.is_zero():
+            out = out + Func(term.series.shift(r), term.profile, term.pi4)
+    return out
+
+
+NONSTANDARD_LAM = [[0, 2, 1, 0], [-2, 0, 0, Fraction(-1, 2)],
+                   [-1, 0, 0, 3], [0, Fraction(1, 2), -3, 0]]
+
+TABLE_MODELS = {
+    "heis3_k2": lambda: ModelSpace(heisenberg3(), 2, 2),
+    "heis3_k4": lambda: ModelSpace(heisenberg3(), 2, 4),
+    "aff1_base4_k3": lambda: ModelSpace(aff1(), 4, 3),
+    "abelian2_k3": lambda: ModelSpace(abelian_lie(2), 2, 3),
+    "nonstandard4_k2": lambda: ModelSpace(abelian_lie(1), 4, 2, NONSTANDARD_LAM),
+    "nonstandard4_k4": lambda: ModelSpace(abelian_lie(1), 4, 4, NONSTANDARD_LAM),
+}
+
+
+def table_inputs(m, seed):
+    """Plain, lam-shifted, enveloped (base and fiber), pi-graded and zero
+    inputs."""
+    rng = random.Random(seed)
+    base = m.base_names
+    fiber = (m.group_names or m.momentum_names)[0]
+    out = []
+    for _ in range(2):
+        f = rand_poly(rng, m, m.gens, 3)
+        f = f + lam_shifted(rand_poly(rng, m, base, 2), 1)
+        out.append(f)
+    out.append(rand_poly(rng, m, base, 2).with_profile({base[0]: Fraction(1, 2)}))
+    out.append(rand_poly(rng, m, m.gens, 2).with_profile({fiber: Fraction(1, 3)})
+               .with_pi4(3))
+    out.append(lam_shifted(rand_poly(rng, m, base, 2), 2).with_pi4(-2))
+    out.append(m.zero().with_profile({base[-1]: 1, fiber: Fraction(1, 2)}).with_pi4(1))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+def test_moyal_matches_reference(name):
+    m = TABLE_MODELS[name]()
+    fs = table_inputs(m, 41)
+    gs = table_inputs(m, 42)
+    for f in fs:
+        for g in gs:
+            assert_same(moyal(m, f, g), ref_moyal(m, f, g))
+
+
+@pytest.mark.parametrize("name", ["heis3_k4", "nonstandard4_k2"])
+def test_moyal_mismatch_raises(name):
+    m = TABLE_MODELS[name]()
+    other = ModelSpace(abelian_lie(2), 2, m.order)
+    with pytest.raises(ValueError, match="generator mismatch"):
+        moyal(m, m.one(), other.one())
+    low = Func(m.one().series.truncate(m.order - 1))
+    with pytest.raises(ValueError, match="mismatched truncation orders"):
+        moyal(m, m.one(), low)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+def test_derivatives_match_reference(name):
+    m = TABLE_MODELS[name]()
+    rng = random.Random(5)
+    for f in table_inputs(m, 43):
+        partials = f.partials()
+        for _ in range(4):
+            d = [0] * len(m.gens)
+            for _ in range(rng.randint(0, 3)):
+                d[rng.randrange(len(m.gens))] += 1
+            expect = f
+            for i, k in enumerate(d):
+                for _ in range(k):
+                    expect = ref_func_diff(expect, m.gens[i])
+            terms = partials[tuple(d)] or [{}]  # empty: vanishes by degree
+            got = Func(LambdaSeries([Poly(m.gens, t) for t in terms], f.order),
+                       f.profile, f.pi4)
+            assert_same(got, expect)
+        for name in m.gens:
+            assert_same(f.diff(name), ref_func_diff(f, name))
+            for p in f.series.coeffs:
+                assert repr(p.diff(name)) == repr(ref_poly_diff(p, name))
+        for g in table_inputs(m, 44):
+            for p, q in zip(f.series.coeffs, g.series.coeffs):
+                got, expect = p * q, ref_poly_mul(p, q)
+                assert got == expect and repr(got) == repr(expect)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+def test_mult_operator_matches_reference_table_models(name):
+    m = TABLE_MODELS[name]()
+    rng = random.Random(23)
+    for _ in range(2):
+        u = rand_poly(rng, m, m.base_names, 3)
+        u = u + lam_shifted(rand_poly(rng, m, m.base_names, 2), 1)
+        for got, expect in ((mult_operator(m, u), ref_right_mult_operator(m, u)),
+                            (mult_operator(m, u, right=False),
+                             ref_left_mult_operator(m, u))):
+            assert got == expect
+            assert repr(got) == repr(expect)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_moyal_table_closed_form_on_the_plane(order):
+    """Order r holds r+1 entries (q^k p^(r-k), p^k q^(r-k)) with coefficient
+    (i/2)^r / r! * C(r, k) (-1)^(r-k)."""
+    m = ModelSpace(heisenberg3(), 2, order)
+    table = moyal_table(m, order)
+    assert len(table) == order + 1
+    pad = (0,) * (len(m.gens) - 2)
+    for r, level in enumerate(table):
+        expect = {}
+        for k in range(r + 1):
+            c = (IMAG * GaussRational(Fraction(1, 2))) ** r * GaussRational(
+                Fraction(comb(r, k) * (-1) ** (r - k), factorial(r)))
+            expect[((k, r - k) + pad, (r - k, k) + pad)] = c
+        assert level == expect
+    assert moyal_table(m, order) is table
+
+
+def test_poly_keeps_first_coefficient():
+    """A clean term dict is stored as given; only repeats are added."""
+    c = GaussRational(3, -1)
+    p = Poly(("q", "p"), {(1, 0): c, (0, 2): 5})
+    assert p.terms[(1, 0)] is c
+    assert p.terms[(0, 2)] == GaussRational(5)
+    assert Poly(("q", "p"), {("1", "0"): 2, (1, 0): 3}).terms == {(1, 0): GaussRational(5)}
+    assert Poly(("q", "p"), {("1", "0"): 2, (1, 0): -2}).is_zero()
+    with pytest.raises(ValueError, match="exponent length"):
+        Poly(("q", "p"), {(1,): 1})
