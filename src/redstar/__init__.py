@@ -9,13 +9,13 @@ from .funcs import Func
 from .diffop import DiffOperator
 from .integrate import gaussian_integrate
 from .geometry import (
-    DensityWeight,
     LieAlgebraData,
     ModelSpace,
     abelian_lie,
     aff1,
     classical_BC_member,
     classical_reduced_bracket,
+    density_weight,
     fiber_integral,
     gaussian_base_weight,
     heisenberg3,

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .funcs import Func
 from .geometry import (
-    DensityWeight,
     LieAlgebraData,
     ModelSpace,
     gaussian_base_weight,
@@ -88,7 +88,7 @@ class Scene:
         except ValueError as exc:
             raise SceneError(str(exc)) from exc
 
-    def weight(self, model: ModelSpace, name: str) -> DensityWeight:
+    def weight(self, model: ModelSpace, name: str) -> Func:
         spec = self.weights.get(name)
         if spec is None:
             if name == "lebesgue":
@@ -124,14 +124,23 @@ def load_scene(path: str) -> Scene:
 # ---------------------------------------------------------------------------
 
 
+_TOKEN = re.compile(r"\s+|(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*^()])|(.)",
+                    re.S | re.A)
+
+
 class _ExprParser:
-    """Polynomials in the model coordinates with +, -, *, ^ and fractions."""
+    """Polynomials in the model coordinates with +, -, *, ^ (or **), integers,
+    fractions a/b, the imaginary unit i and parentheses; whitespace is
+    ignored and any other character is an error."""
 
     def __init__(self, text: str, model: ModelSpace):
-        import re
-
-        self.tokens = re.findall(r"\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*^()]",
-                                 text)
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            tok, bad = m.groups()
+            if bad is not None:
+                raise SceneError(f"unexpected character {bad!r} in expression")
+            if tok is not None:
+                self.tokens.append(tok)
         self.pos = 0
         self.model = model
 
@@ -278,6 +287,8 @@ def cmd_verify(args) -> int:
         scene.order = _at_least(args.order, 0, "truncation order")
     if args.degree_cap is not None:
         scene.degree_cap = _at_least(args.degree_cap, 0, "degree cap")
+    # every battery reads the lam^1 coefficient of its defects
+    _at_least(scene.order, 1, "verify truncation order")
     suites = [args.suite] if args.suite else scene.suites
     for name in suites:
         if name != "all" and name not in SUITES:

@@ -194,18 +194,18 @@ class DiffOperator:
 
     # -- adjoints -------------------------------------------------------------
 
-    def formal_adjoint(self, weight) -> "DiffOperator":
+    def formal_adjoint(self, weight: Func) -> "DiffOperator":
         """Adjoint with respect to <phi, psi> = integral of conj(phi) psi weight.
 
-        The weight must be real with Gaussian blocks and a prefactor series
-        whose leading term is an invertible positive constant, so that the
+        The weight is a real Func: a prefactor series whose leading term is
+        an invertible constant, times a Gaussian envelope, so that the
         adjoint stays inside polynomial-coefficient operators.
         """
-        if not weight.is_real():
+        if weight != weight.conj():
             raise ValueError("adjoint requires a real weight")
-        rho = weight.prefactor_series(self.order)
+        rho = weight.series.extend(self.order)
         rho_inv = series_inverse(rho)
-        gauss = weight.gauss
+        gauss = weight.profile
         out = DiffOperator.zero(self.gens, self.order)
         twisted = {}
 

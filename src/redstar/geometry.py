@@ -12,6 +12,11 @@ Conventions, pinned once and used by every sign-sensitive identity:
 * fundamental fields are (e_a)_C = -X_a on the constraint surface and
   (e_a)_M = -X_a + C_ab^d J_d d/dJ_a-type coadjoint part upstairs, so that
   [xi_M, eta_M] = -([xi, eta])_M.
+
+A density weight, the formal series of smooth densities behind the reduced
+*-involution, is a Func of pi-grade zero: a lam-series of polynomials times
+a Gaussian envelope, checked by density_weight.  Integrating against a
+weight w means integrating the product f * w.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .funcs import Func
 from .integrate import gaussian_integrate
 from .poly import Poly
 from .scalars import GaussRational
-from .series import LambdaSeries
 
 FIBER_EXPONENT = Fraction(1, 2)
 
@@ -363,103 +367,52 @@ def classical_reduced_bracket(model: ModelSpace, u: Func, v: Func) -> Func:
     return model.restrict(poisson_bracket(model, model.prolong(u), model.prolong(v)))
 
 
-class DensityWeight:
-    """Gaussian-times-polynomial-series weight on a coordinate block."""
+def density_weight(w: Func) -> Func:
+    """Check that w is a density weight and return it.
 
-    def __init__(self, gens, order: int, gauss=None, prefactor=None, name: str = ""):
-        self.gens = tuple(gens)
-        self.order = int(order)
-        self.gauss = {}
-        for k, v in (gauss or {}).items():
-            v = Fraction(v)
-            if k not in self.gens:
-                raise ValueError(f"unknown coordinate {k!r} in weight")
-            if v != 0:
-                self.gauss[k] = v
-        if prefactor is None:
-            prefactor = LambdaSeries.of(Poly.one(self.gens), self.order)
-        elif isinstance(prefactor, Poly):
-            prefactor = LambdaSeries.of(prefactor, self.order)
-        elif isinstance(prefactor, (int, Fraction, GaussRational)):
-            prefactor = LambdaSeries.of(Poly.constant(self.gens, prefactor), self.order)
-        self.prefactor = prefactor
-        self.name = name
-        lead = self.prefactor.coeffs[0]
-        c0 = lead.constant_term()
-        if not (c0.is_real() and c0.re > 0):
-            raise ValueError("weight must have a positive leading prefactor")
-
-    def prefactor_series(self, order: int) -> LambdaSeries:
-        return self.prefactor.extend(order) if order != self.order else self.prefactor
-
-    def is_real(self) -> bool:
-        return all(p == p.conj() for p in self.prefactor.coeffs)
-
-    def leading_constant(self):
-        return self.prefactor.coeffs[0].constant_term()
-
-    def has_constant_leading_prefactor(self) -> bool:
-        return self.prefactor.coeffs[0].is_constant()
-
-    def as_func(self, gens, order: int) -> Func:
-        series = self.prefactor.extend(order).map(lambda p: p.embed(gens))
-        return Func(series, dict(self.gauss), 0)
-
-    def scaled(self, factor) -> "DensityWeight":
-        if isinstance(factor, (int, Fraction, GaussRational)):
-            factor = LambdaSeries.of(
-                Poly.constant(self.gens, factor), self.order
-            )
-        elif isinstance(factor, Poly):
-            factor = LambdaSeries.of(factor, self.order)
-        elif isinstance(factor, Func):
-            if factor.profile or factor.pi4:
-                raise ValueError("weight prefactors are plain polynomial series")
-            factor = factor.series
-        return DensityWeight(
-            self.gens, self.order, self.gauss, self.prefactor * factor, self.name
-        )
-
-    def __repr__(self):
-        env = "*".join(f"exp(-{a}*{c}^2)" for c, a in sorted(self.gauss.items()))
-        return f"DensityWeight({self.prefactor!r}{' * ' + env if env else ''})"
+    A weight is a Func of pi-grade zero: a lam-series of polynomials, the
+    prefactor, times a Gaussian envelope.  Its leading prefactor must have a
+    positive real constant term.
+    """
+    if w.pi4:
+        raise ValueError("a weight carries no pi-grade")
+    c0 = w.series.coeffs[0].constant_term()
+    if not (c0.is_real() and c0.re > 0):
+        raise ValueError("weight must have a positive leading prefactor")
+    return w
 
 
-def lebesgue_weight(model: ModelSpace) -> DensityWeight:
-    return DensityWeight(model.gens, model.order, {}, None, name="lebesgue")
+def lebesgue_weight(model: ModelSpace) -> Func:
+    return model.one()
 
 
-def gaussian_base_weight(model: ModelSpace, exponent=1, prefactor=None) -> DensityWeight:
-    gauss = {n: Fraction(exponent) for n in model.base_names}
-    return DensityWeight(model.gens, model.order, gauss, prefactor, name="gaussian")
+def gaussian_base_weight(model: ModelSpace, exponent=1, prefactor=1) -> Func:
+    """prefactor * exp(-exponent * |x|^2) over the base coordinates; the
+    prefactor is a scalar, a lam-series of polynomials or a Func."""
+    w = model.one() * prefactor
+    return density_weight(w.with_profile({n: exponent for n in model.base_names}))
 
 
-def lift_density(model: ModelSpace, omega: DensityWeight) -> DensityWeight:
+def lift_density(model: ModelSpace, omega: Func) -> Func:
     """Lift a base density to the constraint surface: Haar is Lebesgue in
-    exponential coordinates, so the lift just reuses the base data."""
+    exponential coordinates, so the lift is the base weight itself."""
     if not model.lie.is_nilpotent:
         raise ValueError("the density lift needs a nilpotent structure group")
-    for k in omega.gauss:
-        if k not in model.base_names:
-            raise ValueError("base density may only involve base coordinates")
-    for p in omega.prefactor.coeffs:
-        for n in model.group_names + model.momentum_names:
-            if p.depends_on(n):
-                raise ValueError("base density may only involve base coordinates")
-    return DensityWeight(model.gens, model.order, omega.gauss, omega.prefactor,
-                         name=omega.name or "lifted")
+    if not model.is_base_only(omega):
+        raise ValueError("base density may only involve base coordinates")
+    return density_weight(omega)
 
 
 def fiber_integral(model: ModelSpace, phi: Func) -> Func:
     """Integrate a fiber state over the group block; Haar = Lebesgue."""
     if not model.has_group:
         raise ValueError("fiber integration needs group coordinates")
-    return gaussian_integrate(phi, None, list(model.group_names))
+    return gaussian_integrate(phi, list(model.group_names))
 
 
-def modular_vector_field(model: ModelSpace, omega: DensityWeight) -> DiffOperator:
+def modular_vector_field(model: ModelSpace, omega: Func) -> DiffOperator:
     """u -> X_u(log w) for the Gaussian weight function w of omega's order-0 part."""
-    if not omega.has_constant_leading_prefactor():
+    if not omega.series.coeffs[0].is_constant():
         raise ValueError("modular vector field needs a Gaussian times constant weight")
     n = len(model.base_names)
     coeffs = {}
@@ -467,7 +420,7 @@ def modular_vector_field(model: ModelSpace, omega: DensityWeight) -> DiffOperato
         cj = Poly.zero(model.gens)
         for i in range(n):
             lam = model.poisson_matrix[i][j]
-            a = omega.gauss.get(model.base_names[i], Fraction(0))
+            a = omega.profile.get(model.base_names[i], Fraction(0))
             if lam and a:
                 cj = cj + Poly.var(model.gens, model.base_names[i]) * GaussRational(
                     -2 * a * lam

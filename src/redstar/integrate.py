@@ -5,6 +5,7 @@ Integrals of x^(2k) exp(-A x^2) over the line evaluate to
 rationals times quarter powers of pi, so downstream identity checks stay at
 tolerance zero.  The total Gaussian coefficient A of each integrated
 coordinate must be a positive rational square so that sqrt(A) is rational.
+A density weight is a Func, so it enters as a factor of the integrand.
 """
 
 from __future__ import annotations
@@ -13,48 +14,32 @@ from fractions import Fraction
 
 from .funcs import Func
 from .poly import Poly
-from .scalars import GaussRational, double_factorial
+from .scalars import GaussRational, double_factorial, rational_sqrt
 from .series import LambdaSeries
 
 
-def _sqrt_fraction(q: Fraction):
-    import math
+def gaussian_integrate(f: Func, block) -> Func:
+    """Integrate the block coordinates out of f.
 
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def gaussian_integrate(f: Func, weight=None, block=None) -> Func:
-    """Integrate out the block coordinates against the weight.
-
-    The weight contributes a Gaussian exponent and a polynomial prefactor
-    series; the function may carry its own envelope.  The result is a Func
+    A density weight enters as a factor: integrate f * w.  The envelope of
+    the integrand must decay in every block coordinate.  The result is a Func
     over the remaining coordinates whose pi-grade has grown by 2 quarters
     (one factor sqrt(pi)) per integrated coordinate.
     """
     gens = f.gens
-    if block is None:
-        block = list(gens)
-    block = [g for g in block]
     for g in block:
         if g not in gens:
             raise ValueError(f"unknown coordinate {g!r}")
 
-    total = f
-    if weight is not None:
-        total = total * weight.as_func(gens, f.order)
-    if total.is_zero():
-        return Func(total.series, {}, total.pi4 + 2 * len(block))
+    if f.is_zero():
+        return Func(f.series, {}, f.pi4 + 2 * len(block))
 
     exponents = {}
     for g in block:
-        a = total.profile.get(g, Fraction(0))
+        a = f.profile.get(g, Fraction(0))
         if a <= 0:
             raise ValueError(f"no Gaussian decay in coordinate {g!r}")
-        root = _sqrt_fraction(a)
+        root = rational_sqrt(a)
         if root is None:
             raise ValueError(
                 f"Gaussian coefficient {a} in {g!r} has no rational square root"
@@ -63,7 +48,7 @@ def gaussian_integrate(f: Func, weight=None, block=None) -> Func:
 
     idxs = {gens.index(g): exponents[g] for g in block}
     out_coeffs = []
-    for p in total.series.coeffs:
+    for p in f.series.coeffs:
         terms = {}
         for expo, c in p.terms.items():
             factor = GaussRational(1)
@@ -86,9 +71,9 @@ def gaussian_integrate(f: Func, weight=None, block=None) -> Func:
             terms[key] = terms.get(key, GaussRational(0)) + add
         out_coeffs.append(Poly(gens, terms))
 
-    remaining = {g: a for g, a in total.profile.items() if g not in exponents}
+    remaining = {g: a for g, a in f.profile.items() if g not in exponents}
     return Func(
         LambdaSeries(out_coeffs, f.order),
         remaining,
-        total.pi4 + 2 * len(block),
+        f.pi4 + 2 * len(block),
     )

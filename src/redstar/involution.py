@@ -16,7 +16,7 @@ from itertools import product
 
 from .diffop import DiffOperator
 from .funcs import Func
-from .geometry import DensityWeight, ModelSpace
+from .geometry import ModelSpace, density_weight
 from .integrate import gaussian_integrate
 from .koszul import (
     ReductionConfig,
@@ -114,37 +114,37 @@ def conj_transport_check(cfg: ReductionConfig, f: Func) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def omega_mu(cfg: ReductionConfig, f: Func, mu: DensityWeight) -> LambdaSeries:
+def omega_mu(cfg: ReductionConfig, f: Func, mu: Func) -> LambdaSeries:
     """omega_mu(f) = integral over the constraint surface of iota*_def(f) mu."""
     model = cfg.model
     rest = deformed_restriction(cfg, f)
     block = list(model.base_names) + list(model.group_names)
-    return gaussian_integrate(rest, mu, block).scalar_series()
+    return gaussian_integrate(rest * mu, block).scalar_series()
 
 
 def inner_product_mu(cfg: ReductionConfig, phi: Func, psi: Func,
-                     mu: DensityWeight) -> LambdaSeries:
+                     mu: Func) -> LambdaSeries:
     """<phi, psi>_mu = omega_mu(conj(prol phi) * prol psi)."""
     model = cfg.model
-    if not mu.is_real():
+    if mu != mu.conj():
         raise ValueError("the pre-Hilbert structure needs a real weight")
     return omega_mu(cfg, cfg.star(model.prolong(phi).conj(), model.prolong(psi)), mu)
 
 
 def inner_product_mu_alt(cfg: ReductionConfig, phi: Func, psi: Func,
-                         mu: DensityWeight) -> LambdaSeries:
+                         mu: Func) -> LambdaSeries:
     """Alternative form: integrate (conj(prol phi) bullet psi) mu."""
     model = cfg.model
     val = left_module(cfg, model.prolong(phi).conj(), psi)
     block = list(model.base_names) + list(model.group_names)
-    return gaussian_integrate(val, mu, block).scalar_series()
+    return gaussian_integrate(val * mu, block).scalar_series()
 
 
 class PositiveFunctional:
     """The functional f -> integral of iota*_def(f) mu and its Gel'fand data."""
 
-    def __init__(self, cfg: ReductionConfig, mu: DensityWeight):
-        if not mu.is_real():
+    def __init__(self, cfg: ReductionConfig, mu: Func):
+        if mu != mu.conj():
             raise ValueError("positive functionals need real weights")
         self.cfg = cfg
         self.mu = mu
@@ -164,7 +164,7 @@ class PositiveFunctional:
         return deformed_restriction(self.cfg, f).is_zero()
 
 
-def gns_check(cfg: ReductionConfig, f: Func, g: Func, mu: DensityWeight) -> dict:
+def gns_check(cfg: ReductionConfig, f: Func, g: Func, mu: Func) -> dict:
     """omega(conj f * g) = <iota* f, iota* g>_mu and the intertwining property."""
     lhs = omega_mu(cfg, cfg.star(f.conj(), g), mu)
     rf = deformed_restriction(cfg, f)
@@ -206,15 +206,15 @@ def mult_operator(model: ModelSpace, u: Func, right: bool = True) -> DiffOperato
     return DiffOperator(model.gens, order, tables)
 
 
-def _transpose_at_one(model: ModelSpace, op: DiffOperator, omega: DensityWeight) -> Func:
+def _transpose_at_one(model: ModelSpace, op: DiffOperator, omega: Func) -> Func:
     """D^T(1) with respect to the bilinear pairing integral(f g omega)."""
     adj = op.formal_adjoint(omega)
     return adj.apply(model.one()).conj()
 
 
-def reduced_involution(model: ModelSpace, u: Func, omega: DensityWeight) -> Func:
+def reduced_involution(model: ModelSpace, u: Func, omega: Func) -> Func:
     """The unique u* adjoint to right multiplication by u for the weight."""
-    if not omega.has_constant_leading_prefactor():
+    if not omega.series.coeffs[0].is_constant():
         raise ValueError("weight is outside the supported class for the involution")
     target = _transpose_at_one(model, mult_operator(model, u), omega)
     v = model.zero()
@@ -227,12 +227,12 @@ def reduced_involution(model: ModelSpace, u: Func, omega: DensityWeight) -> Func
     return v.conj()
 
 
-def kms_functional(model: ModelSpace, u: Func, omega: DensityWeight) -> LambdaSeries:
+def kms_functional(model: ModelSpace, u: Func, omega: Func) -> LambdaSeries:
     """tau_Omega(u): integral over the base against the weight."""
-    return gaussian_integrate(u, omega, list(model.base_names)).scalar_series()
+    return gaussian_integrate(u * omega, list(model.base_names)).scalar_series()
 
 
-def kms_check(model: ModelSpace, u: Func, v: Func, omega: DensityWeight) -> dict:
+def kms_check(model: ModelSpace, u: Func, v: Func, omega: Func) -> dict:
     """tau(v * u) = tau(I(u) * v) with I(u) = conj(u*), * the base product."""
     ustar = reduced_involution(model, u, omega)
     lhs = kms_functional(model, moyal(model, v, u), omega)
@@ -260,7 +260,7 @@ def _monomial(model: ModelSpace, names, expo) -> Func:
     return Func.from_poly(Poly(model.gens, {tuple(full): GaussRational(1)}), model.order)
 
 
-def density_ratio_hat(model: ModelSpace, omega: DensityWeight, rho: Func,
+def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func,
                       cap: int = 4) -> Func:
     """Solve tau_{rho Omega}(u) = tau_Omega(rho_hat * u) on a monomial basis.
 
@@ -268,7 +268,7 @@ def density_ratio_hat(model: ModelSpace, omega: DensityWeight, rho: Func,
     the order-zero weight, hence invertible; a cap that is too small to
     carry the corrections raises an error.
     """
-    if not omega.gauss:
+    if not omega.profile:
         raise ValueError("the density-ratio solve needs a Gaussian base weight")
     monos = [_monomial(model, model.base_names, e)
              for e in _monomials(model.base_names, cap)]
@@ -294,10 +294,12 @@ def density_ratio_hat(model: ModelSpace, omega: DensityWeight, rho: Func,
     return rho_hat
 
 
-def involution_comparison(model: ModelSpace, omega: DensityWeight, rho: Func,
+def involution_comparison(model: ModelSpace, omega: Func, rho: Func,
                           us: list, cap: int = 4) -> dict:
-    """u^{*'} = conj(rho_hat) * u^* * conj(rho_hat)^{-1} for the scaled weight."""
-    omega_p = omega.scaled(rho)
+    """u^{*'} = conj(rho_hat) * u^* * conj(rho_hat)^{-1} for the weight omega * rho."""
+    if rho.profile or rho.pi4:
+        raise ValueError("the density ratio is a plain polynomial series")
+    omega_p = density_weight(omega * rho)
     rho_hat = density_ratio_hat(model, omega, rho, cap=cap)
     crh = rho_hat.conj()
 
@@ -388,14 +390,14 @@ class AutomorphismSeries:
         return AutomorphismSeries(self.model, d_of)
 
 
-def modular_automorphism(model: ModelSpace, omega: DensityWeight) -> AutomorphismSeries:
+def modular_automorphism(model: ModelSpace, omega: Func) -> AutomorphismSeries:
     """I_Omega: u -> conj(u*)."""
     return AutomorphismSeries(
         model, lambda m: reduced_involution(model, m, omega).conj()
     )
 
 
-def modular_class(model: ModelSpace, omega: DensityWeight, cap: int = 4) -> dict:
+def modular_class(model: ModelSpace, omega: Func, cap: int = 4) -> dict:
     """I_Omega, its logarithm, and the first-order comparison.
 
     Under the pinned conventions X_u = {., u} and Delta(u) = X_u(log w), the
@@ -422,8 +424,8 @@ def modular_class(model: ModelSpace, omega: DensityWeight, cap: int = 4) -> dict
             "cap": cap}
 
 
-def modular_inner_difference(model: ModelSpace, om1: DensityWeight,
-                             om2: DensityWeight, cap: int = 2) -> dict:
+def modular_inner_difference(model: ModelSpace, om1: Func,
+                             om2: Func, cap: int = 2) -> dict:
     """Solve D_1 - D_2 = ad_star(w) on the monomial basis up to the cap.
 
     The certificate is finite: w is sought with degree at most unknown_cap

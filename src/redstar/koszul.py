@@ -157,7 +157,7 @@ def koszul(model: ModelSpace, x: SuperObservable) -> SuperObservable:
     return out
 
 
-def homotopy_h(model: ModelSpace, x: SuperObservable, k: int | None = None) -> SuperObservable:
+def homotopy_h(model: ModelSpace, x: SuperObservable, k: int) -> SuperObservable:
     """h_k: wedge with e_a, differentiate by J_a and average the momentum ray.
 
     On a momentum monomial of degree d in antisymmetric degree k the ray
@@ -165,13 +165,12 @@ def homotopy_h(model: ModelSpace, x: SuperObservable, k: int | None = None) -> S
     """
     out = SuperObservable(model)
     for idx, f in x.comps.items():
-        deg = len(idx) if k is None else k
         for a in range(model.lie.dim):
             df = f.diff(model.momentum_names[a])
             if df.is_zero():
                 continue
             weighted = df.weight_by_degree(
-                model.momentum_names, lambda d, deg=deg: Fraction(1, deg + d + 1)
+                model.momentum_names, lambda d: Fraction(1, k + d + 1)
             )
             out = out + SuperObservable(model, {idx: weighted}).wedge_basis(a)
     return out

@@ -351,7 +351,7 @@ class KernelSpace:
         a = k1.rename(dict(zip(self.right_names, self.aux_names)), self.big_gens)
         b = k2.rename(dict(zip(self.left_names, self.aux_names)), self.big_gens)
         prod = a * b
-        out = gaussian_integrate(prod, None, list(self.aux_names))
+        out = gaussian_integrate(prod, list(self.aux_names))
         return out.rename({}, self.gens)
 
     def act(self, k: Func, phi: Func) -> Func:
@@ -361,7 +361,7 @@ class KernelSpace:
         b = phi.rename(dict(zip(self.left_names, self.aux_names)),
                        self.model.base_names + self.left_names + self.aux_names)
         prod = a * b
-        out = gaussian_integrate(prod, None, list(self.aux_names))
+        out = gaussian_integrate(prod, list(self.aux_names))
         return out.rename({}, self.model.gens)
 
     def star(self, k: Func) -> Func:
@@ -385,8 +385,7 @@ class InnerProductModule:
     """A right module with an algebra-valued inner product and a left action
     of the algebra (the canonical module over the base algebra by default)."""
 
-    def __init__(self, name, ip, left_action, right_action):
-        self.name = name
+    def __init__(self, ip, left_action, right_action):
         self.ip = ip
         self.left_action = left_action
         self.right_action = right_action
@@ -404,7 +403,7 @@ class InnerProductModule:
         def right(h, u):
             return moyal(model, h, u)
 
-        return InnerProductModule("base-algebra", ip, left, right)
+        return InnerProductModule(ip, left, right)
 
 
 def schroedinger_class(model: ModelSpace, b: Func) -> Func:
@@ -453,7 +452,7 @@ def external_tensor(cfg: ReductionConfig, module: InnerProductModule) -> InnerPr
     def right(vec: InducedVector, u: Func) -> InducedVector:
         return InducedVector([(b, module.right_action(x, u)) for b, x in vec.terms])
 
-    return InnerProductModule("external-tensor", ip, left, right)
+    return InnerProductModule(ip, left, right)
 
 
 def rieffel_induce(cfg: ReductionConfig, module: InnerProductModule):

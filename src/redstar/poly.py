@@ -195,9 +195,6 @@ class Poly:
             out[key] = out.get(key, GaussRational(0)) + c
         return Poly(new_gens, out)
 
-    def embed(self, new_gens) -> "Poly":
-        return self.rename({}, new_gens)
-
     def evaluate(self, point: dict) -> "Poly":
         """Substitute exact rational values for some generators."""
         idxs = {self.gens.index(n): GaussRational.coerce(v) for n, v in point.items()}

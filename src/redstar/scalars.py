@@ -8,6 +8,7 @@ integer grade so that equality stays coefficient-wise with tolerance zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 
 def _frac(x) -> Fraction:
@@ -218,3 +219,11 @@ def double_factorial(n: int) -> int:
         out *= n
         n -= 2
     return out
+
+
+def rational_sqrt(q: Fraction):
+    """The rational square root of q >= 0, or None if q is no rational square."""
+    num, den = isqrt(q.numerator), isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussRational
+from .scalars import GaussRational, rational_sqrt
 
 
 class LambdaSeries:
@@ -86,11 +86,11 @@ class LambdaSeries:
         zero = self.ring_zero()
         out = [zero for _ in range(self.order + 1)]
         for i, a in enumerate(self.coeffs):
-            if hasattr(a, "is_zero") and a.is_zero():
+            if a.is_zero():
                 continue
             for j in range(self.order + 1 - i):
                 b = other.coeffs[j]
-                if hasattr(b, "is_zero") and b.is_zero():
+                if b.is_zero():
                     continue
                 out[i + j] = out[i + j] + a * b
         return LambdaSeries(out, self.order)
@@ -144,7 +144,7 @@ class LambdaSeries:
     def __repr__(self):
         parts = []
         for r, c in enumerate(self.coeffs):
-            if hasattr(c, "is_zero") and c.is_zero():
+            if c.is_zero():
                 continue
             if r == 0:
                 parts.append(f"{c!r}")
@@ -198,7 +198,7 @@ def series_sqrt(a: LambdaSeries, mul=None) -> LambdaSeries:
     c0 = _leading_constant(a)
     if not c0.is_real() or c0.re <= 0:
         raise ValueError("leading term must be a positive rational constant")
-    root = _rational_sqrt(c0.re)
+    root = rational_sqrt(c0.re)
     if root is None:
         raise ValueError(f"leading term {c0.re} is not the square of a rational")
     v = a.zero_like() + GaussRational(root)
@@ -208,19 +208,3 @@ def series_sqrt(a: LambdaSeries, mul=None) -> LambdaSeries:
         v = v + LambdaSeries.lam_power(defect.coeffs[r] * half_inv, r, a.order)
     return v
 
-
-def _rational_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    num = _isqrt_exact(q.numerator)
-    den = _isqrt_exact(q.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _isqrt_exact(n: int):
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None

@@ -110,11 +110,14 @@ class TestMalformedScenes:
         ({"lie_algebra": {"dim": -1, "structure_constants": []}}, [],
          "lie_algebra dim must be at least 1"),
         ({"base": {"dim": -2}}, [], "base dim must be at least 0"),
+        ({"truncation_order": 0}, [], "verify truncation order must be at least 1"),
+        ({}, ["--order", "0"], "verify truncation order must be at least 1"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
             "negative_degree_cap", "negative_degree_cap_override",
             "unknown_suite_in_list", "zero_lie_dim",
-            "negative_lie_dim", "negative_base_dim"])
+            "negative_lie_dim", "negative_base_dim", "zero_order",
+            "zero_order_override"])
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []
@@ -243,14 +246,29 @@ class TestVerbs:
         path = write_scene(tmp_path, bad)
         assert main(["verify", "--scene", path]) == 2
 
-    @pytest.mark.parametrize("expr", ["q^", "1/0"],
-                             ids=["dangling_power", "zero_denominator"])
+    @pytest.mark.parametrize("expr", ["q^", "1/0", "q!", "q.", "q#"],
+                             ids=["dangling_power", "zero_denominator",
+                                  "stray_bang", "stray_dot", "stray_hash"])
     def test_malformed_expression_exit_two(self, tmp_path, capsys, expr):
         path = write_scene(tmp_path, HEIS_SCENE)
         code = main(["star", "--scene", path, "--left", expr, "--right", "p"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    def test_other_verbs_accept_order_zero(self, tmp_path, capsys):
+        path = write_scene(tmp_path, {**HEIS_SCENE, "truncation_order": 0})
+        assert main(["star", "--scene", path, "--left", "q", "--right", "p"]) == 0
+        assert main(["reduce", "--scene", path, "--left", "q", "--right", "p"]) == 0
+        assert main(["involve", "--scene", path, "--input", "q"]) == 0
+        assert "lam^0: q*p" in capsys.readouterr().out
+
+    def test_hermitian_draws_keep_the_std_control(self, tmp_path, capsys):
+        """At seed 1 every random pair happens to be std-Hermitian; the fixed
+        witness still shows std is not."""
+        path = write_scene(tmp_path, {**HEIS_SCENE, "seed": 1})
+        assert main(["verify", "--scene", path, "--suite", "star"]) == 0
+        assert "ok    star.std_hermitian_fails" in capsys.readouterr().out
 
     def test_star_verb(self, tmp_path, capsys):
         path = write_scene(tmp_path, HEIS_SCENE)

@@ -12,6 +12,7 @@ from redstar.geometry import (
     aff1,
     classical_BC_member,
     classical_reduced_bracket,
+    density_weight,
     fiber_integral,
     gaussian_base_weight,
     heisenberg3,
@@ -144,10 +145,29 @@ class TestDensities:
         m = model_r
         om = gaussian_base_weight(m, 1)
         mu = lift_density(m, om)
-        assert mu.gauss == om.gauss
-        mu2 = lift_density(m, om.scaled(2))
-        assert mu2.prefactor == (om.prefactor * 2)
-        assert mu.leading_constant().re > 0
+        assert mu.profile == om.profile
+        mu2 = lift_density(m, om * 2)
+        assert mu2.series == (om.series * 2)
+        assert mu.series.coeffs[0].constant_term().re > 0
+
+    def test_weight_needs_positive_leading_term(self, model_r):
+        m = model_r
+        for c in (0, -1, GaussRational(1, 1)):
+            with pytest.raises(ValueError, match="positive leading prefactor"):
+                density_weight(m.constant(c))
+        with pytest.raises(ValueError, match="positive leading prefactor"):
+            gaussian_base_weight(m, 1, prefactor=-2)
+        with pytest.raises(ValueError, match="pi-grade"):
+            density_weight(m.one().with_pi4(2))
+        assert density_weight(m.constant(3)) == m.constant(3)
+
+    def test_lift_rejects_fiber_weights(self, model_heis):
+        m = model_heis
+        om = gaussian_base_weight(m, 1)
+        for bad in (om * (m.one() + m.var("g1")), om * (m.one() + m.var("J2")),
+                    om.with_profile({"g3": 1})):
+            with pytest.raises(ValueError, match="only involve base coordinates"):
+                lift_density(m, bad)
 
     def test_lift_requires_nilpotent(self, model_aff):
         with pytest.raises(ValueError):

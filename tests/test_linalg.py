@@ -219,7 +219,7 @@ def test_modular_inner_difference_matches_dense(recorded, lie):
     m = ModelSpace(lie, base_dim=2, order=3)
     gauss = gaussian_base_weight(m, 1)
     rho = m.one() + Func((m.var("q") * m.var("q")).series.shift(1))
-    assert modular_inner_difference(m, gauss, gauss.scaled(rho), cap=1)["inner"]
+    assert modular_inner_difference(m, gauss, gauss * rho, cap=1)["inner"]
     _assert_matches_dense(m, recorded)
 
 

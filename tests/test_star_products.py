@@ -210,6 +210,17 @@ class TestStarProductSelector:
         StarProduct(model_aff, "total")
 
 
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("lie", [heisenberg3(), abelian_lie(1), abelian_lie(2)],
+                         ids=["heis3", "line", "plane"])
+def test_std_hermitian_witness(lie, order):
+    """The fixed witness of the std negative control: defect -i lam."""
+    m = ModelSpace(lie, base_dim=2, order=order)
+    f, g = m.var(m.group_names[0]), m.momentum(0)
+    defect = star_std(m, f, g).conj() - star_std(m, g.conj(), f.conj())
+    assert defect == lam_const(m, -I)
+
+
 @pytest.mark.parametrize("lie,label", [
     (abelian_lie(1), "line"),
     (abelian_lie(2), "plane"),
