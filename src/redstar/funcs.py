@@ -92,6 +92,8 @@ class Func:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
             other = Func.constant(self.gens, other, self.order)
+        elif not isinstance(other, Func):
+            return NotImplemented
         self._compatible(other)
         if self.is_zero():
             return other
@@ -107,6 +109,8 @@ class Func:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
             other = Func.constant(self.gens, other, self.order)
+        elif not isinstance(other, Func):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):

@@ -6,15 +6,19 @@ rationals times quarter powers of pi, so downstream identity checks stay at
 tolerance zero.  The total Gaussian coefficient A of each integrated
 coordinate must be a positive rational square so that sqrt(A) is rational.
 A density weight is a Func, so it enters as a factor of the integrand.
+gaussian_integrate_shifted integrates x^s f for many monomials x^s in one
+pass over the terms of f, sharing the moments; gaussian_integrate is its
+single unshifted case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .funcs import Func
 from .poly import Poly
-from .scalars import GaussRational, double_factorial, rational_sqrt
+from .scalars import double_factorial, rational_sqrt
 from .series import LambdaSeries
 
 
@@ -26,15 +30,26 @@ def gaussian_integrate(f: Func, block) -> Func:
     over the remaining coordinates whose pi-grade has grown by 2 quarters
     (one factor sqrt(pi)) per integrated coordinate.
     """
+    return gaussian_integrate_shifted(f, block, [(0,) * len(block)], f.order, {})[0]
+
+
+def gaussian_integrate_shifted(f: Func, block, shifts, top: int, memo: dict) -> list:
+    """[gaussian_integrate(x^s * f, block) for s in shifts] in one pass over
+    the terms of f, keeping the lam coefficients 0..top (the higher ones come
+    back zero).
+
+    x^s is the monomial with exponents s in the block coordinates, in block
+    order.  memo caches the moments across calls, per envelope.
+    """
     gens = f.gens
     for g in block:
         if g not in gens:
             raise ValueError(f"unknown coordinate {g!r}")
-
+    pi4 = f.pi4 + 2 * len(block)
     if f.is_zero():
-        return Func(f.series, {}, f.pi4 + 2 * len(block))
+        return [Func(f.series, {}, pi4) for _ in shifts]
 
-    exponents = {}
+    decay = []
     for g in block:
         a = f.profile.get(g, Fraction(0))
         if a <= 0:
@@ -44,36 +59,42 @@ def gaussian_integrate(f: Func, block) -> Func:
             raise ValueError(
                 f"Gaussian coefficient {a} in {g!r} has no rational square root"
             )
-        exponents[g] = (a, root)
+        decay.append((a, root))
+    moments = memo.setdefault(tuple(decay), {})
+    idxs = [gens.index(g) for g in block]
 
-    idxs = {gens.index(g): exponents[g] for g in block}
-    out_coeffs = []
-    for p in f.series.coeffs:
-        terms = {}
+    coeffs = [[] for _ in shifts]
+    for p in f.series.coeffs[: top + 1]:
+        acc = [{} for _ in shifts]
         for expo, c in p.terms.items():
-            factor = GaussRational(1)
-            e = list(expo)
-            dead = False
-            for i, (a, root) in idxs.items():
-                k = expo[i]
-                if k % 2 == 1:
-                    dead = True
-                    break
-                m = k // 2
-                factor = factor * GaussRational(
-                    Fraction(double_factorial(2 * m - 1)) / (2 * a) ** m / root
-                )
-                e[i] = 0
-            if dead:
-                continue
-            key = tuple(e)
-            add = c * factor
-            terms[key] = terms.get(key, GaussRational(0)) + add
-        out_coeffs.append(Poly(gens, terms))
+            ks = [expo[i] for i in idxs]
+            rest = list(expo)
+            for i in idxs:
+                rest[i] = 0
+            key = tuple(rest)
+            for terms, s in zip(acc, shifts):
+                shifted = tuple(map(add, ks, s))
+                if shifted in moments:
+                    mom = moments[shifted]
+                else:
+                    mom = moments[shifted] = _moment(shifted, decay)
+                if mom is not None:
+                    v = c * mom
+                    terms[key] = terms[key] + v if key in terms else v
+        for out, terms in zip(coeffs, acc):
+            out.append(Poly(gens, terms))
 
-    remaining = {g: a for g, a in f.profile.items() if g not in exponents}
-    return Func(
-        LambdaSeries(out_coeffs, f.order),
-        remaining,
-        f.pi4 + 2 * len(block),
-    )
+    remaining = {g: a for g, a in f.profile.items() if g not in block}
+    return [Func(LambdaSeries(out, f.order), remaining, pi4) for out in coeffs]
+
+
+def _moment(ks, decay):
+    """The integral of prod_i x_i^k_i exp(-a_i x_i^2) over the line in each
+    coordinate, per factor sqrt(pi): prod_i (k_i - 1)!! / (2 a_i)^(k_i / 2)
+    / sqrt(a_i), or None when some k_i is odd and the moment vanishes."""
+    out = Fraction(1)
+    for k, (a, root) in zip(ks, decay):
+        if k % 2:
+            return None
+        out *= Fraction(double_factorial(k - 1)) / (2 * a) ** (k // 2) / root
+    return out

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .funcs import Func
 from .geometry import FIBER_EXPONENT, ModelSpace, fiber_integral
-from .integrate import gaussian_integrate
+from .integrate import gaussian_integrate, gaussian_integrate_shifted
 from .involution import _monomial, _monomials
 from .koszul import ReductionConfig, deformed_restriction, right_module
 from .linalg import is_psd_hermitian, poly_equations, solve_linear
@@ -259,51 +259,104 @@ class VerticalOperator:
         return VerticalOperator(model, total)
 
 
-def deformation_comparison_H(cfg: ReductionConfig, ip1, ip2, g_cap: int = 2,
+def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
                              word_cap: int = 2, probe_cap: int = 2) -> VerticalOperator:
-    """Solve ip2(phi, psi) = ip1(phi, H bullet' psi) for a vertical H.
+    """Solve ip2(phi, psi) = <phi, H bullet' psi>_red for a vertical H.
 
-    H is sought order by order with polynomial coefficients in the group
-    coordinates up to g_cap and words up to word_cap; probe states are
-    Gaussian fiber monomials up to probe_cap.  Raises if the caps are too
-    small to carry the solution.
+    <,>_red is inner_product_red_closed_form.  H = id + O(lam) is sought
+    order by order with coefficients polynomial in the group coordinates up
+    to degree g_cap and words up to length word_cap; the probes phi, psi are
+    Gaussian fiber monomials up to degree probe_cap.  Raises ValueError on a
+    negative cap and when the caps are too small to carry the solution.
+
+    The unknown (w, e) enters linearly with the column
+    <phi, g^e L_w psi>_red = int g^e (conj phi *_red L_w psi): the base
+    product differentiates only base coordinates, and g^e and the probes
+    depend only on group coordinates, so g^e factors out of both the
+    coefficient product and the base product.  Each word action L_w psi is
+    taken once per probe from its suffix, each product once per (probe,
+    word, probe), and its integrals against every g^e come from one pass of
+    Gaussian moments.  The columns keep order 0 only; <phi, H psi> is
+    advanced order by order with the full series of the columns that enter.
     """
+    for cap in (g_cap, word_cap, probe_cap):
+        if cap < 0:
+            raise ValueError(f"negative cap {cap} for the comparison operator")
     model = cfg.model
     order = model.order
     gnames = model.group_names
     probes = [model.fiber_state(_monomial(model, gnames, e))
               for e in _monomials(gnames, probe_cap)]
-    unknowns = [(w, e) for w in pbw_words(model.lie.dim, word_cap)
-                for e in _monomials(gnames, g_cap)]
+    words = pbw_words(model.lie.dim, word_cap)
+    gexps = _monomials(gnames, g_cap)    # gexps[0] is the constant monomial
+    memo: dict = {}
 
-    columns = []
-    for (w, e) in unknowns:
-        cand = VerticalOperator(
-            model, SymbolOp(model, {w: _monomial(model, gnames, e)}, lam_weighted=False)
-        )
-        vals = [ip1(phi, cand.act(psi)) for phi in probes for psi in probes]
-        columns.append(poly_equations([f.series.coeffs[0] for f in vals]))
+    # defects[slot] = ip2(phi, psi) - <phi, h psi>_red, h = id to start with:
+    # the empty word against g^0.  Most column entries vanish by parity, so
+    # only the nonzero ones are held, and they are dropped before the solve.
+    defects = [ip2(phi, psi) for phi in probes for psi in probes]
+    nonzero = [{} for _ in range(len(words) * len(gexps))]
+    for slot, k, prod in _word_products(model, probes, words):
+        vals = gaussian_integrate_shifted(prod, gnames, gexps, 0 if k else order, memo)
+        if not k:
+            defects[slot] = defects[slot] - vals[0]
+        for u, val in enumerate(vals, k * len(gexps)):
+            if not val.series.coeffs[0].is_zero():
+                nonzero[u][slot] = val.series.coeffs[0]
+    zero = Poly.zero(model.gens)
+    columns = [poly_equations([col.get(slot, zero) for slot in range(len(defects))])
+               for col in nonzero]
+    del nonzero
 
     h = VerticalOperator.identity(model)
     for r in range(1, order + 1):
-        defects = [
-            ip2(phi, psi) - ip1(phi, h.act(psi)) for phi in probes for psi in probes
-        ]
         if all(d.is_zero() for d in defects):
             continue
         sol = solve_linear(columns, poly_equations([d.series.coeffs[r] for d in defects]))
         if sol is None:
             raise ValueError("caps too small to determine the comparison operator")
+        entries = {}    # word -> [(e, coefficient)]
         add = SymbolOp(model, None, lam_weighted=False)
-        for coeff, (w, e) in zip(sol, unknowns):
+        for u, coeff in enumerate(sol):
             if not coeff.is_zero():
-                add._add_term(w, Func(
-                    LambdaSeries.lam_power(
-                        _monomial(model, gnames, e).series.coeffs[0] * coeff, r, order
-                    )
-                ))
+                w, e = words[u // len(gexps)], gexps[u % len(gexps)]
+                entries.setdefault(w, []).append((e, coeff))
+                g_e = _monomial(model, gnames, e).series.coeffs[0]
+                add._add_term(w, Func(LambdaSeries.lam_power(g_e * coeff, r, order)))
         h = h + VerticalOperator(model, add)
+        if r == order:
+            break
+        hit = list(entries.values())
+        for slot, k, prod in _word_products(model, probes, list(entries)):
+            shifts, coeffs = zip(*hit[k])
+            vals = gaussian_integrate_shifted(prod, gnames, shifts, order, memo)
+            for val, coeff in zip(vals, coeffs):
+                shifted = Func(val.series.shift(r), val.profile, val.pi4)
+                defects[slot] = defects[slot] - shifted * coeff
     return h
+
+
+def _word_products(model: ModelSpace, probes, words):
+    """Yield (i * len(probes) + j, k, conj(probes[i]) *_red L_w probes[j])
+    for w = words[k], holding the word actions of one probe at a time.
+
+    L_w psi is the left-invariant field of w[0] applied to L_{w[1:]} psi,
+    taken once per (word, probe) including the suffixes of the words.
+    """
+    fields = [model.left_invariant_field(a) for a in range(model.lie.dim)]
+    bras = [phi.conj() for phi in probes]
+    for j, psi in enumerate(probes):
+        acts = {(): psi}
+
+        def act(w):
+            if w not in acts:
+                acts[w] = fields[w[0]].apply(act(w[1:]))
+            return acts[w]
+
+        kets = [act(w) for w in words]
+        for i, bra in enumerate(bras):
+            for k, ket in enumerate(kets):
+                yield i * len(probes) + j, k, moyal(model, bra, ket)
 
 
 def vertical_sqrt(cfg: ReductionConfig, h: VerticalOperator) -> VerticalOperator:

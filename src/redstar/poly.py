@@ -84,6 +84,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
             other = Poly.constant(self.gens, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for expo, c in other.terms.items():
@@ -102,9 +104,13 @@ class Poly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussRational)):
             other = Poly.constant(self.gens, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction, GaussRational)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -113,6 +119,8 @@ class Poly:
             if c.is_zero():
                 return Poly.zero(self.gens)
             return Poly(self.gens, {e: v * c for e, v in self.terms.items()})
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         out: dict = {}
         _mul_into(out, self.terms, other.terms)

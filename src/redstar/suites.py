@@ -1038,13 +1038,13 @@ def suite_morita(ctx: SuiteContext) -> list:
 
     def comparison():
         can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
-        h0 = deformation_comparison_H(cfg, can, can, g_cap=1, word_cap=1,
+        h0 = deformation_comparison_H(cfg, can, g_cap=1, word_cap=1,
                                       probe_cap=1)
         yield h0 - VerticalOperator.identity(m)
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
         ip2 = lambda a, b: can(a, pert.act(b))
-        h = deformation_comparison_H(cfg, can, ip2, g_cap=1, word_cap=2,
+        h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2,
                                      probe_cap=2)
         yield h - pert
         yield h - h.adjoint()

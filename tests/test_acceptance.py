@@ -524,7 +524,7 @@ def test_criterion_11_vertical_operators():
     l0 = VerticalOperator.fundamental(m, 0)
     pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
     ip2 = lambda a, b: can(a, pert.act(b))
-    h = deformation_comparison_H(cfg, can, ip2, g_cap=1, word_cap=2, probe_cap=2)
+    h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2, probe_cap=2)
     assert (h - pert).is_zero()
     assert (h - h.adjoint()).is_zero()
     v = vertical_sqrt(cfg, h)

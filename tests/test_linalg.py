@@ -231,10 +231,10 @@ def test_comparison_H_matches_dense(recorded, lie):
     l0 = VerticalOperator.fundamental(m, 0)
     pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
     ip2 = lambda a, b: can(a, pert.act(b))
-    h = deformation_comparison_H(cfg, can, ip2, g_cap=1, word_cap=2, probe_cap=2)
+    h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2, probe_cap=2)
     assert (h - pert).is_zero()
     with pytest.raises(ValueError):
-        deformation_comparison_H(cfg, can, ip2, g_cap=0, word_cap=1, probe_cap=1)
+        deformation_comparison_H(cfg, ip2, g_cap=0, word_cap=1, probe_cap=1)
     assert recorded[-1][-1] is None
     _assert_matches_dense(m, recorded)
 

@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from redstar import morita, starprod
+from redstar.diffop import DiffOperator
 from redstar.funcs import Func
-from redstar.geometry import fiber_integral
+from redstar.geometry import ModelSpace, abelian_lie, fiber_integral, heisenberg3
+from redstar.integrate import gaussian_integrate_shifted
+from redstar.involution import _monomial, _monomials
 from redstar.koszul import ReductionConfig, left_module, right_module
 from redstar.morita import (
     InducedVector,
@@ -14,6 +18,7 @@ from redstar.morita import (
     KernelSpace,
     RankOneOperator,
     VerticalOperator,
+    _word_products,
     classical_inner_product,
     complete_positivity_sample,
     deformation_comparison_H,
@@ -27,7 +32,7 @@ from redstar.morita import (
     vertical_sqrt,
 )
 from redstar.scalars import GaussRational, I
-from redstar.starprod import moyal, neumaier_N, star_G
+from redstar.starprod import SymbolOp, moyal, neumaier_N, pbw_words, star_G
 from redstar.suites import SuiteContext, suite_crossed, suite_morita, suite_rieffel
 
 
@@ -163,13 +168,13 @@ class TestVerticalOperators:
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))
         can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
-        h0 = deformation_comparison_H(cfg, can, can, g_cap=1, word_cap=1,
+        h0 = deformation_comparison_H(cfg, can, g_cap=1, word_cap=1,
                                       probe_cap=1)
         assert (h0 - VerticalOperator.identity(m)).is_zero()
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
         ip2 = lambda a, b: can(a, pert.act(b))
-        h = deformation_comparison_H(cfg, can, ip2, g_cap=1, word_cap=2,
+        h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2,
                                      probe_cap=2)
         assert (h - pert).is_zero()
         assert (h - h.adjoint()).is_zero()
@@ -187,8 +192,106 @@ class TestVerticalOperators:
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
         ip2 = lambda a, b: can(a, pert.act(b))
         with pytest.raises(ValueError):
-            deformation_comparison_H(cfg, can, ip2, g_cap=0, word_cap=1,
+            deformation_comparison_H(cfg, ip2, g_cap=0, word_cap=1,
                                      probe_cap=1)
+
+    @pytest.mark.parametrize("caps", [(-1, 2, 2), (1, -1, 2), (1, 2, -1)],
+                             ids=["g_cap", "word_cap", "probe_cap"])
+    def test_negative_cap_raises(self, model_r, caps):
+        m = model_r
+        cfg = ReductionConfig(m, Fraction(1, 2))
+        can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
+        l0 = VerticalOperator.fundamental(m, 0)
+        pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
+        ip2 = lambda a, b: can(a, pert.act(b))
+        g_cap, word_cap, probe_cap = caps
+        with pytest.raises(ValueError, match="negative cap"):
+            deformation_comparison_H(cfg, ip2, g_cap=g_cap, word_cap=word_cap,
+                                     probe_cap=probe_cap)
+
+    @pytest.mark.parametrize("lie", [heisenberg3(), abelian_lie(2)],
+                             ids=["heis3", "abelian2"])
+    def test_columns_match_direct_construction(self, lie, rand):
+        """<phi, g^e L_w psi>_red from one product per (probe, word, probe)
+        and one moment pass equals applying the candidate operator
+        {w: g^e} and taking the closed-form inner product, at every order."""
+        m = ModelSpace(lie, base_dim=2, order=3)
+        cfg = ReductionConfig(m, Fraction(1, 2))
+        gnames = m.group_names
+        probes = [m.fiber_state(m.var(gnames[-1])), rand.state(m, 1), rand.state(m, 2)]
+        words = pbw_words(lie.dim, 2)
+        gexps = _monomials(gnames, 1)
+        n = len(probes)
+        seen = 0
+        for slot, k, prod in _word_products(m, probes, words):
+            phi, psi = probes[slot // n], probes[slot % n]
+            vals = gaussian_integrate_shifted(prod, gnames, gexps, m.order, {})
+            for e, val in zip(gexps, vals):
+                cand = VerticalOperator(m, SymbolOp(
+                    m, {words[k]: _monomial(m, gnames, e)}, lam_weighted=False))
+                direct = inner_product_red_closed_form(cfg, phi, cand.act(psi))
+                assert val == direct and val.pi4 == direct.pi4, (words[k], e)
+                seen += not direct.is_zero()
+        assert seen
+
+    def test_comparison_op_counts(self, model_heis):
+        """One solve on heis3 makes one field application per (non-empty
+        word, probe) and one base product per (probe, word, probe) for the
+        columns, plus those of the one word that enters at order 1."""
+        m = model_heis
+        cfg = ReductionConfig(m, Fraction(1, 2))
+        gnames = m.group_names
+        l0 = VerticalOperator.fundamental(m, 0)
+        pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
+        probes = [m.fiber_state(_monomial(m, gnames, e)) for e in _monomials(gnames, 2)]
+        table = {(phi, psi): inner_product_red_closed_form(cfg, phi, pert.act(psi))
+                 for phi in probes for psi in probes}
+        counts = {"apply": 0, "moyal": 0, "act": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DiffOperator, "apply", counting("apply", DiffOperator.apply))
+            mp.setattr(VerticalOperator, "act", counting("act", VerticalOperator.act))
+            counted_moyal = counting("moyal", starprod.moyal)
+            for mod in (starprod, morita):
+                mp.setattr(mod, "moyal", counted_moyal)
+            h = deformation_comparison_H(cfg, lambda a, b: table[a, b], g_cap=1,
+                                         word_cap=2, probe_cap=2)
+        assert (h - pert).is_zero()
+        # 10 probes, 10 words (9 non-empty); the word (0, 0) and its suffix
+        # (0,) are applied again to every probe when order 1 is solved.
+        assert counts == {"apply": 9 * 10 + 2 * 10, "moyal": 10 * 10 * 10 + 10 * 10,
+                          "act": 0}
+
+
+def test_shifted_moments_match_fiber_integral(model_heis, rand):
+    """The moment pass against every g^e equals fiber_integral(g^e f), on an
+    integrand with odd moments, a pi-grade and a lam shift, with the memo
+    shared across two envelopes; with top 0 only order 0 is kept."""
+    m = model_heis
+    g1, g2, g3 = gnames = m.group_names
+    gexps = _monomials(gnames, 2)
+    memo = {}
+    for a in (1, 4):
+        odd = m.var(g1) * m.var("q") + m.var(g2) * m.var(g3) * m.var(g3)
+        f = odd + rand.poly(m, 4) + Func(rand.poly(m, 3).series.shift(1))
+        f = f.with_profile({g: a for g in gnames}).with_pi4(-3)
+        full = gaussian_integrate_shifted(f, gnames, gexps, m.order, memo)
+        low = gaussian_integrate_shifted(f, gnames, gexps, 0, memo)
+        for e, val, val0 in zip(gexps, full, low):
+            direct = fiber_integral(m, _monomial(m, gnames, e) * f)
+            assert val == direct and val.pi4 == direct.pi4 == -3 + 6, e
+            assert val0.series.coeffs[0] == direct.series.coeffs[0]
+            assert all(p.is_zero() for p in val0.series.coeffs[1:])
+        odd = odd.with_profile({g: a for g in gnames})
+        vals = gaussian_integrate_shifted(odd, gnames, gexps, m.order, memo)
+        assert vals[0].is_zero() and not vals[gexps.index((1, 0, 0))].is_zero()
+    assert len(memo) == 2
 
 
 class TestCrossedProduct:

@@ -1,6 +1,7 @@
 """The exact arithmetic substrate: scalars, polynomials, truncated series,
 differential operators, and closed-form Gaussian integration."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -195,6 +196,14 @@ class TestPoly:
         assert p.evaluate({"q": Fraction(1, 2)}) == Poly(
             GENS, {(0, 1): Fraction(1, 4)}
         )
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_mixing_with_func_is_a_type_error(self, op):
+        p = Poly.var(GENS, "q")
+        with pytest.raises(TypeError):
+            op(p, one())
+        with pytest.raises(TypeError):
+            op(one(), p)
 
 
 class TestDiffOperator:
