@@ -276,8 +276,9 @@ def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
     coefficient product and the base product.  Each word action L_w psi is
     taken once per probe from its suffix, each product once per (probe,
     word, probe), and its integrals against every g^e come from one pass of
-    Gaussian moments.  The columns keep order 0 only; <phi, H psi> is
-    advanced order by order with the full series of the columns that enter.
+    Gaussian moments.  The columns keep order 0 only; the defects
+    ip2(phi, psi) - <phi, H psi>_red are advanced order by order with the
+    full series of the columns that enter.
     """
     for cap in (g_cap, word_cap, probe_cap):
         if cap < 0:
@@ -287,7 +288,7 @@ def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
     gnames = model.group_names
     probes = [model.fiber_state(_monomial(model, gnames, e))
               for e in _monomials(gnames, probe_cap)]
-    words = pbw_words(model.lie.dim, word_cap)
+    words = pbw_words(model.lie.dim, word_cap)    # words[0] is the empty word
     gexps = _monomials(gnames, g_cap)    # gexps[0] is the constant monomial
     memo: dict = {}
 
