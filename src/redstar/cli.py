@@ -43,11 +43,18 @@ def _at_least(value, low: int, what: str) -> int:
     return value
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SceneError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 class Scene:
     def __init__(self, data: dict, path: str = "<memory>"):
         self.path = path
+        _object(data, "a scene")
         try:
-            lie_spec = data["lie_algebra"]
+            lie_spec = _object(data["lie_algebra"], "lie_algebra")
             structure = {}
             for entry in lie_spec.get("structure_constants", []):
                 a, b, c, v = entry
@@ -59,7 +66,7 @@ class Scene:
         except ValueError as exc:
             raise SceneError(str(exc)) from exc
 
-        base = data.get("base", {})
+        base = _object(data.get("base", {}), "base")
         self.base_dim = _at_least(base.get("dim", 2), 0, "base dim")
         matrix = base.get("poisson_matrix")
         if matrix is not None:
@@ -72,12 +79,14 @@ class Scene:
             matrix = [[Fraction(str(v)) for v in row] for row in matrix]
         self.poisson_matrix = matrix
         self.order = _at_least(data.get("truncation_order", 4), 0, "truncation order")
-        caps = data.get("degree_caps", {})
+        caps = _object(data.get("degree_caps", {}), "degree_caps")
         self.degree_cap = _at_least(caps.get("polynomial", 3), 0, "degree cap")
         self.seed = int(data.get("seed", 0))
         self.trials = _at_least(data.get("trials", 8), 1, "trials")
         self.suites = list(data.get("suites", ["all"]))
-        self.weights = dict(data.get("weights", {}))
+        self.weights = _object(data.get("weights", {}), "weights")
+        for name, spec in self.weights.items():
+            _object(spec, f"weight {name!r}")
         self.star_product = data.get("star_product", "total")
         self.label = data.get("label", self.lie.label)
 
@@ -327,7 +336,10 @@ def cmd_reduce(args) -> int:
         scene.order = _at_least(args.order, 0, "truncation order")
     model = scene.model()
     cfg = ReductionConfig(model, Fraction(1, 2))
-    if args.left and args.right:
+    if (args.left is None) != (args.right is None):
+        raise SceneError(
+            "reduce takes both --left and --right, or neither for random inputs")
+    if args.left is not None:
         u = parse_expr(args.left, model)
         v = parse_expr(args.right, model)
     else:

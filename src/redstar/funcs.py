@@ -8,6 +8,12 @@ Gaussian-damped test functions carry envelopes.  All differential operators
 act through profile-aware differentiation, so the class is closed under
 every operation of the engine.  Func.partials is the one derivative cache
 of DiffOperator.apply, the base product and its multiplication operators.
+
+Func owns the envelope and grade rules: sums need equal envelopes and
+grades (zero matches anything), products add both, and the lam-shift
+Func.shift and the coefficient slice Func.coeff keep both.  Callers use these
+instead of taking a Func apart and rebuilding it around its envelope and
+grade.
 """
 
 from __future__ import annotations
@@ -113,6 +119,11 @@ class Func:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction, GaussRational)):
+            return NotImplemented
+        return (-self) + other
+
     def __mul__(self, other):
         """Pointwise product; envelopes and pi-grades add."""
         if isinstance(other, (int, Fraction, GaussRational)):
@@ -134,6 +145,17 @@ class Func:
 
     def conj(self) -> "Func":
         return Func(self.series.conj(), self.profile, self.pi4)
+
+    # -- lam-grading -------------------------------------------------------
+
+    def shift(self, k: int) -> "Func":
+        """lam^k * f, truncated; zero for k > order, envelope and grade kept."""
+        return Func(self.series.shift(k), self.profile, self.pi4)
+
+    def coeff(self, r: int) -> "Func":
+        """The lam^r coefficient as a lam-constant Func, envelope and grade kept."""
+        return Func(LambdaSeries.of(self.series.coeffs[r], self.order),
+                    self.profile, self.pi4)
 
     # -- calculus ----------------------------------------------------------
 

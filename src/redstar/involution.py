@@ -83,17 +83,13 @@ def conj_transport_check(cfg: ReductionConfig, f: Func) -> dict:
         term_a1 = term_a1 + model.fundamental_field_M(model.basis_vector(a)).apply(
             transport(cfg, inner_fc, model.basis_vector(a))
         )
-    first = base + _mul_ilam(term_a1) + _mul_ilam(
-        Func(b_fc.series * kk, b_fc.profile, b_fc.pi4)
-    )
+    first = base + _mul_ilam(term_a1) + _mul_ilam(b_fc * kk)
 
     term_a2 = model.zero()
     for a in range(model.lie.dim):
         lie_fc = model.fundamental_field_M(model.basis_vector(a)).apply(fc)
         term_a2 = term_a2 + transport(cfg, transport_inner(cfg, lie_fc), model.basis_vector(a))
-    second = base + _mul_ilam(term_a2) + _mul_ilam(
-        Func(b_fc.series * (kk - 1), b_fc.profile, b_fc.pi4)
-    )
+    second = base + _mul_ilam(term_a2) + _mul_ilam(b_fc * (kk - 1))
 
     ops = conj_transport(cfg, f)
     contraction = model.zero()
@@ -220,10 +216,7 @@ def reduced_involution(model: ModelSpace, u: Func, omega: Func) -> Func:
     v = model.zero()
     for r in range(model.order + 1):
         current = _transpose_at_one(model, mult_operator(model, v, right=False), omega)
-        defect = target - current
-        slice_r = defect.series.coeffs[r]
-        if not slice_r.is_zero():
-            v = v + Func(LambdaSeries.lam_power(slice_r, r, model.order))
+        v = v + (target - current).coeff(r).shift(r)
     return v.conj()
 
 
@@ -285,12 +278,8 @@ def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func,
         sol = solve_linear(gram, rhs)
         if sol is None:
             raise ValueError("degree cap too small for the density-ratio solve")
-        poly = Poly.zero(model.gens)
         for val, mm in zip(sol, monos):
-            if not val.is_zero():
-                poly = poly + mm.series.coeffs[0] * val
-        if not poly.is_zero():
-            rho_hat = rho_hat + Func(LambdaSeries.lam_power(poly, r, model.order))
+            rho_hat = rho_hat + (mm * val).shift(r)
     return rho_hat
 
 
@@ -359,7 +348,7 @@ class AutomorphismSeries:
         total = self.model.zero()
         for r, key, c in self._decompose(f):
             img = self.image(key)
-            total = total + Func((img.series * c).shift(r), img.profile, img.pi4)
+            total = total + (img * c).shift(r)
         return total
 
     def minus_identity(self) -> "AutomorphismSeries":
@@ -413,10 +402,8 @@ def modular_class(model: ModelSpace, omega: Func, cap: int = 4) -> dict:
     first_ok = True
     for e in _monomials(model.base_names, cap):
         m = _monomial(model, model.base_names, e)
-        expected = Func(delta.apply(m).series.shift(1) * (-IMAG))
-        got = Func(
-            LambdaSeries.lam_power(d_map.image(e).series.coeffs[1], 1, model.order)
-        )
+        expected = delta.apply(m).shift(1) * (-IMAG)
+        got = d_map.image(e).coeff(1).shift(1)
         if not (expected - got).is_zero():
             first_ok = False
             break
@@ -442,8 +429,7 @@ def modular_inner_difference(model: ModelSpace, om1: Func,
     columns = []
     for s in range(model.order):
         for em in _monomials(model.base_names, unknown_cap):
-            w = Func(LambdaSeries.lam_power(
-                _monomial(model, model.base_names, em).series.coeffs[0], s, model.order))
+            w = _monomial(model, model.base_names, em).shift(s)
             ads = [moyal(model, w, m) - moyal(model, m, w) for m in monos]
             columns.append(poly_equations([c for ad in ads for c in ad.series.coeffs]))
     diffs = [d1.image(e) - d2.image(e) for e in basis]

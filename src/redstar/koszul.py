@@ -86,11 +86,6 @@ class SuperObservable:
             self.model, {i: f * c for i, f in self.comps.items()}
         )
 
-    def scale_series(self, s: LambdaSeries) -> "SuperObservable":
-        return SuperObservable(
-            self.model, {i: Func(f.series * s, f.profile, f.pi4) for i, f in self.comps.items()}
-        )
-
     def map(self, fn) -> "SuperObservable":
         return SuperObservable(self.model, {i: fn(f) for i, f in self.comps.items()})
 
@@ -200,17 +195,13 @@ def quantized_koszul(cfg: ReductionConfig, x: SuperObservable) -> SuperObservabl
                 v = model.lie.c(a, b, c)
                 if v:
                     term = double.wedge_basis(c).map(
-                        lambda f, v=v: Func(
-                            (f.series * (half_i * GaussRational(v))).shift(1),
-                            f.profile,
-                            f.pi4,
-                        )
+                        lambda f, v=v: (f * (half_i * GaussRational(v))).shift(1)
                     )
                     out = out + term
     mod_term = x.insert_covector(model.lie.modular)
     if not mod_term.is_zero():
         ilk = (cfg.kappa * IMAG).shift(1)
-        out = out + mod_term.scale_series(ilk)
+        out = out + mod_term.scale(ilk)
     return out
 
 

@@ -87,28 +87,18 @@ class RankOneOperator:
 
     def __call__(self, chi: Func) -> Func:
         val = inner_product_red(self.cfg, self.psi, chi)
-        return _graded_right_module(self.cfg, self.phi, val)
+        return right_module(self.cfg, self.phi, val)
 
     def adjoint(self) -> "RankOneOperator":
         return RankOneOperator(self.cfg, self.psi, self.phi)
 
     def compose(self, other: "RankOneOperator") -> "RankOneOperator":
         mid = inner_product_red(self.cfg, self.psi, other.phi)
-        new_phi = _graded_right_module(self.cfg, self.phi, mid)
+        new_phi = right_module(self.cfg, self.phi, mid)
         return RankOneOperator(self.cfg, new_phi, other.psi)
 
     def __repr__(self):
         return f"RankOneOperator({self.phi!r}, {self.psi!r})"
-
-
-def _strip_grade(f: Func) -> Func:
-    return Func(f.series, f.profile, 0)
-
-
-def _graded_right_module(cfg: ReductionConfig, phi: Func, u: Func) -> Func:
-    """phi bullet_red u where u may carry a pi grade from an inner product."""
-    out = right_module(cfg, phi, _strip_grade(u))
-    return Func(out.series, out.profile, out.pi4 + u.pi4)
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +207,13 @@ class VerticalOperator:
     def lam_shift(self, k: int) -> "VerticalOperator":
         out = SymbolOp(self.model, None, lam_weighted=False)
         for w, c in self.op.terms.items():
-            out._add_term(w, Func(c.series.shift(k), c.profile, c.pi4))
+            out._add_term(w, c.shift(k))
         return VerticalOperator(self.model, out)
 
     def lam_slice(self, r: int) -> "VerticalOperator":
         out = SymbolOp(self.model, None, lam_weighted=False)
         for w, c in self.op.terms.items():
-            p = c.series.coeffs[r]
-            if not p.is_zero():
-                out._add_term(w, Func(
-                    LambdaSeries.lam_power(p, r, self.model.order), c.profile, c.pi4
-                ))
+            out._add_term(w, c.coeff(r).shift(r))
         return VerticalOperator(self.model, out)
 
     def is_zero(self) -> bool:
@@ -322,8 +308,7 @@ def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
             if not coeff.is_zero():
                 w, e = words[u // len(gexps)], gexps[u % len(gexps)]
                 entries.setdefault(w, []).append((e, coeff))
-                g_e = _monomial(model, gnames, e).series.coeffs[0]
-                add._add_term(w, Func(LambdaSeries.lam_power(g_e * coeff, r, order)))
+                add._add_term(w, (_monomial(model, gnames, e) * coeff).shift(r))
         h = h + VerticalOperator(model, add)
         if r == order:
             break
@@ -332,8 +317,7 @@ def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
             shifts, coeffs = zip(*hit[k])
             vals = gaussian_integrate_shifted(prod, gnames, shifts, order, memo)
             for val, coeff in zip(vals, coeffs):
-                shifted = Func(val.series.shift(r), val.profile, val.pi4)
-                defects[slot] = defects[slot] - shifted * coeff
+                defects[slot] = defects[slot] - val.shift(r) * coeff
     return h
 
 

@@ -42,7 +42,10 @@ class GaussRational:
         raise TypeError(f"cannot coerce {x!r} to GaussRational")
 
     def __add__(self, other):
-        other = GaussRational.coerce(other)
+        if not isinstance(other, GaussRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # a Func, Poly or series operand
+            other = GaussRational(other)
         return GaussRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -51,13 +54,20 @@ class GaussRational:
         return GaussRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-GaussRational.coerce(other))
+        if not isinstance(other, GaussRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussRational(other)
+        return GaussRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return GaussRational.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = GaussRational.coerce(other)
+        if not isinstance(other, GaussRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussRational(other)
         return GaussRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

@@ -104,8 +104,7 @@ def _mul_ilam(f: Func, times: int = 1) -> Func:
     """Multiply by (i lam)^times."""
     if times == 0:
         return f
-    s = f.series.shift(times) * (IMAG ** times)
-    return Func(s, f.profile, f.pi4)
+    return f.shift(times) * IMAG ** times
 
 
 class SymbolOp:

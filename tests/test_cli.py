@@ -112,12 +112,20 @@ class TestMalformedScenes:
         ({"base": {"dim": -2}}, [], "base dim must be at least 0"),
         ({"truncation_order": 0}, [], "verify truncation order must be at least 1"),
         ({}, ["--order", "0"], "verify truncation order must be at least 1"),
+        ({"degree_caps": 3}, [], "degree_caps must be a JSON object, got int"),
+        ({"base": 2}, [], "base must be a JSON object, got int"),
+        ({"lie_algebra": 3}, [], "lie_algebra must be a JSON object, got int"),
+        ({"weights": [1, 2]}, [], "weights must be a JSON object, got list"),
+        ({"weights": {"gaussian": "x"}}, [],
+         "weight 'gaussian' must be a JSON object, got str"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
             "negative_degree_cap", "negative_degree_cap_override",
             "unknown_suite_in_list", "zero_lie_dim",
             "negative_lie_dim", "negative_base_dim", "zero_order",
-            "zero_order_override"])
+            "zero_order_override", "degree_caps_not_object", "base_not_object",
+            "lie_algebra_not_object", "weights_not_object",
+            "weight_spec_not_object"])
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []
@@ -129,6 +137,21 @@ class TestMalformedScenes:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert message in captured.err
+
+    def test_scene_not_object(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text("[1, 2]")
+        assert main(["verify", "--scene", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: a scene must be a JSON object, got list\n"
+
+    def test_involve_rejects_weight_spec(self, tmp_path, capsys):
+        path = write_scene(tmp_path, {**HEIS_SCENE, "weights": {"gaussian": "x"}})
+        assert main(["involve", "--scene", path, "--input", "q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: weight 'gaussian' must be "
+                                "a JSON object, got str\n")
 
     def test_operator_basis_key_still_loads(self, tmp_path):
         data = dict(HEIS_SCENE)
@@ -284,6 +307,15 @@ class TestVerbs:
                      "--right", "p"]) == 0
         out = capsys.readouterr().out
         assert "C_0: q*p" in out and "C_1: 1/2*i" in out
+
+    @pytest.mark.parametrize("side", ["--left", "--right"])
+    def test_reduce_needs_both_sides(self, tmp_path, capsys, side):
+        path = write_scene(tmp_path, HEIS_SCENE)
+        assert main(["reduce", "--scene", path, side, "q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: reduce takes both")
+        assert captured.err.count("\n") == 1
 
     def test_involve_verb(self, tmp_path, capsys):
         path = write_scene(tmp_path, HEIS_SCENE)

@@ -17,9 +17,17 @@ equal repr):
   each expanding exp((i lam/2) Lam^{ij} d_i (x) d_j) over pair sequences;
 - the base product as a Func-level recursion over pair sequences, with the
   two-pass envelope-aware Func.diff and the loop Poly.__mul__ and Poly.diff
-  beneath it.
+  beneath it;
+- the lam-shift and coefficient slice rebuilt by hand around a Func's
+  envelope and grade, the right action that stripped an inner product's
+  pi-grade and added it back, and SuperObservable.scale_series.
+
+suites.py and koszul.py leave the envelope and grade bookkeeping to Func
+and never call its constructor.
 """
 
+import ast
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -45,7 +53,9 @@ from redstar.koszul import (
     homotopy_h,
     koszul,
     quantized_koszul,
+    right_module,
 )
+from redstar.morita import fullness_element, inner_product_red
 from redstar.poly import Poly
 from redstar.scalars import GaussRational, I as IMAG
 from redstar.series import LambdaSeries
@@ -724,3 +734,92 @@ def test_poly_keeps_first_coefficient():
     assert Poly(("q", "p"), {("1", "0"): 2, (1, 0): -2}).is_zero()
     with pytest.raises(ValueError, match="exponent length"):
         Poly(("q", "p"), {(1,): 1})
+
+
+# ---------------------------------------------------------------------------
+# reference: lam-grading and grade bookkeeping rebuilt by hand
+# ---------------------------------------------------------------------------
+
+
+def ref_coeff(f, r):
+    return Func(LambdaSeries.of(f.series.coeffs[r], f.order), f.profile, f.pi4)
+
+
+def ref_graded_right_module(cfg, phi, u):
+    """phi bullet_red u with u's pi grade stripped and added back."""
+    out = right_module(cfg, phi, Func(u.series, u.profile, 0))
+    return Func(out.series, out.profile, out.pi4 + u.pi4)
+
+
+def ref_scale_series(x, s):
+    return SuperObservable(
+        x.model, {i: Func(f.series * s, f.profile, f.pi4) for i, f in x.comps.items()}
+    )
+
+
+def test_shift_and_coeff_match_rebuilds():
+    m = ModelSpace(heisenberg3(), 2, 3)
+    rng = random.Random(11)
+    plain = rand_poly(rng, m, m.gens, 2) + lam_shifted(rand_poly(rng, m, m.gens, 2), 2)
+    state = m.fiber_state(rand_poly(rng, m, m.base_names + m.group_names, 2))
+    inputs = {
+        "plain": plain,
+        "enveloped": state,
+        "graded": plain.with_pi4(6),
+        "enveloped_graded": lam_shifted(state, 1).with_pi4(-3),
+        "zero": m.zero(),
+        "zero_enveloped": m.fiber_state(0).with_pi4(2),
+    }
+    for tag, f in inputs.items():
+        for k in range(m.order + 3):
+            got, expect = f.shift(k), lam_shifted(f, k)
+            assert got == expect and repr(got) == repr(expect), (tag, k)
+            assert (got.profile, got.pi4) == (f.profile, f.pi4), (tag, k)
+        assert f.shift(m.order + 1).is_zero()
+        for r in range(m.order + 1):
+            got, expect = f.coeff(r), ref_coeff(f, r)
+            assert got == expect and repr(got) == repr(expect), (tag, r)
+            assert (got.profile, got.pi4) == (f.profile, f.pi4), (tag, r)
+            assert all(c.is_zero() for c in got.series.coeffs[1:])
+        assert sum((f.coeff(r).shift(r) for r in range(m.order + 1)), m.zero()) == f
+
+
+def test_right_module_carries_the_grade():
+    """right_module passes an inner product's pi grade through star_G and
+    the deformed restriction, as the strip-and-restore wrapper did."""
+    m = ModelSpace(heisenberg3(), 2, 2)
+    cfg = ReductionConfig(m, Fraction(1, 2))
+    rng = random.Random(5)
+    states = [m.fiber_state(rand_poly(rng, m, m.base_names + m.group_names, 1))
+              for _ in range(2)]
+    ehat = fullness_element(m)
+    cases = [(inner_product_red(cfg, states[0], states[1]), states[0], 6),
+             (inner_product_red(cfg, ehat, ehat), states[1], 0)]
+    for u, phi, grade in cases:
+        assert u.pi4 == grade and not u.is_zero()
+        assert_same(right_module(cfg, phi, u), ref_graded_right_module(cfg, phi, u))
+
+
+def test_scale_by_series_matches_scale_series():
+    m = ModelSpace(aff1(), 2, 3)
+    cfg = ReductionConfig(m, [Fraction(1, 2), 3])
+    rng = random.Random(3)
+    x = SuperObservable(m, {(): rand_poly(rng, m, m.gens, 2),
+                            (0,): rand_poly(rng, m, m.gens, 2).with_pi4(2),
+                            (0, 1): rand_poly(rng, m, m.gens, 1)})
+    s = (cfg.kappa * IMAG).shift(1)
+    got, expect = x.scale(s), ref_scale_series(x, s)
+    assert set(got.comps) == set(expect.comps)
+    for idx in expect.comps:
+        assert_same(got.comps[idx], expect.comps[idx])
+
+
+@pytest.mark.parametrize("module", ["suites", "koszul"])
+def test_no_hand_built_funcs(module):
+    """Values are built by Func's own operations, never by its constructor."""
+    with open(importlib.util.find_spec(f"redstar.{module}").origin) as fh:
+        tree = ast.parse(fh.read())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Func"]
+    assert calls == []

@@ -206,6 +206,25 @@ class TestPoly:
             op(one(), p)
 
 
+class TestFuncArithmetic:
+    @pytest.mark.parametrize("c", [2, Fraction(2, 3), GaussRational(1, -2)],
+                             ids=["int", "Fraction", "GaussRational"])
+    def test_scalar_on_the_left(self, c):
+        f = var("q") * var("p") + lam_times(var("q"))
+        assert c - f == -(f - c)
+        assert (c - f) + f == Func.constant(GENS, c, K)
+        assert c + f == f + c and c * f == f * c
+        assert (c - one() * c).is_zero()
+        with pytest.raises(ValueError, match="envelopes"):
+            c - f.with_profile({"q": 1})
+
+    def test_foreign_operand_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            object() - one()
+        with pytest.raises(TypeError):
+            one() - object()
+
+
 class TestDiffOperator:
     def test_apply_examples(self):
         q = var("q")
