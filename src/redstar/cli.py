@@ -36,10 +36,38 @@ class SceneError(Exception):
     pass
 
 
-def _at_least(value, low: int, what: str) -> int:
-    value = int(value)
+# Upper bounds on the sizes a scene or an expression may ask for.  They sit
+# far above every committed scene (order 3, degree cap 3, trials <= 5); past
+# them a run would not end in any useful time.
+MAX_ORDER = 12
+MAX_DEGREE_CAP = 12
+MAX_TRIALS = 1000
+MAX_EXPONENT = 64
+
+
+def _json_type(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _integer(value, what: str) -> int:
+    """An int, or a string that spells one; bools, floats, lists and null
+    are errors."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            raise SceneError(f"{what} must be an integer, got {value!r}") from None
+    if type(value) is not int:
+        raise SceneError(f"{what} must be an integer, got {_json_type(value)}")
+    return value
+
+
+def _at_least(value, low: int, what: str, high: int | None = None) -> int:
+    value = _integer(value, what)
     if value < low:
         raise SceneError(f"{what} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise SceneError(f"{what} must be at most {high}, got {value}")
     return value
 
 
@@ -78,12 +106,18 @@ class Scene:
                     f"for a {self.base_dim}-dimensional base")
             matrix = [[Fraction(str(v)) for v in row] for row in matrix]
         self.poisson_matrix = matrix
-        self.order = _at_least(data.get("truncation_order", 4), 0, "truncation order")
+        self.order = _at_least(data.get("truncation_order", 4), 0, "truncation order",
+                               MAX_ORDER)
         caps = _object(data.get("degree_caps", {}), "degree_caps")
-        self.degree_cap = _at_least(caps.get("polynomial", 3), 0, "degree cap")
-        self.seed = int(data.get("seed", 0))
-        self.trials = _at_least(data.get("trials", 8), 1, "trials")
-        self.suites = list(data.get("suites", ["all"]))
+        self.degree_cap = _at_least(caps.get("polynomial", 3), 0, "degree cap",
+                                    MAX_DEGREE_CAP)
+        self.seed = _integer(data.get("seed", 0), "seed")
+        self.trials = _at_least(data.get("trials", 8), 1, "trials", MAX_TRIALS)
+        self.suites = data.get("suites", ["all"])
+        if not (isinstance(self.suites, list)
+                and all(isinstance(name, str) for name in self.suites)):
+            raise SceneError("suites must be a JSON list of suite names, got "
+                             f"{_json_type(self.suites)}")
         self.weights = _object(data.get("weights", {}), "weights")
         for name, spec in self.weights.items():
             _object(spec, f"weight {name!r}")
@@ -193,7 +227,7 @@ class _ExprParser:
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise SceneError(f"exponent must be a non-negative integer, got {tok!r}")
-            exp = int(tok)
+            exp = _at_least(tok, 0, "exponent", MAX_EXPONENT)
             out = self.model.one()
             for _ in range(exp):
                 out = out * base
@@ -293,9 +327,9 @@ def cmd_verify(args) -> int:
     if args.seed is not None:
         scene.seed = args.seed
     if args.order is not None:
-        scene.order = _at_least(args.order, 0, "truncation order")
+        scene.order = _at_least(args.order, 0, "truncation order", MAX_ORDER)
     if args.degree_cap is not None:
-        scene.degree_cap = _at_least(args.degree_cap, 0, "degree cap")
+        scene.degree_cap = _at_least(args.degree_cap, 0, "degree cap", MAX_DEGREE_CAP)
     # every battery reads the lam^1 coefficient of its defects
     _at_least(scene.order, 1, "verify truncation order")
     suites = [args.suite] if args.suite else scene.suites
@@ -317,7 +351,7 @@ def cmd_verify(args) -> int:
 def cmd_star(args) -> int:
     scene = load_scene(args.scene)
     if args.order is not None:
-        scene.order = _at_least(args.order, 0, "truncation order")
+        scene.order = _at_least(args.order, 0, "truncation order", MAX_ORDER)
     model = scene.model()
     name = args.product or scene.star_product
     product = StarProduct(model, name)
@@ -333,7 +367,7 @@ def cmd_star(args) -> int:
 def cmd_reduce(args) -> int:
     scene = load_scene(args.scene)
     if args.order is not None:
-        scene.order = _at_least(args.order, 0, "truncation order")
+        scene.order = _at_least(args.order, 0, "truncation order", MAX_ORDER)
     model = scene.model()
     cfg = ReductionConfig(model, Fraction(1, 2))
     if (args.left is None) != (args.right is None):
@@ -359,7 +393,7 @@ def cmd_reduce(args) -> int:
 def cmd_involve(args) -> int:
     scene = load_scene(args.scene)
     if args.order is not None:
-        scene.order = _at_least(args.order, 0, "truncation order")
+        scene.order = _at_least(args.order, 0, "truncation order", MAX_ORDER)
     model = scene.model()
     u = parse_expr(args.input, model)
     weight = scene.weight(model, args.weight)

@@ -147,7 +147,7 @@ class DiffOperator:
                 for s, terms in enumerate(partials[d][: order + 1 - r]):
                     if terms:
                         _mul_into(acc[r + s], terms, c.terms)
-        series = LambdaSeries([Poly(self.gens, t) for t in acc], order)
+        series = LambdaSeries([Poly._trusted_sums(self.gens, t) for t in acc], order)
         return Func(series, f.profile, f.pi4)
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
@@ -176,7 +176,8 @@ class DiffOperator:
                             if right:
                                 d = tuple(map(add, split, d2))
                                 _mul_into(tgt.setdefault(d, {}), left, right)
-        tabs = [{d: Poly(self.gens, t) for d, t in tab.items()} for tab in acc]
+        tabs = [{d: Poly._trusted_sums(self.gens, t) for d, t in tab.items()}
+                for tab in acc]
         return DiffOperator(self.gens, self.order, tabs)
 
     def exp(self) -> "DiffOperator":

@@ -38,8 +38,9 @@ class Func:
         object.__setattr__(self, "series", series)
         prof = {}
         for name, a in (profile or {}).items():
-            a = Fraction(a)
-            if a != 0:
+            if type(a) is not Fraction:
+                a = Fraction(a)
+            if a:
                 if name not in p0.gens:
                     raise ValueError(f"unknown coordinate {name!r} in profile")
                 prof[name] = a
@@ -96,10 +97,11 @@ class Func:
             raise ValueError(f"cannot add pi-grades {self.pi4}/4 and {other.pi4}/4")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = Func.constant(self.gens, other, self.order)
-        elif not isinstance(other, Func):
-            return NotImplemented
+        if type(other) is not Func:
+            if isinstance(other, (int, Fraction, GaussRational)):
+                other = Func.constant(self.gens, other, self.order)
+            elif not isinstance(other, Func):
+                return NotImplemented
         self._compatible(other)
         if self.is_zero():
             return other
@@ -113,10 +115,11 @@ class Func:
         return Func(-self.series, self.profile, self.pi4)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = Func.constant(self.gens, other, self.order)
-        elif not isinstance(other, Func):
-            return NotImplemented
+        if type(other) is not Func:
+            if isinstance(other, (int, Fraction, GaussRational)):
+                other = Func.constant(self.gens, other, self.order)
+            elif not isinstance(other, Func):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -126,14 +129,14 @@ class Func:
 
     def __mul__(self, other):
         """Pointwise product; envelopes and pi-grades add."""
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return Func(self.series * other, self.profile, self.pi4)
-        if isinstance(other, PiScalar):
-            return Func(self.series * other.value, self.profile, self.pi4 + other.pi4)
-        if isinstance(other, LambdaSeries):
-            return Func(self.series * other, self.profile, self.pi4)
-        if not isinstance(other, Func):
-            return NotImplemented
+        if type(other) is not Func:
+            if isinstance(other, (int, Fraction, GaussRational, LambdaSeries)):
+                return Func(self.series * other, self.profile, self.pi4)
+            if isinstance(other, PiScalar):
+                return Func(self.series * other.value, self.profile,
+                            self.pi4 + other.pi4)
+            if not isinstance(other, Func):
+                return NotImplemented
         if self.gens != other.gens:
             raise ValueError("generator mismatch")
         prof = dict(self.profile)
@@ -164,7 +167,8 @@ class Func:
         adds -2a*x*p."""
         i = self.gens.index(name)
         env = -2 * self.profile[name] if name in self.profile else None
-        out = self.series.map(lambda p: Poly(self.gens, _diff_terms(p.terms, i, env)))
+        out = self.series.map(
+            lambda p: Poly._trusted(self.gens, _diff_terms(p.terms, i, env)))
         return Func(out, self.profile, self.pi4)
 
     def partials(self) -> "Partials":
@@ -224,10 +228,11 @@ class Func:
         return Func(self.series.map(lambda p: p.evaluate(point)), self.profile, self.pi4)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = Func.constant(self.gens, other, self.order)
-        if not isinstance(other, Func):
-            return NotImplemented
+        if type(other) is not Func:
+            if isinstance(other, (int, Fraction, GaussRational)):
+                other = Func.constant(self.gens, other, self.order)
+            elif not isinstance(other, Func):
+                return NotImplemented
         if self.is_zero() and other.is_zero():
             return True
         return (

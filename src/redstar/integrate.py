@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add
 
 from .funcs import Func
-from .poly import Poly
+from .poly import Poly, _scale
 from .scalars import double_factorial, rational_sqrt
 from .series import LambdaSeries
 
@@ -79,10 +79,10 @@ def gaussian_integrate_shifted(f: Func, block, shifts, top: int, memo: dict) -> 
                 else:
                     mom = moments[shifted] = _moment(shifted, decay)
                 if mom is not None:
-                    v = c * mom
+                    v = _scale(c, mom)
                     terms[key] = terms[key] + v if key in terms else v
         for out, terms in zip(coeffs, acc):
-            out.append(Poly(gens, terms))
+            out.append(Poly._trusted_sums(gens, terms))
 
     remaining = {g: a for g, a in f.profile.items() if g not in block}
     return [Func(LambdaSeries(out, f.order), remaining, pi4) for out in coeffs]

@@ -7,6 +7,9 @@ generator order.
 
 The term-dict kernels _mul_into, _scale and _diff_terms on {exponent:
 GaussRational} dicts are shared by Poly, Func, DiffOperator and moyal.
+Their output is already clean, so it becomes a Poly through Poly._trusted,
+or through Poly._trusted_sums for _mul_into accumulators, which still hold
+the zero sums of cancelling terms.  Poly(...) validates everything else.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .scalars import GaussRational
+from .scalars import GaussRational, _make
 
 
 def _degrevlex_key(expo):
@@ -49,6 +52,20 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @staticmethod
+    def _trusted(gens: tuple, terms: dict) -> "Poly":
+        """A Poly that takes a clean term dict as it is, without checks: int
+        exponent tuples of len(gens), GaussRational values and no zeros."""
+        p = _new(Poly)
+        _set_gens(p, gens)
+        _set_terms(p, terms)
+        return p
+
+    @staticmethod
+    def _trusted_sums(gens: tuple, terms: dict) -> "Poly":
+        """Poly._trusted of a _mul_into accumulator, without its zero sums."""
+        return Poly._trusted(gens, {e: c for e, c in terms.items() if c.a or c.b})
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -58,7 +75,7 @@ class Poly:
 
     @staticmethod
     def zero(gens) -> "Poly":
-        return Poly(gens, {})
+        return Poly._trusted(tuple(gens), {})
 
     @staticmethod
     def one(gens) -> "Poly":
@@ -82,30 +99,36 @@ class Poly:
             raise ValueError(f"generator mismatch: {self.gens} vs {other.gens}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = Poly.constant(self.gens, other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction, GaussRational)):
+                other = Poly.constant(self.gens, other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for expo, c in other.terms.items():
-            s = terms.get(expo, GaussRational(0)) + c
-            if s.is_zero():
-                terms.pop(expo, None)
+            prev = terms.get(expo)
+            if prev is None:
+                terms[expo] = c
             else:
-                terms[expo] = s
-        return Poly(self.gens, terms)
+                s = prev + c
+                if s.a or s.b:
+                    terms[expo] = s
+                else:
+                    del terms[expo]
+        return Poly._trusted(self.gens, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.gens, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.gens, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = Poly.constant(self.gens, other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction, GaussRational)):
+                other = Poly.constant(self.gens, other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -114,17 +137,19 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            c = GaussRational.coerce(other)
-            if c.is_zero():
-                return Poly.zero(self.gens)
-            return Poly(self.gens, {e: v * c for e, v in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction, GaussRational)):
+                c = GaussRational.coerce(other)
+                if c.is_zero():
+                    return Poly.zero(self.gens)
+                return Poly._trusted(self.gens,
+                                     {e: v * c for e, v in self.terms.items()})
+            if not isinstance(other, Poly):
+                return NotImplemented
         self._check(other)
         out: dict = {}
         _mul_into(out, self.terms, other.terms)
-        return Poly(self.gens, out)
+        return Poly._trusted_sums(self.gens, out)
 
     __rmul__ = __mul__
 
@@ -143,10 +168,10 @@ class Poly:
     # -- calculus and structure ----------------------------------------
 
     def diff(self, name: str) -> "Poly":
-        return Poly(self.gens, _diff_terms(self.terms, self.gens.index(name)))
+        return Poly._trusted(self.gens, _diff_terms(self.terms, self.gens.index(name)))
 
     def conj(self) -> "Poly":
-        return Poly(self.gens, {e: c.conj() for e, c in self.terms.items()})
+        return Poly._trusted(self.gens, {e: c.conj() for e, c in self.terms.items()})
 
     def set_zero(self, names) -> "Poly":
         """Restrict by setting the listed generators to zero."""
@@ -156,7 +181,7 @@ class Poly:
             if any(expo[i] for i in idxs):
                 continue
             out[expo] = c
-        return Poly(self.gens, out)
+        return Poly._trusted(self.gens, out)
 
     def weight_by_degree(self, names, weight) -> "Poly":
         """Scale each term by weight(d) where d is its total degree in names."""
@@ -230,10 +255,11 @@ class Poly:
         return sorted(self.terms.items(), key=lambda kv: _degrevlex_key(kv[0]), reverse=True)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = Poly.constant(self.gens, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction, GaussRational)):
+                other = Poly.constant(self.gens, other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         return self.gens == other.gens and self.terms == other.terms
 
     def __hash__(self):
@@ -278,8 +304,11 @@ def _mul_into(acc: dict, left: dict, right: dict) -> None:
 
 
 def _scale(c: GaussRational, k) -> GaussRational:
-    """c times a rational k, without promoting k to a GaussRational."""
-    return GaussRational(c.re * k, c.im * k)
+    """c times an int or Fraction k, on the integer triple of c."""
+    if type(k) is int:
+        return _make(c.a * k, c.b * k, c.d)
+    n = k.numerator
+    return _make(c.a * n, c.b * n, c.d * k.denominator)
 
 
 def _diff_terms(terms: dict, i: int, env=None) -> dict:
@@ -297,3 +326,8 @@ def _diff_terms(terms: dict, i: int, env=None) -> dict:
             out[up] = _scale(c, env) if prev is None else prev + _scale(c, env)
         out = {e: c for e, c in out.items() if not c.is_zero()}
     return out
+
+
+_new = object.__new__
+_set_gens = Poly.gens.__set__
+_set_terms = Poly.terms.__set__

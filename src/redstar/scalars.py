@@ -1,14 +1,18 @@
 """Exact scalars: Gaussian rationals and rational multiples of powers of pi.
 
-Everything downstream is built over Q(i).  Gaussian moment integrals
-additionally produce factors pi^(k/4); those are carried as an explicit
-integer grade so that equality stays coefficient-wise with tolerance zero.
+Everything downstream is built over Q(i).  A GaussRational is stored as
+three ints (a, b, d) meaning (a + b*i)/d, with d > 0 and gcd(a, b, d) == 1,
+so every value has exactly one triple and zero is (0, 0, 1).  Arithmetic
+works on the triples with one gcd per result (_make); .re and .im are
+read-only Fraction views.  Gaussian moment integrals additionally produce
+factors pi^(k/4); those are carried as an explicit integer grade so that
+equality stays coefficient-wise with tolerance zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 def _frac(x) -> Fraction:
@@ -22,64 +26,95 @@ def _frac(x) -> Fraction:
 
 
 class GaussRational:
-    """A complex number re + im*i with exact rational re, im."""
+    """A complex number re + im*i with exact rational re = a/d, im = b/d,
+    stored as the ints a, b, d with d > 0 and gcd(a, b, d) == 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = _frac(re), _frac(im)
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     @staticmethod
     def coerce(x) -> "GaussRational":
-        if isinstance(x, GaussRational):
+        if type(x) is GaussRational:
             return x
         if isinstance(x, (int, Fraction)):
             return GaussRational(x)
         raise TypeError(f"cannot coerce {x!r} to GaussRational")
 
     def __add__(self, other):
-        if not isinstance(other, GaussRational):
+        if type(other) is not GaussRational:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented  # a Func, Poly or series operand
             other = GaussRational(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.a + other.a, self.b + other.b, d)
+        return _make(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _triple(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        if not isinstance(other, GaussRational):
+        if type(other) is not GaussRational:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = GaussRational(other)
-        return GaussRational(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.a - other.a, self.b - other.b, d)
+        return _make(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return GaussRational.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, GaussRational):
+        if type(other) is not GaussRational:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = GaussRational(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        # real and purely imaginary factors need two products, not four
+        if not e:
+            return _make(a * c, b * c, self.d * other.d)
+        if not b:
+            return _make(a * c, a * e, self.d * other.d)
+        if not c:
+            return _make(-b * e, a * e, self.d * other.d)
+        if not a:
+            return _make(-b * e, b * c, self.d * other.d)
+        return _make(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of 0")
-        return GaussRational(self.re / n, -self.im / n)
+        return _make(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * GaussRational.coerce(other).inverse()
@@ -102,31 +137,65 @@ class GaussRational:
         return out
 
     def conj(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _triple(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     def __eq__(self, other):
-        try:
-            other = GaussRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussRational:
+            try:
+                other = GaussRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
+        # hash((re, im)) of the Fraction pair: set and dict order can reach
+        # the reports, so these values are part of their byte determinism;
+        # for d == 1 it is the hash of the int pair
+        if self.d == 1:
+            return hash((self.a, self.b))
         return hash((self.re, self.im))
 
     def __repr__(self):
-        if self.im == 0:
+        if not self.b:
             return str(self.re)
-        if self.re == 0:
+        if not self.a:
             return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self.b > 0 else "-"
         return f"({self.re} {sign} {abs(self.im)}*i)"
+
+
+_set_a = GaussRational.a.__set__
+_set_b = GaussRational.b.__set__
+_set_d = GaussRational.d.__set__
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d from a triple that is already normalised."""
+    x = _new(GaussRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _make(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d for ints with d != 0, normalised with one gcd."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _triple(a, b, d)
 
 
 ZERO = GaussRational(0)

@@ -80,7 +80,7 @@ class LambdaSeries:
 
     def __mul__(self, other):
         """Cauchy product truncated at the common order."""
-        if not isinstance(other, LambdaSeries):
+        if type(other) is not LambdaSeries:
             return LambdaSeries([c * other for c in self.coeffs], self.order)
         self._check(other)
         zero = self.ring_zero()
@@ -130,8 +130,9 @@ class LambdaSeries:
 
     def __eq__(self, other):
         """Equality with a series, or with a ring scalar read as a constant series."""
-        if not isinstance(other, LambdaSeries):
-            if not isinstance(other, (int, Fraction, GaussRational, type(self.coeffs[0]))):
+        if type(other) is not LambdaSeries:
+            if not (type(other) is type(self.coeffs[0])
+                    or isinstance(other, (int, Fraction, GaussRational))):
                 return NotImplemented
             other = self.zero_like() + other
         return self.order == other.order and all(

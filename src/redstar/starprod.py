@@ -91,7 +91,7 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
                     for t, right in enumerate(pg[beta][: order + 1 - r - s]):
                         if right:
                             _mul_into(acc[r + s + t], left, right)
-    series = LambdaSeries([Poly(model.gens, t) for t in acc], order)
+    series = LambdaSeries([Poly._trusted_sums(model.gens, t) for t in acc], order)
     return Func(series, f.profile, f.pi4 + g.pi4).with_profile(g.profile)
 
 

@@ -118,6 +118,10 @@ class TestMalformedScenes:
         ({"weights": [1, 2]}, [], "weights must be a JSON object, got list"),
         ({"weights": {"gaussian": "x"}}, [],
          "weight 'gaussian' must be a JSON object, got str"),
+        ({"suites": 3}, [], "suites must be a JSON list of suite names, got int"),
+        ({"seed": [1]}, [], "seed must be an integer, got list"),
+        ({"truncation_order": [1]}, [], "truncation order must be an integer, got list"),
+        ({"trials": None}, [], "trials must be an integer, got null"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
             "negative_degree_cap", "negative_degree_cap_override",
@@ -125,7 +129,8 @@ class TestMalformedScenes:
             "negative_lie_dim", "negative_base_dim", "zero_order",
             "zero_order_override", "degree_caps_not_object", "base_not_object",
             "lie_algebra_not_object", "weights_not_object",
-            "weight_spec_not_object"])
+            "weight_spec_not_object", "suites_not_list", "seed_not_integer",
+            "order_not_integer", "trials_null"])
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []
@@ -137,6 +142,34 @@ class TestMalformedScenes:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert message in captured.err
+
+    @pytest.mark.parametrize("changes,extra,message", [
+        ({"truncation_order": 13}, [], "truncation order must be at most 12, got 13"),
+        ({}, ["--order", "13"], "truncation order must be at most 12, got 13"),
+        ({"trials": 1001}, [], "trials must be at most 1000, got 1001"),
+        ({"degree_caps": {"polynomial": 13}}, [], "degree cap must be at most 12, got 13"),
+        ({}, ["--degree-cap", "13"], "degree cap must be at most 12, got 13"),
+    ], ids=["order", "order_override", "trials", "degree_cap", "degree_cap_override"])
+    def test_verify_rejects_too_large(self, tmp_path, capsys, monkeypatch, changes,
+                                      extra, message):
+        # only the rejection is tested: no model is built and no suite runs
+        def refuse(*args):
+            pytest.fail("a model was built for an out-of-range scene")
+        monkeypatch.setattr("redstar.cli.Scene.model", refuse)
+        monkeypatch.setattr("redstar.cli.run_suite", refuse)
+        path = write_scene(tmp_path, {**HEIS_SCENE, **changes})
+        assert main(["verify", "--scene", path, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
+
+    def test_star_rejects_large_exponent(self, tmp_path, capsys):
+        path = write_scene(tmp_path, HEIS_SCENE)
+        assert main(["star", "--scene", path, "--left", "q^65", "--right", "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: exponent must be at most 64, "
+                                "got 65\n")
 
     def test_scene_not_object(self, tmp_path, capsys):
         path = tmp_path / "scene.json"

@@ -20,14 +20,19 @@ equal repr):
   beneath it;
 - the lam-shift and coefficient slice rebuilt by hand around a Func's
   envelope and grade, the right action that stripped an inner product's
-  pi-grade and added it back, and SuperObservable.scale_series.
+  pi-grade and added it back, and SuperObservable.scale_series;
+- the validating Poly constructor, which Poly._trusted and
+  Poly._trusted_sums replace for the output of the term-dict kernels.
 
 suites.py and koszul.py leave the envelope and grade bookkeeping to Func
-and never call its constructor.
+and never call its constructor.  Unvalidated Poly and GaussRational
+construction stays in the kernel modules, away from cli and suites, where
+user input arrives.
 """
 
 import ast
 import importlib.util
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -35,6 +40,7 @@ from math import comb, factorial
 
 import pytest
 
+import redstar
 from redstar.diffop import DiffOperator
 from redstar.funcs import Func
 from redstar.geometry import ModelSpace, abelian_lie, aff1, heisenberg3
@@ -56,7 +62,7 @@ from redstar.koszul import (
     right_module,
 )
 from redstar.morita import fullness_element, inner_product_red
-from redstar.poly import Poly
+from redstar.poly import Poly, _diff_terms, _mul_into
 from redstar.scalars import GaussRational, I as IMAG
 from redstar.series import LambdaSeries
 from redstar.starprod import _mul_ilam, moyal, moyal_table, star_G
@@ -823,3 +829,73 @@ def test_no_hand_built_funcs(module):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "Func"]
     assert calls == []
+
+
+def assert_same_poly(got, terms):
+    expect = Poly(got.gens, terms)
+    assert got == expect and repr(got) == repr(expect)
+    assert got.terms == expect.terms
+    assert all(type(c) is GaussRational and not c.is_zero() for c in got.terms.values())
+
+
+def test_trusted_mul_into_output_matches_validation():
+    """_mul_into leaves the zero sums of cancelling terms in its accumulator;
+    Poly._trusted_sums drops them as Poly(...) does."""
+    gens = ("q", "p", "x")
+    half = GaussRational(Fraction(1, 2), Fraction(-1, 3))
+    left = {(1, 0, 0): half, (0, 1, 0): GaussRational(1)}
+    right = {(1, 0, 0): GaussRational(1), (0, 1, 0): -half.inverse(), (0, 0, 2): IMAG}
+    acc = {}
+    _mul_into(acc, left, right)
+    assert any(c.is_zero() for c in acc.values())  # q*p cancels
+    assert_same_poly(Poly._trusted_sums(gens, dict(acc)), acc)
+    rng = random.Random(9)
+    for _ in range(20):
+        acc = {}
+        for _ in range(3):
+            a, b = ({tuple(rng.randint(0, 2) for _ in gens):
+                     GaussRational(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4)),
+                                   rng.randint(-1, 1))
+                     for _ in range(3)} for _ in range(2))
+            _mul_into(acc, a, b)
+        assert_same_poly(Poly._trusted_sums(gens, dict(acc)), acc)
+
+
+def test_trusted_diff_terms_match_validation():
+    """Under an envelope exp(-q^2/2), d/dq of q^2 + 2 cancels its q terms."""
+    gens = ("q", "p")
+    terms = {(2, 0): GaussRational(1), (0, 0): GaussRational(2),
+             (1, 1): GaussRational(Fraction(3, 4), 1)}
+    out = _diff_terms(terms, 0, Fraction(-1))
+    assert (1, 0) not in out
+    assert_same_poly(Poly._trusted(gens, out), out)
+    for env in (None, Fraction(-2, 3)):
+        for i in range(2):
+            out = _diff_terms(terms, i, env)
+            assert_same_poly(Poly._trusted(gens, out), out)
+
+
+# modules that may build a Poly from a term dict without validation, and
+# modules that may build a GaussRational from a raw integer triple
+TRUSTED_POLY = {"poly", "funcs", "diffop", "starprod", "integrate"}
+RAW_SCALAR = {"scalars", "poly"}
+
+
+@pytest.mark.parametrize("module", ["__init__"] + sorted(
+    m.name for m in pkgutil.iter_modules(redstar.__path__)))
+def test_unvalidated_construction_stays_in_the_kernels(module):
+    name = "redstar" if module == "__init__" else f"redstar.{module}"
+    with open(importlib.util.find_spec(name).origin) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    if module not in TRUSTED_POLY:
+        assert not names & {"_trusted", "_trusted_sums"}
+    if module not in RAW_SCALAR:
+        assert not names & {"_make", "_triple"}
