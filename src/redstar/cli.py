@@ -62,6 +62,17 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _rational(value, what: str) -> Fraction:
+    """An int, a float or a string that spells a rational such as "1/2";
+    bools, null, lists and a zero denominator are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise SceneError(f"{what} must be a rational number, got {_json_type(value)}")
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise SceneError(f"{what} must be a rational number, got {value!r}") from None
+
+
 def _at_least(value, low: int, what: str, high: int | None = None) -> int:
     value = _integer(value, what)
     if value < low:
@@ -86,7 +97,8 @@ class Scene:
             structure = {}
             for entry in lie_spec.get("structure_constants", []):
                 a, b, c, v = entry
-                structure[(int(a) - 1, int(b) - 1, int(c) - 1)] = Fraction(str(v))
+                key = tuple(_integer(i, "structure constant index") - 1 for i in (a, b, c))
+                structure[key] = _rational(v, "structure constant")
             self.lie = LieAlgebraData(_at_least(lie_spec["dim"], 1, "lie_algebra dim"),
                                       structure, lie_spec.get("label", ""))
         except (KeyError, TypeError, IndexError) as exc:
@@ -104,7 +116,8 @@ class Scene:
                 raise SceneError(
                     f"poisson_matrix must be {self.base_dim}x{self.base_dim} "
                     f"for a {self.base_dim}-dimensional base")
-            matrix = [[Fraction(str(v)) for v in row] for row in matrix]
+            matrix = [[_rational(v, "poisson_matrix entry") for v in row]
+                      for row in matrix]
         self.poisson_matrix = matrix
         self.order = _at_least(data.get("truncation_order", 4), 0, "truncation order",
                                MAX_ORDER)
@@ -119,8 +132,10 @@ class Scene:
             raise SceneError("suites must be a JSON list of suite names, got "
                              f"{_json_type(self.suites)}")
         self.weights = _object(data.get("weights", {}), "weights")
-        for name, spec in self.weights.items():
-            _object(spec, f"weight {name!r}")
+        self.exponents = {
+            name: _rational(_object(spec, f"weight {name!r}").get("exponent", 1),
+                            f"weight {name!r} exponent")
+            for name, spec in self.weights.items()}
         self.star_product = data.get("star_product", "total")
         self.label = data.get("label", self.lie.label)
 
@@ -143,7 +158,7 @@ class Scene:
         if kind == "lebesgue":
             return lebesgue_weight(model)
         if kind == "gaussian":
-            return gaussian_base_weight(model, Fraction(str(spec.get("exponent", 1))))
+            return gaussian_base_weight(model, self.exponents[name])
         raise SceneError(f"unknown weight kind {kind!r}")
 
     def context(self, model: ModelSpace) -> SuiteContext:

@@ -55,6 +55,9 @@ class LieAlgebraData:
             for a in range(self.dim)
         )
         self.nilpotency_class = self._nilpotency_class()
+        # starprod's memoised PBW tables; they depend on the structure
+        # constants only, so every model over this algebra shares them
+        self.pbw_tables: dict = {}
 
     def c(self, a, b, k) -> Fraction:
         return self.structure.get((a, b, k), Fraction(0))

@@ -6,7 +6,11 @@ moyal_table; moyal and the one-sided multiplication operators of involution
 apply that table to Func.partials on term dicts.  The cotangent factor
 carries products built from one PBW word calculus: normal ordering of words
 in the generators with [J_a, J_b] = i lam C_ab^c J_c, symmetrized
-quantization of momentum polynomials and its inverse.  On group models the
+quantization of momentum polynomials and its inverse.  All three are linear
+over the coefficients, so each reads a memoised table of rationals that
+depends on the structure constants only (_normal_order, _sym_table,
+_inverse_table, cached in LieAlgebraData.pbw_tables) and does one Func
+operation per output word.  On group models the
 words are left-invariant derivatives, group fields act on the
 coefficients, and the calculus gives the standard-ordered product; its
 Hermitian normalization conjugates with the exponential N of the momentum
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 from operator import add
 
 from .diffop import DiffOperator
@@ -100,6 +104,9 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
 # ---------------------------------------------------------------------------
 
 
+_ONE = GaussRational(1)
+
+
 def _mul_ilam(f: Func, times: int = 1) -> Func:
     """Multiply by (i lam)^times."""
     if times == 0:
@@ -143,22 +150,21 @@ class SymbolOp:
 
     def _add_normal_ordered(self, word, coeff):
         """Insert c * F^{|w|} L_w, reordering out-of-order words."""
+        self._add_table(_normal_order(self.model.lie, word), len(word), coeff)
+
+    def _add_table(self, table, length, coeff):
+        """Insert sum_v r_v F^{length - |v|} c * F^{|v|} L_v for a table
+        {v: r_v}; the F-shift of c is built once per length difference."""
         if coeff.is_zero():
             return
-        for k in range(len(word) - 1):
-            a, b = word[k], word[k + 1]
-            if a > b:
-                swapped = word[:k] + (b, a) + word[k + 2:]
-                self._add_normal_ordered(swapped, coeff)
-                for c in range(self.model.lie.dim):
-                    v = self.model.lie.c(a, b, c)
-                    if v:
-                        shorter = word[:k] + (c,) + word[k + 2:]
-                        self._add_normal_ordered(
-                            shorter, self._factor(coeff) * GaussRational(v)
-                        )
-                return
-        self._add_term(word, coeff)
+        shifted = {}
+        for v, r in table.items():
+            k = length - len(v)
+            c = shifted.get(k)
+            if c is None:
+                c = shifted[k] = self._factor(coeff, k)
+            if not c.is_zero():
+                self._add_term(v, c if r == _ONE else c * r)
 
     def _new(self, terms=None) -> "SymbolOp":
         return SymbolOp(self.model, terms, self.lam_weighted)
@@ -241,12 +247,79 @@ def pbw_words(dim: int, cap: int) -> list:
     return words
 
 
+def _add_scaled(into: dict, table: dict, s) -> None:
+    """into += s * table over word keys, dropping cancelled entries."""
+    for v, r in table.items():
+        t = into[v] + r * s if v in into else r * s
+        if t.is_zero():
+            into.pop(v, None)
+        else:
+            into[v] = t
+
+
+def _normal_order(lie, word: tuple) -> dict:
+    """{sorted v: r_v} with F^{|w|} L_w = sum_v r_v F^{|w|-|v|} F^{|v|} L_v.
+
+    The first descent of the word is swapped, and its bracket
+    [L_a, L_b] = C_ab^c L_c gives one shorter word per structure constant;
+    the rationals r_v depend on the structure constants only."""
+    key = ("order", word)
+    table = lie.pbw_tables.get(key)
+    if table is None:
+        k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
+        if k is None:
+            table = {word: _ONE}
+        else:
+            a, b = word[k], word[k + 1]
+            table = dict(_normal_order(lie, word[:k] + (b, a) + word[k + 2:]))
+            for c in range(lie.dim):
+                v = lie.c(a, b, c)
+                if v:
+                    _add_scaled(table, _normal_order(lie, word[:k] + (c,) + word[k + 2:]), v)
+        lie.pbw_tables[key] = table
+    return table
+
+
+def _sym_table(lie, multi: tuple) -> dict:
+    """The normal-ordered sum of the distinct arrangements of a sorted word
+    alpha, divided by |alpha|!.  _symmetrize(J^alpha) is alpha! times this
+    table, alpha! the product of the factorials of the letter
+    multiplicities, so its leading entry alpha is 1/alpha!."""
+    key = ("sym", multi)
+    table = lie.pbw_tables.get(key)
+    if table is None:
+        table = {}
+        weight = GaussRational(Fraction(1, factorial(len(multi))))
+        for arrangement in dict.fromkeys(permutations(multi)):
+            _add_scaled(table, _normal_order(lie, arrangement), weight)
+        lie.pbw_tables[key] = table
+    return table
+
+
+def _inverse_table(lie, word: tuple) -> dict:
+    """{sorted beta: t_beta} with
+    _symmetrize(sum_beta t_beta F^{|w|-|beta|} J^beta) = F^{|w|} L_w.
+
+    _symmetrize(J^w) is F^{|w|} L_w plus shorter words, so the table is
+    the triangular inverse of _sym_table."""
+    key = ("inverse", word)
+    table = lie.pbw_tables.get(key)
+    if table is None:
+        table = {word: _ONE}
+        mult = prod(factorial(word.count(a)) for a in set(word))
+        for v, s in _sym_table(lie, word).items():
+            if v != word:
+                _add_scaled(table, _inverse_table(lie, v), -s * mult)
+        lie.pbw_tables[key] = table
+    return table
+
+
 def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
     """Symmetrized quantization of a momentum-polynomial symbol.
 
-    The symmetrized derivative expansion lands every momentum monomial on a
-    sum over its distinct arrangements, which the normal ordering folds back
-    into the PBW basis.
+    Each sorted multi-index alpha inserts g = d^alpha f at J = 0, which is
+    alpha! times the coefficient of J^alpha, through _sym_table(alpha), in
+    one Func operation per output word.
     """
     op = SymbolOp(model)
     jnames = model.momentum_names
@@ -256,17 +329,7 @@ def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
         for a in multi:
             g = g.diff(jnames[a])
         g = g.set_zero(jnames)
-        if g.is_zero():
-            continue
-        r = len(multi)
-        seen = set()
-        for arrangement in permutations(multi):
-            if arrangement in seen:
-                continue
-            seen.add(arrangement)
-            op._add_normal_ordered(
-                arrangement, g * GaussRational(Fraction(1, factorial(r)))
-            )
+        op._add_table(_sym_table(model.lie, multi), len(multi), g)
     return op
 
 
@@ -279,28 +342,26 @@ def stdrep(model: ModelSpace, f: Func) -> SymbolOp:
 
 
 def _dequantize(model: ModelSpace, op: SymbolOp) -> Func:
-    """Invert _symmetrize on a PBW-sorted operator."""
-    jnames = model.momentum_names
-    residue = SymbolOp(model, dict(op.terms))
-    total = None
-    while residue.terms:
-        length = max(len(w) for w in residue.terms)
-        layer = {w: c for w, c in residue.terms.items() if len(w) == length}
-        if length == 0:
-            piece = layer[()]
-            total = piece if total is None else total + piece
-            break
-        piece = None
-        for w, c in layer.items():
-            mono = Func.one(model.gens, model.order)
-            for a in w:
-                mono = mono * Func.var(model.gens, jnames[a], model.order)
-            contrib = c * mono
-            piece = contrib if piece is None else piece + contrib
-        total = piece if total is None else total + piece
-        residue = residue - _symmetrize(model, piece)
-    if total is None:
-        total = Func.zero(model.gens, model.order)
+    """Invert _symmetrize on a PBW-sorted operator: each stored c_w L_w
+    reads its momentum polynomial sum_beta t_beta F^{|w|-|beta|} c_w J^beta
+    from _inverse_table(w)."""
+    gens, order = model.gens, model.order
+    jidx = [gens.index(n) for n in model.momentum_names]
+    total = Func.zero(gens, order)
+    for w, c in op.terms.items():
+        shifted = {}
+        for beta, t in _inverse_table(model.lie, w).items():
+            k = len(w) - len(beta)
+            ck = shifted.get(k)
+            if ck is None:
+                ck = shifted[k] = _mul_ilam(c, k)
+            if ck.is_zero():
+                continue
+            expo = [0] * len(gens)
+            for a in beta:
+                expo[jidx[a]] += 1
+            mono = Func.from_poly(Poly._trusted(gens, {tuple(expo): t}), order)
+            total = total + ck * mono
     return total
 
 

@@ -122,6 +122,26 @@ class TestMalformedScenes:
         ({"seed": [1]}, [], "seed must be an integer, got list"),
         ({"truncation_order": [1]}, [], "truncation order must be an integer, got list"),
         ({"trials": None}, [], "trials must be an integer, got null"),
+        ({"lie_algebra": {"dim": 2, "structure_constants": [[1, 2, 2, "1/0"],
+                                                             [2, 1, 2, "-1"]]}}, [],
+         "structure constant must be a rational number, got '1/0'"),
+        ({"lie_algebra": {"dim": 2, "structure_constants": [[1, 2, 2, True],
+                                                             [2, 1, 2, "-1"]]}}, [],
+         "structure constant must be a rational number, got bool"),
+        ({"base": {"dim": 2, "poisson_matrix": [[0, "1/0"], [-1, 0]]}}, [],
+         "poisson_matrix entry must be a rational number, got '1/0'"),
+        ({"base": {"dim": 2, "poisson_matrix": [[0, None], [-1, 0]]}}, [],
+         "poisson_matrix entry must be a rational number, got null"),
+        ({"weights": {"gaussian": {"exponent": "1/0"}}}, [],
+         "weight 'gaussian' exponent must be a rational number, got '1/0'"),
+        ({"weights": {"wide": {"kind": "gaussian", "exponent": [2]}}}, [],
+         "weight 'wide' exponent must be a rational number, got list"),
+        ({"lie_algebra": {"dim": 2, "structure_constants": [[1.5, 2, 2, "1"],
+                                                             [2, 1, 2, "-1"]]}}, [],
+         "structure constant index must be an integer, got float"),
+        ({"lie_algebra": {"dim": 2, "structure_constants": [[True, 2, 2, "1"],
+                                                             [2, 1, 2, "-1"]]}}, [],
+         "structure constant index must be an integer, got bool"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
             "negative_degree_cap", "negative_degree_cap_override",
@@ -130,7 +150,10 @@ class TestMalformedScenes:
             "zero_order_override", "degree_caps_not_object", "base_not_object",
             "lie_algebra_not_object", "weights_not_object",
             "weight_spec_not_object", "suites_not_list", "seed_not_integer",
-            "order_not_integer", "trials_null"])
+            "order_not_integer", "trials_null", "structure_zero_denominator",
+            "structure_bool", "poisson_zero_denominator", "poisson_null",
+            "weight_exponent_zero_denominator", "weight_exponent_list",
+            "structure_index_float", "structure_index_bool"])
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []

@@ -9,8 +9,11 @@ folded onto one word calculus and one resolvent.  The full abelian_r report
 suite were recorded before the involution and Morita helpers were merged
 and `deformed_homotopy` moved to the term-by-term resolvent.  The
 heisenberg Morita suite was recorded before the comparison operator's
-solve moved from dense coefficient vectors to sparse equations.  A refactor
-of that code must leave every byte of these reports unchanged.
+solve moved from dense coefficient vectors to sparse equations.  The full
+sl(2) and so(3) reports, the first non-solvable and the first compact
+structure group, were recorded while the PBW word calculus still reordered
+every word recursively per coefficient, before it read memoised tables.  A
+refactor of that code must leave every byte of these reports unchanged.
 """
 
 import hashlib
@@ -37,6 +40,10 @@ GOLDEN = {
         "beefa0951549659e8b61bbba907ebdcdb224c2823171f76c0ae9857fb7ecebe1",
     ("morita", "heisenberg"):
         "ee15b603f711f23706fb9502b87a0b5abeef253a4428dbf29b435705dbafd0d4",
+    ("all", "sl2"):
+        "acda0264969f15e26da347a5243f3978287708e7c38989f4cc6862279a5307f2",
+    ("all", "so3"):
+        "fec15ce6e71a36b49d060dbfdb5fc981d01a664fa200bcc9bceacbaf09c980a2",
 }
 
 

@@ -6,7 +6,10 @@ the construction the merged code must reproduce exactly (equal values and
 equal repr):
 
 - a second PBW word algebra with its own symmetrization and inverse, which
-  gave Gutt's symmetrization product on momentum-level models;
+  gave Gutt's symmetrization product on momentum-level models; its
+  per-coefficient recursive normal ordering and its residue-loop inverse
+  (the former _dequantize) are also the references for the memoised
+  normal-ordering, symmetrization and inverse tables;
 - the resolvent of koszul as the Neumann iteration y <- f - P(y), which
   applies P = (qk_1 - k_1) h_0 to the whole partial sum;
 - the deformed homotopy h^kappa_k by the same partial-sum iteration
@@ -43,7 +46,7 @@ import pytest
 import redstar
 from redstar.diffop import DiffOperator
 from redstar.funcs import Func
-from redstar.geometry import ModelSpace, abelian_lie, aff1, heisenberg3
+from redstar.geometry import LieAlgebraData, ModelSpace, abelian_lie, aff1, heisenberg3
 from redstar.involution import (
     conj_transport,
     mult_operator,
@@ -65,7 +68,19 @@ from redstar.morita import fullness_element, inner_product_red
 from redstar.poly import Poly, _diff_terms, _mul_into
 from redstar.scalars import GaussRational, I as IMAG
 from redstar.series import LambdaSeries
-from redstar.starprod import _mul_ilam, moyal, moyal_table, star_G
+from redstar.starprod import (
+    SymbolOp,
+    _dequantize,
+    _inverse_table,
+    _mul_ilam,
+    _normal_order,
+    _sym_table,
+    _symmetrize,
+    moyal,
+    moyal_table,
+    pbw_words,
+    star_G,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +170,8 @@ def ref_symmetrize(model, f):
 
 
 def ref_unsymmetrize(model, u):
+    """The residue loop: peel off the longest words as a momentum
+    polynomial and subtract its symmetrization, until nothing is left."""
     jnames = model.momentum_names
     residue = RefUElement(model, dict(u.terms))
     total = Func.zero(model.gens, model.order)
@@ -396,6 +413,138 @@ def test_reference_sees_the_commutator():
     ref = ref_gutt(m, j1, j2) - ref_gutt(m, j2, j1)
     assert not ref.is_zero()
     assert_same(star_G(m, j1, j2) - star_G(m, j2, j1), ref)
+
+
+# ---------------------------------------------------------------------------
+# the memoised PBW tables against the recursion and the residue loop
+# ---------------------------------------------------------------------------
+
+
+def sl2():
+    """[e1, e2] = 2 e2, [e1, e3] = -2 e3, [e2, e3] = e1."""
+    return LieAlgebraData(3, {(0, 1, 1): 2, (1, 0, 1): -2, (0, 2, 2): -2,
+                              (2, 0, 2): 2, (1, 2, 0): 1, (2, 1, 0): -1}, "sl2")
+
+
+def so3():
+    """[e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2."""
+    return LieAlgebraData(3, {(0, 1, 2): 1, (1, 0, 2): -1, (1, 2, 0): 1,
+                              (2, 1, 0): -1, (2, 0, 1): 1, (0, 2, 1): -1}, "so3")
+
+
+PBW_MODELS = {
+    "heis3": lambda: ModelSpace(heisenberg3(), 2, 3, group_level=False),
+    "heis3_group": lambda: ModelSpace(heisenberg3(), 2, 3),
+    "aff1": lambda: ModelSpace(aff1(), 2, 3),
+    "sl2": lambda: ModelSpace(sl2(), 2, 3),
+    "so3": lambda: ModelSpace(so3(), 2, 3),
+}
+
+
+def assert_same_terms(got, expect):
+    """Equal word sets and equal coefficients; the insertion order of the
+    words may differ where a word cancels and comes back."""
+    assert set(got) == set(expect)
+    for w in expect:
+        assert_same(got[w], expect[w])
+
+
+def symbol_inputs(m, seed):
+    """Momentum polynomials: plain, lam-shifted, enveloped in a base
+    coordinate, pi-graded, the repeated letters J2^2 and J2^4, and zero."""
+    rng = random.Random(seed)
+    base = m.base_names
+    j1, j2 = (m.var(n) for n in m.momentum_names[:2])
+    j22 = j2 * j2
+    return [
+        rand_poly(rng, m, m.gens, 3),
+        rand_poly(rng, m, m.gens, 2) + lam_shifted(rand_poly(rng, m, m.gens, 3), 1),
+        (rand_poly(rng, m, base, 2) * j22 * j1).with_profile({base[0]: Fraction(1, 2)}),
+        (j22 * rand_poly(rng, m, m.gens, 2) + lam_shifted(j2, 2)).with_pi4(3),
+        j22 * j22 + j1 * j22,
+        m.zero(),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(PBW_MODELS))
+def test_normal_order_matches_recursion(name):
+    """Every word up to length 4, sorted or not: the table read by
+    _add_normal_ordered gives the recursion's terms, on the coefficient one
+    and on a lam-shifted, enveloped, pi-graded coefficient."""
+    m = PBW_MODELS[name]()
+    lie = m.lie
+    rng = random.Random(13)
+    coeffs = [m.one(),
+              lam_shifted(rand_poly(rng, m, m.base_names, 2), 1)
+              .with_profile({m.base_names[1]: Fraction(1, 3)}).with_pi4(-2)]
+    brackets = 0
+    for n in range(5):
+        for word in product(range(lie.dim), repeat=n):
+            table = _normal_order(lie, word)
+            assert all(list(v) == sorted(v) for v in table)
+            ref = RefUElement(m)
+            ref._add_normal_ordered(word, m.one())
+            assert set(table) == set(ref.terms)
+            for v, r in table.items():
+                k = len(word) - len(v)
+                assert_same(ref.terms[v], _mul_ilam(m.one(), k) * r)
+            brackets += any(len(v) < n for v in table)
+            for c in coeffs[1:]:
+                got = SymbolOp(m)
+                got._add_normal_ordered(word, c)
+                ref = RefUElement(m)
+                ref._add_normal_ordered(word, c)
+                assert_same_terms(got.terms, ref.terms)
+    assert brackets > 0
+    assert _normal_order(lie, (1, 0)) is lie.pbw_tables[("order", (1, 0))]
+
+
+@pytest.mark.parametrize("name", sorted(PBW_MODELS))
+def test_symmetrize_matches_reference(name):
+    m = PBW_MODELS[name]()
+    for f in symbol_inputs(m, 29):
+        assert_same_terms(_symmetrize(m, f).terms, ref_symmetrize(m, f).terms)
+
+
+@pytest.mark.parametrize("name", sorted(PBW_MODELS))
+def test_dequantize_matches_residue_loop(name):
+    """The inverse table against the residue loop, on symmetrized symbols,
+    on their products and on operators with arbitrary coefficients; and the
+    round trip _dequantize(_symmetrize(f)) == f."""
+    m = PBW_MODELS[name]()
+    rng = random.Random(31)
+    fs = symbol_inputs(m, 37)
+    ops = [_symmetrize(m, f) for f in fs]
+    ops += [ops[k].compose(ops[k + 1]) for k in range(0, len(ops) - 1, 2)]
+    words = pbw_words(m.lie.dim, 3)
+    fiber = m.base_names + m.group_names
+    ops.append(SymbolOp(m, {w: lam_shifted(rand_poly(rng, m, fiber, 2), len(w) % 2)
+                            for w in rng.sample(words, 8)}))
+    ops.append(SymbolOp(m, {w: rand_poly(rng, m, m.base_names, 1)
+                            .with_profile({m.base_names[0]: 1}).with_pi4(5)
+                            for w in [(1, 1), (0, 1, 1), (2, 2, 2), (0,), ()]
+                            if max(w, default=0) < m.lie.dim}))
+    for op in ops:
+        assert_same(_dequantize(m, op), ref_unsymmetrize(m, op))
+    for f in fs:
+        assert_same(_dequantize(m, _symmetrize(m, f)), f)
+
+
+def test_symmetrize_weights_repeated_letters():
+    """_symmetrize(J^alpha) is alpha! times _sym_table(alpha), whose leading
+    entry is 1/alpha!; the inverse table starts with the word itself."""
+    m = PBW_MODELS["sl2"]()
+    for alpha, mult in (((1, 1), 2), ((0, 1, 1), 2), ((1, 1, 1), 6), ((0, 1, 2), 1)):
+        table = _sym_table(m.lie, alpha)
+        assert table[alpha] * mult == 1
+        assert next(iter(_inverse_table(m.lie, alpha).items())) == (alpha, 1)
+        mono = m.one()
+        for a in alpha:
+            mono = mono * m.momentum(a)
+        expect = SymbolOp(m)
+        expect._add_table(table, len(alpha), m.one() * mult)
+        assert_same_terms(_symmetrize(m, mono).terms, expect.terms)
+    assert len(_sym_table(m.lie, (0, 1, 2))) > 1  # brackets reach shorter words
 
 
 # ---------------------------------------------------------------------------
