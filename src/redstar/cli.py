@@ -132,10 +132,14 @@ class Scene:
             raise SceneError("suites must be a JSON list of suite names, got "
                              f"{_json_type(self.suites)}")
         self.weights = _object(data.get("weights", {}), "weights")
-        self.exponents = {
-            name: _rational(_object(spec, f"weight {name!r}").get("exponent", 1),
-                            f"weight {name!r} exponent")
-            for name, spec in self.weights.items()}
+        self.exponents = {}
+        for name, spec in self.weights.items():
+            spec = _object(spec, f"weight {name!r}")
+            kind = spec.get("kind", "gaussian")
+            if kind not in ("gaussian", "lebesgue"):
+                raise SceneError(f"unknown weight kind {kind!r} for weight {name!r}")
+            self.exponents[name] = _rational(spec.get("exponent", 1),
+                                             f"weight {name!r} exponent")
         self.star_product = data.get("star_product", "total")
         self.label = data.get("label", self.lie.label)
 
@@ -154,12 +158,9 @@ class Scene:
             if name == "gaussian":
                 return gaussian_base_weight(model, 1)
             raise SceneError(f"unknown weight {name!r}")
-        kind = spec.get("kind", "gaussian")
-        if kind == "lebesgue":
+        if spec.get("kind", "gaussian") == "lebesgue":
             return lebesgue_weight(model)
-        if kind == "gaussian":
-            return gaussian_base_weight(model, self.exponents[name])
-        raise SceneError(f"unknown weight kind {kind!r}")
+        return gaussian_base_weight(model, self.exponents[name])
 
     def context(self, model: ModelSpace) -> SuiteContext:
         return SuiteContext(model, seed=self.seed, trials=self.trials,

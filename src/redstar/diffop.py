@@ -9,7 +9,11 @@ GaussRational}, one per lam order, with the kernels of poly, and build each
 output Poly, LambdaSeries and Func once, at the end.  Application reads
 partial^d f from the input's Func.partials cache, envelope terms included.
 Composition differentiates the right factor's coefficients by the Leibniz
-remainder monomial by monomial.
+remainder monomial by monomial.  The formal adjoint moves the twisted
+partials T_i = partial_i - 2 a_i x_i of the weight's envelope past each
+coefficient by the same rule, T^d M_g = sum_k C(d, k) M_{partial^{d-k} g} T^k,
+against the powers T^k composed once per call, so that each entry costs
+term-dict products and no composition of its own.
 """
 
 from __future__ import annotations
@@ -198,40 +202,80 @@ class DiffOperator:
     def formal_adjoint(self, weight: Func) -> "DiffOperator":
         """Adjoint with respect to <phi, psi> = integral of conj(phi) psi weight.
 
-        The weight is a real Func: a prefactor series whose leading term is
-        an invertible constant, times a Gaussian envelope, so that the
-        adjoint stays inside polynomial-coefficient operators.
+        The weight is a real Func: a prefactor series rho whose leading term
+        is an invertible constant, times a Gaussian envelope
+        exp(-sum_i a_i x_i^2), so that the adjoint stays inside
+        polynomial-coefficient operators.  Integration by parts gives
+
+            D^+ = rho^-1 sum_{r,d} lam^r (-1)^|d| T^d M_g,  g = conj(c_{r,d}) rho,
+
+        with the twisted partials T_i = partial_i - 2 a_i x_i.  They commute
+        and [T_i, M_g] = M_{partial_i g}, so the Leibniz rule
+
+            T^d M_g = sum_{k <= d} C(d, k) M_{partial^{d-k} g} T^k
+
+        puts every entry in normal form: partial^{d-k} g is taken monomial by
+        monomial and multiplied into the coefficients of T^k on term dicts.
+        Each power T^k is composed once per call, as T_i after T^{k-e_i}, and
+        rho^-1 is multiplied in once, at the end.
         """
         if weight != weight.conj():
             raise ValueError("adjoint requires a real weight")
-        rho = weight.series.extend(self.order)
-        rho_inv = series_inverse(rho)
-        gauss = weight.profile
-        out = DiffOperator.zero(self.gens, self.order)
+        gens, order = self.gens, self.order
+        rho = weight.series.extend(order)
+        rho_inv = [p.terms for p in series_inverse(rho).coeffs]
+        rho = [p.terms for p in rho.coeffs]
         twisted = {}
+        powers = {(0,) * len(gens): DiffOperator.identity(gens, order)}
 
-        def twisted_partial(i):
-            if i not in twisted:
-                name = self.gens[i]
-                op = DiffOperator.partial(self.gens, name, self.order)
-                a = gauss.get(name)
-                if a:
-                    op = op + DiffOperator.multiplication(
-                        Poly.var(self.gens, name) * GaussRational(-2 * a), self.order
-                    )
-                twisted[i] = op
-            return twisted[i]
+        def power(k):
+            if k not in powers:
+                i = next(i for i, ki in enumerate(k) if ki)
+                if i not in twisted:
+                    name = gens[i]
+                    op = DiffOperator.partial(gens, name, order)
+                    a = weight.profile.get(name)
+                    if a:
+                        op = op + DiffOperator.multiplication(
+                            Poly.var(gens, name) * GaussRational(-2 * a), order)
+                    twisted[i] = op
+                lower = k[:i] + (k[i] - 1,) + k[i + 1:]
+                powers[k] = twisted[i].compose(power(lower))
+            return powers[k]
 
+        acc = [{} for _ in range(order + 1)]
         for r, table in enumerate(self.tables):
             for d, c in table.items():
-                sign = GaussRational(-1 if sum(d) % 2 else 1)
-                term = DiffOperator.multiplication(c.conj() * sign, self.order)
-                term = term.series_multiply(rho)
-                for i, k in enumerate(d):
-                    for _ in range(k):
-                        term = twisted_partial(i).compose(term)
-                out = out + term.lam_shift(r)
-        return out.series_multiply(rho_inv)
+                cbar = c.conj().terms
+                g = []
+                for rs in rho[: order + 1 - r]:
+                    gs = {}
+                    _mul_into(gs, cbar, rs)
+                    g.append(gs)
+                sign = -1 if sum(d) % 2 else 1
+                for k, binom in _leibniz_splits(d):
+                    rest = tuple(map(sub, d, k))
+                    factor = sign * binom
+                    tables_k = power(k).tables
+                    for s, gs in enumerate(g):
+                        left = _diff_monomials(gs, rest)
+                        if not left:
+                            continue
+                        if factor != 1:
+                            left = {e: _scale(v, factor) for e, v in left.items()}
+                        for t, tab in enumerate(tables_k[: order + 1 - r - s]):
+                            tgt = acc[r + s + t]
+                            for e, p in tab.items():
+                                _mul_into(tgt.setdefault(e, {}), left, p.terms)
+        tabs = [{} for _ in range(order + 1)]
+        for r1, inv in enumerate(rho_inv):
+            for r2, tab in enumerate(acc[: order + 1 - r1]):
+                tgt = tabs[r1 + r2]
+                for e, terms in tab.items():
+                    _mul_into(tgt.setdefault(e, {}), inv, terms)
+        tabs = [{e: Poly._trusted_sums(gens, t) for e, t in tab.items()}
+                for tab in tabs]
+        return DiffOperator(gens, order, tabs)
 
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):

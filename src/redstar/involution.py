@@ -209,14 +209,26 @@ def _transpose_at_one(model: ModelSpace, op: DiffOperator, omega: Func) -> Func:
 
 
 def reduced_involution(model: ModelSpace, u: Func, omega: Func) -> Func:
-    """The unique u* adjoint to right multiplication by u for the weight."""
+    """The unique u* adjoint to right multiplication by u for the weight.
+
+    v = conj(u*) solves T(L_v) = T(R_u) for T(D) = D^T(1), order by order:
+    the order-r coefficient of the defect is the step delta_r = lam^r v_r.
+    T is additive in v, so T(L_v) is kept as a running sum and each nonzero
+    step below the top order adds T(L_{delta_r}), the transpose of a
+    one-coefficient operator, instead of transposing L_v anew.
+    """
     if not omega.series.coeffs[0].is_constant():
         raise ValueError("weight is outside the supported class for the involution")
     target = _transpose_at_one(model, mult_operator(model, u), omega)
-    v = model.zero()
+    v = current = model.zero()
     for r in range(model.order + 1):
-        current = _transpose_at_one(model, mult_operator(model, v, right=False), omega)
-        v = v + (target - current).coeff(r).shift(r)
+        step = (target - current).coeff(r).shift(r)
+        if step.is_zero():
+            continue
+        v = v + step
+        if r < model.order:
+            current = current + _transpose_at_one(
+                model, mult_operator(model, step, right=False), omega)
     return v.conj()
 
 

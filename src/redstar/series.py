@@ -172,14 +172,25 @@ def series_inverse(a: LambdaSeries, mul=None) -> LambdaSeries:
     """Multiplicative inverse with respect to mul (default: pointwise).
 
     Requires the order-zero coefficient to be an invertible constant.  The
-    result satisfies mul(a, inv) == 1 exactly modulo lam^(K+1).
+    result satisfies mul(a, inv) == 1 exactly modulo lam^(K+1).  The
+    pointwise inverse comes from the Cauchy recursion
+    v_r = -c0^-1 sum_{j>=1} a_j v_{r-j}, one new coefficient per order; a
+    supplied mul is corrected order by order against the defect 1 - mul(a, v).
     """
-    if mul is None:
-        mul = LambdaSeries.__mul__
     c0 = _leading_constant(a)
     if c0.is_zero():
         raise ZeroDivisionError("leading term is zero; series is not invertible")
     c0inv = c0.inverse()
+    if mul is None:
+        minus = -c0inv
+        coeffs = [a.ring_zero() + c0inv]
+        for r in range(1, a.order + 1):
+            acc = a.ring_zero()
+            for j in range(1, r + 1):
+                if not a.coeffs[j].is_zero():
+                    acc = acc + a.coeffs[j] * coeffs[r - j]
+            coeffs.append(acc * minus)
+        return LambdaSeries(coeffs, a.order)
     one = a.zero_like() + GaussRational(1)
     v = a.zero_like() + c0inv
     for r in range(1, a.order + 1):

@@ -142,6 +142,8 @@ class TestMalformedScenes:
         ({"lie_algebra": {"dim": 2, "structure_constants": [[True, 2, 2, "1"],
                                                              [2, 1, 2, "-1"]]}}, [],
          "structure constant index must be an integer, got bool"),
+        ({"weights": {"w": {"kind": "bogus"}}}, [],
+         "unknown weight kind 'bogus' for weight 'w'"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
             "negative_degree_cap", "negative_degree_cap_override",
@@ -153,7 +155,8 @@ class TestMalformedScenes:
             "order_not_integer", "trials_null", "structure_zero_denominator",
             "structure_bool", "poisson_zero_denominator", "poisson_null",
             "weight_exponent_zero_denominator", "weight_exponent_list",
-            "structure_index_float", "structure_index_bool"])
+            "structure_index_float", "structure_index_bool",
+            "weight_kind_unknown"])
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []
@@ -208,6 +211,17 @@ class TestMalformedScenes:
         assert captured.out == ""
         assert captured.err == ("configuration error: weight 'gaussian' must be "
                                 "a JSON object, got str\n")
+
+    def test_involve_rejects_weight_kind(self, tmp_path, capsys):
+        """An unknown kind is rejected at load, even for a weight not asked for."""
+        path = write_scene(tmp_path, {**HEIS_SCENE, "weights": {"w": {"kind": "bogus"}}})
+        for weight in ("w", "gaussian"):
+            assert main(["involve", "--scene", path, "--input", "q",
+                         "--weight", weight]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("configuration error: unknown weight kind "
+                                    "'bogus' for weight 'w'\n")
 
     def test_operator_basis_key_still_loads(self, tmp_path):
         data = dict(HEIS_SCENE)

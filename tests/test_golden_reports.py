@@ -14,6 +14,13 @@ sl(2) and so(3) reports, the first non-solvable and the first compact
 structure group, were recorded while the PBW word calculus still reordered
 every word recursively per coefficient, before it read memoised tables.  A
 refactor of that code must leave every byte of these reports unchanged.
+
+The involve digests are the sha256 of the standard output of `redstar
+involve` for a degree-4 input on heisenberg at order 4 and for an input on
+the affine line.  They were recorded while the formal adjoint still composed
+a chain of twisted partials per entry, series_inverse recomputed the whole
+product at every order and the involution transposed the full left
+multiplication operator at every step.
 """
 
 import hashlib
@@ -56,3 +63,22 @@ def test_report_digest(tmp_path, suite, scene):
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN[(suite, scene)]
+
+
+INVOLVE_GOLDEN = {
+    ("heisenberg", "q^4 + 2*i*q^2*p - 3*p^3*q + p", "4"):
+        "d4e82a59abb608ad2c9a17685d4cced98853e4d1a6139c0c98a8824a8ac74a75",
+    ("affine_line", "q^3*p - 2*i*p^2 + q", None):
+        "ed70bf1ef8aa1b93b2d91ece108c5626e9e3c8a2c4ed21d84d439bf1989e8994",
+}
+
+
+@pytest.mark.parametrize("scene,expr,order", sorted(INVOLVE_GOLDEN, key=str),
+                         ids=[s for s, _, _ in sorted(INVOLVE_GOLDEN, key=str)])
+def test_involve_digest(capsys, scene, expr, order):
+    argv = ["involve", "--scene", str(SCENES / f"{scene}.json"), "--input", expr]
+    if order is not None:
+        argv += ["--order", order]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == INVOLVE_GOLDEN[(scene, expr, order)]

@@ -21,6 +21,11 @@ equal repr):
 - the base product as a Func-level recursion over pair sequences, with the
   two-pass envelope-aware Func.diff and the loop Poly.__mul__ and Poly.diff
   beneath it;
+- the formal adjoint as one operator per entry, the weight's prefactor
+  multiplied in and each twisted partial composed on the left one at a
+  time; the pointwise series inverse corrected against the whole defect
+  at every order; the reduced involution transposing the left operator of
+  the whole partial sum at every step;
 - the lam-shift and coefficient slice rebuilt by hand around a Func's
   envelope and grade, the right action that stripped an inner product's
   pi-grade and added it back, and SuperObservable.scale_series;
@@ -46,10 +51,20 @@ import pytest
 import redstar
 from redstar.diffop import DiffOperator
 from redstar.funcs import Func
-from redstar.geometry import LieAlgebraData, ModelSpace, abelian_lie, aff1, heisenberg3
+from redstar.geometry import (
+    LieAlgebraData,
+    ModelSpace,
+    abelian_lie,
+    aff1,
+    density_weight,
+    gaussian_base_weight,
+    heisenberg3,
+    lebesgue_weight,
+)
 from redstar.involution import (
     conj_transport,
     mult_operator,
+    reduced_involution,
     transport,
     transport_inner,
 )
@@ -67,7 +82,7 @@ from redstar.koszul import (
 from redstar.morita import fullness_element, inner_product_red
 from redstar.poly import Poly, _diff_terms, _mul_into
 from redstar.scalars import GaussRational, I as IMAG
-from redstar.series import LambdaSeries
+from redstar.series import LambdaSeries, _leading_constant, series_inverse
 from redstar.starprod import (
     SymbolOp,
     _dequantize,
@@ -697,6 +712,192 @@ def test_mult_operator_matches_reference_pair(name):
             assert got == expect
             assert repr(got) == repr(expect)
             assert_same(got.apply(w), expect.apply(w))
+
+
+# ---------------------------------------------------------------------------
+# reference: the compose-chain adjoint, the defect-loop series inverse and the
+# involution loop that transposes the whole left operator at every step
+# ---------------------------------------------------------------------------
+
+
+def ref_formal_adjoint(op, weight):
+    """rho^-1 sum lam^r (-1)^|d| T^d M_{conj(c) rho}, with each entry an
+    operator of its own, T^d applied as a chain of |d| compositions."""
+    if weight != weight.conj():
+        raise ValueError("adjoint requires a real weight")
+    rho = weight.series.extend(op.order)
+    rho_inv = ref_series_inverse(rho)
+    gauss = weight.profile
+    out = DiffOperator.zero(op.gens, op.order)
+    twisted = {}
+
+    def twisted_partial(i):
+        if i not in twisted:
+            name = op.gens[i]
+            t = DiffOperator.partial(op.gens, name, op.order)
+            a = gauss.get(name)
+            if a:
+                t = t + DiffOperator.multiplication(
+                    Poly.var(op.gens, name) * GaussRational(-2 * a), op.order)
+            twisted[i] = t
+        return twisted[i]
+
+    for r, table in enumerate(op.tables):
+        for d, c in table.items():
+            sign = GaussRational(-1 if sum(d) % 2 else 1)
+            term = DiffOperator.multiplication(c.conj() * sign, op.order)
+            term = term.series_multiply(rho)
+            for i, k in enumerate(d):
+                for _ in range(k):
+                    term = twisted_partial(i).compose(term)
+            out = out + term.lam_shift(r)
+    return out.series_multiply(rho_inv)
+
+
+def ref_series_inverse(a):
+    """Each order corrected against the whole defect 1 - a v."""
+    c0inv = _leading_constant(a).inverse()
+    one = a.zero_like() + GaussRational(1)
+    v = a.zero_like() + c0inv
+    for r in range(1, a.order + 1):
+        defect = one - a * v
+        v = v + LambdaSeries.lam_power(defect.coeffs[r] * c0inv, r, a.order)
+    return v
+
+
+def ref_reduced_involution(model, u, omega):
+    """Every step transposes the left operator of the whole partial sum v."""
+
+    def transpose_at_one(op):
+        return ref_formal_adjoint(op, omega).apply(model.one()).conj()
+
+    target = transpose_at_one(mult_operator(model, u))
+    v = model.zero()
+    for r in range(model.order + 1):
+        current = transpose_at_one(mult_operator(model, v, right=False))
+        v = v + (target - current).coeff(r).shift(r)
+    return v.conj()
+
+
+def adjoint_weights(m):
+    """Gaussian in both base coordinates, a constant prefactor under an
+    envelope in one coordinate, the lam-dependent non-constant prefactor of
+    involution.comparison, a prefactor with a lam-dependent polynomial on
+    its own under a narrower envelope, and Lebesgue."""
+    q, p = (m.var(n) for n in m.base_names)
+    gauss = gaussian_base_weight(m, 1)
+    prefactor = LambdaSeries([Poly.constant(m.gens, 2), (q * p * p).series.coeffs[0]],
+                             m.order)
+    return {
+        "gaussian": gauss,
+        "envelope_one": (m.one() * 3).with_profile({m.base_names[1]: Fraction(2, 3)}),
+        "density_ratio": density_weight(gauss * (m.one() + (q * q).shift(1))),
+        "prefactor": gaussian_base_weight(m, Fraction(1, 2), prefactor),
+        "lebesgue": lebesgue_weight(m),
+    }
+
+
+def rand_operator(rng, m, top=4):
+    """Entries with |d| up to top over every coordinate, at every lam order."""
+    tables = [{} for _ in range(m.order + 1)]
+    for _ in range(6):
+        d = [0] * len(m.gens)
+        for _ in range(rng.randint(0, top)):
+            d[rng.randrange(len(m.gens))] += 1
+        r = rng.randint(0, m.order)
+        c = rand_poly(rng, m, m.gens, 2).series.coeffs[0]
+        tables[r][tuple(d)] = tables[r].get(tuple(d), Poly.zero(m.gens)) + c
+    return DiffOperator(m.gens, m.order, tables)
+
+
+ADJOINT_MODELS = {
+    "heis3": lambda: ModelSpace(heisenberg3(), 2, 3),
+    "aff1": lambda: ModelSpace(aff1(), 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_MODELS))
+def test_formal_adjoint_matches_compose_chain(name):
+    m = ADJOINT_MODELS[name]()
+    rng = random.Random(23)
+    q, p = m.base_names
+    ops = [DiffOperator.zero(m.gens, m.order),
+           DiffOperator.partial(m.gens, q, m.order).compose(
+               DiffOperator.partial(m.gens, p, m.order)).lam_shift(1)]
+    for _ in range(2):
+        u = rand_poly(rng, m, m.base_names, 3)
+        u = u + lam_shifted(rand_poly(rng, m, m.base_names, 2), 1)
+        ops += [mult_operator(m, u), mult_operator(m, u, right=False)]
+    ops += [rand_operator(rng, m) for _ in range(3)]
+    assert max(sum(d) for op in ops for t in op.tables for d in t) == 4
+    for label, w in adjoint_weights(m).items():
+        for op in ops:
+            got, expect = op.formal_adjoint(w), ref_formal_adjoint(op, w)
+            assert got == expect, label
+            assert repr(got) == repr(expect)
+
+
+def test_series_inverse_matches_defect_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    gens = ("q", "p")
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    scalars = st.builds(GaussRational, fractions, fractions)
+    units = scalars.filter(lambda c: not c.is_zero())
+    polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                            scalars, max_size=4).map(lambda t: Poly(gens, t))
+
+    @st.composite
+    def series(draw):
+        order = draw(st.integers(0, 5))
+        c0 = draw(units)
+        if draw(st.booleans()):
+            rest = draw(st.lists(scalars, min_size=order, max_size=order))
+            return LambdaSeries([c0] + rest, order)
+        rest = draw(st.lists(polys, min_size=order, max_size=order))
+        return LambdaSeries([Poly.constant(gens, c0)] + rest, order)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(series())
+    def check(a):
+        got = series_inverse(a)
+        assert got == ref_series_inverse(a)
+        assert repr(got) == repr(ref_series_inverse(a))
+        assert a * got == a.zero_like() + GaussRational(1)
+
+    check()
+    for a in (LambdaSeries([GaussRational(0), GaussRational(1)], 1),
+              LambdaSeries([Poly.zero(gens), Poly.var(gens, "q")], 1)):
+        with pytest.raises(ZeroDivisionError):
+            series_inverse(a)
+    with pytest.raises(ValueError):
+        series_inverse(LambdaSeries([Poly.var(gens, "q") + 1], 2))
+
+
+INVOLUTION_MODELS = {
+    "heis3_K3": lambda: ModelSpace(heisenberg3(), 2, 3),
+    "heis3_K4": lambda: ModelSpace(heisenberg3(), 2, 4),
+    "aff1": lambda: ModelSpace(aff1(), 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVOLUTION_MODELS))
+def test_reduced_involution_matches_full_recompute(name):
+    m = INVOLUTION_MODELS[name]()
+    rng = random.Random(29)
+    weights = adjoint_weights(m)
+    q, p = (m.var(n) for n in m.base_names)
+    us = [q * q * q * p - p * p * IMAG * 2 + q + rand_poly(rng, m, m.base_names, 3),
+          rand_poly(rng, m, m.base_names, 2)
+          + lam_shifted(rand_poly(rng, m, m.base_names, 2), 2),
+          m.one()]
+    for label in ("gaussian", "lebesgue", "density_ratio"):
+        for u in us:
+            got = reduced_involution(m, u, weights[label])
+            assert_same(got, ref_reduced_involution(m, u, weights[label]))
+    # the corrections reach the top order, so every step of the loop runs
+    top = reduced_involution(m, us[0], weights["density_ratio"]).series.coeffs[m.order]
+    assert not top.is_zero()
 
 
 # ---------------------------------------------------------------------------

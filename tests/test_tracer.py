@@ -4,7 +4,9 @@ perfbench/tracer.py wraps every traced layer by its module and qualified
 name and refuses references it cannot rebind, so renaming or moving a
 traced function, or holding one where rebinding cannot reach it, breaks the
 benchmark.  This test runs the install in a fresh interpreter so such a
-change fails the unit tests too.
+change fails the unit tests too.  One small traced involution also checks
+that the adjoint, composition and series-inverse layers, which the
+benchmark requires on every workload, still run beneath it.
 """
 
 import subprocess
@@ -19,7 +21,8 @@ sys.path[:0] = ["src", "perfbench"]
 import tracer
 import redstar
 from redstar import cli  # imports every redstar module
-from redstar.geometry import fiber_integral, ModelSpace, heisenberg3
+from redstar.geometry import (fiber_integral, gaussian_base_weight, ModelSpace,
+                              aff1, heisenberg3)
 
 t = tracer.Tracer()
 t.install()
@@ -27,9 +30,15 @@ m = ModelSpace(heisenberg3(), base_dim=2, order=1)
 phi = m.fiber_state(m.one())
 fiber_integral(m, phi * phi)  # by-name import in geometry
 redstar.gaussian_integrate(phi * phi, list(m.group_names))  # re-export
+a = ModelSpace(aff1(), base_dim=2, order=2)
+redstar.reduced_involution(a, a.var("q") * a.var("p"), gaussian_base_weight(a, 1))
 metrics = t.metrics()
 assert list(metrics) == tracer.metric_names(), "metric names changed"
 assert metrics["integrate.gaussian_integrate.calls"] == 2, metrics
+# the layers beneath the involution that the benchmark requires on every workload
+for name in ("diffop.DiffOperator.formal_adjoint.calls",
+             "diffop.DiffOperator.compose.calls", "series.series_inverse.calls"):
+    assert metrics[name] > 0, name
 print("installed")
 """
 
