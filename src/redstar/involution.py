@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from .diffop import DiffOperator
 from .funcs import Func
 from .geometry import ModelSpace, density_weight
-from .integrate import gaussian_integrate
+from .integrate import gaussian_integrate, gaussian_integrate_shifted
 from .koszul import (
     ReductionConfig,
     SuperObservable,
@@ -269,29 +270,52 @@ def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func,
                       cap: int = 4) -> Func:
     """Solve tau_{rho Omega}(u) = tau_Omega(rho_hat * u) on a monomial basis.
 
-    The order-by-order systems are Gram matrices of base monomials against
-    the order-zero weight, hence invertible; a cap that is too small to
-    carry the corrections raises an error.
+    rho_hat is sought on the base monomials of degree at most cap, which
+    must be at least the base degree of rho's lam coefficients; a smaller
+    cap cannot carry the corrections and raises an error.  The
+    order-by-order systems are Gram matrices of base monomials against the
+    order-zero weight, hence invertible.
+
+    tau_Omega is linear, so every Gram entry tau_Omega(x^a x^b) is a moment
+    of one integration pass over omega and every target tau_Omega(x^e rho)
+    of one pass over rho * omega.  moyal is bilinear, so the defect
+    tau_Omega(x^e rho) - tau_Omega(rho_hat * x^e) is kept as a running sum:
+    each nonzero step below the top order subtracts tau_Omega(step * x^e).
     """
     if not omega.profile:
         raise ValueError("the density-ratio solve needs a Gaussian base weight")
-    monos = [_monomial(model, model.base_names, e)
-             for e in _monomials(model.base_names, cap)]
-    gram = [{i: kms_functional(model, u * w, omega).coeffs[0].value
-             for i, u in enumerate(monos)} for w in monos]
+    idxs = [model.gens.index(n) for n in model.base_names]
+    degree = max((sum(expo[i] for i in idxs)
+                  for p in rho.series.coeffs for expo in p.terms), default=0)
+    if cap < degree:
+        raise ValueError(f"degree cap {cap} is below the base degree {degree} "
+                         "of the density ratio")
+    base = list(model.base_names)
+    exps = _monomials(base, cap)
+    monos = [_monomial(model, base, e) for e in exps]
+    memo = {}
+    sums = _monomials(base, 2 * cap)
+    moment = {e: f.scalar_series().coeffs[0].value for e, f in zip(
+        sums, gaussian_integrate_shifted(omega, base, sums, 0, memo))}
+    gram = [{i: moment[tuple(map(add, a, b))] for i, a in enumerate(exps)}
+            for b in exps]
+    defect = [f.scalar_series() for f in gaussian_integrate_shifted(
+        rho * omega, base, exps, model.order, memo)]
 
     rho_hat = model.zero()
     for r in range(model.order + 1):
-        rhs = {}
-        for i, u in enumerate(monos):
-            lhs = kms_functional(model, u * rho, omega)
-            cur = kms_functional(model, moyal(model, rho_hat, u), omega)
-            rhs[i] = (lhs - cur).coeffs[r].value
-        sol = solve_linear(gram, rhs)
+        sol = solve_linear(gram, {i: d.coeffs[r].value for i, d in enumerate(defect)})
         if sol is None:
-            raise ValueError("degree cap too small for the density-ratio solve")
+            raise ValueError("singular Gram system in the density-ratio solve")
+        step = model.zero()
         for val, mm in zip(sol, monos):
-            rho_hat = rho_hat + (mm * val).shift(r)
+            step = step + (mm * val).shift(r)
+        if step.is_zero():
+            continue
+        rho_hat = rho_hat + step
+        if r < model.order:
+            defect = [d - kms_functional(model, moyal(model, step, u), omega)
+                      for d, u in zip(defect, monos)]
     return rho_hat
 
 
@@ -431,6 +455,10 @@ def modular_inner_difference(model: ModelSpace, om1: Func,
     = cap + 2K, since the conjugator degree grows with the lam order, and
     both sides are compared coefficient by coefficient, for every basis
     monomial of degree at most cap and every lam order.
+
+    moyal commutes with lam^s, so the commutators ad_star(x^e) with the
+    basis are built once per unknown monomial x^e, and the column of the
+    unknown lam^s x^e is their lam^s shift.
     """
     unknown_cap = cap + 2 * model.order
     d1 = modular_class(model, om1, cap)["D"]
@@ -438,12 +466,12 @@ def modular_inner_difference(model: ModelSpace, om1: Func,
     basis = _monomials(model.base_names, cap)
     monos = [_monomial(model, model.base_names, e) for e in basis]
 
-    columns = []
-    for s in range(model.order):
-        for em in _monomials(model.base_names, unknown_cap):
-            w = _monomial(model, model.base_names, em).shift(s)
-            ads = [moyal(model, w, m) - moyal(model, m, w) for m in monos]
-            columns.append(poly_equations([c for ad in ads for c in ad.series.coeffs]))
+    ads = []
+    for em in _monomials(model.base_names, unknown_cap):
+        w = _monomial(model, model.base_names, em)
+        ads.append([moyal(model, w, m) - moyal(model, m, w) for m in monos])
+    columns = [poly_equations([c for ad in col for c in ad.shift(s).series.coeffs])
+               for s in range(model.order) for col in ads]
     diffs = [d1.image(e) - d2.image(e) for e in basis]
     target = poly_equations([c for d in diffs for c in d.series.coeffs])
     sol = solve_linear(columns, target)

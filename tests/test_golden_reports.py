@@ -14,6 +14,11 @@ sl(2) and so(3) reports, the first non-solvable and the first compact
 structure group, were recorded while the PBW word calculus still reordered
 every word recursively per coefficient, before it read memoised tables.  A
 refactor of that code must leave every byte of these reports unchanged.
+The heisenberg involution suite, which runs the density ratio and the
+modular inner difference on a model with group coordinates, was recorded
+while the density ratio still took one integral per Gram entry, per target
+and per defect at every order, and the inner difference built its
+commutator columns anew for each lam shift.
 
 The involve digests are the sha256 of the standard output of `redstar
 involve` for a degree-4 input on heisenberg at order 4 and for an input on
@@ -45,6 +50,8 @@ GOLDEN = {
         "2fa1103fe89c446dde8172170d280e9cf8e75d1e4c0168f0b92913ea4fc5f554",
     ("involution", "affine_line"):
         "beefa0951549659e8b61bbba907ebdcdb224c2823171f76c0ae9857fb7ecebe1",
+    ("involution", "heisenberg"):
+        "0da1635dfde9e59959f33b43b7e39396f41772d2c5a917b8778712d25875a231",
     ("morita", "heisenberg"):
         "ee15b603f711f23706fb9502b87a0b5abeef253a4428dbf29b435705dbafd0d4",
     ("all", "sl2"):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from redstar import involution
 from redstar.funcs import Func
 from redstar.geometry import (
     ModelSpace,
@@ -17,6 +18,8 @@ from redstar.geometry import (
 )
 from redstar.involution import (
     PositiveFunctional,
+    _monomial,
+    _monomials,
     conj_transport,
     conj_transport_check,
     density_ratio_hat,
@@ -219,6 +222,24 @@ class TestDensityRatio:
         with pytest.raises(ValueError):
             density_ratio_hat(m, lebesgue_weight(m), m.one(), cap=2)
 
+    @pytest.mark.parametrize("lie", [abelian_lie(1), heisenberg3(), aff1()],
+                             ids=["abelian", "heis3", "aff1"])
+    def test_cap_below_ratio_degree_raises(self, lie):
+        m = ModelSpace(lie, base_dim=2, order=3)
+        om = gaussian_base_weight(m, 1)
+        mul = mstar(m)
+        q, p = m.var("q"), m.var("p")
+        for rho, degree in ((m.one() + q * q, 2), (m.one() + (q * q).shift(1), 2),
+                            (m.one() + q * p + (p * p * p).shift(2), 3)):
+            with pytest.raises(ValueError):
+                density_ratio_hat(m, om, rho, cap=degree - 1)
+            # a cap at the degree of rho carries the identity beyond its basis
+            rh = density_ratio_hat(m, om, rho, cap=degree)
+            for e in _monomials(m.base_names, degree + 3):
+                mono = _monomial(m, m.base_names, e)
+                assert kms_functional(m, mono * rho, om) == \
+                    kms_functional(m, mul(rh, mono), om)
+
 
 class TestInvolutionComparison:
     def test_trivial_and_constant(self, model_r, rand):
@@ -314,3 +335,42 @@ def test_kms_suite(model_r):
     recs = suite_kms(ctx)
     bad = [r for r in recs if r["status"] == "fail"]
     assert not bad, bad
+
+
+class TestOperationCounts:
+    """The weighted functional and the commutator columns are evaluated by
+    linearity: per-entry or per-shift work shows up in these counts."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        real = getattr(involution, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(involution, name, counting)
+        return calls
+
+    def test_inner_difference_builds_each_commutator_once(self, monkeypatch):
+        m = ModelSpace(aff1(), base_dim=2, order=3)
+        om = gaussian_base_weight(m, 1)
+        rho = m.one() + (m.var("q") * m.var("q")).shift(1)
+        calls = self.count(monkeypatch, "moyal")
+        assert modular_inner_difference(m, om, om * rho, cap=1)["inner"]
+        # 36 unknown monomials of degree <= 1 + 2K, each commuted with the
+        # 3 basis monomials of degree <= 1 on both sides, for all K shifts
+        assert len(calls) == 36 * 3 * 2
+
+    def test_density_ratio_integrates_no_gram_entry(self, monkeypatch, model_r):
+        m = model_r
+        om = gaussian_base_weight(m, 1)
+        rho = m.one() + m.var("q") * m.var("q")
+        calls = self.count(monkeypatch, "kms_functional")
+        rh = density_ratio_hat(m, om, rho, cap=4)
+        steps = sum(not rh.coeff(r).is_zero() for r in range(m.order))
+        assert steps == 3
+        # one defect integral per basis monomial and nonzero step below the
+        # top order; the Gram entries and targets come from moment passes
+        assert len(calls) == steps * len(_monomials(m.base_names, 4))

@@ -26,6 +26,9 @@ equal repr):
   time; the pointwise series inverse corrected against the whole defect
   at every order; the reduced involution transposing the left operator of
   the whole partial sum at every step;
+- the density ratio solved with one integral per Gram entry, per target and
+  per defect at every order, and the inner-difference columns built anew
+  for each lam shift of each unknown;
 - the lam-shift and coefficient slice rebuilt by hand around a Func's
   envelope and grade, the right action that stripped an inner product's
   pi-grade and added it back, and SuperObservable.scale_series;
@@ -61,8 +64,14 @@ from redstar.geometry import (
     heisenberg3,
     lebesgue_weight,
 )
+from redstar import involution
 from redstar.involution import (
+    _monomial,
+    _monomials,
     conj_transport,
+    density_ratio_hat,
+    kms_functional,
+    modular_inner_difference,
     mult_operator,
     reduced_involution,
     transport,
@@ -79,6 +88,7 @@ from redstar.koszul import (
     quantized_koszul,
     right_module,
 )
+from redstar.linalg import poly_equations, solve_linear
 from redstar.morita import fullness_element, inner_product_red
 from redstar.poly import Poly, _diff_terms, _mul_into
 from redstar.scalars import GaussRational, I as IMAG
@@ -898,6 +908,96 @@ def test_reduced_involution_matches_full_recompute(name):
     # the corrections reach the top order, so every step of the loop runs
     top = reduced_involution(m, us[0], weights["density_ratio"]).series.coeffs[m.order]
     assert not top.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# reference: the density ratio with an integral per Gram entry, target and
+# defect, and the inner-difference columns built per lam shift
+# ---------------------------------------------------------------------------
+
+
+def ref_density_ratio_hat(model, omega, rho, cap):
+    """Every order integrates rho * x^e and rho_hat * x^e anew, and the Gram
+    matrix takes one integral per entry."""
+    monos = [_monomial(model, model.base_names, e)
+             for e in _monomials(model.base_names, cap)]
+    gram = [{i: kms_functional(model, u * w, omega).coeffs[0].value
+             for i, u in enumerate(monos)} for w in monos]
+    rho_hat = model.zero()
+    for r in range(model.order + 1):
+        rhs = {}
+        for i, u in enumerate(monos):
+            lhs = kms_functional(model, u * rho, omega)
+            cur = kms_functional(model, moyal(model, rho_hat, u), omega)
+            rhs[i] = (lhs - cur).coeffs[r].value
+        sol = solve_linear(gram, rhs)
+        for val, mm in zip(sol, monos):
+            rho_hat = rho_hat + (mm * val).shift(r)
+    return rho_hat
+
+
+def ref_inner_difference_columns(model, cap):
+    """The columns of modular_inner_difference, each lam^s x^e commuted with
+    the basis on its own."""
+    unknown_cap = cap + 2 * model.order
+    monos = [_monomial(model, model.base_names, e)
+             for e in _monomials(model.base_names, cap)]
+    columns = []
+    for s in range(model.order):
+        for em in _monomials(model.base_names, unknown_cap):
+            w = _monomial(model, model.base_names, em).shift(s)
+            ads = [moyal(model, w, m) - moyal(model, m, w) for m in monos]
+            columns.append(poly_equations([c for ad in ads for c in ad.series.coeffs]))
+    return columns
+
+
+RATIO_MODELS = {
+    "abelian_r": lambda: ModelSpace(abelian_lie(1), 2, 3),
+    "heis3": lambda: ModelSpace(heisenberg3(), 2, 3),
+    "aff1": lambda: ModelSpace(aff1(), 2, 3),
+}
+
+
+def ratio_densities(m):
+    q, p = (m.var(n) for n in m.base_names)
+    one = m.one()
+    return [one, one * 2, one + q * q, one + (q * q).shift(1),
+            one + q * p + (p * p).shift(1)]
+
+
+@pytest.mark.parametrize("name", sorted(RATIO_MODELS))
+def test_density_ratio_matches_per_entry_integrals(name):
+    m = RATIO_MODELS[name]()
+    weights = [gaussian_base_weight(m, 1), gaussian_base_weight(m, 4, 3),
+               gaussian_base_weight(m, 1, m.one() + m.one().shift(1) * 2)]
+    for omega in weights:
+        for rho in ratio_densities(m):
+            for cap in (2, 3, 4):
+                got = density_ratio_hat(m, omega, rho, cap)
+                expect = ref_density_ratio_hat(m, omega, rho, cap)
+                assert got == expect
+                assert repr(got) == repr(expect)
+
+
+@pytest.mark.parametrize("name", ["abelian_r", "aff1"])
+def test_inner_difference_columns_match_per_shift(monkeypatch, name):
+    m = RATIO_MODELS[name]()
+    systems = []
+
+    def recording_solve_linear(columns, target):
+        systems.append(columns)
+        return solve_linear(columns, target)
+
+    monkeypatch.setattr(involution, "solve_linear", recording_solve_linear)
+    gauss = gaussian_base_weight(m, 1)
+    rho = m.one() + (m.var("q") * m.var("q")).shift(1)
+    assert modular_inner_difference(m, gauss, gauss * rho, cap=1)["inner"]
+    (got,) = systems
+    expect = ref_inner_difference_columns(m, 1)
+    assert len(got) == len(expect)
+    for col, ref_col in zip(got, expect):
+        assert col == ref_col
+        assert list(col) == list(ref_col)
 
 
 # ---------------------------------------------------------------------------
