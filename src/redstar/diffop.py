@@ -19,6 +19,7 @@ term-dict products and no composition of its own.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, perm
 from operator import add, sub
 
@@ -151,8 +152,9 @@ class DiffOperator:
                 for s, terms in enumerate(partials[d][: order + 1 - r]):
                     if terms:
                         _mul_into(acc[r + s], terms, c.terms)
-        series = LambdaSeries([Poly._trusted_sums(self.gens, t) for t in acc], order)
-        return Func(series, f.profile, f.pi4)
+        series = LambdaSeries._trusted(
+            tuple([Poly._trusted_sums(f.gens, t) for t in acc]), order)
+        return f._like(series)
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """self after other, in normal form via the multi-index Leibniz rule.
@@ -314,20 +316,14 @@ def _diff_monomials(terms: dict, m) -> dict:
     return out
 
 
-def _leibniz_splits(d):
-    """All ways to split the multi-index d over (operator, coefficient).
-
-    Yields (kept_on_operator, multinomial coefficient).
-    """
-    n = len(d)
-
-    def rec(i):
-        if i == n:
-            yield (), 1
-            return
-        for rest, coeff in rec(i + 1):
-            for k in range(d[i] + 1):
-                yield (k,) + rest, coeff * comb(d[i], k)
-
-    yield from rec(0)
+@cache
+def _leibniz_splits(d: tuple) -> tuple:
+    """All ways to split the multi-index d over (operator, coefficient), as
+    (kept_on_operator, multinomial coefficient) pairs, the first entry of
+    the kept index varying fastest; memoised per multi-index."""
+    splits = ((), 1),
+    for di in reversed(d):
+        splits = tuple(((k,) + rest, coeff * comb(di, k))
+                       for rest, coeff in splits for k in range(di + 1))
+    return splits
 

@@ -14,6 +14,13 @@ grades (zero matches anything), products add both, and the lam-shift
 Func.shift and the coefficient slice Func.coeff keep both.  Callers use these
 instead of taking a Func apart and rebuilding it around its envelope and
 grade.
+
+Func(...) checks and sorts its profile.  A result whose envelope and grade
+are those of an operand (+, -, conj, shift, coeff, diff, set_zero, the
+product by a scalar, and Func * Func when at most one side has an envelope)
+is built through Func._trusted, which takes them as they are; only merged
+envelopes go through the checks again.  The kernels of diffop, starprod and
+integrate build their output the same way.
 """
 
 from __future__ import annotations
@@ -49,6 +56,31 @@ class Func:
 
     def __setattr__(self, name, value):
         raise AttributeError("Func is immutable")
+
+    @staticmethod
+    def _trusted(gens: tuple, series: LambdaSeries, profile: dict, pi4: int) -> "Func":
+        """A Func that takes its parts as they are, without checks: a series
+        of Poly over gens, the sorted profile of nonzero Fractions of a Func
+        over gens (shared, never mutated) and an int grade."""
+        f = _new(Func)
+        _set_gens(f, gens)
+        _set_series(f, series)
+        _set_profile(f, profile)
+        _set_pi4(f, pi4)
+        return f
+
+    @staticmethod
+    def _product(series: LambdaSeries, f: "Func", g: "Func") -> "Func":
+        """The Func of a product of f and g with the given series: envelopes
+        and pi-grades add."""
+        if not g.profile:
+            return Func._trusted(f.gens, series, f.profile, f.pi4 + g.pi4)
+        if not f.profile:
+            return Func._trusted(f.gens, series, g.profile, f.pi4 + g.pi4)
+        prof = dict(f.profile)
+        for k, v in g.profile.items():
+            prof[k] = prof.get(k, Fraction(0)) + v
+        return Func(series, prof, f.pi4 + g.pi4)
 
     # -- constructors ---------------------------------------------------
 
@@ -107,12 +139,12 @@ class Func:
             return other
         if other.is_zero():
             return self
-        return Func(self.series + other.series, self.profile, self.pi4)
+        return self._like(self.series + other.series)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Func(-self.series, self.profile, self.pi4)
+        return self._like(-self.series)
 
     def __sub__(self, other):
         if type(other) is not Func:
@@ -131,34 +163,34 @@ class Func:
         """Pointwise product; envelopes and pi-grades add."""
         if type(other) is not Func:
             if isinstance(other, (int, Fraction, GaussRational, LambdaSeries)):
-                return Func(self.series * other, self.profile, self.pi4)
+                return self._like(self.series * other)
             if isinstance(other, PiScalar):
-                return Func(self.series * other.value, self.profile,
-                            self.pi4 + other.pi4)
+                return Func._trusted(self.gens, self.series * other.value,
+                                     self.profile, self.pi4 + other.pi4)
             if not isinstance(other, Func):
                 return NotImplemented
         if self.gens != other.gens:
             raise ValueError("generator mismatch")
-        prof = dict(self.profile)
-        for k, v in other.profile.items():
-            prof[k] = prof.get(k, Fraction(0)) + v
-        return Func(self.series * other.series, prof, self.pi4 + other.pi4)
+        return Func._product(self.series * other.series, self, other)
 
     __rmul__ = __mul__
 
+    def _like(self, series: LambdaSeries) -> "Func":
+        """series with this Func's generators, envelope and grade."""
+        return Func._trusted(self.gens, series, self.profile, self.pi4)
+
     def conj(self) -> "Func":
-        return Func(self.series.conj(), self.profile, self.pi4)
+        return self._like(self.series.conj())
 
     # -- lam-grading -------------------------------------------------------
 
     def shift(self, k: int) -> "Func":
         """lam^k * f, truncated; zero for k > order, envelope and grade kept."""
-        return Func(self.series.shift(k), self.profile, self.pi4)
+        return self._like(self.series.shift(k))
 
     def coeff(self, r: int) -> "Func":
         """The lam^r coefficient as a lam-constant Func, envelope and grade kept."""
-        return Func(LambdaSeries.of(self.series.coeffs[r], self.order),
-                    self.profile, self.pi4)
+        return self._like(LambdaSeries.of(self.series.coeffs[r], self.order))
 
     # -- calculus ----------------------------------------------------------
 
@@ -167,9 +199,8 @@ class Func:
         adds -2a*x*p."""
         i = self.gens.index(name)
         env = -2 * self.profile[name] if name in self.profile else None
-        out = self.series.map(
-            lambda p: Poly._trusted(self.gens, _diff_terms(p.terms, i, env)))
-        return Func(out, self.profile, self.pi4)
+        return self._like(self.series.map(
+            lambda p: Poly._trusted(self.gens, _diff_terms(p.terms, i, env))))
 
     def partials(self) -> "Partials":
         """The cache alpha -> partial^alpha f, as lam coefficients' term dicts."""
@@ -180,7 +211,7 @@ class Func:
         for n in names:
             if n in self.profile:
                 raise ValueError(f"cannot restrict through the envelope in {n}")
-        return Func(self.series.map(lambda p: p.set_zero(names)), self.profile, self.pi4)
+        return self._like(self.series.map(lambda p: p.set_zero(names)))
 
     def weight_by_degree(self, names, weight) -> "Func":
         for n in names:
@@ -267,9 +298,9 @@ class Partials(dict):
         super().__init__({(0,) * len(f.gens): coeffs})
         self.envs = [-2 * f.profile[g] if g in f.profile else None for g in f.gens]
         exps = [e for t in coeffs for e in t]
-        self.bound = [inf if env is not None and exps
-                      else max((e[i] for e in exps), default=-1)
-                      for i, env in enumerate(self.envs)]
+        tops = map(max, zip(*exps)) if exps else [-1] * len(f.gens)
+        self.bound = [inf if env is not None and exps else top
+                      for env, top in zip(self.envs, tops)]
 
     def __missing__(self, d):
         if any(map(gt, d, self.bound)):
@@ -278,3 +309,10 @@ class Partials(dict):
         lower = self[d[:i] + (d[i] - 1,) + d[i + 1:]]
         out = self[d] = [_diff_terms(t, i, self.envs[i]) for t in lower]
         return out
+
+
+_new = object.__new__
+_set_gens = Func.gens.__set__
+_set_series = Func.series.__set__
+_set_profile = Func.profile.__set__
+_set_pi4 = Func.pi4.__set__

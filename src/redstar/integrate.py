@@ -47,7 +47,7 @@ def gaussian_integrate_shifted(f: Func, block, shifts, top: int, memo: dict) -> 
             raise ValueError(f"unknown coordinate {g!r}")
     pi4 = f.pi4 + 2 * len(block)
     if f.is_zero():
-        return [Func(f.series, {}, pi4) for _ in shifts]
+        return [Func._trusted(gens, f.series, {}, pi4) for _ in shifts]
 
     decay = []
     for g in block:
@@ -63,8 +63,9 @@ def gaussian_integrate_shifted(f: Func, block, shifts, top: int, memo: dict) -> 
     moments = memo.setdefault(tuple(decay), {})
     idxs = [gens.index(g) for g in block]
 
+    kept = f.series.coeffs[: top + 1]
     coeffs = [[] for _ in shifts]
-    for p in f.series.coeffs[: top + 1]:
+    for p in kept:
         acc = [{} for _ in shifts]
         for expo, c in p.terms.items():
             ks = [expo[i] for i in idxs]
@@ -85,7 +86,9 @@ def gaussian_integrate_shifted(f: Func, block, shifts, top: int, memo: dict) -> 
             out.append(Poly._trusted_sums(gens, terms))
 
     remaining = {g: a for g, a in f.profile.items() if g not in block}
-    return [Func(LambdaSeries(out, f.order), remaining, pi4) for out in coeffs]
+    pad = (Poly.zero(gens),) * (f.order + 1 - len(kept))
+    return [Func._trusted(gens, LambdaSeries._trusted(tuple(out) + pad, f.order),
+                          remaining, pi4) for out in coeffs]
 
 
 def _moment(ks, decay):

@@ -3,11 +3,18 @@
 A LambdaSeries holds coefficients 0..K of any ring-like value (Poly,
 GaussRational, PiScalar) and all operations are exact modulo lam^(K+1).
 The classical limit is coefficient 0.
+
+LambdaSeries(...) pads or truncates its coefficients to the order.  The
+arithmetic below (+, -, *, shift, map, conj, of) already has exactly K+1 of
+them, so it builds its result through LambdaSeries._trusted, which takes
+the tuple as it is; so do the kernels of funcs, diffop, starprod and
+integrate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg
 
 from .scalars import GaussRational, rational_sqrt
 
@@ -28,11 +35,21 @@ class LambdaSeries:
     def __setattr__(self, name, value):
         raise AttributeError("LambdaSeries is immutable")
 
+    @staticmethod
+    def _trusted(coeffs: tuple, order: int) -> "LambdaSeries":
+        """A LambdaSeries that takes a tuple of exactly order + 1
+        coefficients and an int order as they are, without checks."""
+        s = _new(LambdaSeries)
+        _set_coeffs(s, coeffs)
+        _set_order(s, order)
+        return s
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def of(value, order: int) -> "LambdaSeries":
-        return LambdaSeries([value], order)
+        zero = value.ring_zero() if hasattr(value, "ring_zero") else GaussRational(0)
+        return LambdaSeries._trusted((value,) + (zero,) * order, order)
 
     @staticmethod
     def lam_power(value, power: int, order: int) -> "LambdaSeries":
@@ -47,7 +64,7 @@ class LambdaSeries:
         return c.ring_zero() if hasattr(c, "ring_zero") else GaussRational(0)
 
     def zero_like(self) -> "LambdaSeries":
-        return LambdaSeries([self.ring_zero()], self.order)
+        return LambdaSeries.of(self.ring_zero(), self.order)
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -59,16 +76,16 @@ class LambdaSeries:
 
     def __add__(self, other):
         if not isinstance(other, LambdaSeries):
-            coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] + other
-            return LambdaSeries(coeffs, self.order)
+            return LambdaSeries._trusted((self.coeffs[0] + other,) + self.coeffs[1:],
+                                         self.order)
         self._check(other)
-        return LambdaSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+        return LambdaSeries._trusted(tuple(map(add, self.coeffs, other.coeffs)),
+                                     self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaSeries([-c for c in self.coeffs], self.order)
+        return LambdaSeries._trusted(tuple(map(neg, self.coeffs)), self.order)
 
     def __sub__(self, other):
         if isinstance(other, LambdaSeries):
@@ -81,7 +98,8 @@ class LambdaSeries:
     def __mul__(self, other):
         """Cauchy product truncated at the common order."""
         if type(other) is not LambdaSeries:
-            return LambdaSeries([c * other for c in self.coeffs], self.order)
+            return LambdaSeries._trusted(tuple([c * other for c in self.coeffs]),
+                                         self.order)
         self._check(other)
         zero = self.ring_zero()
         out = [zero for _ in range(self.order + 1)]
@@ -93,17 +111,20 @@ class LambdaSeries:
                 if b.is_zero():
                     continue
                 out[i + j] = out[i + j] + a * b
-        return LambdaSeries(out, self.order)
+        return LambdaSeries._trusted(tuple(out), self.order)
 
     __rmul__ = __mul__
 
     def shift(self, powers: int) -> "LambdaSeries":
         """Multiply by lam^powers, truncating."""
-        zero = self.ring_zero()
-        return LambdaSeries([zero] * powers + list(self.coeffs), self.order)
+        if powers <= 0:
+            return self
+        zeros = (self.ring_zero(),) * min(powers, self.order + 1)
+        return LambdaSeries._trusted(zeros + self.coeffs[: self.order + 1 - len(zeros)],
+                                     self.order)
 
     def map(self, fn) -> "LambdaSeries":
-        return LambdaSeries([fn(c) for c in self.coeffs], self.order)
+        return LambdaSeries._trusted(tuple([fn(c) for c in self.coeffs]), self.order)
 
     def conj(self) -> "LambdaSeries":
         return self.map(lambda c: c.conj())
@@ -220,3 +241,7 @@ def series_sqrt(a: LambdaSeries, mul=None) -> LambdaSeries:
         v = v + LambdaSeries.lam_power(defect.coeffs[r] * half_inv, r, a.order)
     return v
 
+
+_new = object.__new__
+_set_coeffs = LambdaSeries.coeffs.__set__
+_set_order = LambdaSeries.order.__set__

@@ -9,8 +9,10 @@ in the generators with [J_a, J_b] = i lam C_ab^c J_c, symmetrized
 quantization of momentum polynomials and its inverse.  All three are linear
 over the coefficients, so each reads a memoised table of rationals that
 depends on the structure constants only (_normal_order, _sym_table,
-_inverse_table, cached in LieAlgebraData.pbw_tables) and does one Func
-operation per output word.  On group models the
+_inverse_table, cached in LieAlgebraData.pbw_tables).  Normal ordering and
+symmetrization do one Func operation per output word, symmetrization
+reading every coefficient of the symbol in one pass over its terms; the
+inverse sums on term dicts and builds one Func.  On group models the
 words are left-invariant derivatives, group fields act on the
 coefficients, and the calculus gives the standard-ordered product; its
 Hermitian normalization conjugates with the exponential N of the momentum
@@ -36,7 +38,7 @@ from operator import add
 from .diffop import DiffOperator
 from .funcs import Func
 from .geometry import ModelSpace
-from .poly import Poly, _mul_into
+from .poly import Poly, _mul_into, _scale
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries
 
@@ -95,8 +97,9 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
                     for t, right in enumerate(pg[beta][: order + 1 - r - s]):
                         if right:
                             _mul_into(acc[r + s + t], left, right)
-    series = LambdaSeries([Poly._trusted_sums(model.gens, t) for t in acc], order)
-    return Func(series, f.profile, f.pi4 + g.pi4).with_profile(g.profile)
+    series = LambdaSeries._trusted(
+        tuple([Poly._trusted_sums(model.gens, t) for t in acc]), order)
+    return Func._product(series, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +108,7 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
 
 
 _ONE = GaussRational(1)
+_IMAG_POWERS = (_ONE, IMAG, -_ONE, -IMAG)
 
 
 def _mul_ilam(f: Func, times: int = 1) -> Func:
@@ -319,16 +323,30 @@ def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
 
     Each sorted multi-index alpha inserts g = d^alpha f at J = 0, which is
     alpha! times the coefficient of J^alpha, through _sym_table(alpha), in
-    one Func operation per output word.
+    one Func operation per output word.  Every g is read from one pass over
+    the terms of f grouped by their momentum exponent, shortest alpha first.
     """
+    for n in model.momentum_names:
+        if n in f.profile:
+            raise ValueError(f"cannot restrict through the envelope in {n}")
+    gens, order = f.gens, f.order
+    jidx = [gens.index(n) for n in model.momentum_names]
+    groups: dict = {}
+    for r, p in enumerate(f.series.coeffs):
+        for e, c in p.terms.items():
+            multi = tuple(a for a, i in enumerate(jidx) for _ in range(e[i]))
+            weight = prod(factorial(e[i]) for i in jidx)
+            rest = list(e)
+            for i in jidx:
+                rest[i] = 0
+            g = groups.get(multi)
+            if g is None:
+                g = groups[multi] = [{} for _ in range(order + 1)]
+            g[r][tuple(rest)] = c if weight == 1 else _scale(c, weight)
     op = SymbolOp(model)
-    jnames = model.momentum_names
-    degree = max(p.degree_in(jnames) for p in f.series.coeffs) if not f.is_zero() else 0
-    for multi in pbw_words(model.lie.dim, degree):
-        g = f
-        for a in multi:
-            g = g.diff(jnames[a])
-        g = g.set_zero(jnames)
+    for multi in sorted(groups, key=lambda w: (len(w), w)):
+        g = f._like(LambdaSeries._trusted(
+            tuple([Poly._trusted(gens, t) for t in groups[multi]]), order))
         op._add_table(_sym_table(model.lie, multi), len(multi), g)
     return op
 
@@ -344,25 +362,37 @@ def stdrep(model: ModelSpace, f: Func) -> SymbolOp:
 def _dequantize(model: ModelSpace, op: SymbolOp) -> Func:
     """Invert _symmetrize on a PBW-sorted operator: each stored c_w L_w
     reads its momentum polynomial sum_beta t_beta F^{|w|-|beta|} c_w J^beta
-    from _inverse_table(w)."""
+    from _inverse_table(w).
+
+    The products are accumulated per lam order on term dicts and become one
+    Func at the end, with the envelope and grade of the last coefficient
+    that reaches the order (all must agree); without one it is the plain
+    zero."""
     gens, order = model.gens, model.order
     jidx = [gens.index(n) for n in model.momentum_names]
-    total = Func.zero(gens, order)
+    acc = [{} for _ in range(order + 1)]
+    last = None
     for w, c in op.terms.items():
-        shifted = {}
+        coeffs = c.series.coeffs
         for beta, t in _inverse_table(model.lie, w).items():
             k = len(w) - len(beta)
-            ck = shifted.get(k)
-            if ck is None:
-                ck = shifted[k] = _mul_ilam(c, k)
-            if ck.is_zero():
+            if k > order or not any(p.terms for p in coeffs[: order + 1 - k]):
                 continue
+            if last is not None and last is not c:
+                last._compatible(c)
+            last = c
             expo = [0] * len(gens)
             for a in beta:
                 expo[jidx[a]] += 1
-            mono = Func.from_poly(Poly._trusted(gens, {tuple(expo): t}), order)
-            total = total + ck * mono
-    return total
+            mono = {tuple(expo): t * _IMAG_POWERS[k % 4]}
+            for s, p in enumerate(coeffs[: order + 1 - k]):
+                if p.terms:
+                    _mul_into(acc[s + k], p.terms, mono)
+    series = LambdaSeries._trusted(
+        tuple([Poly._trusted_sums(gens, t) for t in acc]), order)
+    if last is None:
+        return Func._trusted(gens, series, {}, 0)
+    return last._like(series)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ equal repr, and for zero results the same envelope and pi-grade.
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -24,6 +26,36 @@ from redstar.poly import Poly
 from redstar.scalars import GaussRational, I
 from redstar.series import LambdaSeries
 from redstar.starprod import neumaier_N, neumaier_N_inverse
+
+
+def ref_leibniz_splits(d):
+    """The former generator of (kept_on_operator, multinomial coefficient)."""
+    n = len(d)
+
+    def rec(i):
+        if i == n:
+            yield (), 1
+            return
+        for rest, coeff in rec(i + 1):
+            for k in range(d[i] + 1):
+                yield (k,) + rest, coeff * comb(d[i], k)
+
+    yield from rec(0)
+
+
+def test_leibniz_splits_match_generator():
+    """The memoised tuple holds the generator's pairs in its order, for every
+    multi-index of total degree up to 6 over 1 to 4 coordinates."""
+    seen = 0
+    for n in range(1, 5):
+        for d in product(range(7), repeat=n):
+            if sum(d) <= 6:
+                splits = _leibniz_splits(d)
+                assert type(splits) is tuple
+                assert splits == tuple(ref_leibniz_splits(d))
+                assert _leibniz_splits(d) is splits
+                seen += 1
+    assert seen == 7 + 28 + 84 + 210
 
 
 def reference_apply(op: DiffOperator, f: Func) -> Func:
@@ -65,7 +97,7 @@ def reference_compose(op: DiffOperator, other: DiffOperator) -> DiffOperator:
                 continue
             for d1, c1 in t1.items():
                 for d2, c2 in t2.items():
-                    for split, dcoeff in _leibniz_splits(d1):
+                    for split, dcoeff in ref_leibniz_splits(d1):
                         pc = c2
                         for i in range(n):
                             for _ in range(d1[i] - split[i]):

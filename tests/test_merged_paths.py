@@ -21,6 +21,9 @@ equal repr):
 - the base product as a Func-level recursion over pair sequences, with the
   two-pass envelope-aware Func.diff and the loop Poly.__mul__ and Poly.diff
   beneath it;
+- the symmetrized quantization with each coefficient d^alpha f at J = 0
+  taken as a chain of Func.diff and a Func.set_zero, and its inverse as one
+  Func product and one Func sum per inverse-table entry;
 - the formal adjoint as one operator per entry, the weight's prefactor
   multiplied in and each twisted partial composed on the left one at a
   time; the pointwise series inverse corrected against the whole defect
@@ -33,12 +36,16 @@ equal repr):
   envelope and grade, the right action that stripped an inner product's
   pi-grade and added it back, and SuperObservable.scale_series;
 - the validating Poly constructor, which Poly._trusted and
-  Poly._trusted_sums replace for the output of the term-dict kernels.
+  Poly._trusted_sums replace for the output of the term-dict kernels, and
+  the validating LambdaSeries and Func constructors, which
+  LambdaSeries._trusted and Func._trusted replace for results whose
+  coefficients, order, envelope and grade are already normal.
 
 suites.py and koszul.py leave the envelope and grade bookkeeping to Func
-and never call its constructor.  Unvalidated Poly and GaussRational
-construction stays in the kernel modules, away from cli and suites, where
-user input arrives.
+and never call its constructor.  Unvalidated Poly, LambdaSeries, Func and
+GaussRational construction stays in the kernel modules, away from cli and
+suites, where user input arrives, and from the modules that combine kernel
+results.
 """
 
 import ast
@@ -91,7 +98,8 @@ from redstar.koszul import (
 from redstar.linalg import poly_equations, solve_linear
 from redstar.morita import fullness_element, inner_product_red
 from redstar.poly import Poly, _diff_terms, _mul_into
-from redstar.scalars import GaussRational, I as IMAG
+from redstar.integrate import gaussian_integrate_shifted
+from redstar.scalars import GaussRational, I as IMAG, PiScalar
 from redstar.series import LambdaSeries, _leading_constant, series_inverse
 from redstar.starprod import (
     SymbolOp,
@@ -166,7 +174,7 @@ class RefUElement:
         return out
 
 
-def ref_symmetrize(model, f):
+def ref_word_symmetrize(model, f):
     jnames = model.momentum_names
     out = RefUElement(model)
     degree = max(p.degree_in(jnames) for p in f.series.coeffs) if not f.is_zero() else 0
@@ -215,13 +223,13 @@ def ref_unsymmetrize(model, u):
             contrib = c * mono
             piece = contrib if piece is None else piece + contrib
         total = total + piece
-        residue = residue.subtract(ref_symmetrize(model, piece))
+        residue = residue.subtract(ref_word_symmetrize(model, piece))
     return total
 
 
 def ref_gutt(model, f, g):
     """Base product tensor the symmetrization product on the momenta."""
-    return ref_unsymmetrize(model, ref_symmetrize(model, f).multiply(ref_symmetrize(model, g)))
+    return ref_unsymmetrize(model, ref_word_symmetrize(model, f).multiply(ref_word_symmetrize(model, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +536,7 @@ def test_normal_order_matches_recursion(name):
 def test_symmetrize_matches_reference(name):
     m = PBW_MODELS[name]()
     for f in symbol_inputs(m, 29):
-        assert_same_terms(_symmetrize(m, f).terms, ref_symmetrize(m, f).terms)
+        assert_same_terms(_symmetrize(m, f).terms, ref_word_symmetrize(m, f).terms)
 
 
 @pytest.mark.parametrize("name", sorted(PBW_MODELS))
@@ -570,6 +578,124 @@ def test_symmetrize_weights_repeated_letters():
         expect._add_table(table, len(alpha), m.one() * mult)
         assert_same_terms(_symmetrize(m, mono).terms, expect.terms)
     assert len(_sym_table(m.lie, (0, 1, 2))) > 1  # brackets reach shorter words
+
+
+# ---------------------------------------------------------------------------
+# reference: the symbol calculus through whole Funcs
+# ---------------------------------------------------------------------------
+
+
+def ref_symmetrize(model, f):
+    """Each coefficient g = d^alpha f at J = 0 from a chain of Func.diff and
+    a Func.set_zero per sorted multi-index."""
+    op = SymbolOp(model)
+    jnames = model.momentum_names
+    degree = max(p.degree_in(jnames) for p in f.series.coeffs) if not f.is_zero() else 0
+    for multi in pbw_words(model.lie.dim, degree):
+        g = f
+        for a in multi:
+            g = g.diff(jnames[a])
+        g = g.set_zero(jnames)
+        op._add_table(_sym_table(model.lie, multi), len(multi), g)
+    return op
+
+
+def ref_dequantize(model, op):
+    """One Func product and one Func sum per inverse-table entry."""
+    gens, order = model.gens, model.order
+    jidx = [gens.index(n) for n in model.momentum_names]
+    total = Func.zero(gens, order)
+    for w, c in op.terms.items():
+        for beta, t in _inverse_table(model.lie, w).items():
+            ck = _mul_ilam(c, len(w) - len(beta))
+            if ck.is_zero():
+                continue
+            expo = [0] * len(gens)
+            for a in beta:
+                expo[jidx[a]] += 1
+            total = total + ck * Func.from_poly(Poly(gens, {tuple(expo): t}), order)
+    return total
+
+
+def assert_identical(got, expect):
+    """Equal value, repr, hash, envelope items in order and grade, and a
+    series of exactly order + 1 Polys over the Func's generators."""
+    assert got == expect and repr(got) == repr(expect) and hash(got) == hash(expect)
+    assert list(got.profile.items()) == list(expect.profile.items())
+    assert type(got.pi4) is int and got.pi4 == expect.pi4
+    coeffs = got.series.coeffs
+    assert type(coeffs) is tuple and len(coeffs) == got.order + 1
+    assert all(type(p) is Poly and p.gens == got.gens for p in coeffs)
+
+
+def symbol_cases(m, seed):
+    """symbol_inputs, random symbols of degree 4, and an enveloped,
+    lam-shifted, pi-graded symbol."""
+    rng = random.Random(seed)
+    base = m.base_names
+    fs = symbol_inputs(m, seed)
+    fs += [rand_poly(rng, m, m.gens, 4, nterms=5) for _ in range(3)]
+    fs.append(lam_shifted(rand_poly(rng, m, m.gens, 3) * rand_poly(rng, m, base, 1), 1)
+              .with_profile({base[-1]: Fraction(2, 5)}).with_pi4(-1))
+    return fs
+
+
+@pytest.mark.parametrize("name", sorted(PBW_MODELS))
+def test_symmetrize_matches_diff_chain(name):
+    """The one pass over f's terms gives the chain's words in its order and
+    coefficients identical to the chain's; an envelope in a momentum
+    coordinate raises the chain's error."""
+    m = PBW_MODELS[name]()
+    for f in symbol_cases(m, 43):
+        got, expect = _symmetrize(m, f), ref_symmetrize(m, f)
+        assert list(got.terms) == list(expect.terms)
+        for w, c in expect.terms.items():
+            assert_identical(got.terms[w], c)
+    j = m.momentum_names[-1]
+    for f in (m.var(m.base_names[0]) * m.momentum(0), m.zero()):
+        f = f.with_profile({j: Fraction(1, 2)})
+        with pytest.raises(ValueError) as expect:
+            ref_symmetrize(m, f)
+        with pytest.raises(ValueError) as got:
+            _symmetrize(m, f)
+        assert str(got.value) == str(expect.value)
+
+
+@pytest.mark.parametrize("name", sorted(PBW_MODELS))
+def test_dequantize_matches_func_sums(name):
+    """Symmetrized symbols, their products, operators with lam-shifted,
+    enveloped and pi-graded coefficients, words longer than the order, the
+    zero operator and cancelling operators give the Func sums' value and
+    repr, zero results included; mismatched envelopes raise as they do."""
+    m = PBW_MODELS[name]()
+    rng = random.Random(47)
+    base, dim = m.base_names, m.lie.dim
+    fiber = base + m.group_names
+    ops = [_symmetrize(m, f) for f in symbol_cases(m, 53)]
+    ops += [ops[k].compose(ops[k + 1]) for k in range(0, len(ops) - 1, 2)]
+    words = pbw_words(dim, m.order + 2)
+    ops.append(SymbolOp(m, {w: lam_shifted(rand_poly(rng, m, fiber, 2), len(w) % 3)
+                            for w in rng.sample(words, 10) + [words[-1]]}))
+    dressed = rand_poly(rng, m, base, 1).with_profile({base[0]: 1}).with_pi4(3)
+    ops.append(SymbolOp(m, {w: dressed for w in words[:: len(words) // 5]}))
+    ops.append(SymbolOp(m))
+    ops.append(SymbolOp(m, {(): m.momentum(0) * dressed * -1, (0,): dressed}))
+    ops.append(SymbolOp(m, {(): m.momentum(0) * -1, (0,): m.one()}))
+    ops.append(SymbolOp(m, {(): m.var(base[1]) - m.momentum(0), (0,): m.one(),
+                            (dim - 1,): lam_shifted(m.one(), m.order)}))
+    cancelled = 0
+    for op in ops:
+        got, expect = _dequantize(m, op), ref_dequantize(m, op)
+        assert_identical(got, expect)
+        cancelled += bool(op.terms) and got.is_zero()
+    assert cancelled == 2
+    assert repr(_dequantize(m, ops[-3])) == f"((0)*exp(-1*{base[0]}^2))*pi^(3/4)"
+    assert repr(_dequantize(m, ops[-2])) == "0"
+    mixed = SymbolOp(m, {(0,): dressed, (dim - 1,): dressed.with_pi4(1)})
+    with pytest.raises(ValueError):
+        ref_dequantize(m, mixed)
+    with pytest.raises(ValueError):
+        _dequantize(m, mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -1325,10 +1451,172 @@ def test_trusted_diff_terms_match_validation():
             assert_same_poly(Poly._trusted(gens, out), out)
 
 
-# modules that may build a Poly from a term dict without validation, and
-# modules that may build a GaussRational from a raw integer triple
-TRUSTED_POLY = {"poly", "funcs", "diffop", "starprod", "integrate"}
+# ---------------------------------------------------------------------------
+# reference: every LambdaSeries and Func result through the validating
+# constructors
+# ---------------------------------------------------------------------------
+
+
+def assert_same_series(got, expect):
+    assert got == expect and repr(got) == repr(expect) and hash(got) == hash(expect)
+    assert type(got.coeffs) is tuple and type(got.order) is int
+    assert len(got.coeffs) == got.order + 1 == expect.order + 1
+    assert [type(c) for c in got.coeffs] == [type(c) for c in expect.coeffs]
+
+
+def ref_cauchy(a, b):
+    out = [a.ring_zero()] * (a.order + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs[: a.order + 1 - i]):
+            out[i + j] = out[i + j] + x * y
+    return LambdaSeries(out, a.order)
+
+
+def series_rings(m):
+    """(a, b, scalar) per ring: Poly, GaussRational and PiScalar series."""
+    rng = random.Random(59)
+    a = rand_poly(rng, m, m.gens, 2) + lam_shifted(rand_poly(rng, m, m.gens, 2), 2)
+    b = lam_shifted(rand_poly(rng, m, m.gens, 2), 1)
+    K = m.order
+    gr = [GaussRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1))
+          for _ in range(2 * K + 2)]
+    return {
+        "poly": (a.series, b.series, GaussRational(2, -1)),
+        "poly_zero": (m.zero().series, a.series, 3),
+        "gauss": (LambdaSeries(gr[: K + 1], K), LambdaSeries(gr[K + 1:], K), Fraction(1, 2)),
+        "pi": (LambdaSeries([PiScalar(g, 3) for g in gr[: K + 1]], K),
+               LambdaSeries([PiScalar(g, -1) for g in gr[K + 1:]], K), PiScalar(2, 2)),
+    }
+
+
+def test_trusted_series_match_validating_construction():
+    m = ModelSpace(heisenberg3(), 2, 3)
+    K = m.order
+    for ring, (a, b, x) in series_rings(m).items():
+        zero = a.ring_zero()
+        cases = [
+            (a * x, LambdaSeries([c * x for c in a.coeffs], K)),
+            (a * b, ref_cauchy(a, b)),
+            (-a, LambdaSeries([-c for c in a.coeffs], K)),
+            (a.map(lambda c: c * 3), LambdaSeries([c * 3 for c in a.coeffs], K)),
+            (a.conj(), LambdaSeries([c.conj() for c in a.coeffs], K)),
+            (LambdaSeries.of(a.coeffs[1], K), LambdaSeries([a.coeffs[1]], K)),
+            (a.zero_like(), LambdaSeries([zero], K)),
+        ]
+        cases += [(a.shift(k), LambdaSeries([zero] * k + list(a.coeffs), K))
+                  for k in range(K + 3)]
+        if ring != "pi":  # PiScalar sums need equal grades
+            cases += [
+                (a + b, LambdaSeries([c + d for c, d in zip(a.coeffs, b.coeffs)], K)),
+                (a - b, LambdaSeries([c - d for c, d in zip(a.coeffs, b.coeffs)], K)),
+                (a + x, LambdaSeries([a.coeffs[0] + x] + list(a.coeffs[1:]), K)),
+            ]
+        for got, expect in cases:
+            assert_same_series(got, expect)
+
+
+def func_cases(m):
+    """Plain, lam-shifted, pi-graded, base-enveloped, fiber-enveloped and
+    zero Funcs, each with a partner of the same envelope and grade."""
+    rng = random.Random(61)
+    base, fiber = m.base_names, (m.group_names or m.momentum_names)
+    env = {base[0]: Fraction(1, 2)}
+
+    def pair(profile, pi4, shift=0):
+        return tuple(Func(lam_shifted(rand_poly(rng, m, m.gens, 2), shift).series,
+                          profile, pi4) for _ in range(2))
+
+    return {
+        "plain": pair({}, 0),
+        "shifted": pair({}, 0, 1),
+        "graded": pair({}, 5),
+        "enveloped": pair(env, 0),
+        "enveloped_graded": pair({base[1]: 2, fiber[0]: Fraction(1, 3)}, -2, 2),
+        "zero": (m.zero(), m.zero()),
+        "zero_enveloped": (Func(m.zero().series, env, 1), Func(m.zero().series, env, 1)),
+    }
+
+
+def validated(series, profile, pi4, order=None):
+    """The validating constructors around a list of coefficients."""
+    order = len(series) - 1 if order is None else order
+    return Func(LambdaSeries(list(series), order), dict(profile), pi4)
+
+
+def product_profile(f, g):
+    prof = dict(f.profile)
+    for k, v in g.profile.items():
+        prof[k] = prof.get(k, Fraction(0)) + v
+    return prof
+
+
+@pytest.mark.parametrize("name", ["heis3", "aff1"])
+def test_trusted_funcs_match_validating_construction(name):
+    """Every Func method, moyal, DiffOperator.apply and
+    gaussian_integrate_shifted against Func(...) of LambdaSeries(...)."""
+    m = ModelSpace(heisenberg3(), 2, 3) if name == "heis3" else ModelSpace(aff1(), 2, 3)
+    K, gens = m.order, m.gens
+    cases = func_cases(m)
+    scalars = [3, Fraction(-1, 2), GaussRational(1, -2),
+               LambdaSeries([GaussRational(2), GaussRational(0, 1)], K)]
+    rng = random.Random(67)
+    op = rand_operator(rng, m, top=3)
+    for tag, (f, g) in cases.items():
+        P, pi4 = f.profile, f.pi4
+        c = f.series.coeffs
+        checks = [
+            (-f, validated([-p for p in c], P, pi4)),
+            (f.conj(), validated([p.conj() for p in c], P, pi4)),
+            (f * PiScalar(2, 3), validated([p * 2 for p in c], P, pi4 + 3)),
+            (op.apply(f), validated(op.apply(f).series.coeffs, P, pi4)),
+        ]
+        if not (f.is_zero() or g.is_zero()):
+            checks += [(f + g, validated([a + b for a, b in zip(c, g.series.coeffs)], P, pi4)),
+                       (f - g, validated([a - b for a, b in zip(c, g.series.coeffs)], P, pi4))]
+        checks += [(f * x, Func(f.series * x, dict(P), pi4)) for x in scalars[:3]]
+        checks.append((f * scalars[3], Func(ref_cauchy(f.series, scalars[3]), dict(P), pi4)))
+        checks += [(f.shift(k), validated([Poly.zero(gens)] * k + list(c), P, pi4, K))
+                   for k in range(K + 3)]
+        checks += [(f.coeff(r), validated([c[r]], P, pi4, K)) for r in range(K + 1)]
+        for v in gens:
+            ref = ref_func_diff(f, v)
+            checks.append((f.diff(v), validated(ref.series.coeffs, ref.profile, ref.pi4)))
+        names = [v for v in gens if v not in P]
+        idx = [gens.index(v) for v in names]
+        checks.append((f.set_zero(names), validated(
+            [Poly(gens, {e: a for e, a in p.terms.items() if not any(e[i] for i in idx)})
+             for p in c], P, pi4)))
+        for other_tag, (h, _) in cases.items():
+            prof = product_profile(f, h)
+            checks.append((f * h, Func(ref_cauchy(f.series, h.series), prof, pi4 + h.pi4)))
+            got = moyal(m, f, h)
+            checks.append((got, Func(LambdaSeries(list(got.series.coeffs), K), dict(P),
+                                     pi4 + h.pi4).with_profile(h.profile)))
+        for got, expect in checks:
+            assert_identical(got, expect)
+    enveloped = [Func((f * g).series, {**(f * g).profile, m.base_names[0]: 1,
+                                        m.base_names[1]: Fraction(1, 4)}, f.pi4 + g.pi4)
+                 for f, g in cases.values()]
+    shifts = [(0, 0), (1, 1), (2, 0), (0, 3)]
+    for f in enveloped:
+        for top in (0, 1, K):
+            got = gaussian_integrate_shifted(f, m.base_names, shifts, top, {})
+            rest = {v: a for v, a in f.profile.items()
+                    if v not in m.base_names and not f.is_zero()}
+            for val in got:
+                assert all(p.is_zero() for p in val.series.coeffs[top + 1:])
+                assert_identical(val, validated(val.series.coeffs[: top + 1], rest,
+                                                f.pi4 + 2 * len(m.base_names), K))
+    assert any(not f.is_zero() for f in enveloped)
+
+
+# modules that may build a Poly, LambdaSeries or Func from its parts without
+# validation (series owns LambdaSeries._trusted, which its own arithmetic
+# uses), and modules that may build a GaussRational from a raw integer triple
+TRUSTED = {"poly", "series", "funcs", "diffop", "starprod", "integrate"}
 RAW_SCALAR = {"scalars", "poly"}
+# where user input arrives or kernel results are combined: always validated
+VALIDATED = {"cli", "suites", "koszul", "involution", "morita", "geometry", "linalg"}
 
 
 @pytest.mark.parametrize("module", ["__init__"] + sorted(
@@ -1345,7 +1633,9 @@ def test_unvalidated_construction_stays_in_the_kernels(module):
             names.add(node.id)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    if module not in TRUSTED_POLY:
+    assert VALIDATED <= {m.name for m in pkgutil.iter_modules(redstar.__path__)}
+    assert not VALIDATED & TRUSTED
+    if module not in TRUSTED:
         assert not names & {"_trusted", "_trusted_sums"}
     if module not in RAW_SCALAR:
         assert not names & {"_make", "_triple"}
