@@ -28,7 +28,7 @@ from .geometry import (
 from .involution import reduced_involution
 from .koszul import ReductionConfig, reduced_star
 from .scalars import GaussRational
-from .starprod import StarProduct
+from .starprod import STAR_PRODUCTS, StarProduct
 from .suites import SUITES, SuiteContext, run_suite
 
 
@@ -141,6 +141,11 @@ class Scene:
             self.exponents[name] = _rational(spec.get("exponent", 1),
                                              f"weight {name!r} exponent")
         self.star_product = data.get("star_product", "total")
+        if self.star_product not in STAR_PRODUCTS:
+            shown = (repr(self.star_product) if isinstance(self.star_product, str)
+                     else _json_type(self.star_product))
+            raise SceneError(f"star_product must be one of {', '.join(STAR_PRODUCTS)}, "
+                             f"got {shown}")
         self.label = data.get("label", self.lie.label)
 
     def model(self) -> ModelSpace:
@@ -443,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("star", help="multiply two functions and print the series")
     ps.add_argument("--scene", required=True)
     ps.add_argument("--product", default=None,
-                    choices=["moyal", "std", "weyl_g", "total"],
+                    choices=STAR_PRODUCTS,
                     help="default: the scene's star_product entry")
     ps.add_argument("--left", required=True)
     ps.add_argument("--right", required=True)

@@ -212,8 +212,11 @@ class ModelSpace:
         return Func.var(self.gens, name, self.order)
 
     def momentum(self, a: int) -> Func:
-        """J_a as a function (zero-indexed basis label)."""
-        return self.var(self.momentum_names[a])
+        """J_a as a function (zero-indexed basis label), built once per model."""
+        key = ("momentum", a)
+        if key not in self._field_cache:
+            self._field_cache[key] = self.var(self.momentum_names[a])
+        return self._field_cache[key]
 
     def momentum_of(self, xi) -> Func:
         out = self.zero()

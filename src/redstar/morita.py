@@ -22,7 +22,7 @@ from .linalg import is_psd_hermitian, poly_equations, solve_linear
 from .poly import Poly
 from .scalars import GaussRational
 from .series import LambdaSeries
-from .starprod import SymbolOp, moyal, neumaier_N, pbw_words
+from .starprod import SymbolOp, moyal, neumaier_N, pbw_words, word_actions
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +148,24 @@ def complete_positivity_sample(cfg: ReductionConfig, states, points) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class VerticalOperator:
+class VerticalOperator(SymbolOp):
     """A vertical operator sum_I D^I e_I in fundamental-field words.
 
-    Internally the words are PBW-ordered left-invariant derivatives; each
-    fundamental generator contributes one sign.  The deformed action is
-    D bullet' phi = sum_I D^I *_red e_I(phi) and the deformed composition
-    star' is operator composition in this calculus.
+    It is the word calculus of SymbolOp with generator factor F = 1: the
+    words are PBW-ordered left-invariant derivatives, each fundamental
+    generator contributing one sign.  The deformed action
+    D bullet' phi = sum_I D^I *_red e_I(phi) is apply, and the deformed
+    composition star' is compose.
     """
 
-    def __init__(self, model: ModelSpace, op: SymbolOp | None = None):
+    def __init__(self, model: ModelSpace, terms=None):
         if not model.has_group:
             raise ValueError("vertical operators need group coordinates")
-        self.model = model
-        self.op = op if op is not None else SymbolOp(model, None, lam_weighted=False)
+        super().__init__(model, terms)
+
+    @staticmethod
+    def _factor(f: Func, times: int = 1) -> Func:
+        return f
 
     @staticmethod
     def identity(model: ModelSpace) -> "VerticalOperator":
@@ -171,12 +175,12 @@ class VerticalOperator:
 
     @staticmethod
     def from_fundamental_terms(model: ModelSpace, terms: dict) -> "VerticalOperator":
-        op = SymbolOp(model, None, lam_weighted=False)
+        op = VerticalOperator(model)
         for word, coeff in terms.items():
             word = tuple(word)
             sign = GaussRational(-1 if len(word) % 2 else 1)
             op._add_normal_ordered(word, coeff * sign)
-        return VerticalOperator(model, op)
+        return op
 
     @staticmethod
     def fundamental(model: ModelSpace, a: int) -> "VerticalOperator":
@@ -189,35 +193,11 @@ class VerticalOperator:
     def multiplication(model: ModelSpace, c: Func) -> "VerticalOperator":
         return VerticalOperator.from_fundamental_terms(model, {(): c})
 
-    def act(self, phi: Func) -> Func:
-        return self.op.apply(phi)
-
-    def compose(self, other: "VerticalOperator") -> "VerticalOperator":
-        return VerticalOperator(self.model, self.op.compose(other.op))
-
-    def __add__(self, other: "VerticalOperator") -> "VerticalOperator":
-        return VerticalOperator(self.model, self.op + other.op)
-
-    def __sub__(self, other: "VerticalOperator") -> "VerticalOperator":
-        return VerticalOperator(self.model, self.op - other.op)
-
-    def scale(self, c) -> "VerticalOperator":
-        return VerticalOperator(self.model, self.op.scale(c))
-
     def lam_shift(self, k: int) -> "VerticalOperator":
-        out = SymbolOp(self.model, None, lam_weighted=False)
-        for w, c in self.op.terms.items():
-            out._add_term(w, c.shift(k))
-        return VerticalOperator(self.model, out)
+        return self._new({w: c.shift(k) for w, c in self.terms.items()})
 
     def lam_slice(self, r: int) -> "VerticalOperator":
-        out = SymbolOp(self.model, None, lam_weighted=False)
-        for w, c in self.op.terms.items():
-            out._add_term(w, c.coeff(r).shift(r))
-        return VerticalOperator(self.model, out)
-
-    def is_zero(self) -> bool:
-        return self.op.is_zero()
+        return self._new({w: c.coeff(r).shift(r) for w, c in self.terms.items()})
 
     def adjoint(self) -> "VerticalOperator":
         """The unique adjoint for the canonical inner product.
@@ -226,23 +206,16 @@ class VerticalOperator:
         (the modular term vanishes for nilpotent groups), coefficient
         multiplications conjugate.
         """
-        model = self.model
-        total = SymbolOp(model, None, lam_weighted=False)
-        for word, c in self.op.terms.items():
+        minus_one = Func.one(self.model.gens, self.model.order) * GaussRational(-1)
+        total = self._new()
+        for word, c in self.terms.items():
             # (M_c o L_{w})^* = L_{w_k}^* o ... o L_{w_1}^* o M_{conj c}
             # with L_{X_a}^* = -L_{X_a} for the unimodular model.
-            piece = SymbolOp(
-                model, {(): c.conj()}, lam_weighted=False
-            )
+            piece = self._new({(): c.conj()})
             for a in word:
-                gen = SymbolOp(
-                    model,
-                    {(a,): Func.one(model.gens, model.order) * GaussRational(-1)},
-                    lam_weighted=False,
-                )
-                piece = gen.compose(piece)
+                piece = self._new({(a,): minus_one}).compose(piece)
             total = total + piece
-        return VerticalOperator(model, total)
+        return total
 
 
 def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
@@ -303,13 +276,13 @@ def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
         if sol is None:
             raise ValueError("caps too small to determine the comparison operator")
         entries = {}    # word -> [(e, coefficient)]
-        add = SymbolOp(model, None, lam_weighted=False)
+        add = VerticalOperator(model)
         for u, coeff in enumerate(sol):
             if not coeff.is_zero():
                 w, e = words[u // len(gexps)], gexps[u % len(gexps)]
                 entries.setdefault(w, []).append((e, coeff))
                 add._add_term(w, (_monomial(model, gnames, e) * coeff).shift(r))
-        h = h + VerticalOperator(model, add)
+        h = h + add
         if r == order:
             break
         hit = list(entries.values())
@@ -323,21 +296,10 @@ def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
 
 def _word_products(model: ModelSpace, probes, words):
     """Yield (i * len(probes) + j, k, conj(probes[i]) *_red L_w probes[j])
-    for w = words[k], holding the word actions of one probe at a time.
-
-    L_w psi is the left-invariant field of w[0] applied to L_{w[1:]} psi,
-    taken once per (word, probe) including the suffixes of the words.
-    """
-    fields = [model.left_invariant_field(a) for a in range(model.lie.dim)]
+    for w = words[k], holding the word actions of one probe at a time."""
     bras = [phi.conj() for phi in probes]
     for j, psi in enumerate(probes):
-        acts = {(): psi}
-
-        def act(w):
-            if w not in acts:
-                acts[w] = fields[w[0]].apply(act(w[1:]))
-            return acts[w]
-
+        act = word_actions(model, psi)
         kets = [act(w) for w in words]
         for i, bra in enumerate(bras):
             for k, ket in enumerate(kets):

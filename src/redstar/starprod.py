@@ -126,21 +126,20 @@ class SymbolOp:
     product and pointwise in the group coordinates.  On momentum-level
     models the L_a are the abstract generators J_a of the enveloping
     algebra, which commute with every coefficient.  The per-generator
-    factor F is (i lam) for the symbol calculus and 1 for plain vertical
-    differential operators.
+    factor F is a property of the type, applied by _factor: (i lam) here,
+    for the symbol calculus; morita.VerticalOperator is the same calculus
+    with F = 1.  Operators of different types do not compose.
     """
 
-    def __init__(self, model: ModelSpace, terms=None, lam_weighted: bool = True):
+    def __init__(self, model: ModelSpace, terms=None):
         self.model = model
-        self.lam_weighted = bool(lam_weighted)
         self.terms: dict = {}
         if terms:
             for w, c in terms.items():
                 if not c.is_zero():
                     self._add_term(tuple(w), c)
 
-    def _factor(self, f: Func, times: int = 1) -> Func:
-        return _mul_ilam(f, times) if self.lam_weighted else f
+    _factor = staticmethod(_mul_ilam)
 
     def _add_term(self, word, coeff):
         if word in self.terms:
@@ -171,7 +170,7 @@ class SymbolOp:
                 self._add_term(v, c if r == _ONE else c * r)
 
     def _new(self, terms=None) -> "SymbolOp":
-        return SymbolOp(self.model, terms, self.lam_weighted)
+        return type(self)(self.model, terms)
 
     def __add__(self, other: "SymbolOp") -> "SymbolOp":
         out = self._new(dict(self.terms))
@@ -193,14 +192,10 @@ class SymbolOp:
         """Apply to a fiber function (no momentum dependence)."""
         if not self.model.is_momentum_free(phi):
             raise ValueError("symbol operators act on momentum-free functions")
-        fields = [self.model.left_invariant_field(a) for a in range(self.model.lie.dim)]
+        act = word_actions(self.model, phi)
         out = phi.zero_like()
         for word, c in self.terms.items():
-            val = phi
-            for a in reversed(word):
-                val = fields[a].apply(val)
-            val = self._factor(val, len(word))
-            out = out + moyal(self.model, c, val)
+            out = out + moyal(self.model, c, self._factor(act(word), len(word)))
         return out
 
     def compose(self, other: "SymbolOp") -> "SymbolOp":
@@ -209,7 +204,7 @@ class SymbolOp:
         Group fields act on the coefficients only on group models; without
         group coordinates the coefficients commute with every word.
         """
-        if self.lam_weighted != other.lam_weighted:
+        if type(self) is not type(other):
             raise ValueError("cannot mix calculi with different generator factors")
         model = self.model
         fields = ([model.left_invariant_field(a) for a in range(model.lie.dim)]
@@ -238,6 +233,22 @@ class SymbolOp:
                     coeff = moyal(model, c1, cv)
                     out._add_normal_ordered(v + w2, coeff)
         return out
+
+
+def word_actions(model: ModelSpace, phi: Func):
+    """w -> L_w phi for the left-invariant fields, L_w phi being the field
+    of w[0] applied to L_{w[1:]} phi; each suffix is applied once and held
+    for the lifetime of the returned function."""
+    fields = [model.left_invariant_field(a) for a in range(model.lie.dim)]
+    acts = {(): phi}
+
+    def act(w):
+        val = acts.get(w)
+        if val is None:
+            val = acts[w] = fields[w[0]].apply(act(w[1:]))
+        return val
+
+    return act
 
 
 def pbw_words(dim: int, cap: int) -> list:
@@ -464,13 +475,17 @@ def schroedinger_rep(model: ModelSpace, f: Func, psi: Func) -> Func:
     return stdrep(model, neumaier_N(model).apply(f)).apply(psi)
 
 
+# the names StarProduct accepts, also the choices of the CLI's --product
+STAR_PRODUCTS = ("moyal", "std", "weyl_g", "total")
+
+
 class StarProduct:
     """A named multiplication rule on a model, selectable in scene files."""
 
     def __init__(self, model: ModelSpace, kind: str):
-        kinds = {"moyal", "std", "weyl_g", "total"}
-        if kind not in kinds:
-            raise ValueError(f"unknown star product {kind!r}; choose from {sorted(kinds)}")
+        if kind not in STAR_PRODUCTS:
+            raise ValueError(f"unknown star product {kind!r}; "
+                             f"choose from {sorted(STAR_PRODUCTS)}")
         if kind in ("std", "weyl_g") and not model.has_group:
             raise ValueError(f"product {kind!r} needs group coordinates")
         self.model = model

@@ -1016,10 +1016,10 @@ def suite_morita(ctx: SuiteContext) -> list:
         for _ in range(small):
             phi, psi = ctx.rand_state(1), ctx.rand_state(1)
             de = d1.compose(d2)
-            yield de.act(phi) - d1.act(d2.act(phi))
-            yield can(phi, d1.act(psi)) - can(d1.adjoint().act(phi), psi)
+            yield de.apply(phi) - d1.apply(d2.apply(phi))
+            yield can(phi, d1.apply(psi)) - can(d1.adjoint().apply(phi), psi)
             dd = d1.compose(d2) + d2
-            yield can(phi, dd.act(psi)) - can(dd.adjoint().act(phi), psi)
+            yield can(phi, dd.apply(psi)) - can(dd.adjoint().apply(phi), psi)
     ctx.check_on_plane("morita.vertical",
                        "deformed vertical operators compose and are adjointable",
                        vertical)
@@ -1028,19 +1028,20 @@ def suite_morita(ctx: SuiteContext) -> list:
         can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         h0 = deformation_comparison_H(cfg, can, g_cap=1, word_cap=1,
                                       probe_cap=1)
-        yield h0 - VerticalOperator.identity(m)
+        # an operator's defect is its word coefficients
+        yield from (h0 - VerticalOperator.identity(m)).terms.values()
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-        ip2 = lambda a, b: can(a, pert.act(b))
+        ip2 = lambda a, b: can(a, pert.apply(b))
         h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2,
                                      probe_cap=2)
-        yield h - pert
-        yield h - h.adjoint()
+        yield from (h - pert).terms.values()
+        yield from (h - h.adjoint()).terms.values()
         v = vertical_sqrt(cfg, h)
-        yield v.adjoint().compose(v) - h
+        yield from (v.adjoint().compose(v) - h).terms.values()
         for _ in range(2):
             phi, psi = ctx.rand_state(1), ctx.rand_state(1)
-            yield ip2(phi, psi) - can(v.act(phi), v.act(psi))
+            yield ip2(phi, psi) - can(v.apply(phi), v.apply(psi))
     ctx.check("morita.comparison",
               "the comparison operator recovers a planted deformation and splits",
               comparison)

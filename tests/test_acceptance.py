@@ -511,19 +511,19 @@ def test_criterion_11_vertical_operators():
         for _ in range(13 if tag == "line" else 12):
             phi, psi = rand.state(m, 1), rand.state(m, 1)
             de = d1.compose(d2)
-            assert (de.act(phi) - d1.act(d2.act(phi))).is_zero(), tag
-            assert (can(phi, d1.act(psi)) - can(d1.adjoint().act(phi), psi)
+            assert (de.apply(phi) - d1.apply(d2.apply(phi))).is_zero(), tag
+            assert (can(phi, d1.apply(psi)) - can(d1.adjoint().apply(phi), psi)
                     ).is_zero(), tag
-            assert (d1.adjoint().act(phi) + d1.act(phi)).is_zero(), tag
+            assert (d1.adjoint().apply(phi) + d1.apply(phi)).is_zero(), tag
             dd = de + d2
-            assert (can(phi, dd.act(psi)) - can(dd.adjoint().act(phi), psi)
+            assert (can(phi, dd.apply(psi)) - can(dd.adjoint().apply(phi), psi)
                     ).is_zero(), tag
     m = MODELS["line"]
     cfg = ReductionConfig(m, Fraction(1, 2))
     can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
     l0 = VerticalOperator.fundamental(m, 0)
     pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-    ip2 = lambda a, b: can(a, pert.act(b))
+    ip2 = lambda a, b: can(a, pert.apply(b))
     h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2, probe_cap=2)
     assert (h - pert).is_zero()
     assert (h - h.adjoint()).is_zero()
@@ -531,7 +531,7 @@ def test_criterion_11_vertical_operators():
     assert (v.adjoint().compose(v) - h).is_zero()
     for _ in range(5):
         phi, psi = rand.state(m, 1), rand.state(m, 1)
-        assert (ip2(phi, psi) - can(v.act(phi), v.act(psi))).is_zero()
+        assert (ip2(phi, psi) - can(v.apply(phi), v.apply(psi))).is_zero()
     report(11, "vertical composition, adjoint generators, comparison round trip")
 
 

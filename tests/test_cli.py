@@ -12,6 +12,9 @@ from redstar.cli import (
     main,
     parse_expr,
 )
+from redstar import suites
+from redstar.morita import VerticalOperator
+from redstar.starprod import STAR_PRODUCTS
 from redstar.suites import SUITES
 
 HEIS_SCENE = {
@@ -144,6 +147,10 @@ class TestMalformedScenes:
          "structure constant index must be an integer, got bool"),
         ({"weights": {"w": {"kind": "bogus"}}}, [],
          "unknown weight kind 'bogus' for weight 'w'"),
+        ({"star_product": "bogus"}, [],
+         "star_product must be one of moyal, std, weyl_g, total, got 'bogus'"),
+        ({"star_product": [1]}, [],
+         "star_product must be one of moyal, std, weyl_g, total, got list"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
             "negative_degree_cap", "negative_degree_cap_override",
@@ -156,7 +163,7 @@ class TestMalformedScenes:
             "structure_bool", "poisson_zero_denominator", "poisson_null",
             "weight_exponent_zero_denominator", "weight_exponent_list",
             "structure_index_float", "structure_index_bool",
-            "weight_kind_unknown"])
+            "weight_kind_unknown", "star_product_unknown", "star_product_list"])
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []
@@ -222,6 +229,31 @@ class TestMalformedScenes:
             assert captured.out == ""
             assert captured.err == ("configuration error: unknown weight kind "
                                     "'bogus' for weight 'w'\n")
+
+    @pytest.mark.parametrize("value,shown", [("bogus", "'bogus'"), ([1], "list"),
+                                             (None, "null")],
+                             ids=["unknown", "list", "null"])
+    def test_every_verb_rejects_star_product(self, tmp_path, capsys, value, shown):
+        path = write_scene(tmp_path, {**HEIS_SCENE, "star_product": value})
+        for verb in (["verify"], ["star", "--left", "q", "--right", "p"],
+                     ["star", "--product", "moyal", "--left", "q", "--right", "p"],
+                     ["reduce", "--left", "q", "--right", "p"],
+                     ["involve", "--input", "q"]):
+            assert main([verb[0], "--scene", path, *verb[1:]]) == 2, verb
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("configuration error: star_product must be one "
+                                    f"of moyal, std, weyl_g, total, got {shown}\n")
+
+    @pytest.mark.parametrize("name", STAR_PRODUCTS)
+    def test_every_star_product_is_a_choice(self, tmp_path, capsys, name):
+        """One tuple of names: each loads from a scene and each is a --product
+        choice."""
+        path = write_scene(tmp_path, {**HEIS_SCENE, "star_product": name})
+        assert main(["star", "--scene", path, "--left", "q", "--right", "p"]) == 0
+        assert main(["star", "--scene", path, "--product", name,
+                     "--left", "q", "--right", "p"]) == 0
+        assert capsys.readouterr().out.startswith(f"# {name}:")
 
     def test_operator_basis_key_still_loads(self, tmp_path):
         data = dict(HEIS_SCENE)
@@ -292,6 +324,29 @@ class TestEngineErrors:
         code, out = self.run(tmp_path, monkeypatch, capsys, [False])
         assert code == 1
         assert json.loads(out)["counts"] == {"pass": 0, "fail": 1, "skip": 0}
+
+    def test_vertical_defect_is_a_failure(self, tmp_path, monkeypatch, capsys):
+        """A nonzero vertical-operator defect in morita.comparison is a failed
+        identity at its first bad order, not an engine error: the planted
+        h0 = L_{e_1} gives the defect L_{e_1} - id."""
+        real = suites.deformation_comparison_H
+        calls = []
+
+        def planted(cfg, ip2, **caps):
+            calls.append(caps)
+            if len(calls) == 1:
+                return VerticalOperator.fundamental(cfg.model, 0)
+            return real(cfg, ip2, **caps)
+
+        monkeypatch.setattr(suites, "deformation_comparison_H", planted)
+        path = write_scene(tmp_path, {**HEIS_SCENE, "suites": ["morita"]})
+        code = main(["verify", "--scene", path, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        rec = {r["id"]: r for r in doc["records"]}["morita.comparison"]
+        assert len(calls) == 2
+        assert rec["status"] == "fail" and rec["first_bad_order"] == 0
+        assert doc["counts"]["fail"] == 1 and "error" not in doc["counts"]
+        assert code == 1
 
     def test_text_marks_error(self, tmp_path, monkeypatch, capsys):
         code, out = self.run(tmp_path, monkeypatch, capsys, self.boom, fmt="text")

@@ -230,7 +230,7 @@ def test_comparison_H_matches_dense(recorded, lie):
     can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
     l0 = VerticalOperator.fundamental(m, 0)
     pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-    ip2 = lambda a, b: can(a, pert.act(b))
+    ip2 = lambda a, b: can(a, pert.apply(b))
     h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2, probe_cap=2)
     assert (h - pert).is_zero()
     with pytest.raises(ValueError):

@@ -21,6 +21,9 @@ equal repr):
 - the base product as a Func-level recursion over pair sequences, with the
   two-pass envelope-aware Func.diff and the loop Poly.__mul__ and Poly.diff
   beneath it;
+- the application of a word operator with every word's fields applied
+  letter by letter, which word_actions replaces by one application per
+  suffix;
 - the symmetrized quantization with each coefficient d^alpha f at J = 0
   taken as a chain of Func.diff and a Func.set_zero, and its inverse as one
   Func product and one Func sum per inverse-table entry;
@@ -96,7 +99,7 @@ from redstar.koszul import (
     right_module,
 )
 from redstar.linalg import poly_equations, solve_linear
-from redstar.morita import fullness_element, inner_product_red
+from redstar.morita import VerticalOperator, fullness_element, inner_product_red
 from redstar.poly import Poly, _diff_terms, _mul_into
 from redstar.integrate import gaussian_integrate_shifted
 from redstar.scalars import GaussRational, I as IMAG, PiScalar
@@ -113,6 +116,7 @@ from redstar.starprod import (
     moyal_table,
     pbw_words,
     star_G,
+    stdrep,
 )
 
 
@@ -696,6 +700,84 @@ def test_dequantize_matches_func_sums(name):
         ref_dequantize(m, mixed)
     with pytest.raises(ValueError):
         _dequantize(m, mixed)
+
+
+# ---------------------------------------------------------------------------
+# reference: every word of an operator applied letter by letter
+# ---------------------------------------------------------------------------
+
+
+def ref_apply(op, phi):
+    """The former SymbolOp.apply: the fields of each word applied to phi in
+    turn, no suffix shared between words, and the factor (i lam)^{|w|} for
+    the symbol calculus only."""
+    model = op.model
+    fields = [model.left_invariant_field(a) for a in range(model.lie.dim)]
+    out = phi.zero_like()
+    for word, c in op.terms.items():
+        val = phi
+        for a in reversed(word):
+            val = fields[a].apply(val)
+        if type(op) is SymbolOp:
+            val = _mul_ilam(val, len(word))
+        out = out + moyal(model, c, val)
+    return out
+
+
+def test_apply_matches_per_word_loop():
+    """apply through word_actions gives the per-word loop's value, repr,
+    envelope and grade, on stdrep output and on vertical operators, with
+    words up to length 3 and lam-shifted, enveloped and pi-graded
+    coefficients and states."""
+    m = ModelSpace(heisenberg3(), 2, 3)
+    rng = random.Random(71)
+    base, gnames = m.base_names, m.group_names
+    surface = base + gnames
+    words = pbw_words(m.lie.dim, 3)
+
+    def dress(f):
+        return f.with_profile({base[0]: Fraction(1, 3)}).with_pi4(-2)
+
+    symbols = [rand_poly(rng, m, m.gens, 3, nterms=6),
+               rand_poly(rng, m, m.gens, 2) + lam_shifted(rand_poly(rng, m, m.gens, 3), 1),
+               dress(rand_poly(rng, m, m.gens, 3, nterms=5))]
+    ops = [stdrep(m, f) for f in symbols]
+    ops.append(VerticalOperator(m, {w: lam_shifted(rand_poly(rng, m, surface, 2), len(w) % 2)
+                                    for w in words}))
+    ops.append(VerticalOperator(m, {w: dress(rand_poly(rng, m, surface, 1))
+                                    for w in rng.sample(words, 8)}))
+    ops.append(VerticalOperator.fundamental(m, 0).compose(
+        VerticalOperator.multiplication(m, m.var(gnames[2]))))
+    states = [m.fiber_state(rand_poly(rng, m, surface, 2)),
+              lam_shifted(m.fiber_state(rand_poly(rng, m, surface, 1)), 1).with_pi4(1),
+              m.fiber_state(m.one())]
+    for op in ops:
+        for phi in states:
+            assert_identical(op.apply(phi), ref_apply(op, phi))
+    assert {len(w) for op in ops for w in op.terms} == {0, 1, 2, 3}
+    assert any(not op.apply(phi).is_zero() for op in ops[:3] for phi in states)
+
+
+def test_calculi_do_not_mix():
+    """The generator factor is the operator's type: the arithmetic keeps the
+    type, operators of different types do not compose, and vertical
+    operators need group coordinates."""
+    m = ModelSpace(heisenberg3(), 2, 3)
+    sym = stdrep(m, m.momentum(0) * m.momentum(1))
+    vert = VerticalOperator.fundamental(m, 0)
+    for a, b in ((sym, vert), (vert, sym)):
+        with pytest.raises(ValueError, match="cannot mix calculi"):
+            a.compose(b)
+    for op in (sym, vert):
+        for out in (op.compose(op), op + op, op - op, op.scale(GaussRational(2))):
+            assert type(out) is type(op)
+    for out in (vert.lam_shift(1), vert.lam_slice(0), vert.adjoint()):
+        assert type(out) is VerticalOperator
+    flat = ModelSpace(heisenberg3(), 2, 3, group_level=False)
+    for build in (VerticalOperator, VerticalOperator.identity,
+                  lambda model: VerticalOperator.fundamental(model, 0)):
+        with pytest.raises(ValueError, match="vertical operators need group coordinates"):
+            build(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -1639,3 +1721,18 @@ def test_unvalidated_construction_stays_in_the_kernels(module):
         assert not names & {"_trusted", "_trusted_sums"}
     if module not in RAW_SCALAR:
         assert not names & {"_make", "_triple"}
+
+
+@pytest.mark.parametrize("module", ["__init__"] + sorted(
+    m.name for m in pkgutil.iter_modules(redstar.__path__) if m.name != "starprod"))
+def test_symbol_ops_are_built_in_starprod(module):
+    """No module outside starprod calls SymbolOp(...): the symbol calculus
+    comes from its quantizations, and an operator with another generator
+    factor is a subclass with its own constructors."""
+    name = "redstar" if module == "__init__" else f"redstar.{module}"
+    with open(importlib.util.find_spec(name).origin) as fh:
+        tree = ast.parse(fh.read())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "SymbolOp" in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))]
+    assert calls == []

@@ -143,10 +143,10 @@ class TestVerticalOperators:
             d = VerticalOperator.fundamental(m, 0)
             for _ in range(3):
                 phi, psi = rand.state(m, 1), rand.state(m, 1)
-                assert (can(phi, d.act(psi)) - can(d.adjoint().act(phi), psi)
+                assert (can(phi, d.apply(psi)) - can(d.adjoint().apply(phi), psi)
                         ).is_zero()
                 # for the unimodular model the generator adjoint is the sign flip
-                assert (d.adjoint().act(phi) + d.act(phi)).is_zero()
+                assert (d.adjoint().apply(phi) + d.apply(phi)).is_zero()
 
     def test_multiplication_self_adjoint(self, model_r, rand):
         m = model_r
@@ -154,7 +154,7 @@ class TestVerticalOperators:
         can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         dq = VerticalOperator.multiplication(m, m.var("q"))
         phi, psi = rand.state(m, 1), rand.state(m, 1)
-        assert (can(phi, dq.act(psi)) - can(dq.adjoint().act(phi), psi)).is_zero()
+        assert (can(phi, dq.apply(psi)) - can(dq.adjoint().apply(phi), psi)).is_zero()
 
     def test_composition(self, model_heis, rand):
         m = model_heis
@@ -162,7 +162,7 @@ class TestVerticalOperators:
         d2 = VerticalOperator.fundamental(m, 1).compose(
             VerticalOperator.multiplication(m, m.var("g2")))
         phi = rand.state(m, 2)
-        assert (d1.compose(d2).act(phi) - d1.act(d2.act(phi))).is_zero()
+        assert (d1.compose(d2).apply(phi) - d1.apply(d2.apply(phi))).is_zero()
 
     def test_comparison_roundtrip(self, model_r, rand):
         m = model_r
@@ -173,7 +173,7 @@ class TestVerticalOperators:
         assert (h0 - VerticalOperator.identity(m)).is_zero()
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-        ip2 = lambda a, b: can(a, pert.act(b))
+        ip2 = lambda a, b: can(a, pert.apply(b))
         h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2,
                                      probe_cap=2)
         assert (h - pert).is_zero()
@@ -182,7 +182,7 @@ class TestVerticalOperators:
         assert (v.adjoint().compose(v) - h).is_zero()
         for _ in range(3):
             phi, psi = rand.state(m, 1), rand.state(m, 1)
-            assert (ip2(phi, psi) - can(v.act(phi), v.act(psi))).is_zero()
+            assert (ip2(phi, psi) - can(v.apply(phi), v.apply(psi))).is_zero()
 
     def test_caps_too_small_raise(self, model_r):
         m = model_r
@@ -190,7 +190,7 @@ class TestVerticalOperators:
         can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-        ip2 = lambda a, b: can(a, pert.act(b))
+        ip2 = lambda a, b: can(a, pert.apply(b))
         with pytest.raises(ValueError):
             deformation_comparison_H(cfg, ip2, g_cap=0, word_cap=1,
                                      probe_cap=1)
@@ -203,7 +203,7 @@ class TestVerticalOperators:
         can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-        ip2 = lambda a, b: can(a, pert.act(b))
+        ip2 = lambda a, b: can(a, pert.apply(b))
         g_cap, word_cap, probe_cap = caps
         with pytest.raises(ValueError, match="negative cap"):
             deformation_comparison_H(cfg, ip2, g_cap=g_cap, word_cap=word_cap,
@@ -227,9 +227,8 @@ class TestVerticalOperators:
             phi, psi = probes[slot // n], probes[slot % n]
             vals = gaussian_integrate_shifted(prod, gnames, gexps, m.order, {})
             for e, val in zip(gexps, vals):
-                cand = VerticalOperator(m, SymbolOp(
-                    m, {words[k]: _monomial(m, gnames, e)}, lam_weighted=False))
-                direct = inner_product_red_closed_form(cfg, phi, cand.act(psi))
+                cand = VerticalOperator(m, {words[k]: _monomial(m, gnames, e)})
+                direct = inner_product_red_closed_form(cfg, phi, cand.apply(psi))
                 assert val == direct and val.pi4 == direct.pi4, (words[k], e)
                 seen += not direct.is_zero()
         assert seen
@@ -244,9 +243,9 @@ class TestVerticalOperators:
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
         probes = [m.fiber_state(_monomial(m, gnames, e)) for e in _monomials(gnames, 2)]
-        table = {(phi, psi): inner_product_red_closed_form(cfg, phi, pert.act(psi))
+        table = {(phi, psi): inner_product_red_closed_form(cfg, phi, pert.apply(psi))
                  for phi in probes for psi in probes}
-        counts = {"apply": 0, "moyal": 0, "act": 0}
+        counts = {"apply": 0, "moyal": 0, "op_apply": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -256,7 +255,7 @@ class TestVerticalOperators:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(DiffOperator, "apply", counting("apply", DiffOperator.apply))
-            mp.setattr(VerticalOperator, "act", counting("act", VerticalOperator.act))
+            mp.setattr(SymbolOp, "apply", counting("op_apply", SymbolOp.apply))
             counted_moyal = counting("moyal", starprod.moyal)
             for mod in (starprod, morita):
                 mp.setattr(mod, "moyal", counted_moyal)
@@ -266,7 +265,7 @@ class TestVerticalOperators:
         # 10 probes, 10 words (9 non-empty); the word (0, 0) and its suffix
         # (0,) are applied again to every probe when order 1 is solved.
         assert counts == {"apply": 9 * 10 + 2 * 10, "moyal": 10 * 10 * 10 + 10 * 10,
-                          "act": 0}
+                          "op_apply": 0}
 
 
 def test_shifted_moments_match_fiber_integral(model_heis, rand):
