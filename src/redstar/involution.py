@@ -320,8 +320,21 @@ def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func,
 
 
 def involution_comparison(model: ModelSpace, omega: Func, rho: Func,
-                          us: list, cap: int = 4) -> dict:
-    """u^{*'} = conj(rho_hat) * u^* * conj(rho_hat)^{-1} for the weight omega * rho."""
+                          us: list, cap: int = 4, images=None) -> dict:
+    """u^{*'} = conj(rho_hat) * u^* * conj(rho_hat)^{-1} for the weight omega * rho.
+
+    images memoises reduced_involution by (u, weight), so that a weight
+    omega * rho equal to omega is not involved twice; calls that compare
+    several rho on the same inputs pass one dict and share it.
+    """
+    images = {} if images is None else images
+
+    def involve(u, weight):
+        key = (u, weight)
+        if key not in images:
+            images[key] = reduced_involution(model, u, weight)
+        return images[key]
+
     if rho.profile or rho.pi4:
         raise ValueError("the density ratio is a plain polynomial series")
     omega_p = density_weight(omega * rho)
@@ -334,8 +347,8 @@ def involution_comparison(model: ModelSpace, omega: Func, rho: Func,
     crh_inv = Func(series_inverse(crh.series, moyal_series))
     failures = []
     for k, u in enumerate(us):
-        lhs = reduced_involution(model, u, omega_p)
-        rhs = moyal(model, moyal(model, crh, reduced_involution(model, u, omega)), crh_inv)
+        lhs = involve(u, omega_p)
+        rhs = moyal(model, moyal(model, crh, involve(u, omega)), crh_inv)
         if not (lhs - rhs).is_zero():
             failures.append(k)
     return {"holds": not failures, "failures": failures, "rho_hat": rho_hat}

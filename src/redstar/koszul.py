@@ -3,9 +3,12 @@
 The complex lives on antisymmetric-algebra-valued functions; insertion of
 the momentum covector is the classical differential, and the quantized
 differential adds the right star multiplication, the structure-constant
-correction and the modular term weighted by the parameter kappa.  All
-geometric-series inverses terminate by lam-grading, so every identity is
-exact modulo lam^(K+1).
+correction and the modular term weighted by the parameter kappa.  The
+right star multiplication by J_a is a differential operator, built once
+per model by starprod.right_momentum_operator, so a Koszul step applies
+it to each component and makes no star_G call.  All geometric-series
+inverses terminate by lam-grading, so every identity is exact modulo
+lam^(K+1).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .funcs import Func
 from .geometry import ModelSpace
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries
-from .starprod import star_G
+from .starprod import right_momentum_operator, star_G
 
 
 def kappa_series(model: ModelSpace, value) -> LambdaSeries:
@@ -178,13 +181,14 @@ def homotopy_h(model: ModelSpace, x: SuperObservable, k: int) -> SuperObservable
 
 def quantized_koszul(cfg: ReductionConfig, x: SuperObservable) -> SuperObservable:
     """ins(e^a)x * J_a + (i lam/2) C_ab^c e_c ins(e^a) ins(e^b) x
-    + i lam kappa ins(Delta) x."""
+    + i lam kappa ins(Delta) x.
+
+    The first term applies R_a = right_momentum_operator(model, a), with
+    R_a f = star_G(f, J_a), to each component of ins(e^a)x."""
     model = cfg.model
     out = SuperObservable(model)
     for a in range(model.lie.dim):
-        ja = model.momentum(a)
-        ins = x.insert_basis(a)
-        out = out + ins.map(lambda f, ja=ja: cfg.star(f, ja))
+        out = out + x.insert_basis(a).map(right_momentum_operator(model, a).apply)
     half_i = IMAG * GaussRational(Fraction(1, 2))
     for a in range(model.lie.dim):
         for b in range(model.lie.dim):

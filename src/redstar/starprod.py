@@ -18,7 +18,11 @@ coefficients, and the calculus gives the standard-ordered product; its
 Hermitian normalization conjugates with the exponential N of the momentum
 Laplacian minus the vertical modular field.  On momentum-level models no
 field acts, and the same calculus gives Gutt's symmetrization product on
-g* directly.  The total product acts blockwise.
+g* directly.  The total product acts blockwise.  The right multiplication
+f -> star_G(f, J_a) by a momentum is one differential operator per model
+(right_momentum_operator): the Gutt right multiplication read from the
+same tables and, on group models, conjugated by N as a terminating
+ad-series, so the quantized Koszul differential needs no product call.
 
 Operators coming from the symbol calculus are held in a "stripped" normal
 form sum_w c_w (i lam)^{|w|} L_{w_1} ... L_{w_k}: every stored word is
@@ -33,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
-from operator import add
+from operator import add, sub
 
 from .diffop import DiffOperator
 from .funcs import Func
@@ -430,16 +434,19 @@ def _normalization_argument(model: ModelSpace) -> DiffOperator:
     return delta
 
 
+def _normalization_exponent(model: ModelSpace, sign: int) -> DiffOperator:
+    """sign (lam/2i)(Delta_0 - Delta_ver), the exponent of N^sign."""
+    return _normalization_argument(model).lam_shift(1) * (
+        IMAG * GaussRational(Fraction(-sign, 2)))
+
+
 def _normalizer(model: ModelSpace, sign: int) -> DiffOperator:
     """exp(sign (lam/2i)(Delta_0 - Delta_ver)), built once per model."""
     if not model.has_group:
         raise ValueError("the normalization operator needs group coordinates")
     key = ("norm_op", sign)
     if key not in model._field_cache:
-        arg = _normalization_argument(model).lam_shift(1) * (
-            IMAG * GaussRational(Fraction(-sign, 2))
-        )
-        model._field_cache[key] = arg.exp()
+        model._field_cache[key] = _normalization_exponent(model, sign).exp()
     return model._field_cache[key]
 
 
@@ -451,6 +458,93 @@ def neumaier_N(model: ModelSpace) -> DiffOperator:
 def neumaier_N_inverse(model: ModelSpace) -> DiffOperator:
     """exp(-(lam/2i)(Delta_0 - Delta_ver)), the inverse of neumaier_N."""
     return _normalizer(model, -1)
+
+
+def _gutt_right_operator(model: ModelSpace, a: int) -> DiffOperator:
+    """S_a = sum_{|beta| <= K} p_beta d_J^beta with S_a(f) = f * J_a for
+    the symmetrization product on the momenta.
+
+    J^alpha * J_a appends the constant-coefficient letter a, so no field is
+    pushed and q_alpha = (J^alpha * J_a) / alpha! reads the PBW tables only:
+    sum over v in _sym_table(alpha), u in _normal_order(v + (a,)) and beta
+    in _inverse_table(u) of s_v r_u t_beta F^{|alpha|+1-|beta|} J^beta, the
+    F-powers above K dropped.  S_a(J^alpha) = sum_beta p_beta
+    alpha!/(alpha-beta)! J^{alpha-beta} is the Taylor relation
+    q_alpha = sum_{beta <= alpha} p_beta J^{alpha-beta}/(alpha-beta)!,
+    whose inverse is p_alpha = sum_{beta <= alpha} q_beta
+    (-J)^{alpha-beta}/(alpha-beta)!."""
+    lie, gens, order = model.lie, model.gens, model.order
+    jidx = [gens.index(n) for n in model.momentum_names]
+
+    def expo(word):
+        e = [0] * len(gens)
+        for b in word:
+            e[jidx[b]] += 1
+        return tuple(e)
+
+    q = {}
+    for alpha in pbw_words(lie.dim, order):
+        acc = [{} for _ in range(order + 1)]
+        for v, s in _sym_table(lie, alpha).items():
+            for u, r in _normal_order(lie, v + (a,)).items():
+                for beta, t in _inverse_table(lie, u).items():
+                    k = len(alpha) + 1 - len(beta)
+                    if k <= order:
+                        e, c = expo(beta), s * r * t * _IMAG_POWERS[k % 4]
+                        acc[k][e] = acc[k][e] + c if e in acc[k] else c
+        q[expo(alpha)] = acc
+    tables = [{} for _ in range(order + 1)]
+    for ea in q:
+        for eb, qb in q.items():
+            gamma = tuple(map(sub, ea, eb))
+            if min(gamma) < 0:
+                continue
+            weight = {gamma: GaussRational(Fraction(
+                (-1) ** sum(gamma), prod(map(factorial, gamma))))}
+            for r, terms in enumerate(qb):
+                if terms:
+                    _mul_into(tables[r].setdefault(ea, {}), terms, weight)
+    return DiffOperator(gens, order, [
+        {d: Poly._trusted_sums(gens, t) for d, t in tab.items()} for tab in tables])
+
+
+def right_momentum_operator(model: ModelSpace, a: int) -> DiffOperator:
+    """R_a with R_a f = star_G(f, J_a), built once per model on first use.
+
+    On momentum-level models R_a is the Gutt right multiplication S_a of
+    _gutt_right_operator.  On group models star_G(f, J_a) =
+    N^{-1}(Nf star_std N(J_a)), and star_std acts on the momenta as the
+    symmetrization product does, so the middle map is S_a plus the
+    multiplication by N(J_a) - J_a = A(J_a), where N = exp(A).  That is
+    the constant -(i lam/2) times the modular component a, which A
+    annihilates; it vanishes on the nilpotent, hence unimodular, algebras
+    that carry group coordinates.  The conjugation is the terminating
+    series N^{-1} S N = sum_{k <= K} (-1)^k/k! ad_A^k(S), since A is
+    O(lam), and composes no power of N.
+
+    Only derivative orders |beta| <= K occur: in BCH form the right
+    multiplication by X is sum_k b_k lam^k <(ad_d)^k X, J>, so every order
+    of derivative in the momenta costs at least one lam and the orders
+    above K vanish modulo lam^(K+1).
+    """
+    key = ("right_momentum", a)
+    op = model._field_cache.get(key)
+    if op is None:
+        op = _gutt_right_operator(model, a)
+        if model.has_group:
+            arg = _normalization_exponent(model, 1)
+            shift = arg.apply(model.momentum(a))
+            op = op + DiffOperator(model.gens, model.order, [
+                {(0,) * len(model.gens): p} for p in shift.series.coeffs])
+            term = op
+            for k in range(1, model.order + 1):
+                term = (arg.compose(term) - term.compose(arg)) * GaussRational(
+                    Fraction(-1, k))
+                if term.is_zero():
+                    break
+                op = op + term
+        model._field_cache[key] = op
+    return op
 
 
 # ---------------------------------------------------------------------------

@@ -756,12 +756,13 @@ def suite_involution(ctx: SuiteContext) -> list:
     def comparisons():
         one = m.one()
         us = [m.var("q"), m.var("p"), ctx.rand_base(2)]
-        rep = involution_comparison(m, gauss, one, us, cap=3)
+        images = {}
+        rep = involution_comparison(m, gauss, one, us, cap=3, images=images)
         yield rep["holds"]
-        rep2 = involution_comparison(m, gauss, one * 2, us, cap=3)
+        rep2 = involution_comparison(m, gauss, one * 2, us, cap=3, images=images)
         yield rep2["holds"]
         rho_l = one + (m.var("q") * m.var("q")).shift(1)
-        rep3 = involution_comparison(m, gauss, rho_l, us, cap=4)
+        rep3 = involution_comparison(m, gauss, rho_l, us, cap=4, images=images)
         yield rep3["holds"]
     ctx.check_on_plane("involution.comparison",
                        "involutions of scaled weights differ by an inner conjugation",

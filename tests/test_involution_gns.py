@@ -2,10 +2,12 @@
 the weighted involution, KMS structures and the modular class."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from redstar import involution
+from redstar import involution, suites
+from redstar.cli import load_scene
 from redstar.funcs import Func
 from redstar.geometry import (
     ModelSpace,
@@ -40,6 +42,9 @@ from redstar.scalars import GaussRational, I
 from redstar.series import LambdaSeries
 from redstar.starprod import moyal
 from redstar.suites import SuiteContext, suite_gns, suite_involution, suite_kms
+
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def mstar(m):
@@ -255,6 +260,33 @@ class TestInvolutionComparison:
         rho = m.one() + Func((m.var("q") * m.var("q")).series.shift(1))
         us = [m.var("q"), m.var("p"), m.var("q") * m.var("p")]
         assert involution_comparison(m, om, rho, us, cap=4)["holds"]
+
+    def test_suite_involves_each_pair_once(self, monkeypatch):
+        """The comparisons of the involution suite share one memo: on the
+        affine-line scene its three inputs are involved under omega,
+        2 omega and omega rho_l, nine reduced_involution calls in all."""
+        scene = load_scene(str(SCENES / "affine_line.json"))
+        ctx = scene.context(scene.model())
+        comparing, calls = [False], []
+        compare, involve = involution_comparison, involution.reduced_involution
+
+        def counted_comparison(*args, **kwargs):
+            comparing[0] = True
+            try:
+                return compare(*args, **kwargs)
+            finally:
+                comparing[0] = False
+
+        def counted_involution(model, u, omega):
+            if comparing[0]:
+                calls.append((u, omega))
+            return involve(model, u, omega)
+
+        monkeypatch.setattr(suites, "involution_comparison", counted_comparison)
+        monkeypatch.setattr(involution, "reduced_involution", counted_involution)
+        recs = {r["id"]: r for r in suite_involution(ctx)}
+        assert recs["involution.comparison"]["status"] == "pass"
+        assert len(calls) == len(set(calls)) == 9
 
 
 class TestModularClass:

@@ -38,6 +38,9 @@ equal repr):
 - the lam-shift and coefficient slice rebuilt by hand around a Func's
   envelope and grade, the right action that stripped an inner product's
   pi-grade and added it back, and SuperObservable.scale_series;
+- the right multiplication of quantized_koszul by a momentum as one full
+  star_G(f, J_a) call per component, which right_momentum_operator
+  replaces by one cached differential operator per generator;
 - the validating Poly constructor, which Poly._trusted and
   Poly._trusted_sums replace for the output of the term-dict kernels, and
   the validating LambdaSeries and Func constructors, which
@@ -55,6 +58,7 @@ import ast
 import importlib.util
 import pkgutil
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -62,6 +66,7 @@ from math import comb, factorial
 import pytest
 
 import redstar
+from redstar import starprod
 from redstar.diffop import DiffOperator
 from redstar.funcs import Func
 from redstar.geometry import (
@@ -115,6 +120,7 @@ from redstar.starprod import (
     moyal,
     moyal_table,
     pbw_words,
+    right_momentum_operator,
     star_G,
     stdrep,
 )
@@ -778,6 +784,98 @@ def test_calculi_do_not_mix():
                   lambda model: VerticalOperator.fundamental(model, 0)):
         with pytest.raises(ValueError, match="vertical operators need group coordinates"):
             build(flat)
+
+
+# ---------------------------------------------------------------------------
+# right multiplication by a momentum against star_G
+# ---------------------------------------------------------------------------
+
+
+RIGHT_MOMENTUM_MODELS = {
+    "heis3": heisenberg3,
+    "aff1": aff1,
+    "sl2": sl2,
+    "so3": so3,
+    "abelian2": lambda: abelian_lie(2),
+}
+
+
+def right_momentum_inputs(m, seed):
+    """Momentum degree up to K + 2, so that a missing derivative order
+    shows; an envelope (fiber on group models, base otherwise), a pi-grade,
+    a lam shift and the plain zero."""
+    rng = random.Random(seed)
+    K = m.order
+    rest = m.base_names + m.group_names
+    top = m.one()
+    for _ in range(K + 2):
+        top = top * m.var(rng.choice(m.momentum_names))
+    momenta = rand_poly(rng, m, m.momentum_names, K + 2, nterms=3) + top
+    plain = rand_poly(rng, m, m.gens, K + 2, nterms=4)
+    if m.has_group:
+        enveloped = m.fiber_state(rand_poly(rng, m, rest, 2)) * momenta
+    else:
+        enveloped = (rand_poly(rng, m, rest, 2) * momenta).with_profile(
+            {m.base_names[0]: Fraction(1, 2)})
+    return [
+        plain,
+        enveloped,
+        (rand_poly(rng, m, m.gens, 3) + momenta).with_pi4(3),
+        lam_shifted(rand_poly(rng, m, rest, 2) * momenta, 1),
+        lam_shifted(enveloped, K).with_pi4(-2),
+        m.zero(),
+    ]
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(RIGHT_MOMENTUM_MODELS))
+def test_right_momentum_operator_matches_star_G(name, K):
+    m = ModelSpace(RIGHT_MOMENTUM_MODELS[name](), 2, K)
+    assert m.has_group == (name in ("heis3", "abelian2"))
+    jidx = [m.gens.index(n) for n in m.momentum_names]
+    fs = right_momentum_inputs(m, 71 + K)
+    assert max(f.series.coeffs[0].degree_in(m.momentum_names) for f in fs) == K + 2
+    for a in range(m.lie.dim):
+        op = right_momentum_operator(m, a)
+        if not m.has_group:
+            # every order of derivative in the momenta costs one lam
+            assert all(sum(d[i] for i in jidx) <= r
+                       for r, table in enumerate(op.tables) for d in table)
+        for f in fs:
+            assert_same(op.apply(f), star_G(m, f, m.momentum(a)))
+        # a zero input keeps its envelope and grade through DiffOperator.apply,
+        # while star_G's zero carries none; quantized_koszul stores no zero
+        zero = fs[1].zero_like().with_profile(fs[1].profile).with_pi4(2)
+        got = op.apply(zero)
+        assert got.is_zero() and (got.profile, got.pi4) == (zero.profile, 2)
+        assert star_G(m, zero, m.momentum(a)).is_zero()
+
+
+def test_quantized_koszul_makes_no_star_G_call(monkeypatch):
+    """The first term of quantized_koszul applies the cached operators:
+    no star_G call, and a second call reuses the same operator objects."""
+    m = ModelSpace(heisenberg3(), 2, 3)
+    cfg = ReductionConfig(m, Fraction(1, 2))
+    rng = random.Random(73)
+    x = SuperObservable(m, {idx: rand_poly(rng, m, m.gens, 3)
+                            for idx in ((0, 1), (0, 2), (1, 2))})
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return star_G(*args)
+
+    monkeypatch.setattr(starprod, "star_G", counting)
+    monkeypatch.setattr(sys.modules["redstar.koszul"], "star_G", counting)
+    first = quantized_koszul(cfg, x)
+    assert calls == []
+    ops = [m._field_cache[("right_momentum", a)] for a in range(m.lie.dim)]
+    second = quantized_koszul(cfg, x)
+    assert calls == []
+    for a, op in enumerate(ops):
+        assert m._field_cache[("right_momentum", a)] is op
+        assert right_momentum_operator(m, a) is op
+    assert first == second and not first.is_zero()
 
 
 # ---------------------------------------------------------------------------
