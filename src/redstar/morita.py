@@ -12,6 +12,7 @@ over translates of an integrable function is the fiber integral itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .funcs import Func
 from .geometry import FIBER_EXPONENT, ModelSpace, fiber_integral
@@ -229,81 +230,63 @@ def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
     negative cap and when the caps are too small to carry the solution.
 
     The unknown (w, e) enters linearly with the column
-    <phi, g^e L_w psi>_red = int g^e (conj phi *_red L_w psi): the base
-    product differentiates only base coordinates, and g^e and the probes
-    depend only on group coordinates, so g^e factors out of both the
-    coefficient product and the base product.  Each word action L_w psi is
-    taken once per probe from its suffix, each product once per (probe,
-    word, probe), and its integrals against every g^e come from one pass of
-    Gaussian moments.  The columns keep order 0 only; the defects
-    ip2(phi, psi) - <phi, H psi>_red are advanced order by order with the
-    full series of the columns that enter.
+    <phi, g^e L_w psi>_red = int g^e (conj phi *_red L_w psi).  A probe phi
+    is a real fiber monomial g^a env, and neither it nor L_w psi carries a
+    base coordinate, so the base product is pointwise and the entry is the
+    moment of L_w psi env shifted by a + e: one moment pass per (probe psi,
+    word w) gives every phi and every g^e.  Fields and probes carry no lam,
+    so the columns are lam-free and kept at order 0.  An unknown solved at
+    order r then changes <phi, H psi>_red at order r only, and the system
+    of order r has the lam^r coefficients of ip2 as its target.
     """
     for cap in (g_cap, word_cap, probe_cap):
         if cap < 0:
             raise ValueError(f"negative cap {cap} for the comparison operator")
     model = cfg.model
-    order = model.order
     gnames = model.group_names
-    probes = [model.fiber_state(_monomial(model, gnames, e))
-              for e in _monomials(gnames, probe_cap)]
-    words = pbw_words(model.lie.dim, word_cap)    # words[0] is the empty word
-    gexps = _monomials(gnames, g_cap)    # gexps[0] is the constant monomial
-    memo: dict = {}
-
-    # defects[slot] = ip2(phi, psi) - <phi, h psi>_red, h = id to start with:
-    # the empty word against g^0.  Most column entries vanish by parity, so
-    # only the nonzero ones are held, and they are dropped before the solve.
-    defects = [ip2(phi, psi) for phi in probes for psi in probes]
-    nonzero = [{} for _ in range(len(words) * len(gexps))]
-    for slot, k, prod in _word_products(model, probes, words):
-        vals = gaussian_integrate_shifted(prod, gnames, gexps, 0 if k else order, memo)
-        if not k:
-            defects[slot] = defects[slot] - vals[0]
-        for u, val in enumerate(vals, k * len(gexps)):
-            if not val.series.coeffs[0].is_zero():
-                nonzero[u][slot] = val.series.coeffs[0]
-    zero = Poly.zero(model.gens)
-    columns = [poly_equations([col.get(slot, zero) for slot in range(len(defects))])
-               for col in nonzero]
-    del nonzero
-
+    pexps = _monomials(gnames, probe_cap)
+    probes = [model.fiber_state(_monomial(model, gnames, a)) for a in pexps]
+    words = pbw_words(model.lie.dim, word_cap)
+    gexps = _monomials(gnames, g_cap)
+    columns = [poly_equations(col) for col in _comparison_columns(model, pexps, words, gexps)]
+    values = [ip2(phi, psi) for phi in probes for psi in probes]
     h = VerticalOperator.identity(model)
-    for r in range(1, order + 1):
-        if all(d.is_zero() for d in defects):
+    for r in range(1, model.order + 1):
+        target = poly_equations([v.series.coeffs[r] for v in values])
+        if not target:
             continue
-        sol = solve_linear(columns, poly_equations([d.series.coeffs[r] for d in defects]))
+        sol = solve_linear(columns, target)
         if sol is None:
             raise ValueError("caps too small to determine the comparison operator")
-        entries = {}    # word -> [(e, coefficient)]
-        add = VerticalOperator(model)
         for u, coeff in enumerate(sol):
             if not coeff.is_zero():
-                w, e = words[u // len(gexps)], gexps[u % len(gexps)]
-                entries.setdefault(w, []).append((e, coeff))
-                add._add_term(w, (_monomial(model, gnames, e) * coeff).shift(r))
-        h = h + add
-        if r == order:
-            break
-        hit = list(entries.values())
-        for slot, k, prod in _word_products(model, probes, list(entries)):
-            shifts, coeffs = zip(*hit[k])
-            vals = gaussian_integrate_shifted(prod, gnames, shifts, order, memo)
-            for val, coeff in zip(vals, coeffs):
-                defects[slot] = defects[slot] - val.shift(r) * coeff
+                k, l = divmod(u, len(gexps))
+                h._add_term(words[k], (_monomial(model, gnames, gexps[l]) * coeff).shift(r))
     return h
 
 
-def _word_products(model: ModelSpace, probes, words):
-    """Yield (i * len(probes) + j, k, conj(probes[i]) *_red L_w probes[j])
-    for w = words[k], holding the word actions of one probe at a time."""
-    bras = [phi.conj() for phi in probes]
-    for j, psi in enumerate(probes):
-        act = word_actions(model, psi)
-        kets = [act(w) for w in words]
-        for i, bra in enumerate(bras):
-            for k, ket in enumerate(kets):
-                yield i * len(probes) + j, k, moyal(model, bra, ket)
+def _comparison_columns(model: ModelSpace, pexps, words, gexps) -> list:
+    """The columns of the comparison solve at order 0: column
+    k * len(gexps) + l is the unknown (words[k], gexps[l]), and its slot
+    i * len(pexps) + j holds <phi_i, g^e L_w psi_j>_red for the probes
+    phi_i = g^(pexps[i]) env, from one moment pass per (psi_j, w) over the
+    shifts pexps[i] + e."""
+    gnames = model.group_names
+    env = model.fiber_state(model.one())
+    n, width = len(pexps), len(gexps)
+    shifts = [tuple(map(add, a, e)) for a in pexps for e in gexps]
+    zero = Poly.zero(model.gens)    # most entries vanish by parity
+    columns = [[zero] * (n * n) for _ in range(len(words) * width)]
+    memo: dict = {}
+    for j, a in enumerate(pexps):
+        act = word_actions(model, model.fiber_state(_monomial(model, gnames, a)))
+        for k, w in enumerate(words):
+            vals = gaussian_integrate_shifted(act(w) * env, gnames, shifts, 0, memo)
+            for s, val in enumerate(vals):
+                if not val.is_zero():
+                    i, l = divmod(s, width)
+                    columns[k * width + l][i * n + j] = val.series.coeffs[0]
+    return columns
 
 
 def vertical_sqrt(cfg: ReductionConfig, h: VerticalOperator) -> VerticalOperator:

@@ -72,6 +72,7 @@ from .morita import (
     schroedinger_class,
     vertical_sqrt,
 )
+from .poly import Poly
 from .scalars import GaussRational, I as IMAG
 from .starprod import (
     _mul_ilam,
@@ -89,18 +90,21 @@ KAPPA_VALUES = (0, Fraction(1, 2), (Fraction(1, 2), 1))
 
 
 def random_poly(rng: random.Random, model: ModelSpace, deg: int, gens=None,
-                nterms: int = 3) -> Func:
+                nterms: int = 3, bound: int = 3, space=None) -> Func:
     """The sum of nterms random monomials of at most deg factors drawn from
-    gens (all coordinates for None; constants for an empty block), with
-    integer coefficients in [-3, 3]."""
-    gens = model.gens if gens is None else gens
-    out = model.zero()
+    gens, with integer coefficients in [-bound, bound], as a Func on the
+    coordinates space (the model's for None) at the model's order.  gens
+    defaults to all of space; an empty block gives constants."""
+    space = model.gens if space is None else tuple(space)
+    gens = space if gens is None else gens
+    terms: dict = {}
     for _ in range(nterms):
-        t = model.one()
+        expo = [0] * len(space)
         for _ in range(rng.randint(0, deg) if gens else 0):
-            t = t * model.var(rng.choice(gens))
-        out = out + t * GaussRational(rng.randint(-3, 3))
-    return out
+            expo[space.index(rng.choice(gens))] += 1
+        expo = tuple(expo)
+        terms[expo] = terms.get(expo, 0) + rng.randint(-bound, bound)
+    return Func.from_poly(Poly(space, terms), model.order)
 
 
 class SuiteContext:
@@ -1072,14 +1076,7 @@ def suite_crossed(ctx: SuiteContext) -> list:
     small = max(2, ctx.trials // 3)
 
     def rand_kernel():
-        out = None
-        for _ in range(2):
-            t = Func.one(ks.gens, m.order)
-            for _ in range(ctx.rng.randint(0, 2)):
-                t = t * Func.var(ks.gens, ctx.rng.choice(ks.gens), m.order)
-            t = t * GaussRational(ctx.rng.randint(-2, 2))
-            out = t if out is None else out + t
-        return ks.kernel(out)
+        return ks.kernel(random_poly(ctx.rng, m, 2, nterms=2, bound=2, space=ks.gens))
 
     def assoc():
         for _ in range(small):
@@ -1134,13 +1131,7 @@ def suite_rieffel(ctx: SuiteContext) -> list:
     small = max(2, ctx.trials // 3)
 
     def rand_fiber():
-        out = m.zero()
-        for _ in range(2):
-            t = m.one()
-            for _ in range(ctx.rng.randint(0, 2)):
-                t = t * m.var(ctx.rng.choice(m.group_names))
-            out = out + t * GaussRational(ctx.rng.randint(-2, 2))
-        return m.fiber_state(out)
+        return m.fiber_state(random_poly(ctx.rng, m, 2, m.group_names, nterms=2, bound=2))
 
     def display():
         for _ in range(small):

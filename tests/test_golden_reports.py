@@ -18,7 +18,11 @@ The heisenberg involution suite, which runs the density ratio and the
 modular inner difference on a model with group coordinates, was recorded
 while the density ratio still took one integral per Gram entry, per target
 and per defect at every order, and the inner difference built its
-commutator columns anew for each lam shift.
+commutator columns anew for each lam shift.  The full heisenberg and
+affine_line reports, which also pin the random draws of the crossed and
+rieffel suites, were recorded while the comparison operator still formed a
+base product per (probe, word, probe) and the random kernels and fiber
+states were drawn by products of coordinate Funcs.
 
 The involve digests are the sha256 of the standard output of `redstar
 involve` for a degree-4 input on heisenberg at order 4 and for an input on
@@ -58,6 +62,10 @@ GOLDEN = {
         "acda0264969f15e26da347a5243f3978287708e7c38989f4cc6862279a5307f2",
     ("all", "so3"):
         "fec15ce6e71a36b49d060dbfdb5fc981d01a664fa200bcc9bceacbaf09c980a2",
+    ("all", "heisenberg"):
+        "93e7f273242f73bef76c39b3e2bbe2c8934bed5b9a63605df3af7cb7c5ee3764",
+    ("all", "affine_line"):
+        "50f97d27be352b529440aa382fdb0d9c68e98914e8f256d8f14089cfad9fd423",
 }
 
 

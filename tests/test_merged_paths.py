@@ -35,6 +35,9 @@ equal repr):
 - the density ratio solved with one integral per Gram entry, per target and
   per defect at every order, and the inner-difference columns built anew
   for each lam shift of each unknown;
+- the comparison operator's columns from one base product per (probe,
+  word, probe), each integrated against every g^e and kept at every lam
+  order, which one moment pass per (probe, word) at order 0 replaces;
 - the lam-shift and coefficient slice rebuilt by hand around a Func's
   envelope and grade, the right action that stripped an inner product's
   pi-grade and added it back, and SuperObservable.scale_series;
@@ -104,7 +107,12 @@ from redstar.koszul import (
     right_module,
 )
 from redstar.linalg import poly_equations, solve_linear
-from redstar.morita import VerticalOperator, fullness_element, inner_product_red
+from redstar.morita import (
+    VerticalOperator,
+    _comparison_columns,
+    fullness_element,
+    inner_product_red,
+)
 from redstar.poly import Poly, _diff_terms, _mul_into
 from redstar.integrate import gaussian_integrate_shifted
 from redstar.scalars import GaussRational, I as IMAG, PiScalar
@@ -123,6 +131,7 @@ from redstar.starprod import (
     right_momentum_operator,
     star_G,
     stdrep,
+    word_actions,
 )
 
 
@@ -1304,6 +1313,55 @@ def test_inner_difference_columns_match_per_shift(monkeypatch, name):
     for col, ref_col in zip(got, expect):
         assert col == ref_col
         assert list(col) == list(ref_col)
+
+
+# ---------------------------------------------------------------------------
+# reference: the comparison columns from one base product per (probe, word,
+# probe)
+# ---------------------------------------------------------------------------
+
+
+def ref_comparison_columns(model, pexps, words, gexps, top):
+    """conj(phi_i) *_red L_w psi_j for every (probe, word, probe), each
+    integrated against every g^e in one moment pass keeping the lam orders
+    0..top, in the layout of _comparison_columns."""
+    gnames = model.group_names
+    probes = [model.fiber_state(_monomial(model, gnames, a)) for a in pexps]
+    n, width = len(probes), len(gexps)
+    cols = [[None] * (n * n) for _ in range(len(words) * width)]
+    for j, psi in enumerate(probes):
+        act = word_actions(model, psi)
+        for k, w in enumerate(words):
+            for i, phi in enumerate(probes):
+                prod = moyal(model, phi.conj(), act(w))
+                vals = gaussian_integrate_shifted(prod, gnames, gexps, top, {})
+                for l, val in enumerate(vals):
+                    cols[k * width + l][i * n + j] = val
+    return cols
+
+
+COMPARISON_LIES = {"abelian2": lambda: abelian_lie(2), "heis3": heisenberg3}
+
+
+@pytest.mark.parametrize("g_cap", [1, 2])
+@pytest.mark.parametrize("name", sorted(COMPARISON_LIES))
+def test_comparison_columns_match_base_products(name, g_cap):
+    """The moments of L_w psi_j env shifted by a_i + e equal the base
+    products with conj(phi_i) integrated against g^e, and the reference kept
+    at order 0 equals the reference kept at every order."""
+    m = ModelSpace(COMPARISON_LIES[name](), base_dim=2, order=3)
+    pexps, gexps = _monomials(m.group_names, 2), _monomials(m.group_names, g_cap)
+    words = pbw_words(m.lie.dim, 2)
+    got = _comparison_columns(m, pexps, words, gexps)
+    full = ref_comparison_columns(m, pexps, words, gexps, m.order)
+    low = ref_comparison_columns(m, pexps, words, gexps, 0)
+    assert len(got) == len(full) == len(words) * len(gexps)
+    for col, ref_full, ref_low in zip(got, full, low):
+        assert len(ref_full) == len(pexps) ** 2
+        for f, f0 in zip(ref_full, ref_low):
+            assert_same(f0, f)
+        assert col == [f.series.coeffs[0] for f in ref_full]
+    assert any(not p.is_zero() for col in got[1:] for p in col)
 
 
 # ---------------------------------------------------------------------------
