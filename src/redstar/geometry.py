@@ -1,6 +1,6 @@
 """The product model: base coordinates with a constant Poisson matrix,
-momentum coordinates dual to a Lie algebra, and (for nilpotent algebras of
-class at most two) exponential group coordinates.
+momentum coordinates dual to a Lie algebra, and (for nilpotent algebras)
+exponential group coordinates.
 
 Conventions, pinned once and used by every sign-sensitive identity:
 
@@ -8,7 +8,7 @@ Conventions, pinned once and used by every sign-sensitive identity:
   antisymmetric Lam; Hamiltonian fields act by X_u = {., u};
 * momenta J_a satisfy {J_a, J_b} = C_ab^c J_c and {phi, J_a} = -X_a phi
   for functions of the group coordinates, where X_a is the left-invariant
-  field X_a = d/dg_a + (1/2) C_ba^c g_b d/dg_c;
+  field X_a = (psi(ad_g) e_a)^c d/dg_c with psi(z) = z/(1 - e^{-z});
 * fundamental fields are (e_a)_C = -X_a on the constraint surface and
   (e_a)_M = -X_a + C_ab^d J_d d/dJ_a-type coadjoint part upstairs, so that
   [xi_M, eta_M] = -([xi, eta])_M.
@@ -22,6 +22,7 @@ weight w means integrating the product f * w.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .diffop import DiffOperator
 from .funcs import Func
@@ -48,6 +49,8 @@ class LieAlgebraData:
                     raise ValueError(f"structure index {idx} out of range")
             c[(a, b, k)] = v
         self.structure = c
+        self.basis = tuple(tuple(Fraction(int(i == a)) for i in range(self.dim))
+                           for a in range(self.dim))
         self._check_antisymmetry()
         self._check_jacobi()
         self.modular = tuple(
@@ -104,11 +107,24 @@ class LieAlgebraData:
                         out[k] += x[a] * y[b] * v
         return tuple(out)
 
+    def psi_terms(self, a: int, cap: int):
+        """Yield the nonzero terms (word, b_k ad_{e_w1} ... ad_{e_wk} e_a),
+        k = len(word) <= cap, of psi(ad) e_a, psi(z) = z/(1 - e^{-z}) =
+        sum_k b_k z^k.  A vanishing bracket ends its word, so on a nilpotent
+        algebra the series ends at the class."""
+        layer = {(): self.basis[a]}
+        for k, bk in enumerate(psi_coefficients(cap)):
+            if bk:
+                yield from ((w, tuple(bk * x for x in v)) for w, v in layer.items())
+            if k < cap:
+                pairs = (((b,) + w, self.bracket_vec(self.basis[b], v))
+                         for w, v in layer.items() for b in range(self.dim))
+                layer = {w: u for w, u in pairs if any(u)}
+
     def _nilpotency_class(self):
         from .linalg import rank
 
-        n = self.dim
-        basis = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
+        n, basis = self.dim, self.basis
         layer = basis
         for k in range(1, n + 2):
             nxt = []
@@ -136,6 +152,16 @@ class LieAlgebraData:
 
     def __repr__(self):
         return f"LieAlgebraData({self.label!r}, dim={self.dim})"
+
+
+def psi_coefficients(cap: int) -> list:
+    """b_0, ..., b_cap of psi(z) = z/(1 - e^{-z}) = 1 + z/2 + z^2/12 - z^4/720
+    + ..., from psi(z) (1 - e^{-z})/z = 1."""
+    b = [Fraction(1)]
+    for n in range(1, cap + 1):
+        b.append(-sum(Fraction((-1) ** j, factorial(j + 1)) * b[n - j]
+                      for j in range(1, n + 1)))
+    return b
 
 
 def abelian_lie(dim: int) -> LieAlgebraData:
@@ -176,11 +202,9 @@ class ModelSpace:
             ) if base_dim % 2 == 0 else tuple(f"x{i+1}" for i in range(base_dim))
         n = lie.dim
         if group_level is None:
-            group_level = lie.is_nilpotent and (lie.nilpotency_class or 99) <= 2
-        if group_level and not (lie.is_nilpotent and lie.nilpotency_class <= 2):
-            raise ValueError(
-                "group coordinates require a nilpotent Lie algebra of class <= 2"
-            )
+            group_level = lie.is_nilpotent
+        if group_level and not lie.is_nilpotent:
+            raise ValueError("group coordinates require a nilpotent Lie algebra")
         self.has_group = bool(group_level)
         self.group_names = (
             (("g",) if n == 1 else tuple(f"g{i+1}" for i in range(n)))
@@ -245,23 +269,18 @@ class ModelSpace:
     # -- vector fields -------------------------------------------------------
 
     def left_invariant_field(self, a: int) -> DiffOperator:
-        """X_a = d/dg_a + (1/2) C_ba^c g_b d/dg_c (exponential coordinates)."""
+        """X_a = (psi(ad_g) e_a)^c d/dg_c in exponential coordinates, each
+        word of LieAlgebraData.psi_terms a group monomial g_{w1} ... g_{wk}."""
         key = ("liv", a)
         if key in self._field_cache:
             return self._field_cache[key]
         if not self.has_group:
             raise ValueError("no group coordinates in this model")
-        coeffs = {self.group_names[a]: Poly.one(self.gens)}
-        for b in range(self.lie.dim):
-            for c in range(self.lie.dim):
-                v = self.lie.c(b, a, c)
-                if v:
-                    name = self.group_names[c]
-                    add = Poly.var(self.gens, self.group_names[b]) * GaussRational(
-                        Fraction(v, 2)
-                    )
-                    coeffs[name] = coeffs.get(name, Poly.zero(self.gens)) + add
-        op = DiffOperator.first_order(self.gens, self.order, coeffs)
+        op = DiffOperator.zero(self.gens, self.order)
+        for word, v in self.lie.psi_terms(a, self.lie.nilpotency_class):
+            expo = tuple(sum(self.group_names[b] == g for b in word) for g in self.gens)
+            op = op + DiffOperator.first_order(self.gens, self.order, {
+                n: Poly(self.gens, {expo: x}) for n, x in zip(self.group_names, v) if x})
         self._field_cache[key] = op
         return op
 
@@ -300,7 +319,7 @@ class ModelSpace:
         return out
 
     def basis_vector(self, a: int):
-        return tuple(Fraction(1 if i == a else 0) for i in range(self.lie.dim))
+        return self.lie.basis[a]
 
     def lie_derivative_C(self, a: int, f: Func) -> Func:
         return self.fundamental_field_C(self.basis_vector(a)).apply(f)

@@ -227,7 +227,8 @@ def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
     order by order with coefficients polynomial in the group coordinates up
     to degree g_cap and words up to length word_cap; the probes phi, psi are
     Gaussian fiber monomials up to degree probe_cap.  Raises ValueError on a
-    negative cap and when the caps are too small to carry the solution.
+    negative cap, on an ip2 that differs from <,>_red at order 0 and when
+    the caps are too small to carry the solution.
 
     The unknown (w, e) enters linearly with the column
     <phi, g^e L_w psi>_red = int g^e (conj phi *_red L_w psi).  A probe phi
@@ -250,6 +251,9 @@ def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
     gexps = _monomials(gnames, g_cap)
     columns = [poly_equations(col) for col in _comparison_columns(model, pexps, words, gexps)]
     values = [ip2(phi, psi) for phi in probes for psi in probes]
+    # column 0 is the unknown ((), g^0), whose entries are <phi, psi>_red
+    if poly_equations([v.series.coeffs[0] for v in values]) != columns[0]:
+        raise ValueError("ip2 differs from the reduced inner product at order 0")
     h = VerticalOperator.identity(model)
     for r in range(1, model.order + 1):
         target = poly_equations([v.series.coeffs[r] for v in values])

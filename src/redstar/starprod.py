@@ -20,9 +20,11 @@ Laplacian minus the vertical modular field.  On momentum-level models no
 field acts, and the same calculus gives Gutt's symmetrization product on
 g* directly.  The total product acts blockwise.  The right multiplication
 f -> star_G(f, J_a) by a momentum is one differential operator per model
-(right_momentum_operator): the Gutt right multiplication read from the
-same tables and, on group models, conjugated by N as a terminating
-ad-series, so the quantized Koszul differential needs no product call.
+(right_momentum_operator): the Gutt right multiplication, the psi-series of
+the right BCH derivative (LieAlgebraData.psi_terms, the series that also
+gives the left-invariant fields) with each letter a momentum derivative,
+and, on group models, conjugated by N as a terminating ad-series, so the
+quantized Koszul differential needs no product call and no PBW table.
 
 Operators coming from the symbol calculus are held in a "stripped" normal
 form sum_w c_w (i lam)^{|w|} L_{w_1} ... L_{w_k}: every stored word is
@@ -37,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
-from operator import add, sub
+from operator import add
 
 from .diffop import DiffOperator
 from .funcs import Func
@@ -461,51 +463,18 @@ def neumaier_N_inverse(model: ModelSpace) -> DiffOperator:
 
 
 def _gutt_right_operator(model: ModelSpace, a: int) -> DiffOperator:
-    """S_a = sum_{|beta| <= K} p_beta d_J^beta with S_a(f) = f * J_a for
-    the symmetrization product on the momenta.
-
-    J^alpha * J_a appends the constant-coefficient letter a, so no field is
-    pushed and q_alpha = (J^alpha * J_a) / alpha! reads the PBW tables only:
-    sum over v in _sym_table(alpha), u in _normal_order(v + (a,)) and beta
-    in _inverse_table(u) of s_v r_u t_beta F^{|alpha|+1-|beta|} J^beta, the
-    F-powers above K dropped.  S_a(J^alpha) = sum_beta p_beta
-    alpha!/(alpha-beta)! J^{alpha-beta} is the Taylor relation
-    q_alpha = sum_{beta <= alpha} p_beta J^{alpha-beta}/(alpha-beta)!,
-    whose inverse is p_alpha = sum_{beta <= alpha} q_beta
-    (-J)^{alpha-beta}/(alpha-beta)!."""
-    lie, gens, order = model.lie, model.gens, model.order
-    jidx = [gens.index(n) for n in model.momentum_names]
-
-    def expo(word):
-        e = [0] * len(gens)
-        for b in word:
-            e[jidx[b]] += 1
-        return tuple(e)
-
-    q = {}
-    for alpha in pbw_words(lie.dim, order):
-        acc = [{} for _ in range(order + 1)]
-        for v, s in _sym_table(lie, alpha).items():
-            for u, r in _normal_order(lie, v + (a,)).items():
-                for beta, t in _inverse_table(lie, u).items():
-                    k = len(alpha) + 1 - len(beta)
-                    if k <= order:
-                        e, c = expo(beta), s * r * t * _IMAG_POWERS[k % 4]
-                        acc[k][e] = acc[k][e] + c if e in acc[k] else c
-        q[expo(alpha)] = acc
-    tables = [{} for _ in range(order + 1)]
-    for ea in q:
-        for eb, qb in q.items():
-            gamma = tuple(map(sub, ea, eb))
-            if min(gamma) < 0:
-                continue
-            weight = {gamma: GaussRational(Fraction(
-                (-1) ** sum(gamma), prod(map(factorial, gamma))))}
-            for r, terms in enumerate(qb):
-                if terms:
-                    _mul_into(tables[r].setdefault(ea, {}), terms, weight)
-    return DiffOperator(gens, order, [
-        {d: Poly._trusted_sums(gens, t) for d, t in tab.items()} for tab in tables])
+    """S_a = sum_{k <= K} (i lam)^k <b_k ad_{e_b1} ... ad_{e_bk} e_a, J>
+    d_J^{b1 ... bk} with S_a(f) = f * J_a for the symmetrization product on
+    the momenta: on f = e^{<xi, J>} the right multiplication by e_a is the
+    right BCH derivative psi(i lam ad_xi) e_a paired with J, and each letter
+    of xi is a derivative d/dJ_b.  The terms are LieAlgebraData.psi_terms."""
+    gens, order, names = model.gens, model.order, model.momentum_names
+    op = DiffOperator.zero(gens, order)
+    for word, v in model.lie.psi_terms(a, order):
+        d = tuple(sum(names[b] == g for b in word) for g in gens)
+        pairing = model.momentum_of(v).series.coeffs[0] * _IMAG_POWERS[len(word) % 4]
+        op = op + DiffOperator(gens, order, [{}] * len(word) + [{d: pairing}])
+    return op
 
 
 def right_momentum_operator(model: ModelSpace, a: int) -> DiffOperator:
@@ -522,9 +491,9 @@ def right_momentum_operator(model: ModelSpace, a: int) -> DiffOperator:
     series N^{-1} S N = sum_{k <= K} (-1)^k/k! ad_A^k(S), since A is
     O(lam), and composes no power of N.
 
-    Only derivative orders |beta| <= K occur: in BCH form the right
-    multiplication by X is sum_k b_k lam^k <(ad_d)^k X, J>, so every order
-    of derivative in the momenta costs at least one lam and the orders
+    Only derivative orders |beta| <= K occur: S_a is the psi-series
+    sum_k b_k (i lam)^k <ad_{e_b1} ... ad_{e_bk} e_a, J> d_J^{b1 ... bk}, so
+    every order of derivative in the momenta costs one lam and the orders
     above K vanish modulo lam^(K+1).
     """
     key = ("right_momentum", a)

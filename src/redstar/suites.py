@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import cache
 
 from .funcs import Func
 from .geometry import (
@@ -1037,7 +1038,8 @@ def suite_morita(ctx: SuiteContext) -> list:
         yield from (h0 - VerticalOperator.identity(m)).terms.values()
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-        ip2 = lambda a, b: can(a, pert.apply(b))
+        perturbed = cache(pert.apply)    # once per distinct state
+        ip2 = lambda a, b: can(a, perturbed(b))
         h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2,
                                      probe_cap=2)
         yield from (h - pert).terms.values()

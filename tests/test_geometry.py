@@ -1,5 +1,6 @@
 """The product model: Lie algebra data, vector fields, brackets, densities."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,19 @@ from redstar.geometry import (
     lift_density,
     modular_vector_field,
     poisson_bracket,
+    psi_coefficients,
 )
 from redstar.scalars import GaussRational
+from redstar.suites import random_poly
+
+
+def filiform(dim):
+    """[e1, e_k] = e_{k+1} for 1 < k < dim: nilpotent of class dim - 1."""
+    sc = {}
+    for k in range(1, dim - 1):
+        sc[(0, k, k + 1)] = 1
+        sc[(k, 0, k + 1)] = -1
+    return LieAlgebraData(dim, sc, f"n{dim}")
 
 
 class TestLieAlgebraData:
@@ -48,9 +60,29 @@ class TestLieAlgebraData:
 
     def test_group_coordinates_gated(self):
         assert ModelSpace(heisenberg3(), 2, 3).has_group
+        assert filiform(4).nilpotency_class == 3
+        assert ModelSpace(filiform(4), 2, 3).has_group
         assert not ModelSpace(aff1(), 2, 3).has_group
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nilpotent"):
             ModelSpace(aff1(), 2, 3, group_level=True)
+
+    def test_psi_coefficients(self):
+        """z/(1 - e^{-z}) = 1 + z/2 + z^2/12 - z^4/720 + z^6/30240 - ..."""
+        assert psi_coefficients(6) == [1, Fraction(1, 2), Fraction(1, 12), 0,
+                                       Fraction(-1, 720), 0, Fraction(1, 30240)]
+
+    def test_psi_terms_end_at_the_class(self):
+        """On n5 (class 4) the brackets of e2 reach ad_{e1}^3 e2 = e5, but
+        b_3 = 0 and every 4-letter bracket vanishes, so the terms stop at two
+        letters; a lower cap cuts them off."""
+        lie = filiform(5)
+        terms = dict(lie.psi_terms(1, 8))
+        assert max(map(len, terms)) == 2
+        assert terms[()] == (0, 1, 0, 0, 0)
+        assert terms[(0,)] == (0, 0, Fraction(1, 2), 0, 0)
+        assert terms[(0, 0)] == (0, 0, 0, Fraction(1, 12), 0)
+        assert dict(filiform(5).psi_terms(1, 1)) == {
+            w: v for w, v in terms.items() if len(w) <= 1}
 
 
 class TestFundamentalFields:
@@ -81,6 +113,28 @@ class TestFundamentalFields:
                 br = m.lie.bracket_vec(m.basis_vector(a), m.basis_vector(b))
                 rhs = m.fundamental_field_M(br).apply(t) * GaussRational(-1)
                 assert (lhs - rhs).is_zero()
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_left_invariant_fields_close_on_filiform(dim):
+    """[X_a, X_b] = C_ab^c X_c beyond class two, on random degree-4 group
+    polynomials; the psi terms past ad_g are needed for it."""
+    lie = filiform(dim)
+    m = ModelSpace(lie, 2, 1)
+    xs = [m.left_invariant_field(a) for a in range(dim)]
+    assert any(p.degree_in(m.group_names) >= 2
+               for x in xs for p in x.tables[0].values())
+    rng = random.Random(dim)
+    for _ in range(3):
+        f = random_poly(rng, m, 4, m.group_names, 5)
+        dx = [x.apply(f) for x in xs]
+        for a in range(dim):
+            for b in range(dim):
+                rhs = m.zero()
+                for c in range(dim):
+                    if lie.c(a, b, c):
+                        rhs = rhs + dx[c] * GaussRational(lie.c(a, b, c))
+                assert (xs[a].apply(dx[b]) - xs[b].apply(dx[a]) - rhs).is_zero()
 
 
 class TestPoissonBracket:

@@ -22,7 +22,10 @@ commutator columns anew for each lam shift.  The full heisenberg and
 affine_line reports, which also pin the random draws of the crossed and
 rieffel suites, were recorded while the comparison operator still formed a
 base product per (probe, word, probe) and the random kernels and fiber
-states were drawn by products of coordinate Funcs.
+states were drawn by products of coordinate Funcs.  The full filiform4
+report, on the filiform algebra of class three at group level (93 pass, 0
+fail, 0 skip), was recorded when the left-invariant fields and the Gutt
+right multiplication came to be read from one psi-series.
 
 The involve digests are the sha256 of the standard output of `redstar
 involve` for a degree-4 input on heisenberg at order 4 and for an input on
@@ -66,6 +69,8 @@ GOLDEN = {
         "93e7f273242f73bef76c39b3e2bbe2c8934bed5b9a63605df3af7cb7c5ee3764",
     ("all", "affine_line"):
         "50f97d27be352b529440aa382fdb0d9c68e98914e8f256d8f14089cfad9fd423",
+    ("all", "filiform4"):
+        "287451d157af147a740482114ad9f9b494dac24cd52d9c44db20dfcaba6c1936",
 }
 
 

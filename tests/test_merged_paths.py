@@ -44,6 +44,10 @@ equal repr):
 - the right multiplication of quantized_koszul by a momentum as one full
   star_G(f, J_a) call per component, which right_momentum_operator
   replaces by one cached differential operator per generator;
+- that operator's Gutt part read from the PBW tables (symmetrization,
+  normal ordering and inverse per word, then a Taylor inversion) and the
+  left-invariant fields as the two-term formula d/dg_a + (1/2) ad_g, which
+  the one psi-series of LieAlgebraData.psi_terms replaces for both;
 - the validating Poly constructor, which Poly._trusted and
   Poly._trusted_sums replace for the output of the term-dict kernels, and
   the validating LambdaSeries and Func constructors, which
@@ -64,7 +68,8 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import sub
 
 import pytest
 
@@ -119,6 +124,7 @@ from redstar.scalars import GaussRational, I as IMAG, PiScalar
 from redstar.series import LambdaSeries, _leading_constant, series_inverse
 from redstar.starprod import (
     SymbolOp,
+    _IMAG_POWERS,
     _dequantize,
     _inverse_table,
     _mul_ilam,
@@ -885,6 +891,115 @@ def test_quantized_koszul_makes_no_star_G_call(monkeypatch):
         assert m._field_cache[("right_momentum", a)] is op
         assert right_momentum_operator(m, a) is op
     assert first == second and not first.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the Gutt right multiplication and the left-invariant fields from psi
+# ---------------------------------------------------------------------------
+
+
+def ref_gutt_right_operator(model, a):
+    """S_a = sum_{|beta| <= K} p_beta d_J^beta with S_a(f) = f * J_a, read
+    from the PBW tables: q_alpha = (J^alpha * J_a) / alpha! is the sum over
+    v in _sym_table(alpha), u in _normal_order(v + (a,)) and beta in
+    _inverse_table(u) of s_v r_u t_beta F^{|alpha|+1-|beta|} J^beta, and
+    p_alpha = sum_{beta <= alpha} q_beta (-J)^{alpha-beta}/(alpha-beta)!
+    inverts the Taylor relation S_a(J^alpha) = sum_beta p_beta
+    alpha!/(alpha-beta)! J^{alpha-beta}."""
+    lie, gens, order = model.lie, model.gens, model.order
+    jidx = [gens.index(n) for n in model.momentum_names]
+
+    def expo(word):
+        e = [0] * len(gens)
+        for b in word:
+            e[jidx[b]] += 1
+        return tuple(e)
+
+    q = {}
+    for alpha in pbw_words(lie.dim, order):
+        acc = [{} for _ in range(order + 1)]
+        for v, s in _sym_table(lie, alpha).items():
+            for u, r in _normal_order(lie, v + (a,)).items():
+                for beta, t in _inverse_table(lie, u).items():
+                    k = len(alpha) + 1 - len(beta)
+                    if k <= order:
+                        e, c = expo(beta), s * r * t * _IMAG_POWERS[k % 4]
+                        acc[k][e] = acc[k][e] + c if e in acc[k] else c
+        q[expo(alpha)] = acc
+    tables = [{} for _ in range(order + 1)]
+    for ea in q:
+        for eb, qb in q.items():
+            gamma = tuple(map(sub, ea, eb))
+            if min(gamma) < 0:
+                continue
+            weight = {gamma: GaussRational(Fraction(
+                (-1) ** sum(gamma), prod(map(factorial, gamma))))}
+            for r, terms in enumerate(qb):
+                if terms:
+                    _mul_into(tables[r].setdefault(ea, {}), terms, weight)
+    return DiffOperator(gens, order, [
+        {d: Poly(gens, t) for d, t in tab.items()} for tab in tables])
+
+
+def ref_left_invariant_field(model, a):
+    """X_a = d/dg_a + (1/2) C_ba^c g_b d/dg_c, exact in class <= 2."""
+    coeffs = {model.group_names[a]: Poly.one(model.gens)}
+    for b in range(model.lie.dim):
+        for c in range(model.lie.dim):
+            v = model.lie.c(b, a, c)
+            if v:
+                name = model.group_names[c]
+                add = Poly.var(model.gens, model.group_names[b]) * GaussRational(
+                    Fraction(v, 2))
+                coeffs[name] = coeffs.get(name, Poly.zero(model.gens)) + add
+    return DiffOperator.first_order(model.gens, model.order, coeffs)
+
+
+PSI_MODELS = {
+    "heis3": lambda K: ModelSpace(heisenberg3(), 2, K, group_level=False),
+    "heis3_group": lambda K: ModelSpace(heisenberg3(), 2, K),
+    "aff1": lambda K: ModelSpace(aff1(), 2, K),
+    "sl2": lambda K: ModelSpace(sl2(), 2, K),
+    "so3": lambda K: ModelSpace(so3(), 2, K),
+    "abelian2": lambda K: ModelSpace(abelian_lie(2), 2, K),
+}
+
+
+def assert_same_operator(got, expect):
+    assert got == expect
+    assert repr(got) == repr(expect)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(PSI_MODELS))
+def test_psi_series_matches_pbw_tables(monkeypatch, name, K):
+    """S_a, R_a and, on group models of class <= 2, X_a from the psi-series
+    equal the PBW-table construction and the two-term field formula."""
+    m, ref = PSI_MODELS[name](K), PSI_MODELS[name](K)
+    assert m.has_group == (name in ("heis3_group", "abelian2"))
+    got = []
+    for a in range(m.lie.dim):
+        assert_same_operator(starprod._gutt_right_operator(m, a),
+                             ref_gutt_right_operator(ref, a))
+        got.append(right_momentum_operator(m, a))
+        if m.has_group:
+            assert_same_operator(m.left_invariant_field(a),
+                                 ref_left_invariant_field(ref, a))
+    monkeypatch.setattr(starprod, "_gutt_right_operator", ref_gutt_right_operator)
+    for a, op in enumerate(got):
+        assert_same_operator(op, right_momentum_operator(ref, a))
+
+
+@pytest.mark.parametrize("name", sorted(PSI_MODELS))
+def test_right_momentum_operator_reads_no_pbw_table(name):
+    """Every R_a, fields and N-conjugation included, is built without the
+    memoised PBW tables."""
+    m = PSI_MODELS[name](3)
+    for a in range(m.lie.dim):
+        right_momentum_operator(m, a)
+    assert m.lie.pbw_tables == {}
+    ref_gutt_right_operator(m, 0)
+    assert m.lie.pbw_tables
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from redstar import morita, starprod
+from redstar import morita, starprod, suites
 from redstar.diffop import DiffOperator
 from redstar.funcs import Func
 from redstar.geometry import ModelSpace, abelian_lie, fiber_integral, heisenberg3
@@ -194,6 +194,21 @@ class TestVerticalOperators:
             deformation_comparison_H(cfg, ip2, g_cap=0, word_cap=1,
                                      probe_cap=1)
 
+    @pytest.mark.parametrize("caps", [(1, 1, 1), (1, 2, 2)])
+    def test_order_zero_mismatch_raises(self, model_heis, caps):
+        """ip2 = 2 <,>_red differs from <,>_red at order 0, which no
+        H = id + O(lam) can meet; <,>_red itself gives H = id."""
+        m = model_heis
+        cfg = ReductionConfig(m, Fraction(1, 2))
+        can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
+        g_cap, word_cap, probe_cap = caps
+        h = deformation_comparison_H(cfg, can, g_cap=g_cap, word_cap=word_cap,
+                                     probe_cap=probe_cap)
+        assert (h - VerticalOperator.identity(m)).is_zero()
+        with pytest.raises(ValueError, match="at order 0"):
+            deformation_comparison_H(cfg, lambda a, b: can(a, b) * 2, g_cap=g_cap,
+                                     word_cap=word_cap, probe_cap=probe_cap)
+
     @pytest.mark.parametrize("caps", [(-1, 2, 2), (1, -1, 2), (1, 2, -1)],
                              ids=["g_cap", "word_cap", "probe_cap"])
     def test_negative_cap_raises(self, model_r, caps):
@@ -269,6 +284,33 @@ class TestVerticalOperators:
         # 10 probes and 10 words, 9 of them non-empty
         assert counts == {"apply": 9 * 10, "moyal": 0, "op_apply": 0,
                           "moments": 10 * 10}
+
+
+def test_suite_comparison_perturbs_each_state_once(model_heis):
+    """morita.comparison applies its planted deformation once per distinct
+    state: the solve's 100 ip2 calls on 10 probes make 10 applications."""
+    counts = {"solving": False, "apply": 0}
+    solve, apply = suites.deformation_comparison_H, SymbolOp.apply
+
+    def counted_solve(*args, **kwargs):
+        counts["solving"] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            counts["solving"] = False
+
+    def counted_apply(self, phi):
+        counts["apply"] += counts["solving"]
+        return apply(self, phi)
+
+    ctx = SuiteContext(model_heis, seed=13, trials=2, degree_cap=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "deformation_comparison_H", counted_solve)
+        mp.setattr(SymbolOp, "apply", counted_apply)
+        recs = suite_morita(ctx)
+    rec = next(r for r in recs if r["id"] == "morita.comparison")
+    assert rec["status"] == "pass"
+    assert counts["apply"] == len(_monomials(model_heis.group_names, 2)) == 10
 
 
 def test_shifted_moments_match_fiber_integral(model_heis, rand):

@@ -1,11 +1,12 @@
 """Star products: pinned examples plus the identity batteries per model."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from redstar.funcs import Func
-from redstar.geometry import ModelSpace, abelian_lie, aff1, heisenberg3
+from redstar.geometry import LieAlgebraData, ModelSpace, abelian_lie, aff1, heisenberg3
 from redstar.scalars import GaussRational, I
 from redstar.starprod import (
     StarProduct,
@@ -17,7 +18,7 @@ from redstar.starprod import (
     star_std,
     stdrep,
 )
-from redstar.suites import SuiteContext, suite_star
+from redstar.suites import SuiteContext, random_poly, suite_star
 
 
 def lam_const(m, c, k=1):
@@ -162,6 +163,34 @@ class TestStarG:
         assert (star_G(m, q, p_sym) - q * p_sym).is_zero()
         u, v = m.var("q"), m.var("p")
         assert (star_G(m, u, v) - moyal(m, u, v)).is_zero()
+
+
+def n4():
+    """The filiform algebra [e1, e2] = e3, [e1, e3] = e4, of class three."""
+    return LieAlgebraData(4, {(0, 1, 2): 1, (1, 0, 2): -1,
+                              (0, 2, 3): 1, (2, 0, 3): -1}, "n4")
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("lie", [heisenberg3, n4], ids=["heis3", "n4"])
+def test_group_star_G_is_gutt_product_on_momenta(lie, K):
+    """On momentum polynomials the group-level product, with its fields,
+    N and standard ordering, equals the symmetrization product of the
+    momentum-level model."""
+    m = ModelSpace(lie(), 2, K)
+    flat = ModelSpace(lie(), 2, K, group_level=False)
+    assert m.has_group and not flat.has_group
+    rng = random.Random(K)
+    deformed = 0
+    for _ in range(6):
+        f, g = (random_poly(rng, m, 3, m.momentum_names, 4).rename({}, flat.gens)
+                for _ in range(2))
+        got = star_G(m, f.rename({}, m.gens), g.rename({}, m.gens))
+        expect = star_G(flat, f, g)
+        assert got.rename({}, flat.gens) == expect
+        assert repr(got) == repr(expect)
+        deformed += expect != f * g
+    assert deformed >= 3
 
 
 class TestSchroedinger:
