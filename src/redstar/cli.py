@@ -401,9 +401,8 @@ def cmd_reduce(args) -> int:
         ctx = scene.context(model)
         u, v = ctx.rand_base(), ctx.rand_base()
         print(f"# random inputs (seed {scene.seed}): u = {u!r}; v = {v!r}")
-    for name in model.group_names + model.momentum_names:
-        if u.depends_on(name) or v.depends_on(name):
-            raise SceneError("reduce takes base-coordinate functions")
+    if not (model.is_base_only(u) and model.is_base_only(v)):
+        raise SceneError("reduce takes base-coordinate functions")
     result = reduced_star(cfg, u, v)
     print("# coefficients of the reduced product")
     for r, coeff in enumerate(result.series.coeffs):
@@ -417,6 +416,8 @@ def cmd_involve(args) -> int:
         scene.order = _at_least(args.order, 0, "truncation order", MAX_ORDER)
     model = scene.model()
     u = parse_expr(args.input, model)
+    if not model.is_base_only(u):
+        raise SceneError("involve takes base-coordinate functions")
     weight = scene.weight(model, args.weight)
     ustar = reduced_involution(model, u, weight)
     print(f"# involution of ({args.input}) for weight {args.weight}")

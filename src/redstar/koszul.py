@@ -8,7 +8,11 @@ right star multiplication by J_a is a differential operator, built once
 per model by starprod.right_momentum_operator, so a Koszul step applies
 it to each component and makes no star_G call.  All geometric-series
 inverses terminate by lam-grading, so every identity is exact modulo
-lam^(K+1).
+lam^(K+1).  Two steps skip work that returns zero: the resolvent of the
+deformed restriction stops at its first zero term, since its perturbation
+is linear, and the structure-constant term of the quantized differential
+is skipped on inputs without a component of exterior degree 2 or more,
+where the double insertion vanishes.
 """
 
 from __future__ import annotations
@@ -190,18 +194,20 @@ def quantized_koszul(cfg: ReductionConfig, x: SuperObservable) -> SuperObservabl
     for a in range(model.lie.dim):
         out = out + x.insert_basis(a).map(right_momentum_operator(model, a).apply)
     half_i = IMAG * GaussRational(Fraction(1, 2))
-    for a in range(model.lie.dim):
-        for b in range(model.lie.dim):
-            double = x.insert_basis(b).insert_basis(a)
-            if double.is_zero():
-                continue
-            for c in range(model.lie.dim):
-                v = model.lie.c(a, b, c)
-                if v:
-                    term = double.wedge_basis(c).map(
-                        lambda f, v=v: (f * (half_i * GaussRational(v))).shift(1)
-                    )
-                    out = out + term
+    # the double insertion vanishes below exterior degree 2
+    if any(len(idx) >= 2 for idx in x.comps):
+        for a in range(model.lie.dim):
+            for b in range(model.lie.dim):
+                double = x.insert_basis(b).insert_basis(a)
+                if double.is_zero():
+                    continue
+                for c in range(model.lie.dim):
+                    v = model.lie.c(a, b, c)
+                    if v:
+                        term = double.wedge_basis(c).map(
+                            lambda f, v=v: (f * (half_i * GaussRational(v))).shift(1)
+                        )
+                        out = out + term
     mod_term = x.insert_covector(model.lie.modular)
     if not mod_term.is_zero():
         ilk = (cfg.kappa * IMAG).shift(1)
@@ -223,12 +229,16 @@ def _neumann_resolve(cfg: ReductionConfig, f: Func) -> Func:
     """(id + (qk_1 - k_1) h_0)^{-1} f by the terminating geometric series.
 
     The series sum_k (-P)^k f with P = (qk_1 - k_1) h_0 is summed term by
-    term, so P only ever sees the newest, O(lam^k) term.
+    term, so P only ever sees the newest, O(lam^k) term.  P is linear, so
+    every term after a zero one is zero and the sum stops there; on a
+    momentum-free f, which h_0 sends to zero, that is after one call.
     """
     y = term = f
     for _ in range(cfg.model.order):
         term = -_perturbation(cfg, term)
         y = y + term
+        if term.is_zero():
+            break
     return y
 
 

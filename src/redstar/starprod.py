@@ -523,12 +523,27 @@ def right_momentum_operator(model: ModelSpace, a: int) -> DiffOperator:
 
 def star_G(model: ModelSpace, f: Func, g: Func) -> Func:
     """Hermitian product on the cotangent factor: N^{-1}(Nf star_std Ng);
-    for momentum-level models the symmetrization product directly."""
+    for momentum-level models the symmetrization product directly.
+
+    Two shortcuts are exact.  N = exp(A) and every term of A ends in a
+    momentum derivative, so N and N^{-1} fix a momentum-free operand,
+    envelope and grade included, and N is applied only to the others.  The
+    symmetrized quantization of a momentum-free function is the single
+    word (), so two such operands multiply by the base product; only a
+    zero product differs, which the symbol calculus returns plain.
+    """
+    f_free, g_free = model.is_momentum_free(f), model.is_momentum_free(g)
+    if f_free and g_free:
+        out = moyal(model, f, g)
+        return out.zero_like() if out.is_zero() else out
     if not model.has_group:
         return _dequantize(model, _symmetrize(model, f).compose(_symmetrize(model, g)))
     n = neumaier_N(model)
-    ninv = neumaier_N_inverse(model)
-    return ninv.apply(star_std(model, n.apply(f), n.apply(g)))
+    if not f_free:
+        f = n.apply(f)
+    if not g_free:
+        g = n.apply(g)
+    return neumaier_N_inverse(model).apply(star_std(model, f, g))
 
 
 def schroedinger_rep(model: ModelSpace, f: Func, psi: Func) -> Func:

@@ -449,6 +449,19 @@ class TestVerbs:
         out = capsys.readouterr().out
         assert "lam^1: 2*i*p" in out
 
+    @pytest.mark.parametrize("expr", ["g1", "J2", "J1*q + g1"],
+                             ids=["group", "momentum", "mixed"])
+    @pytest.mark.parametrize("verb", ["involve", "reduce"])
+    def test_base_verbs_reject_fiber_coordinates(self, tmp_path, capsys, verb, expr):
+        path = write_scene(tmp_path, HEIS_SCENE)
+        args = (["--input", expr] if verb == "involve"
+                else ["--left", expr, "--right", "p"])
+        assert main([verb, "--scene", path] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"configuration error: {verb} takes "
+                                "base-coordinate functions\n")
+
 
 class TestReports:
     def test_determinism_byte_identical(self, tmp_path):

@@ -41,6 +41,12 @@ equal repr):
 - the lam-shift and coefficient slice rebuilt by hand around a Func's
   envelope and grade, the right action that stripped an inner product's
   pi-grade and added it back, and SuperObservable.scale_series;
+- the Hermitian product with N applied to every operand and two
+  momentum-free operands multiplied through the symbol calculus, which
+  star_G replaces by leaving such operands alone and by the base product;
+  the quantized Koszul differential with its structure-constant loop run
+  on inputs of every exterior degree; the resolvent's full K-step
+  iteration, which stops at its first zero term;
 - the right multiplication of quantized_koszul by a momentum as one full
   star_G(f, J_a) call per component, which right_momentum_operator
   replaces by one cached differential operator per generator;
@@ -133,9 +139,12 @@ from redstar.starprod import (
     _symmetrize,
     moyal,
     moyal_table,
+    neumaier_N,
+    neumaier_N_inverse,
     pbw_words,
     right_momentum_operator,
     star_G,
+    star_std,
     stdrep,
     word_actions,
 )
@@ -1029,6 +1038,7 @@ def test_resolve_matches_neumann_iteration(name, kappa):
     inputs.append(momenta * rand_poly(rng, m, m.base_names + m.group_names, 2))
     inputs.append(lam_shifted(rand_poly(rng, m, m.gens, 3), 1))
     inputs.append(m.zero())
+    inputs.append(rand_poly(rng, m, m.base_names + m.group_names, 3))
     for f in inputs:
         assert_same(_neumann_resolve(cfg, f), ref_neumann_resolve(cfg, f))
     if name == "aff1-K2" and kappa != 0:
@@ -1090,6 +1100,178 @@ def test_deformed_homotopy_keeps_the_last_term():
     expect = ref_deformed_homotopy(cfg, x, 1)
     assert got == expect
     assert repr(got) == repr(expect)
+
+
+# ---------------------------------------------------------------------------
+# the shortcuts of star_G, the resolvent and the quantized differential
+# ---------------------------------------------------------------------------
+
+
+def ref_star_G(model, f, g):
+    """The Hermitian product with N applied to every operand on group models,
+    and the symmetrization product of every pair on momentum-level models."""
+    if not model.has_group:
+        return _dequantize(model, _symmetrize(model, f).compose(_symmetrize(model, g)))
+    n = neumaier_N(model)
+    return neumaier_N_inverse(model).apply(star_std(model, n.apply(f), n.apply(g)))
+
+
+def ref_quantized_koszul(cfg, x):
+    """quantized_koszul with its structure-constant loop run on every input."""
+    model = cfg.model
+    out = SuperObservable(model)
+    for a in range(model.lie.dim):
+        out = out + x.insert_basis(a).map(right_momentum_operator(model, a).apply)
+    half_i = IMAG * GaussRational(Fraction(1, 2))
+    for a in range(model.lie.dim):
+        for b in range(model.lie.dim):
+            double = x.insert_basis(b).insert_basis(a)
+            if double.is_zero():
+                continue
+            for c in range(model.lie.dim):
+                v = model.lie.c(a, b, c)
+                if v:
+                    out = out + double.wedge_basis(c).map(
+                        lambda f, v=v: (f * (half_i * GaussRational(v))).shift(1))
+    mod_term = x.insert_covector(model.lie.modular)
+    if not mod_term.is_zero():
+        out = out + mod_term.scale((cfg.kappa * IMAG).shift(1))
+    return out
+
+
+def filiform4():
+    """[e1, e2] = e3, [e1, e3] = e4: nilpotent of class three."""
+    return LieAlgebraData(4, {(0, 1, 2): 1, (1, 0, 2): -1,
+                              (0, 2, 3): 1, (2, 0, 3): -1}, "n4")
+
+
+SHORTCUT_MODELS = {
+    "heis3": heisenberg3,
+    "n4": filiform4,
+    "abelian2": lambda: abelian_lie(2),
+    "aff1": aff1,
+    "sl2": sl2,
+    "so3": so3,
+}
+
+
+def shortcut_inputs(m, seed):
+    """(momentum-free, momentum-dependent, zero) operands: envelopes (fiber
+    states on group models, a base envelope otherwise), pi-grades and lam
+    shifts on both sides, and a zero with and without an envelope."""
+    rng = random.Random(seed)
+    rest = m.base_names + m.group_names
+
+    def envelope(f):
+        if m.has_group:
+            return m.fiber_state(f)
+        return f.with_profile({m.base_names[0]: Fraction(1, 2)})
+
+    momenta = rand_poly(rng, m, m.momentum_names, 2) + m.momentum(m.lie.dim - 1)
+    free = [
+        rand_poly(rng, m, rest, 3),
+        lam_shifted(rand_poly(rng, m, rest, 2), 1).with_pi4(2),
+        envelope(rand_poly(rng, m, rest, 2)),
+        m.one(),
+    ]
+    mixed = [
+        rand_poly(rng, m, m.gens, 3) + m.momentum(0),
+        envelope(rand_poly(rng, m, rest, 1) * momenta).with_pi4(-1),
+    ]
+    zeros = [m.zero(), free[2].zero_like().with_profile(free[2].profile).with_pi4(3)]
+    return free, mixed, zeros
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(SHORTCUT_MODELS))
+def test_star_G_shortcuts_match_full_product(name, K):
+    m = ModelSpace(SHORTCUT_MODELS[name](), 2, K)
+    assert m.has_group == (name in ("heis3", "n4", "abelian2"))
+    free, mixed, zeros = shortcut_inputs(m, 83 + K)
+    assert all(m.is_momentum_free(f) for f in free + zeros)
+    assert not any(m.is_momentum_free(f) for f in mixed)
+    pairs = [(f, g) for f in free for g in free]
+    pairs += [(f, g) for f in free for g in mixed]
+    pairs += [(g, f) for f in free for g in mixed]
+    pairs += [(z, f) for z in zeros for f in free + mixed]
+    pairs += [(f, z) for z in zeros for f in free + mixed]
+    for f, g in pairs:
+        assert_same(star_G(m, f, g), ref_star_G(m, f, g))
+    # the base product alone is not the product once a momentum enters
+    assert any(star_G(m, f, g) != moyal(m, f, g) for f in mixed for g in mixed)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("name", ["abelian2", "heis3", "n4"])
+def test_normalizer_fixes_momentum_free_functions(name, K):
+    m = ModelSpace(SHORTCUT_MODELS[name](), 2, K)
+    free, mixed, zeros = shortcut_inputs(m, 89 + K)
+    for op in (neumaier_N(m), neumaier_N_inverse(m)):
+        for f in free + zeros:
+            assert_same(op.apply(f), f)
+    assert any(neumaier_N(m).apply(f) != f for f in mixed)
+
+
+QK_MODELS = {
+    "heis3": heisenberg3,
+    "aff1": aff1,
+    "sl2": sl2,
+    "so3": so3,
+}
+
+
+@pytest.mark.parametrize("kappa", [Fraction(1, 2), [Fraction(1, 2), 1]],
+                         ids=["khalf", "kseries"])
+@pytest.mark.parametrize("name", sorted(QK_MODELS))
+def test_quantized_koszul_matches_unguarded_loop(name, kappa):
+    m = ModelSpace(QK_MODELS[name](), 2, 3)
+    cfg = ReductionConfig(m, kappa)
+    rng = random.Random(29)
+    dim = m.lie.dim
+    every = SuperObservable(m)
+    for k in range(dim + 1):
+        x = SuperObservable(m, {idx: rand_poly(rng, m, m.gens, 3)
+                                for idx in combinations(range(dim), k)})
+        every = every + x
+        for y in (x, x.map(lambda f: f.with_pi4(1))):
+            got, expect = quantized_koszul(cfg, y), ref_quantized_koszul(cfg, y)
+            assert got == expect and repr(got) == repr(expect)
+    assert quantized_koszul(cfg, every) == ref_quantized_koszul(cfg, every)
+    assert quantized_koszul(cfg, SuperObservable(m)).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVE_MODELS))
+def test_resolve_stops_at_the_first_zero_term(monkeypatch, name):
+    """P is applied once to a momentum-free input, whose h_0 vanishes, and
+    never past the first zero term on any other; the sums are those of the
+    full iteration, whose reference calls P by its imported name and so is
+    not counted."""
+    m = RESOLVE_MODELS[name]()
+    cfg = ReductionConfig(m, Fraction(1, 2))
+    rng = random.Random(31)
+    seen = []
+
+    def counting(cfg, f):
+        seen.append(_perturbation(cfg, f))
+        return seen[-1]
+
+    monkeypatch.setattr(sys.modules["redstar.koszul"], "_perturbation", counting)
+    rest = m.base_names + m.group_names
+    free = [rand_poly(rng, m, rest, 3, nterms=4), m.one()]
+    if m.has_group:
+        free.append(m.fiber_state(rand_poly(rng, m, rest, 2)))
+    for f in free:
+        seen.clear()
+        got = _neumann_resolve(cfg, f)
+        assert len(seen) == 1 and seen[0].is_zero()
+        assert_same(got, f)
+    for f in [rand_poly(rng, m, m.gens, 4, nterms=4) + m.momentum(0) for _ in range(3)]:
+        seen.clear()
+        got = _neumann_resolve(cfg, f)
+        assert 1 <= len(seen) <= m.order
+        assert len(seen) == m.order or seen[-1].is_zero()
+        assert not any(p.is_zero() for p in seen[:-1])
+        assert_same(got, ref_neumann_resolve(cfg, f))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ benchmark.  This test runs the install in a fresh interpreter so such a
 change fails the unit tests too.  One small traced involution also checks
 that the adjoint, composition and series-inverse layers, which the
 benchmark requires on every workload, still run beneath it.
+
+The call-stream workload traces a warm model: a warm-up step and a first
+pass run untraced and fill the model's lazy caches, then the same pass runs
+traced.  A cache kept across calls that skips a required layer on repeat
+calls therefore passes a cold trace and fails only the benchmark, so a
+second test runs that traced pass through perfbench's own worker and checks
+every layer the benchmark requires on it.
 """
 
 import subprocess
@@ -48,3 +55,28 @@ def test_tracer_installs_and_counts():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "installed"
+
+
+WARM_SCRIPT = """
+import sys
+sys.path[:0] = ["src", "perfbench"]
+import run
+import worker
+
+_, scene, order = run.WORKLOADS["calls-heis3-k4"]
+scene, model, build_s = worker.set_up(str(run.SCENES / scene), 0, order)
+out = worker.run_calls(model, scene.seed, 0, trace=True)
+layers = dict(out["layers"], **{"starprod.neumaier_N.build_s": build_s})
+missing = [k for k in run.LAYER_EXPECTATIONS["calls-heis3-k4"]["nonzero"]
+           if not layers[k]]
+assert not missing, missing
+assert out["traced_digest"] == out["digest"] and out["failed"] == 0, out
+print("warm")
+"""
+
+
+def test_warm_call_pass_keeps_every_required_layer():
+    proc = subprocess.run([sys.executable, "-c", WARM_SCRIPT], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "warm"
