@@ -2,7 +2,7 @@
 trivial product model, with order-by-order verification of the algebraic
 identities of the reduced *-algebra and its representation theory."""
 
-from .scalars import GaussRational, PiScalar
+from .scalars import GaussRational
 from .poly import Poly
 from .series import LambdaSeries, series_inverse, series_sqrt
 from .funcs import Func

@@ -37,12 +37,17 @@ class SceneError(Exception):
 
 
 # Upper bounds on the sizes a scene or an expression may ask for.  They sit
-# far above every committed scene (order 3, degree cap 3, trials <= 5); past
-# them a run would not end in any useful time.
+# far above every committed scene (order 3, degree cap 3, trials <= 5, Lie
+# dimension <= 4, base dimension 2); past them a run would not end in any
+# useful time.  Loading a scene checks the Jacobi identity densely, in
+# O(dim^5) exact steps, and the default Poisson matrix has base dim^2 entries.
 MAX_ORDER = 12
+MAX_LIE_DIM = 12
+MAX_BASE_DIM = 12
 MAX_DEGREE_CAP = 12
 MAX_TRIALS = 1000
 MAX_EXPONENT = 64
+MAX_NESTING = 100
 
 
 def _json_type(value) -> str:
@@ -99,15 +104,15 @@ class Scene:
                 a, b, c, v = entry
                 key = tuple(_integer(i, "structure constant index") - 1 for i in (a, b, c))
                 structure[key] = _rational(v, "structure constant")
-            self.lie = LieAlgebraData(_at_least(lie_spec["dim"], 1, "lie_algebra dim"),
-                                      structure, lie_spec.get("label", ""))
+            dim = _at_least(lie_spec["dim"], 1, "lie_algebra dim", MAX_LIE_DIM)
+            self.lie = LieAlgebraData(dim, structure, lie_spec.get("label", ""))
         except (KeyError, TypeError, IndexError) as exc:
             raise SceneError(f"bad lie_algebra block: {exc}") from exc
         except ValueError as exc:
             raise SceneError(str(exc)) from exc
 
         base = _object(data.get("base", {}), "base")
-        self.base_dim = _at_least(base.get("dim", 2), 0, "base dim")
+        self.base_dim = _at_least(base.get("dim", 2), 0, "base dim", MAX_BASE_DIM)
         matrix = base.get("poisson_matrix")
         if matrix is not None:
             if not (isinstance(matrix, list) and len(matrix) == self.base_dim
@@ -195,7 +200,9 @@ _TOKEN = re.compile(r"\s+|(\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*^()])|(.)
 class _ExprParser:
     """Polynomials in the model coordinates with +, -, *, ^ (or **), integers,
     fractions a/b, the imaginary unit i and parentheses; whitespace is
-    ignored and any other character is an error."""
+    ignored and any other character is an error.  Parentheses and a unary
+    minus inside a product recurse, so together they nest at most
+    MAX_NESTING levels deep."""
 
     def __init__(self, text: str, model: ModelSpace):
         self.tokens = []
@@ -206,6 +213,7 @@ class _ExprParser:
             if tok is not None:
                 self.tokens.append(tok)
         self.pos = 0
+        self.depth = 0
         self.model = model
 
     def peek(self):
@@ -259,13 +267,19 @@ class _ExprParser:
         tok = self.take()
         if tok is None:
             raise SceneError("unexpected end of expression")
-        if tok == "(":
-            node = self.expr()
-            if self.take() != ")":
-                raise SceneError("missing closing parenthesis")
+        if tok in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise SceneError("expression nests parentheses and unary minus "
+                                 f"deeper than {MAX_NESTING} levels")
+            if tok == "-":
+                node = -self.atom()
+            else:
+                node = self.expr()
+                if self.take() != ")":
+                    raise SceneError("missing closing parenthesis")
+            self.depth -= 1
             return node
-        if tok == "-":
-            return -self.atom()
         if tok.replace("/", "").isdigit():
             try:
                 return self.model.constant(Fraction(tok))

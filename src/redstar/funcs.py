@@ -4,9 +4,12 @@ A Func is a truncated lam-series of polynomials together with an optional
 Gaussian envelope exp(-sum_c a_c c^2) over named coordinates and an integer
 pi-grade (quarter powers of pi) for normalization constants.  Plain
 observables are Funcs with empty envelope and grade zero; fiber states and
-Gaussian-damped test functions carry envelopes.  All differential operators
-act through profile-aware differentiation, so the class is closed under
-every operation of the engine.  Func.partials is the one derivative cache
+Gaussian-damped test functions carry envelopes.  A value in C[[lam]] times a
+power of pi, such as a positive functional or a KMS functional, is a Func
+constant in all coordinates (Func.scalar checks this), so the grade rules
+below hold for scalars too.  All differential operators act through
+profile-aware differentiation, so the class is closed under every operation
+of the engine.  Func.partials is the one derivative cache
 of DiffOperator.apply, the base product and its multiplication operators.
 
 Func owns the envelope and grade rules: sums need equal envelopes and
@@ -30,7 +33,7 @@ from math import inf
 from operator import gt
 
 from .poly import Poly, _diff_terms
-from .scalars import GaussRational, PiScalar
+from .scalars import GaussRational
 from .series import LambdaSeries
 
 
@@ -164,9 +167,6 @@ class Func:
         if type(other) is not Func:
             if isinstance(other, (int, Fraction, GaussRational, LambdaSeries)):
                 return self._like(self.series * other)
-            if isinstance(other, PiScalar):
-                return Func._trusted(self.gens, self.series * other.value,
-                                     self.profile, self.pi4 + other.pi4)
             if not isinstance(other, Func):
                 return NotImplemented
         if self.gens != other.gens:
@@ -241,16 +241,14 @@ class Func:
     def with_pi4(self, delta: int) -> "Func":
         return Func(self.series, self.profile, self.pi4 + delta)
 
-    def scalar_series(self) -> LambdaSeries:
-        """For a Func constant in all coordinates: its PiScalar lam-series."""
+    def scalar(self) -> "Func":
+        """This Func, checked to be constant in all coordinates: a value in
+        C[[lam]] times pi^(pi4/4)."""
         if self.profile:
             raise ValueError("not a scalar: envelope present")
-        vals = []
-        for p in self.series.coeffs:
-            if not p.is_constant():
-                raise ValueError("not a scalar: coordinate dependence remains")
-            vals.append(PiScalar(p.constant_term(), self.pi4))
-        return LambdaSeries(vals, self.order)
+        if not all(p.is_constant() for p in self.series.coeffs):
+            raise ValueError("not a scalar: coordinate dependence remains")
+        return self
 
     def evaluate(self, point: dict) -> "Func":
         for n in point:

@@ -7,6 +7,11 @@ functions u and v the statement "integral of (w * u) against the base weight
 equals integral of (v * w)" for all damped test functions w pins down
 v = conj(u^*) order by order, because the transpose of left multiplication
 by v starts with v itself.
+
+The positive functional omega_mu, the pre-Hilbert product <., .>_mu and the
+KMS functional tau_Omega take values in C[[lam]] times a power of pi.  They
+return Funcs constant in all coordinates, so sums and products of their
+values follow the grade rules of Func.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .koszul import (
 from .linalg import poly_equations, solve_linear
 from .poly import Poly, _mul_into
 from .scalars import GaussRational, I as IMAG
-from .series import LambdaSeries, series_inverse
+from .series import series_inverse
 from .starprod import _mul_ilam, moyal, moyal_table
 
 
@@ -111,16 +116,27 @@ def conj_transport_check(cfg: ReductionConfig, f: Func) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def omega_mu(cfg: ReductionConfig, f: Func, mu: Func) -> LambdaSeries:
-    """omega_mu(f) = integral over the constraint surface of iota*_def(f) mu."""
+def is_positive_scalar(val: Func) -> bool:
+    """The lowest nonzero lam coefficient of the constant Func val is a
+    positive real (pi^(pi4/4) > 0 does not change the sign); true for zero."""
+    r, c = val.scalar().series.lowest_order()
+    if r is None:
+        return True
+    c = c.constant_term()
+    return c.is_real() and c.re > 0
+
+
+def omega_mu(cfg: ReductionConfig, f: Func, mu: Func) -> Func:
+    """omega_mu(f) = integral over the constraint surface of iota*_def(f) mu,
+    a constant Func."""
     model = cfg.model
     rest = deformed_restriction(cfg, f)
     block = list(model.base_names) + list(model.group_names)
-    return gaussian_integrate(rest * mu, block).scalar_series()
+    return gaussian_integrate(rest * mu, block).scalar()
 
 
 def inner_product_mu(cfg: ReductionConfig, phi: Func, psi: Func,
-                     mu: Func) -> LambdaSeries:
+                     mu: Func) -> Func:
     """<phi, psi>_mu = omega_mu(conj(prol phi) * prol psi)."""
     model = cfg.model
     if mu != mu.conj():
@@ -129,12 +145,12 @@ def inner_product_mu(cfg: ReductionConfig, phi: Func, psi: Func,
 
 
 def inner_product_mu_alt(cfg: ReductionConfig, phi: Func, psi: Func,
-                         mu: Func) -> LambdaSeries:
+                         mu: Func) -> Func:
     """Alternative form: integrate (conj(prol phi) bullet psi) mu."""
     model = cfg.model
     val = left_module(cfg, model.prolong(phi).conj(), psi)
     block = list(model.base_names) + list(model.group_names)
-    return gaussian_integrate(val * mu, block).scalar_series()
+    return gaussian_integrate(val * mu, block).scalar()
 
 
 class PositiveFunctional:
@@ -146,16 +162,12 @@ class PositiveFunctional:
         self.cfg = cfg
         self.mu = mu
 
-    def __call__(self, f: Func) -> LambdaSeries:
+    def __call__(self, f: Func) -> Func:
         return omega_mu(self.cfg, f, self.mu)
 
     def positivity(self, f: Func) -> bool:
         """Lowest nonvanishing coefficient of omega(conj f * f) is positive."""
-        val = self(self.cfg.star(f.conj(), f))
-        r, c = val.lowest_order()
-        if r is None:
-            return True
-        return c.is_positive()
+        return is_positive_scalar(self(self.cfg.star(f.conj(), f)))
 
     def in_gelfand_ideal(self, f: Func) -> bool:
         return deformed_restriction(self.cfg, f).is_zero()
@@ -233,9 +245,10 @@ def reduced_involution(model: ModelSpace, u: Func, omega: Func) -> Func:
     return v.conj()
 
 
-def kms_functional(model: ModelSpace, u: Func, omega: Func) -> LambdaSeries:
-    """tau_Omega(u): integral over the base against the weight."""
-    return gaussian_integrate(u * omega, list(model.base_names)).scalar_series()
+def kms_functional(model: ModelSpace, u: Func, omega: Func) -> Func:
+    """tau_Omega(u): integral over the base against the weight, a constant
+    Func."""
+    return gaussian_integrate(u * omega, list(model.base_names)).scalar()
 
 
 def kms_check(model: ModelSpace, u: Func, v: Func, omega: Func) -> dict:
@@ -295,16 +308,17 @@ def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func,
     monos = [_monomial(model, base, e) for e in exps]
     memo = {}
     sums = _monomials(base, 2 * cap)
-    moment = {e: f.scalar_series().coeffs[0].value for e, f in zip(
+    moment = {e: f.scalar().series.coeffs[0].constant_term() for e, f in zip(
         sums, gaussian_integrate_shifted(omega, base, sums, 0, memo))}
     gram = [{i: moment[tuple(map(add, a, b))] for i, a in enumerate(exps)}
             for b in exps]
-    defect = [f.scalar_series() for f in gaussian_integrate_shifted(
+    defect = [f.scalar() for f in gaussian_integrate_shifted(
         rho * omega, base, exps, model.order, memo)]
 
     rho_hat = model.zero()
     for r in range(model.order + 1):
-        sol = solve_linear(gram, {i: d.coeffs[r].value for i, d in enumerate(defect)})
+        sol = solve_linear(gram, {i: d.series.coeffs[r].constant_term()
+                                  for i, d in enumerate(defect)})
         if sol is None:
             raise ValueError("singular Gram system in the density-ratio solve")
         step = model.zero()

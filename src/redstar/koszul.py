@@ -8,11 +8,12 @@ right star multiplication by J_a is a differential operator, built once
 per model by starprod.right_momentum_operator, so a Koszul step applies
 it to each component and makes no star_G call.  All geometric-series
 inverses terminate by lam-grading, so every identity is exact modulo
-lam^(K+1).  Two steps skip work that returns zero: the resolvent of the
-deformed restriction stops at its first zero term, since its perturbation
-is linear, and the structure-constant term of the quantized differential
-is skipped on inputs without a component of exterior degree 2 or more,
-where the double insertion vanishes.
+lam^(K+1).  Two steps skip work that returns zero: the one terminating
+series behind the deformed restriction and the deformed homotopy stops at
+its first zero term, since their perturbations are linear, and the
+structure-constant term of the quantized differential is skipped on inputs
+without a component of exterior degree 2 or more, where the double
+insertion vanishes.
 """
 
 from __future__ import annotations
@@ -225,21 +226,24 @@ def _perturbation(cfg: ReductionConfig, f: Func) -> Func:
     return diff.comps.get((), model.zero())
 
 
-def _neumann_resolve(cfg: ReductionConfig, f: Func) -> Func:
-    """(id + (qk_1 - k_1) h_0)^{-1} f by the terminating geometric series.
-
-    The series sum_k (-P)^k f with P = (qk_1 - k_1) h_0 is summed term by
-    term, so P only ever sees the newest, O(lam^k) term.  P is linear, so
-    every term after a zero one is zero and the sum stops there; on a
-    momentum-free f, which h_0 sends to zero, that is after one call.
-    """
-    y = term = f
-    for _ in range(cfg.model.order):
-        term = -_perturbation(cfg, term)
-        y = y + term
+def _terminating_series(x, step, order: int):
+    """sum_{j=0}^{order} step^j x for a linear step that raises the lam
+    order, summed term by term, so step only ever sees the newest term.
+    Every term after a zero one is zero, so the sum stops there."""
+    y = term = x
+    for _ in range(order):
+        term = step(term)
         if term.is_zero():
             break
+        y = y + term
     return y
+
+
+def _neumann_resolve(cfg: ReductionConfig, f: Func) -> Func:
+    """(id + (qk_1 - k_1) h_0)^{-1} f by the terminating geometric series
+    sum_k (-P)^k f with P = (qk_1 - k_1) h_0.  On a momentum-free f, which
+    h_0 sends to zero, it stops after one application of P."""
+    return _terminating_series(f, lambda t: -_perturbation(cfg, t), cfg.model.order)
 
 
 def deformed_restriction(cfg: ReductionConfig, f: Func) -> Func:
@@ -251,8 +255,7 @@ def deformed_homotopy(cfg: ReductionConfig, x: SuperObservable, k: int) -> Super
     """h^kappa_k = h_k (h_{k-1} qk_k + qk_{k+1} h_k)^{-1} in degree k >= 0.
 
     For k >= 1 the inverse is the terminating series sum_j (-P)^j x with
-    P = h_{k-1} qk_k + qk_{k+1} h_k - id, summed term by term like
-    _neumann_resolve.
+    P = h_{k-1} qk_k + qk_{k+1} h_k - id, summed like _neumann_resolve.
     """
     model = cfg.model
     if k == 0:
@@ -269,11 +272,7 @@ def deformed_homotopy(cfg: ReductionConfig, x: SuperObservable, k: int) -> Super
             cfg, homotopy_h(model, y, k)
         )
 
-    y = term = x
-    for _ in range(model.order):
-        term = term - op(term)
-        y = y + term
-    return homotopy_h(model, y, k)
+    return homotopy_h(model, _terminating_series(x, lambda y: y - op(y), model.order), k)
 
 
 # ---------------------------------------------------------------------------

@@ -77,44 +77,33 @@ def rank(rows) -> int:
     return len(_eliminate(a, len(rows[0])))
 
 
-def determinant(rows) -> GaussRational:
-    n = len(rows)
-    a = [[GaussRational.coerce(v) for v in row] for row in rows]
-    det = GaussRational(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not a[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return GaussRational(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = det * GaussRational(-1)
-        det = det * a[c][c]
-        inv = a[c][c].inverse()
-        for i in range(c + 1, n):
-            if not a[i][c].is_zero():
-                f = a[i][c] * inv
-                a[i] = [vi - f * vc for vi, vc in zip(a[i], a[c])]
-    return det
-
-
 def is_psd_hermitian(rows) -> bool:
-    """Exact PSD test for a Hermitian matrix: all principal minors >= 0."""
+    """Exact PSD test for a Hermitian matrix by one Schur-complement pass.
+
+    Each pivot is the diagonal entry of the current Schur complement: a
+    negative pivot means not PSD; a zero pivot needs a zero row, since a
+    PSD matrix with a zero diagonal entry vanishes on its row; a positive
+    pivot is eliminated from the rows below it.
+    """
     n = len(rows)
     a = [[GaussRational.coerce(v) for v in row] for row in rows]
     for i in range(n):
         for j in range(n):
             if a[i][j] != a[j][i].conj():
                 return False
-    from itertools import combinations
-
-    for k in range(1, n + 1):
-        for subset in combinations(range(n), k):
-            sub = [[a[i][j] for j in subset] for i in subset]
-            d = determinant(sub)
-            if not d.is_real() or d.re < 0:
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot.re < 0:
+            return False
+        if pivot.is_zero():
+            if any(not a[k][j].is_zero() for j in range(k + 1, n)):
                 return False
+            continue
+        inv = pivot.inverse()
+        for i in range(k + 1, n):
+            f = a[i][k]
+            if not f.is_zero():
+                f = f * inv
+                for j in range(k + 1, n):
+                    a[i][j] = a[i][j] - f * a[k][j]
     return True

@@ -1,11 +1,11 @@
-"""Exact scalars: Gaussian rationals and rational multiples of powers of pi.
+"""Exact scalars: Gaussian rationals.
 
 Everything downstream is built over Q(i).  A GaussRational is stored as
 three ints (a, b, d) meaning (a + b*i)/d, with d > 0 and gcd(a, b, d) == 1,
 so every value has exactly one triple and zero is (0, 0, 1).  Arithmetic
 works on the triples with one gcd per result (_make); .re and .im are
 read-only Fraction views.  Gaussian moment integrals additionally produce
-factors pi^(k/4); those are carried as an explicit integer grade so that
+factors pi^(k/4); a Func carries those as an explicit integer grade, so that
 equality stays coefficient-wise with tolerance zero.
 """
 
@@ -201,94 +201,6 @@ def _make(a: int, b: int, d: int) -> GaussRational:
 ZERO = GaussRational(0)
 ONE = GaussRational(1)
 I = GaussRational(0, 1)
-
-
-class PiScalar:
-    """value * pi^(pi4/4) with an exact GaussRational value.
-
-    The grade pi4 counts quarter powers of pi: Gaussian moment integrals
-    always land on even grades (powers of sqrt(pi)); odd grades only enter
-    through normalization constants such as pi^(-1/4).  Sums are defined
-    only between equal grades, products add grades, and positivity of a
-    PiScalar is positivity of its rational part since pi^(pi4/4) > 0.
-    """
-
-    __slots__ = ("value", "pi4")
-
-    def __init__(self, value, pi4: int = 0):
-        object.__setattr__(self, "value", GaussRational.coerce(value))
-        object.__setattr__(self, "pi4", int(pi4))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiScalar is immutable")
-
-    @staticmethod
-    def coerce(x) -> "PiScalar":
-        if isinstance(x, PiScalar):
-            return x
-        return PiScalar(GaussRational.coerce(x), 0)
-
-    def __add__(self, other):
-        other = PiScalar.coerce(other)
-        if self.value.is_zero():
-            return other
-        if other.value.is_zero():
-            return self
-        if self.pi4 != other.pi4:
-            raise ValueError(
-                f"cannot add pi-grades {self.pi4}/4 and {other.pi4}/4"
-            )
-        return PiScalar(self.value + other.value, self.pi4)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PiScalar(-self.value, self.pi4)
-
-    def __sub__(self, other):
-        return self + (-PiScalar.coerce(other))
-
-    def __mul__(self, other):
-        other = PiScalar.coerce(other)
-        return PiScalar(self.value * other.value, self.pi4 + other.pi4)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = PiScalar.coerce(other)
-        return PiScalar(self.value / other.value, self.pi4 - other.pi4)
-
-    def conj(self) -> "PiScalar":
-        return PiScalar(self.value.conj(), self.pi4)
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def is_positive(self) -> bool:
-        return self.value.is_real() and self.value.re > 0
-
-    def __eq__(self, other):
-        try:
-            other = PiScalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        if self.value.is_zero() and other.value.is_zero():
-            return True
-        return self.value == other.value and self.pi4 == other.pi4
-
-    def __hash__(self):
-        if self.value.is_zero():
-            return hash(0)
-        return hash((self.value, self.pi4))
-
-    def __repr__(self):
-        if self.pi4 == 0 or self.value.is_zero():
-            return repr(self.value)
-        if self.pi4 % 2 == 0:
-            tag = f"pi^({Fraction(self.pi4, 2)}/2)" if self.pi4 != 2 else "pi^(1/2)"
-        else:
-            tag = f"pi^({self.pi4}/4)"
-        return f"{self.value!r}*{tag}"
 
 
 def double_factorial(n: int) -> int:

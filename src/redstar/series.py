@@ -1,8 +1,9 @@
 """Truncated formal series in the deformation parameter lam.
 
-A LambdaSeries holds coefficients 0..K of any ring-like value (Poly,
-GaussRational, PiScalar) and all operations are exact modulo lam^(K+1).
-The classical limit is coefficient 0.
+A LambdaSeries holds coefficients 0..K of a ring-like value (Poly or
+GaussRational) and all operations are exact modulo lam^(K+1).  The
+classical limit is coefficient 0.  A value graded by powers of pi is not a
+series coefficient: it is a Func, which carries the grade.
 
 LambdaSeries(...) pads or truncates its coefficients to the order.  The
 arithmetic below (+, -, *, shift, map, conj, of) already has exactly K+1 of
@@ -182,11 +183,9 @@ def _leading_constant(a: LambdaSeries):
     c0 = a.coeffs[0]
     if isinstance(c0, GaussRational):
         return c0
-    if hasattr(c0, "is_constant"):
-        if not c0.is_constant():
-            raise ValueError("leading term is not a constant")
-        return c0.constant_term()
-    return c0
+    if not c0.is_constant():
+        raise ValueError("leading term is not a constant")
+    return c0.constant_term()
 
 
 def series_inverse(a: LambdaSeries, mul=None) -> LambdaSeries:

@@ -182,7 +182,14 @@ class TestMalformedScenes:
         ({"trials": 1001}, [], "trials must be at most 1000, got 1001"),
         ({"degree_caps": {"polynomial": 13}}, [], "degree cap must be at most 12, got 13"),
         ({}, ["--degree-cap", "13"], "degree cap must be at most 12, got 13"),
-    ], ids=["order", "order_override", "trials", "degree_cap", "degree_cap_override"])
+        ({"lie_algebra": {"dim": 13, "structure_constants": []}}, [],
+         "lie_algebra dim must be at most 12, got 13"),
+        ({"lie_algebra": {"dim": 40, "structure_constants": []}}, [],
+         "lie_algebra dim must be at most 12, got 40"),
+        ({"base": {"dim": 14}}, [], "base dim must be at most 12, got 14"),
+        ({"base": {"dim": 100000}}, [], "base dim must be at most 12, got 100000"),
+    ], ids=["order", "order_override", "trials", "degree_cap", "degree_cap_override",
+            "lie_dim", "lie_dim_40", "base_dim", "base_dim_huge"])
     def test_verify_rejects_too_large(self, tmp_path, capsys, monkeypatch, changes,
                                       extra, message):
         # only the rejection is tested: no model is built and no suite runs
@@ -403,6 +410,32 @@ class TestVerbs:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("expr", ["(" * 3000 + "q" + ")" * 3000,
+                                      "q*" + "-" * 5000 + "q",
+                                      "(" * 1200 + "q" + ")" * 1200,
+                                      "q*-(" * 51 + "q" + ")" * 51],
+                             ids=["parens", "unary_minus", "parens_1200", "mixed"])
+    @pytest.mark.parametrize("verb", ["star", "reduce", "involve"])
+    def test_deep_nesting_exit_two(self, tmp_path, capsys, verb, expr):
+        path = write_scene(tmp_path, HEIS_SCENE)
+        args = {"star": [f"--left={expr}", "--right=p"],
+                "reduce": [f"--left={expr}", "--right=p"],
+                "involve": [f"--input={expr}"]}[verb]
+        assert main([verb, "--scene", path] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: expression nests parentheses "
+                                "and unary minus deeper than 100 levels\n")
+
+    def test_nesting_up_to_the_bound(self, tmp_path, capsys):
+        path = write_scene(tmp_path, HEIS_SCENE)
+        deep = "(" * 50 + "-(" * 25 + "q" + ")" * 75
+        assert main(["star", "--scene", path, "--left", deep, "--right", "p"]) == 0
+        assert main(["reduce", "--scene", path, "--left", deep, "--right", "p"]) == 0
+        assert main(["involve", "--scene", path, "--input", "(" * 100 + "q" + ")" * 100]) == 0
+        out = capsys.readouterr().out
+        assert "lam^0: -1*q*p" in out and "C_0: -1*q*p" in out and "lam^0: q" in out
 
     def test_other_verbs_accept_order_zero(self, tmp_path, capsys):
         path = write_scene(tmp_path, {**HEIS_SCENE, "truncation_order": 0})

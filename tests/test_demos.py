@@ -1,5 +1,8 @@
 """Every demo runs to completion and prints exactly what it printed when
-its digest was recorded.
+its digest was recorded.  The digest of 03_involutions_kms.py was recorded
+again when the KMS functional came to return a constant Func: only its two
+tau(...) lines changed, from the series form (-1/2*i*pi^(2/2))*lam to the
+Func form ((-1/2*i)*lam)*pi^(4/4) of the same value.
 
 Each demo runs in its own interpreter with `src/` on the import path; the
 digest is the sha256 of its stdout.
@@ -21,7 +24,7 @@ DIGESTS = {
     "02_reduction.py":
         "dbe1cf7df87e06bde4e9f7939d0aeb7fba7d029c938072fa5fc96f499a2b1621",
     "03_involutions_kms.py":
-        "ee7b30df5e79795e92d755ab95a6ab98979d26f66c025337e634c32cf83028ca",
+        "b56e25c590a12926439241fc8a0a9b4f4702c021a267217026d238c618c34ee6",
     "04_modules_induction.py":
         "64979ca5064d72ebe90b05f34aa54964f221f071de40896654f67e73368a33cb",
 }

@@ -25,7 +25,11 @@ base product per (probe, word, probe) and the random kernels and fiber
 states were drawn by products of coordinate Funcs.  The full filiform4
 report, on the filiform algebra of class three at group level (93 pass, 0
 fail, 0 skip), was recorded when the left-invariant fields and the Gutt
-right multiplication came to be read from one psi-series.
+right multiplication came to be read from one psi-series.  The full
+abelian_r2 report, the last runnable committed scene without a pin, was
+recorded while the positive and KMS functionals still returned lam-series
+of pi-graded scalars rather than constant Funcs; with it every runnable
+committed scene has its full report pinned.
 
 The involve digests are the sha256 of the standard output of `redstar
 involve` for a degree-4 input on heisenberg at order 4 and for an input on
@@ -71,6 +75,8 @@ GOLDEN = {
         "50f97d27be352b529440aa382fdb0d9c68e98914e8f256d8f14089cfad9fd423",
     ("all", "filiform4"):
         "287451d157af147a740482114ad9f9b494dac24cd52d9c44db20dfcaba6c1936",
+    ("all", "abelian_r2"):
+        "3910bc443f576912e9479c2212f9d80f57f0df5ac40a6f57666d5a8c821f6b8e",
 }
 
 

@@ -28,6 +28,7 @@ from redstar.involution import (
     gns_check,
     inner_product_mu,
     involution_comparison,
+    is_positive_scalar,
     kms_check,
     kms_functional,
     modular_class,
@@ -118,9 +119,9 @@ class TestPositiveFunctional:
         mu = lift_density(m, lebesgue_weight(m))
         phi = m.fiber_state(m.one())
         val = inner_product_mu(cfg, phi, phi, mu)
-        assert val.coeffs[0].value == GaussRational(1)
-        assert val.coeffs[0].pi4 == 2
-        assert all(c.is_zero() for c in val.coeffs[1:])
+        assert val.series.coeffs[0].constant_term() == GaussRational(1)
+        assert val.pi4 == 2
+        assert all(c.is_zero() for c in val.series.coeffs[1:])
 
 
 class TestReducedInvolution:
@@ -358,8 +359,7 @@ def test_positivity_needs_modular_equivariance(model_aff):
     cfg = ReductionConfig(m, Fraction(1, 2))
     posf = PositiveFunctional(cfg, gaussian_base_weight(m, 1))
     val = posf(cfg.star(m.momentum(0).conj(), m.momentum(0)))
-    r, c = val.lowest_order()
-    assert r == 2 and not c.is_positive()
+    assert val.series.lowest_order()[0] == 2 and not is_positive_scalar(val)
 
 
 def test_kms_suite(model_r):

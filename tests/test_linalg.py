@@ -2,6 +2,10 @@
 tests of the sparse polynomial-identity solve against the dense construction
 it replaces.
 
+The PSD test has a reference here too: the former test of every principal
+minor through a dense determinant, which the one Schur-complement pass of
+`is_psd_hermitian` must agree with.
+
 The dense reference below is the former implementation, kept here only as
 the construction the sparse path must reproduce: every polynomial became a
 coefficient vector over the base monomials up to the largest degree in the
@@ -12,7 +16,8 @@ echelon form and the same solution.
 """
 
 from fractions import Fraction
-from itertools import chain
+import random
+from itertools import chain, combinations
 
 import pytest
 
@@ -21,7 +26,7 @@ from redstar.funcs import Func
 from redstar.geometry import ModelSpace, abelian_lie, aff1, gaussian_base_weight, heisenberg3
 from redstar.involution import _monomials, density_ratio_hat, modular_inner_difference
 from redstar.koszul import ReductionConfig
-from redstar.linalg import determinant, is_psd_hermitian, poly_equations, rank, solve_linear
+from redstar.linalg import is_psd_hermitian, poly_equations, rank, solve_linear
 from redstar.morita import (
     VerticalOperator,
     deformation_comparison_H,
@@ -104,6 +109,40 @@ def dense_poly_solve(model, column_polys, target_polys):
     return dense_solve(rows, rhs)
 
 
+def determinant(rows) -> G:
+    n = len(rows)
+    a = [[G.coerce(v) for v in row] for row in rows]
+    det = G(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if not a[i][c].is_zero()), None)
+        if pivot is None:
+            return G(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = det * G(-1)
+        det = det * a[c][c]
+        inv = a[c][c].inverse()
+        for i in range(c + 1, n):
+            if not a[i][c].is_zero():
+                f = a[i][c] * inv
+                a[i] = [vi - f * vc for vi, vc in zip(a[i], a[c])]
+    return det
+
+
+def minors_psd_hermitian(rows) -> bool:
+    """The former PSD test: Hermitian and every principal minor >= 0."""
+    n = len(rows)
+    a = [[G.coerce(v) for v in row] for row in rows]
+    if any(a[i][j] != a[j][i].conj() for i in range(n) for j in range(n)):
+        return False
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            d = determinant([[a[i][j] for j in subset] for i in subset])
+            if not d.is_real() or d.re < 0:
+                return False
+    return True
+
+
 def dense_dict_solve(columns, target):
     """A system of {equation key: value} columns solved as dense rows."""
     keys = list(dict.fromkeys(chain(target, *columns)))
@@ -169,6 +208,39 @@ def test_is_psd_hermitian():
     assert not is_psd_hermitian([[1, 0], [0, -1]])
     assert not is_psd_hermitian([[1, 1], [0, 1]])        # not Hermitian
     assert not is_psd_hermitian([[1, I], [I, 1]])
+    assert is_psd_hermitian([[0, 0], [0, 3]])            # zero pivot, zero row
+    assert not is_psd_hermitian([[0, 1], [1, 3]])        # zero pivot, nonzero row
+    assert not is_psd_hermitian([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # zero Schur pivot
+    assert is_psd_hermitian([])
+
+
+def random_hermitian(rng, n):
+    """A random Hermitian matrix: PSD as B B^* for a random B of random
+    rank, or with free small entries, which are often indefinite."""
+    def entry():
+        return G(rng.randint(-2, 2), rng.randint(-1, 1))
+    if rng.random() < 0.5:
+        r = rng.randint(0, n)
+        b = [[entry() for _ in range(r)] for _ in range(n)]
+        return [[sum((b[i][k] * b[j][k].conj() for k in range(r)), G(0))
+                 for j in range(n)] for i in range(n)]
+    a = [[None] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = G(rng.randint(-1, 3))
+        for j in range(i + 1, n):
+            a[i][j] = entry()
+            a[j][i] = a[i][j].conj()
+    return a
+
+
+def test_schur_psd_matches_principal_minors():
+    rng = random.Random(83)
+    verdicts = []
+    for _ in range(800):
+        a = random_hermitian(rng, rng.randint(1, 4))
+        verdicts.append(is_psd_hermitian(a))
+        assert verdicts[-1] == minors_psd_hermitian(a), a
+    assert 200 < sum(verdicts) < 600  # both verdicts well represented
 
 
 # ---------------------------------------------------------------------------

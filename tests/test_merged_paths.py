@@ -13,7 +13,11 @@ equal repr):
 - the resolvent of koszul as the Neumann iteration y <- f - P(y), which
   applies P = (qk_1 - k_1) h_0 to the whole partial sum;
 - the deformed homotopy h^kappa_k by the same partial-sum iteration
-  y <- x - (op(y) - y) with op = h_{k-1} qk_k + qk_{k+1} h_k;
+  y <- x - (op(y) - y) with op = h_{k-1} qk_k + qk_{k+1} h_k, which the
+  one terminating series of koszul replaces for it and the resolvent;
+- the infinitesimal action of the Koszul equivariance battery with each
+  component's index tuple and sign worked out by hand, which
+  insert_basis and wedge_basis replace;
 - the conjugation transports A^a and B as finite geometric tails of the
   operator T = (k_1 - qk_1) h_0;
 - the left and right multiplication operators as mirror-image builders,
@@ -126,7 +130,7 @@ from redstar.morita import (
 )
 from redstar.poly import Poly, _diff_terms, _mul_into
 from redstar.integrate import gaussian_integrate_shifted
-from redstar.scalars import GaussRational, I as IMAG, PiScalar
+from redstar.scalars import GaussRational, I as IMAG
 from redstar.series import LambdaSeries, _leading_constant, series_inverse
 from redstar.starprod import (
     SymbolOp,
@@ -148,6 +152,7 @@ from redstar.starprod import (
     stdrep,
     word_actions,
 )
+from redstar.suites import _rho_action
 
 
 # ---------------------------------------------------------------------------
@@ -1274,6 +1279,90 @@ def test_resolve_stops_at_the_first_zero_term(monkeypatch, name):
         assert_same(got, ref_neumann_resolve(cfg, f))
 
 
+@pytest.mark.parametrize("name", sorted(HOMOTOPY_MODELS))
+def test_deformed_homotopy_stops_at_the_first_zero_term(monkeypatch, name):
+    """Each term of the homotopy series applies P once, which calls
+    quantized_koszul twice; no term is formed past the first zero one, and
+    the result is that of the full K-step iteration."""
+    m = HOMOTOPY_MODELS[name]()
+    cfg = ReductionConfig(m, Fraction(1, 2))
+    rng = random.Random(37)
+    calls = []
+
+    def counting(cfg, x):
+        calls.append(x)
+        return quantized_koszul(cfg, x)
+
+    rest = m.base_names + m.group_names
+    stopped_early = False
+    for k in range(1, m.lie.dim + 1):
+        for gens in (m.gens, rest):
+            x = SuperObservable(m, {idx: rand_poly(rng, m, gens, 3, nterms=3)
+                                    for idx in combinations(range(m.lie.dim), k)})
+            terms, term = 0, x
+            while terms < m.order:
+                term = term - (homotopy_perturbation(cfg, term, k) + term)
+                terms += 1
+                if term.is_zero():
+                    break
+            stopped_early |= terms < m.order
+            monkeypatch.setattr(sys.modules["redstar.koszul"], "quantized_koszul", counting)
+            calls.clear()
+            got = deformed_homotopy(cfg, x, k)
+            monkeypatch.undo()
+            assert len(calls) == 2 * terms
+            expect = ref_deformed_homotopy(cfg, x, k)
+            assert got == expect and repr(got) == repr(expect)
+    assert stopped_early
+
+
+# ---------------------------------------------------------------------------
+# the infinitesimal action of the Koszul equivariance check
+# ---------------------------------------------------------------------------
+
+
+def ref_rho_action(m, a, x):
+    """-L_{xi_M} x plus the adjoint action, each component's index tuple
+    and sign worked out by hand."""
+    out = x.map(lambda f: m.fundamental_field_M(m.basis_vector(a)).apply(f)).scale(
+        GaussRational(-1)
+    )
+    for idx, f in x.comps.items():
+        for pos, b in enumerate(idx):
+            br = m.lie.bracket_vec(m.basis_vector(a), m.basis_vector(b))
+            for c, v in enumerate(br):
+                if not v:
+                    continue
+                rest = idx[:pos] + idx[pos + 1:]
+                if c in rest:
+                    continue
+                before = sum(1 for i in rest if i < c)
+                sign = GaussRational(-1 if (before + pos) % 2 else 1)
+                new = tuple(sorted(rest + (c,)))
+                out = out + SuperObservable(
+                    m, {new: f * (sign * GaussRational(Fraction(v)))}
+                )
+    return out
+
+
+@pytest.mark.parametrize("name", ["heis3", "aff1", "so3"])
+def test_rho_action_matches_hand_signs(name):
+    m = ModelSpace(QK_MODELS[name](), 2, 3)
+    rng = random.Random(41)
+    dim = m.lie.dim
+    nonzero_adjoint = False
+    for k in range(dim + 1):
+        for _ in range(2):
+            x = SuperObservable(m, {idx: rand_poly(rng, m, m.gens, 2)
+                                    for idx in combinations(range(dim), k)})
+            for a in range(dim):
+                got, expect = _rho_action(m, a, x), ref_rho_action(m, a, x)
+                assert got == expect and repr(got) == repr(expect)
+                lie = x.map(m.fundamental_field_M(m.basis_vector(a)).apply)
+                nonzero_adjoint |= not (got + lie).is_zero()
+    assert nonzero_adjoint
+
+
 # ---------------------------------------------------------------------------
 # the merged transport
 # ---------------------------------------------------------------------------
@@ -1533,7 +1622,7 @@ def ref_density_ratio_hat(model, omega, rho, cap):
     matrix takes one integral per entry."""
     monos = [_monomial(model, model.base_names, e)
              for e in _monomials(model.base_names, cap)]
-    gram = [{i: kms_functional(model, u * w, omega).coeffs[0].value
+    gram = [{i: kms_functional(model, u * w, omega).series.coeffs[0].constant_term()
              for i, u in enumerate(monos)} for w in monos]
     rho_hat = model.zero()
     for r in range(model.order + 1):
@@ -1541,7 +1630,7 @@ def ref_density_ratio_hat(model, omega, rho, cap):
         for i, u in enumerate(monos):
             lhs = kms_functional(model, u * rho, omega)
             cur = kms_functional(model, moyal(model, rho_hat, u), omega)
-            rhs[i] = (lhs - cur).coeffs[r].value
+            rhs[i] = (lhs - cur).series.coeffs[r].constant_term()
         sol = solve_linear(gram, rhs)
         for val, mm in zip(sol, monos):
             rho_hat = rho_hat + (mm * val).shift(r)
@@ -2008,7 +2097,7 @@ def ref_cauchy(a, b):
 
 
 def series_rings(m):
-    """(a, b, scalar) per ring: Poly, GaussRational and PiScalar series."""
+    """(a, b, scalar) per ring: Poly and GaussRational series."""
     rng = random.Random(59)
     a = rand_poly(rng, m, m.gens, 2) + lam_shifted(rand_poly(rng, m, m.gens, 2), 2)
     b = lam_shifted(rand_poly(rng, m, m.gens, 2), 1)
@@ -2019,15 +2108,13 @@ def series_rings(m):
         "poly": (a.series, b.series, GaussRational(2, -1)),
         "poly_zero": (m.zero().series, a.series, 3),
         "gauss": (LambdaSeries(gr[: K + 1], K), LambdaSeries(gr[K + 1:], K), Fraction(1, 2)),
-        "pi": (LambdaSeries([PiScalar(g, 3) for g in gr[: K + 1]], K),
-               LambdaSeries([PiScalar(g, -1) for g in gr[K + 1:]], K), PiScalar(2, 2)),
     }
 
 
 def test_trusted_series_match_validating_construction():
     m = ModelSpace(heisenberg3(), 2, 3)
     K = m.order
-    for ring, (a, b, x) in series_rings(m).items():
+    for a, b, x in series_rings(m).values():
         zero = a.ring_zero()
         cases = [
             (a * x, LambdaSeries([c * x for c in a.coeffs], K)),
@@ -2040,12 +2127,11 @@ def test_trusted_series_match_validating_construction():
         ]
         cases += [(a.shift(k), LambdaSeries([zero] * k + list(a.coeffs), K))
                   for k in range(K + 3)]
-        if ring != "pi":  # PiScalar sums need equal grades
-            cases += [
-                (a + b, LambdaSeries([c + d for c, d in zip(a.coeffs, b.coeffs)], K)),
-                (a - b, LambdaSeries([c - d for c, d in zip(a.coeffs, b.coeffs)], K)),
-                (a + x, LambdaSeries([a.coeffs[0] + x] + list(a.coeffs[1:]), K)),
-            ]
+        cases += [
+            (a + b, LambdaSeries([c + d for c, d in zip(a.coeffs, b.coeffs)], K)),
+            (a - b, LambdaSeries([c - d for c, d in zip(a.coeffs, b.coeffs)], K)),
+            (a + x, LambdaSeries([a.coeffs[0] + x] + list(a.coeffs[1:]), K)),
+        ]
         for got, expect in cases:
             assert_same_series(got, expect)
 
@@ -2102,7 +2188,8 @@ def test_trusted_funcs_match_validating_construction(name):
         checks = [
             (-f, validated([-p for p in c], P, pi4)),
             (f.conj(), validated([p.conj() for p in c], P, pi4)),
-            (f * PiScalar(2, 3), validated([p * 2 for p in c], P, pi4 + 3)),
+            (f * Func.constant(gens, 2, K).with_pi4(3),
+             validated([p * 2 for p in c], P, pi4 + 3)),
             (op.apply(f), validated(op.apply(f).series.coeffs, P, pi4)),
         ]
         if not (f.is_zero() or g.is_zero()):

@@ -10,8 +10,9 @@ import pytest
 from redstar.diffop import DiffOperator
 from redstar.funcs import Func
 from redstar.integrate import gaussian_integrate
+from redstar.involution import is_positive_scalar
 from redstar.poly import Poly
-from redstar.scalars import GaussRational, I, PiScalar, double_factorial
+from redstar.scalars import GaussRational, I, double_factorial
 from redstar.series import LambdaSeries, series_inverse, series_sqrt
 
 GENS = ("q", "p")
@@ -50,11 +51,25 @@ class TestScalars:
         assert (a * a.conj()).im == 0
 
     def test_pi_scalar_grading(self):
-        assert PiScalar(2, 2) * PiScalar(3, -2) == PiScalar(6)
+        # a value c * pi^(pi4/4) is a Func constant in every coordinate
+        def scalar(c, pi4):
+            return Func.constant(("x",), c, 2).with_pi4(pi4).scalar()
+
+        assert scalar(2, 2) * scalar(3, -2) == scalar(6, 0)
         with pytest.raises(ValueError):
-            PiScalar(1, 2) + PiScalar(1, 0)
-        assert PiScalar(0, 2) + PiScalar(5, 0) == PiScalar(5, 0)
-        assert PiScalar(Fraction(3, 2), 2).is_positive()
+            scalar(1, 2) + scalar(1, 0)
+        assert scalar(0, 2) + scalar(5, 0) == scalar(5, 0)
+        assert scalar(5, 0) + scalar(0, 3) == scalar(5, 0)
+        assert is_positive_scalar(scalar(Fraction(3, 2), 2))
+        assert not is_positive_scalar(scalar(Fraction(-3, 2), 2))
+        assert not is_positive_scalar(scalar(GaussRational(1, 1), 0))
+        assert is_positive_scalar(scalar(0, 1))
+        lowest_negative = scalar(0, 2) + scalar(-1, 2).shift(1) + scalar(4, 2).shift(2)
+        assert not is_positive_scalar(lowest_negative)
+        with pytest.raises(ValueError, match="coordinate dependence"):
+            Func.var(("x",), "x", 2).scalar()
+        with pytest.raises(ValueError, match="envelope"):
+            Func.one(("x",), 2).with_profile({"x": 1}).scalar()
 
     def test_double_factorial(self):
         assert [double_factorial(n) for n in (-1, 1, 3, 5, 7)] == [1, 1, 3, 15, 105]
