@@ -20,7 +20,6 @@ from redstar.morita import (
     deformation_comparison_H,
     fullness_element,
     inner_product_red,
-    inner_product_red_closed_form,
     rieffel_induce,
     schroedinger_class,
     vertical_sqrt,
@@ -44,11 +43,9 @@ theta = RankOneOperator(cfg, phi, ehat)
 print("  Theta_{phi,e}(e) - phi = ", (theta(ehat) - phi))
 
 print("\nvertical operators: a planted deformation and its recovery:")
-can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
 l0 = VerticalOperator.fundamental(m, 0)
 pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-ip2 = lambda a, b: can(a, pert.apply(b))
-h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2, probe_cap=2)
+h = deformation_comparison_H(cfg, pert.apply, g_cap=1, word_cap=2, probe_cap=2)
 print("  recovered === planted:", (h - pert).is_zero())
 v = vertical_sqrt(cfg, h)
 print("  V* o V === H:", (v.adjoint().compose(v) - h).is_zero())

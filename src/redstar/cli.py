@@ -41,12 +41,14 @@ class SceneError(Exception):
 # dimension <= 4, base dimension 2); past them a run would not end in any
 # useful time.  Loading a scene checks the Jacobi identity densely, in
 # O(dim^5) exact steps, and the default Poisson matrix has base dim^2 entries.
+# Nested powers and product chains reach degrees past any single exponent.
 MAX_ORDER = 12
 MAX_LIE_DIM = 12
 MAX_BASE_DIM = 12
 MAX_DEGREE_CAP = 12
 MAX_TRIALS = 1000
 MAX_EXPONENT = 64
+MAX_EXPR_DEGREE = 64
 MAX_NESTING = 100
 
 
@@ -202,7 +204,8 @@ class _ExprParser:
     fractions a/b, the imaginary unit i and parentheses; whitespace is
     ignored and any other character is an error.  Parentheses and a unary
     minus inside a product recurse, so together they nest at most
-    MAX_NESTING levels deep."""
+    MAX_NESTING levels deep.  Every product and power is checked before it
+    is formed: its total degree is at most MAX_EXPR_DEGREE."""
 
     def __init__(self, text: str, model: ModelSpace):
         self.tokens = []
@@ -246,7 +249,9 @@ class _ExprParser:
         node = self.power()
         while self.peek() == "*":
             self.take()
-            node = node * self.power()
+            rhs = self.power()
+            _at_least(_degree(node) + _degree(rhs), 0, "expression degree", MAX_EXPR_DEGREE)
+            node = node * rhs
         return node
 
     def power(self) -> Func:
@@ -257,6 +262,7 @@ class _ExprParser:
             if tok is None or not tok.isdigit():
                 raise SceneError(f"exponent must be a non-negative integer, got {tok!r}")
             exp = _at_least(tok, 0, "exponent", MAX_EXPONENT)
+            _at_least(_degree(base) * exp, 0, "expression degree", MAX_EXPR_DEGREE)
             out = self.model.one()
             for _ in range(exp):
                 out = out * base
@@ -290,6 +296,10 @@ class _ExprParser:
         if tok == "i":
             return self.model.constant(0) + self.model.one() * GaussRational(0, 1)
         raise SceneError(f"unknown symbol {tok!r}; coordinates are {self.model.gens}")
+
+
+def _degree(f: Func) -> int:
+    return max(p.total_degree() for p in f.series.coeffs)
 
 
 def parse_expr(text: str, model: ModelSpace) -> Func:

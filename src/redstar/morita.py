@@ -22,8 +22,9 @@ from .koszul import ReductionConfig, deformed_restriction, right_module
 from .linalg import is_psd_hermitian, poly_equations, solve_linear
 from .poly import Poly
 from .scalars import GaussRational
-from .series import LambdaSeries
-from .starprod import SymbolOp, moyal, neumaier_N, pbw_words, word_actions
+from .series import LambdaSeries, series_inverse, series_sqrt
+from .starprod import (SymbolOp, moyal, neumaier_N, pbw_words, schroedinger_rep,
+                       word_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +65,6 @@ def fullness_element_sqrt_path(cfg: ReductionConfig) -> Func:
 
     def mul(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
         return moyal(model, Func(a), Func(b)).series
-
-    from .series import series_inverse, series_sqrt
 
     root = series_sqrt(norm2.series, mul)
     inv = series_inverse(root, mul)
@@ -219,41 +218,37 @@ class VerticalOperator(SymbolOp):
         return total
 
 
-def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
+def deformation_comparison_H(cfg: ReductionConfig, ket, g_cap: int = 2,
                              word_cap: int = 2, probe_cap: int = 2) -> VerticalOperator:
-    """Solve ip2(phi, psi) = <phi, H bullet' psi>_red for a vertical H.
+    """Solve <phi, ket(psi)>_red = <phi, H bullet' psi>_red for a vertical H.
 
-    <,>_red is inner_product_red_closed_form.  H = id + O(lam) is sought
-    order by order with coefficients polynomial in the group coordinates up
-    to degree g_cap and words up to length word_cap; the probes phi, psi are
-    Gaussian fiber monomials up to degree probe_cap.  Raises ValueError on a
-    negative cap, on an ip2 that differs from <,>_red at order 0 and when
-    the caps are too small to carry the solution.
+    <,>_red is inner_product_red_closed_form and ket a linear map on fiber
+    states, such as a deformed vertical operator's apply.  H = id + O(lam)
+    is sought order by order with coefficients polynomial in the group
+    coordinates up to degree g_cap and words up to length word_cap; the
+    probes phi, psi are Gaussian fiber monomials up to degree probe_cap.
+    Raises ValueError on a negative cap, on a ket that differs from the
+    identity on the probes at order 0 and when the caps are too small to
+    carry the solution.
 
-    The unknown (w, e) enters linearly with the column
-    <phi, g^e L_w psi>_red = int g^e (conj phi *_red L_w psi).  A probe phi
-    is a real fiber monomial g^a env, and neither it nor L_w psi carries a
-    base coordinate, so the base product is pointwise and the entry is the
-    moment of L_w psi env shifted by a + e: one moment pass per (probe psi,
-    word w) gives every phi and every g^e.  Fields and probes carry no lam,
-    so the columns are lam-free and kept at order 0.  An unknown solved at
-    order r then changes <phi, H psi>_red at order r only, and the system
-    of order r has the lam^r coefficients of ip2 as its target.
+    The unknown (w, e) enters linearly with the column <phi, g^e L_w psi>_red.
+    Fields and probes carry no lam, so the columns are lam-free.  An unknown
+    solved at order r then changes <phi, H psi>_red at order r only, and the
+    system of order r has the lam^r coefficients of the target.
     """
     for cap in (g_cap, word_cap, probe_cap):
         if cap < 0:
             raise ValueError(f"negative cap {cap} for the comparison operator")
     model = cfg.model
     gnames = model.group_names
-    pexps = _monomials(gnames, probe_cap)
-    probes = [model.fiber_state(_monomial(model, gnames, a)) for a in pexps]
     words = pbw_words(model.lie.dim, word_cap)
     gexps = _monomials(gnames, g_cap)
-    columns = [poly_equations(col) for col in _comparison_columns(model, pexps, words, gexps)]
-    values = [ip2(phi, psi) for phi in probes for psi in probes]
+    columns, values = _comparison_system(model, ket, _monomials(gnames, probe_cap),
+                                         words, gexps)
+    columns = [poly_equations(col) for col in columns]
     # column 0 is the unknown ((), g^0), whose entries are <phi, psi>_red
     if poly_equations([v.series.coeffs[0] for v in values]) != columns[0]:
-        raise ValueError("ip2 differs from the reduced inner product at order 0")
+        raise ValueError("ket differs from the identity at order 0")
     h = VerticalOperator.identity(model)
     for r in range(1, model.order + 1):
         target = poly_equations([v.series.coeffs[r] for v in values])
@@ -269,28 +264,39 @@ def deformation_comparison_H(cfg: ReductionConfig, ip2, g_cap: int = 2,
     return h
 
 
-def _comparison_columns(model: ModelSpace, pexps, words, gexps) -> list:
-    """The columns of the comparison solve at order 0: column
-    k * len(gexps) + l is the unknown (words[k], gexps[l]), and its slot
-    i * len(pexps) + j holds <phi_i, g^e L_w psi_j>_red for the probes
-    phi_i = g^(pexps[i]) env, from one moment pass per (psi_j, w) over the
-    shifts pexps[i] + e."""
+def _comparison_system(model: ModelSpace, ket, pexps, words, gexps) -> tuple:
+    """The comparison solve's columns at order 0 and its target.
+
+    For the probes phi_i = g^(pexps[i]) env, slot i * n + j of column
+    k * len(gexps) + l holds <phi_i, g^e L_w psi_j>_red for (w, e) =
+    (words[k], gexps[l]), and slot i * n + j of the target is the Func
+    <phi_i, ket(psi_j)>_red.  A probe is real and base-free, so
+    <phi_i, g^e f>_red is the moment of f env shifted by pexps[i] + e: one
+    moment pass per (psi_j, w) gives the columns and one per psi_j the
+    target, over one memo.
+    """
     gnames = model.group_names
     env = model.fiber_state(model.one())
     n, width = len(pexps), len(gexps)
     shifts = [tuple(map(add, a, e)) for a in pexps for e in gexps]
+    memo: dict = {}
+
+    def moments(f: Func, at, top: int) -> list:
+        return gaussian_integrate_shifted(f * env, gnames, at, top, memo)
+
     zero = Poly.zero(model.gens)    # most entries vanish by parity
     columns = [[zero] * (n * n) for _ in range(len(words) * width)]
-    memo: dict = {}
+    values = [None] * (n * n)
     for j, a in enumerate(pexps):
-        act = word_actions(model, model.fiber_state(_monomial(model, gnames, a)))
+        psi = model.fiber_state(_monomial(model, gnames, a))
+        values[j::n] = moments(ket(psi), pexps, model.order)
+        act = word_actions(model, psi)
         for k, w in enumerate(words):
-            vals = gaussian_integrate_shifted(act(w) * env, gnames, shifts, 0, memo)
-            for s, val in enumerate(vals):
+            for s, val in enumerate(moments(act(w), shifts, 0)):
                 if not val.is_zero():
                     i, l = divmod(s, width)
                     columns[k * width + l][i * n + j] = val.series.coeffs[0]
-    return columns
+    return columns, values
 
 
 def vertical_sqrt(cfg: ReductionConfig, h: VerticalOperator) -> VerticalOperator:
@@ -380,17 +386,9 @@ class InnerProductModule:
     @staticmethod
     def canonical(cfg: ReductionConfig) -> "InnerProductModule":
         model = cfg.model
-
-        def ip(u, v):
-            return moyal(model, u.conj(), v)
-
-        def left(u, h):
-            return moyal(model, u, h)
-
-        def right(h, u):
-            return moyal(model, h, u)
-
-        return InnerProductModule(ip, left, right)
+        return InnerProductModule(lambda u, v: moyal(model, u.conj(), v),
+                                  lambda u, h: moyal(model, u, h),
+                                  lambda h, u: moyal(model, h, u))
 
 
 def schroedinger_class(model: ModelSpace, b: Func) -> Func:
@@ -416,9 +414,7 @@ def external_inner_product(cfg: ReductionConfig, module: InnerProductModule,
     total = model.zero()
     for (b1, x1) in v1.terms:
         for (b2, x2) in v2.terms:
-            scal = classical_inner_product(model, b1, b2)
-            val = scal * module.ip(x1, x2)
-            total = total + val
+            total = total + classical_inner_product(model, b1, b2) * module.ip(x1, x2)
     return total
 
 
@@ -428,18 +424,10 @@ def external_tensor(cfg: ReductionConfig, module: InnerProductModule) -> InnerPr
     induced left action of the full algebra and the slotwise right action.
     Degenerate simple tensors are exactly those with a zero position-space
     class, so no extra quotient is needed on representatives."""
-    induce = rieffel_induce(cfg, module)
-
-    def ip(v1: InducedVector, v2: InducedVector) -> Func:
-        return external_inner_product(cfg, module, v1, v2)
-
-    def left(f: Func, vec: InducedVector) -> InducedVector:
-        return induce(f, vec)
-
-    def right(vec: InducedVector, u: Func) -> InducedVector:
-        return InducedVector([(b, module.right_action(x, u)) for b, x in vec.terms])
-
-    return InnerProductModule(ip, left, right)
+    return InnerProductModule(
+        lambda v1, v2: external_inner_product(cfg, module, v1, v2),
+        rieffel_induce(cfg, module),
+        lambda vec, u: InducedVector([(b, module.right_action(x, u)) for b, x in vec.terms]))
 
 
 def rieffel_induce(cfg: ReductionConfig, module: InnerProductModule):
@@ -449,8 +437,6 @@ def rieffel_induce(cfg: ReductionConfig, module: InnerProductModule):
     leg after splitting off its base-coordinate monomials, which act on the
     module leg through the left action.
     """
-    from .starprod import schroedinger_rep
-
     model = cfg.model
 
     def act(f: Func, vec: InducedVector) -> InducedVector:
@@ -466,19 +452,14 @@ def rieffel_induce(cfg: ReductionConfig, module: InnerProductModule):
 
 def _base_split(model: ModelSpace, f: Func):
     """Write f as a finite sum of (base monomial) x (fiber-and-momentum part)."""
-    base_idx = [model.gens.index(n) for n in model.base_names]
-    buckets: dict = {}
+    base = {model.gens.index(n) for n in model.base_names}
+    buckets: dict = {}    # base exponents -> per lam order {other exponents: c}
     for r, p in enumerate(f.series.coeffs):
         for expo, c in p.terms.items():
-            key = tuple(expo[i] if i in base_idx else 0 for i in range(len(expo)))
-            rest = tuple(0 if i in base_idx else expo[i] for i in range(len(expo)))
-            buckets.setdefault(key, []).append((r, rest, c))
-    out = []
-    for key, parts in buckets.items():
-        u = Func.from_poly(Poly(model.gens, {key: GaussRational(1)}), model.order)
-        coeffs = [Poly.zero(model.gens) for _ in range(model.order + 1)]
-        for r, rest, c in parts:
-            coeffs[r] = coeffs[r] + Poly(model.gens, {rest: c})
-        w = Func(LambdaSeries(coeffs, model.order), dict(f.profile), f.pi4)
-        out.append((u, w))
-    return out
+            key = tuple(e if i in base else 0 for i, e in enumerate(expo))
+            parts = buckets.setdefault(key, [{} for _ in range(model.order + 1)])
+            parts[r][tuple(e - k for e, k in zip(expo, key))] = c
+    return [(Func.from_poly(Poly(model.gens, {key: GaussRational(1)}), model.order),
+             Func(LambdaSeries([Poly(model.gens, t) for t in parts], model.order),
+                  dict(f.profile), f.pi4))
+            for key, parts in buckets.items()]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from functools import cache
 
 from .funcs import Func
 from .geometry import (
@@ -1020,15 +1019,13 @@ def suite_morita(ctx: SuiteContext) -> list:
 
     def comparison():
         can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
-        h0 = deformation_comparison_H(cfg, can, g_cap=1, word_cap=1,
-                                      probe_cap=1)
+        h0 = deformation_comparison_H(cfg, lambda psi: psi, g_cap=1,
+                                      word_cap=1, probe_cap=1)
         # an operator's defect is its word coefficients
         yield from (h0 - VerticalOperator.identity(m)).terms.values()
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-        perturbed = cache(pert.apply)    # once per distinct state
-        ip2 = lambda a, b: can(a, perturbed(b))
-        h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2,
+        h = deformation_comparison_H(cfg, pert.apply, g_cap=1, word_cap=2,
                                      probe_cap=2)
         yield from (h - pert).terms.values()
         yield from (h - h.adjoint()).terms.values()
@@ -1036,7 +1033,7 @@ def suite_morita(ctx: SuiteContext) -> list:
         yield from (v.adjoint().compose(v) - h).terms.values()
         for _ in range(2):
             phi, psi = ctx.rand_state(1), ctx.rand_state(1)
-            yield ip2(phi, psi) - can(v.apply(phi), v.apply(psi))
+            yield can(phi, pert.apply(psi)) - can(v.apply(phi), v.apply(psi))
     ctx.check("morita.comparison",
               "the comparison operator recovers a planted deformation and splits",
               comparison)

@@ -523,15 +523,14 @@ def test_criterion_11_vertical_operators():
     can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
     l0 = VerticalOperator.fundamental(m, 0)
     pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-    ip2 = lambda a, b: can(a, pert.apply(b))
-    h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2, probe_cap=2)
+    h = deformation_comparison_H(cfg, pert.apply, g_cap=1, word_cap=2, probe_cap=2)
     assert (h - pert).is_zero()
     assert (h - h.adjoint()).is_zero()
     v = vertical_sqrt(cfg, h)
     assert (v.adjoint().compose(v) - h).is_zero()
     for _ in range(5):
         phi, psi = rand.state(m, 1), rand.state(m, 1)
-        assert (ip2(phi, psi) - can(v.apply(phi), v.apply(psi))).is_zero()
+        assert (can(phi, pert.apply(psi)) - can(v.apply(phi), v.apply(psi))).is_zero()
     report(11, "vertical composition, adjoint generators, comparison round trip")
 
 

@@ -211,6 +211,27 @@ class TestMalformedScenes:
         assert captured.err == ("configuration error: exponent must be at most 64, "
                                 "got 65\n")
 
+    @pytest.mark.parametrize("expr,degree", [
+        ("((q+p+1)^12)^12", 144),
+        ("*".join(["(q+p+1)^64"] * 20), 128),
+        ("q^40*p^20*(q+1)^5", 65),
+    ], ids=["nested_power", "product_chain", "mixed"])
+    def test_star_rejects_large_degree(self, tmp_path, capsys, expr, degree):
+        path = write_scene(tmp_path, HEIS_SCENE)
+        assert main(["star", "--scene", path, f"--left={expr}", "--right=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: expression degree must be "
+                                f"at most 64, got {degree}\n")
+
+    @pytest.mark.parametrize("expr", ["(q+p+1)^64", "((q+p+1)^8)^8",
+                                      "q^40*p^20*(q+1)^4"])
+    def test_star_accepts_degree_up_to_the_bound(self, tmp_path, capsys, expr):
+        path = write_scene(tmp_path, HEIS_SCENE)
+        assert main(["star", "--scene", path, f"--left={expr}", "--right=1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "lam^0:" in captured.out
+
     def test_scene_not_object(self, tmp_path, capsys):
         path = tmp_path / "scene.json"
         path.write_text("[1, 2]")
@@ -339,11 +360,11 @@ class TestEngineErrors:
         real = suites.deformation_comparison_H
         calls = []
 
-        def planted(cfg, ip2, **caps):
+        def planted(cfg, ket, **caps):
             calls.append(caps)
             if len(calls) == 1:
                 return VerticalOperator.fundamental(cfg.model, 0)
-            return real(cfg, ip2, **caps)
+            return real(cfg, ket, **caps)
 
         monkeypatch.setattr(suites, "deformation_comparison_H", planted)
         path = write_scene(tmp_path, {**HEIS_SCENE, "suites": ["morita"]})

@@ -29,7 +29,10 @@ right multiplication came to be read from one psi-series.  The full
 abelian_r2 report, the last runnable committed scene without a pin, was
 recorded while the positive and KMS functionals still returned lam-series
 of pi-graded scalars rather than constant Funcs; with it every runnable
-committed scene has its full report pinned.
+committed scene has its full report pinned.  The heisenberg, filiform4 and
+morita digests were recorded while the comparison operator's target was
+still formed per (probe, probe) pair, from a form ip2(phi, psi), rather than
+by one moment pass per probe of a ket map.
 
 The involve digests are the sha256 of the standard output of `redstar
 involve` for a degree-4 input on heisenberg at order 4 and for an input on

@@ -328,6 +328,66 @@ class TestModularClass:
         assert rep["inner"]
 
 
+class TestGaussianClosedForms:
+    """Closed forms for the weight exp(-c (q^2 + p^2)) on the abelian model
+    at order 5.  The involution is u* = conj(u) o A_lam for the linear map
+    A q = a q + b p, A p = a p - b q with a = (1 + c^2 lam^2) / (1 - c^2 lam^2)
+    and b = 2 i c lam / (1 - c^2 lam^2); the modular derivation, the
+    logarithm of u -> conj(u*), is D q = -2 i artanh(c lam) p and
+    D p = 2 i artanh(c lam) q."""
+
+    K = 5
+    CS = [Fraction(1), Fraction(3, 2), Fraction(1, 3)]
+
+    @staticmethod
+    def lam_series(m, coeffs):
+        """sum_k coeffs[k] lam^k as a constant Func, up to the model order."""
+        out = m.zero()
+        for k, c in enumerate(coeffs[: m.order + 1]):
+            out = out + (m.one() * c).shift(k)
+        return out
+
+    def involution(self, m, u, c):
+        a = self.lam_series(m, [1] + [2 * c ** k if k % 2 == 0 else 0
+                                      for k in range(1, m.order + 1)])
+        b = self.lam_series(m, [2 * I * c ** k if k % 2 else 0
+                                for k in range(m.order + 1)])
+        q, p = m.var("q"), m.var("p")
+        images = (a * q + b * p, a * p - b * q)
+        idx = [m.gens.index(n) for n in m.base_names]
+        out = m.zero()
+        for r, poly in enumerate(u.conj().series.coeffs):
+            for expo, coeff in poly.terms.items():
+                term = m.one() * coeff
+                for image, i in zip(images, idx):
+                    for _ in range(expo[i]):
+                        term = term * image
+                out = out + term.shift(r)
+        return out
+
+    @pytest.mark.parametrize("c", CS, ids=str)
+    def test_involution(self, rand, c):
+        m = ModelSpace(abelian_lie(1), base_dim=2, order=self.K)
+        om = gaussian_base_weight(m, c)
+        for _ in range(8):
+            u = rand.base(m, 6, 4) + rand.base(m, 6, 4) * I
+            assert not u.is_zero()
+            assert (reduced_involution(m, u, om) - self.involution(m, u, c)).is_zero()
+
+    @pytest.mark.parametrize("c", CS, ids=str)
+    def test_modular_derivation(self, c):
+        m = ModelSpace(abelian_lie(1), base_dim=2, order=self.K)
+        d = modular_class(m, gaussian_base_weight(m, c), cap=2)["D"]
+        # 2 i artanh(c lam) = 2 i sum_k (c lam)^(2k+1) / (2k+1)
+        t = self.lam_series(m, [2 * I * c ** k / k if k % 2 else 0
+                                for k in range(self.K + 1)])
+        q, p = m.var("q"), m.var("p")
+        dq, dp = -t * p, t * q
+        for expo, expect in [((1, 0), dq), ((0, 1), dp), ((2, 0), 2 * q * dq),
+                             ((1, 1), dq * p + q * dp)]:
+            assert (d.image(expo) - expect).is_zero(), expo
+
+
 @pytest.mark.parametrize("lie", [abelian_lie(1), aff1()])
 def test_involution_suite(lie):
     m = ModelSpace(lie, base_dim=2, order=3)

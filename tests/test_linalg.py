@@ -30,7 +30,6 @@ from redstar.linalg import is_psd_hermitian, poly_equations, rank, solve_linear
 from redstar.morita import (
     VerticalOperator,
     deformation_comparison_H,
-    inner_product_red_closed_form,
 )
 from redstar.poly import Poly
 from redstar.scalars import GaussRational, I
@@ -299,14 +298,12 @@ def test_modular_inner_difference_matches_dense(recorded, lie):
 def test_comparison_H_matches_dense(recorded, lie):
     m = ModelSpace(lie, base_dim=2, order=3)
     cfg = ReductionConfig(m, Fraction(1, 2))
-    can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
     l0 = VerticalOperator.fundamental(m, 0)
     pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-    ip2 = lambda a, b: can(a, pert.apply(b))
-    h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2, probe_cap=2)
+    h = deformation_comparison_H(cfg, pert.apply, g_cap=1, word_cap=2, probe_cap=2)
     assert (h - pert).is_zero()
     with pytest.raises(ValueError):
-        deformation_comparison_H(cfg, ip2, g_cap=0, word_cap=1, probe_cap=1)
+        deformation_comparison_H(cfg, pert.apply, g_cap=0, word_cap=1, probe_cap=1)
     assert recorded[-1][-1] is None
     _assert_matches_dense(m, recorded)
 

@@ -41,7 +41,9 @@ equal repr):
   for each lam shift of each unknown;
 - the comparison operator's columns from one base product per (probe,
   word, probe), each integrated against every g^e and kept at every lam
-  order, which one moment pass per (probe, word) at order 0 replaces;
+  order, which one moment pass per (probe, word) at order 0 replaces; and
+  its solve against a form ip2(phi, psi) evaluated once per (probe, probe)
+  pair, which one moment pass per probe of the ket map replaces;
 - the lam-shift and coefficient slice rebuilt by hand around a Func's
   envelope and grade, the right action that stripped an inner product's
   pi-grade and added it back, and SuperObservable.scale_series;
@@ -124,9 +126,11 @@ from redstar.koszul import (
 from redstar.linalg import poly_equations, solve_linear
 from redstar.morita import (
     VerticalOperator,
-    _comparison_columns,
+    _comparison_system,
+    deformation_comparison_H,
     fullness_element,
     inner_product_red,
+    inner_product_red_closed_form,
 )
 from redstar.poly import Poly, _diff_terms, _mul_into
 from redstar.integrate import gaussian_integrate_shifted
@@ -1703,14 +1707,14 @@ def test_inner_difference_columns_match_per_shift(monkeypatch, name):
 
 # ---------------------------------------------------------------------------
 # reference: the comparison columns from one base product per (probe, word,
-# probe)
+# probe), and the comparison solve against a form per (probe, probe) pair
 # ---------------------------------------------------------------------------
 
 
 def ref_comparison_columns(model, pexps, words, gexps, top):
     """conj(phi_i) *_red L_w psi_j for every (probe, word, probe), each
     integrated against every g^e in one moment pass keeping the lam orders
-    0..top, in the layout of _comparison_columns."""
+    0..top, in the layout of the columns of _comparison_system."""
     gnames = model.group_names
     probes = [model.fiber_state(_monomial(model, gnames, a)) for a in pexps]
     n, width = len(probes), len(gexps)
@@ -1726,7 +1730,53 @@ def ref_comparison_columns(model, pexps, words, gexps, top):
     return cols
 
 
+def ref_comparison_H(cfg, ip2, g_cap, word_cap, probe_cap):
+    """Solve ip2(phi, psi) = <phi, H bullet' psi>_red with the target formed
+    per (probe, probe) pair, each a base product and a fiber integral, and
+    the columns from one base product per (probe, word, probe)."""
+    model = cfg.model
+    gnames = model.group_names
+    pexps = _monomials(gnames, probe_cap)
+    probes = [model.fiber_state(_monomial(model, gnames, a)) for a in pexps]
+    words = pbw_words(model.lie.dim, word_cap)
+    gexps = _monomials(gnames, g_cap)
+    columns = [poly_equations([f.series.coeffs[0] for f in col])
+               for col in ref_comparison_columns(model, pexps, words, gexps, 0)]
+    values = [ip2(phi, psi) for phi in probes for psi in probes]
+    if poly_equations([v.series.coeffs[0] for v in values]) != columns[0]:
+        raise ValueError("ket differs from the identity at order 0")
+    h = VerticalOperator.identity(model)
+    for r in range(1, model.order + 1):
+        target = poly_equations([v.series.coeffs[r] for v in values])
+        if not target:
+            continue
+        sol = solve_linear(columns, target)
+        if sol is None:
+            raise ValueError("caps too small to determine the comparison operator")
+        for u, coeff in enumerate(sol):
+            if not coeff.is_zero():
+                k, l = divmod(u, len(gexps))
+                h._add_term(words[k], (_monomial(model, gnames, gexps[l]) * coeff).shift(r))
+    return h
+
+
 COMPARISON_LIES = {"abelian2": lambda: abelian_lie(2), "heis3": heisenberg3}
+
+
+def comparison_kets(m):
+    """Vertical operators T for the kets psi -> T psi: the planted
+    deformation id + lam L_0 L_0; lam L_0 M + M for M the multiplication by
+    q + g_1, which carries a base coordinate and is not id at order 0; and
+    id + lam L_0 M_(g_1) + lam^2 M_(g_1) L_1, with a group coordinate in its
+    coefficients."""
+    l0, l1 = VerticalOperator.fundamental(m, 0), VerticalOperator.fundamental(m, 1)
+    g1 = m.group_names[0]
+    mq = VerticalOperator.multiplication(m, m.var("q") + m.var(g1))
+    mg = VerticalOperator.multiplication(m, m.var(g1))
+    one = VerticalOperator.identity(m)
+    return {"pert": one + l0.compose(l0).lam_shift(1),
+            "base": l0.compose(mq).lam_shift(1) + mq,
+            "group": one + l0.compose(mg).lam_shift(1) + mg.compose(l1).lam_shift(2)}
 
 
 @pytest.mark.parametrize("g_cap", [1, 2])
@@ -1738,7 +1788,7 @@ def test_comparison_columns_match_base_products(name, g_cap):
     m = ModelSpace(COMPARISON_LIES[name](), base_dim=2, order=3)
     pexps, gexps = _monomials(m.group_names, 2), _monomials(m.group_names, g_cap)
     words = pbw_words(m.lie.dim, 2)
-    got = _comparison_columns(m, pexps, words, gexps)
+    got, _ = _comparison_system(m, lambda psi: psi, pexps, words, gexps)
     full = ref_comparison_columns(m, pexps, words, gexps, m.order)
     low = ref_comparison_columns(m, pexps, words, gexps, 0)
     assert len(got) == len(full) == len(words) * len(gexps)
@@ -1748,6 +1798,52 @@ def test_comparison_columns_match_base_products(name, g_cap):
             assert_same(f0, f)
         assert col == [f.series.coeffs[0] for f in ref_full]
     assert any(not p.is_zero() for col in got[1:] for p in col)
+
+
+@pytest.mark.parametrize("caps", [(1, 1, 1), (1, 2, 2)], ids=["111", "122"])
+@pytest.mark.parametrize("ket", ["base", "group", "pert"])
+@pytest.mark.parametrize("name", sorted(COMPARISON_LIES))
+def test_comparison_H_matches_per_pair_solve(name, ket, caps):
+    """The solve from one moment pass per probe of the ket map gives the
+    operator, by the repr of its terms, or the error of the solve against
+    the form <phi, T psi>_red evaluated once per (probe, probe) pair."""
+    m = ModelSpace(COMPARISON_LIES[name](), base_dim=2, order=3)
+    cfg = ReductionConfig(m, Fraction(1, 2))
+    op = comparison_kets(m)[ket]
+    ip2 = lambda a, b: inner_product_red_closed_form(cfg, a, op.apply(b))
+
+    def outcome(solve, form):
+        try:
+            return repr(solve(cfg, form, *caps).terms)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    got = outcome(deformation_comparison_H, op.apply)
+    assert got == outcome(ref_comparison_H, ip2)
+    if ket == "pert":
+        assert got.startswith("ValueError: caps too small") == (caps == (1, 1, 1))
+    else:
+        assert got.startswith("ValueError") == (ket == "base")
+
+
+@pytest.mark.parametrize("ket", ["base", "group", "pert"])
+@pytest.mark.parametrize("name", sorted(COMPARISON_LIES))
+def test_comparison_target_matches_closed_form(name, ket):
+    """Target slot i * n + j of the solve is <phi_i, T psi_j>_red, the
+    closed-form inner product, at every lam order and in the pi-grade."""
+    m = ModelSpace(COMPARISON_LIES[name](), base_dim=2, order=3)
+    cfg = ReductionConfig(m, Fraction(1, 2))
+    gnames = m.group_names
+    op = comparison_kets(m)[ket]
+    pexps = _monomials(gnames, 2)
+    probes = [m.fiber_state(_monomial(m, gnames, a)) for a in pexps]
+    _, values = _comparison_system(m, op.apply, pexps, [()], [(0,) * len(gnames)])
+    expect = [inner_product_red_closed_form(cfg, phi, op.apply(psi))
+              for phi in probes for psi in probes]
+    assert len(values) == len(expect) == len(probes) ** 2
+    for got, ref in zip(values, expect):
+        assert_same(got, ref)
+    assert any(not p.is_zero() for v in values for p in v.series.coeffs[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -2276,3 +2372,21 @@ def test_symbol_ops_are_built_in_starprod(module):
              and "SymbolOp" in (getattr(node.func, "id", None),
                                 getattr(node.func, "attr", None))]
     assert calls == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(redstar.__path__)))
+def test_every_import_is_used(module):
+    """Every name a module imports, at the top or inside a function, is
+    read somewhere in it; __init__ imports only to re-export."""
+    with open(importlib.util.find_spec(f"redstar.{module}").origin) as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {n: line for n, line in imported.items() if n not in used} == {}

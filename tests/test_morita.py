@@ -167,13 +167,12 @@ class TestVerticalOperators:
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))
         can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
-        h0 = deformation_comparison_H(cfg, can, g_cap=1, word_cap=1,
-                                      probe_cap=1)
+        h0 = deformation_comparison_H(cfg, lambda psi: psi, g_cap=1,
+                                      word_cap=1, probe_cap=1)
         assert (h0 - VerticalOperator.identity(m)).is_zero()
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-        ip2 = lambda a, b: can(a, pert.apply(b))
-        h = deformation_comparison_H(cfg, ip2, g_cap=1, word_cap=2,
+        h = deformation_comparison_H(cfg, pert.apply, g_cap=1, word_cap=2,
                                      probe_cap=2)
         assert (h - pert).is_zero()
         assert (h - h.adjoint()).is_zero()
@@ -181,32 +180,30 @@ class TestVerticalOperators:
         assert (v.adjoint().compose(v) - h).is_zero()
         for _ in range(3):
             phi, psi = rand.state(m, 1), rand.state(m, 1)
-            assert (ip2(phi, psi) - can(v.apply(phi), v.apply(psi))).is_zero()
+            assert (can(phi, pert.apply(psi))
+                    - can(v.apply(phi), v.apply(psi))).is_zero()
 
     def test_caps_too_small_raise(self, model_r):
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))
-        can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-        ip2 = lambda a, b: can(a, pert.apply(b))
-        with pytest.raises(ValueError):
-            deformation_comparison_H(cfg, ip2, g_cap=0, word_cap=1,
+        with pytest.raises(ValueError, match="caps too small"):
+            deformation_comparison_H(cfg, pert.apply, g_cap=0, word_cap=1,
                                      probe_cap=1)
 
     @pytest.mark.parametrize("caps", [(1, 1, 1), (1, 2, 2)])
     def test_order_zero_mismatch_raises(self, model_heis, caps):
-        """ip2 = 2 <,>_red differs from <,>_red at order 0, which no
-        H = id + O(lam) can meet; <,>_red itself gives H = id."""
+        """ket = 2 psi differs from the identity at order 0, which no
+        H = id + O(lam) can meet; the identity itself gives H = id."""
         m = model_heis
         cfg = ReductionConfig(m, Fraction(1, 2))
-        can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         g_cap, word_cap, probe_cap = caps
-        h = deformation_comparison_H(cfg, can, g_cap=g_cap, word_cap=word_cap,
-                                     probe_cap=probe_cap)
+        h = deformation_comparison_H(cfg, lambda psi: psi, g_cap=g_cap,
+                                     word_cap=word_cap, probe_cap=probe_cap)
         assert (h - VerticalOperator.identity(m)).is_zero()
         with pytest.raises(ValueError, match="at order 0"):
-            deformation_comparison_H(cfg, lambda a, b: can(a, b) * 2, g_cap=g_cap,
+            deformation_comparison_H(cfg, lambda psi: psi * 2, g_cap=g_cap,
                                      word_cap=word_cap, probe_cap=probe_cap)
 
     @pytest.mark.parametrize("caps", [(-1, 2, 2), (1, -1, 2), (1, 2, -1)],
@@ -214,14 +211,12 @@ class TestVerticalOperators:
     def test_negative_cap_raises(self, model_r, caps):
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))
-        can = lambda a, b: inner_product_red_closed_form(cfg, a, b)
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-        ip2 = lambda a, b: can(a, pert.apply(b))
         g_cap, word_cap, probe_cap = caps
         with pytest.raises(ValueError, match="negative cap"):
-            deformation_comparison_H(cfg, ip2, g_cap=g_cap, word_cap=word_cap,
-                                     probe_cap=probe_cap)
+            deformation_comparison_H(cfg, pert.apply, g_cap=g_cap,
+                                     word_cap=word_cap, probe_cap=probe_cap)
 
     @pytest.mark.parametrize("lie", [heisenberg3(), abelian_lie(2)],
                              ids=["heis3", "abelian2"])
@@ -238,7 +233,8 @@ class TestVerticalOperators:
         words = pbw_words(lie.dim, 2)
         for g_cap in (1, 2):
             gexps = _monomials(gnames, g_cap)
-            cols = morita._comparison_columns(m, pexps, words, gexps)
+            cols, _ = morita._comparison_system(m, lambda psi: psi, pexps,
+                                                words, gexps)
             assert len(cols) == len(words) * len(gexps)
             for u, col in enumerate(cols):
                 w, e = words[u // len(gexps)], gexps[u % len(gexps)]
@@ -251,18 +247,19 @@ class TestVerticalOperators:
             assert any(not p.is_zero() for col in cols[1:] for p in col)
 
     def test_comparison_op_counts(self, model_heis):
-        """One solve on heis3 makes one field application per (non-empty
-        word, probe), one moment pass per (probe, word) and no base
-        product."""
+        """One solve on heis3 calls the ket once per probe and makes one
+        field application per (non-empty word, probe), one moment pass per
+        (probe, word) for the columns and one per probe for the target, and
+        no base product or closed-form inner product."""
         m = model_heis
         cfg = ReductionConfig(m, Fraction(1, 2))
         gnames = m.group_names
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
         probes = [m.fiber_state(_monomial(m, gnames, e)) for e in _monomials(gnames, 2)]
-        table = {(phi, psi): inner_product_red_closed_form(cfg, phi, pert.apply(psi))
-                 for phi in probes for psi in probes}
-        counts = {"apply": 0, "moyal": 0, "op_apply": 0, "moments": 0}
+        kets = {psi: pert.apply(psi) for psi in probes}
+        counts = {"ket": 0, "apply": 0, "moyal": 0, "op_apply": 0, "moments": 0,
+                  "closed_form": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -278,17 +275,19 @@ class TestVerticalOperators:
                 mp.setattr(mod, "moyal", counted_moyal)
             mp.setattr(morita, "gaussian_integrate_shifted",
                        counting("moments", morita.gaussian_integrate_shifted))
-            h = deformation_comparison_H(cfg, lambda a, b: table[a, b], g_cap=1,
-                                         word_cap=2, probe_cap=2)
+            mp.setattr(morita, "inner_product_red_closed_form",
+                       counting("closed_form", inner_product_red_closed_form))
+            h = deformation_comparison_H(cfg, counting("ket", kets.__getitem__),
+                                         g_cap=1, word_cap=2, probe_cap=2)
         assert (h - pert).is_zero()
         # 10 probes and 10 words, 9 of them non-empty
-        assert counts == {"apply": 9 * 10, "moyal": 0, "op_apply": 0,
-                          "moments": 10 * 10}
+        assert counts == {"ket": 10, "apply": 9 * 10, "moyal": 0, "op_apply": 0,
+                          "moments": 10 * 10 + 10, "closed_form": 0}
 
 
 def test_suite_comparison_perturbs_each_state_once(model_heis):
-    """morita.comparison applies its planted deformation once per distinct
-    state: the solve's 100 ip2 calls on 10 probes make 10 applications."""
+    """morita.comparison applies its planted deformation once per probe:
+    the solve's ket calls on 10 probes make 10 applications."""
     counts = {"solving": False, "apply": 0}
     solve, apply = suites.deformation_comparison_H, SymbolOp.apply
 
