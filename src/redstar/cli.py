@@ -7,13 +7,15 @@ are sorted by identity and coefficients print as exact rationals with
 explicit powers of pi.
 
 Exit codes: 0 all identities pass, 1 some identity fails, 2 configuration
-error, 3 an exception inside the engine during some check (status "error").
+error, 3 an exception inside the engine during some check (status "error"),
+141 the reader closed standard output before the report was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -50,6 +52,10 @@ MAX_TRIALS = 1000
 MAX_EXPONENT = 64
 MAX_EXPR_DEGREE = 64
 MAX_NESTING = 100
+
+# The exit code when standard output is a pipe whose reader has gone, the
+# code a shell gives a writer that SIGPIPE ends (128 + 13).
+EXIT_CLOSED_PIPE = 141
 
 
 def _json_type(value) -> str:
@@ -500,10 +506,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except (SceneError, ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout goes to devnull, so the interpreter's flush at exit finds
+        # no closed pipe either (the recipe of the Python signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -5,8 +5,12 @@ The reduced involution is extracted from the weighted transpose of one-sided
 multiplication operators evaluated on the constant function: for base
 functions u and v the statement "integral of (w * u) against the base weight
 equals integral of (v * w)" for all damped test functions w pins down
-v = conj(u^*) order by order, because the transpose of left multiplication
-by v starts with v itself.
+v = conj(u^*), because the transpose of left multiplication by v starts
+with v itself.  The map v -> (transpose of left multiplication by v)(1) is
+a differential operator P = id + O(lam), built with its inverse once per
+model and weight, so each involution is one formal adjoint, that of the
+right multiplication by u, and one application of P^-1.  The same P gives
+the density ratio's defect integrals as moments.
 
 The positive functional omega_mu, the pre-Hilbert product <., .>_mu and the
 KMS functional tau_Omega take values in C[[lam]] times a power of pi.  They
@@ -192,12 +196,10 @@ def gns_check(cfg: ReductionConfig, f: Func, g: Func, mu: Func) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def mult_operator(model: ModelSpace, u: Func, right: bool = True) -> DiffOperator:
-    """w -> w *_red u (right) or w -> u *_red w (left) as a differential
-    operator in the base coordinates.
+def mult_operator(model: ModelSpace, u: Func) -> DiffOperator:
+    """w -> w *_red u as a differential operator in the base coordinates.
 
-    Each entry (alpha, beta) of the moyal table puts its other half onto
-    u's partials: beta on the right side, alpha on the left.
+    Each entry (alpha, beta) of the moyal table puts beta onto u's partials.
     """
     if u.profile:
         raise ValueError("multiplication operators need polynomial symbols")
@@ -207,42 +209,73 @@ def mult_operator(model: ModelSpace, u: Func, right: bool = True) -> DiffOperato
     tables = [{} for _ in range(order + 1)]
     for r, level in enumerate(moyal_table(model, order)):
         for (alpha, beta), c in level.items():
-            d, k = (alpha, beta) if right else (beta, alpha)
-            for s, terms in enumerate(partials[k][: order + 1 - r]):
+            for s, terms in enumerate(partials[beta][: order + 1 - r]):
                 if terms:
-                    _mul_into(tables[r + s].setdefault(d, {}), terms, {origin: c})
+                    _mul_into(tables[r + s].setdefault(alpha, {}), terms, {origin: c})
     tables = [{d: Poly(model.gens, t) for d, t in tab.items()} for tab in tables]
     return DiffOperator(model.gens, order, tables)
 
 
-def _transpose_at_one(model: ModelSpace, op: DiffOperator, omega: Func) -> Func:
-    """D^T(1) with respect to the bilinear pairing integral(f g omega)."""
-    adj = op.formal_adjoint(omega)
-    return adj.apply(model.one()).conj()
+def _involution_steps(model: ModelSpace, omega: Func) -> tuple:
+    """(P, P^-1) for the weight, with P(w) = T(L_w), built once per model
+    and weight on first use.
+
+    T(D) = conj(D^+(1)) is the transpose at 1 for the pairing integral(f g
+    omega), and L_w = sum lam^r c^r_(alpha beta) (d^alpha w) d^beta over
+    the moyal table is the left multiplication w *_red (.).  (d^beta)^+ is
+    real, so
+
+        P = sum_beta (d^beta)^+ o C_beta,
+        C_beta = sum_(r, alpha) lam^r c^r_(alpha beta) d^alpha.
+
+    (d^beta)^+ is a product of the commuting first-order adjoints (d_i)^+,
+    so the sum is taken Horner-wise on a tree of multi-indices: beta hangs
+    below beta - e_i for its first nonzero index i and adds (d_i)^+ o (its
+    subtree's sum) to its parent's, one composition per beta.  P = id +
+    O(lam), so P^-1 is the terminating series sum_(k <= K) (id - P)^k, by
+    Horner's rule at rising truncation orders: the k-th partial sum is
+    composed under K - k more factors id - P, so only its orders <= k count.
+    """
+    key = ("involution_steps", omega)
+    ops = model._field_cache.get(key)
+    if ops is None:
+        if not omega.series.coeffs[0].is_constant():
+            raise ValueError("weight is outside the supported class for the involution")
+        gens, order = model.gens, model.order
+        tails = {}
+        for r, level in enumerate(moyal_table(model, order)):
+            for (alpha, beta), c in level.items():
+                tails.setdefault(beta, [{} for _ in range(order + 1)])[r][alpha] = c
+        tails = {beta: DiffOperator(gens, order, tabs) for beta, tabs in tails.items()}
+        adjoints = {i: DiffOperator.partial(gens, name, order).formal_adjoint(omega)
+                    for i, name in enumerate(gens) if name in model.base_names}
+        for r in range(order, 0, -1):
+            for beta in [b for b in tails if sum(b) == r]:
+                i = next(i for i, b in enumerate(beta) if b)
+                parent = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+                term = adjoints[i].compose(tails.pop(beta))
+                tails[parent] = tails[parent] + term if parent in tails else term
+        step = tails[(0,) * len(gens)]
+        rest = DiffOperator.identity(gens, order) - step
+        inverse = DiffOperator.identity(gens, 0)
+        for k in range(1, order + 1):
+            inverse = DiffOperator.identity(gens, k) + DiffOperator(
+                gens, k, rest.tables).compose(DiffOperator(gens, k, inverse.tables))
+        ops = model._field_cache[key] = (step, inverse)
+    return ops
 
 
 def reduced_involution(model: ModelSpace, u: Func, omega: Func) -> Func:
     """The unique u* adjoint to right multiplication by u for the weight.
 
-    v = conj(u*) solves T(L_v) = T(R_u) for T(D) = D^T(1), order by order:
-    the order-r coefficient of the defect is the step delta_r = lam^r v_r.
-    T is additive in v, so T(L_v) is kept as a running sum and each nonzero
-    step below the top order adds T(L_{delta_r}), the transpose of a
-    one-coefficient operator, instead of transposing L_v anew.
+    v = conj(u*) solves T(L_v) = T(R_u) for the transpose at 1 of
+    _involution_steps.  The target T(R_u) is the formal adjoint of
+    mult_operator(u) read at 1, and v = P^-1(T(R_u)) with the cached
+    inverse of P: w -> T(L_w).
     """
-    if not omega.series.coeffs[0].is_constant():
-        raise ValueError("weight is outside the supported class for the involution")
-    target = _transpose_at_one(model, mult_operator(model, u), omega)
-    v = current = model.zero()
-    for r in range(model.order + 1):
-        step = (target - current).coeff(r).shift(r)
-        if step.is_zero():
-            continue
-        v = v + step
-        if r < model.order:
-            current = current + _transpose_at_one(
-                model, mult_operator(model, step, right=False), omega)
-    return v.conj()
+    _, inverse = _involution_steps(model, omega)
+    target = mult_operator(model, u).formal_adjoint(omega).apply(model.one()).conj()
+    return inverse.apply(target).conj()
 
 
 def kms_functional(model: ModelSpace, u: Func, omega: Func) -> Func:
@@ -293,7 +326,10 @@ def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func,
     of one integration pass over omega and every target tau_Omega(x^e rho)
     of one pass over rho * omega.  moyal is bilinear, so the defect
     tau_Omega(x^e rho) - tau_Omega(rho_hat * x^e) is kept as a running sum:
-    each nonzero step below the top order subtracts tau_Omega(step * x^e).
+    each nonzero step below the top order subtracts tau_Omega(step * x^e)
+    = integral of x^e P(step) omega, with P: w -> T(L_w) the step operator
+    of the involution for omega, so one moment pass over P(step) * omega
+    gives it for every basis monomial.
     """
     if not omega.profile:
         raise ValueError("the density-ratio solve needs a Gaussian base weight")
@@ -328,8 +364,10 @@ def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func,
             continue
         rho_hat = rho_hat + step
         if r < model.order:
-            defect = [d - kms_functional(model, moyal(model, step, u), omega)
-                      for d, u in zip(defect, monos)]
+            step_op, _ = _involution_steps(model, omega)
+            shifted = gaussian_integrate_shifted(
+                step_op.apply(step) * omega, base, exps, model.order, memo)
+            defect = [d - f.scalar() for d, f in zip(defect, shifted)]
     return rho_hat
 
 

@@ -1,10 +1,16 @@
 """Scene loading, the command-line verbs, report determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import redstar
 from redstar.cli import (
+    EXIT_CLOSED_PIPE,
     Scene,
     SceneError,
     emit_report,
@@ -515,6 +521,34 @@ class TestVerbs:
         assert captured.out == ""
         assert captured.err == (f"configuration error: {verb} takes "
                                 "base-coordinate functions\n")
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe ends a run with the documented exit
+    code and nothing on stderr.  The read end is closed before the child
+    starts, so its first write to stdout finds no reader."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "koszul", "--format", "json"],
+        ["star", "--left", "q*q", "--right", "p"],
+        ["reduce", "--left", "q", "--right", "p"],
+        ["involve", "--input", "q*p"],
+    ], ids=["verify", "star", "reduce", "involve"])
+    def test_closed_pipe_has_no_traceback(self, tmp_path, argv):
+        path = write_scene(tmp_path, HEIS_SCENE)
+        env = dict(os.environ, PYTHONPATH=str(Path(redstar.__file__).parent.parent))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "redstar.cli", argv[0], "--scene", path, *argv[1:]],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write_end)
+        _, err = proc.communicate(timeout=120)
+        assert "Traceback" not in err, err
+        assert err == ""
+        assert proc.returncode == EXIT_CLOSED_PIPE
 
 
 class TestReports:

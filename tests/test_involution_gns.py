@@ -459,10 +459,14 @@ class TestOperationCounts:
         m = model_r
         om = gaussian_base_weight(m, 1)
         rho = m.one() + m.var("q") * m.var("q")
-        calls = self.count(monkeypatch, "kms_functional")
+        kms = self.count(monkeypatch, "kms_functional")
+        products = self.count(monkeypatch, "moyal")
+        passes = self.count(monkeypatch, "gaussian_integrate_shifted")
         rh = density_ratio_hat(m, om, rho, cap=4)
         steps = sum(not rh.coeff(r).is_zero() for r in range(m.order))
         assert steps == 3
-        # one defect integral per basis monomial and nonzero step below the
-        # top order; the Gram entries and targets come from moment passes
-        assert len(calls) == steps * len(_monomials(m.base_names, 4))
+        # no base product and no integral per basis monomial: the Gram
+        # entries, the targets and each nonzero step's defect below the
+        # top order come from one moment pass each
+        assert not kms and not products
+        assert len(passes) == steps + 2

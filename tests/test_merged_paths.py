@@ -22,6 +22,7 @@ equal repr):
   operator T = (k_1 - qk_1) h_0;
 - the left and right multiplication operators as mirror-image builders,
   each expanding exp((i lam/2) Lam^{ij} d_i (x) d_j) over pair sequences;
+  the left builder is also the only left operator the references use;
 - the base product as a Func-level recursion over pair sequences, with the
   two-pass envelope-aware Func.diff and the loop Poly.__mul__ and Poly.diff
   beneath it;
@@ -35,10 +36,13 @@ equal repr):
   multiplied in and each twisted partial composed on the left one at a
   time; the pointwise series inverse corrected against the whole defect
   at every order; the reduced involution transposing the left operator of
-  the whole partial sum at every step;
-- the density ratio solved with one integral per Gram entry, per target and
-  per defect at every order, and the inner-difference columns built anew
-  for each lam shift of each unknown;
+  the whole partial sum at every step, and as a running sum that
+  transposes the left operator of each nonzero step, which one cached
+  step operator w -> T(L_w) per weight and its inverse replace;
+- the density ratio solved with one integral per Gram entry, per target
+  and per defect at every order, each defect with its own base product,
+  and the inner-difference columns built anew for each lam shift of each
+  unknown;
 - the comparison operator's columns from one base product per (probe,
   word, probe), each integrated against every g^e and kept at every lam
   order, which one moment pass per (probe, word) at order 0 replaces; and
@@ -1421,12 +1425,10 @@ def test_mult_operator_matches_reference_pair(name):
         u = rand_poly(rng, m, m.base_names, 3)
         u = u + lam_shifted(rand_poly(rng, m, m.base_names, 2), 1)
         w = rand_poly(rng, m, m.base_names, 2)
-        for got, expect in ((mult_operator(m, u), ref_right_mult_operator(m, u)),
-                            (mult_operator(m, u, right=False),
-                             ref_left_mult_operator(m, u))):
-            assert got == expect
-            assert repr(got) == repr(expect)
-            assert_same(got.apply(w), expect.apply(w))
+        got, expect = mult_operator(m, u), ref_right_mult_operator(m, u)
+        assert got == expect
+        assert repr(got) == repr(expect)
+        assert_same(got.apply(w), expect.apply(w))
 
 
 # ---------------------------------------------------------------------------
@@ -1489,17 +1491,18 @@ def ref_reduced_involution(model, u, omega):
     target = transpose_at_one(mult_operator(model, u))
     v = model.zero()
     for r in range(model.order + 1):
-        current = transpose_at_one(mult_operator(model, v, right=False))
+        current = transpose_at_one(ref_left_mult_operator(model, v))
         v = v + (target - current).coeff(r).shift(r)
     return v.conj()
 
 
 def adjoint_weights(m):
-    """Gaussian in both base coordinates, a constant prefactor under an
+    """Gaussian in every base coordinate, a constant prefactor under an
     envelope in one coordinate, the lam-dependent non-constant prefactor of
     involution.comparison, a prefactor with a lam-dependent polynomial on
-    its own under a narrower envelope, and Lebesgue."""
-    q, p = (m.var(n) for n in m.base_names)
+    its own under a narrower envelope, and Lebesgue; the polynomials are in
+    the first canonical pair."""
+    q, p = (m.var(n) for n in m.base_names[:2])
     gauss = gaussian_base_weight(m, 1)
     prefactor = LambdaSeries([Poly.constant(m.gens, 2), (q * p * p).series.coeffs[0]],
                              m.order)
@@ -1542,7 +1545,7 @@ def test_formal_adjoint_matches_compose_chain(name):
     for _ in range(2):
         u = rand_poly(rng, m, m.base_names, 3)
         u = u + lam_shifted(rand_poly(rng, m, m.base_names, 2), 1)
-        ops += [mult_operator(m, u), mult_operator(m, u, right=False)]
+        ops += [mult_operator(m, u), ref_left_mult_operator(m, u)]
     ops += [rand_operator(rng, m) for _ in range(3)]
     assert max(sum(d) for op in ops for t in op.tables for d in t) == 4
     for label, w in adjoint_weights(m).items():
@@ -1613,6 +1616,102 @@ def test_reduced_involution_matches_full_recompute(name):
     # the corrections reach the top order, so every step of the loop runs
     top = reduced_involution(m, us[0], weights["density_ratio"]).series.coeffs[m.order]
     assert not top.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# reference: the involution as a running sum over its steps, each nonzero
+# step transposing its own left operator
+# ---------------------------------------------------------------------------
+
+
+def ref_step_involution(model, u, omega):
+    """v = conj(u*) solves T(L_v) = T(R_u) order by order.  T(L_v) is kept
+    as a running sum: each nonzero step delta_r = lam^r v_r below the top
+    order adds T(L_delta_r), one adjoint of its left operator read at 1."""
+
+    def transpose_at_one(op):
+        return op.formal_adjoint(omega).apply(model.one()).conj()
+
+    target = transpose_at_one(mult_operator(model, u))
+    v = current = model.zero()
+    for r in range(model.order + 1):
+        step = (target - current).coeff(r).shift(r)
+        if step.is_zero():
+            continue
+        v = v + step
+        if r < model.order:
+            current = current + transpose_at_one(ref_left_mult_operator(model, step))
+    return v.conj()
+
+
+STEP_MODELS = {
+    "heis3": lambda K: ModelSpace(heisenberg3(), 2, K),
+    "aff1": lambda K: ModelSpace(aff1(), 2, K),
+    "heis3_base4": lambda K: ModelSpace(heisenberg3(), 4, K),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_MODELS))
+def test_step_operator_is_the_left_transpose(name):
+    """P(w) = T(L_w) with the compose-chain adjoint of the left operator,
+    and the cached inverse undoes P, for every weight."""
+    m = STEP_MODELS[name](3)
+    rng = random.Random(31)
+    base = m.base_names
+    ws = [rand_poly(rng, m, base, 3) + lam_shifted(rand_poly(rng, m, base, 2), 1)
+          for _ in range(3)] + [m.one()]
+    for label, omega in adjoint_weights(m).items():
+        step, inverse = involution._involution_steps(m, omega)
+        for w in ws:
+            expect = ref_formal_adjoint(ref_left_mult_operator(m, w), omega)
+            assert_same(step.apply(w), expect.apply(m.one()).conj())
+            assert_same(inverse.apply(step.apply(w)), w)
+
+
+@pytest.mark.parametrize("name, K", [(name, K) for name in sorted(STEP_MODELS)
+                                     for K in (3, 4, 5) if (name, K) != ("heis3_base4", 5)])
+def test_reduced_involution_matches_step_loop(name, K):
+    """25 complex, partly lam-shifted inputs per model and order, 200 in
+    all, over the five weights of adjoint_weights.  The 4-dimensional base
+    stops at K = 4, where the two references take about 1 s per input."""
+    m = STEP_MODELS[name](K)
+    rng = random.Random(37 + K)
+    base = m.base_names
+    for label, omega in adjoint_weights(m).items():
+        for _ in range(5):
+            u = rand_poly(rng, m, base, 3) + lam_shifted(
+                rand_poly(rng, m, base, 2), rng.randint(1, K))
+            got = reduced_involution(m, u, omega)
+            assert_same(got, ref_step_involution(m, u, omega))
+            assert_same(got, ref_reduced_involution(m, u, omega))
+
+
+def test_warm_involution_makes_one_adjoint(monkeypatch):
+    """A warm call adjoins only the right operator of its input, and the
+    step operators are cached once per weight."""
+    m = ModelSpace(heisenberg3(), 2, 4)
+    weights = adjoint_weights(m)
+    rng = random.Random(41)
+    us = [rand_poly(rng, m, m.base_names, 4) for _ in range(4)]
+    reduced_involution(m, us[0], weights["gaussian"])
+    size = len(m._field_cache)
+    calls = []
+    real = DiffOperator.formal_adjoint
+
+    def counting(self, weight):
+        calls.append(weight)
+        return real(self, weight)
+
+    monkeypatch.setattr(DiffOperator, "formal_adjoint", counting)
+    for u in us:
+        calls.clear()
+        reduced_involution(m, u, weights["gaussian"])
+        assert len(calls) == 1
+    assert len(m._field_cache) == size
+    reduced_involution(m, us[0], weights["prefactor"])
+    assert len(m._field_cache) == size + 1
+    reduced_involution(m, us[1], weights["prefactor"])
+    assert len(m._field_cache) == size + 1
 
 
 # ---------------------------------------------------------------------------
@@ -2001,11 +2100,9 @@ def test_mult_operator_matches_reference_table_models(name):
     for _ in range(2):
         u = rand_poly(rng, m, m.base_names, 3)
         u = u + lam_shifted(rand_poly(rng, m, m.base_names, 2), 1)
-        for got, expect in ((mult_operator(m, u), ref_right_mult_operator(m, u)),
-                            (mult_operator(m, u, right=False),
-                             ref_left_mult_operator(m, u))):
-            assert got == expect
-            assert repr(got) == repr(expect)
+        got, expect = mult_operator(m, u), ref_right_mult_operator(m, u)
+        assert got == expect
+        assert repr(got) == repr(expect)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
