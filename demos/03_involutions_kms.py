@@ -49,7 +49,7 @@ print("  holds:", rep["holds"])
 
 print("\ndensity ratio between scaled weights:")
 rho = m.one() + q * q
-print("  rho_hat       =", density_ratio_hat(m, gauss, rho, cap=4))
+print("  rho_hat       =", density_ratio_hat(m, gauss, rho))
 
 print("\nmodular class data:")
 mc = modular_class(m, gauss, cap=2)

@@ -144,6 +144,13 @@ class Scene:
                 and all(isinstance(name, str) for name in self.suites)):
             raise SceneError("suites must be a JSON list of suite names, got "
                              f"{_json_type(self.suites)}")
+        if not self.suites:
+            raise SceneError("suites must name at least one suite")
+        repeated = next((n for i, n in enumerate(self.suites) if n in self.suites[:i]), None)
+        if repeated is not None:
+            raise SceneError(f"suites names {repeated!r} more than once")
+        if "all" in self.suites and len(self.suites) > 1:
+            raise SceneError("suites lists 'all' beside other suites")
         self.weights = _object(data.get("weights", {}), "weights")
         self.exponents = {}
         for name, spec in self.weights.items():
@@ -153,6 +160,9 @@ class Scene:
                 raise SceneError(f"unknown weight kind {kind!r} for weight {name!r}")
             self.exponents[name] = _rational(spec.get("exponent", 1),
                                              f"weight {name!r} exponent")
+            if kind == "gaussian" and self.exponents[name] <= 0:
+                raise SceneError(f"weight {name!r} exponent must be positive, "
+                                 f"got {self.exponents[name]}")
         self.star_product = data.get("star_product", "total")
         if self.star_product not in STAR_PRODUCTS:
             shown = (repr(self.star_product) if isinstance(self.star_product, str)

@@ -396,11 +396,14 @@ def density_weight(w: Func) -> Func:
     """Check that w is a density weight and return it.
 
     A weight is a Func of pi-grade zero: a lam-series of polynomials, the
-    prefactor, times a Gaussian envelope.  Its leading prefactor must have a
-    positive real constant term.
+    prefactor, times a Gaussian envelope that decays in every coordinate it
+    involves.  Its leading prefactor must have a positive real constant term.
     """
     if w.pi4:
         raise ValueError("a weight carries no pi-grade")
+    for name, a in w.profile.items():
+        if a < 0:
+            raise ValueError(f"weight envelope grows in {name!r}: coefficient {a}")
     c0 = w.series.coeffs[0].constant_term()
     if not (c0.is_real() and c0.re > 0):
         raise ValueError("weight must have a positive leading prefactor")

@@ -9,8 +9,8 @@ v = conj(u^*), because the transpose of left multiplication by v starts
 with v itself.  The map v -> (transpose of left multiplication by v)(1) is
 a differential operator P = id + O(lam), built with its inverse once per
 model and weight, so each involution is one formal adjoint, that of the
-right multiplication by u, and one application of P^-1.  The same P gives
-the density ratio's defect integrals as moments.
+right multiplication by u, and one application of P^-1.  The same P^-1
+gives the density ratio between two weights, rho_hat = P^-1(rho).
 
 The positive functional omega_mu, the pre-Hilbert product <., .>_mu and the
 KMS functional tau_Omega take values in C[[lam]] times a power of pi.  They
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from operator import add
 
 from .diffop import DiffOperator
 from .funcs import Func
 from .geometry import ModelSpace, density_weight
-from .integrate import gaussian_integrate, gaussian_integrate_shifted
+from .integrate import gaussian_integrate
 from .koszul import (
     ReductionConfig,
     SuperObservable,
@@ -218,7 +217,8 @@ def mult_operator(model: ModelSpace, u: Func) -> DiffOperator:
 
 def _involution_steps(model: ModelSpace, omega: Func) -> tuple:
     """(P, P^-1) for the weight, with P(w) = T(L_w), built once per model
-    and weight on first use.
+    and weight on first use and shared by reduced_involution and
+    density_ratio_hat.
 
     T(D) = conj(D^+(1)) is the transpose at 1 for the pairing integral(f g
     omega), and L_w = sum lam^r c^r_(alpha beta) (d^alpha w) d^beta over
@@ -312,68 +312,25 @@ def _monomial(model: ModelSpace, names, expo) -> Func:
     return Func.from_poly(Poly(model.gens, {tuple(full): GaussRational(1)}), model.order)
 
 
-def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func,
-                      cap: int = 4) -> Func:
-    """Solve tau_{rho Omega}(u) = tau_Omega(rho_hat * u) on a monomial basis.
+def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func) -> Func:
+    """The rho_hat with tau_{rho Omega}(u) = tau_Omega(rho_hat * u) for all u.
 
-    rho_hat is sought on the base monomials of degree at most cap, which
-    must be at least the base degree of rho's lam coefficients; a smaller
-    cap cannot carry the corrections and raises an error.  The
-    order-by-order systems are Gram matrices of base monomials against the
-    order-zero weight, hence invertible.
-
-    tau_Omega is linear, so every Gram entry tau_Omega(x^a x^b) is a moment
-    of one integration pass over omega and every target tau_Omega(x^e rho)
-    of one pass over rho * omega.  moyal is bilinear, so the defect
-    tau_Omega(x^e rho) - tau_Omega(rho_hat * x^e) is kept as a running sum:
-    each nonzero step below the top order subtracts tau_Omega(step * x^e)
-    = integral of x^e P(step) omega, with P: w -> T(L_w) the step operator
-    of the involution for omega, so one moment pass over P(step) * omega
-    gives it for every basis monomial.
+    tau_Omega(w * u) = tau_Omega(P(w) u) for the step operator P: w ->
+    T(L_w) of _involution_steps, so the identity says P(rho_hat) = rho and
+    rho_hat = P^-1(rho), one application of the cached inverse.
     """
     if not omega.profile:
-        raise ValueError("the density-ratio solve needs a Gaussian base weight")
-    idxs = [model.gens.index(n) for n in model.base_names]
-    degree = max((sum(expo[i] for i in idxs)
-                  for p in rho.series.coeffs for expo in p.terms), default=0)
-    if cap < degree:
-        raise ValueError(f"degree cap {cap} is below the base degree {degree} "
-                         "of the density ratio")
-    base = list(model.base_names)
-    exps = _monomials(base, cap)
-    monos = [_monomial(model, base, e) for e in exps]
-    memo = {}
-    sums = _monomials(base, 2 * cap)
-    moment = {e: f.scalar().series.coeffs[0].constant_term() for e, f in zip(
-        sums, gaussian_integrate_shifted(omega, base, sums, 0, memo))}
-    gram = [{i: moment[tuple(map(add, a, b))] for i, a in enumerate(exps)}
-            for b in exps]
-    defect = [f.scalar() for f in gaussian_integrate_shifted(
-        rho * omega, base, exps, model.order, memo)]
-
-    rho_hat = model.zero()
-    for r in range(model.order + 1):
-        sol = solve_linear(gram, {i: d.series.coeffs[r].constant_term()
-                                  for i, d in enumerate(defect)})
-        if sol is None:
-            raise ValueError("singular Gram system in the density-ratio solve")
-        step = model.zero()
-        for val, mm in zip(sol, monos):
-            step = step + (mm * val).shift(r)
-        if step.is_zero():
-            continue
-        rho_hat = rho_hat + step
-        if r < model.order:
-            step_op, _ = _involution_steps(model, omega)
-            shifted = gaussian_integrate_shifted(
-                step_op.apply(step) * omega, base, exps, model.order, memo)
-            defect = [d - f.scalar() for d, f in zip(defect, shifted)]
-    return rho_hat
+        raise ValueError("the density ratio needs a Gaussian base weight")
+    if rho.profile or rho.pi4 or not model.is_base_only(rho):
+        raise ValueError("the density ratio is a plain polynomial series on the base")
+    _, inverse = _involution_steps(model, omega)
+    return inverse.apply(rho)
 
 
 def involution_comparison(model: ModelSpace, omega: Func, rho: Func,
-                          us: list, cap: int = 4, images=None) -> dict:
-    """u^{*'} = conj(rho_hat) * u^* * conj(rho_hat)^{-1} for the weight omega * rho.
+                          us: list, images=None) -> dict:
+    """u^{*'} = conj(rho_hat) * u^* * conj(rho_hat)^{-1} for the weight
+    omega * rho, with rho_hat = density_ratio_hat(model, omega, rho).
 
     images memoises reduced_involution by (u, weight), so that a weight
     omega * rho equal to omega is not involved twice; calls that compare
@@ -387,10 +344,8 @@ def involution_comparison(model: ModelSpace, omega: Func, rho: Func,
             images[key] = reduced_involution(model, u, weight)
         return images[key]
 
-    if rho.profile or rho.pi4:
-        raise ValueError("the density ratio is a plain polynomial series")
+    rho_hat = density_ratio_hat(model, omega, rho)
     omega_p = density_weight(omega * rho)
-    rho_hat = density_ratio_hat(model, omega, rho, cap=cap)
     crh = rho_hat.conj()
 
     def moyal_series(a, b):

@@ -753,12 +753,12 @@ def suite_involution(ctx: SuiteContext) -> list:
         one = m.one()
         us = [m.var("q"), m.var("p"), ctx.rand_base(2)]
         images = {}
-        rep = involution_comparison(m, gauss, one, us, cap=3, images=images)
+        rep = involution_comparison(m, gauss, one, us, images=images)
         yield rep["holds"]
-        rep2 = involution_comparison(m, gauss, one * 2, us, cap=3, images=images)
+        rep2 = involution_comparison(m, gauss, one * 2, us, images=images)
         yield rep2["holds"]
         rho_l = one + (m.var("q") * m.var("q")).shift(1)
-        rep3 = involution_comparison(m, gauss, rho_l, us, cap=4, images=images)
+        rep3 = involution_comparison(m, gauss, rho_l, us, images=images)
         yield rep3["holds"]
     ctx.check_on_plane("involution.comparison",
                        "involutions of scaled weights differ by an inner conjugation",
@@ -767,10 +767,10 @@ def suite_involution(ctx: SuiteContext) -> list:
     def ratio():
         one = m.one()
         mul = lambda a, b: moyal(m, a, b)
-        yield density_ratio_hat(m, gauss, one, cap=2) - one
-        yield density_ratio_hat(m, gauss, one * 2, cap=2) - one * 2
+        yield density_ratio_hat(m, gauss, one) - one
+        yield density_ratio_hat(m, gauss, one * 2) - one * 2
         rho = one + m.var("q") * m.var("q")
-        rh = density_ratio_hat(m, gauss, rho, cap=4)
+        rh = density_ratio_hat(m, gauss, rho)
         yield rh.coeff(0) - rho
         for mono in [m.var("q") * m.var("p"), m.var("p") * m.var("p")]:
             lhs = kms_functional(m, mono * rho, gauss)

@@ -157,6 +157,13 @@ class TestMalformedScenes:
          "star_product must be one of moyal, std, weyl_g, total, got 'bogus'"),
         ({"star_product": [1]}, [],
          "star_product must be one of moyal, std, weyl_g, total, got list"),
+        ({"weights": {"w": {"kind": "gaussian", "exponent": "-1"}}}, [],
+         "weight 'w' exponent must be positive, got -1"),
+        ({"weights": {"w": {"exponent": "0"}}}, [],
+         "weight 'w' exponent must be positive, got 0"),
+        ({"suites": []}, [], "suites must name at least one suite"),
+        ({"suites": ["kms", "kms"]}, [], "suites names 'kms' more than once"),
+        ({"suites": ["all", "kms"]}, [], "suites lists 'all' beside other suites"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
             "negative_degree_cap", "negative_degree_cap_override",
@@ -169,7 +176,9 @@ class TestMalformedScenes:
             "structure_bool", "poisson_zero_denominator", "poisson_null",
             "weight_exponent_zero_denominator", "weight_exponent_list",
             "structure_index_float", "structure_index_bool",
-            "weight_kind_unknown", "star_product_unknown", "star_product_list"])
+            "weight_kind_unknown", "star_product_unknown", "star_product_list",
+            "weight_exponent_negative", "weight_exponent_zero", "suites_empty",
+            "suites_repeated", "suites_all_beside_others"])
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []

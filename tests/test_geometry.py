@@ -213,6 +213,8 @@ class TestDensities:
             gaussian_base_weight(m, 1, prefactor=-2)
         with pytest.raises(ValueError, match="pi-grade"):
             density_weight(m.one().with_pi4(2))
+        with pytest.raises(ValueError, match="envelope grows"):
+            gaussian_base_weight(m, -1)
         assert density_weight(m.constant(3)) == m.constant(3)
 
     def test_lift_rejects_fiber_weights(self, model_heis):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from redstar import involution, suites
+from redstar import integrate, involution, suites
 from redstar.cli import load_scene
 from redstar.funcs import Func
 from redstar.geometry import (
@@ -206,17 +206,17 @@ class TestDensityRatio:
     def test_constants(self, model_r):
         m = model_r
         om = gaussian_base_weight(m, 1)
-        assert (density_ratio_hat(m, om, m.one(), cap=2) - m.one()).is_zero()
-        assert (density_ratio_hat(m, om, m.one() * 2, cap=2) - m.one() * 2).is_zero()
+        assert (density_ratio_hat(m, om, m.one()) - m.one()).is_zero()
+        assert (density_ratio_hat(m, om, m.one() * 2) - m.one() * 2).is_zero()
 
     def test_polynomial_ratio(self, model_r):
         m = model_r
         om = gaussian_base_weight(m, 1)
         mul = mstar(m)
         rho = m.one() + m.var("q") * m.var("q")
-        rh = density_ratio_hat(m, om, rho, cap=4)
+        rh = density_ratio_hat(m, om, rho)
         assert Func(LambdaSeries.of(rh.series.coeffs[0], m.order)) == rho
-        # the defining identity on monomials beyond the solve basis
+        # the defining identity on cubic monomials
         for mono in (m.var("q") * m.var("p") * m.var("p"),
                      m.var("p") * m.var("p") * m.var("p")):
             lhs = kms_functional(m, mono * rho, om)
@@ -226,25 +226,36 @@ class TestDensityRatio:
     def test_needs_gaussian_weight(self, model_r):
         m = model_r
         with pytest.raises(ValueError):
-            density_ratio_hat(m, lebesgue_weight(m), m.one(), cap=2)
+            density_ratio_hat(m, lebesgue_weight(m), m.one())
 
     @pytest.mark.parametrize("lie", [abelian_lie(1), heisenberg3(), aff1()],
                              ids=["abelian", "heis3", "aff1"])
-    def test_cap_below_ratio_degree_raises(self, lie):
-        m = ModelSpace(lie, base_dim=2, order=3)
-        om = gaussian_base_weight(m, 1)
+    def test_identity_on_monomials(self, lie):
+        """tau_Omega(x^e rho) = tau_Omega(rho_hat * x^e) on every base
+        monomial of degree <= deg rho + 3, also for a weight whose
+        prefactor carries a lam-dependent base polynomial.  At K = 4 the
+        corrections of rho_hat there reach past base degree 4."""
+        m = ModelSpace(lie, base_dim=2, order=4)
         mul = mstar(m)
         q, p = m.var("q"), m.var("p")
-        for rho, degree in ((m.one() + q * q, 2), (m.one() + (q * q).shift(1), 2),
-                            (m.one() + q * p + (p * p * p).shift(2), 3)):
+        weights = [gaussian_base_weight(m, 1),
+                   gaussian_base_weight(m, 1, m.one() + (q * q).shift(1))]
+        for om in weights:
+            for rho, degree in ((m.one() + q * q, 2), (m.one() + (q * q).shift(1), 2),
+                                (m.one() + q * p + (p * p * p).shift(2), 3)):
+                rh = density_ratio_hat(m, om, rho)
+                for e in _monomials(m.base_names, degree + 3):
+                    mono = _monomial(m, m.base_names, e)
+                    assert kms_functional(m, mono * rho, om) == \
+                        kms_functional(m, mul(rh, mono), om)
+
+    def test_rejects_non_base_ratio(self, model_r):
+        m = model_r
+        om = gaussian_base_weight(m, 1)
+        for rho in (m.one() + m.momentum(0), m.one() + m.var(m.group_names[0]),
+                    m.one().with_profile({"q": 1}), m.one().with_pi4(2)):
             with pytest.raises(ValueError):
-                density_ratio_hat(m, om, rho, cap=degree - 1)
-            # a cap at the degree of rho carries the identity beyond its basis
-            rh = density_ratio_hat(m, om, rho, cap=degree)
-            for e in _monomials(m.base_names, degree + 3):
-                mono = _monomial(m, m.base_names, e)
-                assert kms_functional(m, mono * rho, om) == \
-                    kms_functional(m, mul(rh, mono), om)
+                density_ratio_hat(m, om, rho)
 
 
 class TestInvolutionComparison:
@@ -252,15 +263,15 @@ class TestInvolutionComparison:
         m = model_r
         om = gaussian_base_weight(m, 1)
         us = [m.var("q"), m.var("p"), rand.base(m, 2)]
-        assert involution_comparison(m, om, m.one(), us, cap=3)["holds"]
-        assert involution_comparison(m, om, m.one() * 2, us, cap=3)["holds"]
+        assert involution_comparison(m, om, m.one(), us)["holds"]
+        assert involution_comparison(m, om, m.one() * 2, us)["holds"]
 
     def test_lam_corrected_weight(self, model_r):
         m = model_r
         om = gaussian_base_weight(m, 1)
         rho = m.one() + Func((m.var("q") * m.var("q")).series.shift(1))
         us = [m.var("q"), m.var("p"), m.var("q") * m.var("p")]
-        assert involution_comparison(m, om, rho, us, cap=4)["holds"]
+        assert involution_comparison(m, om, rho, us)["holds"]
 
     def test_suite_involves_each_pair_once(self, monkeypatch):
         """The comparisons of the involution suite share one memo: on the
@@ -434,15 +445,15 @@ class TestOperationCounts:
     linearity: per-entry or per-shift work shows up in these counts."""
 
     @staticmethod
-    def count(monkeypatch, name):
+    def count(monkeypatch, name, module=involution):
         calls = []
-        real = getattr(involution, name)
+        real = getattr(module, name)
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(involution, name, counting)
+        monkeypatch.setattr(module, name, counting)
         return calls
 
     def test_inner_difference_builds_each_commutator_once(self, monkeypatch):
@@ -461,12 +472,14 @@ class TestOperationCounts:
         rho = m.one() + m.var("q") * m.var("q")
         kms = self.count(monkeypatch, "kms_functional")
         products = self.count(monkeypatch, "moyal")
-        passes = self.count(monkeypatch, "gaussian_integrate_shifted")
-        rh = density_ratio_hat(m, om, rho, cap=4)
-        steps = sum(not rh.coeff(r).is_zero() for r in range(m.order))
-        assert steps == 3
-        # no base product and no integral per basis monomial: the Gram
-        # entries, the targets and each nonzero step's defect below the
-        # top order come from one moment pass each
-        assert not kms and not products
-        assert len(passes) == steps + 2
+        # every Gaussian integral, gaussian_integrate included, is a pass
+        passes = self.count(monkeypatch, "gaussian_integrate_shifted", integrate)
+        solves = self.count(monkeypatch, "solve_linear")
+        density_ratio_hat(m, om, rho)
+        size = len(m._field_cache)
+        rh = density_ratio_hat(m, om, rho)
+        assert Func(LambdaSeries.of(rh.series.coeffs[0], m.order)) == rho
+        # one application of the cached P^-1: no base product, no integral
+        # and no linear solve, and a warm weight builds nothing new
+        assert not kms and not products and not passes and not solves
+        assert len(m._field_cache) == size

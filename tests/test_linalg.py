@@ -24,7 +24,7 @@ import pytest
 from redstar import involution, linalg, morita
 from redstar.funcs import Func
 from redstar.geometry import ModelSpace, abelian_lie, aff1, gaussian_base_weight, heisenberg3
-from redstar.involution import _monomials, density_ratio_hat, modular_inner_difference
+from redstar.involution import _monomials, modular_inner_difference
 from redstar.koszul import ReductionConfig
 from redstar.linalg import is_psd_hermitian, poly_equations, rank, solve_linear
 from redstar.morita import (
@@ -142,13 +142,6 @@ def minors_psd_hermitian(rows) -> bool:
     return True
 
 
-def dense_dict_solve(columns, target):
-    """A system of {equation key: value} columns solved as dense rows."""
-    keys = list(dict.fromkeys(chain(target, *columns)))
-    rows = [[col.get(k, 0) for col in columns] for k in keys]
-    return dense_solve(rows, [target.get(k, 0) for k in keys])
-
-
 # ---------------------------------------------------------------------------
 # direct tests
 # ---------------------------------------------------------------------------
@@ -250,9 +243,8 @@ def test_schur_psd_matches_principal_minors():
 @pytest.fixture
 def recorded(monkeypatch):
     """Every system the involution and Morita layers hand to solve_linear, as
-    (column polynomials or None, target polynomials or None, columns,
-    target, solution); the polynomials are known for the systems built by
-    poly_equations."""
+    (column polynomials, target polynomials, solution); each of them is
+    built by poly_equations."""
     polys_of = {}   # id(equations) -> (equations, polys); holding keeps ids unique
     systems = []
 
@@ -263,11 +255,11 @@ def recorded(monkeypatch):
         return eqs
 
     def polys(eqs):
-        return polys_of[id(eqs)][1] if id(eqs) in polys_of else None
+        return polys_of[id(eqs)][1]
 
     def recording_solve_linear(columns, target):
         sol = linalg.solve_linear(columns, target)
-        systems.append(([polys(c) for c in columns], polys(target), columns, target, sol))
+        systems.append(([polys(c) for c in columns], polys(target), sol))
         return sol
 
     for mod in (involution, morita):
@@ -278,11 +270,8 @@ def recorded(monkeypatch):
 
 def _assert_matches_dense(model, systems):
     assert systems
-    for column_polys, target_polys, columns, target, sol in systems:
-        if target_polys is None:
-            assert dense_dict_solve(columns, target) == sol
-        else:
-            assert dense_poly_solve(model, column_polys, target_polys) == sol
+    for column_polys, target_polys, sol in systems:
+        assert dense_poly_solve(model, column_polys, target_polys) == sol
 
 
 @pytest.mark.parametrize("lie", [abelian_lie(1), aff1()], ids=["abelian", "aff1"])
@@ -305,15 +294,6 @@ def test_comparison_H_matches_dense(recorded, lie):
     with pytest.raises(ValueError):
         deformation_comparison_H(cfg, pert.apply, g_cap=0, word_cap=1, probe_cap=1)
     assert recorded[-1][-1] is None
-    _assert_matches_dense(m, recorded)
-
-
-def test_density_ratio_gram_matches_dense(recorded, model_r):
-    m = model_r
-    gauss = gaussian_base_weight(m, 1)
-    rho = m.one() + m.var("q") * m.var("q")
-    density_ratio_hat(m, gauss, rho, cap=4)
-    assert len(recorded) == m.order + 1
     _assert_matches_dense(m, recorded)
 
 

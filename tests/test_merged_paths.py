@@ -1777,7 +1777,7 @@ def test_density_ratio_matches_per_entry_integrals(name):
     for omega in weights:
         for rho in ratio_densities(m):
             for cap in (2, 3, 4):
-                got = density_ratio_hat(m, omega, rho, cap)
+                got = density_ratio_hat(m, omega, rho)
                 expect = ref_density_ratio_hat(m, omega, rho, cap)
                 assert got == expect
                 assert repr(got) == repr(expect)
