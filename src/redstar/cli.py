@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .funcs import Func
@@ -370,12 +371,17 @@ def emit_report(records: list, fmt: str, scene_label: str = "",
     raise SceneError(f"unknown report format {fmt!r}")
 
 
-def _write_out(text: str, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _open_out(out):
+    """The report file, opened for writing before any suite runs, so that an
+    unwritable path is a configuration error and not a failed run; without
+    a path, a context that holds None (the report goes to standard
+    output)."""
+    if not out:
+        return nullcontext()
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise SceneError(f"cannot write report: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +405,13 @@ def cmd_verify(args) -> int:
             raise SceneError(
                 f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'"
             )
-    model = scene.model()
-    ctx = scene.context(model)
-    for name in suites:
-        run_suite(ctx, name)
-    text = emit_report(ctx.records, args.format, scene.label, timings=args.timings)
-    _write_out(text, args.out)
+    with _open_out(args.out) as out:
+        model = scene.model()
+        ctx = scene.context(model)
+        for name in suites:
+            run_suite(ctx, name)
+        text = emit_report(ctx.records, args.format, scene.label, timings=args.timings)
+        print(text, file=out)
     statuses = {r["status"] for r in ctx.records}
     return 3 if "error" in statuses else 1 if "fail" in statuses else 0
 

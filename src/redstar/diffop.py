@@ -7,7 +7,10 @@ generators.  Composition, application and formal adjoints are exact.
 Application and composition work on flat term dicts {exponent:
 GaussRational}, one per lam order, with the kernels of poly, and build each
 output Poly, LambdaSeries and Func once, at the end.  Application reads
-partial^d f from the input's Func.partials cache, envelope terms included.
+partial^d f from the input's Func.partials cache, envelope terms included,
+and is pruned by degree: it stops at the first total derivative order
+above the input's total degree, so an entry that must give zero costs
+nothing.
 Composition differentiates the right factor's coefficients by the Leibniz
 remainder monomial by monomial.  The formal adjoint moves the twisted
 partials T_i = partial_i - 2 a_i x_i of the weight's envelope past each
@@ -30,7 +33,7 @@ from .series import LambdaSeries, series_inverse
 
 
 class DiffOperator:
-    __slots__ = ("gens", "order", "tables")
+    __slots__ = ("gens", "order", "tables", "_by_degree")
 
     def __init__(self, gens, order: int, tables=None):
         object.__setattr__(self, "gens", tuple(gens))
@@ -46,6 +49,7 @@ class DiffOperator:
                     clean[tuple(d)] = c
             tabs.append(clean)
         object.__setattr__(self, "tables", tuple(tabs))
+        object.__setattr__(self, "_by_degree", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOperator is immutable")
@@ -136,7 +140,10 @@ class DiffOperator:
         """Exact application, evaluated on the term dicts of f.
 
         partial^d f comes from f.partials(), taken once per multi-index and
-        skipped where it vanishes by degree.  The result is truncated at
+        skipped where it vanishes by degree: the entries are read grouped by
+        total derivative order, grouped once per operator, and the orders
+        above the input's total degree (Partials.top, unbounded under an
+        envelope) are never asked for.  The result is truncated at
         f.order and carries f's envelope and pi-grade; an operator without
         entries gives f.zero_like().
         """
@@ -146,15 +153,33 @@ class DiffOperator:
             return f.zero_like()
         order = f.order
         partials = f.partials()
+        top = partials.top
         acc = [{} for _ in range(order + 1)]
-        for r, table in enumerate(self.tables[: order + 1]):
-            for d, c in table.items():
+        for degree, entries in self._entries_by_degree():
+            if degree > top:
+                break
+            for r, d, c in entries:
+                if r > order:
+                    continue
                 for s, terms in enumerate(partials[d][: order + 1 - r]):
                     if terms:
-                        _mul_into(acc[r + s], terms, c.terms)
+                        _mul_into(acc[r + s], terms, c)
         series = LambdaSeries._trusted(
             tuple([Poly._trusted_sums(f.gens, t) for t in acc]), order)
         return f._like(series)
+
+    def _entries_by_degree(self) -> tuple:
+        """((|d|, ((r, d, c.terms), ...)), ...) in increasing |d|, built on
+        the first call and held on the operator, which is immutable."""
+        groups = self._by_degree
+        if groups is None:
+            by: dict = {}
+            for r, table in enumerate(self.tables):
+                for d, c in table.items():
+                    by.setdefault(sum(d), []).append((r, d, c.terms))
+            groups = tuple((n, tuple(by[n])) for n in sorted(by))
+            object.__setattr__(self, "_by_degree", groups)
+        return groups
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """self after other, in normal form via the multi-index Leibniz rule.

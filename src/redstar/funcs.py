@@ -289,7 +289,11 @@ class Func:
 class Partials(dict):
     """alpha -> the lam coefficients of partial^alpha f as term dicts, each
     taken once from a cached lower derivative, envelope-aware as Func.diff.
-    Past f's degree in a coordinate without envelope the list is empty."""
+    Past f's degree in a coordinate without envelope the list is empty.
+
+    top is f's total degree, the highest |e| over its terms (-1 for zero),
+    or inf under an envelope: every partial^alpha f with |alpha| > top
+    vanishes, which DiffOperator.apply reads before it asks for one."""
 
     def __init__(self, f: Func):
         coeffs = [p.terms for p in f.series.coeffs]
@@ -299,6 +303,7 @@ class Partials(dict):
         tops = map(max, zip(*exps)) if exps else [-1] * len(f.gens)
         self.bound = [inf if env is not None and exps else top
                       for env, top in zip(self.envs, tops)]
+        self.top = (inf if f.profile else max(map(sum, exps))) if exps else -1
 
     def __missing__(self, d):
         if any(map(gt, d, self.bound)):

@@ -11,10 +11,9 @@ over the coefficients, so each reads a memoised table of rationals that
 depends on the structure constants only (_normal_order, _sym_table,
 _inverse_table, cached in LieAlgebraData.pbw_tables).  Normal ordering and
 symmetrization do one Func operation per output word, symmetrization
-reading every coefficient of the symbol in one pass over its terms; the
-inverse sums on term dicts and builds one Func.  On group models the
-words are left-invariant derivatives, group fields act on the
-coefficients, and the calculus gives the standard-ordered product; its
+reading every coefficient of the symbol in one pass over its terms.  On
+group models the words are left-invariant derivatives, group fields act on
+the coefficients, and the calculus gives the standard-ordered product; its
 Hermitian normalization conjugates with the exponential N of the momentum
 Laplacian minus the vertical modular field.  On momentum-level models no
 field acts, and the same calculus gives Gutt's symmetrization product on
@@ -25,6 +24,20 @@ the right BCH derivative (LieAlgebraData.psi_terms, the series that also
 gives the left-invariant fields) with each letter a momentum derivative,
 and, on group models, conjugated by N as a terminating ad-series, so the
 quantized Koszul differential needs no product call and no PBW table.
+
+A left word is pushed past a right coefficient by one Leibniz rule: the
+split table _splits(w), also in pbw_tables, lists each way of moving a
+subsequence of the sorted word onto the coefficient, with its multiplicity,
+and the right coefficients' field actions come from word_actions.
+SymbolOp.compose normal-orders the pushed words and makes one base product
+per left word and output word.  The product of two symbols
+(_symbol_product, behind star_std and the momentum-level star_G) goes
+further: for each left word it sums the pushed coefficients, each times the
+symbol of its word read from _normal_order and _inverse_table, into one
+right operand on term dicts, and makes one base product with the left
+coefficient, since the base product differentiates the base coordinates
+only and the momenta, group coordinates and lam-shifts act pointwise.  The
+products are summed on term dicts into one Func.
 
 Operators coming from the symbol calculus are held in a "stripped" normal
 form sum_w c_w (i lam)^{|w|} L_{w_1} ... L_{w_k}: every stored word is
@@ -38,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import add
 
 from .diffop import DiffOperator
@@ -86,7 +99,9 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
 
     Functions of the fiber variables are multiplied pointwise, so this also
     serves as the coefficient product of the symbol calculus.  Envelopes and
-    pi-grades add, also on a zero result.
+    pi-grades add, also on a zero result.  Level r of moyal_table takes r
+    derivatives of each operand, so the levels above either operand's total
+    degree (Partials.top) are not read.
     """
     if f.gens != g.gens or f.gens != model.gens:
         raise ValueError("generator mismatch")
@@ -96,6 +111,8 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
     pf, pg = f.partials(), g.partials()
     acc = [{} for _ in range(order + 1)]
     for r, level in enumerate(moyal_table(model, order)):
+        if r > pf.top or r > pg.top:
+            break
         for (alpha, beta), c in level.items():
             for s, left in enumerate(pf[alpha][: order + 1 - r]):
                 if left:
@@ -205,39 +222,21 @@ class SymbolOp:
         return out
 
     def compose(self, other: "SymbolOp") -> "SymbolOp":
-        """self after other.
-
-        Group fields act on the coefficients only on group models; without
-        group coordinates the coefficients commute with every word.
-        """
+        """self after other: each left word is pushed past the right
+        operator by _leibniz_push and normal-ordered, then multiplied by its
+        coefficient with one base product per output word."""
         if type(self) is not type(other):
             raise ValueError("cannot mix calculi with different generator factors")
         model = self.model
-        fields = ([model.left_invariant_field(a) for a in range(model.lie.dim)]
-                  if model.has_group else None)
+        right = _right_actions(model, other)
         out = self._new()
-
-        def push(word, coeff):
-            # F^{|word|} L_word o M_coeff = sum_v M_{c_v} F^{|v|} L_v
-            if not word or fields is None:
-                return {word: coeff}
-            head = word[:-1]
-            a = word[-1]
-            branches = {}
-            hit = self._factor(fields[a].apply(coeff))
-            if not hit.is_zero():
-                for v, cv in push(head, hit).items():
-                    branches[v] = branches.get(v, coeff.zero_like()) + cv
-            for v, cv in push(head, coeff).items():
-                key = v + (a,)
-                branches[key] = branches.get(key, coeff.zero_like()) + cv
-            return branches
-
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                for v, cv in push(w1, c2).items():
-                    coeff = moyal(model, c1, cv)
-                    out._add_normal_ordered(v + w2, coeff)
+            pushed = self._new()
+            for word, k, mult, h in _leibniz_push(model, w1, right):
+                h = self._factor(h, k)
+                pushed._add_normal_ordered(word, h if mult == 1 else h * mult)
+            for v, c in pushed.terms.items():
+                out._add_term(v, moyal(model, c1, c))
         return out
 
 
@@ -255,6 +254,33 @@ def word_actions(model: ModelSpace, phi: Func):
         return val
 
     return act
+
+
+def _right_actions(model: ModelSpace, op: SymbolOp) -> list:
+    """(w2, c2, act) per term of op, act(sub) = L_sub c2 from word_actions
+    on group models; without group coordinates no field acts and act is
+    None."""
+    if not model.has_group:
+        return [(w2, c2, None) for w2, c2 in op.terms.items()]
+    return [(w2, c2, word_actions(model, c2)) for w2, c2 in op.terms.items()]
+
+
+def _leibniz_push(model: ModelSpace, word: tuple, right: list):
+    """Push F^{|word|} L_word past each term c2 F^{|w2|} L_w2 of the right
+    operator held by _right_actions:
+
+        L_word o M_c2 L_w2 = sum mult M_{L_sub c2} L_rest L_w2
+
+    over the splits of _splits.  Yields (rest + w2, |sub|, mult, L_sub c2)
+    for the nonzero L_sub c2; the factor F^{|sub|} of the coefficient is
+    left to the caller.  Without group coordinates only the split that
+    keeps the whole word occurs."""
+    splits = _splits(model.lie, word) if model.has_group else (((), word, 1),)
+    for sub, rest, mult in splits:
+        for w2, c2, act in right:
+            h = act(sub) if sub else c2
+            if not h.is_zero():
+                yield rest + w2, len(sub), mult, h
 
 
 def pbw_words(dim: int, cap: int) -> list:
@@ -297,6 +323,28 @@ def _normal_order(lie, word: tuple) -> dict:
                 v = lie.c(a, b, c)
                 if v:
                     _add_scaled(table, _normal_order(lie, word[:k] + (c,) + word[k + 2:]), v)
+        lie.pbw_tables[key] = table
+    return table
+
+
+def _splits(lie, word: tuple) -> tuple:
+    """((sub, rest, mult), ...) for a sorted word, with
+    L_word o M_c = sum mult M_{L_sub c} L_rest by the Leibniz rule.
+
+    Each letter of the word goes either onto the coefficient or into the
+    kept word; the choices that move k of the n copies of a letter give
+    the same (sub, rest), so they count C(n, k) times.  sub and rest stay
+    sorted."""
+    key = ("splits", word)
+    table = lie.pbw_tables.get(key)
+    if table is None:
+        counts: dict = {}
+        for a in word:
+            counts[a] = counts.get(a, 0) + 1
+        table = (((), (), 1),)
+        for a, n in counts.items():
+            table = tuple((sub + (a,) * k, rest + (a,) * (n - k), mult * comb(n, k))
+                          for sub, rest, mult in table for k in range(n + 1))
         lie.pbw_tables[key] = table
     return table
 
@@ -376,38 +424,77 @@ def stdrep(model: ModelSpace, f: Func) -> SymbolOp:
     return _symmetrize(model, f)
 
 
-def _dequantize(model: ModelSpace, op: SymbolOp) -> Func:
-    """Invert _symmetrize on a PBW-sorted operator: each stored c_w L_w
-    reads its momentum polynomial sum_beta t_beta F^{|w|-|beta|} c_w J^beta
-    from _inverse_table(w).
+def _word_symbol(model: ModelSpace, word: tuple, jidx: list) -> dict:
+    """{j: {exponent of J^beta: t}} with F^{|w|} L_w the symmetrized
+    quantization of sum t F^j J^beta, j = |w| - |beta|, for any word: its
+    normal ordering, then the inverse table of each sorted word; jidx[a] is
+    the place of momentum a among the model's generators."""
+    out: dict = {}
+    lie = model.lie
+    for v, r in _normal_order(lie, word).items():
+        for beta, t in _inverse_table(lie, v).items():
+            expo = [0] * len(model.gens)
+            for x in beta:
+                expo[jidx[x]] += 1
+            group = out.setdefault(len(word) - len(beta), {})
+            e = tuple(expo)
+            group[e] = group[e] + r * t if e in group else r * t
+    return out
 
-    The products are accumulated per lam order on term dicts and become one
-    Func at the end, with the envelope and grade of the last coefficient
-    that reaches the order (all must agree); without one it is the plain
-    zero."""
+
+def _symbol_product(model: ModelSpace, a: SymbolOp, b: SymbolOp) -> Func:
+    """The momentum polynomial whose symmetrized quantization is a o b,
+    with one base product per left word.
+
+    For a left term c1 F^{|w1|} L_w1, each split (sub, rest, mult) of w1
+    and each right term c2 F^{|w2|} L_w2 give mult F^{|sub|} L_sub c2 times
+    _word_symbol(rest + w2).  They are summed on term dicts into one right
+    operand R, and c1 R is one base product, exact because the base
+    product differentiates the base coordinates only.  The products become
+    one Func at the end, with their envelope and grade (all must agree).
+    A zero result is the plain zero: the inverse of the symmetrization is
+    triangular with unit diagonal, so the result vanishes exactly when
+    a o b is the zero operator."""
     gens, order = model.gens, model.order
     jidx = [gens.index(n) for n in model.momentum_names]
+    right = _right_actions(model, b)
+    # R carries the envelope and grade of the right coefficients
+    carrier = [c2 for _, c2, _ in right]
+    for c2 in carrier[1:]:
+        carrier[0]._compatible(c2)
     acc = [{} for _ in range(order + 1)]
     last = None
-    for w, c in op.terms.items():
-        coeffs = c.series.coeffs
-        for beta, t in _inverse_table(model.lie, w).items():
-            k = len(w) - len(beta)
-            if k > order or not any(p.terms for p in coeffs[: order + 1 - k]):
-                continue
-            if last is not None and last is not c:
-                last._compatible(c)
-            last = c
-            expo = [0] * len(gens)
-            for a in beta:
-                expo[jidx[a]] += 1
-            mono = {tuple(expo): t * _IMAG_POWERS[k % 4]}
-            for s, p in enumerate(coeffs[: order + 1 - k]):
-                if p.terms:
-                    _mul_into(acc[s + k], p.terms, mono)
+    for w1, c1 in a.terms.items():
+        racc = [{} for _ in range(order + 1)]
+        for word, k, mult, h in _leibniz_push(model, w1, right):
+            coeffs = h.series.coeffs
+            for j, mono in _word_symbol(model, word, jidx).items():
+                j += k
+                if j > order:
+                    continue
+                unit = _IMAG_POWERS[j % 4]
+                if mult != 1:
+                    unit = _scale(unit, mult)
+                mono = {e: t * unit for e, t in mono.items()}
+                for s, p in enumerate(coeffs[: order + 1 - j]):
+                    if p.terms:
+                        _mul_into(racc[s + j], p.terms, mono)
+        rhs = LambdaSeries._trusted(
+            tuple([Poly._trusted_sums(gens, t) for t in racc]), order)
+        if rhs.is_zero():
+            continue
+        term = moyal(model, c1, carrier[0]._like(rhs))
+        if term.is_zero():
+            continue
+        if last is not None:
+            last._compatible(term)
+        last = term
+        for total, p in zip(acc, term.series.coeffs):
+            for e, c in p.terms.items():
+                total[e] = total[e] + c if e in total else c
     series = LambdaSeries._trusted(
         tuple([Poly._trusted_sums(gens, t) for t in acc]), order)
-    if last is None:
+    if series.is_zero():
         return Func._trusted(gens, series, {}, 0)
     return last._like(series)
 
@@ -420,7 +507,7 @@ def _dequantize(model: ModelSpace, op: SymbolOp) -> Func:
 def star_std(model: ModelSpace, f: Func, g: Func) -> Func:
     """Standard-ordered product: the unique symbol with
     stdrep(f star_std g) = stdrep(f) stdrep(g); blockwise over the base."""
-    return _dequantize(model, stdrep(model, f).compose(stdrep(model, g)))
+    return _symbol_product(model, stdrep(model, f), stdrep(model, g))
 
 
 def _normalization_argument(model: ModelSpace) -> DiffOperator:
@@ -537,7 +624,7 @@ def star_G(model: ModelSpace, f: Func, g: Func) -> Func:
         out = moyal(model, f, g)
         return out.zero_like() if out.is_zero() else out
     if not model.has_group:
-        return _dequantize(model, _symmetrize(model, f).compose(_symmetrize(model, g)))
+        return _symbol_product(model, _symmetrize(model, f), _symmetrize(model, g))
     n = neumaier_N(model)
     if not f_free:
         f = n.apply(f)

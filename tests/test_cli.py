@@ -164,6 +164,9 @@ class TestMalformedScenes:
         ({"suites": []}, [], "suites must name at least one suite"),
         ({"suites": ["kms", "kms"]}, [], "suites names 'kms' more than once"),
         ({"suites": ["all", "kms"]}, [], "suites lists 'all' beside other suites"),
+        ({}, ["--out", "{tmp}"], "cannot write report: [Errno 21] Is a directory"),
+        ({}, ["--out", "{tmp}/missing/x.json"],
+         "cannot write report: [Errno 2] No such file or directory"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
             "negative_degree_cap", "negative_degree_cap_override",
@@ -178,12 +181,14 @@ class TestMalformedScenes:
             "structure_index_float", "structure_index_bool",
             "weight_kind_unknown", "star_product_unknown", "star_product_list",
             "weight_exponent_negative", "weight_exponent_zero", "suites_empty",
-            "suites_repeated", "suites_all_beside_others"])
+            "suites_repeated", "suites_all_beside_others", "out_is_directory",
+            "out_directory_missing"])
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []
         monkeypatch.setattr("redstar.cli.run_suite", lambda ctx, name: ran.append(name))
         path = write_scene(tmp_path, {**HEIS_SCENE, **changes})
+        extra = [arg.replace("{tmp}", str(tmp_path)) for arg in extra]
         assert main(["verify", "--scene", path, *extra]) == 2
         assert ran == []  # rejected before any suite runs
         captured = capsys.readouterr()

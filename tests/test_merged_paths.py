@@ -32,6 +32,13 @@ equal repr):
 - the symmetrized quantization with each coefficient d^alpha f at J = 0
   taken as a chain of Func.diff and a Func.set_zero, and its inverse as one
   Func product and one Func sum per inverse-table entry;
+- the product of two symbols as the inverse of the symmetrization
+  (_dequantize) of the composed operator, and the composition with each
+  left word pushed past each right coefficient by a recursion on its last
+  letter, one base product per (left word, right word, pushed word), which
+  one split table per word and one base product per left word replace;
+- DiffOperator.apply asking for the derivative of every entry, which the
+  cut at the input's total degree replaces;
 - the formal adjoint as one operator per entry, the weight's prefactor
   multiplied in and each twisted partial composed on the left one at a
   time; the pointwise series inverse corrected against the whole defect
@@ -92,7 +99,7 @@ import pytest
 import redstar
 from redstar import starprod
 from redstar.diffop import DiffOperator
-from redstar.funcs import Func
+from redstar.funcs import Func, Partials
 from redstar.geometry import (
     LieAlgebraData,
     ModelSpace,
@@ -143,7 +150,6 @@ from redstar.series import LambdaSeries, _leading_constant, series_inverse
 from redstar.starprod import (
     SymbolOp,
     _IMAG_POWERS,
-    _dequantize,
     _inverse_table,
     _mul_ilam,
     _normal_order,
@@ -743,6 +749,265 @@ def test_dequantize_matches_func_sums(name):
         ref_dequantize(m, mixed)
     with pytest.raises(ValueError):
         _dequantize(m, mixed)
+
+
+# ---------------------------------------------------------------------------
+# reference: the symbol of a composed operator, and the recursive push
+# ---------------------------------------------------------------------------
+
+
+def _dequantize(model, op):
+    """The former inverse of _symmetrize on a PBW-sorted operator: each
+    stored c_w L_w reads its momentum polynomial
+    sum_beta t_beta F^{|w|-|beta|} c_w J^beta from _inverse_table(w), summed
+    per lam order on term dicts into one Func, with the envelope and grade
+    of the last coefficient that reaches the order (all must agree);
+    without one it is the plain zero."""
+    gens, order = model.gens, model.order
+    jidx = [gens.index(n) for n in model.momentum_names]
+    acc = [{} for _ in range(order + 1)]
+    last = None
+    for w, c in op.terms.items():
+        coeffs = c.series.coeffs
+        for beta, t in _inverse_table(model.lie, w).items():
+            k = len(w) - len(beta)
+            if k > order or not any(p.terms for p in coeffs[: order + 1 - k]):
+                continue
+            if last is not None and last is not c:
+                last._compatible(c)
+            last = c
+            expo = [0] * len(gens)
+            for a in beta:
+                expo[jidx[a]] += 1
+            mono = {tuple(expo): t * _IMAG_POWERS[k % 4]}
+            for s, p in enumerate(coeffs[: order + 1 - k]):
+                if p.terms:
+                    _mul_into(acc[s + k], p.terms, mono)
+    series = LambdaSeries._trusted(
+        tuple([Poly._trusted_sums(gens, t) for t in acc]), order)
+    if last is None:
+        return Func._trusted(gens, series, {}, 0)
+    return last._like(series)
+
+
+def ref_compose(a, b):
+    """The former SymbolOp.compose: each left word pushed past each right
+    coefficient by a recursion on its last letter, and one base product per
+    (left word, right word, pushed word) before the normal ordering."""
+    if type(a) is not type(b):
+        raise ValueError("cannot mix calculi with different generator factors")
+    model = a.model
+    fields = ([model.left_invariant_field(x) for x in range(model.lie.dim)]
+              if model.has_group else None)
+    out = a._new()
+
+    def push(word, coeff):
+        if not word or fields is None:
+            return {word: coeff}
+        head, x = word[:-1], word[-1]
+        branches = {}
+        hit = a._factor(fields[x].apply(coeff))
+        if not hit.is_zero():
+            for v, cv in push(head, hit).items():
+                branches[v] = branches.get(v, coeff.zero_like()) + cv
+        for v, cv in push(head, coeff).items():
+            key = v + (x,)
+            branches[key] = branches.get(key, coeff.zero_like()) + cv
+        return branches
+
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            for v, cv in push(w1, c2).items():
+                out._add_normal_ordered(v + w2, moyal(model, c1, cv))
+    return out
+
+
+def ref_apply_unpruned(op, f):
+    """The former DiffOperator.apply: every entry of the operator, in table
+    order, each asking f.partials() for its derivative."""
+    order = f.order
+    if op.is_zero():
+        return f.zero_like()
+    partials = f.partials()
+    acc = [{} for _ in range(order + 1)]
+    for r, table in enumerate(op.tables[: order + 1]):
+        for d, c in table.items():
+            for s, terms in enumerate(partials[d][: order + 1 - r]):
+                if terms:
+                    _mul_into(acc[r + s], terms, c.terms)
+    series = LambdaSeries._trusted(
+        tuple([Poly._trusted_sums(f.gens, t) for t in acc]), order)
+    return f._like(series)
+
+
+# the scenes' algebras: abelian_r, heisenberg and filiform4 at group level,
+# affine_line and sl2 on the momenta only
+KERNEL_ALGEBRAS = {
+    "abelian_r": lambda: abelian_lie(1),
+    "heis3": heisenberg3,
+    "filiform4": lambda: filiform4(),
+    "aff1": aff1,
+    "sl2": sl2,
+}
+
+
+def kernel_operands(m, seed):
+    """Symbol operators: stdrep/_symmetrize of random symbols, lam-shifted
+    symbols, an enveloped and pi-graded symbol (fiber states on group
+    models, a base envelope otherwise), a momentum-free symbol, symbols of
+    lam order K and 1 whose products truncate to zero, and the zero."""
+    rng = random.Random(seed)
+    K = m.order
+    rest = m.base_names + m.group_names
+
+    def envelope(f):
+        if m.has_group:
+            return m.fiber_state(f)
+        return f.with_profile({m.base_names[0]: Fraction(1, 2)})
+
+    momenta = rand_poly(rng, m, m.momentum_names, 2) + m.momentum(m.lie.dim - 1)
+    symbols = [
+        rand_poly(rng, m, m.gens, 3, nterms=4),
+        rand_poly(rng, m, m.gens, 2) + lam_shifted(rand_poly(rng, m, m.gens, 3), 1),
+        envelope(rand_poly(rng, m, rest, 1) * momenta).with_pi4(3),
+        rand_poly(rng, m, rest, 2),
+        lam_shifted(rand_poly(rng, m, m.gens, 2) + momenta, K),
+        lam_shifted(momenta * m.momentum(0), 1),
+        m.zero(),
+    ]
+    return [_symmetrize(m, f) for f in symbols]
+
+
+@pytest.mark.parametrize("K", [3, 4])
+@pytest.mark.parametrize("name", sorted(KERNEL_ALGEBRAS))
+def test_symbol_product_matches_composed_operator(name, K):
+    """The kernel gives _dequantize of the recursive-push composition, value,
+    repr, envelope and grade, on every pair of operands, zero products
+    included; operands of mixed grades still raise."""
+    m = ModelSpace(KERNEL_ALGEBRAS[name](), 2, K)
+    assert m.has_group == (name in ("abelian_r", "heis3", "filiform4"))
+    ops = kernel_operands(m, 101 + K)
+    cancelled = 0
+    for a in ops:
+        for b in ops:
+            expect = _dequantize(m, ref_compose(a, b))
+            got = starprod._symbol_product(m, a, b)
+            assert_identical(got, expect)
+            cancelled += bool(a.terms and b.terms) and got.is_zero()
+    assert cancelled >= 1  # the lam^K symbol times the lam^1 symbol
+    dressed = ops[2].terms[()]
+    mixed = SymbolOp(m, {(): dressed, (m.lie.dim - 1,): dressed.with_pi4(1)})
+    for a, b in ((mixed, ops[0]), (ops[0], mixed)):
+        with pytest.raises(ValueError):
+            _dequantize(m, ref_compose(a, b))
+        with pytest.raises(ValueError):
+            starprod._symbol_product(m, a, b)
+
+
+def test_star_std_is_one_base_product_per_left_word(monkeypatch):
+    """star_std on heis3 makes exactly one moyal call per word of the left
+    operand stdrep(Nf)."""
+    m = ModelSpace(heisenberg3(), 2, 4)
+    rng = random.Random(103)
+    n = neumaier_N(m)
+    calls = []
+    real = starprod.moyal
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(starprod, "moyal", counted)
+    for _ in range(3):
+        f = n.apply(rand_poly(rng, m, m.gens, 4, nterms=4))
+        g = n.apply(rand_poly(rng, m, m.gens, 4, nterms=4))
+        words = len(stdrep(m, f).terms)
+        del calls[:]
+        star_std(m, f, g)
+        assert len(calls) == words > 1
+
+
+@pytest.mark.parametrize("name", ["heis3", "filiform4", "aff1", "sl2"])
+def test_compose_matches_recursive_push(name):
+    """SymbolOp.compose on the split table gives the recursive push's
+    terms, with F = i lam on symbol operators and F = 1 on vertical
+    operators."""
+    m = ModelSpace(KERNEL_ALGEBRAS[name](), 2, 3)
+    ops = kernel_operands(m, 107)
+    for a in ops:
+        for b in ops:
+            assert_same_terms(a.compose(b).terms, ref_compose(a, b).terms)
+    if not m.has_group:
+        return
+    rng = random.Random(109)
+    surface = m.base_names + m.group_names
+    words = pbw_words(m.lie.dim, 3)
+    verticals = [
+        VerticalOperator(m, {w: lam_shifted(rand_poly(rng, m, surface, 2), len(w) % 2)
+                             for w in rng.sample(words, 6)}),
+        VerticalOperator(m, {w: m.fiber_state(rand_poly(rng, m, surface, 1)).with_pi4(1)
+                             for w in rng.sample(words, 4)}),
+        VerticalOperator.fundamental(m, 0),
+        VerticalOperator.multiplication(m, m.var(m.group_names[-1])),
+        VerticalOperator(m),
+    ]
+    for a in verticals:
+        for b in verticals:
+            got, expect = a.compose(b), ref_compose(a, b)
+            assert type(got) is VerticalOperator
+            assert_same_terms(got.terms, expect.terms)
+
+
+def pruning_operators(m, omega):
+    """N, N^-1, the left-invariant fields, the right momentum operators and
+    the involution's inverse step operator P^-1."""
+    ops = [neumaier_N(m), neumaier_N_inverse(m)]
+    ops += [m.left_invariant_field(a) for a in range(m.lie.dim)]
+    ops += [right_momentum_operator(m, a) for a in range(m.lie.dim)]
+    ops.append(involution._involution_steps(m, omega)[1])
+    return ops
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_apply_pruned_by_degree_matches_full_loop(K):
+    """apply with the entries read by total order and cut at the input's
+    degree gives the full loop's value, repr, hash, envelope and grade, on
+    plain inputs of every degree up to K + 1, lam-shifted and pi-graded
+    inputs, enveloped inputs (no cut) and the zero."""
+    m = ModelSpace(heisenberg3(), 2, K)
+    rng = random.Random(113 + K)
+    rest = m.base_names + m.group_names
+    inputs = [m.one(), m.momentum(0), m.var(m.group_names[0]) * m.momentum(1)]
+    inputs += [rand_poly(rng, m, m.gens, deg, nterms=4) for deg in range(1, K + 2)]
+    inputs += [lam_shifted(rand_poly(rng, m, m.gens, 3), 1).with_pi4(2),
+               m.fiber_state(rand_poly(rng, m, rest, 2) * m.momentum(2)),
+               rand_poly(rng, m, m.base_names, 2).with_profile({m.base_names[0]: 1}),
+               m.zero()]
+    ops = pruning_operators(m, gaussian_base_weight(m, 1))
+    assert max(n for op in ops for n, _ in op._entries_by_degree()) > K
+    for op in ops:
+        for f in inputs:
+            assert_identical(op.apply(f), ref_apply_unpruned(op, f))
+
+
+def test_apply_asks_for_no_partial_above_the_input_degree(monkeypatch):
+    """N applied to a momentum at K = 4 asks Partials for no derivative of
+    total order above 1; an enveloped input has no cut."""
+    m = ModelSpace(heisenberg3(), 2, 4)
+    n = neumaier_N(m)
+    asked = []
+    missing = Partials.__missing__
+
+    def recorded(self, d):
+        asked.append(d)
+        return missing(self, d)
+
+    monkeypatch.setattr(Partials, "__missing__", recorded)
+    n.apply(m.momentum(0))
+    assert all(sum(d) <= 1 for d in asked)
+    del asked[:]
+    n.apply(m.fiber_state(m.momentum(0)))
+    assert max(map(sum, asked)) > 1
 
 
 # ---------------------------------------------------------------------------
