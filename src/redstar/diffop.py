@@ -12,11 +12,11 @@ and is pruned by degree: it stops at the first total derivative order
 above the input's total degree, so an entry that must give zero costs
 nothing.
 Composition differentiates the right factor's coefficients by the Leibniz
-remainder monomial by monomial.  The formal adjoint moves the twisted
-partials T_i = partial_i - 2 a_i x_i of the weight's envelope past each
-coefficient by the same rule, T^d M_g = sum_k C(d, k) M_{partial^{d-k} g} T^k,
-against the powers T^k composed once per call, so that each entry costs
-term-dict products and no composition of its own.
+remainder monomial by monomial.  Every weighted adjoint is one adjoint_sum
+sum_beta (partial^beta)^+ o X_beta: the first-order adjoints of the weight,
+one per coordinate, composed Horner-wise on the tree of multi-indices.
+The formal adjoint of an operator is the adjoint_sum of its conjugated
+coefficients, and the involution's step operator that of the moyal table.
 """
 
 from __future__ import annotations
@@ -229,80 +229,18 @@ class DiffOperator:
     def formal_adjoint(self, weight: Func) -> "DiffOperator":
         """Adjoint with respect to <phi, psi> = integral of conj(phi) psi weight.
 
-        The weight is a real Func: a prefactor series rho whose leading term
-        is an invertible constant, times a Gaussian envelope
-        exp(-sum_i a_i x_i^2), so that the adjoint stays inside
-        polynomial-coefficient operators.  Integration by parts gives
-
-            D^+ = rho^-1 sum_{r,d} lam^r (-1)^|d| T^d M_g,  g = conj(c_{r,d}) rho,
-
-        with the twisted partials T_i = partial_i - 2 a_i x_i.  They commute
-        and [T_i, M_g] = M_{partial_i g}, so the Leibniz rule
-
-            T^d M_g = sum_{k <= d} C(d, k) M_{partial^{d-k} g} T^k
-
-        puts every entry in normal form: partial^{d-k} g is taken monomial by
-        monomial and multiplied into the coefficients of T^k on term dicts.
-        Each power T^k is composed once per call, as T_i after T^{k-e_i}, and
-        rho^-1 is multiplied in once, at the end.
+        The adjoint of sum_{r,d} lam^r c_{r,d} partial^d is
+        sum_d (partial^d)^+ o M_{sum_r lam^r conj(c_{r,d})}, one
+        adjoint_sum over the derivative multi-indices of the operator, with
+        the lam orders of each multi-index folded into one multiplication.
         """
-        if weight != weight.conj():
-            raise ValueError("adjoint requires a real weight")
-        gens, order = self.gens, self.order
-        rho = weight.series.extend(order)
-        rho_inv = [p.terms for p in series_inverse(rho).coeffs]
-        rho = [p.terms for p in rho.coeffs]
-        twisted = {}
-        powers = {(0,) * len(gens): DiffOperator.identity(gens, order)}
-
-        def power(k):
-            if k not in powers:
-                i = next(i for i, ki in enumerate(k) if ki)
-                if i not in twisted:
-                    name = gens[i]
-                    op = DiffOperator.partial(gens, name, order)
-                    a = weight.profile.get(name)
-                    if a:
-                        op = op + DiffOperator.multiplication(
-                            Poly.var(gens, name) * GaussRational(-2 * a), order)
-                    twisted[i] = op
-                lower = k[:i] + (k[i] - 1,) + k[i + 1:]
-                powers[k] = twisted[i].compose(power(lower))
-            return powers[k]
-
-        acc = [{} for _ in range(order + 1)]
+        origin = (0,) * len(self.gens)
+        terms = {}
         for r, table in enumerate(self.tables):
             for d, c in table.items():
-                cbar = c.conj().terms
-                g = []
-                for rs in rho[: order + 1 - r]:
-                    gs = {}
-                    _mul_into(gs, cbar, rs)
-                    g.append(gs)
-                sign = -1 if sum(d) % 2 else 1
-                for k, binom in _leibniz_splits(d):
-                    rest = tuple(map(sub, d, k))
-                    factor = sign * binom
-                    tables_k = power(k).tables
-                    for s, gs in enumerate(g):
-                        left = _diff_monomials(gs, rest)
-                        if not left:
-                            continue
-                        if factor != 1:
-                            left = {e: _scale(v, factor) for e, v in left.items()}
-                        for t, tab in enumerate(tables_k[: order + 1 - r - s]):
-                            tgt = acc[r + s + t]
-                            for e, p in tab.items():
-                                _mul_into(tgt.setdefault(e, {}), left, p.terms)
-        tabs = [{} for _ in range(order + 1)]
-        for r1, inv in enumerate(rho_inv):
-            for r2, tab in enumerate(acc[: order + 1 - r1]):
-                tgt = tabs[r1 + r2]
-                for e, terms in tab.items():
-                    _mul_into(tgt.setdefault(e, {}), inv, terms)
-        tabs = [{e: Poly._trusted_sums(gens, t) for e, t in tab.items()}
-                for tab in tabs]
-        return DiffOperator(gens, order, tabs)
+                terms.setdefault(d, [{} for _ in self.tables])[r][origin] = c.conj()
+        terms = {d: DiffOperator(self.gens, self.order, tabs) for d, tabs in terms.items()}
+        return adjoint_sum(weight, self.gens, self.order, terms)
 
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
@@ -325,6 +263,56 @@ class DiffOperator:
                 lam = "" if r == 0 else (f"lam^{r}*" if r > 1 else "lam*")
                 parts.append(f"{lam}({c!r}){'*' + ds if ds else ''}")
         return " + ".join(parts) if parts else "0"
+
+
+def adjoint_sum(weight: Func, gens, order: int, terms: dict) -> DiffOperator:
+    """sum_beta (partial^beta)^+ o X_beta for terms = {beta: X_beta}, the
+    adjoints taken for <phi, psi> = integral of conj(phi) psi weight.
+
+    The weight is a real Func over gens: a prefactor series rho whose leading
+    term is an invertible constant, times a Gaussian envelope
+    exp(-sum_i a_i x_i^2), so that the adjoints stay inside
+    polynomial-coefficient operators.  Integration by parts gives one
+    first-order adjoint per coordinate,
+
+        (partial_i)^+ = -partial_i + 2 a_i x_i - rho^-1 partial_i rho,
+
+    built for the coordinates the multi-indices touch.  They commute, so
+    (partial^beta)^+ is their product in any order, and the sum is taken
+    Horner-wise on a tree of multi-indices: beta hangs below beta - e_i for
+    its first nonzero index i and adds (partial_i)^+ o (its subtree's sum)
+    to its parent's, one composition per beta.
+    """
+    gens = tuple(gens)
+    if weight.gens != gens:
+        raise ValueError("generator mismatch")
+    if weight != weight.conj():
+        raise ValueError("adjoint requires a real weight")
+    rho = weight.series.extend(order)
+    rho_inv = series_inverse(rho)
+    origin = (0,) * len(gens)
+    firsts = {}
+
+    def first(i):
+        if i not in firsts:
+            name = gens[i]
+            log_diff = rho_inv * rho.map(lambda p: p.diff(name))
+            tables = [{origin: -c} for c in log_diff.coeffs]
+            a = weight.profile.get(name)
+            if a:
+                tables[0][origin] += Poly.var(gens, name) * GaussRational(2 * a)
+            tables[0][origin[:i] + (1,) + origin[i + 1:]] = -Poly.one(gens)
+            firsts[i] = DiffOperator(gens, order, tables)
+        return firsts[i]
+
+    sums = dict(terms)
+    for n in range(max(map(sum, sums), default=0), 0, -1):
+        for beta in [b for b in sums if sum(b) == n]:
+            i = next(i for i, b in enumerate(beta) if b)
+            parent = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            term = first(i).compose(sums.pop(beta))
+            sums[parent] = sums[parent] + term if parent in sums else term
+    return sums.get(origin, DiffOperator.zero(gens, order))
 
 
 def _diff_monomials(terms: dict, m) -> dict:

@@ -8,9 +8,11 @@ equals integral of (v * w)" for all damped test functions w pins down
 v = conj(u^*), because the transpose of left multiplication by v starts
 with v itself.  The map v -> (transpose of left multiplication by v)(1) is
 a differential operator P = id + O(lam), built with its inverse once per
-model and weight, so each involution is one formal adjoint, that of the
-right multiplication by u, and one application of P^-1.  The same P^-1
-gives the density ratio between two weights, rho_hat = P^-1(rho).
+model and weight from one adjoint_sum over the moyal table, so each
+involution is one formal adjoint, that of the right multiplication by u,
+and one application of P^-1.  Both adjoints come from the same first-order
+adjoints of the weight.  The same P^-1 gives the density ratio between two
+weights, rho_hat = P^-1(rho).
 
 The positive functional omega_mu, the pre-Hilbert product <., .>_mu and the
 KMS functional tau_Omega take values in C[[lam]] times a power of pi.  They
@@ -23,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .diffop import DiffOperator
+from .diffop import DiffOperator, adjoint_sum
 from .funcs import Func
 from .geometry import ModelSpace, density_weight
 from .integrate import gaussian_integrate
@@ -36,10 +38,10 @@ from .koszul import (
     left_module,
 )
 from .linalg import poly_equations, solve_linear
-from .poly import Poly, _mul_into
+from .poly import Poly
 from .scalars import GaussRational, I as IMAG
 from .series import series_inverse
-from .starprod import _mul_ilam, moyal, moyal_table
+from .starprod import _mul_ilam, moyal, moyal_table, mult_operator
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +197,6 @@ def gns_check(cfg: ReductionConfig, f: Func, g: Func, mu: Func) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def mult_operator(model: ModelSpace, u: Func) -> DiffOperator:
-    """w -> w *_red u as a differential operator in the base coordinates.
-
-    Each entry (alpha, beta) of the moyal table puts beta onto u's partials.
-    """
-    if u.profile:
-        raise ValueError("multiplication operators need polynomial symbols")
-    order = model.order
-    partials = u.partials()
-    origin = (0,) * len(model.gens)
-    tables = [{} for _ in range(order + 1)]
-    for r, level in enumerate(moyal_table(model, order)):
-        for (alpha, beta), c in level.items():
-            for s, terms in enumerate(partials[beta][: order + 1 - r]):
-                if terms:
-                    _mul_into(tables[r + s].setdefault(alpha, {}), terms, {origin: c})
-    tables = [{d: Poly(model.gens, t) for d, t in tab.items()} for tab in tables]
-    return DiffOperator(model.gens, order, tables)
-
-
 def _involution_steps(model: ModelSpace, omega: Func) -> tuple:
     """(P, P^-1) for the weight, with P(w) = T(L_w), built once per model
     and weight on first use and shared by reduced_involution and
@@ -223,39 +205,26 @@ def _involution_steps(model: ModelSpace, omega: Func) -> tuple:
     T(D) = conj(D^+(1)) is the transpose at 1 for the pairing integral(f g
     omega), and L_w = sum lam^r c^r_(alpha beta) (d^alpha w) d^beta over
     the moyal table is the left multiplication w *_red (.).  (d^beta)^+ is
-    real, so
+    real, so P is one adjoint_sum over the moyal table's beta,
 
         P = sum_beta (d^beta)^+ o C_beta,
         C_beta = sum_(r, alpha) lam^r c^r_(alpha beta) d^alpha.
 
-    (d^beta)^+ is a product of the commuting first-order adjoints (d_i)^+,
-    so the sum is taken Horner-wise on a tree of multi-indices: beta hangs
-    below beta - e_i for its first nonzero index i and adds (d_i)^+ o (its
-    subtree's sum) to its parent's, one composition per beta.  P = id +
-    O(lam), so P^-1 is the terminating series sum_(k <= K) (id - P)^k, by
-    Horner's rule at rising truncation orders: the k-th partial sum is
-    composed under K - k more factors id - P, so only its orders <= k count.
+    P = id + O(lam), so P^-1 is the terminating series sum_(k <= K)
+    (id - P)^k, by Horner's rule at rising truncation orders: the k-th
+    partial sum is composed under K - k more factors id - P, so only its
+    orders <= k count.
     """
     key = ("involution_steps", omega)
     ops = model._field_cache.get(key)
     if ops is None:
-        if not omega.series.coeffs[0].is_constant():
-            raise ValueError("weight is outside the supported class for the involution")
         gens, order = model.gens, model.order
         tails = {}
         for r, level in enumerate(moyal_table(model, order)):
             for (alpha, beta), c in level.items():
                 tails.setdefault(beta, [{} for _ in range(order + 1)])[r][alpha] = c
         tails = {beta: DiffOperator(gens, order, tabs) for beta, tabs in tails.items()}
-        adjoints = {i: DiffOperator.partial(gens, name, order).formal_adjoint(omega)
-                    for i, name in enumerate(gens) if name in model.base_names}
-        for r in range(order, 0, -1):
-            for beta in [b for b in tails if sum(b) == r]:
-                i = next(i for i, b in enumerate(beta) if b)
-                parent = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-                term = adjoints[i].compose(tails.pop(beta))
-                tails[parent] = tails[parent] + term if parent in tails else term
-        step = tails[(0,) * len(gens)]
+        step = adjoint_sum(omega, gens, order, tails)
         rest = DiffOperator.identity(gens, order) - step
         inverse = DiffOperator.identity(gens, 0)
         for k in range(1, order + 1):

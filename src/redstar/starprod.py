@@ -2,8 +2,9 @@
 
 The base carries the constant-coefficient exponential bidifferential product
 (the Weyl-Moyal product for the matrix Lam), expanded once per model into
-moyal_table; moyal and the one-sided multiplication operators of involution
-apply that table to Func.partials on term dicts.  The cotangent factor
+moyal_table; moyal and the right multiplication operator mult_operator
+apply that table to Func.partials on term dicts, reading no level above an
+operand's total degree.  The cotangent factor
 carries products built from one PBW word calculus: normal ordering of words
 in the generators with [J_a, J_b] = i lam C_ab^c J_c, symmetrized
 quantization of momentum polynomials and its inverse.  All three are linear
@@ -51,10 +52,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import add
 
-from .diffop import DiffOperator
+from .diffop import DiffOperator, _leibniz_splits
 from .funcs import Func
 from .geometry import ModelSpace
 from .poly import Poly, _mul_into, _scale
@@ -123,6 +124,31 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
     series = LambdaSeries._trusted(
         tuple([Poly._trusted_sums(model.gens, t) for t in acc]), order)
     return Func._product(series, f, g)
+
+
+def mult_operator(model: ModelSpace, u: Func) -> DiffOperator:
+    """w -> w *_red u as a differential operator in the base coordinates.
+
+    Each entry (alpha, beta) of moyal_table puts beta onto u's partials.
+    Level r takes r derivatives of u, so the levels above u's total degree
+    (Partials.top) are not read.
+    """
+    if u.profile:
+        raise ValueError("multiplication operators need polynomial symbols")
+    order = model.order
+    partials = u.partials()
+    origin = (0,) * len(model.gens)
+    tables = [{} for _ in range(order + 1)]
+    for r, level in enumerate(moyal_table(model, order)):
+        if r > partials.top:
+            break
+        for (alpha, beta), c in level.items():
+            for s, terms in enumerate(partials[beta][: order + 1 - r]):
+                if terms:
+                    _mul_into(tables[r + s].setdefault(alpha, {}), terms, {origin: c})
+    tables = [{d: Poly._trusted_sums(model.gens, t) for d, t in tab.items()}
+              for tab in tables]
+    return DiffOperator(model.gens, order, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +357,22 @@ def _splits(lie, word: tuple) -> tuple:
     """((sub, rest, mult), ...) for a sorted word, with
     L_word o M_c = sum mult M_{L_sub c} L_rest by the Leibniz rule.
 
-    Each letter of the word goes either onto the coefficient or into the
-    kept word; the choices that move k of the n copies of a letter give
-    the same (sub, rest), so they count C(n, k) times.  sub and rest stay
-    sorted."""
+    The splits are those of the word's letter counts by _leibniz_splits,
+    the kept counts spelling rest and the moved ones sub, both sorted; the
+    multiplicity is the product of the binomials C(n, k) of the letters."""
     key = ("splits", word)
     table = lie.pbw_tables.get(key)
     if table is None:
-        counts: dict = {}
-        for a in word:
-            counts[a] = counts.get(a, 0) + 1
-        table = (((), (), 1),)
-        for a, n in counts.items():
-            table = tuple((sub + (a,) * k, rest + (a,) * (n - k), mult * comb(n, k))
-                          for sub, rest, mult in table for k in range(n + 1))
+        counts = tuple(map(word.count, range(lie.dim)))
+        table = tuple((_spell(n - k for n, k in zip(counts, kept)), _spell(kept), mult)
+                      for kept, mult in _leibniz_splits(counts))
         lie.pbw_tables[key] = table
     return table
+
+
+def _spell(counts) -> tuple:
+    """The sorted word with the given letter counts."""
+    return tuple(a for a, n in enumerate(counts) for _ in range(n))
 
 
 def _sym_table(lie, multi: tuple) -> dict:

@@ -352,6 +352,34 @@ class TestFormalAdjoint:
         with pytest.raises(ValueError):
             d.formal_adjoint(bad)
 
+    def test_weight_class_errors_without_derivatives(self):
+        """An operator with no derivative to move still checks the weight:
+        a non-real weight and a non-constant leading prefactor raise."""
+        gens = ("x",)
+        x = Poly.var(gens, "x")
+        ops = [DiffOperator.zero(gens, K), DiffOperator.multiplication(x * x + 1, K)]
+        weights = [Func.from_poly(Poly.one(gens) + x * GaussRational(0, 1), K, {"x": 1}),
+                   Func.from_poly(Poly.one(gens) + x * x, K, {"x": 1})]
+        for op in ops:
+            for w in weights:
+                with pytest.raises(ValueError):
+                    op.formal_adjoint(w)
+
+    def test_generator_mismatch(self):
+        """A weight over other generators raises, be they the same names in
+        another order or a longer list, instead of reading its exponents and
+        envelope against the operator's generators; so does an operator
+        with no derivative to move."""
+        gens = ("x", "y")
+        ops = [DiffOperator.partial(gens, "y", K),
+               DiffOperator.multiplication(Poly.var(gens, "x"), K)]
+        for wgens in (("y", "x"), ("x", "y", "z")):
+            w = Func(LambdaSeries([Poly.one(wgens), Poly.var(wgens, "y")], K),
+                     {"x": 1, "y": 1})
+            for d in ops:
+                with pytest.raises(ValueError, match="generator mismatch"):
+                    d.formal_adjoint(w)
+
 
 class TestGaussianIntegrate:
     def test_normalization(self):
