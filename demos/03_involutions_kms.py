@@ -53,7 +53,7 @@ print("  rho_hat       =", density_ratio_hat(m, gauss, rho))
 
 print("\nmodular class data:")
 mc = modular_class(m, gauss, cap=2)
-print("  D(q) =", mc["D"].image((1, 0)))
+print("  D(q) =", mc["D"](q))
 print("  first order is -i times the modular field:",
       mc["first_order_is_minus_i_delta"])
 

@@ -48,7 +48,6 @@ from .koszul import (
     right_module,
 )
 from .involution import (
-    AutomorphismSeries,
     PositiveFunctional,
     conj_transport,
     density_ratio_hat,

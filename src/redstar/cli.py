@@ -416,27 +416,33 @@ def cmd_verify(args) -> int:
     return 3 if "error" in statuses else 1 if "fail" in statuses else 0
 
 
-def cmd_star(args) -> int:
+def _scene_model(args) -> tuple:
+    """A computation verb's scene, with its --order override, and its model."""
     scene = load_scene(args.scene)
     if args.order is not None:
         scene.order = _at_least(args.order, 0, "truncation order", MAX_ORDER)
-    model = scene.model()
+    return scene, scene.model()
+
+
+def _print_coeffs(f: Func, label: str = "lam^") -> None:
+    for r, coeff in enumerate(f.series.coeffs):
+        print(f"{label}{r}: {coeff!r}")
+
+
+def cmd_star(args) -> int:
+    scene, model = _scene_model(args)
     name = args.product or scene.star_product
     product = StarProduct(model, name)
     f = parse_expr(args.left, model)
     g = parse_expr(args.right, model)
     result = product(f, g)
     print(f"# {name}: ({args.left}) with ({args.right})")
-    for r, coeff in enumerate(result.series.coeffs):
-        print(f"lam^{r}: {coeff!r}")
+    _print_coeffs(result)
     return 0
 
 
 def cmd_reduce(args) -> int:
-    scene = load_scene(args.scene)
-    if args.order is not None:
-        scene.order = _at_least(args.order, 0, "truncation order", MAX_ORDER)
-    model = scene.model()
+    scene, model = _scene_model(args)
     cfg = ReductionConfig(model, Fraction(1, 2))
     if (args.left is None) != (args.right is None):
         raise SceneError(
@@ -452,24 +458,19 @@ def cmd_reduce(args) -> int:
         raise SceneError("reduce takes base-coordinate functions")
     result = reduced_star(cfg, u, v)
     print("# coefficients of the reduced product")
-    for r, coeff in enumerate(result.series.coeffs):
-        print(f"C_{r}: {coeff!r}")
+    _print_coeffs(result, "C_")
     return 0
 
 
 def cmd_involve(args) -> int:
-    scene = load_scene(args.scene)
-    if args.order is not None:
-        scene.order = _at_least(args.order, 0, "truncation order", MAX_ORDER)
-    model = scene.model()
+    scene, model = _scene_model(args)
     u = parse_expr(args.input, model)
     if not model.is_base_only(u):
         raise SceneError("involve takes base-coordinate functions")
     weight = scene.weight(model, args.weight)
     ustar = reduced_involution(model, u, weight)
     print(f"# involution of ({args.input}) for weight {args.weight}")
-    for r, coeff in enumerate(ustar.series.coeffs):
-        print(f"lam^{r}: {coeff!r}")
+    _print_coeffs(ustar)
     return 0
 
 

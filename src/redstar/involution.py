@@ -12,7 +12,12 @@ model and weight from one adjoint_sum over the moyal table, so each
 involution is one formal adjoint, that of the right multiplication by u,
 and one application of P^-1.  Both adjoints come from the same first-order
 adjoints of the weight.  The same P^-1 gives the density ratio between two
-weights, rho_hat = P^-1(rho).
+weights, rho_hat = P^-1(rho).  Both take plain polynomial series on the
+base only.
+
+The modular automorphism I(u) = conj(u*) and its logarithm D are two linear
+maps on base polynomials, given as plain callables that share one cache of
+involved base monomials; D is the terminating series of log(id + (I - id)).
 
 The positive functional omega_mu, the pre-Hilbert product <., .>_mu and the
 KMS functional tau_Omega take values in C[[lam]] times a power of pi.  They
@@ -27,7 +32,7 @@ from itertools import product
 
 from .diffop import DiffOperator, adjoint_sum
 from .funcs import Func
-from .geometry import ModelSpace, density_weight
+from .geometry import ModelSpace, density_weight, modular_vector_field
 from .integrate import gaussian_integrate
 from .koszul import (
     ReductionConfig,
@@ -234,14 +239,23 @@ def _involution_steps(model: ModelSpace, omega: Func) -> tuple:
     return ops
 
 
+def _check_plain_base(model: ModelSpace, f: Func, what: str) -> None:
+    """Raise ValueError unless f is a plain polynomial series on the base:
+    no envelope, no pi-grade, no group or momentum coordinate."""
+    if f.profile or f.pi4 or not model.is_base_only(f):
+        raise ValueError(f"{what} is a plain polynomial series on the base")
+
+
 def reduced_involution(model: ModelSpace, u: Func, omega: Func) -> Func:
-    """The unique u* adjoint to right multiplication by u for the weight.
+    """The unique u* adjoint to right multiplication by u for the weight,
+    for u a plain polynomial series on the base.
 
     v = conj(u*) solves T(L_v) = T(R_u) for the transpose at 1 of
     _involution_steps.  The target T(R_u) is the formal adjoint of
     mult_operator(u) read at 1, and v = P^-1(T(R_u)) with the cached
     inverse of P: w -> T(L_w).
     """
+    _check_plain_base(model, u, "the involution's argument")
     _, inverse = _involution_steps(model, omega)
     target = mult_operator(model, u).formal_adjoint(omega).apply(model.one()).conj()
     return inverse.apply(target).conj()
@@ -290,44 +304,37 @@ def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func) -> Func:
     """
     if not omega.profile:
         raise ValueError("the density ratio needs a Gaussian base weight")
-    if rho.profile or rho.pi4 or not model.is_base_only(rho):
-        raise ValueError("the density ratio is a plain polynomial series on the base")
+    _check_plain_base(model, rho, "the density ratio")
     _, inverse = _involution_steps(model, omega)
     return inverse.apply(rho)
 
 
-def involution_comparison(model: ModelSpace, omega: Func, rho: Func,
-                          us: list, images=None) -> dict:
-    """u^{*'} = conj(rho_hat) * u^* * conj(rho_hat)^{-1} for the weight
-    omega * rho, with rho_hat = density_ratio_hat(model, omega, rho).
+def involution_comparison(model: ModelSpace, omega: Func, rhos: list,
+                          us: list) -> list:
+    """For each rho in rhos, u^{*'} = conj(rho_hat) * u^* * conj(rho_hat)^{-1}
+    for the weight omega * rho, with rho_hat = density_ratio_hat(model,
+    omega, rho); one report per rho.
 
-    images memoises reduced_involution by (u, weight), so that a weight
-    omega * rho equal to omega is not involved twice; calls that compare
-    several rho on the same inputs pass one dict and share it.
+    Each u is involved once under omega, and a weight omega * rho equal to
+    omega reuses those images.
     """
-    images = {} if images is None else images
-
-    def involve(u, weight):
-        key = (u, weight)
-        if key not in images:
-            images[key] = reduced_involution(model, u, weight)
-        return images[key]
-
-    rho_hat = density_ratio_hat(model, omega, rho)
-    omega_p = density_weight(omega * rho)
-    crh = rho_hat.conj()
+    images = [reduced_involution(model, u, omega) for u in us]
 
     def moyal_series(a, b):
         return moyal(model, Func(a), Func(b)).series
 
-    crh_inv = Func(series_inverse(crh.series, moyal_series))
-    failures = []
-    for k, u in enumerate(us):
-        lhs = involve(u, omega_p)
-        rhs = moyal(model, moyal(model, crh, involve(u, omega)), crh_inv)
-        if not (lhs - rhs).is_zero():
-            failures.append(k)
-    return {"holds": not failures, "failures": failures, "rho_hat": rho_hat}
+    reports = []
+    for rho in rhos:
+        rho_hat = density_ratio_hat(model, omega, rho)
+        omega_p = density_weight(omega * rho)
+        crh = rho_hat.conj()
+        crh_inv = Func(series_inverse(crh.series, moyal_series))
+        primed = images if omega_p == omega else [
+            reduced_involution(model, u, omega_p) for u in us]
+        failures = [k for k, (lhs, ustar) in enumerate(zip(primed, images))
+                    if not (lhs - moyal(model, moyal(model, crh, ustar), crh_inv)).is_zero()]
+        reports.append({"holds": not failures, "failures": failures, "rho_hat": rho_hat})
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -335,105 +342,56 @@ def involution_comparison(model: ModelSpace, omega: Func, rho: Func,
 # ---------------------------------------------------------------------------
 
 
-class AutomorphismSeries:
-    """A linear map on base polynomials, realized monomial by monomial.
+def _modular_maps(model: ModelSpace, omega: Func) -> tuple:
+    """(I, D): the modular automorphism I(u) = conj(u*) and its logarithm
+    D(u) = sum_(k <= K) (-1)^(k+1) (I - id)^k u / k, linear maps on plain
+    base polynomials.  I goes monomial by monomial and the pair involves
+    each base monomial once; D stops at its first zero power.  Images that
+    leave the base (a weight in group coordinates) make D raise ValueError."""
+    images = {}
 
-    Images are produced on demand from a defining rule and cached, so maps
-    whose images leave any fixed degree window (such as logarithms for
-    lam-corrected weights) still evaluate exactly; finite degree caps only
-    enter reports and linear solves.
-    """
-
-    def __init__(self, model: ModelSpace, fn):
-        self.model = model
-        self._fn = fn
-        self._cache: dict = {}
-
-    def image(self, expo) -> Func:
-        expo = tuple(expo)
-        if expo not in self._cache:
-            self._cache[expo] = self._fn(
-                _monomial(self.model, self.model.base_names, expo))
-        return self._cache[expo]
-
-    def _decompose(self, f: Func):
-        if f.profile or f.pi4:
-            raise ValueError("the map acts on plain base polynomials")
-        base_idx = [f.gens.index(n) for n in self.model.base_names]
-        other_idx = [i for i in range(len(f.gens)) if i not in base_idx]
-        out = []
-        for r, p in enumerate(f.series.coeffs):
-            for expo, c in p.terms.items():
-                if any(expo[i] for i in other_idx):
-                    raise ValueError("not a base polynomial")
-                out.append((r, tuple(expo[i] for i in base_idx), c))
-        return out
-
-    def apply(self, f: Func) -> Func:
-        total = self.model.zero()
-        for r, key, c in self._decompose(f):
-            img = self.image(key)
-            total = total + (img * c).shift(r)
+    def i_map(u: Func) -> Func:
+        _check_plain_base(model, u, "the modular automorphism's argument")
+        total = model.zero()
+        for r, poly in enumerate(u.series.coeffs):
+            for expo, c in poly.terms.items():
+                if expo not in images:
+                    mono = _monomial(model, model.gens, expo)
+                    images[expo] = reduced_involution(model, mono, omega).conj()
+                total = total + (images[expo] * c).shift(r)
         return total
 
-    def minus_identity(self) -> "AutomorphismSeries":
-        return AutomorphismSeries(
-            self.model, lambda m: self.apply(m) - m
-        )
+    def d_map(u: Func) -> Func:
+        power = i_map(u) - u
+        if not power.series.coeffs[0].is_zero():
+            raise ValueError("logarithm needs a map starting at the identity")
+        total = model.zero()
+        for k in range(1, model.order + 1):
+            total = total + power * GaussRational(Fraction((-1) ** (k + 1), k))
+            if k < model.order:
+                power = i_map(power) - power
+                if power.is_zero():
+                    break
+        return total
 
-    def log(self) -> "AutomorphismSeries":
-        """lam-graded logarithm of a map of the form id + O(lam)."""
-        n = self.minus_identity()
-        order = self.model.order
-
-        def d_of(m: Func) -> Func:
-            power = n.apply(m)
-            if not power.series.coeffs[0].is_zero():
-                raise ValueError("logarithm needs a map starting at the identity")
-            total = self.model.zero()
-            sign = 1
-            for k in range(1, order + 1):
-                total = total + power * GaussRational(Fraction(sign, k))
-                sign = -sign
-                if k < order:
-                    power = n.apply(power)
-                    if power.is_zero():
-                        break
-            return total
-
-        return AutomorphismSeries(self.model, d_of)
-
-
-def modular_automorphism(model: ModelSpace, omega: Func) -> AutomorphismSeries:
-    """I_Omega: u -> conj(u*)."""
-    return AutomorphismSeries(
-        model, lambda m: reduced_involution(model, m, omega).conj()
-    )
+    return i_map, d_map
 
 
 def modular_class(model: ModelSpace, omega: Func, cap: int = 4) -> dict:
-    """I_Omega, its logarithm, and the first-order comparison.
+    """I_Omega, its logarithm D (both callables on base polynomials), and the
+    first-order comparison.
 
     Under the pinned conventions X_u = {., u} and Delta(u) = X_u(log w), the
     working identities are D^(1) = -i Delta on the basis and the classical
     infinitesimal KMS display; the conjugate-coefficient derivation carries
     +i Delta and governs the corrections of u* itself.
     """
-    from .geometry import modular_vector_field
-
-    i_map = modular_automorphism(model, omega)
-    d_map = i_map.log()
+    i_map, d_map = _modular_maps(model, omega)
     delta = modular_vector_field(model, omega)
-    first_ok = True
-    for e in _monomials(model.base_names, cap):
-        m = _monomial(model, model.base_names, e)
-        expected = delta.apply(m).shift(1) * (-IMAG)
-        got = d_map.image(e).coeff(1).shift(1)
-        if not (expected - got).is_zero():
-            first_ok = False
-            break
-    return {"I": i_map, "D": d_map, "first_order_is_minus_i_delta": first_ok,
-            "cap": cap}
+    monos = (_monomial(model, model.base_names, e) for e in _monomials(model.base_names, cap))
+    first_ok = all((delta.apply(m).shift(1) * (-IMAG) - d_map(m).coeff(1).shift(1)).is_zero()
+                   for m in monos)
+    return {"I": i_map, "D": d_map, "first_order_is_minus_i_delta": first_ok}
 
 
 def modular_inner_difference(model: ModelSpace, om1: Func,
@@ -450,10 +408,10 @@ def modular_inner_difference(model: ModelSpace, om1: Func,
     unknown lam^s x^e is their lam^s shift.
     """
     unknown_cap = cap + 2 * model.order
-    d1 = modular_class(model, om1, cap)["D"]
-    d2 = modular_class(model, om2, cap)["D"]
-    basis = _monomials(model.base_names, cap)
-    monos = [_monomial(model, model.base_names, e) for e in basis]
+    _, d1 = _modular_maps(model, om1)
+    _, d2 = _modular_maps(model, om2)
+    monos = [_monomial(model, model.base_names, e)
+             for e in _monomials(model.base_names, cap)]
 
     ads = []
     for em in _monomials(model.base_names, unknown_cap):
@@ -461,7 +419,7 @@ def modular_inner_difference(model: ModelSpace, om1: Func,
         ads.append([moyal(model, w, m) - moyal(model, m, w) for m in monos])
     columns = [poly_equations([c for ad in col for c in ad.shift(s).series.coeffs])
                for s in range(model.order) for col in ads]
-    diffs = [d1.image(e) - d2.image(e) for e in basis]
+    diffs = [d1(m) - d2(m) for m in monos]
     target = poly_equations([c for d in diffs for c in d.series.coeffs])
     sol = solve_linear(columns, target)
     return {"inner": sol is not None, "cap": cap, "unknown_cap": unknown_cap}

@@ -174,6 +174,20 @@ class TestReducedInvolution:
         with pytest.raises(ValueError):
             reduced_involution(m, m.var("q"), bad)
 
+    @pytest.mark.parametrize("extra", ["pi4", "envelope", "g1", "J1"])
+    def test_rejects_non_base_input(self, model_heis, extra):
+        """A pi-grade, an envelope, a group or a momentum coordinate is not
+        carried through as a constant: the input is refused."""
+        m = model_heis
+        om = gaussian_base_weight(m, 1)
+        u = m.var("q") * m.var("p") + m.var("q")
+        bad = {"pi4": lambda: u.with_pi4(2),
+               "envelope": lambda: u.with_profile({"q": 1}),
+               "g1": lambda: u + m.var("g1"),
+               "J1": lambda: u + m.var("J1")}[extra]()
+        with pytest.raises(ValueError, match="plain polynomial series on the base"):
+            reduced_involution(m, bad, om)
+
 
 class TestKMS:
     def test_gaussian_kms(self, model_r, rand):
@@ -263,20 +277,22 @@ class TestInvolutionComparison:
         m = model_r
         om = gaussian_base_weight(m, 1)
         us = [m.var("q"), m.var("p"), rand.base(m, 2)]
-        assert involution_comparison(m, om, m.one(), us)["holds"]
-        assert involution_comparison(m, om, m.one() * 2, us)["holds"]
+        reps = involution_comparison(m, om, [m.one(), m.one() * 2], us)
+        assert [rep["holds"] for rep in reps] == [True, True]
 
     def test_lam_corrected_weight(self, model_r):
         m = model_r
         om = gaussian_base_weight(m, 1)
         rho = m.one() + Func((m.var("q") * m.var("q")).series.shift(1))
         us = [m.var("q"), m.var("p"), m.var("q") * m.var("p")]
-        assert involution_comparison(m, om, rho, us)["holds"]
+        (rep,) = involution_comparison(m, om, [rho], us)
+        assert rep["holds"]
 
     def test_suite_involves_each_pair_once(self, monkeypatch):
-        """The comparisons of the involution suite share one memo: on the
+        """The comparisons of the involution suite run as one call: on the
         affine-line scene its three inputs are involved under omega,
-        2 omega and omega rho_l, nine reduced_involution calls in all."""
+        2 omega and omega rho_l, nine reduced_involution calls in all, and
+        the weight omega * 1 reuses the images under omega."""
         scene = load_scene(str(SCENES / "affine_line.json"))
         ctx = scene.context(scene.model())
         comparing, calls = [False], []
@@ -307,19 +323,17 @@ class TestModularClass:
         om = gaussian_base_weight(m, 1)
         mc = modular_class(m, om, cap=2)
         assert mc["first_order_is_minus_i_delta"]
-        d1q = mc["D"].image((1, 0)).series.coeffs[1]
+        d1q = mc["D"](m.var("q")).series.coeffs[1]
         assert d1q == (m.var("p").series.coeffs[0] * (I * (-2)))
         # the correction of u* itself carries +i times the modular field
         us = reduced_involution(m, m.var("q"), om)
         assert us.series.coeffs[1] == (m.var("p").series.coeffs[0] * (I * 2))
 
     def test_lebesgue_derivation_vanishes(self, model_r):
-        from redstar.involution import _monomials
-
         m = model_r
         mc = modular_class(m, lebesgue_weight(m), cap=2)
         for e in _monomials(m.base_names, 2):
-            assert mc["D"].image(e).is_zero()
+            assert mc["D"](_monomial(m, m.base_names, e)).is_zero()
 
     def test_automorphism(self, model_r, rand):
         m = model_r
@@ -328,8 +342,7 @@ class TestModularClass:
         imap = modular_class(m, om, cap=2)["I"]
         for _ in range(4):
             u, v = rand.base(m, 1, 2), rand.base(m, 1, 2)
-            assert (imap.apply(mul(u, v)) - mul(imap.apply(u), imap.apply(v))
-                    ).is_zero()
+            assert (imap(mul(u, v)) - mul(imap(u), imap(v))).is_zero()
 
     def test_inner_difference(self, model_r):
         m = model_r
@@ -396,7 +409,7 @@ class TestGaussianClosedForms:
         dq, dp = -t * p, t * q
         for expo, expect in [((1, 0), dq), ((0, 1), dp), ((2, 0), 2 * q * dq),
                              ((1, 1), dq * p + q * dp)]:
-            assert (d.image(expo) - expect).is_zero(), expo
+            assert (d(_monomial(m, m.base_names, expo)) - expect).is_zero(), expo
 
 
 @pytest.mark.parametrize("lie", [abelian_lie(1), aff1()])

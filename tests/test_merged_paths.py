@@ -49,6 +49,10 @@ equal repr):
   the whole partial sum at every step, and as a running sum that
   transposes the left operator of each nonzero step, which one cached
   step operator w -> T(L_w) per weight and its inverse replace;
+- the modular automorphism and its logarithm as maps realised monomial by
+  monomial, each with its own image cache, the logarithm taken per base
+  monomial and summed over the input's terms, which one pair of callables
+  sharing one cache of involved monomials replaces;
 - the density ratio solved with one integral per Gram entry, per target
   and per defect at every order, each defect with its own base product,
   and the inner-difference columns built anew for each lam shift of each
@@ -120,6 +124,7 @@ from redstar.involution import (
     conj_transport,
     density_ratio_hat,
     kms_functional,
+    modular_class,
     modular_inner_difference,
     mult_operator,
     reduced_involution,
@@ -2039,6 +2044,112 @@ def test_warm_involution_makes_one_adjoint(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# reference: the modular automorphism and its logarithm monomial by monomial
+# ---------------------------------------------------------------------------
+
+
+class RefAutomorphismSeries:
+    """A linear map on base polynomials from a rule on base monomials, with
+    one cached image per monomial; the former AutomorphismSeries."""
+
+    def __init__(self, model, fn):
+        self.model = model
+        self._fn = fn
+        self._cache = {}
+
+    def image(self, expo):
+        if expo not in self._cache:
+            self._cache[expo] = self._fn(_monomial(self.model, self.model.base_names, expo))
+        return self._cache[expo]
+
+    def apply(self, f):
+        if f.profile or f.pi4:
+            raise ValueError("the map acts on plain base polynomials")
+        base_idx = [f.gens.index(n) for n in self.model.base_names]
+        other_idx = [i for i in range(len(f.gens)) if i not in base_idx]
+        total = self.model.zero()
+        for r, p in enumerate(f.series.coeffs):
+            for expo, c in p.terms.items():
+                if any(expo[i] for i in other_idx):
+                    raise ValueError("not a base polynomial")
+                img = self.image(tuple(expo[i] for i in base_idx))
+                total = total + (img * c).shift(r)
+        return total
+
+
+def ref_modular_log(model, omega):
+    """(I, D) as RefAutomorphismSeries: I(m) = conj(m*), and D(m) the series
+    sum_k (-1)^(k+1) (I - id)^k m / k for each base monomial m on its own."""
+    i_map = RefAutomorphismSeries(
+        model, lambda m: reduced_involution(model, m, omega).conj())
+    n = RefAutomorphismSeries(model, lambda m: i_map.apply(m) - m)
+    order = model.order
+
+    def d_of(m):
+        power = n.apply(m)
+        if not power.series.coeffs[0].is_zero():
+            raise ValueError("logarithm needs a map starting at the identity")
+        total = model.zero()
+        sign = 1
+        for k in range(1, order + 1):
+            total = total + power * GaussRational(Fraction(sign, k))
+            sign = -sign
+            if k < order:
+                power = n.apply(power)
+                if power.is_zero():
+                    break
+        return total
+
+    return i_map, RefAutomorphismSeries(model, d_of)
+
+
+@pytest.mark.parametrize("name, K", [(name, K) for name in sorted(STEP_MODELS)
+                                     for K in (3, 4)])
+def test_modular_maps_match_per_monomial_log(name, K):
+    """I and D of modular_class equal the per-monomial maps on random,
+    partly lam-shifted complex base polynomials, for every weight of
+    adjoint_weights whose images stay on the base."""
+    m = STEP_MODELS[name](K)
+    rng = random.Random(43 + K)
+    base = m.base_names
+    for label, omega in adjoint_weights(m).items():
+        if label == "group":
+            continue
+        mc = modular_class(m, omega, cap=1)
+        ref_i, ref_d = ref_modular_log(m, omega)
+        for _ in range(4):
+            u = rand_poly(rng, m, base, 3) + lam_shifted(rand_poly(rng, m, base, 2), 1)
+            assert_same(mc["I"](u), ref_i.apply(u))
+            assert_same(mc["D"](u), ref_d.apply(u))
+
+
+def test_modular_class_refuses_images_off_the_base():
+    """On the group weight the images of I leave the base, so the logarithm
+    has no meaning as a map on base polynomials."""
+    m = ModelSpace(heisenberg3(), 2, 3)
+    with pytest.raises(ValueError):
+        modular_class(m, adjoint_weights(m)["group"], cap=2)
+
+
+def test_modular_class_involves_each_base_monomial_once(monkeypatch):
+    """I and D share one cache of monomial images: on heis3 at K = 3 with the
+    Gaussian weight, the six base monomials of degree <= 2 are involved once
+    each."""
+    m = ModelSpace(heisenberg3(), 2, 3)
+    calls = []
+    real = involution.reduced_involution
+
+    def counting(model, u, omega):
+        calls.append(u)
+        return real(model, u, omega)
+
+    monkeypatch.setattr(involution, "reduced_involution", counting)
+    mc = modular_class(m, gaussian_base_weight(m, 1), cap=2)
+    assert mc["first_order_is_minus_i_delta"]
+    assert len(calls) == len(set(calls)) == 6
+
+
+# ---------------------------------------------------------------------------
 # reference: the density ratio with an integral per Gram entry, target and
 # defect, and the inner-difference columns built per lam shift
 # ---------------------------------------------------------------------------
@@ -2835,3 +2946,26 @@ def test_every_import_is_used(module):
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {n: line for n, line in imported.items() if n not in used} == {}
+
+
+def test_every_private_function_is_used():
+    """Every module-level _private function of redstar is read somewhere in
+    the package outside its own definition, so a deletion leaves no
+    orphaned helper behind."""
+    trees = {}
+    for info in pkgutil.iter_modules(redstar.__path__):
+        with open(importlib.util.find_spec(f"redstar.{info.name}").origin) as fh:
+            trees[info.name] = ast.parse(fh.read())
+    private = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")]
+    read = set()
+    for tree in trees.values():
+        for top in tree.body:
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            if isinstance(top, ast.FunctionDef):
+                names.discard(top.name)
+            read |= names
+    assert private
+    assert [f"{module}.{name}" for module, name in private if name not in read] == []
