@@ -474,10 +474,23 @@ def cmd_involve(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An option error is a SceneError, so it prints one configuration-error
+    line with exit 2 instead of a usage block; its subparsers inherit this."""
+
+    def error(self, message):
+        raise SceneError(message)
+
+
+# argparse reads a value that starts with '-' as an option
+_DASH_NOTE = "an expression that starts with '-' is written with '=': --input=-(q)"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="redstar",
         description="exact verification of star-product reduction identities",
+        epilog=_DASH_NOTE,
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -494,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include wall-clock timings (breaks byte determinism)")
     pv.set_defaults(fn=cmd_verify)
 
-    ps = sub.add_parser("star", help="multiply two functions and print the series")
+    ps = sub.add_parser("star", epilog=_DASH_NOTE,
+                        help="multiply two functions and print the series")
     ps.add_argument("--scene", required=True)
     ps.add_argument("--product", default=None,
                     choices=STAR_PRODUCTS,
@@ -504,14 +518,16 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--order", type=int, default=None)
     ps.set_defaults(fn=cmd_star)
 
-    pr = sub.add_parser("reduce", help="print the reduced-product coefficients")
+    pr = sub.add_parser("reduce", epilog=_DASH_NOTE,
+                        help="print the reduced-product coefficients")
     pr.add_argument("--scene", required=True)
     pr.add_argument("--left", default=None)
     pr.add_argument("--right", default=None)
     pr.add_argument("--order", type=int, default=None)
     pr.set_defaults(fn=cmd_reduce)
 
-    pi = sub.add_parser("involve", help="print the weighted involution of a function")
+    pi = sub.add_parser("involve", epilog=_DASH_NOTE,
+                        help="print the weighted involution of a function")
     pi.add_argument("--scene", required=True)
     pi.add_argument("--input", required=True)
     pi.add_argument("--weight", default="gaussian")
@@ -521,9 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status = args.fn(args)
         sys.stdout.flush()
         return status

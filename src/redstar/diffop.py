@@ -212,13 +212,14 @@ class DiffOperator:
         return DiffOperator(self.gens, self.order, tabs)
 
     def exp(self) -> "DiffOperator":
-        """exp of an operator whose lam-expansion starts at order >= 1."""
+        """exp of an operator whose lam-expansion starts at order >= 1, with
+        A^k = A o A^(k-1): the Leibniz splits run over A's low orders only."""
         if self.tables[0]:
             raise ValueError("exp needs a lam-graded operator with no order-0 part")
         out = DiffOperator.identity(self.gens, self.order)
         power = DiffOperator.identity(self.gens, self.order)
         for k in range(1, self.order + 1):
-            power = power.compose(self)
+            power = self.compose(power)
             if power.is_zero():
                 break
             out = out + power * GaussRational(Fraction(1, factorial(k)))

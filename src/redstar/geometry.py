@@ -187,6 +187,15 @@ def _standard_symplectic(dim: int):
     return lam
 
 
+def _free_of(f: Func, names) -> bool:
+    """True when f depends on none of names: an envelope on a name counts,
+    and one pass over the exponents of the lam coefficients reads the rest."""
+    if any(n in f.profile for n in names):
+        return False
+    idx = [f.gens.index(n) for n in names]
+    return not any(e[i] for p in f.series.coeffs for e in p.terms for i in idx)
+
+
 class ModelSpace:
     """Coordinates, truncation order and operator factory for one model."""
 
@@ -260,11 +269,10 @@ class ModelSpace:
         return f.with_profile({g: FIBER_EXPONENT for g in self.group_names})
 
     def is_momentum_free(self, f: Func) -> bool:
-        return not any(f.depends_on(n) for n in self.momentum_names)
+        return _free_of(f, self.momentum_names)
 
     def is_base_only(self, f: Func) -> bool:
-        other = self.group_names + self.momentum_names
-        return not any(f.depends_on(n) for n in other)
+        return _free_of(f, self.group_names + self.momentum_names)
 
     # -- vector fields -------------------------------------------------------
 

@@ -15,16 +15,16 @@ symmetrization do one Func operation per output word, symmetrization
 reading every coefficient of the symbol in one pass over its terms.  On
 group models the words are left-invariant derivatives, group fields act on
 the coefficients, and the calculus gives the standard-ordered product; its
-Hermitian normalization conjugates with the exponential N of the momentum
-Laplacian minus the vertical modular field.  On momentum-level models no
-field acts, and the same calculus gives Gutt's symmetrization product on
-g* directly.  The total product acts blockwise.  The right multiplication
-f -> star_G(f, J_a) by a momentum is one differential operator per model
-(right_momentum_operator): the Gutt right multiplication, the psi-series of
-the right BCH derivative (LieAlgebraData.psi_terms, the series that also
-gives the left-invariant fields) with each letter a momentum derivative,
-and, on group models, conjugated by N as a terminating ad-series, so the
-quantized Koszul differential needs no product call and no PBW table.
+Hermitian normalization conjugates with N = exp(A), A = (lam/2i)(Delta_0 -
+Delta_ver): N from left-composed powers of A, N^{-1} by negating N's odd
+lam orders.  On momentum-level models no field acts, and the calculus gives
+Gutt's product on g*.  The total product acts blockwise.  The right
+multiplication f -> star_G(f, J_a) by a momentum is one differential operator
+per model (right_momentum_operator): the Gutt right multiplication, the
+psi-series of the right BCH derivative (LieAlgebraData.psi_terms, the series
+that also gives the left-invariant fields) with each letter a momentum
+derivative, and, on group models, conjugated by N as a terminating ad-series,
+so the quantized Koszul differential needs no product call and no PBW table.
 
 A left word is pushed past a right coefficient by one Leibniz rule: the
 split table _splits(w), also in pbw_tables, lists each way of moving a
@@ -536,43 +536,42 @@ def star_std(model: ModelSpace, f: Func, g: Func) -> Func:
     return _symbol_product(model, stdrep(model, f), stdrep(model, g))
 
 
-def _normalization_argument(model: ModelSpace) -> DiffOperator:
-    gens = model.gens
-    order = model.order
-    delta = DiffOperator.zero(gens, order)
-    for a in range(model.lie.dim):
-        dj = DiffOperator.partial(gens, model.momentum_names[a], order)
-        delta = delta + model.fundamental_field_M(model.basis_vector(a)).compose(dj)
-        mod = model.lie.modular[a]
-        if mod:
-            delta = delta + dj * GaussRational(mod)
-    return delta
-
-
-def _normalization_exponent(model: ModelSpace, sign: int) -> DiffOperator:
-    """sign (lam/2i)(Delta_0 - Delta_ver), the exponent of N^sign."""
-    return _normalization_argument(model).lam_shift(1) * (
-        IMAG * GaussRational(Fraction(-sign, 2)))
-
-
-def _normalizer(model: ModelSpace, sign: int) -> DiffOperator:
-    """exp(sign (lam/2i)(Delta_0 - Delta_ver)), built once per model."""
+def _normalization_exponent(model: ModelSpace) -> DiffOperator:
+    """A = (lam/2i)(Delta_0 - Delta_ver), the exponent of N, once per model."""
     if not model.has_group:
         raise ValueError("the normalization operator needs group coordinates")
-    key = ("norm_op", sign)
-    if key not in model._field_cache:
-        model._field_cache[key] = _normalization_exponent(model, sign).exp()
-    return model._field_cache[key]
+    if "norm_exponent" not in model._field_cache:
+        gens, order = model.gens, model.order
+        delta = DiffOperator.zero(gens, order)
+        for a in range(model.lie.dim):
+            dj = DiffOperator.partial(gens, model.momentum_names[a], order)
+            delta = delta + model.fundamental_field_M(model.basis_vector(a)).compose(dj)
+            if model.lie.modular[a]:
+                delta = delta + dj * GaussRational(model.lie.modular[a])
+        model._field_cache["norm_exponent"] = delta.lam_shift(1) * (
+            IMAG * GaussRational(Fraction(-1, 2)))
+    return model._field_cache["norm_exponent"]
 
 
 def neumaier_N(model: ModelSpace) -> DiffOperator:
-    """exp((lam/2i)(Delta_0 - Delta_ver)) on momentum-polynomial symbols."""
-    return _normalizer(model, 1)
+    """N = exp(A) on momentum-polynomial symbols, built once per model."""
+    if "norm_op" not in model._field_cache:
+        model._field_cache["norm_op"] = _normalization_exponent(model).exp()
+    return model._field_cache["norm_op"]
 
 
 def neumaier_N_inverse(model: ModelSpace) -> DiffOperator:
-    """exp(-(lam/2i)(Delta_0 - Delta_ver)), the inverse of neumaier_N."""
-    return _normalizer(model, -1)
+    """exp(-A) = sigma(N), N with its odd lam tables negated, made once per
+    model with no composition.  Operator coefficients carry no lam, so
+    sigma: lam -> -lam respects composition and sigma(exp A) = exp(sigma A);
+    A is lam times a lam-free operator, so sigma(A) = -A, checked first."""
+    if "norm_op_inverse" not in model._field_cache:
+        if any(_normalization_exponent(model).tables[::2]):
+            raise ValueError("the normalization exponent is not odd in lam")
+        n = neumaier_N(model)
+        model._field_cache["norm_op_inverse"] = DiffOperator(n.gens, n.order, [
+            {d: -c for d, c in t.items()} if r % 2 else t for r, t in enumerate(n.tables)])
+    return model._field_cache["norm_op_inverse"]
 
 
 def _gutt_right_operator(model: ModelSpace, a: int) -> DiffOperator:
@@ -614,7 +613,7 @@ def right_momentum_operator(model: ModelSpace, a: int) -> DiffOperator:
     if op is None:
         op = _gutt_right_operator(model, a)
         if model.has_group:
-            arg = _normalization_exponent(model, 1)
+            arg = _normalization_exponent(model)
             shift = arg.apply(model.momentum(a))
             op = op + DiffOperator(model.gens, model.order, [
                 {(0,) * len(model.gens): p} for p in shift.series.coeffs])

@@ -431,6 +431,43 @@ class TestVerbs:
         out = capsys.readouterr().out
         assert "skip" in out and "out of model class" in out
 
+    @pytest.mark.parametrize("argv,err", [
+        (["star", "--order", "x"], "argument --order: invalid int value: 'x'"),
+        (["star", "--left", "q", "--right", "p", "--product", "x"],
+         "argument --product: invalid choice: 'x' (choose from "
+         "'moyal', 'std', 'weyl_g', 'total')"),
+        (["involve", "--input", "-(q)"], "argument --input: expected one argument"),
+        (["verify", "--bogus"], "the following arguments are required: --scene"),
+        (["verify", "--scene", "s.json", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["order", "product", "dash_input", "missing", "unknown", "no_verb"])
+    def test_option_error_is_one_line(self, tmp_path, capsys, argv, err):
+        """An option argparse rejects gives one configuration-error line and
+        exit 2, before any scene is read, and no usage block."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {err}\n"
+
+    def test_help_is_unchanged_and_documents_dash_inputs(self, capsys):
+        for argv in (["-h"], ["involve", "-h"], ["star", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert out.startswith("usage: redstar")
+            assert "--input=-(q)" in out
+
+    def test_dash_input_written_with_equals(self, tmp_path, capsys):
+        path = write_scene(tmp_path, HEIS_SCENE)
+        assert main(["involve", "--scene", path, "--input=-(q)"]) == 0
+        negated = capsys.readouterr().out
+        assert main(["involve", "--scene", path, "--input", "0-q"]) == 0
+        spelled = capsys.readouterr().out
+        assert negated.startswith("# involution of (-(q)) for weight gaussian\n")
+        assert negated.splitlines()[1:] == spelled.splitlines()[1:]
+        assert "lam^0: -1*q" in negated.splitlines()
+
     def test_unknown_suite_exit_two(self, tmp_path, capsys):
         path = write_scene(tmp_path, HEIS_SCENE)
         assert main(["verify", "--scene", path, "--suite", "brst"]) == 2

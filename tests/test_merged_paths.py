@@ -65,6 +65,11 @@ equal repr):
 - the lam-shift and coefficient slice rebuilt by hand around a Func's
   envelope and grade, the right action that stripped an inner product's
   pi-grade and added it back, and SuperObservable.scale_series;
+- the normalizer pair as exp of the exponent and exp of its negative, each
+  power composed on the right, which one exp with each power composed on
+  the left and, for N^-1, N with its odd lam orders negated replace; the
+  base checks as one depends_on scan per coordinate name, which one pass
+  over the exponents replaces;
 - the Hermitian product with N applied to every operand and two
   momentum-free operands multiplied through the symbol calculus, which
   star_G replaces by leaving such operands alone and by the base product;
@@ -1525,6 +1530,156 @@ def test_normalizer_fixes_momentum_free_functions(name, K):
         for f in free + zeros:
             assert_same(op.apply(f), f)
     assert any(neumaier_N(m).apply(f) != f for f in mixed)
+
+
+# ---------------------------------------------------------------------------
+# the normalizer pair from left-composed powers and lam-parity
+# ---------------------------------------------------------------------------
+
+
+def ref_exp(op):
+    """exp(op) with each power composed on the right, A^k = A^(k-1) o A."""
+    out = power = DiffOperator.identity(op.gens, op.order)
+    for k in range(1, op.order + 1):
+        power = power.compose(op)
+        if power.is_zero():
+            break
+        out = out + power * GaussRational(Fraction(1, factorial(k)))
+    return out
+
+
+def ref_normalizer(model, sign):
+    """exp(sign (lam/2i)(Delta_0 - Delta_ver)) by ref_exp, the exponent built
+    anew for each sign: N for sign 1, N^-1 for sign -1."""
+    gens, order = model.gens, model.order
+    delta = DiffOperator.zero(gens, order)
+    for a in range(model.lie.dim):
+        dj = DiffOperator.partial(gens, model.momentum_names[a], order)
+        delta = delta + model.fundamental_field_M(model.basis_vector(a)).compose(dj)
+        if model.lie.modular[a]:
+            delta = delta + dj * GaussRational(model.lie.modular[a])
+    return ref_exp(delta.lam_shift(1) * (IMAG * GaussRational(Fraction(-sign, 2))))
+
+
+def ref_lam_parity(op):
+    """sigma(op): lam -> -lam, each odd lam order times -1."""
+    return DiffOperator(op.gens, op.order, [
+        {d: c * GaussRational(-1) ** r for d, c in t.items()}
+        for r, t in enumerate(op.tables)])
+
+
+NORMALIZER_CASES = [(name, 2, K) for name in ("abelian2", "heis3", "n4")
+                    for K in (2, 3, 4, 5)] + [("heis3", 4, 4)]
+
+
+@pytest.mark.parametrize("name,base,K", NORMALIZER_CASES,
+                         ids=[f"{n}_base{b}-{K}" for n, b, K in NORMALIZER_CASES])
+def test_normalizer_matches_former_construction(name, base, K):
+    """N and N^-1 equal the right-composed exp of the exponent and of its
+    negative, by == and repr; N^-1 is sigma(N), and composes with N to the
+    identity operator."""
+    m = ModelSpace(SHORTCUT_MODELS[name](), base, K)
+    ref = ModelSpace(SHORTCUT_MODELS[name](), base, K)
+    n, ninv = neumaier_N(m), neumaier_N_inverse(m)
+    assert_same_operator(n, ref_normalizer(ref, 1))
+    assert_same_operator(ninv, ref_normalizer(ref, -1))
+    assert_same_operator(ninv, ref_lam_parity(n))
+    arg = starprod._normalization_exponent(m)
+    assert ref_lam_parity(arg) == -arg != arg
+    ident = DiffOperator.identity(m.gens, K)
+    assert ninv.compose(n) == ident
+    assert neumaier_N(m) is n and neumaier_N_inverse(m) is ninv
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("name", ["heis3", "aff1", "heis3_base4"])
+def test_exp_matches_right_composed_powers(name, K):
+    """exp with the small factor on the left equals the right-composed loop
+    on random lam-graded operators, first and higher order, lam-odd or not."""
+    m = {"heis3": lambda: ModelSpace(heisenberg3(), 2, K),
+         "aff1": lambda: ModelSpace(aff1(), 2, K),
+         "heis3_base4": lambda: ModelSpace(heisenberg3(), 4, K)}[name]()
+    rng = random.Random(131 + K)
+    ops = []
+    for top in (1, 2, 3):
+        op = rand_operator(rng, m, top)
+        ops.append(DiffOperator(m.gens, K, [{}] + list(op.tables[1:])))
+    ops.append(ref_lam_parity(ops[-1]) - ops[-1])
+    assert all(not op.tables[0] for op in ops)
+    assert any(op.tables[2] for op in ops)
+    for op in ops:
+        assert_same_operator(op.exp(), ref_exp(op))
+    with pytest.raises(ValueError, match="order-0 part"):
+        DiffOperator.identity(m.gens, K).exp()
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_normalizer_pair_compose_count(monkeypatch, K):
+    """With the exponent built, N makes at most K compositions and N^-1
+    none."""
+    m = ModelSpace(heisenberg3(), 2, K)
+    starprod._normalization_exponent(m)
+    calls = []
+    compose = DiffOperator.compose
+
+    def counting(a, b):
+        calls.append(None)
+        return compose(a, b)
+
+    monkeypatch.setattr(DiffOperator, "compose", counting)
+    neumaier_N(m)
+    assert 0 < len(calls) <= K
+    del calls[:]
+    neumaier_N_inverse(m)
+    assert calls == []
+
+
+def test_normalizer_inverse_refuses_an_exponent_not_odd_in_lam(monkeypatch):
+    """sigma(N) is N^-1 only for a lam-odd exponent; an even part raises
+    and caches nothing."""
+    m = ModelSpace(heisenberg3(), 2, 3)
+    exponent = starprod._normalization_exponent
+    arg = exponent(m)
+    monkeypatch.setattr(starprod, "_normalization_exponent",
+                        lambda model: arg + arg.compose(arg))
+    with pytest.raises(ValueError, match="not odd in lam"):
+        neumaier_N_inverse(m)
+    assert "norm_op_inverse" not in m._field_cache
+    monkeypatch.setattr(starprod, "_normalization_exponent", exponent)
+    assert_same_operator(neumaier_N_inverse(ModelSpace(heisenberg3(), 2, 3)),
+                         ref_normalizer(m, -1))
+
+
+def ref_free_of(f, names):
+    """The former scan: one depends_on pass per name."""
+    return not any(f.depends_on(n) for n in names)
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUT_MODELS))
+def test_base_checks_match_per_name_scan(name):
+    """is_momentum_free and is_base_only, one pass over the exponents, agree
+    with the scan per coordinate name, envelopes and zeros included."""
+    m = ModelSpace(SHORTCUT_MODELS[name](), 2, 3)
+    rng = random.Random(97)
+    free, mixed, zeros = shortcut_inputs(m, 101)
+    base = [rand_poly(rng, m, m.base_names, 3),
+            lam_shifted(rand_poly(rng, m, m.base_names, 2), 2).with_pi4(1),
+            rand_poly(rng, m, m.base_names, 2).with_profile({m.base_names[1]: 1})]
+    enveloped = [rand_poly(rng, m, m.base_names, 2).with_profile({n: 1})
+                 for n in m.group_names + m.momentum_names]
+    enveloped += [m.zero().with_profile({n: 1}) for n in m.momentum_names[:1]]
+    inputs = free + mixed + zeros + base + enveloped
+    inputs += [m.var(n) for n in m.gens]
+    inputs += [lam_shifted(m.var(n), 1) for n in m.gens]
+    nonbase = m.group_names + m.momentum_names
+    results = []
+    for f in inputs:
+        results.append((m.is_momentum_free(f), m.is_base_only(f)))
+        assert results[-1] == (ref_free_of(f, m.momentum_names),
+                               ref_free_of(f, nonbase))
+    assert {r for r in results} >= {(True, True), (False, False)}
+    if m.has_group:
+        assert (True, False) in results
 
 
 QK_MODELS = {
