@@ -7,7 +7,8 @@ are sorted by identity and coefficients print as exact rationals with
 explicit powers of pi.
 
 Exit codes: 0 all identities pass, 1 some identity fails, 2 configuration
-error, 3 an exception inside the engine during some check (status "error"),
+error (a SceneError), 3 an exception inside the engine, either during some
+check (status "error") or anywhere else in a verb (one "engine error" line),
 141 the reader closed standard output before the report was written.
 """
 
@@ -432,7 +433,10 @@ def _print_coeffs(f: Func, label: str = "lam^") -> None:
 def cmd_star(args) -> int:
     scene, model = _scene_model(args)
     name = args.product or scene.star_product
-    product = StarProduct(model, name)
+    try:
+        product = StarProduct(model, name)
+    except ValueError as exc:  # a product the model cannot carry
+        raise SceneError(str(exc)) from None
     f = parse_expr(args.left, model)
     g = parse_expr(args.right, model)
     result = product(f, g)
@@ -542,7 +546,7 @@ def main(argv=None) -> int:
         status = args.fn(args)
         sys.stdout.flush()
         return status
-    except (SceneError, ValueError, KeyError) as exc:
+    except SceneError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -552,6 +556,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_CLOSED_PIPE
+    except Exception as exc:  # an engine error, kept apart from bad input
+        print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,9 +12,11 @@ and is pruned by degree: it stops at the first total derivative order
 above the input's total degree, so an entry that must give zero costs
 nothing.
 Composition differentiates the right factor's coefficients by the Leibniz
-remainder monomial by monomial.  Every weighted adjoint is one adjoint_sum
-sum_beta (partial^beta)^+ o X_beta: the first-order adjoints of the weight,
-one per coordinate, composed Horner-wise on the tree of multi-indices.
+remainder monomial by monomial.  exp is one series.terminating_series,
+each term composed with the exponent on its left.  Every weighted adjoint
+is one adjoint_sum sum_beta (partial^beta)^+ o X_beta: the first-order
+adjoints of the weight, one per coordinate, composed Horner-wise on the
+tree of multi-indices.
 The formal adjoint of an operator is the adjoint_sum of its conjugated
 coefficients, and the involution's step operator that of the moyal table.
 """
@@ -23,13 +25,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, perm
+from math import comb, perm
 from operator import add, sub
 
 from .funcs import Func
 from .poly import Poly, _mul_into, _scale
 from .scalars import GaussRational
-from .series import LambdaSeries, series_inverse
+from .series import LambdaSeries, series_inverse, terminating_series
 
 
 class DiffOperator:
@@ -212,18 +214,15 @@ class DiffOperator:
         return DiffOperator(self.gens, self.order, tabs)
 
     def exp(self) -> "DiffOperator":
-        """exp of an operator whose lam-expansion starts at order >= 1, with
-        A^k = A o A^(k-1): the Leibniz splits run over A's low orders only."""
+        """exp of an operator whose lam-expansion starts at order >= 1, the
+        terminating series with terms A^k/k! = A o (A^(k-1)/(k-1)!) / k: the
+        small factor on the left, so the Leibniz splits run over A's low
+        orders only."""
         if self.tables[0]:
             raise ValueError("exp needs a lam-graded operator with no order-0 part")
-        out = DiffOperator.identity(self.gens, self.order)
-        power = DiffOperator.identity(self.gens, self.order)
-        for k in range(1, self.order + 1):
-            power = self.compose(power)
-            if power.is_zero():
-                break
-            out = out + power * GaussRational(Fraction(1, factorial(k)))
-        return out
+        return terminating_series(
+            DiffOperator.identity(self.gens, self.order),
+            lambda t, k: self.compose(t) * GaussRational(Fraction(1, k)), self.order)
 
     # -- adjoints -------------------------------------------------------------
 

@@ -6,14 +6,14 @@ differential adds the right star multiplication, the structure-constant
 correction and the modular term weighted by the parameter kappa.  The
 right star multiplication by J_a is a differential operator, built once
 per model by starprod.right_momentum_operator, so a Koszul step applies
-it to each component and makes no star_G call.  All geometric-series
-inverses terminate by lam-grading, so every identity is exact modulo
-lam^(K+1).  Two steps skip work that returns zero: the one terminating
-series behind the deformed restriction and the deformed homotopy stops at
-its first zero term, since their perturbations are linear, and the
-structure-constant term of the quantized differential is skipped on inputs
-without a component of exterior degree 2 or more, where the double
-insertion vanishes.
+it to each component and makes no star_G call.  The inverses behind the
+deformed restriction and the deformed homotopy are geometric series that
+terminate by lam-grading, summed by series.terminating_series, so every
+identity is exact modulo lam^(K+1).  Two steps skip work that returns
+zero: the series stop at their first zero term, since their perturbations
+are linear, and the structure-constant term of the quantized differential
+is skipped on inputs without a component of exterior degree 2 or more,
+where the double insertion vanishes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from .funcs import Func
 from .geometry import ModelSpace
 from .scalars import GaussRational, I as IMAG
-from .series import LambdaSeries
+from .series import LambdaSeries, terminating_series
 from .starprod import right_momentum_operator, star_G
 
 
@@ -46,9 +46,6 @@ class ReductionConfig:
 
     def star(self, f: Func, g: Func) -> Func:
         return star_G(self.model, f, g)
-
-    def kappa_plus_conj(self) -> LambdaSeries:
-        return self.kappa + self.kappa.conj()
 
 
 class SuperObservable:
@@ -226,24 +223,11 @@ def _perturbation(cfg: ReductionConfig, f: Func) -> Func:
     return diff.comps.get((), model.zero())
 
 
-def _terminating_series(x, step, order: int):
-    """sum_{j=0}^{order} step^j x for a linear step that raises the lam
-    order, summed term by term, so step only ever sees the newest term.
-    Every term after a zero one is zero, so the sum stops there."""
-    y = term = x
-    for _ in range(order):
-        term = step(term)
-        if term.is_zero():
-            break
-        y = y + term
-    return y
-
-
 def _neumann_resolve(cfg: ReductionConfig, f: Func) -> Func:
     """(id + (qk_1 - k_1) h_0)^{-1} f by the terminating geometric series
     sum_k (-P)^k f with P = (qk_1 - k_1) h_0.  On a momentum-free f, which
     h_0 sends to zero, it stops after one application of P."""
-    return _terminating_series(f, lambda t: -_perturbation(cfg, t), cfg.model.order)
+    return terminating_series(f, lambda t, _: -_perturbation(cfg, t), cfg.model.order)
 
 
 def deformed_restriction(cfg: ReductionConfig, f: Func) -> Func:
@@ -272,7 +256,7 @@ def deformed_homotopy(cfg: ReductionConfig, x: SuperObservable, k: int) -> Super
             cfg, homotopy_h(model, y, k)
         )
 
-    return homotopy_h(model, _terminating_series(x, lambda y: y - op(y), model.order), k)
+    return homotopy_h(model, terminating_series(x, lambda y, _: y - op(y), model.order), k)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +287,12 @@ def right_module(cfg: ReductionConfig, phi: Func, u: Func) -> Func:
 
 
 def quantized_BC_member(cfg: ReductionConfig, f: Func) -> bool:
-    """Normalizer membership: the deformed restriction must be invariant."""
+    """Normalizer membership: the deformed restriction must be invariant,
+    which it is on a model without group coordinates."""
     model = cfg.model
-    rest = deformed_restriction(cfg, f)
     if not model.has_group:
-        return all(
-            not rest.depends_on(n) for n in model.group_names
-        )  # trivially true without group coordinates
+        return True
+    rest = deformed_restriction(cfg, f)
     for a in range(model.lie.dim):
         if not model.lie_derivative_C(a, rest).is_zero():
             return False

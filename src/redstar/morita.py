@@ -7,6 +7,10 @@ The group average in the inner product is evaluated as a plain fiber
 integral: the structure group is nilpotent, Haar measure is Lebesgue in
 exponential coordinates, and the action is by translations, so the average
 over translates of an integrable function is the fiber integral itself.
+
+The star square root and inverse that normalize a fiber state
+(series_sqrt, series_inverse) and the vertical square root are binomial and
+geometric series in lam, each summed by series.terminating_series.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .koszul import ReductionConfig, deformed_restriction, right_module
 from .linalg import is_psd_hermitian, poly_equations, solve_linear
 from .poly import Poly
 from .scalars import GaussRational
-from .series import LambdaSeries, series_inverse, series_sqrt
+from .series import LambdaSeries, series_inverse, series_sqrt, terminating_series
 from .starprod import (SymbolOp, moyal, neumaier_N, pbw_words, schroedinger_rep,
                        word_actions)
 
@@ -300,14 +304,18 @@ def _comparison_system(model: ModelSpace, ket, pexps, words, gexps) -> tuple:
 
 
 def vertical_sqrt(cfg: ReductionConfig, h: VerticalOperator) -> VerticalOperator:
-    """Hermitian square root V of H = id + O(lam) with V* star' V = H."""
-    model = cfg.model
-    v = VerticalOperator.identity(model)
-    for r in range(1, model.order + 1):
-        defect = h - v.adjoint().compose(v)
-        half = defect.lam_slice(r).scale(GaussRational(Fraction(1, 2)))
-        v = v + half
-    return v
+    """Hermitian square root V of a Hermitian H = id + O(lam) with
+    V* star' V = H: the binomial series sum_(k <= K) binom(1/2, k) X^k in
+    X = H - id under star', summed as in series.series_sqrt.  Its real
+    coefficients keep it Hermitian, so V* star' V = V star' V = H.
+    V* star' V is Hermitian for every V, so a non-Hermitian H raises
+    ValueError."""
+    if not (h.adjoint() - h).is_zero():
+        raise ValueError("the vertical square root needs a Hermitian operator")
+    one = VerticalOperator.identity(cfg.model)
+    x = h - one
+    return terminating_series(one, lambda t, k: x.compose(t).scale(
+        GaussRational(Fraction(3 - 2 * k, 2 * k))), cfg.model.order)
 
 
 # ---------------------------------------------------------------------------

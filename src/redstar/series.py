@@ -10,6 +10,13 @@ arithmetic below (+, -, *, shift, map, conj, of) already has exactly K+1 of
 them, so it builds its result through LambdaSeries._trusted, which takes
 the tuple as it is; so do the kernels of funcs, diffop, starprod and
 integrate.
+
+terminating_series sums every lam-series of the engine: the exponential
+and logarithm of operators, the Koszul resolvent, the ad-series of a
+conjugation, and the geometric and binomial series behind series_inverse,
+series_sqrt and the vertical square root of morita.  Each step is linear
+and raises the lam order, so the sum stops at order K, and earlier at its
+first zero term.
 """
 
 from __future__ import annotations
@@ -51,14 +58,6 @@ class LambdaSeries:
     def of(value, order: int) -> "LambdaSeries":
         zero = value.ring_zero() if hasattr(value, "ring_zero") else GaussRational(0)
         return LambdaSeries._trusted((value,) + (zero,) * order, order)
-
-    @staticmethod
-    def lam_power(value, power: int, order: int) -> "LambdaSeries":
-        zero = value.ring_zero() if hasattr(value, "ring_zero") else GaussRational(0)
-        coeffs = [zero] * (order + 1)
-        if power <= order:
-            coeffs[power] = value
-        return LambdaSeries(coeffs, order)
 
     def ring_zero(self):
         c = self.coeffs[0]
@@ -178,6 +177,21 @@ class LambdaSeries:
         return " + ".join(parts) if parts else "0"
 
 
+def terminating_series(x, step, order: int):
+    """x + t_1 + ... + t_order with t_0 = x and t_k = step(t_(k-1), k).
+
+    step gets the newest term only, so the scalar of term k is folded into
+    it.  For a linear step every term after a zero one is zero, so the sum
+    stops at the first zero term."""
+    y = term = x
+    for k in range(1, order + 1):
+        term = step(term, k)
+        if term.is_zero():
+            break
+        y = y + term
+    return y
+
+
 def _leading_constant(a: LambdaSeries):
     """The constant value of the order-zero coefficient, or raise."""
     c0 = a.coeffs[0]
@@ -188,57 +202,42 @@ def _leading_constant(a: LambdaSeries):
     return c0.constant_term()
 
 
-def series_inverse(a: LambdaSeries, mul=None) -> LambdaSeries:
+def series_inverse(a: LambdaSeries, mul=LambdaSeries.__mul__) -> LambdaSeries:
     """Multiplicative inverse with respect to mul (default: pointwise).
 
-    Requires the order-zero coefficient to be an invertible constant.  The
-    result satisfies mul(a, inv) == 1 exactly modulo lam^(K+1).  The
-    pointwise inverse comes from the Cauchy recursion
-    v_r = -c0^-1 sum_{j>=1} a_j v_{r-j}, one new coefficient per order; a
-    supplied mul is corrected order by order against the defect 1 - mul(a, v).
+    Requires the order-zero coefficient c0 to be an invertible constant.
+    Then a = c0 (1 - e) with e = 1 - a/c0 = O(lam), and the inverse is the
+    geometric series sum_(k <= K) e^k / c0 under mul, exact modulo
+    lam^(K+1); it is two-sided, since e commutes with its powers.
     """
     c0 = _leading_constant(a)
     if c0.is_zero():
         raise ZeroDivisionError("leading term is zero; series is not invertible")
     c0inv = c0.inverse()
-    if mul is None:
-        minus = -c0inv
-        coeffs = [a.ring_zero() + c0inv]
-        for r in range(1, a.order + 1):
-            acc = a.ring_zero()
-            for j in range(1, r + 1):
-                if not a.coeffs[j].is_zero():
-                    acc = acc + a.coeffs[j] * coeffs[r - j]
-            coeffs.append(acc * minus)
-        return LambdaSeries(coeffs, a.order)
-    one = a.zero_like() + GaussRational(1)
-    v = a.zero_like() + c0inv
-    for r in range(1, a.order + 1):
-        defect = one - mul(a, v)
-        v = v + LambdaSeries.lam_power(defect.coeffs[r] * c0inv, r, a.order)
-    return v
+    e = -(a * c0inv) + GaussRational(1)
+    return terminating_series(a.zero_like() + c0inv, lambda t, _: mul(e, t), a.order)
 
 
-def series_sqrt(a: LambdaSeries, mul=None) -> LambdaSeries:
+def series_sqrt(a: LambdaSeries, mul=LambdaSeries.__mul__) -> LambdaSeries:
     """Square root with respect to mul (default: pointwise multiplication).
 
-    The order-zero coefficient must be the square of a positive rational;
-    the result v satisfies mul(v, v) == a exactly modulo lam^(K+1).
+    The order-zero coefficient c0 must be the square of a positive
+    rational.  The root is the binomial series
+    sqrt(c0) sum_(k <= K) binom(1/2, k) x^k with x = a/c0 - 1 = O(lam)
+    under mul, term k being mul(x, term k - 1) times
+    binom(1/2, k) / binom(1/2, k - 1) = (3 - 2k)/(2k); its square under mul
+    is a exactly modulo lam^(K+1).
     """
-    if mul is None:
-        mul = LambdaSeries.__mul__
     c0 = _leading_constant(a)
     if not c0.is_real() or c0.re <= 0:
         raise ValueError("leading term must be a positive rational constant")
     root = rational_sqrt(c0.re)
     if root is None:
         raise ValueError(f"leading term {c0.re} is not the square of a rational")
-    v = a.zero_like() + GaussRational(root)
-    half_inv = GaussRational(Fraction(1, 2) / root)
-    for r in range(1, a.order + 1):
-        defect = a - mul(v, v)
-        v = v + LambdaSeries.lam_power(defect.coeffs[r] * half_inv, r, a.order)
-    return v
+    x = a * c0.inverse() + GaussRational(-1)
+    return terminating_series(
+        a.zero_like() + GaussRational(root),
+        lambda t, k: mul(x, t) * GaussRational(Fraction(3 - 2 * k, 2 * k)), a.order)
 
 
 _new = object.__new__

@@ -23,8 +23,9 @@ multiplication f -> star_G(f, J_a) by a momentum is one differential operator
 per model (right_momentum_operator): the Gutt right multiplication, the
 psi-series of the right BCH derivative (LieAlgebraData.psi_terms, the series
 that also gives the left-invariant fields) with each letter a momentum
-derivative, and, on group models, conjugated by N as a terminating ad-series,
-so the quantized Koszul differential needs no product call and no PBW table.
+derivative, and, on group models, conjugated by N as an ad-series summed
+by series.terminating_series, so the quantized Koszul differential needs no
+product call and no PBW table.
 
 A left word is pushed past a right coefficient by one Leibniz rule: the
 split table _splits(w), also in pbw_tables, lists each way of moving a
@@ -60,7 +61,7 @@ from .funcs import Func
 from .geometry import ModelSpace
 from .poly import Poly, _mul_into, _scale
 from .scalars import GaussRational, I as IMAG
-from .series import LambdaSeries
+from .series import LambdaSeries, terminating_series
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +618,9 @@ def right_momentum_operator(model: ModelSpace, a: int) -> DiffOperator:
             shift = arg.apply(model.momentum(a))
             op = op + DiffOperator(model.gens, model.order, [
                 {(0,) * len(model.gens): p} for p in shift.series.coeffs])
-            term = op
-            for k in range(1, model.order + 1):
-                term = (arg.compose(term) - term.compose(arg)) * GaussRational(
-                    Fraction(-1, k))
-                if term.is_zero():
-                    break
-                op = op + term
+            op = terminating_series(op, lambda t, k: (
+                arg.compose(t) - t.compose(arg)) * GaussRational(Fraction(-1, k)),
+                model.order)
         model._field_cache[key] = op
     return op
 

@@ -285,14 +285,14 @@ def suite_star(ctx: SuiteContext) -> list:
                   std_not_hermitian)
 
         def std_adjoint_relation():
-            nn = neumaier_N(m).compose(neumaier_N(m))
+            n = neumaier_N(m)
             for _ in range(max(2, ctx.trials // 3)):
                 f = ctx.rand_poly(2, gens=fiber_gens)
                 phi = m.fiber_state(ctx.rand_poly(2, gens=m.group_names))
                 psi = m.fiber_state(ctx.rand_poly(2, gens=m.group_names))
                 lhs = fiber_integral(m, phi.conj() * stdrep(m, f).apply(psi))
                 rhs = fiber_integral(
-                    m, stdrep(m, nn.apply(f.conj())).apply(phi).conj() * psi
+                    m, stdrep(m, n.apply(n.apply(f.conj()))).apply(phi).conj() * psi
                 )
                 yield lhs - rhs
         ctx.check("star.std_adjoint",

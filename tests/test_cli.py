@@ -18,7 +18,7 @@ from redstar.cli import (
     main,
     parse_expr,
 )
-from redstar import suites
+from redstar import cli, suites
 from redstar.morita import VerticalOperator
 from redstar.starprod import STAR_PRODUCTS
 from redstar.suites import SUITES
@@ -401,6 +401,38 @@ class TestEngineErrors:
         assert code == 3
         assert "ERR   demo.boom" in out and "[RuntimeError: engine broke]" in out
         assert out.splitlines()[-1] == "total: 0 pass, 0 fail, 0 skip, 1 error"
+
+    @pytest.mark.parametrize("exc", [ValueError("engine broke"), KeyError("x")],
+                             ids=["ValueError", "KeyError"])
+    def test_engine_error_in_a_verb_exits_three(self, tmp_path, monkeypatch, capsys,
+                                                exc):
+        """An engine exception outside any check is one engine-error line
+        and exit 3: not a configuration error, and no traceback."""
+        def broken(cfg, u, v):
+            raise exc
+
+        monkeypatch.setattr(cli, "reduced_star", broken)
+        path = write_scene(tmp_path, HEIS_SCENE)
+        assert main(["reduce", "--scene", path, "--left", "q", "--right", "p"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"engine error: {type(exc).__name__}: {exc}\n"
+
+    @pytest.mark.parametrize("product", ["std", "weyl_g"])
+    @pytest.mark.parametrize("where", ["option", "scene"])
+    def test_product_without_group_coordinates_exits_two(self, tmp_path, capsys,
+                                                         product, where):
+        """A product that needs group coordinates, asked for on a
+        momentum-level scene, is a configuration error."""
+        if where == "option":
+            path, extra = write_scene(tmp_path, AFF_SCENE), ["--product", product]
+        else:
+            path, extra = write_scene(tmp_path, {**AFF_SCENE, "star_product": product}), []
+        assert main(["star", "--scene", path, *extra, "--left", "q", "--right", "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"configuration error: product {product!r} "
+                                "needs group coordinates\n")
 
 
 class TestExpressions:

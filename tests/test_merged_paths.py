@@ -76,6 +76,11 @@ equal repr):
   the quantized Koszul differential with its structure-constant loop run
   on inputs of every exterior degree; the resolvent's full K-step
   iteration, which stops at its first zero term;
+- the lam-series loops that series.terminating_series replaces: exp's
+  power loop, the ad-series of right_momentum_operator, the modular
+  logarithm's power loop, the pointwise inverse's Cauchy recursion, the
+  inverse and square root corrected against their whole defect at every
+  order, and the vertical square root corrected the same way;
 - the right multiplication of quantized_koszul by a momentum as one full
   star_G(f, J_a) call per component, which right_momentum_operator
   replaces by one cached differential operator per generator;
@@ -155,11 +160,12 @@ from redstar.morita import (
     fullness_element,
     inner_product_red,
     inner_product_red_closed_form,
+    vertical_sqrt,
 )
 from redstar.poly import Poly, _diff_terms, _mul_into
 from redstar.integrate import gaussian_integrate_shifted
-from redstar.scalars import GaussRational, I as IMAG
-from redstar.series import LambdaSeries, _leading_constant, series_inverse
+from redstar.scalars import GaussRational, I as IMAG, rational_sqrt
+from redstar.series import LambdaSeries, _leading_constant, series_inverse, series_sqrt
 from redstar.starprod import (
     SymbolOp,
     _IMAG_POWERS,
@@ -1928,14 +1934,14 @@ def ref_formal_adjoint(op, weight):
     return out.series_multiply(rho_inv)
 
 
-def ref_series_inverse(a):
-    """Each order corrected against the whole defect 1 - a v."""
+def ref_series_inverse(a, mul=LambdaSeries.__mul__):
+    """Each order corrected against the whole defect 1 - mul(a, v)."""
     c0inv = _leading_constant(a).inverse()
     one = a.zero_like() + GaussRational(1)
     v = a.zero_like() + c0inv
     for r in range(1, a.order + 1):
-        defect = one - a * v
-        v = v + LambdaSeries.lam_power(defect.coeffs[r] * c0inv, r, a.order)
+        defect = one - mul(a, v)
+        v = v + LambdaSeries.of(defect.coeffs[r] * c0inv, a.order).shift(r)
     return v
 
 
@@ -3124,3 +3130,177 @@ def test_every_private_function_is_used():
             read |= names
     assert private
     assert [f"{module}.{name}" for module, name in private if name not in read] == []
+
+
+# ---------------------------------------------------------------------------
+# reference: the lam-series loops that terminating_series replaces
+# ---------------------------------------------------------------------------
+
+
+def ref_left_exp(op):
+    """The former exp loop: A^k = A o A^(k-1), each power scaled by 1/k!."""
+    out = power = DiffOperator.identity(op.gens, op.order)
+    for k in range(1, op.order + 1):
+        power = op.compose(power)
+        if power.is_zero():
+            break
+        out = out + power * GaussRational(Fraction(1, factorial(k)))
+    return out
+
+
+def ref_right_momentum_operator(model, a):
+    """R_a with its ad-series summed by the former loop over
+    term = ad_A(term) * (-1/k)."""
+    op = starprod._gutt_right_operator(model, a)
+    if model.has_group:
+        arg = starprod._normalization_exponent(model)
+        shift = arg.apply(model.momentum(a))
+        op = op + DiffOperator(model.gens, model.order, [
+            {(0,) * len(model.gens): p} for p in shift.series.coeffs])
+        term = op
+        for k in range(1, model.order + 1):
+            term = (arg.compose(term) - term.compose(arg)) * GaussRational(
+                Fraction(-1, k))
+            if term.is_zero():
+                break
+            op = op + term
+    return op
+
+
+def ref_log_loop(model, i_map, u):
+    """The former logarithm: powers of I - id summed with (-1)^(k+1)/k."""
+    power = i_map(u) - u
+    total = model.zero()
+    for k in range(1, model.order + 1):
+        total = total + power * GaussRational(Fraction((-1) ** (k + 1), k))
+        if k < model.order:
+            power = i_map(power) - power
+            if power.is_zero():
+                break
+    return total
+
+
+def ref_cauchy_inverse(a):
+    """The former pointwise inverse, one coefficient per order by the Cauchy
+    recursion v_r = -c0^-1 sum_(j >= 1) a_j v_(r-j)."""
+    c0inv = _leading_constant(a).inverse()
+    minus = -c0inv
+    coeffs = [a.ring_zero() + c0inv]
+    for r in range(1, a.order + 1):
+        acc = a.ring_zero()
+        for j in range(1, r + 1):
+            if not a.coeffs[j].is_zero():
+                acc = acc + a.coeffs[j] * coeffs[r - j]
+        coeffs.append(acc * minus)
+    return LambdaSeries(coeffs, a.order)
+
+
+def ref_series_sqrt(a, mul):
+    """The former square root, each order corrected against the whole
+    defect a - mul(v, v)."""
+    root = GaussRational(rational_sqrt(_leading_constant(a).re))
+    v = a.zero_like() + root
+    half_inv = GaussRational(1) / (root * 2)
+    for r in range(1, a.order + 1):
+        defect = a - mul(v, v)
+        v = v + LambdaSeries.of(defect.coeffs[r] * half_inv, a.order).shift(r)
+    return v
+
+
+def ref_vertical_sqrt(cfg, h):
+    """The former vertical square root: half of the order-r slice of the
+    defect H - V* V added at every order."""
+    v = VerticalOperator.identity(cfg.model)
+    for r in range(1, cfg.model.order + 1):
+        defect = h - v.adjoint().compose(v)
+        v = v + defect.lam_slice(r).scale(GaussRational(Fraction(1, 2)))
+    return v
+
+
+SERIES_NORMALIZER_CASES = [(name, base, K) for name, base in
+                           (("heis3", 2), ("heis3", 4), ("abelian2", 2))
+                           for K in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("name,base,K", SERIES_NORMALIZER_CASES,
+                         ids=[f"{n}_base{b}-{K}" for n, b, K in SERIES_NORMALIZER_CASES])
+def test_normalizer_matches_power_loop(name, base, K):
+    m = ModelSpace(SHORTCUT_MODELS[name](), base, K)
+    assert_same_operator(neumaier_N(m), ref_left_exp(starprod._normalization_exponent(m)))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(STEP_MODELS))
+def test_right_momentum_operator_matches_ad_loop(name, K):
+    m = STEP_MODELS[name](K)
+    ref = STEP_MODELS[name](K)
+    for a in range(m.lie.dim):
+        assert_same_operator(right_momentum_operator(m, a),
+                             ref_right_momentum_operator(ref, a))
+
+
+@pytest.mark.parametrize("name", sorted(STEP_MODELS))
+def test_modular_log_matches_power_loop(name):
+    """D on every base monomial of degree <= 3, for the five weights of
+    adjoint_weights whose images stay on the base."""
+    m = STEP_MODELS[name](3)
+    monos = [_monomial(m, m.base_names, e) for e in _monomials(m.base_names, 3)]
+    weights = {k: w for k, w in adjoint_weights(m).items() if k != "group"}
+    assert len(weights) == 5
+    for label, omega in weights.items():
+        i_map, d_map = involution._modular_maps(m, omega)
+        for mono in monos:
+            assert_same(d_map(mono), ref_log_loop(m, i_map, mono))
+
+
+def random_series(rng, m, c0):
+    """A lam-series of base polynomials with the constant c0 at order 0."""
+    coeffs = [Poly.constant(m.gens, c0)]
+    coeffs += [rand_poly(rng, m, m.base_names, 2).series.coeffs[0]
+               for _ in range(m.order)]
+    return LambdaSeries(coeffs, m.order)
+
+
+def test_series_inverse_and_sqrt_match_former_loops():
+    """Pointwise and under moyal, on random series of base polynomials with
+    constant leading terms, by == and repr."""
+    m = ModelSpace(heisenberg3(), 2, 4)
+    rng = random.Random(97)
+
+    def mul(a, b):
+        return moyal(m, Func(a), Func(b)).series
+
+    for c0 in (Fraction(1), Fraction(4), Fraction(9, 4), Fraction(1, 9)):
+        for _ in range(3):
+            a = random_series(rng, m, c0)
+            for got, expect in ((series_inverse(a), ref_cauchy_inverse(a)),
+                                (series_inverse(a), ref_series_inverse(a)),
+                                (series_inverse(a, mul), ref_series_inverse(a, mul)),
+                                (series_sqrt(a), ref_series_sqrt(a, LambdaSeries.__mul__)),
+                                (series_sqrt(a, mul), ref_series_sqrt(a, mul))):
+                assert got == expect
+                assert repr(got) == repr(expect)
+
+
+def hermitian_vertical_operators(m):
+    """id + X + X^* for lam-graded X with coefficients in the group
+    coordinates and words of length up to 2."""
+    one = Func.one(m.gens, m.order)
+    g = m.var(m.group_names[0])
+    l0 = VerticalOperator.fundamental(m, 0)
+    l1 = VerticalOperator.fundamental(m, 1)
+    xs = [l0.compose(l0).lam_shift(1),
+          VerticalOperator.multiplication(m, g * g + one).compose(l1).lam_shift(1),
+          l0.compose(l1).lam_shift(2) + VerticalOperator.multiplication(
+              m, g * GaussRational(0, 1)).lam_shift(1)]
+    return [VerticalOperator.identity(m) + x + x.adjoint() for x in xs]
+
+
+def test_vertical_sqrt_matches_defect_loop():
+    m = ModelSpace(heisenberg3(), 2, 3)
+    cfg = ReductionConfig(m)
+    for h in hermitian_vertical_operators(m):
+        assert (h.adjoint() - h).is_zero()
+        v = vertical_sqrt(cfg, h)
+        assert (v - ref_vertical_sqrt(cfg, h)).is_zero()
+        assert (v.adjoint().compose(v) - h).is_zero()

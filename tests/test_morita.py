@@ -183,6 +183,18 @@ class TestVerticalOperators:
             assert (can(phi, pert.apply(psi))
                     - can(v.apply(phi), v.apply(psi))).is_zero()
 
+    @pytest.mark.parametrize("lie", [lambda: abelian_lie(1), heisenberg3],
+                             ids=["abelian1", "heis3"])
+    def test_vertical_sqrt_refuses_a_non_hermitian_operator(self, lie):
+        """H = id + lam L_{e_1} is not Hermitian, since L_{e_1}^* = -L_{e_1},
+        so no V has V^* V = H."""
+        m = ModelSpace(lie(), 2, 3)
+        l0 = VerticalOperator.fundamental(m, 0)
+        h = VerticalOperator.identity(m) + l0.lam_shift(1)
+        assert not (h.adjoint() - h).is_zero()
+        with pytest.raises(ValueError, match="Hermitian"):
+            vertical_sqrt(ReductionConfig(m), h)
+
     def test_caps_too_small_raise(self, model_r):
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))

@@ -4,6 +4,7 @@ differential operators, and closed-form Gaussian integration."""
 import operator
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -13,7 +14,7 @@ from redstar.integrate import gaussian_integrate
 from redstar.involution import is_positive_scalar
 from redstar.poly import Poly
 from redstar.scalars import GaussRational, I, double_factorial
-from redstar.series import LambdaSeries, series_inverse, series_sqrt
+from redstar.series import LambdaSeries, series_inverse, series_sqrt, terminating_series
 
 GENS = ("q", "p")
 K = 4
@@ -152,6 +153,64 @@ class TestSeries:
         assert mul(s, s) == a
         assert s.coeffs[1] == (u * Fraction(1, 2)).series.coeffs[0]
 
+    def test_terminating_series_passes_k(self):
+        """Term k is step(term k-1, k): lam^k / k! sums to exp(lam)."""
+        seen = []
+
+        def step(t, k):
+            seen.append(k)
+            return t.shift(1) * GaussRational(Fraction(1, k))
+
+        got = terminating_series(one().series, step, K)
+        assert seen == list(range(1, K + 1))
+        assert got == LambdaSeries([GaussRational(Fraction(1, factorial(k)))
+                                    for k in range(K + 1)], K)
+
+    def test_terminating_series_stops_at_the_first_zero_term(self):
+        """A zero term ends the sum: the step is not called again, even where
+        it would give a nonzero term."""
+        q = var("q").series
+        calls = []
+
+        def step(t, k):
+            calls.append(k)
+            return t.zero_like() if k == 2 else q.shift(k)
+
+        assert terminating_series(q, step, K) == q + q.shift(1)
+        assert calls == [1, 2]
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_terminating_series_takes_at_most_order_steps(self, order):
+        """A step that never gives zero is called order times."""
+        q = var("q").series
+        calls = []
+
+        def step(t, k):
+            calls.append(k)
+            return t
+
+        assert terminating_series(q, step, order) == q * GaussRational(order + 1)
+        assert calls == list(range(1, order + 1))
+
+    def test_inverse_with_supplied_multiplication_is_two_sided(self):
+        from redstar.geometry import ModelSpace, abelian_lie
+        from redstar.starprod import moyal
+
+        m = ModelSpace(abelian_lie(1), base_dim=2, order=4)
+
+        def mul(a, b):
+            return moyal(m, Func(a), Func(b)).series
+
+        q, p = m.var("q"), m.var("p")
+        a = (m.one() * 3 + Func((q + p * p).series.shift(1))
+             + Func((q * p).series.shift(2))).series
+        inv = series_inverse(a, mul)
+        one_ = m.one().series
+        assert mul(a, inv) == one_ and mul(inv, a) == one_
+        # the coefficients of a do not commute under the product
+        assert mul((q + p * p).series, (q * p).series) != mul(
+            (q * p).series, (q + p * p).series)
+
     def test_sqrt_rejections(self):
         q = var("q")
         with pytest.raises(ValueError):
@@ -173,7 +232,7 @@ class TestSeries:
                     for _ in range(rng.randint(0, deg)):
                         e[rng.randint(0, 1)] += 1
                     t = t + Poly(GENS, {tuple(e): GaussRational(rng.randint(-3, 3))})
-                out = out + Func(LambdaSeries.lam_power(t, r, K))
+                out = out + Func(LambdaSeries.of(t, K).shift(r))
             return out.series
 
         for _ in range(12):
