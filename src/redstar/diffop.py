@@ -5,12 +5,15 @@ with Poly coefficients c_{r,d} and derivative multi-indices d over the named
 generators.  Composition, application and formal adjoints are exact.
 
 Application and composition work on flat term dicts {exponent:
-GaussRational}, one per lam order, with the kernels of poly, and build each
-output Poly, LambdaSeries and Func once, at the end.  Application reads
-partial^d f from the input's Func.partials cache, envelope terms included,
-and is pruned by degree: it stops at the first total derivative order
-above the input's total degree, so an entry that must give zero costs
-nothing.
+GaussRational}, one per lam order, with the kernels of poly: products are
+summed as unnormalised triples and each output Poly, LambdaSeries and Func
+(and DiffOperator, through DiffOperator._trusted) is built once, at the
+end.  Application reads partial^d f from the input's Func.partials cache,
+envelope terms included, and is pruned by degree: it stops at the first
+total derivative order above the input's total degree and skips an entry
+d with some d_i above the input's degree in coordinate i, so an entry that
+must give zero costs nothing.  apply_sum adds several applications into
+one accumulator, for the quantized Koszul differential.
 Composition differentiates the right factor's coefficients by the Leibniz
 remainder monomial by monomial.  exp is one series.terminating_series,
 each term composed with the exponent on its left.  Every weighted adjoint
@@ -26,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb, perm
-from operator import add, sub
+from operator import add, gt, sub
 
 from .funcs import Func
 from .poly import Poly, _mul_into, _scale
@@ -55,6 +58,18 @@ class DiffOperator:
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOperator is immutable")
+
+    @staticmethod
+    def _trusted(gens: tuple, order: int, tables: tuple) -> "DiffOperator":
+        """A DiffOperator that takes its parts as they are, without checks:
+        a tuple of exactly order + 1 dicts {int multi-index tuple: nonzero
+        Poly over gens}."""
+        op = _new(DiffOperator)
+        _set_gens(op, gens)
+        _set_order(op, order)
+        _set_tables(op, tables)
+        _set_by_degree(op, None)
+        return op
 
     # -- constructors ------------------------------------------------------
 
@@ -101,9 +116,14 @@ class DiffOperator:
         for t1, t2 in zip(self.tables, other.tables):
             t = dict(t1)
             for d, c in t2.items():
-                t[d] = t.get(d, Poly.zero(self.gens)) + c
+                if d in t:
+                    c = t[d] + c
+                    if not c.terms:
+                        del t[d]
+                        continue
+                t[d] = c
             tabs.append(t)
-        return DiffOperator(self.gens, self.order, tabs)
+        return DiffOperator._trusted(self.gens, self.order, tuple(tabs))
 
     def __neg__(self) -> "DiffOperator":
         return self * GaussRational(-1)
@@ -143,32 +163,37 @@ class DiffOperator:
 
         partial^d f comes from f.partials(), taken once per multi-index and
         skipped where it vanishes by degree: the entries are read grouped by
-        total derivative order, grouped once per operator, and the orders
-        above the input's total degree (Partials.top, unbounded under an
-        envelope) are never asked for.  The result is truncated at
-        f.order and carries f's envelope and pi-grade; an operator without
-        entries gives f.zero_like().
+        total derivative order, grouped once per operator, the orders above
+        the input's total degree (Partials.top, unbounded under an
+        envelope) are never asked for, and neither is an entry d with some
+        d_i above the input's degree in coordinate i (Partials.bound).  The
+        result is truncated at f.order and carries f's envelope and
+        pi-grade; an operator without entries gives f.zero_like().
         """
         if f.gens != self.gens:
             raise ValueError("operator and function live on different generators")
         if self.is_zero():
             return f.zero_like()
+        acc = [{} for _ in range(f.order + 1)]
+        self._apply_into(acc, f)
+        return f._like(LambdaSeries._trusted(
+            tuple([Poly._trusted_sums(f.gens, t) for t in acc]), f.order))
+
+    def _apply_into(self, acc: list, f: Func) -> None:
+        """Add the lam orders of self(f) into acc, one triple accumulator
+        per order of f, as apply does."""
         order = f.order
         partials = f.partials()
-        top = partials.top
-        acc = [{} for _ in range(order + 1)]
+        top, bound = partials.top, partials.bound
         for degree, entries in self._entries_by_degree():
             if degree > top:
                 break
             for r, d, c in entries:
-                if r > order:
+                if r > order or any(map(gt, d, bound)):
                     continue
                 for s, terms in enumerate(partials[d][: order + 1 - r]):
                     if terms:
                         _mul_into(acc[r + s], terms, c)
-        series = LambdaSeries._trusted(
-            tuple([Poly._trusted_sums(f.gens, t) for t in acc]), order)
-        return f._like(series)
 
     def _entries_by_degree(self) -> tuple:
         """((|d|, ((r, d, c.terms), ...)), ...) in increasing |d|, built on
@@ -209,9 +234,9 @@ class DiffOperator:
                             if right:
                                 d = tuple(map(add, split, d2))
                                 _mul_into(tgt.setdefault(d, {}), left, right)
-        tabs = [{d: Poly._trusted_sums(self.gens, t) for d, t in tab.items()}
-                for tab in acc]
-        return DiffOperator(self.gens, self.order, tabs)
+        tabs = tuple({d: p for d, t in tab.items()
+                      if (p := Poly._trusted_sums(self.gens, t)).terms} for tab in acc)
+        return DiffOperator._trusted(self.gens, self.order, tabs)
 
     def exp(self) -> "DiffOperator":
         """exp of an operator whose lam-expansion starts at order >= 1, the
@@ -263,6 +288,24 @@ class DiffOperator:
                 lam = "" if r == 0 else (f"lam^{r}*" if r > 1 else "lam*")
                 parts.append(f"{lam}({c!r}){'*' + ds if ds else ''}")
         return " + ".join(parts) if parts else "0"
+
+
+def apply_sum(pairs) -> Func:
+    """The sum of op.apply(f) over a nonempty list of (op, f) pairs, built
+    as one Func: every application adds into one triple accumulator per lam
+    order.  The f share their generators and order, and the nonzero f
+    their envelope and grade, which the sum carries; nonzero f with
+    different envelopes or grades raise ValueError, as Func + does."""
+    carrier = next((f for _, f in pairs if not f.is_zero()), pairs[0][1])
+    gens, order = carrier.gens, carrier.order
+    acc = [{} for _ in range(order + 1)]
+    for op, f in pairs:
+        if op.gens != gens or f.order != order:
+            raise ValueError("operators and functions must share generators and order")
+        carrier._compatible(f)
+        op._apply_into(acc, f)
+    return carrier._like(LambdaSeries._trusted(
+        tuple([Poly._trusted_sums(gens, t) for t in acc]), order))
 
 
 def adjoint_sum(weight: Func, gens, order: int, terms: dict) -> DiffOperator:
@@ -340,3 +383,9 @@ def _leibniz_splits(d: tuple) -> tuple:
                        for rest, coeff in splits for k in range(di + 1))
     return splits
 
+
+_new = object.__new__
+_set_gens = DiffOperator.gens.__set__
+_set_order = DiffOperator.order.__set__
+_set_tables = DiffOperator.tables.__set__
+_set_by_degree = DiffOperator._by_degree.__set__

@@ -10,7 +10,8 @@ constant in all coordinates (Func.scalar checks this), so the grade rules
 below hold for scalars too.  All differential operators act through
 profile-aware differentiation, so the class is closed under every operation
 of the engine.  Func.partials is the one derivative cache
-of DiffOperator.apply, the base product and its multiplication operators.
+of DiffOperator.apply, the base product and its multiplication operators;
+it differentiates only the nonempty lam orders.
 
 Func owns the envelope and grade rules: sums need equal envelopes and
 grades (zero matches anything), products add both, and the lam-shift
@@ -23,7 +24,10 @@ are those of an operand (+, -, conj, shift, coeff, diff, set_zero, the
 product by a scalar, and Func * Func when at most one side has an envelope)
 is built through Func._trusted, which takes them as they are; only merged
 envelopes go through the checks again.  The kernels of diffop, starprod and
-integrate build their output the same way.
+integrate build their output the same way, and so do the Koszul maps below
+(koszul_homotopy, koszul_insertion), which take the {index tuple: Func}
+components of an exterior form, walk their terms once and build each
+output component once.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from fractions import Fraction
 from math import inf
 from operator import gt
 
-from .poly import Poly, _diff_terms
+from .poly import Poly, _accumulate, _diff_terms
 from .scalars import GaussRational
 from .series import LambdaSeries
 
@@ -213,16 +217,6 @@ class Func:
                 raise ValueError(f"cannot restrict through the envelope in {n}")
         return self._like(self.series.map(lambda p: p.set_zero(names)))
 
-    def weight_by_degree(self, names, weight) -> "Func":
-        for n in names:
-            if n in self.profile:
-                raise ValueError("degree weighting across an envelope is undefined")
-        return Func(
-            self.series.map(lambda p: p.weight_by_degree(names, weight)),
-            self.profile,
-            self.pi4,
-        )
-
     def depends_on(self, name: str) -> bool:
         return name in self.profile or any(p.depends_on(name) for p in self.series.coeffs)
 
@@ -310,8 +304,88 @@ class Partials(dict):
             return []
         i = next(i for i, k in enumerate(d) if k)
         lower = self[d[:i] + (d[i] - 1,) + d[i + 1:]]
-        out = self[d] = [_diff_terms(t, i, self.envs[i]) for t in lower]
+        env = self.envs[i]
+        out = self[d] = [_diff_terms(t, i, env) if t else t for t in lower]
         return out
+
+
+# ---------------------------------------------------------------------------
+# Koszul maps on the term dicts of exterior components
+# ---------------------------------------------------------------------------
+
+
+def koszul_homotopy(comps: dict, jidx, k: int) -> dict:
+    """The Koszul homotopy h_k on {index tuple: Func} components.
+
+    A term c x^e of the component at idx gives, for each momentum J_a
+    (generator position jidx[a], a not in idx, e_a = e[jidx[a]] > 0), the
+    term sign c e_a / (k + |e|_J) x^(e - 1_a) of the component at the
+    sorted idx + (a,), where |e|_J is the momentum degree of the term and
+    sign = (-1)^(number of entries of idx below a): d/dJ_a, the average
+    over the momentum ray and the wedge with e_a.  The ray average has no
+    closed form under an envelope in a momentum, so such a component
+    raises ValueError."""
+    out: dict = {}
+    for idx, f in comps.items():
+        if any(f.gens[j] in f.profile for j in jidx):
+            raise ValueError("degree weighting across an envelope is undefined")
+        free = [(a, j) for a, j in enumerate(jidx) if a not in idx]
+        rows: dict = {}
+        for r, p in enumerate(f.series.coeffs):
+            for e, c in p.terms.items():
+                n = k + sum([e[j] for j in jidx])
+                for a, j in free:
+                    m = e[j]
+                    if m:
+                        row = rows.get(a)
+                        if row is None:
+                            new = tuple(sorted(idx + (a,)))
+                            sign = -1 if sum(i < a for i in idx) % 2 else 1
+                            row = rows[a] = (sign, _component(out, new, f))
+                        _accumulate(row[1][r], e[:j] + (m - 1,) + e[j + 1:], c,
+                                    row[0] * m, n)
+    return _finish_components(out)
+
+
+def koszul_insertion(comps: dict, jidx) -> dict:
+    """The classical Koszul differential sum_a J_a ins(e^a) on {index tuple:
+    Func} components: the component at idx, with a at position m of idx,
+    goes to idx without a, its exponents shifted by one in J_a (generator
+    position jidx[a]) and its sign (-1)^m."""
+    out: dict = {}
+    for a, j in enumerate(jidx):
+        for idx, f in comps.items():
+            if a not in idx:
+                continue
+            m = idx.index(a)
+            sign = -1 if m % 2 else 1
+            accs = _component(out, idx[:m] + idx[m + 1:], f)
+            for acc, p in zip(accs, f.series.coeffs):
+                for e, c in p.terms.items():
+                    _accumulate(acc, e[:j] + (e[j] + 1,) + e[j + 1:], c, sign)
+    return _finish_components(out)
+
+
+def _component(out: dict, idx: tuple, f: Func) -> list:
+    """The triple accumulators of the output component at idx, one per lam
+    order, created with f as the carrier of its envelope and grade; f must
+    agree with an earlier carrier as a summand of a Func sum."""
+    slot = out.get(idx)
+    if slot is None:
+        slot = out[idx] = (f, [{} for _ in f.series.coeffs])
+    else:
+        slot[0]._compatible(f)
+    return slot[1]
+
+
+def _finish_components(out: dict) -> dict:
+    """{idx: Func} from the accumulators of _component, zero sums dropped."""
+    comps = {}
+    for idx, (f, accs) in out.items():
+        polys = tuple([Poly._trusted_sums(f.gens, t) for t in accs])
+        if any(p.terms for p in polys):
+            comps[idx] = f._like(LambdaSeries._trusted(polys, f.order))
+    return comps
 
 
 _new = object.__new__

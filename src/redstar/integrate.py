@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add
 
 from .funcs import Func
-from .poly import Poly, _scale
+from .poly import Poly, _accumulate
 from .scalars import double_factorial, rational_sqrt
 from .series import LambdaSeries
 
@@ -80,8 +80,7 @@ def gaussian_integrate_shifted(f: Func, block, shifts, top: int, memo: dict) -> 
                 else:
                     mom = moments[shifted] = _moment(shifted, decay)
                 if mom is not None:
-                    v = _scale(c, mom)
-                    terms[key] = terms[key] + v if key in terms else v
+                    _accumulate(terms, key, c, mom.numerator, mom.denominator)
         for out, terms in zip(coeffs, acc):
             out.append(Poly._trusted_sums(gens, terms))
 

@@ -6,10 +6,14 @@ differential adds the right star multiplication, the structure-constant
 correction and the modular term weighted by the parameter kappa.  The
 right star multiplication by J_a is a differential operator, built once
 per model by starprod.right_momentum_operator, so a Koszul step applies
-it to each component and makes no star_G call.  The inverses behind the
-deformed restriction and the deformed homotopy are geometric series that
-terminate by lam-grading, summed by series.terminating_series, so every
-identity is exact modulo lam^(K+1).  Two steps skip work that returns
+it to each component and makes no star_G call.  The classical differential
+and the homotopy h_k are exponent shifts and rescalings of single terms,
+done on term dicts by funcs.koszul_insertion and funcs.koszul_homotopy,
+and the right multiplications that land on one output component are one
+diffop.apply_sum: each output component is built once.  The inverses
+behind the deformed restriction and the deformed homotopy are geometric
+series that terminate by lam-grading, summed by
+series.terminating_series, so every identity is exact modulo lam^(K+1).  Two steps skip work that returns
 zero: the series stop at their first zero term, since their perturbations
 are linear, and the structure-constant term of the quantized differential
 is skipped on inputs without a component of exterior degree 2 or more,
@@ -20,7 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .funcs import Func
+from .diffop import apply_sum
+from .funcs import Func, koszul_homotopy, koszul_insertion
 from .geometry import ModelSpace
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries, terminating_series
@@ -148,32 +153,24 @@ class SuperObservable:
 # ---------------------------------------------------------------------------
 
 
+def _momentum_positions(model: ModelSpace) -> tuple:
+    return tuple(model.gens.index(n) for n in model.momentum_names)
+
+
 def koszul(model: ModelSpace, x: SuperObservable) -> SuperObservable:
-    """Classical differential: multiply each insertion by the momentum."""
-    out = SuperObservable(model)
-    for a in range(model.lie.dim):
-        ja = model.momentum(a)
-        out = out + x.insert_basis(a).map(lambda f, ja=ja: f * ja)
-    return out
+    """Classical differential: multiply each insertion by the momentum, an
+    exponent shift on the terms of each component (funcs.koszul_insertion)."""
+    return SuperObservable(model, koszul_insertion(x.comps, _momentum_positions(model)))
 
 
 def homotopy_h(model: ModelSpace, x: SuperObservable, k: int) -> SuperObservable:
     """h_k: wedge with e_a, differentiate by J_a and average the momentum ray.
 
     On a momentum monomial of degree d in antisymmetric degree k the ray
-    integral contributes the exact rational 1/(k + d).
+    integral contributes the exact rational 1/(k + d); the map is one pass
+    over the terms of each component (funcs.koszul_homotopy).
     """
-    out = SuperObservable(model)
-    for idx, f in x.comps.items():
-        for a in range(model.lie.dim):
-            df = f.diff(model.momentum_names[a])
-            if df.is_zero():
-                continue
-            weighted = df.weight_by_degree(
-                model.momentum_names, lambda d: Fraction(1, k + d + 1)
-            )
-            out = out + SuperObservable(model, {idx: weighted}).wedge_basis(a)
-    return out
+    return SuperObservable(model, koszul_homotopy(x.comps, _momentum_positions(model), k))
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +183,17 @@ def quantized_koszul(cfg: ReductionConfig, x: SuperObservable) -> SuperObservabl
     + i lam kappa ins(Delta) x.
 
     The first term applies R_a = right_momentum_operator(model, a), with
-    R_a f = star_G(f, J_a), to each component of ins(e^a)x."""
+    R_a f = star_G(f, J_a), to each component of ins(e^a)x, and each
+    output component is one diffop.apply_sum of those applications."""
     model = cfg.model
-    out = SuperObservable(model)
+    pairs: dict = {}
     for a in range(model.lie.dim):
-        out = out + x.insert_basis(a).map(right_momentum_operator(model, a).apply)
+        for idx, f in x.comps.items():
+            if a in idx:
+                m = idx.index(a)
+                pairs.setdefault(idx[:m] + idx[m + 1:], []).append(
+                    (right_momentum_operator(model, a), -f if m % 2 else f))
+    out = SuperObservable(model, {idx: apply_sum(p) for idx, p in pairs.items()})
     half_i = IMAG * GaussRational(Fraction(1, 2))
     # the double insertion vanishes below exterior degree 2
     if any(len(idx) >= 2 for idx in x.comps):

@@ -309,11 +309,14 @@ def vertical_sqrt(cfg: ReductionConfig, h: VerticalOperator) -> VerticalOperator
     X = H - id under star', summed as in series.series_sqrt.  Its real
     coefficients keep it Hermitian, so V* star' V = V star' V = H.
     V* star' V is Hermitian for every V, so a non-Hermitian H raises
-    ValueError."""
+    ValueError, and so does an H whose lam^0 part is not the identity, on
+    which the binomial series does not terminate."""
     if not (h.adjoint() - h).is_zero():
         raise ValueError("the vertical square root needs a Hermitian operator")
     one = VerticalOperator.identity(cfg.model)
     x = h - one
+    if not x.lam_slice(0).is_zero():
+        raise ValueError("the vertical square root needs H = id + O(lam)")
     return terminating_series(one, lambda t, k: x.compose(t).scale(
         GaussRational(Fraction(3 - 2 * k, 2 * k))), cfg.model.order)
 

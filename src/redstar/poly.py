@@ -7,9 +7,11 @@ generator order.
 
 The term-dict kernels _mul_into, _scale and _diff_terms on {exponent:
 GaussRational} dicts are shared by Poly, Func, DiffOperator and moyal.
-Their output is already clean, so it becomes a Poly through Poly._trusted,
-or through Poly._trusted_sums for _mul_into accumulators, which still hold
-the zero sums of cancelling terms.  Poly(...) validates everything else.
+_mul_into and _accumulate sum into an accumulator {exponent: (a, b, d)} of
+unnormalised integer triples (a + b*i)/d, so a sum of many products costs
+no gcd; Poly._trusted_sums finishes such an accumulator with one _make (one
+gcd) per output term and drops its zero sums.  Other clean kernel output
+becomes a Poly through Poly._trusted.  Poly(...) validates everything else.
 """
 
 from __future__ import annotations
@@ -62,9 +64,11 @@ class Poly:
         return p
 
     @staticmethod
-    def _trusted_sums(gens: tuple, terms: dict) -> "Poly":
-        """Poly._trusted of a _mul_into accumulator, without its zero sums."""
-        return Poly._trusted(gens, {e: c for e, c in terms.items() if c.a or c.b})
+    def _trusted_sums(gens: tuple, acc: dict) -> "Poly":
+        """The Poly of a triple accumulator of _mul_into and _accumulate: each
+        sum normalised once, the zero sums dropped."""
+        return Poly._trusted(gens, {e: _make(a, b, d)
+                                    for e, (a, b, d) in acc.items() if a or b})
 
     # -- constructors -------------------------------------------------
 
@@ -183,15 +187,6 @@ class Poly:
             out[expo] = c
         return Poly._trusted(self.gens, out)
 
-    def weight_by_degree(self, names, weight) -> "Poly":
-        """Scale each term by weight(d) where d is its total degree in names."""
-        idxs = [self.gens.index(n) for n in names]
-        out = {}
-        for expo, c in self.terms.items():
-            d = sum(expo[i] for i in idxs)
-            out[expo] = c * weight(d)
-        return Poly(self.gens, out)
-
     def degree_in(self, names) -> int:
         idxs = [self.gens.index(n) for n in names]
         return max((sum(e[i] for i in idxs) for e in self.terms), default=0)
@@ -291,16 +286,47 @@ class Poly:
 
 
 def _mul_into(acc: dict, left: dict, right: dict) -> None:
-    """acc += left * right on term dicts {exponent: GaussRational}.
+    """acc += left * right for term dicts {exponent: GaussRational}, into a
+    triple accumulator {exponent: (a, b, d)}.
 
-    Zero sums stay in acc; the Poly built from it drops them.
+    Sums over one denominator add numerators; other sums take the product
+    of the denominators.  Nothing is normalised and zero sums stay in acc:
+    Poly._trusted_sums finishes it.
     """
+    get = acc.get
     for e1, c1 in left.items():
+        a1, b1, d1 = c1.a, c1.b, c1.d
         for e2, c2 in right.items():
             e = tuple(map(add, e1, e2))
-            c = c1 * c2
-            prev = acc.get(e)
-            acc[e] = c if prev is None else prev + c
+            a2, b2 = c2.a, c2.b
+            d = d1 * c2.d
+            if b1 or b2:
+                a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            else:
+                a, b = a1 * a2, 0
+            prev = get(e)
+            if prev is None:
+                acc[e] = (a, b, d)
+            else:
+                pa, pb, pd = prev
+                if pd == d:
+                    acc[e] = (pa + a, pb + b, d)
+                else:
+                    acc[e] = (pa * d + a * pd, pb * d + b * pd, pd * d)
+
+
+def _accumulate(acc: dict, e: tuple, c: GaussRational, n: int = 1, m: int = 1) -> None:
+    """acc[e] += c * n / m on a triple accumulator, for ints n and m > 0."""
+    a, b, d = c.a * n, c.b * n, c.d * m
+    prev = acc.get(e)
+    if prev is None:
+        acc[e] = (a, b, d)
+    else:
+        pa, pb, pd = prev
+        if pd == d:
+            acc[e] = (pa + a, pb + b, d)
+        else:
+            acc[e] = (pa * d + a * pd, pb * d + b * pd, pd * d)
 
 
 def _scale(c: GaussRational, k) -> GaussRational:

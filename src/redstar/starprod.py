@@ -54,12 +54,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
-from operator import add
+from operator import add, gt
 
 from .diffop import DiffOperator, _leibniz_splits
 from .funcs import Func
 from .geometry import ModelSpace
-from .poly import Poly, _mul_into, _scale
+from .poly import Poly, _accumulate, _mul_into, _scale
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries, terminating_series
 
@@ -103,7 +103,9 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
     serves as the coefficient product of the symbol calculus.  Envelopes and
     pi-grades add, also on a zero result.  Level r of moyal_table takes r
     derivatives of each operand, so the levels above either operand's total
-    degree (Partials.top) are not read.
+    degree (Partials.top) are not read, and neither is an entry (alpha,
+    beta) with some alpha_i or beta_i above that operand's degree in
+    coordinate i (Partials.bound).
     """
     if f.gens != g.gens or f.gens != model.gens:
         raise ValueError("generator mismatch")
@@ -111,11 +113,14 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
         raise ValueError(f"mismatched truncation orders {f.order} and {g.order}")
     order = f.order
     pf, pg = f.partials(), g.partials()
+    fbound, gbound = pf.bound, pg.bound
     acc = [{} for _ in range(order + 1)]
     for r, level in enumerate(moyal_table(model, order)):
         if r > pf.top or r > pg.top:
             break
         for (alpha, beta), c in level.items():
+            if any(map(gt, alpha, fbound)) or any(map(gt, beta, gbound)):
+                continue
             for s, left in enumerate(pf[alpha][: order + 1 - r]):
                 if left:
                     left = {e: v * c for e, v in left.items()}
@@ -518,7 +523,7 @@ def _symbol_product(model: ModelSpace, a: SymbolOp, b: SymbolOp) -> Func:
         last = term
         for total, p in zip(acc, term.series.coeffs):
             for e, c in p.terms.items():
-                total[e] = total[e] + c if e in total else c
+                _accumulate(total, e, c)
     series = LambdaSeries._trusted(
         tuple([Poly._trusted_sums(gens, t) for t in acc]), order)
     if series.is_zero():

@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from redstar.diffop import DiffOperator, _leibniz_splits
+from redstar.diffop import DiffOperator, _leibniz_splits, apply_sum
 from redstar.funcs import Func
 from redstar.geometry import (
     ModelSpace,
@@ -243,3 +243,47 @@ def test_built_operators_match_reference(model, operators):
     assert [name for name, _ in want] == [name for name, _ in operators]
     for (name, got), (_, ref) in zip(operators, want):
         assert_identical(got, ref, name)
+
+
+def test_trusted_operators_match_validation(model, operators):
+    """+, - and compose build their result through DiffOperator._trusted:
+    the validating constructor gives the same operator from its tables,
+    which are a tuple of order + 1 dicts of nonzero Polys."""
+    ops = [op for name, op in operators if "N" not in name]
+    for a in ops:
+        for b in ops:
+            for got in (a + b, a - b, a.compose(b)):
+                assert_identical(got, DiffOperator(got.gens, got.order, got.tables), (a, b))
+                assert type(got.tables) is tuple and len(got.tables) == got.order + 1
+                assert all(type(d) is tuple and type(c) is Poly and c.terms
+                           for t in got.tables for d, c in t.items())
+        assert a - a == DiffOperator.zero(model.gens, model.order)
+    # (d/dq - d/dp) o (q + p) = (q + p)(d/dq - d/dp): the order-0 terms cancel
+    gens = model.gens
+    d = DiffOperator.first_order(gens, model.order, {"q": 1, "p": -1})
+    m = DiffOperator.multiplication(Poly.var(gens, "q") + Poly.var(gens, "p"), model.order)
+    got = d.compose(m)
+    assert (0,) * len(gens) not in got.tables[0]
+    assert_identical(got, DiffOperator(gens, model.order, got.tables), "cancelling")
+    assert got.tables[0] == (m.compose(d)).tables[0]
+
+
+def test_apply_sum_matches_summed_applications(model, operators):
+    """apply_sum over every operator and one input, and over the operators
+    and a lam-shifted input beside it, equals the Func sum of the
+    applications; nonzero inputs with different envelopes raise."""
+    ops = [op for _, op in operators]
+    for label, f in inputs(model):
+        cases = [[(op, f) for op in ops],
+                 [(op, g) for op in ops for g in (f, f.shift(1), -f)]]
+        for pairs in cases:
+            want = pairs[0][0].apply(pairs[0][1])
+            for op, g in pairs[1:]:
+                want = want + op.apply(g)
+            if not want.is_zero():
+                assert_identical(apply_sum(pairs), want, label)
+            else:
+                assert apply_sum(pairs).is_zero()
+    plain = Func.from_poly(Poly.var(model.gens, "q"), model.order)
+    with pytest.raises(ValueError):
+        apply_sum([(ops[1], plain), (ops[1], plain.with_profile({"q": 1}))])

@@ -41,7 +41,14 @@ equal repr):
   the multi-index splits of diffop's Leibniz rule on the word's letter
   counts replace;
 - DiffOperator.apply asking for the derivative of every entry, which the
-  cut at the input's total degree replaces;
+  cut at the input's total degree replaces, and apply and moyal cut at the
+  total degree only, which the cut at each coordinate's degree replaces;
+- the Koszul homotopy, the classical differential and the R_a sum of the
+  quantized differential in SuperObservable and Func arithmetic (one
+  Func.diff, degree weighting and wedge per component and momentum, one
+  Func product per insertion, one apply per component of each insertion),
+  which one pass over each component's terms and one apply_sum per output
+  component replace;
 - the formal adjoint as one operator per entry, the weight's prefactor
   multiplied in and each twisted partial composed on the left one at a
   time; the pointwise series inverse corrected against the whole defect
@@ -88,8 +95,10 @@ equal repr):
   normal ordering and inverse per word, then a Taylor inversion) and the
   left-invariant fields as the two-term formula d/dg_a + (1/2) ad_g, which
   the one psi-series of LieAlgebraData.psi_terms replaces for both;
-- the validating Poly constructor, which Poly._trusted and
-  Poly._trusted_sums replace for the output of the term-dict kernels, and
+- the validating Poly constructor on sums of GaussRational products,
+  which Poly._trusted and Poly._trusted_sums (one normalisation per sum of
+  unnormalised triples) replace for the output of the term-dict kernels,
+  and
   the validating LambdaSeries and Func constructors, which
   LambdaSeries._trusted and Func._trusted replace for results whose
   coefficients, order, envelope and grade are already normal.
@@ -1059,6 +1068,106 @@ def test_apply_asks_for_no_partial_above_the_input_degree(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# reference: apply and moyal cut by total degree only
+# ---------------------------------------------------------------------------
+
+
+def ref_moyal_total_cut(model, f, g):
+    """The former moyal: every entry (alpha, beta) of a level read from the
+    operands' Partials, the levels cut at their total degrees only."""
+    order = f.order
+    pf, pg = f.partials(), g.partials()
+    acc = [{} for _ in range(order + 1)]
+    for r, level in enumerate(moyal_table(model, order)):
+        if r > pf.top or r > pg.top:
+            break
+        for (alpha, beta), c in level.items():
+            for s, left in enumerate(pf[alpha][: order + 1 - r]):
+                if left:
+                    left = {e: v * c for e, v in left.items()}
+                    for t, right in enumerate(pg[beta][: order + 1 - r - s]):
+                        if right:
+                            _mul_into(acc[r + s + t], left, right)
+    series = LambdaSeries._trusted(
+        tuple([Poly._trusted_sums(model.gens, t) for t in acc]), order)
+    return Func._product(series, f, g)
+
+
+def stream_inputs(m, seed):
+    """Degree-4 inputs drawn like the benchmark's call stream (six terms,
+    products of up to four random generators): over all generators and over
+    the base, lam-shifted with a pi-grade, enveloped on the group and on the
+    base, and the zero."""
+    rng = random.Random(seed)
+
+    def stream(gens):
+        out = m.zero()
+        for _ in range(6):
+            t = m.one()
+            for _ in range(rng.randint(0, 4)):
+                t = t * m.var(rng.choice(gens))
+            out = out + t * GaussRational(rng.randint(-3, 3), rng.randint(-1, 1))
+        return out
+
+    rest = m.base_names + m.group_names
+    return [stream(m.gens), stream(m.gens), stream(m.base_names), stream(rest),
+            lam_shifted(stream(m.gens), 1).with_pi4(2),
+            m.fiber_state(stream(rest)),
+            stream(m.base_names).with_profile({m.base_names[0]: 1}),
+            m.zero()]
+
+
+def record_beyond_bound(monkeypatch):
+    """For each Partials.__missing__ call, whether its multi-index exceeds
+    the input's degree in some coordinate (Partials.bound)."""
+    beyond = []
+    missing = Partials.__missing__
+
+    def recorded(self, d):
+        beyond.append(any(k > b for k, b in zip(d, self.bound)))
+        return missing(self, d)
+
+    monkeypatch.setattr(Partials, "__missing__", recorded)
+    return beyond
+
+
+def test_apply_and_moyal_ask_for_no_partial_beyond_a_coordinate_degree(monkeypatch):
+    """On heis3 at K = 4, apply (N, N^-1, the fields, R_a and P^-1) and
+    moyal ask Partials for no multi-index above the input's degree in a
+    coordinate, while the former loops do."""
+    m = ModelSpace(heisenberg3(), 2, 4)
+    inputs = stream_inputs(m, 29)
+    ops = pruning_operators(m, gaussian_base_weight(m, 1))
+    beyond = record_beyond_bound(monkeypatch)
+    for f in inputs:
+        for op in ops:
+            op.apply(f)
+        for g in inputs:
+            moyal(m, f, g)
+    assert beyond and not any(beyond)
+    for f in inputs:
+        for op in ops:
+            ref_apply_unpruned(op, f)
+    assert any(beyond)
+    del beyond[:]
+    for f in inputs:
+        for g in inputs:
+            ref_moyal_total_cut(m, f, g)
+    assert any(beyond)
+
+
+def test_apply_and_moyal_cut_per_coordinate_match_the_former_loops():
+    m = ModelSpace(heisenberg3(), 2, 4)
+    inputs = stream_inputs(m, 31)
+    for op in pruning_operators(m, gaussian_base_weight(m, 1)):
+        for f in inputs:
+            assert_identical(op.apply(f), ref_apply_unpruned(op, f))
+    for f in inputs:
+        for g in inputs:
+            assert_identical(moyal(m, f, g), ref_moyal_total_cut(m, f, g))
+
+
+# ---------------------------------------------------------------------------
 # reference: every word of an operator applied letter by letter
 # ---------------------------------------------------------------------------
 
@@ -1267,13 +1376,13 @@ def ref_gutt_right_operator(model, a):
             gamma = tuple(map(sub, ea, eb))
             if min(gamma) < 0:
                 continue
-            weight = {gamma: GaussRational(Fraction(
-                (-1) ** sum(gamma), prod(map(factorial, gamma))))}
+            weight = Poly(gens, {gamma: GaussRational(Fraction(
+                (-1) ** sum(gamma), prod(map(factorial, gamma))))})
             for r, terms in enumerate(qb):
                 if terms:
-                    _mul_into(tables[r].setdefault(ea, {}), terms, weight)
-    return DiffOperator(gens, order, [
-        {d: Poly(gens, t) for d, t in tab.items()} for tab in tables])
+                    tab = tables[r]
+                    tab[ea] = tab.get(ea, Poly.zero(gens)) + Poly(gens, terms) * weight
+    return DiffOperator(gens, order, tables)
 
 
 def ref_left_invariant_field(model, a):
@@ -1443,7 +1552,9 @@ def ref_star_G(model, f, g):
 
 
 def ref_quantized_koszul(cfg, x):
-    """quantized_koszul with its structure-constant loop run on every input."""
+    """quantized_koszul with its structure-constant loop run on every input,
+    and the R_a term as the former SuperObservable sum of one apply per
+    component of each ins(e^a)x."""
     model = cfg.model
     out = SuperObservable(model)
     for a in range(model.lie.dim):
@@ -1714,6 +1825,125 @@ def test_quantized_koszul_matches_unguarded_loop(name, kappa):
             assert got == expect and repr(got) == repr(expect)
     assert quantized_koszul(cfg, every) == ref_quantized_koszul(cfg, every)
     assert quantized_koszul(cfg, SuperObservable(m)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# reference: the Koszul maps in SuperObservable and Func arithmetic
+# ---------------------------------------------------------------------------
+
+
+def ref_weight_by_degree(f, names, weight):
+    """The former Func.weight_by_degree: each term scaled by weight(d), d its
+    degree in names, through the validating Poly and Func constructors."""
+    for n in names:
+        if n in f.profile:
+            raise ValueError("degree weighting across an envelope is undefined")
+    idxs = [f.gens.index(n) for n in names]
+    return Func(f.series.map(lambda p: Poly(p.gens, {
+        e: c * weight(sum(e[i] for i in idxs)) for e, c in p.terms.items()})),
+        f.profile, f.pi4)
+
+
+def ref_homotopy_h(model, x, k):
+    """The former homotopy_h: per component and momentum one Func.diff, the
+    ray weight 1/(k + d + 1) and one SuperObservable.wedge_basis, summed
+    by SuperObservable +."""
+    out = SuperObservable(model)
+    for idx, f in x.comps.items():
+        for a in range(model.lie.dim):
+            df = f.diff(model.momentum_names[a])
+            if df.is_zero():
+                continue
+            weighted = ref_weight_by_degree(
+                df, model.momentum_names, lambda d: Fraction(1, k + d + 1))
+            out = out + SuperObservable(model, {idx: weighted}).wedge_basis(a)
+    return out
+
+
+def ref_koszul(model, x):
+    """The former koszul: each ins(e^a)x times the momentum Func J_a."""
+    out = SuperObservable(model)
+    for a in range(model.lie.dim):
+        ja = model.momentum(a)
+        out = out + x.insert_basis(a).map(lambda f, ja=ja: f * ja)
+    return out
+
+
+def assert_same_super(got, expect):
+    assert got == expect and repr(got) == repr(expect)
+    assert set(got.comps) == set(expect.comps)
+    for idx, f in expect.comps.items():
+        assert_identical(got.comps[idx], f)
+
+
+KOSZUL_MAP_MODELS = {
+    "heis3": lambda: ModelSpace(heisenberg3(), 2, 3),
+    "aff1": lambda: ModelSpace(aff1(), 2, 3),
+    "so3": lambda: ModelSpace(so3(), 2, 3),
+}
+
+
+def koszul_map_inputs(m, seed):
+    """SuperObservables of exterior degree 0, 1 and 2 and all three at once:
+    plain, lam-shifted with a pi-grade, and enveloped (fiber states on group
+    models, a base envelope otherwise), each component a random polynomial
+    in all generators."""
+    rng = random.Random(seed)
+
+    def envelope(f):
+        if m.has_group:
+            return m.fiber_state(f)
+        return f.with_profile({m.base_names[0]: Fraction(1, 2)})
+
+    kinds = [lambda f: f, lambda f: lam_shifted(f, 1).with_pi4(-2), envelope]
+    out = []
+    for kind in kinds:
+        every = SuperObservable(m)
+        for deg in range(3):
+            x = SuperObservable(m, {idx: kind(rand_poly(rng, m, m.gens, 3, nterms=4))
+                                    for idx in combinations(range(m.lie.dim), deg)})
+            out.append(x)
+            every = every + x
+        out.append(every)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KOSZUL_MAP_MODELS))
+def test_koszul_maps_on_term_dicts_match_superobservable_arithmetic(name):
+    """homotopy_h (k = 0, 1, 2), koszul and quantized_koszul equal the former
+    SuperObservable constructions by value and repr, component by
+    component."""
+    m = KOSZUL_MAP_MODELS[name]()
+    cfg = ReductionConfig(m, Fraction(1, 2))
+    cases = koszul_map_inputs(m, 37)
+    assert any(f.profile for x in cases for f in x.comps.values())
+    for x in cases + [SuperObservable(m)]:
+        for k in range(3):
+            assert_same_super(homotopy_h(m, x, k), ref_homotopy_h(m, x, k))
+        assert_same_super(koszul(m, x), ref_koszul(m, x))
+        assert_same_super(quantized_koszul(cfg, x), ref_quantized_koszul(cfg, x))
+    f = m.zero()
+    assert_identical(_perturbation(cfg, f), f)
+
+
+@pytest.mark.parametrize("name", sorted(KOSZUL_MAP_MODELS))
+def test_koszul_homotopy_refuses_an_envelope_on_a_momentum(name):
+    """The ray average has no closed form under exp(-a J^2): homotopy_h
+    raises as the former weighting did, while koszul and quantized_koszul
+    still match their references."""
+    m = KOSZUL_MAP_MODELS[name]()
+    cfg = ReductionConfig(m, Fraction(1, 2))
+    rng = random.Random(41)
+    for j in m.momentum_names:
+        for deg in range(3):
+            x = SuperObservable(m, {
+                idx: rand_poly(rng, m, m.gens, 2).with_profile({j: 1})
+                for idx in combinations(range(m.lie.dim), deg)})
+            for fn in (homotopy_h, ref_homotopy_h):
+                with pytest.raises(ValueError, match="envelope"):
+                    fn(m, x, deg)
+            assert_same_super(koszul(m, x), ref_koszul(m, x))
+            assert_same_super(quantized_koszul(cfg, x), ref_quantized_koszul(cfg, x))
 
 
 @pytest.mark.parametrize("name", sorted(RESOLVE_MODELS))
@@ -2851,27 +3081,72 @@ def assert_same_poly(got, terms):
     assert all(type(c) is GaussRational and not c.is_zero() for c in got.terms.values())
 
 
+def validated_products(gens, pairs):
+    """Poly(...) of the sum of left * right over (left, right) term dicts,
+    each product of terms summed in GaussRational arithmetic."""
+    sums = {}
+    for left, right in pairs:
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                sums[e] = sums.get(e, GaussRational(0)) + c1 * c2
+    return sums
+
+
 def test_trusted_mul_into_output_matches_validation():
-    """_mul_into leaves the zero sums of cancelling terms in its accumulator;
-    Poly._trusted_sums drops them as Poly(...) does."""
+    """_mul_into sums products as unnormalised triples and keeps the zero
+    sums of cancelling terms; Poly._trusted_sums normalises each sum once
+    and drops the zeros, as Poly(...) of the same products does."""
     gens = ("q", "p", "x")
     half = GaussRational(Fraction(1, 2), Fraction(-1, 3))
     left = {(1, 0, 0): half, (0, 1, 0): GaussRational(1)}
     right = {(1, 0, 0): GaussRational(1), (0, 1, 0): -half.inverse(), (0, 0, 2): IMAG}
     acc = {}
     _mul_into(acc, left, right)
-    assert any(c.is_zero() for c in acc.values())  # q*p cancels
-    assert_same_poly(Poly._trusted_sums(gens, dict(acc)), acc)
+    assert all(type(v) is tuple and len(v) == 3 for v in acc.values())
+    assert any(not (a or b) for a, b, _ in acc.values())  # q*p cancels
+    assert_same_poly(Poly._trusted_sums(gens, acc), validated_products(gens, [(left, right)]))
     rng = random.Random(9)
     for _ in range(20):
-        acc = {}
+        acc, pairs = {}, []
         for _ in range(3):
             a, b = ({tuple(rng.randint(0, 2) for _ in gens):
                      GaussRational(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4)),
                                    rng.randint(-1, 1))
                      for _ in range(3)} for _ in range(2))
             _mul_into(acc, a, b)
-        assert_same_poly(Poly._trusted_sums(gens, dict(acc)), acc)
+            pairs.append((a, b))
+        assert_same_poly(Poly._trusted_sums(gens, acc), validated_products(gens, pairs))
+
+
+def test_trusted_mul_into_property():
+    """Random mixed-denominator dicts, with each right factor also paired
+    with its negative so that whole sums cancel: the finished triple
+    accumulator equals Poly(...) of the products."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    gens = ("q", "p")
+    scalars = st.builds(
+        lambda a, b, d: GaussRational(Fraction(a, d), Fraction(b, d)),
+        st.integers(-6, 6), st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 7, 12]))
+    terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), scalars,
+                            max_size=4)
+    pair_lists = st.lists(st.tuples(terms, terms, st.booleans()), min_size=1, max_size=4)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(pair_lists)
+    def check(items):
+        acc, pairs = {}, []
+        for left, right, cancel in items:
+            plan = [(left, right)]
+            if cancel:
+                plan.append((left, {e: -c for e, c in right.items()}))
+            for a, b in plan:
+                _mul_into(acc, a, b)
+                pairs.append((a, b))
+        assert_same_poly(Poly._trusted_sums(gens, acc), validated_products(gens, pairs))
+
+    check()
 
 
 def test_trusted_diff_terms_match_validation():

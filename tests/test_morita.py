@@ -195,6 +195,25 @@ class TestVerticalOperators:
         with pytest.raises(ValueError, match="Hermitian"):
             vertical_sqrt(ReductionConfig(m), h)
 
+    @pytest.mark.parametrize("lie", [lambda: abelian_lie(1), heisenberg3],
+                             ids=["abelian1", "heis3"])
+    def test_vertical_sqrt_refuses_an_operator_off_the_identity(self, lie):
+        """H = 4 id and H = id + L_{e_1}^* L_{e_1} are Hermitian, but their
+        lam^0 part is not the identity, so the binomial series in H - id
+        does not terminate; H = id + lam^2 L_{e_1}^* L_{e_1} has a root."""
+        m = ModelSpace(lie(), 2, 3)
+        cfg = ReductionConfig(m)
+        one = VerticalOperator.identity(m)
+        l0 = VerticalOperator.fundamental(m, 0)
+        square = l0.adjoint().compose(l0)
+        for h in (one.scale(GaussRational(4)), one + square):
+            assert (h.adjoint() - h).is_zero()
+            with pytest.raises(ValueError, match="id \\+ O\\(lam\\)"):
+                vertical_sqrt(cfg, h)
+        h = one + square.lam_shift(2)
+        v = vertical_sqrt(cfg, h)
+        assert (v.adjoint().compose(v) - h).is_zero()
+
     def test_caps_too_small_raise(self, model_r):
         m = model_r
         cfg = ReductionConfig(m, Fraction(1, 2))
