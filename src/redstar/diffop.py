@@ -13,15 +13,22 @@ envelope terms included, and is pruned by degree: it stops at the first
 total derivative order above the input's total degree and skips an entry
 d with some d_i above the input's degree in coordinate i, so an entry that
 must give zero costs nothing.  apply_sum adds several applications into
-one accumulator, for the quantized Koszul differential.
+one accumulator, for the quantized Koszul differential; every empty lam
+order of their output is one shared zero Poly (Poly._trusted_orders).
+at_one reads an operator applied to 1 off its d = 0 column, with no
+application.
 Composition differentiates the right factor's coefficients by the Leibniz
-remainder monomial by monomial.  exp is one series.terminating_series,
-each term composed with the exponent on its left.  Every weighted adjoint
+remainder monomial by monomial, reading only the nonzero coordinates of
+the remainder: the right entries are flattened once per call, each is
+differentiated at most once per remainder, and only the nonempty lam
+orders are finished.  exp is one series.terminating_series, each term
+composed with the exponent on its left.  Every weighted adjoint
 is one adjoint_sum sum_beta (partial^beta)^+ o X_beta: the first-order
 adjoints of the weight, one per coordinate, composed Horner-wise on the
 tree of multi-indices.
 The formal adjoint of an operator is the adjoint_sum of its conjugated
-coefficients, and the involution's step operator that of the moyal table.
+coefficients, its multiplications built through DiffOperator._trusted, and
+the involution's step operator that of the moyal table.
 """
 
 from __future__ import annotations
@@ -176,8 +183,7 @@ class DiffOperator:
             return f.zero_like()
         acc = [{} for _ in range(f.order + 1)]
         self._apply_into(acc, f)
-        return f._like(LambdaSeries._trusted(
-            tuple([Poly._trusted_sums(f.gens, t) for t in acc]), f.order))
+        return f._like(LambdaSeries._trusted(Poly._trusted_orders(f.gens, acc), f.order))
 
     def _apply_into(self, acc: list, f: Func) -> None:
         """Add the lam orders of self(f) into acc, one triple accumulator
@@ -194,6 +200,16 @@ class DiffOperator:
                 for s, terms in enumerate(partials[d][: order + 1 - r]):
                     if terms:
                         _mul_into(acc[r + s], terms, c)
+
+    def at_one(self) -> Func:
+        """self applied to the constant function 1 at the operator's order,
+        read off as its d = 0 column: the lam series of its entries without
+        derivatives, every missing order one shared zero Poly."""
+        gens = self.gens
+        origin = (0,) * len(gens)
+        zero = Poly._trusted(gens, {})
+        return Func._trusted(gens, LambdaSeries._trusted(
+            tuple([t.get(origin, zero) for t in self.tables]), self.order), {}, 0)
 
     def _entries_by_degree(self) -> tuple:
         """((|d|, ((r, d, c.terms), ...)), ...) in increasing |d|, built on
@@ -213,30 +229,40 @@ class DiffOperator:
 
         For each split of a left multi-index d1 into (kept, rest), the right
         coefficients are differentiated by rest monomial by monomial and
-        multiplied into the entry kept + d2 on term dicts.
+        multiplied into the entry kept + d2 on term dicts.  The right
+        entries are flattened once, in lam order, and each is
+        differentiated at most once per rest: the first left order to ask
+        for a rest has the most room, so its row serves the later ones.
         """
         if self.gens != other.gens or self.order != other.order:
             raise ValueError("operator mismatch")
-        acc = [{} for _ in range(self.order + 1)]
+        order = self.order
+        rights = [(r2, d2, c2.terms) for r2, t2 in enumerate(other.tables)
+                  for d2, c2 in t2.items()]
+        rows: dict = {}  # rest -> [(r2, d2, nonzero partial^rest c2)]
+        acc = [{} for _ in range(order + 1)]
         for r1, t1 in enumerate(self.tables):
-            for r2, t2 in enumerate(other.tables):
-                if r1 + r2 > self.order:
-                    break
-                tgt = acc[r1 + r2]
-                for d1, c1 in t1.items():
-                    for split, dcoeff in _leibniz_splits(d1):
-                        rest = tuple(map(sub, d1, split))
-                        left = c1.terms
-                        if dcoeff != 1:
-                            left = {e: _scale(c, dcoeff) for e, c in left.items()}
-                        for d2, c2 in t2.items():
-                            right = _diff_monomials(c2.terms, rest)
-                            if right:
-                                d = tuple(map(add, split, d2))
-                                _mul_into(tgt.setdefault(d, {}), left, right)
+            room = order - r1
+            for d1, c1 in t1.items():
+                for split, dcoeff in _leibniz_splits(d1):
+                    rest = tuple(map(sub, d1, split))
+                    row = rows.get(rest)
+                    if row is None:
+                        row = rows[rest] = [
+                            (r2, d2, right) for r2, d2, terms in rights
+                            if r2 <= room and (right := _diff_monomials(terms, rest))]
+                    left = c1.terms
+                    if dcoeff != 1:
+                        left = {e: _scale(c, dcoeff) for e, c in left.items()}
+                    for r2, d2, right in row:
+                        if r2 > room:
+                            break
+                        d = tuple(map(add, split, d2))
+                        _mul_into(acc[r1 + r2].setdefault(d, {}), left, right)
         tabs = tuple({d: p for d, t in tab.items()
-                      if (p := Poly._trusted_sums(self.gens, t)).terms} for tab in acc)
-        return DiffOperator._trusted(self.gens, self.order, tabs)
+                      if (p := Poly._trusted_sums(self.gens, t)).terms} if tab else {}
+                     for tab in acc)
+        return DiffOperator._trusted(self.gens, order, tabs)
 
     def exp(self) -> "DiffOperator":
         """exp of an operator whose lam-expansion starts at order >= 1, the
@@ -258,13 +284,16 @@ class DiffOperator:
         sum_d (partial^d)^+ o M_{sum_r lam^r conj(c_{r,d})}, one
         adjoint_sum over the derivative multi-indices of the operator, with
         the lam orders of each multi-index folded into one multiplication.
+        The multiplications are built through DiffOperator._trusted: their
+        coefficients are conjugates of nonzero entries.
         """
         origin = (0,) * len(self.gens)
         terms = {}
         for r, table in enumerate(self.tables):
             for d, c in table.items():
                 terms.setdefault(d, [{} for _ in self.tables])[r][origin] = c.conj()
-        terms = {d: DiffOperator(self.gens, self.order, tabs) for d, tabs in terms.items()}
+        terms = {d: DiffOperator._trusted(self.gens, self.order, tuple(tabs))
+                 for d, tabs in terms.items()}
         return adjoint_sum(weight, self.gens, self.order, terms)
 
     def __eq__(self, other):
@@ -304,8 +333,7 @@ def apply_sum(pairs) -> Func:
             raise ValueError("operators and functions must share generators and order")
         carrier._compatible(f)
         op._apply_into(acc, f)
-    return carrier._like(LambdaSeries._trusted(
-        tuple([Poly._trusted_sums(gens, t) for t in acc]), order))
+    return carrier._like(LambdaSeries._trusted(Poly._trusted_orders(gens, acc), order))
 
 
 def adjoint_sum(weight: Func, gens, order: int, terms: dict) -> DiffOperator:
@@ -320,11 +348,12 @@ def adjoint_sum(weight: Func, gens, order: int, terms: dict) -> DiffOperator:
 
         (partial_i)^+ = -partial_i + 2 a_i x_i - rho^-1 partial_i rho,
 
-    built for the coordinates the multi-indices touch.  They commute, so
-    (partial^beta)^+ is their product in any order, and the sum is taken
-    Horner-wise on a tree of multi-indices: beta hangs below beta - e_i for
-    its first nonzero index i and adds (partial_i)^+ o (its subtree's sum)
-    to its parent's, one composition per beta.
+    built for the coordinates the multi-indices touch, with the product
+    rho^-1 partial_i rho formed only where partial_i rho is nonzero.  They
+    commute, so (partial^beta)^+ is their product in any order, and the sum
+    is taken Horner-wise on a tree of multi-indices: beta hangs below
+    beta - e_i for its first nonzero index i and adds (partial_i)^+ o (its
+    subtree's sum) to its parent's, one composition per beta.
     """
     gens = tuple(gens)
     if weight.gens != gens:
@@ -339,11 +368,15 @@ def adjoint_sum(weight: Func, gens, order: int, terms: dict) -> DiffOperator:
     def first(i):
         if i not in firsts:
             name = gens[i]
-            log_diff = rho_inv * rho.map(lambda p: p.diff(name))
-            tables = [{origin: -c} for c in log_diff.coeffs]
+            drho = rho.map(lambda p: p.diff(name))
+            if drho.is_zero():
+                tables = [{} for _ in range(order + 1)]
+            else:
+                tables = [{origin: -c} for c in (rho_inv * drho).coeffs]
             a = weight.profile.get(name)
             if a:
-                tables[0][origin] += Poly.var(gens, name) * GaussRational(2 * a)
+                lead = Poly.var(gens, name) * GaussRational(2 * a)
+                tables[0][origin] = tables[0][origin] + lead if tables[0] else lead
             tables[0][origin[:i] + (1,) + origin[i + 1:]] = -Poly.one(gens)
             firsts[i] = DiffOperator(gens, order, tables)
         return firsts[i]
@@ -359,15 +392,19 @@ def adjoint_sum(weight: Func, gens, order: int, terms: dict) -> DiffOperator:
 
 
 def _diff_monomials(terms: dict, m) -> dict:
-    """partial^m of one coefficient, monomial by monomial."""
+    """partial^m of one coefficient, monomial by monomial; only the nonzero
+    coordinates of m are read."""
     if not any(m):
         return terms
+    axes = [(i, mi) for i, mi in enumerate(m) if mi]
     out = {}
     for e, c in terms.items():
         k = 1
-        for ei, mi in zip(e, m):
-            k *= perm(ei, mi)
-        if k:
+        for i, mi in axes:
+            if e[i] < mi:
+                break
+            k *= perm(e[i], mi)
+        else:
             out[tuple(map(sub, e, m))] = _scale(c, k)
     return out
 

@@ -382,7 +382,7 @@ def _finish_components(out: dict) -> dict:
     """{idx: Func} from the accumulators of _component, zero sums dropped."""
     comps = {}
     for idx, (f, accs) in out.items():
-        polys = tuple([Poly._trusted_sums(f.gens, t) for t in accs])
+        polys = Poly._trusted_orders(f.gens, accs)
         if any(p.terms for p in polys):
             comps[idx] = f._like(LambdaSeries._trusted(polys, f.order))
     return comps

@@ -10,10 +10,11 @@ with v itself.  The map v -> (transpose of left multiplication by v)(1) is
 a differential operator P = id + O(lam), built with its inverse once per
 model and weight from one adjoint_sum over the moyal table, so each
 involution is one formal adjoint, that of the right multiplication by u,
-and one application of P^-1.  Both adjoints come from the same first-order
-adjoints of the weight.  The same P^-1 gives the density ratio between two
-weights, rho_hat = P^-1(rho).  Both take plain polynomial series on the
-base only.
+and one application of P^-1.  The target, that adjoint evaluated at 1, is
+read off as its d = 0 column (the entries without derivatives), with no
+application.  Both adjoints come from the same first-order adjoints of the
+weight.  The same P^-1 gives the density ratio between two weights,
+rho_hat = P^-1(rho).  Both take plain polynomial series on the base only.
 
 The modular automorphism I(u) = conj(u*) and its logarithm D are two linear
 maps on base polynomials, given as plain callables that share one cache of
@@ -258,12 +259,13 @@ def reduced_involution(model: ModelSpace, u: Func, omega: Func) -> Func:
 
     v = conj(u*) solves T(L_v) = T(R_u) for the transpose at 1 of
     _involution_steps.  The target T(R_u) is the formal adjoint of
-    mult_operator(u) read at 1, and v = P^-1(T(R_u)) with the cached
-    inverse of P: w -> T(L_w).
+    mult_operator(u) at 1, conjugated: its d = 0 column (DiffOperator.at_one),
+    read off with no application.  v = P^-1(T(R_u)) with the cached inverse
+    of P: w -> T(L_w).
     """
     _check_plain_base(model, u, "the involution's argument")
     _, inverse = _involution_steps(model, omega)
-    target = mult_operator(model, u).formal_adjoint(omega).apply(model.one()).conj()
+    target = mult_operator(model, u).formal_adjoint(omega).at_one().conj()
     return inverse.apply(target).conj()
 
 

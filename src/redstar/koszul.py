@@ -13,11 +13,14 @@ and the right multiplications that land on one output component are one
 diffop.apply_sum: each output component is built once.  The inverses
 behind the deformed restriction and the deformed homotopy are geometric
 series that terminate by lam-grading, summed by
-series.terminating_series, so every identity is exact modulo lam^(K+1).  Two steps skip work that returns
-zero: the series stop at their first zero term, since their perturbations
-are linear, and the structure-constant term of the quantized differential
-is skipped on inputs without a component of exterior degree 2 or more,
-where the double insertion vanishes.
+series.terminating_series, so every identity is exact modulo lam^(K+1).
+Three steps skip work that returns zero: the series stop at their first
+zero term, since their perturbations are linear; the resolvent returns a
+momentum-free input as it is, since h_0 sends it to zero; and the
+structure-constant term of the quantized differential is skipped on inputs
+without a component of exterior degree 2 or more, where the double
+insertion vanishes.  The perturbation subtracts the degree-0 components
+of qk_1 h_0 f and k_1 h_0 f as Funcs.
 """
 
 from __future__ import annotations
@@ -217,19 +220,25 @@ def quantized_koszul(cfg: ReductionConfig, x: SuperObservable) -> SuperObservabl
 
 
 def _perturbation(cfg: ReductionConfig, f: Func) -> Func:
-    """(qk_1 - k_1) h_0 applied to a degree-zero function; O(lam)."""
+    """(qk_1 - k_1) h_0 applied to a degree-zero function; O(lam).
+
+    The degree-0 components of qk_1 h_0 f and k_1 h_0 f are subtracted as
+    Funcs; a zero difference is the plain model.zero()."""
     model = cfg.model
     hx = homotopy_h(model, SuperObservable.scalar(model, f), 0)
-    q = quantized_koszul(cfg, hx)
-    c = koszul(model, hx)
-    diff = q - c
-    return diff.comps.get((), model.zero())
+    q = quantized_koszul(cfg, hx).comps.get(())
+    c = koszul(model, hx).comps.get(())
+    if c is not None:
+        q = -c if q is None else q - c
+    return model.zero() if q is None or q.is_zero() else q
 
 
 def _neumann_resolve(cfg: ReductionConfig, f: Func) -> Func:
     """(id + (qk_1 - k_1) h_0)^{-1} f by the terminating geometric series
-    sum_k (-P)^k f with P = (qk_1 - k_1) h_0.  On a momentum-free f, which
-    h_0 sends to zero, it stops after one application of P."""
+    sum_k (-P)^k f with P = (qk_1 - k_1) h_0.  A momentum-free f, which h_0
+    sends to zero, is returned as it is, with no application of P."""
+    if cfg.model.is_momentum_free(f):
+        return f
     return terminating_series(f, lambda t, _: -_perturbation(cfg, t), cfg.model.order)
 
 

@@ -10,7 +10,9 @@ GaussRational} dicts are shared by Poly, Func, DiffOperator and moyal.
 _mul_into and _accumulate sum into an accumulator {exponent: (a, b, d)} of
 unnormalised integer triples (a + b*i)/d, so a sum of many products costs
 no gcd; Poly._trusted_sums finishes such an accumulator with one _make (one
-gcd) per output term and drops its zero sums.  Other clean kernel output
+gcd) per output term and drops its zero sums, and Poly._trusted_orders
+finishes one accumulator per lam order, every empty order one shared zero
+Poly (a Poly is immutable).  Other clean kernel output
 becomes a Poly through Poly._trusted.  Poly(...) validates everything else.
 """
 
@@ -69,6 +71,22 @@ class Poly:
         sum normalised once, the zero sums dropped."""
         return Poly._trusted(gens, {e: _make(a, b, d)
                                     for e, (a, b, d) in acc.items() if a or b})
+
+    @staticmethod
+    def _trusted_orders(gens: tuple, accs) -> tuple:
+        """The Polys of one triple accumulator per lam order, as
+        _trusted_sums builds them; every empty accumulator gives one shared
+        zero Poly."""
+        zero = None
+        out = []
+        for acc in accs:
+            if acc:
+                out.append(Poly._trusted_sums(gens, acc))
+            else:
+                if zero is None:
+                    zero = Poly._trusted(gens, {})
+                out.append(zero)
+        return tuple(out)
 
     # -- constructors -------------------------------------------------
 

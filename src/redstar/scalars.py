@@ -186,7 +186,9 @@ def _triple(a: int, b: int, d: int) -> GaussRational:
 
 
 def _make(a: int, b: int, d: int) -> GaussRational:
-    """(a + b*i)/d for ints with d != 0, normalised with one gcd."""
+    """(a + b*i)/d for ints with d != 0, normalised with one gcd; built in
+    place, as _triple builds it, since it is the engine's hottest
+    constructor."""
     if d != 1:
         g = gcd(a, b, d)
         if d < 0:
@@ -195,7 +197,11 @@ def _make(a: int, b: int, d: int) -> GaussRational:
             a //= g
             b //= g
             d //= g
-    return _triple(a, b, d)
+    x = _new(GaussRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
 
 
 ZERO = GaussRational(0)

@@ -127,8 +127,7 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
                     for t, right in enumerate(pg[beta][: order + 1 - r - s]):
                         if right:
                             _mul_into(acc[r + s + t], left, right)
-    series = LambdaSeries._trusted(
-        tuple([Poly._trusted_sums(model.gens, t) for t in acc]), order)
+    series = LambdaSeries._trusted(Poly._trusted_orders(model.gens, acc), order)
     return Func._product(series, f, g)
 
 
@@ -511,8 +510,7 @@ def _symbol_product(model: ModelSpace, a: SymbolOp, b: SymbolOp) -> Func:
                 for s, p in enumerate(coeffs[: order + 1 - j]):
                     if p.terms:
                         _mul_into(racc[s + j], p.terms, mono)
-        rhs = LambdaSeries._trusted(
-            tuple([Poly._trusted_sums(gens, t) for t in racc]), order)
+        rhs = LambdaSeries._trusted(Poly._trusted_orders(gens, racc), order)
         if rhs.is_zero():
             continue
         term = moyal(model, c1, carrier[0]._like(rhs))
@@ -524,8 +522,7 @@ def _symbol_product(model: ModelSpace, a: SymbolOp, b: SymbolOp) -> Func:
         for total, p in zip(acc, term.series.coeffs):
             for e, c in p.terms.items():
                 _accumulate(total, e, c)
-    series = LambdaSeries._trusted(
-        tuple([Poly._trusted_sums(gens, t) for t in acc]), order)
+    series = LambdaSeries._trusted(Poly._trusted_orders(gens, acc), order)
     if series.is_zero():
         return Func._trusted(gens, series, {}, 0)
     return last._like(series)

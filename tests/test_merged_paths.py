@@ -101,7 +101,15 @@ equal repr):
   and
   the validating LambdaSeries and Func constructors, which
   LambdaSeries._trusted and Func._trusted replace for results whose
-  coefficients, order, envelope and grade are already normal.
+  coefficients, order, envelope and grade are already normal;
+- the warm step's former scaffolding: DiffOperator.compose looping over
+  pairs of lam orders and differentiating each right coefficient anew for
+  every left entry and split, with perm read on every coordinate of the
+  remainder; the involution's target as the adjoint applied to 1, which
+  its d = 0 column (DiffOperator.at_one) replaces; the perturbation as a
+  difference of SuperObservables, which the difference of their degree-0
+  Funcs replaces; and one finisher call per empty lam order, which one
+  shared zero Poly replaces.
 
 suites.py and koszul.py leave the envelope and grade bookkeeping to Func
 and never call its constructor.  Unvalidated Poly, LambdaSeries, Func and
@@ -117,14 +125,14 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial, prod
-from operator import sub
+from math import comb, factorial, gcd, perm, prod
+from operator import add, sub
 
 import pytest
 
 import redstar
-from redstar import starprod
-from redstar.diffop import DiffOperator
+from redstar import diffop, starprod
+from redstar.diffop import DiffOperator, _leibniz_splits
 from redstar.funcs import Func, Partials
 from redstar.geometry import (
     LieAlgebraData,
@@ -171,9 +179,9 @@ from redstar.morita import (
     inner_product_red_closed_form,
     vertical_sqrt,
 )
-from redstar.poly import Poly, _diff_terms, _mul_into
+from redstar.poly import Poly, _diff_terms, _mul_into, _scale
 from redstar.integrate import gaussian_integrate_shifted
-from redstar.scalars import GaussRational, I as IMAG, rational_sqrt
+from redstar.scalars import GaussRational, I as IMAG, _make, rational_sqrt
 from redstar.series import LambdaSeries, _leading_constant, series_inverse, series_sqrt
 from redstar.starprod import (
     SymbolOp,
@@ -1948,10 +1956,10 @@ def test_koszul_homotopy_refuses_an_envelope_on_a_momentum(name):
 
 @pytest.mark.parametrize("name", sorted(RESOLVE_MODELS))
 def test_resolve_stops_at_the_first_zero_term(monkeypatch, name):
-    """P is applied once to a momentum-free input, whose h_0 vanishes, and
-    never past the first zero term on any other; the sums are those of the
-    full iteration, whose reference calls P by its imported name and so is
-    not counted."""
+    """P is never applied to a momentum-free input, whose h_0 vanishes (the
+    skipped application gives zero), and never past the first zero term on
+    any other; the sums are those of the full iteration, whose reference
+    calls P by its imported name and so is not counted."""
     m = RESOLVE_MODELS[name]()
     cfg = ReductionConfig(m, Fraction(1, 2))
     rng = random.Random(31)
@@ -1969,8 +1977,9 @@ def test_resolve_stops_at_the_first_zero_term(monkeypatch, name):
     for f in free:
         seen.clear()
         got = _neumann_resolve(cfg, f)
-        assert len(seen) == 1 and seen[0].is_zero()
+        assert seen == [] and _perturbation(cfg, f).is_zero()
         assert_same(got, f)
+        assert_same(got, ref_neumann_resolve(cfg, f))
     for f in [rand_poly(rng, m, m.gens, 4, nterms=4) + m.momentum(0) for _ in range(3)]:
         seen.clear()
         got = _neumann_resolve(cfg, f)
@@ -3346,7 +3355,7 @@ def test_unvalidated_construction_stays_in_the_kernels(module):
     assert VALIDATED <= {m.name for m in pkgutil.iter_modules(redstar.__path__)}
     assert not VALIDATED & TRUSTED
     if module not in TRUSTED:
-        assert not names & {"_trusted", "_trusted_sums"}
+        assert not names & {"_trusted", "_trusted_sums", "_trusted_orders"}
     if module not in RAW_SCALAR:
         assert not names & {"_make", "_triple"}
 
@@ -3579,3 +3588,269 @@ def test_vertical_sqrt_matches_defect_loop():
         v = vertical_sqrt(cfg, h)
         assert (v - ref_vertical_sqrt(cfg, h)).is_zero()
         assert (v.adjoint().compose(v) - h).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# reference: the warm step's former scaffolding: the composition loop over
+# lam pairs that differentiates each right coefficient anew for every left
+# entry, the involution's target as an application at 1, the perturbation
+# as a SuperObservable difference and one finisher call per empty lam order
+# ---------------------------------------------------------------------------
+
+
+def ref_operator_compose(a, b):
+    """The former DiffOperator.compose: for every pair of lam orders, left
+    entry and Leibniz split, each right coefficient differentiated by the
+    remainder (diffop._diff_monomials, looked up at call time), every
+    coordinate of the remainder read."""
+    if a.gens != b.gens or a.order != b.order:
+        raise ValueError("operator mismatch")
+    acc = [{} for _ in range(a.order + 1)]
+    for r1, t1 in enumerate(a.tables):
+        for r2, t2 in enumerate(b.tables):
+            if r1 + r2 > a.order:
+                break
+            tgt = acc[r1 + r2]
+            for d1, c1 in t1.items():
+                for split, dcoeff in _leibniz_splits(d1):
+                    rest = tuple(map(sub, d1, split))
+                    left = c1.terms
+                    if dcoeff != 1:
+                        left = {e: _scale(c, dcoeff) for e, c in left.items()}
+                    for d2, c2 in t2.items():
+                        right = diffop._diff_monomials(c2.terms, rest)
+                        if right:
+                            d = tuple(map(add, split, d2))
+                            _mul_into(tgt.setdefault(d, {}), left, right)
+    tabs = tuple({d: p for d, t in tab.items()
+                  if (p := Poly._trusted_sums(a.gens, t)).terms} for tab in acc)
+    return DiffOperator._trusted(a.gens, a.order, tabs)
+
+
+def ref_diff_monomials(terms, m):
+    """The former _diff_monomials: perm over every coordinate of m."""
+    if not any(m):
+        return terms
+    out = {}
+    for e, c in terms.items():
+        k = prod(perm(ei, mi) for ei, mi in zip(e, m))
+        if k:
+            out[tuple(map(sub, e, m))] = _scale(c, k)
+    return out
+
+
+def assert_same_layout(got, expect):
+    """Equal operators by ==, repr, hash of every coefficient, and the same
+    entry order in each lam table and term order in each coefficient."""
+    assert got == expect and repr(got) == repr(expect)
+    assert type(got.tables) is tuple and len(got.tables) == got.order + 1
+    for t1, t2 in zip(got.tables, expect.tables):
+        assert list(t1) == list(t2)
+        for d, c in t1.items():
+            assert hash(c) == hash(t2[d]) and list(c.terms) == list(t2[d].terms)
+            assert c.terms and all(type(v) is GaussRational for v in c.terms.values())
+
+
+COMPOSE_MODELS = {
+    "heis3": lambda: ModelSpace(heisenberg3(), 2, 3),
+    "aff1": lambda: ModelSpace(aff1(), 2, 3),
+    "heis3_base4": lambda: ModelSpace(heisenberg3(), 4, 3),
+}
+
+
+def compose_operands(m, seed):
+    """Random lam-graded operators, a rotation field whose composition with
+    q^2 + p^2 cancels its d = 0 entry, lam-shifted mult_operators, the
+    first-order adjoints of the gaussian and prefactor weights, the zero,
+    and on group models N's exponent."""
+    rng = random.Random(seed)
+    q, p = m.base_names[:2]
+    qv, pv = m.var(q).series.coeffs[0], m.var(p).series.coeffs[0]
+    rotation = DiffOperator.first_order(m.gens, m.order, {q: pv, p: -qv})
+    radius = DiffOperator.multiplication(qv * qv + pv * pv, m.order)
+    weights = adjoint_weights(m)
+    firsts = [DiffOperator.partial(m.gens, n, m.order).formal_adjoint(weights[w])
+              for w in ("gaussian", "prefactor") for n in (q, p)]
+    u = rand_poly(rng, m, m.base_names, 3) + lam_shifted(rand_poly(rng, m, m.base_names, 2), 1)
+    ops = [rand_operator(rng, m) for _ in range(3)]
+    ops += [rand_operator(rng, m, top=2).lam_shift(1), rotation, radius,
+            mult_operator(m, u).lam_shift(1), DiffOperator.zero(m.gens, m.order)]
+    ops += firsts
+    if m.has_group:
+        ops.append(starprod._normalization_exponent(m))
+    return ops, (rotation, radius)
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_MODELS))
+def test_compose_matches_former_loop(name):
+    """compose on flattened right entries with one derivative per (entry,
+    remainder) gives the former loop's operator, entry order and term order
+    included, on every pair of operands."""
+    m = COMPOSE_MODELS[name]()
+    ops, (rotation, radius) = compose_operands(m, 131)
+    for a in ops:
+        for b in ops:
+            assert_same_layout(a.compose(b), ref_operator_compose(a, b))
+    origin = (0,) * len(m.gens)
+    assert origin not in rotation.compose(radius).tables[0]  # p 2q - q 2p
+    assert rotation.compose(radius).tables[0]
+
+
+def test_compose_differentiates_each_right_entry_once_per_remainder(monkeypatch):
+    """One compose differentiates each (right entry, remainder) at most
+    once, where the former loop repeats them; every derivative asked for
+    reads perm only on the nonzero coordinates of the remainder."""
+    m = ModelSpace(heisenberg3(), 2, 4)
+    ops, _ = compose_operands(m, 137)
+    seen = []
+    perms = []
+    real_diff, real_perm = diffop._diff_monomials, diffop.perm
+
+    def counted_diff(terms, rest):
+        seen.append((id(terms), rest))
+        return real_diff(terms, rest)
+
+    def counted_perm(n, k):
+        perms.append(k)
+        return real_perm(n, k)
+
+    monkeypatch.setattr(diffop, "_diff_monomials", counted_diff)
+    monkeypatch.setattr(diffop, "perm", counted_perm)
+    repeated = 0
+    for a in ops:
+        for b in ops:
+            ids = [id(c.terms) for t in b.tables for c in t.values()]
+            assert len(set(ids)) == len(ids)
+            del seen[:]
+            a.compose(b)
+            assert len(set(seen)) == len(seen)
+            del seen[:]
+            ref_operator_compose(a, b)
+            repeated += len(seen) - len(set(seen))
+    assert repeated > 0
+    assert perms and 0 not in perms
+    for omega in adjoint_weights(m).values():
+        mult_operator(m, rand_poly(random.Random(139), m, m.base_names, 4)).formal_adjoint(omega)
+    assert 0 not in perms
+
+
+def test_diff_monomials_match_the_full_product():
+    rng = random.Random(149)
+    m = ModelSpace(heisenberg3(), 4, 3)
+    for _ in range(40):
+        terms = rand_poly(rng, m, m.gens, 5, nterms=5).series.coeffs[0].terms
+        rest = tuple(rng.choice((0, 0, 0, 1, 2)) for _ in m.gens)
+        got, expect = diffop._diff_monomials(terms, rest), ref_diff_monomials(terms, rest)
+        assert got == expect and list(got) == list(expect)
+
+
+def ref_involution_by_apply(model, u, omega):
+    """The former reduced_involution: the target is the adjoint applied to
+    the constant function 1."""
+    _, inverse = involution._involution_steps(model, omega)
+    target = mult_operator(model, u).formal_adjoint(omega).apply(model.one()).conj()
+    return inverse.apply(target).conj()
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_MODELS))
+def test_involution_target_is_the_adjoint_column(name):
+    """The d = 0 column of the adjoint is its application to 1 (at_one,
+    also on random and zero operators), so the involution is that of the
+    former target on every weight of adjoint_weights."""
+    m = COMPOSE_MODELS[name]()
+    rng = random.Random(151)
+    base = m.base_names
+    one = m.one()
+    for op in [rand_operator(rng, m) for _ in range(3)] + [
+            rand_operator(rng, m, top=2).lam_shift(2), DiffOperator.zero(m.gens, m.order)]:
+        assert_identical(op.at_one(), op.apply(one))
+    us = [rand_poly(rng, m, base, 3) + lam_shifted(rand_poly(rng, m, base, 2), 1),
+          lam_shifted(rand_poly(rng, m, base, 2), m.order), m.one(), m.zero()]
+    for label, omega in adjoint_weights(m).items():
+        for u in us:
+            assert_identical(reduced_involution(m, u, omega),
+                             ref_involution_by_apply(m, u, omega))
+
+
+def ref_perturbation(cfg, f):
+    """The former _perturbation: qk_1 h_0 f - k_1 h_0 f as SuperObservables,
+    the difference formed by a rescale by -1."""
+    model = cfg.model
+    hx = homotopy_h(model, SuperObservable.scalar(model, f), 0)
+    diff = quantized_koszul(cfg, hx) - koszul(model, hx)
+    return diff.comps.get((), model.zero())
+
+
+@pytest.mark.parametrize("name", ["heis3", "aff1", "abelian1"])
+def test_perturbation_matches_superobservable_difference(name):
+    """Plain, lam-shifted, pi-graded and enveloped inputs, momentum-free
+    ones (zero) and one whose perturbation vanishes at the top order; a
+    zero difference is the plain zero."""
+    m = {"heis3": lambda: ModelSpace(heisenberg3(), 2, 4),
+         "aff1": lambda: ModelSpace(aff1(), 2, 4),
+         "abelian1": lambda: ModelSpace(abelian_lie(1), 2, 3)}[name]()
+    cfg = ReductionConfig(m, Fraction(1, 3))
+    rng = random.Random(157)
+    rest = m.base_names + m.group_names
+    inputs = [rand_poly(rng, m, m.gens, 4, nterms=4) + m.momentum(0)
+              for _ in range(3)]
+    inputs += [lam_shifted(rand_poly(rng, m, m.gens, 3) * m.momentum(0), 1).with_pi4(2),
+               lam_shifted(m.momentum(0), m.order),
+               rand_poly(rng, m, rest, 2), m.zero()]
+    if m.has_group:
+        inputs.append(m.fiber_state(rand_poly(rng, m, m.gens, 2) * m.momentum(m.lie.dim - 1)))
+    zeros = 0
+    for f in inputs:
+        got, expect = _perturbation(cfg, f), ref_perturbation(cfg, f)
+        assert_identical(got, expect)
+        if got.is_zero():
+            zeros += 1
+            assert not got.profile and got.pi4 == 0
+    assert zeros >= 2
+
+
+def test_empty_lam_orders_keep_their_repr():
+    """apply, apply_sum, moyal and the symbol product give every empty lam
+    order one shared zero Poly, with the former finishers' value, repr and
+    hash."""
+    m = ModelSpace(heisenberg3(), 2, 4)
+    rng = random.Random(163)
+    base = m.base_names
+    f = rand_poly(rng, m, m.gens, 2)
+    g = lam_shifted(rand_poly(rng, m, base, 2), 1)
+    field = m.left_invariant_field(0)
+    outputs = [(field.apply(f), ref_apply_unpruned(field, f)),
+               (field.apply(g), ref_apply_unpruned(field, g)),
+               (moyal(m, m.var(base[0]), m.var(base[1])),
+                ref_moyal_total_cut(m, m.var(base[0]), m.var(base[1]))),
+               (moyal(m, g, g), ref_moyal_total_cut(m, g, g))]
+    pairs = [(field, f), (m.left_invariant_field(1), f)]
+    outputs.append((diffop.apply_sum(pairs),
+                    ref_apply_unpruned(pairs[0][0], f) + ref_apply_unpruned(pairs[1][0], f)))
+    a, b = _symmetrize(m, m.momentum(0)), _symmetrize(m, m.momentum(1))
+    outputs.append((starprod._symbol_product(m, a, b), _dequantize(m, ref_compose(a, b))))
+    empty = 0
+    for got, expect in outputs:
+        assert_identical(got, expect)
+        zeros = [p for p in got.series.coeffs if not p.terms]
+        empty += len(zeros)
+        assert len({id(p) for p in zeros}) <= 1
+    assert empty >= 6
+
+
+def test_make_matches_gauss_rational_normalisation():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers(-10**6, 10**6)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(ints, ints, ints.filter(bool))
+    def check(a, b, d):
+        got = _make(a, b, d)
+        expect = GaussRational(Fraction(a, d), Fraction(b, d))
+        assert type(got) is GaussRational
+        assert (got.a, got.b, got.d) == (expect.a, expect.b, expect.d)
+        assert got == expect and hash(got) == hash(expect) and repr(got) == repr(expect)
+        assert got.d > 0 and gcd(got.a, got.b, got.d) == 1
+
+    check()
