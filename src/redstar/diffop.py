@@ -360,7 +360,7 @@ def adjoint_sum(weight: Func, gens, order: int, terms: dict) -> DiffOperator:
         raise ValueError("generator mismatch")
     if weight != weight.conj():
         raise ValueError("adjoint requires a real weight")
-    rho = weight.series.extend(order)
+    rho = Func(weight.series.extend(order))
     rho_inv = series_inverse(rho)
     origin = (0,) * len(gens)
     firsts = {}
@@ -368,11 +368,11 @@ def adjoint_sum(weight: Func, gens, order: int, terms: dict) -> DiffOperator:
     def first(i):
         if i not in firsts:
             name = gens[i]
-            drho = rho.map(lambda p: p.diff(name))
+            drho = rho.diff(name)
             if drho.is_zero():
                 tables = [{} for _ in range(order + 1)]
             else:
-                tables = [{origin: -c} for c in (rho_inv * drho).coeffs]
+                tables = [{origin: -c} for c in (rho_inv * drho).series.coeffs]
             a = weight.profile.get(name)
             if a:
                 lead = Poly.var(gens, name) * GaussRational(2 * a)

@@ -4,12 +4,13 @@ A Func is a truncated lam-series of polynomials together with an optional
 Gaussian envelope exp(-sum_c a_c c^2) over named coordinates and an integer
 pi-grade (quarter powers of pi) for normalization constants.  Plain
 observables are Funcs with empty envelope and grade zero; fiber states and
-Gaussian-damped test functions carry envelopes.  A value in C[[lam]] times a
-power of pi, such as a positive functional or a KMS functional, is a Func
-constant in all coordinates (Func.scalar checks this), so the grade rules
-below hold for scalars too.  All differential operators act through
-profile-aware differentiation, so the class is closed under every operation
-of the engine.  Func.partials is the one derivative cache
+Gaussian-damped test functions carry envelopes.  Every value in C[[lam]],
+times a power of pi or not, is a Func constant in all coordinates
+(Func.scalar checks this): a positive or KMS functional, the parameter
+kappa of koszul, the inverse and square root of series.  There is no
+series of scalars, so the grade rules below hold for scalars too.  All
+differential operators act through profile-aware differentiation, so the
+class is closed under every operation of the engine.  Func.partials is the one derivative cache
 of DiffOperator.apply, the base product and its multiplication operators;
 it differentiates only the nonempty lam orders.
 
@@ -46,8 +47,6 @@ class Func:
 
     def __init__(self, series: LambdaSeries, profile=None, pi4: int = 0):
         p0 = series.coeffs[0]
-        if not isinstance(p0, Poly):
-            raise TypeError("Func wraps a LambdaSeries of Poly")
         object.__setattr__(self, "gens", p0.gens)
         object.__setattr__(self, "series", series)
         prof = {}
@@ -169,7 +168,7 @@ class Func:
     def __mul__(self, other):
         """Pointwise product; envelopes and pi-grades add."""
         if type(other) is not Func:
-            if isinstance(other, (int, Fraction, GaussRational, LambdaSeries)):
+            if isinstance(other, (int, Fraction, GaussRational)):
                 return self._like(self.series * other)
             if not isinstance(other, Func):
                 return NotImplemented

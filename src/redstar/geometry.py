@@ -22,6 +22,7 @@ weight w means integrating the product f * w.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from .diffop import DiffOperator
@@ -351,6 +352,21 @@ class ModelSpace:
         )
 
 
+def monomials(names, cap: int) -> list:
+    """Exponent vectors over the coordinate block names of total degree
+    <= cap, by degree and then lexicographically."""
+    vecs = (e for e in product(range(cap + 1), repeat=len(names)) if sum(e) <= cap)
+    return sorted(vecs, key=lambda e: (sum(e), e))
+
+
+def monomial(model: ModelSpace, names, expo) -> Func:
+    """The monomial with exponents expo in the coordinate block names."""
+    full = [0] * len(model.gens)
+    for n, k in zip(names, expo):
+        full[model.gens.index(n)] = k
+    return Func.from_poly(Poly(model.gens, {tuple(full): GaussRational(1)}), model.order)
+
+
 def poisson_bracket(model: ModelSpace, f: Func, g: Func) -> Func:
     """{f, g} on the full model: base part plus the canonical momentum part."""
     out = model.zero()
@@ -424,7 +440,7 @@ def lebesgue_weight(model: ModelSpace) -> Func:
 
 def gaussian_base_weight(model: ModelSpace, exponent=1, prefactor=1) -> Func:
     """prefactor * exp(-exponent * |x|^2) over the base coordinates; the
-    prefactor is a scalar, a lam-series of polynomials or a Func."""
+    prefactor is a scalar or a Func."""
     w = model.one() * prefactor
     return density_weight(w.with_profile({n: exponent for n in model.base_names}))
 

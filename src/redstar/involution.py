@@ -15,6 +15,8 @@ read off as its d = 0 column (the entries without derivatives), with no
 application.  Both adjoints come from the same first-order adjoints of the
 weight.  The same P^-1 gives the density ratio between two weights,
 rho_hat = P^-1(rho).  Both take plain polynomial series on the base only.
+The comparison of involutions inverts conj(rho_hat) under moyal with
+series.series_inverse, which takes the Func as it is.
 
 The modular automorphism I(u) = conj(u*) and its logarithm D are two linear
 maps on base polynomials, given as plain callables that share one cache of
@@ -30,11 +32,10 @@ values follow the grade rules of Func.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .diffop import DiffOperator, adjoint_sum
 from .funcs import Func
-from .geometry import ModelSpace, density_weight, modular_vector_field
+from .geometry import ModelSpace, density_weight, modular_vector_field, monomial, monomials
 from .integrate import gaussian_integrate
 from .koszul import (
     ReductionConfig,
@@ -45,7 +46,6 @@ from .koszul import (
     left_module,
 )
 from .linalg import poly_equations, solve_linear
-from .poly import Poly
 from .scalars import GaussRational, I as IMAG
 from .series import series_inverse, terminating_series
 from .starprod import _mul_ilam, moyal, moyal_table, mult_operator
@@ -288,21 +288,6 @@ def kms_check(model: ModelSpace, u: Func, v: Func, omega: Func) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _monomials(names, cap: int) -> list:
-    """Exponent vectors over the coordinate block names of total degree
-    <= cap, by degree and then lexicographically."""
-    vecs = (e for e in product(range(cap + 1), repeat=len(names)) if sum(e) <= cap)
-    return sorted(vecs, key=lambda e: (sum(e), e))
-
-
-def _monomial(model: ModelSpace, names, expo) -> Func:
-    """The monomial with exponents expo in the coordinate block names."""
-    full = [0] * len(model.gens)
-    for n, k in zip(names, expo):
-        full[model.gens.index(n)] = k
-    return Func.from_poly(Poly(model.gens, {tuple(full): GaussRational(1)}), model.order)
-
-
 def density_ratio_hat(model: ModelSpace, omega: Func, rho: Func) -> Func:
     """The rho_hat with tau_{rho Omega}(u) = tau_Omega(rho_hat * u) for all u.
 
@@ -327,16 +312,12 @@ def involution_comparison(model: ModelSpace, omega: Func, rhos: list,
     omega reuses those images.
     """
     images = [reduced_involution(model, u, omega) for u in us]
-
-    def moyal_series(a, b):
-        return moyal(model, Func(a), Func(b)).series
-
     reports = []
     for rho in rhos:
         rho_hat = density_ratio_hat(model, omega, rho)
         omega_p = density_weight(omega * rho)
         crh = rho_hat.conj()
-        crh_inv = Func(series_inverse(crh.series, moyal_series))
+        crh_inv = series_inverse(crh, lambda a, b: moyal(model, a, b))
         primed = images if omega_p == omega else [
             reduced_involution(model, u, omega_p) for u in us]
         failures = [k for k, (lhs, ustar) in enumerate(zip(primed, images))
@@ -365,7 +346,7 @@ def _modular_maps(model: ModelSpace, omega: Func) -> tuple:
         for r, poly in enumerate(u.series.coeffs):
             for expo, c in poly.terms.items():
                 if expo not in images:
-                    mono = _monomial(model, model.gens, expo)
+                    mono = monomial(model, model.gens, expo)
                     images[expo] = reduced_involution(model, mono, omega).conj()
                 total = total + (images[expo] * c).shift(r)
         return total
@@ -391,7 +372,7 @@ def modular_class(model: ModelSpace, omega: Func, cap: int = 4) -> dict:
     """
     i_map, d_map = _modular_maps(model, omega)
     delta = modular_vector_field(model, omega)
-    monos = (_monomial(model, model.base_names, e) for e in _monomials(model.base_names, cap))
+    monos = (monomial(model, model.base_names, e) for e in monomials(model.base_names, cap))
     first_ok = all((delta.apply(m).shift(1) * (-IMAG) - d_map(m).coeff(1).shift(1)).is_zero()
                    for m in monos)
     return {"I": i_map, "D": d_map, "first_order_is_minus_i_delta": first_ok}
@@ -413,12 +394,12 @@ def modular_inner_difference(model: ModelSpace, om1: Func,
     unknown_cap = cap + 2 * model.order
     _, d1 = _modular_maps(model, om1)
     _, d2 = _modular_maps(model, om2)
-    monos = [_monomial(model, model.base_names, e)
-             for e in _monomials(model.base_names, cap)]
+    monos = [monomial(model, model.base_names, e)
+             for e in monomials(model.base_names, cap)]
 
     ads = []
-    for em in _monomials(model.base_names, unknown_cap):
-        w = _monomial(model, model.base_names, em)
+    for em in monomials(model.base_names, unknown_cap):
+        w = monomial(model, model.base_names, em)
         ads.append([moyal(model, w, m) - moyal(model, m, w) for m in monos])
     columns = [poly_equations([c for ad in col for c in ad.shift(s).series.coeffs])
                for s in range(model.order) for col in ads]

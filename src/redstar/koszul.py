@@ -3,10 +3,11 @@
 The complex lives on antisymmetric-algebra-valued functions; insertion of
 the momentum covector is the classical differential, and the quantized
 differential adds the right star multiplication, the structure-constant
-correction and the modular term weighted by the parameter kappa.  The
-right star multiplication by J_a is a differential operator, built once
-per model by starprod.right_momentum_operator, so a Koszul step applies
-it to each component and makes no star_G call.  The classical differential
+correction and the modular term weighted by the parameter kappa, a
+constant Func like every value in C[[lam]].  The right star
+multiplication by J_a is a differential operator, built once per model by
+starprod.right_momentum_operator, so a Koszul step applies it to each
+component and makes no star_G call.  The classical differential
 and the homotopy h_k are exponent shifts and rescalings of single terms,
 done on term dicts by funcs.koszul_insertion and funcs.koszul_homotopy,
 and the right multiplications that land on one output component are one
@@ -31,26 +32,21 @@ from .diffop import apply_sum
 from .funcs import Func, koszul_homotopy, koszul_insertion
 from .geometry import ModelSpace
 from .scalars import GaussRational, I as IMAG
-from .series import LambdaSeries, terminating_series
+from .series import terminating_series
 from .starprod import right_momentum_operator, star_G
 
 
-def kappa_series(model: ModelSpace, value) -> LambdaSeries:
-    """A scalar kappa as a lam-series; accepts rationals or coefficient lists."""
-    if isinstance(value, LambdaSeries):
-        return value.extend(model.order)
-    if isinstance(value, (list, tuple)):
-        coeffs = [GaussRational.coerce(v) for v in value]
-        return LambdaSeries(coeffs, model.order)
-    return LambdaSeries.of(GaussRational.coerce(value), model.order)
-
-
 class ReductionConfig:
-    """The model, kappa and the ambient product star_G."""
+    """The model, kappa and the ambient product star_G.
+
+    kappa is a rational, or a list of rationals c_r, and is kept as the
+    constant Func sum_r c_r lam^r; anything else raises TypeError."""
 
     def __init__(self, model: ModelSpace, kappa=Fraction(1, 2)):
         self.model = model
-        self.kappa = kappa_series(model, kappa)
+        coeffs = kappa if isinstance(kappa, (list, tuple)) else [kappa]
+        self.kappa = sum((model.constant(c).shift(r) for r, c in enumerate(coeffs)),
+                         model.zero())
 
     def star(self, f: Func, g: Func) -> Func:
         return star_G(self.model, f, g)

@@ -10,18 +10,20 @@ over translates of an integrable function is the fiber integral itself.
 
 The star square root and inverse that normalize a fiber state
 (series_sqrt, series_inverse) and the vertical square root are binomial and
-geometric series in lam, each summed by series.terminating_series.
+geometric series in lam, each summed by series.terminating_series.  The
+first two act on the norm's Func under moyal: its pi-grade is taken off
+before the root and half of it put back on the inverse, both by with_pi4.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import add
 
 from .funcs import Func
-from .geometry import FIBER_EXPONENT, ModelSpace, fiber_integral
+from .geometry import FIBER_EXPONENT, ModelSpace, fiber_integral, monomial, monomials
 from .integrate import gaussian_integrate, gaussian_integrate_shifted
-from .involution import _monomial, _monomials
 from .koszul import ReductionConfig, deformed_restriction, right_module
 from .linalg import is_psd_hermitian, poly_equations, solve_linear
 from .poly import Poly
@@ -66,13 +68,9 @@ def fullness_element_sqrt_path(cfg: ReductionConfig) -> Func:
     norm2 = inner_product_red(cfg, eps, eps)
     if norm2.pi4 % 2:
         raise ValueError("norm square has an odd pi grade")
-
-    def mul(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-        return moyal(model, Func(a), Func(b)).series
-
-    root = series_sqrt(norm2.series, mul)
-    inv = series_inverse(root, mul)
-    normalizer = Func(inv, {}, -norm2.pi4 // 2)
+    mul = partial(moyal, model)
+    root = series_sqrt(norm2.with_pi4(-norm2.pi4), mul)
+    normalizer = series_inverse(root, mul).with_pi4(-norm2.pi4 // 2)
     return moyal(model, eps, normalizer)
 
 
@@ -246,8 +244,8 @@ def deformation_comparison_H(cfg: ReductionConfig, ket, g_cap: int = 2,
     model = cfg.model
     gnames = model.group_names
     words = pbw_words(model.lie.dim, word_cap)
-    gexps = _monomials(gnames, g_cap)
-    columns, values = _comparison_system(model, ket, _monomials(gnames, probe_cap),
+    gexps = monomials(gnames, g_cap)
+    columns, values = _comparison_system(model, ket, monomials(gnames, probe_cap),
                                          words, gexps)
     columns = [poly_equations(col) for col in columns]
     # column 0 is the unknown ((), g^0), whose entries are <phi, psi>_red
@@ -264,7 +262,7 @@ def deformation_comparison_H(cfg: ReductionConfig, ket, g_cap: int = 2,
         for u, coeff in enumerate(sol):
             if not coeff.is_zero():
                 k, l = divmod(u, len(gexps))
-                h._add_term(words[k], (_monomial(model, gnames, gexps[l]) * coeff).shift(r))
+                h._add_term(words[k], (monomial(model, gnames, gexps[l]) * coeff).shift(r))
     return h
 
 
@@ -292,7 +290,7 @@ def _comparison_system(model: ModelSpace, ket, pexps, words, gexps) -> tuple:
     columns = [[zero] * (n * n) for _ in range(len(words) * width)]
     values = [None] * (n * n)
     for j, a in enumerate(pexps):
-        psi = model.fiber_state(_monomial(model, gnames, a))
+        psi = model.fiber_state(monomial(model, gnames, a))
         values[j::n] = moments(ket(psi), pexps, model.order)
         act = word_actions(model, psi)
         for k, w in enumerate(words):

@@ -1,9 +1,10 @@
 """Truncated formal series in the deformation parameter lam.
 
-A LambdaSeries holds coefficients 0..K of a ring-like value (Poly or
-GaussRational) and all operations are exact modulo lam^(K+1).  The
-classical limit is coefficient 0.  A value graded by powers of pi is not a
-series coefficient: it is a Func, which carries the grade.
+A LambdaSeries holds coefficients 0..K, each a Poly, and all operations are
+exact modulo lam^(K+1); LambdaSeries(...) refuses any other coefficient
+with TypeError.  The classical limit is coefficient 0.  A value in
+C[[lam]], or one graded by powers of pi, is not a series of scalars: it is
+a Func constant in all coordinates, which carries the grade.
 
 LambdaSeries(...) pads or truncates its coefficients to the order.  The
 arithmetic below (+, -, *, shift, map, conj, of) already has exactly K+1 of
@@ -17,13 +18,18 @@ conjugation, and the geometric and binomial series behind series_inverse,
 series_sqrt and the vertical square root of morita.  Each step is linear
 and raises the lam order, so the sum stops at order K, and earlier at its
 first zero term.
+
+series_inverse and series_sqrt take and return Funcs, under the pointwise
+Func product unless another product is passed.  They stay in this module,
+where perfbench's tracer counts their calls by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, neg
+from operator import add, mul, neg
 
+from .poly import Poly
 from .scalars import GaussRational, rational_sqrt
 
 
@@ -34,7 +40,9 @@ class LambdaSeries:
         coeffs = list(coeffs)
         if not coeffs:
             raise ValueError("need at least one coefficient to infer the ring")
-        zero = coeffs[0].ring_zero() if hasattr(coeffs[0], "ring_zero") else GaussRational(0)
+        if not all(type(c) is Poly for c in coeffs):
+            raise TypeError("a LambdaSeries holds Poly coefficients")
+        zero = coeffs[0].ring_zero()
         while len(coeffs) < order + 1:
             coeffs.append(zero)
         object.__setattr__(self, "coeffs", tuple(coeffs[: order + 1]))
@@ -55,13 +63,13 @@ class LambdaSeries:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def of(value, order: int) -> "LambdaSeries":
-        zero = value.ring_zero() if hasattr(value, "ring_zero") else GaussRational(0)
-        return LambdaSeries._trusted((value,) + (zero,) * order, order)
+    def of(value: Poly, order: int) -> "LambdaSeries":
+        if type(value) is not Poly:
+            raise TypeError("a LambdaSeries holds Poly coefficients")
+        return LambdaSeries._trusted((value,) + (value.ring_zero(),) * order, order)
 
-    def ring_zero(self):
-        c = self.coeffs[0]
-        return c.ring_zero() if hasattr(c, "ring_zero") else GaussRational(0)
+    def ring_zero(self) -> Poly:
+        return self.coeffs[0].ring_zero()
 
     def zero_like(self) -> "LambdaSeries":
         return LambdaSeries.of(self.ring_zero(), self.order)
@@ -88,9 +96,7 @@ class LambdaSeries:
         return LambdaSeries._trusted(tuple(map(neg, self.coeffs)), self.order)
 
     def __sub__(self, other):
-        if isinstance(other, LambdaSeries):
-            return self + (-other)
-        return self + (-(self.zero_like() + other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -150,10 +156,9 @@ class LambdaSeries:
         return None, None
 
     def __eq__(self, other):
-        """Equality with a series, or with a ring scalar read as a constant series."""
+        """Equality with a series, or with a Poly or scalar read as a constant series."""
         if type(other) is not LambdaSeries:
-            if not (type(other) is type(self.coeffs[0])
-                    or isinstance(other, (int, Fraction, GaussRational))):
+            if not isinstance(other, (Poly, int, Fraction, GaussRational)):
                 return NotImplemented
             other = self.zero_like() + other
         return self.order == other.order and all(
@@ -192,18 +197,17 @@ def terminating_series(x, step, order: int):
     return y
 
 
-def _leading_constant(a: LambdaSeries):
-    """The constant value of the order-zero coefficient, or raise."""
-    c0 = a.coeffs[0]
-    if isinstance(c0, GaussRational):
-        return c0
+def _leading_constant(a):
+    """The constant value of a Func's order-zero coefficient, or raise."""
+    c0 = a.series.coeffs[0]
     if not c0.is_constant():
         raise ValueError("leading term is not a constant")
     return c0.constant_term()
 
 
-def series_inverse(a: LambdaSeries, mul=LambdaSeries.__mul__) -> LambdaSeries:
-    """Multiplicative inverse with respect to mul (default: pointwise).
+def series_inverse(a, mul=mul):
+    """Multiplicative inverse of the Func a with respect to mul (default:
+    the pointwise product).
 
     Requires the order-zero coefficient c0 to be an invertible constant.
     Then a = c0 (1 - e) with e = 1 - a/c0 = O(lam), and the inverse is the
@@ -218,8 +222,9 @@ def series_inverse(a: LambdaSeries, mul=LambdaSeries.__mul__) -> LambdaSeries:
     return terminating_series(a.zero_like() + c0inv, lambda t, _: mul(e, t), a.order)
 
 
-def series_sqrt(a: LambdaSeries, mul=LambdaSeries.__mul__) -> LambdaSeries:
-    """Square root with respect to mul (default: pointwise multiplication).
+def series_sqrt(a, mul=mul):
+    """Square root of the Func a with respect to mul (default: the
+    pointwise product).
 
     The order-zero coefficient c0 must be the square of a positive
     rational.  The root is the binomial series

@@ -22,11 +22,11 @@ from .geometry import (
     lebesgue_weight,
     lift_density,
     modular_vector_field,
+    monomial,
+    monomials,
     poisson_bracket,
 )
 from .involution import (
-    _monomial,
-    _monomials,
     conj_transport_check,
     density_ratio_hat,
     gns_check,
@@ -783,11 +783,11 @@ def suite_involution(ctx: SuiteContext) -> list:
             u, v = ctx.rand_base(1, 2), ctx.rand_base(1, 2)
             yield imap(mul(u, v)) - mul(imap(u), imap(v))
         d0 = modular_class(m, leb, cap=2)["D"]
-        for e in _monomials(m.base_names, 2):
-            yield d0(_monomial(m, m.base_names, e))
+        for e in monomials(m.base_names, 2):
+            yield d0(monomial(m, m.base_names, e))
         # infinitesimal KMS display
         for e in [(1, 0), (0, 1)]:
-            u = _monomial(m, m.base_names, e)
+            u = monomial(m, m.base_names, e)
             d1u = mc["D"](u).coeff(1)
             for v in [m.var("q"), m.var("p"), m.var("q") * m.var("q")]:
                 t1 = kms_functional(m, poisson_bracket(m, u, v), gauss).coeff(0) * IMAG

@@ -130,10 +130,10 @@ def model(request):
 
 
 def adjoint_weight(m):
-    prefactor = LambdaSeries(
+    prefactor = Func(LambdaSeries(
         [Poly.constant(m.gens, 2), Poly.var(m.gens, "q") * Poly.var(m.gens, "q")],
         m.order,
-    )
+    ))
     return gaussian_base_weight(m, Fraction(1, 2), prefactor)
 
 

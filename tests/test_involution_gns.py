@@ -17,11 +17,11 @@ from redstar.geometry import (
     heisenberg3,
     lebesgue_weight,
     lift_density,
+    monomial,
+    monomials,
 )
 from redstar.involution import (
     PositiveFunctional,
-    _monomial,
-    _monomials,
     conj_transport,
     conj_transport_check,
     density_ratio_hat,
@@ -258,8 +258,8 @@ class TestDensityRatio:
             for rho, degree in ((m.one() + q * q, 2), (m.one() + (q * q).shift(1), 2),
                                 (m.one() + q * p + (p * p * p).shift(2), 3)):
                 rh = density_ratio_hat(m, om, rho)
-                for e in _monomials(m.base_names, degree + 3):
-                    mono = _monomial(m, m.base_names, e)
+                for e in monomials(m.base_names, degree + 3):
+                    mono = monomial(m, m.base_names, e)
                     assert kms_functional(m, mono * rho, om) == \
                         kms_functional(m, mul(rh, mono), om)
 
@@ -332,8 +332,8 @@ class TestModularClass:
     def test_lebesgue_derivation_vanishes(self, model_r):
         m = model_r
         mc = modular_class(m, lebesgue_weight(m), cap=2)
-        for e in _monomials(m.base_names, 2):
-            assert mc["D"](_monomial(m, m.base_names, e)).is_zero()
+        for e in monomials(m.base_names, 2):
+            assert mc["D"](monomial(m, m.base_names, e)).is_zero()
 
     def test_automorphism(self, model_r, rand):
         m = model_r
@@ -409,7 +409,7 @@ class TestGaussianClosedForms:
         dq, dp = -t * p, t * q
         for expo, expect in [((1, 0), dq), ((0, 1), dp), ((2, 0), 2 * q * dq),
                              ((1, 1), dq * p + q * dp)]:
-            assert (d(_monomial(m, m.base_names, expo)) - expect).is_zero(), expo
+            assert (d(monomial(m, m.base_names, expo)) - expect).is_zero(), expo
 
 
 @pytest.mark.parametrize("lie", [abelian_lie(1), aff1()])

@@ -19,7 +19,9 @@ from redstar.koszul import (
     reduced_star,
     right_module,
 )
+from redstar.poly import Poly
 from redstar.scalars import GaussRational, I
+from redstar.series import LambdaSeries
 from redstar.starprod import moyal, neumaier_N
 from redstar.suites import SuiteContext, suite_koszul, suite_reduction
 
@@ -81,6 +83,28 @@ class TestQuantizedKoszul:
         got = quantized_koszul(cfg, x).comps[()]
         expect = cfg.star(f, m.momentum(0)) + lam_const(m, I * Fraction(1, 2)) * f
         assert (got - expect).is_zero()
+
+    @pytest.mark.parametrize("kappa,coeffs", [
+        (0, [0]),
+        (Fraction(1, 2), [Fraction(1, 2)]),
+        ((Fraction(1, 2), 1), [Fraction(1, 2), 1]),
+        ([Fraction(1, 2), 3], [Fraction(1, 2), 3]),
+    ], ids=["zero", "half", "half_plus_lam", "half_plus_3lam"])
+    def test_kappa_is_a_constant_func(self, model_aff, kappa, coeffs):
+        """kappa = sum_r c_r lam^r, the constant Func of its coefficients."""
+        m = model_aff
+        got = ReductionConfig(m, kappa).kappa
+        expect = Func(LambdaSeries([Poly.constant(m.gens, c) for c in coeffs], m.order))
+        assert got == expect and repr(got) == repr(expect) and hash(got) == hash(expect)
+        assert type(got) is Func and got.scalar() is got
+        assert (got.profile, got.pi4) == ({}, 0)
+
+    def test_kappa_refuses_series_and_floats(self, model_aff):
+        m = model_aff
+        series = LambdaSeries([Poly.constant(m.gens, Fraction(1, 2))], m.order)
+        for kappa in (series, 0.5, [Fraction(1, 2), 0.5], [series]):
+            with pytest.raises(TypeError):
+                ReductionConfig(m, kappa)
 
     def test_square_zero_all_kappas(self, model_heis, rand):
         m = model_heis

@@ -23,8 +23,9 @@ import pytest
 
 from redstar import involution, linalg, morita
 from redstar.funcs import Func
-from redstar.geometry import ModelSpace, abelian_lie, aff1, gaussian_base_weight, heisenberg3
-from redstar.involution import _monomials, modular_inner_difference
+from redstar.geometry import (ModelSpace, abelian_lie, aff1, gaussian_base_weight, heisenberg3,
+                              monomials)
+from redstar.involution import modular_inner_difference
 from redstar.koszul import ReductionConfig
 from redstar.linalg import is_psd_hermitian, poly_equations, rank, solve_linear
 from redstar.morita import (
@@ -85,7 +86,7 @@ def dense_solve(rows, rhs):
 
 def poly_vector(model, p: Poly, cap: int):
     """Coefficient vector of a base polynomial over monomials of degree <= cap."""
-    basis = _monomials(model.base_names, cap)
+    basis = monomials(model.base_names, cap)
     base_idx = [p.gens.index(n) for n in model.base_names]
     vec = {e: G(0) for e in basis}
     for expo, c in p.terms.items():

@@ -8,9 +8,9 @@ import pytest
 from redstar import morita, starprod, suites
 from redstar.diffop import DiffOperator
 from redstar.funcs import Func
-from redstar.geometry import ModelSpace, abelian_lie, fiber_integral, heisenberg3
+from redstar.geometry import (ModelSpace, abelian_lie, fiber_integral, heisenberg3, monomial,
+                              monomials)
 from redstar.integrate import gaussian_integrate_shifted
-from redstar.involution import _monomial, _monomials
 from redstar.koszul import ReductionConfig, left_module, right_module
 from redstar.morita import (
     InducedVector,
@@ -259,17 +259,17 @@ class TestVerticalOperators:
         m = ModelSpace(lie, base_dim=2, order=3)
         cfg = ReductionConfig(m, Fraction(1, 2))
         gnames = m.group_names
-        pexps = _monomials(gnames, 2)
-        probes = [m.fiber_state(_monomial(m, gnames, a)) for a in pexps]
+        pexps = monomials(gnames, 2)
+        probes = [m.fiber_state(monomial(m, gnames, a)) for a in pexps]
         words = pbw_words(lie.dim, 2)
         for g_cap in (1, 2):
-            gexps = _monomials(gnames, g_cap)
+            gexps = monomials(gnames, g_cap)
             cols, _ = morita._comparison_system(m, lambda psi: psi, pexps,
                                                 words, gexps)
             assert len(cols) == len(words) * len(gexps)
             for u, col in enumerate(cols):
                 w, e = words[u // len(gexps)], gexps[u % len(gexps)]
-                cand = VerticalOperator(m, {w: _monomial(m, gnames, e)})
+                cand = VerticalOperator(m, {w: monomial(m, gnames, e)})
                 kets = [cand.apply(psi) for psi in probes]
                 direct = [inner_product_red_closed_form(cfg, phi, ket)
                           for phi in probes for ket in kets]
@@ -287,7 +287,7 @@ class TestVerticalOperators:
         gnames = m.group_names
         l0 = VerticalOperator.fundamental(m, 0)
         pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
-        probes = [m.fiber_state(_monomial(m, gnames, e)) for e in _monomials(gnames, 2)]
+        probes = [m.fiber_state(monomial(m, gnames, e)) for e in monomials(gnames, 2)]
         kets = {psi: pert.apply(psi) for psi in probes}
         counts = {"ket": 0, "apply": 0, "moyal": 0, "op_apply": 0, "moments": 0,
                   "closed_form": 0}
@@ -340,7 +340,7 @@ def test_suite_comparison_perturbs_each_state_once(model_heis):
         recs = suite_morita(ctx)
     rec = next(r for r in recs if r["id"] == "morita.comparison")
     assert rec["status"] == "pass"
-    assert counts["apply"] == len(_monomials(model_heis.group_names, 2)) == 10
+    assert counts["apply"] == len(monomials(model_heis.group_names, 2)) == 10
 
 
 def test_shifted_moments_match_fiber_integral(model_heis, rand):
@@ -349,7 +349,7 @@ def test_shifted_moments_match_fiber_integral(model_heis, rand):
     shared across two envelopes; with top 0 only order 0 is kept."""
     m = model_heis
     g1, g2, g3 = gnames = m.group_names
-    gexps = _monomials(gnames, 2)
+    gexps = monomials(gnames, 2)
     memo = {}
     for a in (1, 4):
         odd = m.var(g1) * m.var("q") + m.var(g2) * m.var(g3) * m.var(g3)
@@ -358,7 +358,7 @@ def test_shifted_moments_match_fiber_integral(model_heis, rand):
         full = gaussian_integrate_shifted(f, gnames, gexps, m.order, memo)
         low = gaussian_integrate_shifted(f, gnames, gexps, 0, memo)
         for e, val, val0 in zip(gexps, full, low):
-            direct = fiber_integral(m, _monomial(m, gnames, e) * f)
+            direct = fiber_integral(m, monomial(m, gnames, e) * f)
             assert val == direct and val.pi4 == direct.pi4 == -3 + 6, e
             assert val0.series.coeffs[0] == direct.series.coeffs[0]
             assert all(p.is_zero() for p in val0.series.coeffs[1:])
