@@ -97,18 +97,25 @@ def _at_least(value, low: int, what: str, high: int | None = None) -> int:
     return value
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, keys=None) -> dict:
+    """value as a JSON object; with keys given, every key must be one of them."""
     if not isinstance(value, dict):
         raise SceneError(f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = [key for key in value if keys and key not in keys]
+    if unknown:
+        raise SceneError(f"unknown key {unknown[0]!r} in {what}; expected {', '.join(keys)}")
     return value
 
 
 class Scene:
     def __init__(self, data: dict, path: str = "<memory>"):
         self.path = path
-        _object(data, "a scene")
+        _object(data, "a scene", ("label", "lie_algebra", "base", "truncation_order",
+                                  "degree_caps", "seed", "trials", "suites", "weights",
+                                  "star_product"))
         try:
-            lie_spec = _object(data["lie_algebra"], "lie_algebra")
+            lie_spec = _object(data["lie_algebra"], "lie_algebra",
+                               ("dim", "structure_constants", "label"))
             structure = {}
             for entry in lie_spec.get("structure_constants", []):
                 a, b, c, v = entry
@@ -121,7 +128,7 @@ class Scene:
         except ValueError as exc:
             raise SceneError(str(exc)) from exc
 
-        base = _object(data.get("base", {}), "base")
+        base = _object(data.get("base", {}), "base", ("dim", "poisson_matrix"))
         self.base_dim = _at_least(base.get("dim", 2), 0, "base dim", MAX_BASE_DIM)
         matrix = base.get("poisson_matrix")
         if matrix is not None:
@@ -136,7 +143,9 @@ class Scene:
         self.poisson_matrix = matrix
         self.order = _at_least(data.get("truncation_order", 4), 0, "truncation order",
                                MAX_ORDER)
-        caps = _object(data.get("degree_caps", {}), "degree_caps")
+        # operator_basis is read by no check and accepted for older scenes
+        caps = _object(data.get("degree_caps", {}), "degree_caps",
+                       ("polynomial", "operator_basis"))
         self.degree_cap = _at_least(caps.get("polynomial", 3), 0, "degree cap",
                                     MAX_DEGREE_CAP)
         self.seed = _integer(data.get("seed", 0), "seed")
@@ -156,7 +165,7 @@ class Scene:
         self.weights = _object(data.get("weights", {}), "weights")
         self.exponents = {}
         for name, spec in self.weights.items():
-            spec = _object(spec, f"weight {name!r}")
+            spec = _object(spec, f"weight {name!r}", ("kind", "exponent"))
             kind = spec.get("kind", "gaussian")
             if kind not in ("gaussian", "lebesgue"):
                 raise SceneError(f"unknown weight kind {kind!r} for weight {name!r}")
@@ -264,12 +273,28 @@ class _ExprParser:
         return node
 
     def term(self) -> Func:
-        node = self.power()
+        node = self.factor()
         while self.peek() == "*":
             self.take()
-            rhs = self.power()
+            rhs = self.factor()
             _at_least(_degree(node) + _degree(rhs), 0, "expression degree", MAX_EXPR_DEGREE)
             node = node * rhs
+        return node
+
+    def factor(self) -> Func:
+        """A unary minus negates the factor after it: q*-p^2 is -(q*p^2)."""
+        if self.peek() != "-":
+            return self.power()
+        self.take()
+        return -self.nested(self.factor)
+
+    def nested(self, parse) -> Func:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SceneError("expression nests parentheses and unary minus "
+                             f"deeper than {MAX_NESTING} levels")
+        node = parse()
+        self.depth -= 1
         return node
 
     def power(self) -> Func:
@@ -291,18 +316,10 @@ class _ExprParser:
         tok = self.take()
         if tok is None:
             raise SceneError("unexpected end of expression")
-        if tok in ("(", "-"):
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise SceneError("expression nests parentheses and unary minus "
-                                 f"deeper than {MAX_NESTING} levels")
-            if tok == "-":
-                node = -self.atom()
-            else:
-                node = self.expr()
-                if self.take() != ")":
-                    raise SceneError("missing closing parenthesis")
-            self.depth -= 1
+        if tok == "(":
+            node = self.nested(self.expr)
+            if self.take() != ")":
+                raise SceneError("missing closing parenthesis")
             return node
         if tok.replace("/", "").isdigit():
             try:

@@ -149,20 +149,6 @@ class DiffOperator:
         tabs = [{} for _ in range(k)] + [dict(t) for t in self.tables]
         return DiffOperator(self.gens, self.order, tabs[: self.order + 1])
 
-    def series_multiply(self, s: LambdaSeries) -> "DiffOperator":
-        """Left-multiply by a pointwise lam-series of polynomials."""
-        tabs = [{} for _ in range(self.order + 1)]
-        for r1, p in enumerate(s.coeffs):
-            if p.is_zero():
-                continue
-            for r2, t in enumerate(self.tables):
-                if r1 + r2 > self.order:
-                    break
-                for d, c in t.items():
-                    tgt = tabs[r1 + r2]
-                    tgt[d] = tgt.get(d, Poly.zero(self.gens)) + p * c
-        return DiffOperator(self.gens, self.order, tabs)
-
     # -- application and composition -----------------------------------------
 
     def apply(self, f: Func) -> Func:

@@ -28,11 +28,13 @@ envelopes go through the checks again.  The kernels of diffop, starprod and
 integrate build their output the same way, and so do the Koszul maps below
 (koszul_homotopy, koszul_insertion), which take the {index tuple: Func}
 components of an exterior form, walk their terms once and build each
-output component once.
+output component once.  insertions and wedges, the exterior rule of the
+Koszul complex, are the engine's only code that computes an index or sign.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import inf
 from operator import gt
@@ -313,53 +315,64 @@ class Partials(dict):
 # ---------------------------------------------------------------------------
 
 
+def insertions(idx: tuple) -> list:
+    """ins(e^a) on the basis form e_idx of strictly increasing indices:
+    [(a, sign, rest)] for each a in idx, with rest = idx without a and
+    sign = (-1)^(position of a in idx), the insertion acting at the front."""
+    return [(a, -1 if m % 2 else 1, idx[:m] + idx[m + 1:]) for m, a in enumerate(idx)]
+
+
+def wedges(idx: tuple, dim: int) -> list:
+    """e_c wedge e_idx for each c < dim not in idx: [(c, sign, new)] with
+    new the sorted idx + (c,) and sign = (-1)^(number of entries of idx
+    below c)."""
+    out = []
+    for c in range(dim):
+        if c not in idx:
+            m = bisect_left(idx, c)
+            out.append((c, -1 if m % 2 else 1, idx[:m] + (c,) + idx[m:]))
+    return out
+
+
 def koszul_homotopy(comps: dict, jidx, k: int) -> dict:
     """The Koszul homotopy h_k on {index tuple: Func} components.
 
     A term c x^e of the component at idx gives, for each momentum J_a
     (generator position jidx[a], a not in idx, e_a = e[jidx[a]] > 0), the
-    term sign c e_a / (k + |e|_J) x^(e - 1_a) of the component at the
-    sorted idx + (a,), where |e|_J is the momentum degree of the term and
-    sign = (-1)^(number of entries of idx below a): d/dJ_a, the average
-    over the momentum ray and the wedge with e_a.  The ray average has no
+    term sign c e_a / (k + |e|_J) x^(e - 1_a) of the component at
+    new = e_a wedge idx with its sign from wedges: d/dJ_a, the average over
+    the momentum ray and the wedge with e_a.  The ray average has no
     closed form under an envelope in a momentum, so such a component
     raises ValueError."""
     out: dict = {}
     for idx, f in comps.items():
         if any(f.gens[j] in f.profile for j in jidx):
             raise ValueError("degree weighting across an envelope is undefined")
-        free = [(a, j) for a, j in enumerate(jidx) if a not in idx]
+        free = [(a, jidx[a], sign, new) for a, sign, new in wedges(idx, len(jidx))]
         rows: dict = {}
         for r, p in enumerate(f.series.coeffs):
             for e, c in p.terms.items():
                 n = k + sum([e[j] for j in jidx])
-                for a, j in free:
+                for a, j, sign, new in free:
                     m = e[j]
                     if m:
                         row = rows.get(a)
                         if row is None:
-                            new = tuple(sorted(idx + (a,)))
-                            sign = -1 if sum(i < a for i in idx) % 2 else 1
-                            row = rows[a] = (sign, _component(out, new, f))
-                        _accumulate(row[1][r], e[:j] + (m - 1,) + e[j + 1:], c,
-                                    row[0] * m, n)
+                            row = rows[a] = _component(out, new, f)
+                        _accumulate(row[r], e[:j] + (m - 1,) + e[j + 1:], c, sign * m, n)
     return _finish_components(out)
 
 
 def koszul_insertion(comps: dict, jidx) -> dict:
     """The classical Koszul differential sum_a J_a ins(e^a) on {index tuple:
-    Func} components: the component at idx, with a at position m of idx,
-    goes to idx without a, its exponents shifted by one in J_a (generator
-    position jidx[a]) and its sign (-1)^m."""
+    Func} components: for each (a, sign, rest) of insertions(idx), the
+    component at idx goes to rest, its exponents shifted by one in J_a
+    (generator position jidx[a]) and times sign."""
     out: dict = {}
-    for a, j in enumerate(jidx):
-        for idx, f in comps.items():
-            if a not in idx:
-                continue
-            m = idx.index(a)
-            sign = -1 if m % 2 else 1
-            accs = _component(out, idx[:m] + idx[m + 1:], f)
-            for acc, p in zip(accs, f.series.coeffs):
+    for idx, f in comps.items():
+        for a, sign, rest in insertions(idx):
+            j = jidx[a]
+            for acc, p in zip(_component(out, rest, f), f.series.coeffs):
                 for e, c in p.terms.items():
                     _accumulate(acc, e[:j] + (e[j] + 1,) + e[j + 1:], c, sign)
     return _finish_components(out)

@@ -7,21 +7,22 @@ correction and the modular term weighted by the parameter kappa, a
 constant Func like every value in C[[lam]].  The right star
 multiplication by J_a is a differential operator, built once per model by
 starprod.right_momentum_operator, so a Koszul step applies it to each
-component and makes no star_G call.  The classical differential
-and the homotopy h_k are exponent shifts and rescalings of single terms,
-done on term dicts by funcs.koszul_insertion and funcs.koszul_homotopy,
-and the right multiplications that land on one output component are one
-diffop.apply_sum: each output component is built once.  The inverses
-behind the deformed restriction and the deformed homotopy are geometric
-series that terminate by lam-grading, summed by
+component and makes no star_G call.  Every insertion and wedge takes its
+index and sign from the one exterior rule, funcs.insertions and
+funcs.wedges.  The classical differential and the homotopy h_k are
+exponent shifts and rescalings of single terms, done on term dicts by
+funcs.koszul_insertion and funcs.koszul_homotopy; the right
+multiplications that land on one output component are one
+diffop.apply_sum; the structure-constant term is one pass over the
+input's components (its loops are empty below exterior degree 2).
+The inverses behind the deformed restriction and the deformed homotopy
+are geometric series that terminate by lam-grading, summed by
 series.terminating_series, so every identity is exact modulo lam^(K+1).
-Three steps skip work that returns zero: the series stop at their first
-zero term, since their perturbations are linear; the resolvent returns a
-momentum-free input as it is, since h_0 sends it to zero; and the
-structure-constant term of the quantized differential is skipped on inputs
-without a component of exterior degree 2 or more, where the double
-insertion vanishes.  The perturbation subtracts the degree-0 components
-of qk_1 h_0 f and k_1 h_0 f as Funcs.
+Two steps skip work that returns zero: the series stop at their first
+zero term, since their perturbations are linear; and the resolvent returns
+a momentum-free input as it is, since h_0 sends it to zero.  The
+perturbation subtracts the degree-0 components of qk_1 h_0 f and
+k_1 h_0 f as Funcs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diffop import apply_sum
-from .funcs import Func, koszul_homotopy, koszul_insertion
+from .funcs import Func, insertions, koszul_homotopy, koszul_insertion, wedges
 from .geometry import ModelSpace
 from .scalars import GaussRational, I as IMAG
 from .series import terminating_series
@@ -106,30 +107,22 @@ class SuperObservable:
         """e_c wedge x."""
         out = SuperObservable(self.model)
         for idx, f in self.comps.items():
-            if c in idx:
-                continue
-            pos = sum(1 for i in idx if i < c)
-            new = tuple(sorted(idx + (c,)))
-            sign = GaussRational(-1 if pos % 2 else 1)
-            out._add(new, f * sign)
+            for d, sign, new in wedges(idx, self.model.lie.dim):
+                if d == c:
+                    out._add(new, f * GaussRational(sign))
         return out
 
     def insert_basis(self, a: int) -> "SuperObservable":
         """ins(e^a): graded derivation of degree -1, insertion at the front."""
-        out = SuperObservable(self.model)
-        for idx, f in self.comps.items():
-            if a not in idx:
-                continue
-            m = idx.index(a)
-            sign = GaussRational(-1 if m % 2 else 1)
-            out._add(idx[:m] + idx[m + 1:], f * sign)
-        return out
+        return self.insert_covector(self.model.basis_vector(a))
 
     def insert_covector(self, alpha) -> "SuperObservable":
+        """ins(alpha) = sum_a alpha_a ins(e^a), one pass over the components."""
         out = SuperObservable(self.model)
-        for a, v in enumerate(alpha):
-            if v:
-                out = out + self.insert_basis(a).scale(GaussRational.coerce(Fraction(v)))
+        for idx, f in self.comps.items():
+            for a, sign, rest in insertions(idx):
+                if alpha[a]:
+                    out._add(rest, f * GaussRational.coerce(Fraction(alpha[a]) * sign))
         return out
 
     def __eq__(self, other):
@@ -183,35 +176,31 @@ def quantized_koszul(cfg: ReductionConfig, x: SuperObservable) -> SuperObservabl
 
     The first term applies R_a = right_momentum_operator(model, a), with
     R_a f = star_G(f, J_a), to each component of ins(e^a)x, and each
-    output component is one diffop.apply_sum of those applications."""
-    model = cfg.model
+    output component is one diffop.apply_sum of those applications.  The
+    second term is one pass over the components of x, each index and sign
+    read off funcs.insertions and funcs.wedges."""
+    model, dim = cfg.model, cfg.model.lie.dim
     pairs: dict = {}
-    for a in range(model.lie.dim):
-        for idx, f in x.comps.items():
-            if a in idx:
-                m = idx.index(a)
-                pairs.setdefault(idx[:m] + idx[m + 1:], []).append(
-                    (right_momentum_operator(model, a), -f if m % 2 else f))
+    for idx, f in x.comps.items():
+        for a, sign, rest in insertions(idx):
+            pairs.setdefault(rest, []).append(
+                (right_momentum_operator(model, a), f if sign > 0 else -f))
     out = SuperObservable(model, {idx: apply_sum(p) for idx, p in pairs.items()})
     half_i = IMAG * GaussRational(Fraction(1, 2))
-    # the double insertion vanishes below exterior degree 2
-    if any(len(idx) >= 2 for idx in x.comps):
-        for a in range(model.lie.dim):
-            for b in range(model.lie.dim):
-                double = x.insert_basis(b).insert_basis(a)
-                if double.is_zero():
-                    continue
-                for c in range(model.lie.dim):
+    for idx, f in x.comps.items():
+        coeffs: dict = {}
+        for b, sb, once in insertions(idx):
+            for a, sa, twice in insertions(once):
+                for c, sc, new in wedges(twice, dim):
                     v = model.lie.c(a, b, c)
                     if v:
-                        term = double.wedge_basis(c).map(
-                            lambda f, v=v: (f * (half_i * GaussRational(v))).shift(1)
-                        )
-                        out = out + term
+                        coeffs[new] = coeffs.get(new, 0) + sb * sa * sc * v
+        for new, v in coeffs.items():
+            if v:
+                out._add(new, (f * (half_i * GaussRational(v))).shift(1))
     mod_term = x.insert_covector(model.lie.modular)
     if not mod_term.is_zero():
-        ilk = (cfg.kappa * IMAG).shift(1)
-        out = out + mod_term.scale(ilk)
+        out = out + mod_term.scale((cfg.kappa * IMAG).shift(1))
     return out
 
 
@@ -251,13 +240,10 @@ def deformed_homotopy(cfg: ReductionConfig, x: SuperObservable, k: int) -> Super
     """
     model = cfg.model
     if k == 0:
-        out = SuperObservable(model)
-        for idx, f in x.comps.items():
-            if idx != ():
-                raise ValueError("degree-0 homotopy expects a scalar input")
-            resolved = SuperObservable.scalar(model, _neumann_resolve(cfg, f))
-            out = out + homotopy_h(model, resolved, 0)
-        return out
+        if x.comps.keys() - {()}:
+            raise ValueError("degree-0 homotopy expects a scalar input")
+        resolved = _neumann_resolve(cfg, x.comps.get((), model.zero()))
+        return homotopy_h(model, SuperObservable.scalar(model, resolved), 0)
 
     def op(y: SuperObservable) -> SuperObservable:
         return homotopy_h(model, quantized_koszul(cfg, y), k - 1) + quantized_koszul(

@@ -24,8 +24,9 @@ per model (right_momentum_operator): the Gutt right multiplication, the
 psi-series of the right BCH derivative (LieAlgebraData.psi_terms, the series
 that also gives the left-invariant fields) with each letter a momentum
 derivative, and, on group models, conjugated by N as an ad-series summed
-by series.terminating_series, so the quantized Koszul differential needs no
-product call and no PBW table.
+by series.terminating_series (N(J_a) = J_a there, the algebra being
+nilpotent), so the quantized Koszul differential needs no product call
+and no PBW table.
 
 A left word is pushed past a right coefficient by one Leibniz rule: the
 split table _splits(w), also in pbw_tables, lists each way of moving a
@@ -540,17 +541,17 @@ def star_std(model: ModelSpace, f: Func, g: Func) -> Func:
 
 
 def _normalization_exponent(model: ModelSpace) -> DiffOperator:
-    """A = (lam/2i)(Delta_0 - Delta_ver), the exponent of N, once per model."""
+    """A = (lam/2i)(Delta_0 - Delta_ver), the exponent of N, once per model,
+    with Delta_0 - Delta_ver = sum_a xi_a o d/dJ_a: its modular term is zero
+    on the nilpotent, hence unimodular, algebras that carry group coordinates."""
     if not model.has_group:
         raise ValueError("the normalization operator needs group coordinates")
     if "norm_exponent" not in model._field_cache:
         gens, order = model.gens, model.order
         delta = DiffOperator.zero(gens, order)
         for a in range(model.lie.dim):
-            dj = DiffOperator.partial(gens, model.momentum_names[a], order)
-            delta = delta + model.fundamental_field_M(model.basis_vector(a)).compose(dj)
-            if model.lie.modular[a]:
-                delta = delta + dj * GaussRational(model.lie.modular[a])
+            delta = delta + model.fundamental_field_M(model.basis_vector(a)).compose(
+                DiffOperator.partial(gens, model.momentum_names[a], order))
         model._field_cache["norm_exponent"] = delta.lam_shift(1) * (
             IMAG * GaussRational(Fraction(-1, 2)))
     return model._field_cache["norm_exponent"]
@@ -602,7 +603,8 @@ def right_momentum_operator(model: ModelSpace, a: int) -> DiffOperator:
     multiplication by N(J_a) - J_a = A(J_a), where N = exp(A).  That is
     the constant -(i lam/2) times the modular component a, which A
     annihilates; it vanishes on the nilpotent, hence unimodular, algebras
-    that carry group coordinates.  The conjugation is the terminating
+    that carry group coordinates, so N(J_a) = J_a and the middle map is
+    S_a itself.  The conjugation is the terminating
     series N^{-1} S N = sum_{k <= K} (-1)^k/k! ad_A^k(S), since A is
     O(lam), and composes no power of N.
 
@@ -617,9 +619,6 @@ def right_momentum_operator(model: ModelSpace, a: int) -> DiffOperator:
         op = _gutt_right_operator(model, a)
         if model.has_group:
             arg = _normalization_exponent(model)
-            shift = arg.apply(model.momentum(a))
-            op = op + DiffOperator(model.gens, model.order, [
-                {(0,) * len(model.gens): p} for p in shift.series.coeffs])
             op = terminating_series(op, lambda t, k: (
                 arg.compose(t) - t.compose(arg)) * GaussRational(Fraction(-1, k)),
                 model.order)

@@ -303,6 +303,24 @@ class TestMalformedScenes:
                      "--left", "q", "--right", "p"]) == 0
         assert capsys.readouterr().out.startswith(f"# {name}:")
 
+    @pytest.mark.parametrize("where,key", [
+        ((), "truncation_ordr"), (("lie_algebra",), "dimension"),
+        (("base",), "poisson"), (("weights", "w"), "exponnent"),
+        (("degree_caps",), "polynomal")])
+    def test_unknown_key_exit_two(self, tmp_path, capsys, where, key):
+        """A misspelt key is named on one line, not silently ignored."""
+        data = json.loads(json.dumps({**HEIS_SCENE, "weights": {"w": {"exponent": 2}}}))
+        block = data
+        for name in where:
+            block = block[name]
+        block[key] = 9
+        path = write_scene(tmp_path, data)
+        assert main(["verify", "--scene", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: unknown key {key!r} in ")
+        assert captured.err.count("\n") == 1
+
     def test_operator_basis_key_still_loads(self, tmp_path):
         data = dict(HEIS_SCENE)
         data["degree_caps"] = {"polynomial": 2, "operator_basis": 3}
@@ -448,6 +466,20 @@ class TestExpressions:
         scene = Scene(HEIS_SCENE)
         with pytest.raises(SceneError, match="unknown symbol"):
             parse_expr("z + 1", scene.model())
+
+    def test_unary_minus_in_a_product_negates_the_factor(self, tmp_path, capsys):
+        """Powers bind tighter than a unary minus inside a product, as they
+        do for a leading one."""
+        m = Scene(HEIS_SCENE).model()
+        q, p = m.var("q"), m.var("p")
+        assert parse_expr("q*-p^2", m) == -(q * p * p)
+        assert parse_expr("2*-3^2", m) == m.constant(-18)
+        assert parse_expr("(-p)^2", m) == p * p
+        assert parse_expr("-p^2", m) == -(p * p)
+        path = write_scene(tmp_path, HEIS_SCENE)
+        assert main(["star", "--scene", path, "--left=2^-1", "--right", "p"]) == 2
+        assert capsys.readouterr().err == ("configuration error: exponent must be a "
+                                           "non-negative integer, got '-'\n")
 
 
 class TestVerbs:

@@ -24,6 +24,7 @@ from redstar.geometry import (
     psi_coefficients,
 )
 from redstar.scalars import GaussRational
+from redstar.starprod import _normalization_exponent
 from redstar.suites import random_poly
 
 
@@ -65,6 +66,21 @@ class TestLieAlgebraData:
         assert not ModelSpace(aff1(), 2, 3).has_group
         with pytest.raises(ValueError, match="nilpotent"):
             ModelSpace(aff1(), 2, 3, group_level=True)
+
+    @pytest.mark.parametrize("lie", [heisenberg3(), filiform(4), filiform(5),
+                                     abelian_lie(2)], ids=lambda lie: lie.label)
+    def test_group_coordinates_imply_a_zero_modular_vector(self, lie):
+        """Group coordinates come only with nilpotent algebras, where
+        tr ad e_a = sum_b C_ab^b vanishes: the premise on which the
+        exponent of N and the right momentum multiplications drop the
+        modular term, so that A(J_a) = 0 and N(J_a) = J_a."""
+        m = ModelSpace(lie, 2, 2)
+        assert m.has_group and lie.is_nilpotent
+        assert all(sum(lie.c(a, b, b) for b in range(lie.dim)) == 0
+                   for a in range(lie.dim))
+        assert not any(lie.modular)
+        a_op = _normalization_exponent(m)
+        assert all(a_op.apply(m.momentum(a)).is_zero() for a in range(lie.dim))
 
     def test_psi_coefficients(self):
         """z/(1 - e^{-z}) = 1 + z/2 + z^2/12 - z^4/720 + z^6/30240 - ..."""

@@ -17,7 +17,9 @@ equal repr):
   one terminating series of koszul replaces for it and the resolvent;
 - the infinitesimal action of the Koszul equivariance battery with each
   component's index tuple and sign worked out by hand, which
-  insert_basis and wedge_basis replace;
+  insert_basis and wedge_basis replace; and those two methods with the
+  index and sign worked out in each (ref_insert_basis, ref_wedge_basis),
+  which funcs.insertions and funcs.wedges replace;
 - the conjugation transports A^a and B as finite geometric tails of the
   operator T = (k_1 - qk_1) h_0;
 - the left and right multiplication operators as mirror-image builders,
@@ -133,7 +135,7 @@ import pytest
 import redstar
 from redstar import diffop, starprod
 from redstar.diffop import DiffOperator, _leibniz_splits
-from redstar.funcs import Func, Partials
+from redstar.funcs import Func, Partials, insertions, wedges
 from redstar.geometry import (
     LieAlgebraData,
     ModelSpace,
@@ -357,6 +359,45 @@ def ref_deformed_homotopy(cfg, x, k):
 
 
 # ---------------------------------------------------------------------------
+# reference: the exterior insertion and wedge, each index and sign by hand
+# ---------------------------------------------------------------------------
+
+
+def ref_wedge_basis(x, c):
+    """e_c wedge x."""
+    out = SuperObservable(x.model)
+    for idx, f in x.comps.items():
+        if c in idx:
+            continue
+        pos = sum(1 for i in idx if i < c)
+        new = tuple(sorted(idx + (c,)))
+        sign = GaussRational(-1 if pos % 2 else 1)
+        out._add(new, f * sign)
+    return out
+
+
+def ref_insert_basis(x, a):
+    """ins(e^a): graded derivation of degree -1, insertion at the front."""
+    out = SuperObservable(x.model)
+    for idx, f in x.comps.items():
+        if a not in idx:
+            continue
+        m = idx.index(a)
+        sign = GaussRational(-1 if m % 2 else 1)
+        out._add(idx[:m] + idx[m + 1:], f * sign)
+    return out
+
+
+def ref_insert_covector(x, alpha):
+    """One SuperObservable sum of ref_insert_basis per covector entry."""
+    out = SuperObservable(x.model)
+    for a, v in enumerate(alpha):
+        if v:
+            out = out + ref_insert_basis(x, a).scale(GaussRational.coerce(Fraction(v)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reference: the conjugation transports as geometric tails
 # ---------------------------------------------------------------------------
 
@@ -395,11 +436,11 @@ def _ref_transport(cfg, g, contract):
 
 
 def ref_transport_A(cfg, a, g):
-    return _ref_transport(cfg, g, lambda h0: h0.insert_basis(a))
+    return _ref_transport(cfg, g, lambda h0: ref_insert_basis(h0, a))
 
 
 def ref_transport_B(cfg, g):
-    return _ref_transport(cfg, g, lambda h0: h0.insert_covector(cfg.model.lie.modular))
+    return _ref_transport(cfg, g, lambda h0: ref_insert_covector(h0, cfg.model.lie.modular))
 
 
 # ---------------------------------------------------------------------------
@@ -1566,19 +1607,19 @@ def ref_quantized_koszul(cfg, x):
     model = cfg.model
     out = SuperObservable(model)
     for a in range(model.lie.dim):
-        out = out + x.insert_basis(a).map(right_momentum_operator(model, a).apply)
+        out = out + ref_insert_basis(x, a).map(right_momentum_operator(model, a).apply)
     half_i = IMAG * GaussRational(Fraction(1, 2))
     for a in range(model.lie.dim):
         for b in range(model.lie.dim):
-            double = x.insert_basis(b).insert_basis(a)
+            double = ref_insert_basis(ref_insert_basis(x, b), a)
             if double.is_zero():
                 continue
             for c in range(model.lie.dim):
                 v = model.lie.c(a, b, c)
                 if v:
-                    out = out + double.wedge_basis(c).map(
+                    out = out + ref_wedge_basis(double, c).map(
                         lambda f, v=v: (f * (half_i * GaussRational(v))).shift(1))
-    mod_term = x.insert_covector(model.lie.modular)
+    mod_term = ref_insert_covector(x, model.lie.modular)
     if not mod_term.is_zero():
         out = out + mod_term.scale((cfg.kappa * IMAG).shift(1))
     return out
@@ -1854,7 +1895,7 @@ def ref_weight_by_degree(f, names, weight):
 
 def ref_homotopy_h(model, x, k):
     """The former homotopy_h: per component and momentum one Func.diff, the
-    ray weight 1/(k + d + 1) and one SuperObservable.wedge_basis, summed
+    ray weight 1/(k + d + 1) and one ref_wedge_basis, summed
     by SuperObservable +."""
     out = SuperObservable(model)
     for idx, f in x.comps.items():
@@ -1864,7 +1905,7 @@ def ref_homotopy_h(model, x, k):
                 continue
             weighted = ref_weight_by_degree(
                 df, model.momentum_names, lambda d: Fraction(1, k + d + 1))
-            out = out + SuperObservable(model, {idx: weighted}).wedge_basis(a)
+            out = out + ref_wedge_basis(SuperObservable(model, {idx: weighted}), a)
     return out
 
 
@@ -1873,7 +1914,7 @@ def ref_koszul(model, x):
     out = SuperObservable(model)
     for a in range(model.lie.dim):
         ja = model.momentum(a)
-        out = out + x.insert_basis(a).map(lambda f, ja=ja: f * ja)
+        out = out + ref_insert_basis(x, a).map(lambda f, ja=ja: f * ja)
     return out
 
 
@@ -2055,6 +2096,31 @@ def ref_rho_action(m, a, x):
     return out
 
 
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_exterior_helpers_match_the_hand_rules(dim):
+    """funcs.insertions and funcs.wedges give, on every strictly increasing
+    index tuple over dim generators, exactly the components and signs of
+    ref_insert_basis and ref_wedge_basis: one entry per inserted index in
+    idx and per wedged index outside it."""
+    m = ModelSpace(abelian_lie(dim), 0, 0)
+    one = m.one()
+    for k in range(dim + 1):
+        for idx in combinations(range(dim), k):
+            x = SuperObservable(m, {idx: one})
+            ins, wed = insertions(idx), wedges(idx, dim)
+            assert [a for a, _, _ in ins] == list(idx)
+            assert [c for c, _, _ in wed] == [c for c in range(dim) if c not in idx]
+            for a in range(dim):
+                expect = ref_insert_basis(x, a)
+                got = SuperObservable(m, {rest: one * GaussRational(sign)
+                                          for b, sign, rest in ins if b == a})
+                assert_same_super(got, expect)
+                expect = ref_wedge_basis(x, a)
+                got = SuperObservable(m, {new: one * GaussRational(sign)
+                                          for c, sign, new in wed if c == a})
+                assert_same_super(got, expect)
+
+
 @pytest.mark.parametrize("name", ["heis3", "aff1", "so3"])
 def test_rho_action_matches_hand_signs(name):
     m = ModelSpace(QK_MODELS[name](), 2, 3)
@@ -2139,6 +2205,21 @@ def test_mult_operator_matches_reference_pair(name):
 # ---------------------------------------------------------------------------
 
 
+def _ref_series_times(op, s):
+    """op left-multiplied by the pointwise lam-series of polynomials s."""
+    tabs = [{} for _ in range(op.order + 1)]
+    for r1, p in enumerate(s.coeffs):
+        if p.is_zero():
+            continue
+        for r2, t in enumerate(op.tables):
+            if r1 + r2 > op.order:
+                break
+            for d, c in t.items():
+                tgt = tabs[r1 + r2]
+                tgt[d] = tgt.get(d, Poly.zero(op.gens)) + p * c
+    return DiffOperator(op.gens, op.order, tabs)
+
+
 def ref_formal_adjoint(op, weight):
     """rho^-1 sum lam^r (-1)^|d| T^d M_{conj(c) rho}, with each entry an
     operator of its own, T^d applied as a chain of |d| compositions."""
@@ -2165,12 +2246,12 @@ def ref_formal_adjoint(op, weight):
         for d, c in table.items():
             sign = GaussRational(-1 if sum(d) % 2 else 1)
             term = DiffOperator.multiplication(c.conj() * sign, op.order)
-            term = term.series_multiply(rho.series)
+            term = _ref_series_times(term, rho.series)
             for i, k in enumerate(d):
                 for _ in range(k):
                     term = twisted_partial(i).compose(term)
             out = out + term.lam_shift(r)
-    return out.series_multiply(rho_inv.series)
+    return _ref_series_times(out, rho_inv.series)
 
 
 def ref_series_inverse(a, mul=mul):

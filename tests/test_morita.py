@@ -519,3 +519,17 @@ def test_external_tensor_module(model_r, rand):
     f = rand.poly(m, 2)
     assert (ext.ip(v, ext.left_action(f, w))
             - ext.ip(ext.left_action(f.conj(), v), w)).is_zero()
+
+
+def test_inner_product_positivity_clause_reads_the_sign(model_heis):
+    """morita.inner_product fails when <phi, phi>_red is negative: with both
+    inner products negated, every linearity and symmetry law still holds,
+    so only the positivity clause can fail the record."""
+    ctx = SuiteContext(model_heis, seed=13, trials=2, degree_cap=2)
+    ip, closed = suites.inner_product_red, suites.inner_product_red_closed_form
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "inner_product_red", lambda *a: -ip(*a))
+        mp.setattr(suites, "inner_product_red_closed_form", lambda *a: -closed(*a))
+        recs = suite_morita(ctx)
+    rec = next(r for r in recs if r["id"] == "morita.inner_product")
+    assert rec["status"] == "fail"

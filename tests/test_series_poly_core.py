@@ -363,9 +363,7 @@ class TestFormalAdjoint:
         gens = ("x",)
         w = Func.one(gens, K).with_profile({"x": 1})
         x = Poly.var(gens, "x")
-        d = DiffOperator.partial(gens, "x", K).series_multiply(
-            LambdaSeries.of(x, K)
-        )
+        d = DiffOperator.multiplication(x, K).compose(DiffOperator.partial(gens, "x", K))
         # x d/dx -> -x d/dx - 1 + 2 x^2
         adj = d.formal_adjoint(w)
         expect = (-d) + DiffOperator.multiplication(x * x * 2 - Poly.one(gens), K)
@@ -374,9 +372,8 @@ class TestFormalAdjoint:
     def test_adjoint_involutive_antihomomorphism(self):
         gens = ("x", "y")
         w = Func.constant(gens, 2, K).with_profile({"x": 1, "y": 1})
-        d = DiffOperator.partial(gens, "x", K).series_multiply(
-            LambdaSeries.of(Poly.var(gens, "y"), K)
-        )
+        d = DiffOperator.multiplication(Poly.var(gens, "y"), K).compose(
+            DiffOperator.partial(gens, "x", K))
         e = DiffOperator.partial(gens, "y", K) + DiffOperator.multiplication(
             Poly.var(gens, "x") * GaussRational(0, 1), K
         )
@@ -400,8 +397,8 @@ class TestFormalAdjoint:
                 out = out + t * GaussRational(rng.randint(-3, 3), rng.randint(-1, 1))
             return out
 
-        d = DiffOperator.partial(gens, "x", K).series_multiply(
-            LambdaSeries.of(Poly.var(gens, "x"), K)
+        d = DiffOperator.multiplication(Poly.var(gens, "x"), K).compose(
+            DiffOperator.partial(gens, "x", K)
         ) + DiffOperator.multiplication(Poly.var(gens, "x") * GaussRational(0, 1), K)
         adj = d.formal_adjoint(w)
         for _ in range(10):
