@@ -1,6 +1,10 @@
 """redstar: exact deformation quantization and phase-space reduction on a
 trivial product model, with order-by-order verification of the algebraic
-identities of the reduced *-algebra and its representation theory."""
+identities of the reduced *-algebra and its representation theory.
+
+The package re-exports the engine only, scalars through involution;
+redstar.suites and redstar.morita load with `redstar verify` or on an
+explicit import."""
 
 from .scalars import GaussRational
 from .poly import Poly
@@ -58,19 +62,6 @@ from .involution import (
     modular_class,
     omega_mu,
     reduced_involution,
-)
-from .morita import (
-    InducedVector,
-    InnerProductModule,
-    KernelSpace,
-    RankOneOperator,
-    VerticalOperator,
-    complete_positivity_sample,
-    deformation_comparison_H,
-    external_tensor,
-    fullness_element,
-    inner_product_red,
-    rieffel_induce,
 )
 
 __version__ = "0.1.0"

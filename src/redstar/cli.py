@@ -6,6 +6,9 @@ stay exact.  Reports are deterministic for a fixed scene and seed: records
 are sorted by identity and coefficients print as exact rationals with
 explicit powers of pi.
 
+star, involve and reduce of given inputs load the engine only; verify and a
+random reduce import the suites, and with them morita, when they run.
+
 Exit codes: 0 all identities pass, 1 some identity fails, 2 configuration
 error (a SceneError), 3 an exception inside the engine, either during some
 check (status "error") or anywhere else in a verb (one "engine error" line),
@@ -33,7 +36,6 @@ from .involution import reduced_involution
 from .koszul import ReductionConfig, reduced_star
 from .scalars import GaussRational
 from .starprod import STAR_PRODUCTS, StarProduct
-from .suites import SUITES, SuiteContext, run_suite
 
 
 class SceneError(Exception):
@@ -201,7 +203,9 @@ class Scene:
             return lebesgue_weight(model)
         return gaussian_base_weight(model, self.exponents[name])
 
-    def context(self, model: ModelSpace) -> SuiteContext:
+    def context(self, model: ModelSpace) -> "SuiteContext":
+        from .suites import SuiteContext
+
         return SuiteContext(model, seed=self.seed, trials=self.trials,
                             degree_cap=self.degree_cap)
 
@@ -408,6 +412,8 @@ def _open_out(out):
 
 
 def cmd_verify(args) -> int:
+    from .suites import SUITES, run_suite
+
     scene = load_scene(args.scene)
     if args.seed is not None:
         scene.seed = args.seed

@@ -23,9 +23,10 @@ grade.
 Func(...) checks and sorts its profile.  A result whose envelope and grade
 are those of an operand (+, -, conj, shift, coeff, diff, set_zero, the
 product by a scalar, and Func * Func when at most one side has an envelope)
-is built through Func._trusted, which takes them as they are; only merged
-envelopes go through the checks again.  The kernels of diffop, starprod and
-integrate build their output the same way, and so do the Koszul maps below
+and Func.from_poly without an envelope are built through Func._trusted,
+which takes them as they are; only merged and given envelopes go through
+the checks again.  The kernels of diffop, starprod and integrate build
+their output the same way, and so do the Koszul maps below
 (koszul_homotopy, koszul_insertion), which take the {index tuple: Func}
 components of an exterior form, walk their terms once and build each
 output component once.  insertions and wedges, the exterior rule of the
@@ -94,6 +95,8 @@ class Func:
 
     @staticmethod
     def from_poly(p: Poly, order: int, profile=None, pi4: int = 0) -> "Func":
+        if not profile:  # no envelope to check or sort
+            return Func._trusted(p.gens, LambdaSeries.of(p, order), {}, int(pi4))
         return Func(LambdaSeries.of(p, order), profile, pi4)
 
     @staticmethod

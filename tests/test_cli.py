@@ -186,7 +186,7 @@ class TestMalformedScenes:
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []
-        monkeypatch.setattr("redstar.cli.run_suite", lambda ctx, name: ran.append(name))
+        monkeypatch.setattr("redstar.suites.run_suite", lambda ctx, name: ran.append(name))
         path = write_scene(tmp_path, {**HEIS_SCENE, **changes})
         extra = [arg.replace("{tmp}", str(tmp_path)) for arg in extra]
         assert main(["verify", "--scene", path, *extra]) == 2
@@ -216,7 +216,7 @@ class TestMalformedScenes:
         def refuse(*args):
             pytest.fail("a model was built for an out-of-range scene")
         monkeypatch.setattr("redstar.cli.Scene.model", refuse)
-        monkeypatch.setattr("redstar.cli.run_suite", refuse)
+        monkeypatch.setattr("redstar.suites.run_suite", refuse)
         path = write_scene(tmp_path, {**HEIS_SCENE, **changes})
         assert main(["verify", "--scene", path, *extra]) == 2
         captured = capsys.readouterr()
@@ -664,6 +664,36 @@ class TestClosedPipe:
         assert "Traceback" not in err, err
         assert err == ""
         assert proc.returncode == EXIT_CLOSED_PIPE
+
+
+LOADING_SCRIPT = """
+import contextlib, io, json, sys
+from redstar import cli
+
+VERIFICATION = ("redstar.suites", "redstar.morita")
+scene = sys.argv[1]
+loaded = {}
+for argv in (["involve", "--input", "q*p"], ["star", "--left", "g1", "--right", "J1"],
+             ["reduce", "--left", "q", "--right", "p"], ["verify", "--suite", "star"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main([argv[0], "--scene", scene, *argv[1:]])
+    loaded[argv[0]] = [status, [m for m in VERIFICATION if m in sys.modules]]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_verify_loads_the_verification_layer():
+    """In a fresh interpreter the computation verbs leave suites and morita
+    unimported; verify imports both."""
+    src = Path(redstar.__file__).parent.parent
+    scene = src.parent / "scenes" / "heisenberg.json"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", LOADING_SCRIPT, str(scene)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "involve": [0, []], "star": [0, []], "reduce": [0, []],
+        "verify": [0, ["redstar.suites", "redstar.morita"]]}
 
 
 class TestReports:

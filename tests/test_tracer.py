@@ -27,7 +27,7 @@ import sys
 sys.path[:0] = ["src", "perfbench"]
 import tracer
 import redstar
-from redstar import cli  # imports every redstar module
+from redstar import cli  # Tracer.install imports the traced modules itself
 from redstar.geometry import (fiber_integral, gaussian_base_weight, ModelSpace,
                               aff1, heisenberg3)
 
