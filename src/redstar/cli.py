@@ -6,8 +6,9 @@ stay exact.  Reports are deterministic for a fixed scene and seed: records
 are sorted by identity and coefficients print as exact rationals with
 explicit powers of pi.
 
-star, involve and reduce of given inputs load the engine only; verify and a
-random reduce import the suites, and with them morita, when they run.
+star, involve and reduce load the engine only (a random reduce draws its
+inputs with geometry.random_poly, as the suites do); verify imports the
+suites, and with them morita, when it runs.
 
 Exit codes: 0 all identities pass, 1 some identity fails, 2 configuration
 error (a SceneError), 3 an exception inside the engine, either during some
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import sys
 from contextlib import nullcontext
@@ -31,6 +33,7 @@ from .geometry import (
     ModelSpace,
     gaussian_base_weight,
     lebesgue_weight,
+    random_poly,
 )
 from .involution import reduced_involution
 from .koszul import ReductionConfig, reduced_star
@@ -478,8 +481,10 @@ def cmd_reduce(args) -> int:
         u = parse_expr(args.left, model)
         v = parse_expr(args.right, model)
     else:
-        ctx = scene.context(model)
-        u, v = ctx.rand_base(), ctx.rand_base()
+        # the first two base draws of the scene's suite context
+        rng = random.Random(scene.seed)
+        u, v = (random_poly(rng, model, scene.degree_cap, model.base_names)
+                for _ in range(2))
         print(f"# random inputs (seed {scene.seed}): u = {u!r}; v = {v!r}")
     if not (model.is_base_only(u) and model.is_base_only(v)):
         raise SceneError("reduce takes base-coordinate functions")

@@ -10,9 +10,10 @@ times a power of pi or not, is a Func constant in all coordinates
 kappa of koszul, the inverse and square root of series.  There is no
 series of scalars, so the grade rules below hold for scalars too.  All
 differential operators act through profile-aware differentiation, so the
-class is closed under every operation of the engine.  Func.partials is the one derivative cache
-of DiffOperator.apply, the base product and its multiplication operators;
-it differentiates only the nonempty lam orders.
+class is closed under every operation of the engine.  Func.partials is the
+one derivative cache of DiffOperator.apply, the base product and its
+multiplication operators, built once per Func and kept on it; it
+differentiates only the nonempty lam orders.
 
 Func owns the envelope and grade rules: sums need equal envelopes and
 grades (zero matches anything), products add both, and the lam-shift
@@ -46,7 +47,8 @@ from .series import LambdaSeries
 
 
 class Func:
-    __slots__ = ("gens", "series", "profile", "pi4")
+    # _partials stays unset until partials() first builds it
+    __slots__ = ("gens", "series", "profile", "pi4", "_partials")
 
     def __init__(self, series: LambdaSeries, profile=None, pi4: int = 0):
         p0 = series.coeffs[0]
@@ -211,8 +213,16 @@ class Func:
             lambda p: Poly._trusted(self.gens, _diff_terms(p.terms, i, env))))
 
     def partials(self) -> "Partials":
-        """The cache alpha -> partial^alpha f, as lam coefficients' term dicts."""
-        return Partials(self)
+        """The cache alpha -> partial^alpha f, as lam coefficients' term dicts:
+        built on the first call and kept, since f never changes, so every
+        operator application and base product that reads f's derivatives
+        shares the ones taken so far."""
+        try:
+            return self._partials
+        except AttributeError:
+            out = Partials(self)
+            _set_partials(self, out)
+            return out
 
     def set_zero(self, names) -> "Func":
         """Restrict by putting the listed coordinates to zero (no envelope there)."""
@@ -288,6 +298,9 @@ class Partials(dict):
     """alpha -> the lam coefficients of partial^alpha f as term dicts, each
     taken once from a cached lower derivative, envelope-aware as Func.diff.
     Past f's degree in a coordinate without envelope the list is empty.
+    Func.partials builds one per Func and keeps it, so the derivatives fill
+    in as the readers of f ask for them.  The envelope's -2a enters only
+    when a derivative in that coordinate is taken.
 
     top is f's total degree, the highest |e| over its terms (-1 for zero),
     or inf under an envelope: every partial^alpha f with |alpha| > top
@@ -295,20 +308,29 @@ class Partials(dict):
 
     def __init__(self, f: Func):
         coeffs = [p.terms for p in f.series.coeffs]
-        super().__init__({(0,) * len(f.gens): coeffs})
-        self.envs = [-2 * f.profile[g] if g in f.profile else None for g in f.gens]
+        gens, profile = f.gens, f.profile
+        self[(0,) * len(gens)] = coeffs
+        self.gens, self.profile = gens, profile
         exps = [e for t in coeffs for e in t]
-        tops = map(max, zip(*exps)) if exps else [-1] * len(f.gens)
-        self.bound = [inf if env is not None and exps else top
-                      for env, top in zip(self.envs, tops)]
-        self.top = (inf if f.profile else max(map(sum, exps))) if exps else -1
+        if not exps:
+            self.bound, self.top = [-1] * len(gens), -1
+            return
+        self.bound = bound = list(map(max, zip(*exps)))
+        if profile:
+            for i, g in enumerate(gens):
+                if g in profile:
+                    bound[i] = inf
+            self.top = inf
+        else:
+            self.top = max(map(sum, exps))
 
     def __missing__(self, d):
         if any(map(gt, d, self.bound)):
             return []
         i = next(i for i, k in enumerate(d) if k)
         lower = self[d[:i] + (d[i] - 1,) + d[i + 1:]]
-        env = self.envs[i]
+        a = self.profile.get(self.gens[i])
+        env = None if a is None else -2 * a
         out = self[d] = [_diff_terms(t, i, env) if t else t for t in lower]
         return out
 
@@ -408,3 +430,4 @@ _set_gens = Func.gens.__set__
 _set_series = Func.series.__set__
 _set_profile = Func.profile.__set__
 _set_pi4 = Func.pi4.__set__
+_set_partials = Func._partials.__set__

@@ -21,6 +21,7 @@ weight w means integrating the product f * w.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -357,6 +358,24 @@ def monomials(names, cap: int) -> list:
     <= cap, by degree and then lexicographically."""
     vecs = (e for e in product(range(cap + 1), repeat=len(names)) if sum(e) <= cap)
     return sorted(vecs, key=lambda e: (sum(e), e))
+
+
+def random_poly(rng: random.Random, model: ModelSpace, deg: int, gens=None,
+                nterms: int = 3, bound: int = 3, space=None) -> Func:
+    """The sum of nterms random monomials of at most deg factors drawn from
+    gens, with integer coefficients in [-bound, bound], as a Func on the
+    coordinates space (the model's for None) at the model's order.  gens
+    defaults to all of space; an empty block gives constants."""
+    space = model.gens if space is None else tuple(space)
+    gens = space if gens is None else gens
+    terms: dict = {}
+    for _ in range(nterms):
+        expo = [0] * len(space)
+        for _ in range(rng.randint(0, deg) if gens else 0):
+            expo[space.index(rng.choice(gens))] += 1
+        expo = tuple(expo)
+        terms[expo] = terms.get(expo, 0) + rng.randint(-bound, bound)
+    return Func.from_poly(Poly(space, terms), model.order)
 
 
 def monomial(model: ModelSpace, names, expo) -> Func:

@@ -275,16 +275,17 @@ def _comparison_system(model: ModelSpace, ket, pexps, words, gexps) -> tuple:
     <phi_i, ket(psi_j)>_red.  A probe is real and base-free, so
     <phi_i, g^e f>_red is the moment of f env shifted by pexps[i] + e: one
     moment pass per (psi_j, w) gives the columns and one per psi_j the
-    target, over one memo.
+    target.  env is the constant 1 under the fiber envelope, so f env is f
+    with that envelope added (with_profile), and a column pass keeps order
+    0 only, so its entry is read off coefficient 0 of each moment.
     """
     gnames = model.group_names
-    env = model.fiber_state(model.one())
+    env = model.fiber_state(model.one()).profile
     n, width = len(pexps), len(gexps)
     shifts = [tuple(map(add, a, e)) for a in pexps for e in gexps]
-    memo: dict = {}
 
     def moments(f: Func, at, top: int) -> list:
-        return gaussian_integrate_shifted(f * env, gnames, at, top, memo)
+        return gaussian_integrate_shifted(f.with_profile(env), gnames, at, top)
 
     zero = Poly.zero(model.gens)    # most entries vanish by parity
     columns = [[zero] * (n * n) for _ in range(len(words) * width)]
@@ -295,9 +296,10 @@ def _comparison_system(model: ModelSpace, ket, pexps, words, gexps) -> tuple:
         act = word_actions(model, psi)
         for k, w in enumerate(words):
             for s, val in enumerate(moments(act(w), shifts, 0)):
-                if not val.is_zero():
+                c0 = val.series.coeffs[0]
+                if c0.terms:
                     i, l = divmod(s, width)
-                    columns[k * width + l][i * n + j] = val.series.coeffs[0]
+                    columns[k * width + l][i * n + j] = c0
     return columns, values
 
 

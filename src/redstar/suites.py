@@ -25,6 +25,7 @@ from .geometry import (
     monomial,
     monomials,
     poisson_bracket,
+    random_poly,
 )
 from .involution import (
     conj_transport_check,
@@ -73,7 +74,6 @@ from .morita import (
     schroedinger_class,
     vertical_sqrt,
 )
-from .poly import Poly
 from .scalars import GaussRational, I as IMAG
 from .starprod import (
     _mul_ilam,
@@ -88,24 +88,6 @@ from .starprod import (
 )
 
 KAPPA_VALUES = (0, Fraction(1, 2), (Fraction(1, 2), 1))
-
-
-def random_poly(rng: random.Random, model: ModelSpace, deg: int, gens=None,
-                nterms: int = 3, bound: int = 3, space=None) -> Func:
-    """The sum of nterms random monomials of at most deg factors drawn from
-    gens, with integer coefficients in [-bound, bound], as a Func on the
-    coordinates space (the model's for None) at the model's order.  gens
-    defaults to all of space; an empty block gives constants."""
-    space = model.gens if space is None else tuple(space)
-    gens = space if gens is None else gens
-    terms: dict = {}
-    for _ in range(nterms):
-        expo = [0] * len(space)
-        for _ in range(rng.randint(0, deg) if gens else 0):
-            expo[space.index(rng.choice(gens))] += 1
-        expo = tuple(expo)
-        terms[expo] = terms.get(expo, 0) + rng.randint(-bound, bound)
-    return Func.from_poly(Poly(space, terms), model.order)
 
 
 class SuiteContext:

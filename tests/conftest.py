@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from redstar.geometry import ModelSpace, abelian_lie, aff1, heisenberg3
-from redstar.suites import random_poly
+from redstar.geometry import ModelSpace, abelian_lie, aff1, heisenberg3, random_poly
 
 
 @pytest.fixture

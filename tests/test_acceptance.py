@@ -24,6 +24,7 @@ from redstar.geometry import (
     lebesgue_weight,
     lift_density,
     modular_vector_field,
+    random_poly,
 )
 from redstar.involution import (
     PositiveFunctional,
@@ -72,7 +73,6 @@ from redstar.starprod import (
     star_std,
     stdrep,
 )
-from redstar.suites import random_poly
 
 ORDER = 4
 SEED = 20260808

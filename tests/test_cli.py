@@ -608,6 +608,17 @@ class TestVerbs:
         out = capsys.readouterr().out
         assert "C_0: q*p" in out and "C_1: 1/2*i" in out
 
+    def test_random_reduce_draws_the_suite_context_inputs(self, tmp_path, capsys):
+        """Without --left and --right, reduce multiplies the first two base
+        draws of the scene's suite context."""
+        path = write_scene(tmp_path, HEIS_SCENE)
+        assert main(["reduce", "--scene", path]) == 0
+        out = capsys.readouterr().out
+        scene = load_scene(path)
+        ctx = scene.context(scene.model())
+        u, v = ctx.rand_base(), ctx.rand_base()
+        assert out.splitlines()[0] == f"# random inputs (seed {scene.seed}): u = {u!r}; v = {v!r}"
+
     @pytest.mark.parametrize("side", ["--left", "--right"])
     def test_reduce_needs_both_sides(self, tmp_path, capsys, side):
         path = write_scene(tmp_path, HEIS_SCENE)
@@ -673,18 +684,22 @@ from redstar import cli
 VERIFICATION = ("redstar.suites", "redstar.morita")
 scene = sys.argv[1]
 loaded = {}
-for argv in (["involve", "--input", "q*p"], ["star", "--left", "g1", "--right", "J1"],
-             ["reduce", "--left", "q", "--right", "p"], ["verify", "--suite", "star"]):
+for label, argv in (("involve", ["involve", "--input", "q*p"]),
+                    ("star", ["star", "--left", "g1", "--right", "J1"]),
+                    ("reduce", ["reduce", "--left", "q", "--right", "p"]),
+                    ("random reduce", ["reduce"]),
+                    ("verify", ["verify", "--suite", "star"])):
     with contextlib.redirect_stdout(io.StringIO()):
         status = cli.main([argv[0], "--scene", scene, *argv[1:]])
-    loaded[argv[0]] = [status, [m for m in VERIFICATION if m in sys.modules]]
+    loaded[label] = [status, [m for m in VERIFICATION if m in sys.modules]]
 print(json.dumps(loaded))
 """
 
 
 def test_only_verify_loads_the_verification_layer():
-    """In a fresh interpreter the computation verbs leave suites and morita
-    unimported; verify imports both."""
+    """In a fresh interpreter the computation verbs, a reduce of random
+    inputs included, leave suites and morita unimported; verify imports
+    both."""
     src = Path(redstar.__file__).parent.parent
     scene = src.parent / "scenes" / "heisenberg.json"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -692,7 +707,7 @@ def test_only_verify_loads_the_verification_layer():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "involve": [0, []], "star": [0, []], "reduce": [0, []],
+        "involve": [0, []], "star": [0, []], "reduce": [0, []], "random reduce": [0, []],
         "verify": [0, ["redstar.suites", "redstar.morita"]]}
 
 

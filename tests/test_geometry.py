@@ -22,10 +22,10 @@ from redstar.geometry import (
     modular_vector_field,
     poisson_bracket,
     psi_coefficients,
+    random_poly,
 )
 from redstar.scalars import GaussRational
 from redstar.starprod import _normalization_exponent
-from redstar.suites import random_poly
 
 
 def filiform(dim):

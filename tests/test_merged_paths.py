@@ -111,7 +111,15 @@ equal repr):
   its d = 0 column (DiffOperator.at_one) replaces; the perturbation as a
   difference of SuperObservables, which the difference of their degree-0
   Funcs replaces; and one finisher call per empty lam order, which one
-  shared zero Poly replaces.
+  shared zero Poly replaces;
+- the Gaussian moment pass pairing every term with every shift, over a
+  moment memo made anew per call and with one result built per shift,
+  which one process-wide moment table, shift buckets by parity and one
+  shared zero per pass for the shifts that no term meets replace; the
+  comparison system integrating f times the fiber state of 1 and testing
+  each column entry with Func.is_zero, which the envelope added by
+  with_profile and a read of order 0 replace; and a Partials built on
+  every call of Func.partials, which one kept per Func replaces.
 
 suites.py and koszul.py leave the envelope and grade bookkeeping to Func
 and never call its constructor.  Unvalidated Poly, LambdaSeries, Func and
@@ -148,7 +156,7 @@ from redstar.geometry import (
     monomial,
     monomials,
 )
-from redstar import involution
+from redstar import integrate, involution
 from redstar.involution import (
     conj_transport,
     density_ratio_hat,
@@ -183,7 +191,7 @@ from redstar.morita import (
 )
 from redstar.poly import Poly, _diff_terms, _mul_into, _scale
 from redstar.integrate import gaussian_integrate_shifted
-from redstar.scalars import GaussRational, I as IMAG, _make, rational_sqrt
+from redstar.scalars import GaussRational, I as IMAG, _make, double_factorial, rational_sqrt
 from redstar.series import LambdaSeries, _leading_constant, series_inverse, series_sqrt
 from redstar.starprod import (
     SymbolOp,
@@ -2739,7 +2747,7 @@ def ref_comparison_columns(model, pexps, words, gexps, top):
         for k, w in enumerate(words):
             for i, phi in enumerate(probes):
                 prod = moyal(model, phi.conj(), act(w))
-                vals = gaussian_integrate_shifted(prod, gnames, gexps, top, {})
+                vals = gaussian_integrate_shifted(prod, gnames, gexps, top)
                 for l, val in enumerate(vals):
                     cols[k * width + l][i * n + j] = val
     return cols
@@ -3405,7 +3413,7 @@ def test_trusted_funcs_match_validating_construction(name):
     shifts = [(0, 0), (1, 1), (2, 0), (0, 3)]
     for f in enveloped:
         for top in (0, 1, K):
-            got = gaussian_integrate_shifted(f, m.base_names, shifts, top, {})
+            got = gaussian_integrate_shifted(f, m.base_names, shifts, top)
             rest = {v: a for v, a in f.profile.items()
                     if v not in m.base_names and not f.is_zero()}
             for val in got:
@@ -3965,3 +3973,212 @@ def test_make_matches_gauss_rational_normalisation():
         assert got.d > 0 and gcd(got.a, got.b, got.d) == 1
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# reference: the moment pass pairing every term with every shift, the
+# comparison system over f times the fiber state of 1, and a Partials built
+# on every call
+# ---------------------------------------------------------------------------
+
+
+def ref_moment(ks, decay):
+    """prod_i (k_i - 1)!! / (2 a_i)^(k_i / 2) / sqrt(a_i), or None for an odd
+    k_i."""
+    if any(k % 2 for k in ks):
+        return None
+    out = Fraction(1)
+    for k, (a, root) in zip(ks, decay):
+        out *= Fraction(double_factorial(k - 1)) / (2 * a) ** (k // 2) / root
+    return out
+
+
+def ref_gaussian_integrate_shifted(f, block, shifts, top):
+    """The dense per-shift pass: every term of f against every shift over a
+    memo of its own, each moment summed in GaussRational arithmetic and each
+    shift's result built by the validating constructors."""
+    gens, order = f.gens, f.order
+    pi4 = f.pi4 + 2 * len(block)
+    if f.is_zero():
+        return [Func(f.series, {}, pi4) for _ in shifts]
+    decay = [(f.profile[g], rational_sqrt(f.profile[g])) for g in block]
+    idxs = [gens.index(g) for g in block]
+    memo = {}
+    coeffs = [[] for _ in shifts]
+    for p in f.series.coeffs[: top + 1]:
+        sums = [{} for _ in shifts]
+        for expo, c in p.terms.items():
+            key = tuple(0 if i in idxs else k for i, k in enumerate(expo))
+            for acc, s in zip(sums, shifts):
+                shifted = tuple(expo[i] + k for i, k in zip(idxs, s))
+                if shifted not in memo:
+                    memo[shifted] = ref_moment(shifted, decay)
+                if memo[shifted] is not None:
+                    acc[key] = acc.get(key, GaussRational(0)) + c * GaussRational(memo[shifted])
+        for out, acc in zip(coeffs, sums):
+            out.append(Poly(gens, acc))
+    remaining = {g: a for g, a in f.profile.items() if g not in block}
+    zero = Poly.zero(gens)
+    return [Func(LambdaSeries(out + [zero] * (order + 1 - len(out)), order), remaining, pi4)
+            for out in coeffs]
+
+
+def moment_cases(m):
+    """Integrands over heis3's group block: odd moments, a lam shift and a
+    pi-grade under two fiber envelopes, one with a base envelope too, terms
+    of a single parity, and zero under an envelope."""
+    rng = random.Random(83)
+    g1, g2, g3 = m.group_names
+    q = m.base_names[0]
+    odd = m.var(g1) * m.var(q) + m.var(g2) * m.var(g3) * m.var(g3)
+    cases = []
+    for a in (1, Fraction(1, 4)):
+        fiber = {g: a for g in m.group_names}
+        f = odd + rand_poly(rng, m, m.gens, 4) + lam_shifted(rand_poly(rng, m, m.gens, 3), 1)
+        cases.append(f.with_profile(fiber).with_pi4(-3))
+        cases.append(lam_shifted(f, 2).with_profile({**fiber, q: Fraction(1, 2)}))
+    single = (m.var(g1) * m.var(g2) * (m.var(q) + 2) + lam_shifted(m.var(g1) * m.var(g2), 1))
+    cases.append(single.with_profile({g: 1 for g in m.group_names}).with_pi4(2))
+    cases.append(m.zero().with_profile({g: 4 for g in m.group_names}))
+    return cases
+
+
+def parity(s):
+    return tuple(k % 2 for k in s)
+
+
+@pytest.mark.parametrize("top", ["zero", "K"])
+def test_parity_moment_pass_matches_dense_pass(top):
+    """The pass with parity buckets and the moment table gives the dense
+    per-shift pass's values and reprs at top 0 and K, on odd moments, lam
+    shifts, pi-grades and two envelopes, and every shift that no term
+    meets gets one shared zero."""
+    m = ModelSpace(heisenberg3(), 2, 3)
+    gnames = m.group_names
+    shifts = monomials(gnames, 3)
+    top = 0 if top == "zero" else m.order
+    idxs = [m.gens.index(g) for g in gnames]
+    shared = 0
+    for f in moment_cases(m):
+        got = gaussian_integrate_shifted(f, gnames, shifts, top)
+        expect = ref_gaussian_integrate_shifted(f, gnames, shifts, top)
+        assert len(got) == len(expect) == len(shifts)
+        for val, ref in zip(got, expect):
+            assert_identical(val, ref)
+        if f.is_zero():
+            continue
+        met = {parity([e[i] for i in idxs]) for p in f.series.coeffs[: top + 1] for e in p.terms}
+        unmet = [val for val, s in zip(got, shifts) if parity(s) not in met]
+        assert all(val is unmet[0] for val in unmet)
+        assert not any(val is unmet[0] for val, s in zip(got, shifts) if parity(s) in met)
+        shared += len(unmet)
+    assert shared >= 2 * len(shifts)
+
+
+def test_warm_moment_table_gives_the_fresh_results(monkeypatch):
+    """A pass over the warm process-wide moment table gives the values and
+    reprs of a pass over an empty one; the table holds even exponents only,
+    each at its moment, and a second pass adds nothing to it."""
+    m = ModelSpace(heisenberg3(), 2, 3)
+    gnames = m.group_names
+    shifts = monomials(gnames, 3)
+    cases = moment_cases(m)
+
+    def passes():
+        return [gaussian_integrate_shifted(f, gnames, shifts, top)
+                for f in cases for top in (0, m.order)]
+
+    passes()
+    warm = passes()
+    monkeypatch.setattr(integrate, "MOMENTS", {})
+    fresh = passes()
+    for got, expect in zip(warm, fresh):
+        for val, ref in zip(got, expect):
+            assert_identical(val, ref)
+    table = integrate.MOMENTS
+    assert len(table) == 2
+    size = {decay: len(moments) for decay, moments in table.items()}
+    passes()
+    assert {decay: len(moments) for decay, moments in table.items()} == size
+    for decay, moments in table.items():
+        for ks, mom in moments.items():
+            assert not any(k % 2 for k in ks) and mom == ref_moment(ks, decay)
+
+
+def ref_comparison_system(model, ket, pexps, words, gexps):
+    """The comparison system with each integrand multiplied by the fiber
+    state of 1 and each column entry kept when not Func.is_zero."""
+    gnames = model.group_names
+    env = model.fiber_state(model.one())
+    n, width = len(pexps), len(gexps)
+    shifts = [tuple(map(add, a, e)) for a in pexps for e in gexps]
+    zero = Poly.zero(model.gens)
+    columns = [[zero] * (n * n) for _ in range(len(words) * width)]
+    values = [None] * (n * n)
+    for j, a in enumerate(pexps):
+        psi = model.fiber_state(monomial(model, gnames, a))
+        values[j::n] = ref_gaussian_integrate_shifted(ket(psi) * env, gnames, pexps,
+                                                      model.order)
+        act = word_actions(model, psi)
+        for k, w in enumerate(words):
+            vals = ref_gaussian_integrate_shifted(act(w) * env, gnames, shifts, 0)
+            for s, val in enumerate(vals):
+                if not val.is_zero():
+                    i, l = divmod(s, width)
+                    columns[k * width + l][i * n + j] = val.series.coeffs[0]
+    return columns, values
+
+
+def test_comparison_system_matches_the_env_product():
+    """_comparison_system with the envelope added by with_profile and its
+    entries read off order 0 gives the columns and targets of the product
+    with the fiber state of 1 and Func.is_zero, for the identity ket and a
+    perturbed one."""
+    m = ModelSpace(heisenberg3(), 2, 3)
+    gnames = m.group_names
+    l0 = VerticalOperator.fundamental(m, 0)
+    pert = VerticalOperator.identity(m) + l0.compose(l0).lam_shift(1)
+    pexps, words, gexps = monomials(gnames, 2), pbw_words(m.lie.dim, 2), monomials(gnames, 1)
+    for ket in (lambda psi: psi, pert.apply):
+        columns, values = _comparison_system(m, ket, pexps, words, gexps)
+        ref_columns, ref_values = ref_comparison_system(m, ket, pexps, words, gexps)
+        assert len(columns) == len(ref_columns) == len(words) * len(gexps)
+        for col, ref_col in zip(columns, ref_columns):
+            assert col == ref_col and list(map(repr, col)) == list(map(repr, ref_col))
+        assert any(p.terms for col in columns for p in col)
+        for val, ref in zip(values, ref_values):
+            assert_identical(val, ref)
+
+
+def test_partials_are_built_once_per_func():
+    """f.partials() is one object on every call; after apply and moyal have
+    filled it and the Partials of an equal Func built afresh, both hold the
+    same derivatives, each the chain of Func.diff it stands for, and the
+    warm cache gives apply and moyal the results of a fresh one."""
+    m = ModelSpace(heisenberg3(), 2, 4)
+    inputs = stream_inputs(m, 31)
+    ops = pruning_operators(m, gaussian_base_weight(m, 1))
+    filled = 0
+    for f in inputs:
+        p = f.partials()
+        assert type(p) is Partials and f.partials() is p
+        twin = Func(f.series, f.profile, f.pi4)
+        fresh = twin.partials()
+        assert fresh is not p
+        results = []
+        for h in (f, twin):
+            results.append([op.apply(h) for op in ops]
+                           + [moyal(m, h, g) for g in inputs[:3]]
+                           + [moyal(m, g, h) for g in inputs[:3]])
+        assert f.partials() is p and twin.partials() is fresh
+        for got, expect in zip(*results):
+            assert_identical(got, expect)
+        assert dict(p) == dict(fresh) and (p.top, p.bound) == (fresh.top, fresh.bound)
+        for d, coeffs in p.items():
+            ref = f
+            for name, k in zip(m.gens, d):
+                for _ in range(k):
+                    ref = ref_func_diff(ref, name)
+            assert coeffs == [q.terms for q in ref.series.coeffs], d
+        filled += len(p)
+    assert filled > 4 * len(inputs)

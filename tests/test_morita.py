@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from redstar import morita, starprod, suites
+from redstar import integrate, morita, starprod, suites
 from redstar.diffop import DiffOperator
 from redstar.funcs import Func
 from redstar.geometry import (ModelSpace, abelian_lie, fiber_integral, heisenberg3, monomial,
@@ -343,27 +343,29 @@ def test_suite_comparison_perturbs_each_state_once(model_heis):
     assert counts["apply"] == len(monomials(model_heis.group_names, 2)) == 10
 
 
-def test_shifted_moments_match_fiber_integral(model_heis, rand):
+def test_shifted_moments_match_fiber_integral(model_heis, rand, monkeypatch):
     """The moment pass against every g^e equals fiber_integral(g^e f), on an
-    integrand with odd moments, a pi-grade and a lam shift, with the memo
-    shared across two envelopes; with top 0 only order 0 is kept."""
+    integrand with odd moments, a pi-grade and a lam shift, with the moment
+    table, started empty, shared across two envelopes; with top 0 only
+    order 0 is kept."""
     m = model_heis
     g1, g2, g3 = gnames = m.group_names
     gexps = monomials(gnames, 2)
     memo = {}
+    monkeypatch.setattr(integrate, "MOMENTS", memo)
     for a in (1, 4):
         odd = m.var(g1) * m.var("q") + m.var(g2) * m.var(g3) * m.var(g3)
         f = odd + rand.poly(m, 4) + Func(rand.poly(m, 3).series.shift(1))
         f = f.with_profile({g: a for g in gnames}).with_pi4(-3)
-        full = gaussian_integrate_shifted(f, gnames, gexps, m.order, memo)
-        low = gaussian_integrate_shifted(f, gnames, gexps, 0, memo)
+        full = gaussian_integrate_shifted(f, gnames, gexps, m.order)
+        low = gaussian_integrate_shifted(f, gnames, gexps, 0)
         for e, val, val0 in zip(gexps, full, low):
             direct = fiber_integral(m, monomial(m, gnames, e) * f)
             assert val == direct and val.pi4 == direct.pi4 == -3 + 6, e
             assert val0.series.coeffs[0] == direct.series.coeffs[0]
             assert all(p.is_zero() for p in val0.series.coeffs[1:])
         odd = odd.with_profile({g: a for g in gnames})
-        vals = gaussian_integrate_shifted(odd, gnames, gexps, m.order, memo)
+        vals = gaussian_integrate_shifted(odd, gnames, gexps, m.order)
         assert vals[0].is_zero() and not vals[gexps.index((1, 0, 0))].is_zero()
     assert len(memo) == 2
 

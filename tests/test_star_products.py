@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from redstar.funcs import Func
-from redstar.geometry import LieAlgebraData, ModelSpace, abelian_lie, aff1, heisenberg3
+from redstar.geometry import (LieAlgebraData, ModelSpace, abelian_lie, aff1, heisenberg3,
+                              random_poly)
 from redstar.scalars import GaussRational, I
 from redstar.starprod import (
     StarProduct,
@@ -18,7 +19,7 @@ from redstar.starprod import (
     star_std,
     stdrep,
 )
-from redstar.suites import SuiteContext, random_poly, suite_star
+from redstar.suites import SuiteContext, suite_star
 
 
 def lam_const(m, c, k=1):
