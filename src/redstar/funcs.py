@@ -130,10 +130,14 @@ class Func:
     # -- arithmetic -------------------------------------------------------
 
     def _compatible(self, other: "Func"):
+        """Raise ValueError unless self + other is defined: one generator
+        tuple, and one envelope and grade unless a side is zero."""
         if self.gens != other.gens:
             raise ValueError("generator mismatch")
-        if self.is_zero() or other.is_zero():
-            return
+        if not (self.is_zero() or other.is_zero()):
+            self._same_grade(other)
+
+    def _same_grade(self, other: "Func"):
         if self.profile != other.profile:
             raise ValueError(
                 f"cannot add different envelopes {self.profile} and {other.profile}"
@@ -147,11 +151,13 @@ class Func:
                 other = Func.constant(self.gens, other, self.order)
             elif not isinstance(other, Func):
                 return NotImplemented
-        self._compatible(other)
+        if self.gens != other.gens:
+            raise ValueError("generator mismatch")
         if self.is_zero():
             return other
         if other.is_zero():
             return self
+        self._same_grade(other)
         return self._like(self.series + other.series)
 
     __radd__ = __add__

@@ -48,7 +48,7 @@ from .koszul import (
 from .linalg import poly_equations, solve_linear
 from .scalars import GaussRational, I as IMAG
 from .series import series_inverse, terminating_series
-from .starprod import _mul_ilam, moyal, moyal_table, mult_operator
+from .starprod import _mul_ilam, moyal, moyal_commutator, moyal_table, mult_operator
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +388,9 @@ def modular_inner_difference(model: ModelSpace, om1: Func,
     monomial of degree at most cap and every lam order.
 
     moyal commutes with lam^s, so the commutators ad_star(x^e) with the
-    basis are built once per unknown monomial x^e, and the column of the
-    unknown lam^s x^e is their lam^s shift.
+    basis are built once per unknown monomial x^e, each in one
+    moyal_commutator pass, and the column of the unknown lam^s x^e is their
+    lam^s shift.
     """
     unknown_cap = cap + 2 * model.order
     _, d1 = _modular_maps(model, om1)
@@ -400,7 +401,7 @@ def modular_inner_difference(model: ModelSpace, om1: Func,
     ads = []
     for em in monomials(model.base_names, unknown_cap):
         w = monomial(model, model.base_names, em)
-        ads.append([moyal(model, w, m) - moyal(model, m, w) for m in monos])
+        ads.append([moyal_commutator(model, w, m) for m in monos])
     columns = [poly_equations([c for ad in col for c in ad.shift(s).series.coeffs])
                for s in range(model.order) for col in ads]
     diffs = [d1(m) - d2(m) for m in monos]

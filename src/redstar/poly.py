@@ -303,9 +303,10 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def _mul_into(acc: dict, left: dict, right: dict) -> None:
-    """acc += left * right for term dicts {exponent: GaussRational}, into a
-    triple accumulator {exponent: (a, b, d)}.
+def _mul_into(acc: dict, left: dict, right: dict, scale=None) -> None:
+    """acc += scale * left * right for term dicts {exponent: GaussRational}
+    and a GaussRational scale (1 if None), into a triple accumulator
+    {exponent: (a, b, d)}.
 
     Sums over one denominator add numerators; other sums take the product
     of the denominators.  Nothing is normalised and zero sums stay in acc:
@@ -314,6 +315,9 @@ def _mul_into(acc: dict, left: dict, right: dict) -> None:
     get = acc.get
     for e1, c1 in left.items():
         a1, b1, d1 = c1.a, c1.b, c1.d
+        if scale is not None:
+            sa, sb = scale.a, scale.b
+            a1, b1, d1 = a1 * sa - b1 * sb, a1 * sb + b1 * sa, d1 * scale.d
         for e2, c2 in right.items():
             e = tuple(map(add, e1, e2))
             a2, b2 = c2.a, c2.b

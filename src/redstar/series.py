@@ -144,7 +144,7 @@ class LambdaSeries:
         return LambdaSeries(list(self.coeffs), order)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(c.terms for c in self.coeffs)
 
     def classical(self):
         return self.coeffs[0]

@@ -2,17 +2,19 @@
 
 The base carries the constant-coefficient exponential bidifferential product
 (the Weyl-Moyal product for the matrix Lam), expanded once per model into
-moyal_table; moyal and the right multiplication operator mult_operator
-apply that table to Func.partials on term dicts, reading no level above an
-operand's total degree.  The cotangent factor
-carries products built from one PBW word calculus: normal ordering of words
+moyal_table; the kernel _moyal_into, which adds a product into the caller's
+triple accumulators, and mult_operator apply that table to Func.partials on
+term dicts, reading no level above an operand's total degree.  Lam is
+antisymmetric, so moyal_commutator is twice the odd levels of one pass.
+The cotangent factor carries products built from one PBW word calculus:
+normal ordering of words
 in the generators with [J_a, J_b] = i lam C_ab^c J_c, symmetrized
 quantization of momentum polynomials and its inverse.  All three are linear
 over the coefficients, so each reads a memoised table of rationals that
 depends on the structure constants only (_normal_order, _sym_table,
-_inverse_table, cached in LieAlgebraData.pbw_tables).  Normal ordering and
-symmetrization do one Func operation per output word, symmetrization
-reading every coefficient of the symbol in one pass over its terms.  On
+_inverse_table, cached in LieAlgebraData.pbw_tables).  Normal ordering does
+one Func operation per output word; symmetrization sums each output word's
+coefficient on triples from one pass over the symbol's terms.  On
 group models the words are left-invariant derivatives, group fields act on
 the coefficients, and the calculus gives the standard-ordered product; its
 Hermitian normalization conjugates with N = exp(A), A = (lam/2i)(Delta_0 -
@@ -40,7 +42,7 @@ symbol of its word read from _normal_order and _inverse_table, into one
 right operand on term dicts, and makes one base product with the left
 coefficient, since the base product differentiates the base coordinates
 only and the momenta, group coordinates and lam-shifts act pointwise.  The
-products are summed on term dicts into one Func.
+products are summed by _moyal_into into one Func.
 
 Operators coming from the symbol calculus are held in a "stripped" normal
 form sum_w c_w (i lam)^{|w|} L_{w_1} ... L_{w_k}: every stored word is
@@ -60,7 +62,7 @@ from operator import add, gt
 from .diffop import DiffOperator, _leibniz_splits
 from .funcs import Func
 from .geometry import ModelSpace
-from .poly import Poly, _accumulate, _mul_into, _scale
+from .poly import Poly, _mul_into, _scale
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries, terminating_series
 
@@ -97,17 +99,15 @@ def moyal_table(model: ModelSpace, order: int) -> list:
     return model._field_cache[key]
 
 
-def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
-    """Exponential bidifferential product in the base coordinates only.
+def _moyal_into(acc: list, model: ModelSpace, f: Func, g: Func,
+                odd: bool = False) -> None:
+    """acc[n] += the lam^n coefficient of moyal(model, f, g), one triple
+    accumulator per lam order; with odd, twice its odd levels only.
 
-    Functions of the fiber variables are multiplied pointwise, so this also
-    serves as the coefficient product of the symbol calculus.  Envelopes and
-    pi-grades add, also on a zero result.  Level r of moyal_table takes r
-    derivatives of each operand, so the levels above either operand's total
-    degree (Partials.top) are not read, and neither is an entry (alpha,
-    beta) with some alpha_i or beta_i above that operand's degree in
-    coordinate i (Partials.bound).
-    """
+    Level r of moyal_table takes r derivatives of each operand, so the
+    levels above either operand's total degree (Partials.top) are not read,
+    and neither is an entry (alpha, beta) with some alpha_i or beta_i above
+    that operand's degree in coordinate i (Partials.bound)."""
     if f.gens != g.gens or f.gens != model.gens:
         raise ValueError("generator mismatch")
     if f.order != g.order:
@@ -115,21 +115,42 @@ def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
     order = f.order
     pf, pg = f.partials(), g.partials()
     fbound, gbound = pf.bound, pg.bound
-    acc = [{} for _ in range(order + 1)]
-    for r, level in enumerate(moyal_table(model, order)):
-        if r > pf.top or r > pg.top:
-            break
-        for (alpha, beta), c in level.items():
+    table = moyal_table(model, order)
+    for r in range(1 if odd else 0, min(order, pf.top, pg.top) + 1, 2 if odd else 1):
+        for (alpha, beta), c in table[r].items():
             if any(map(gt, alpha, fbound)) or any(map(gt, beta, gbound)):
                 continue
+            if odd:
+                c = _scale(c, 2)
             for s, left in enumerate(pf[alpha][: order + 1 - r]):
                 if left:
-                    left = {e: v * c for e, v in left.items()}
                     for t, right in enumerate(pg[beta][: order + 1 - r - s]):
                         if right:
-                            _mul_into(acc[r + s + t], left, right)
-    series = LambdaSeries._trusted(Poly._trusted_orders(model.gens, acc), order)
+                            _mul_into(acc[r + s + t], left, right, c)
+
+
+def _base_product(model: ModelSpace, f: Func, g: Func, odd: bool) -> Func:
+    """One _moyal_into pass, finished; envelopes and pi-grades add."""
+    acc = [{} for _ in range(f.order + 1)]
+    _moyal_into(acc, model, f, g, odd)
+    series = LambdaSeries._trusted(Poly._trusted_orders(model.gens, acc), f.order)
     return Func._product(series, f, g)
+
+
+def moyal(model: ModelSpace, f: Func, g: Func) -> Func:
+    """Exponential bidifferential product in the base coordinates only.
+
+    Functions of the fiber variables are multiplied pointwise, so this also
+    serves as the coefficient product of the symbol calculus.
+    """
+    return _base_product(model, f, g, False)
+
+
+def moyal_commutator(model: ModelSpace, f: Func, g: Func) -> Func:
+    """moyal(f, g) - moyal(g, f) in one pass: Lam is constant and
+    antisymmetric, so level r of moyal_table is (-1)^r-symmetric in the
+    operands and the commutator is twice the odd levels of moyal(f, g)."""
+    return _base_product(model, f, g, True)
 
 
 def mult_operator(model: ModelSpace, u: Func) -> DiffOperator:
@@ -419,9 +440,10 @@ def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
     """Symmetrized quantization of a momentum-polynomial symbol.
 
     Each sorted multi-index alpha inserts g = d^alpha f at J = 0, which is
-    alpha! times the coefficient of J^alpha, through _sym_table(alpha), in
-    one Func operation per output word.  Every g is read from one pass over
-    the terms of f grouped by their momentum exponent, shortest alpha first.
+    alpha! times the coefficient of J^alpha, through _sym_table(alpha): its
+    entry r_v adds r_v (i lam)^{|alpha| - |v|} g to the word v.  Every g is
+    read from one pass over the terms of f grouped by their momentum
+    exponent, shortest alpha first, and each word's sum is built once.
     """
     for n in model.momentum_names:
         if n in f.profile:
@@ -440,12 +462,19 @@ def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
             if g is None:
                 g = groups[multi] = [{} for _ in range(order + 1)]
             g[r][tuple(rest)] = c if weight == 1 else _scale(c, weight)
-    op = SymbolOp(model)
+    origin = (0,) * len(gens)
+    sums: dict = {}
     for multi in sorted(groups, key=lambda w: (len(w), w)):
-        g = f._like(LambdaSeries._trusted(
-            tuple([Poly._trusted(gens, t) for t in groups[multi]]), order))
-        op._add_table(_sym_table(model.lie, multi), len(multi), g)
-    return op
+        g = groups[multi]
+        for v, r in _sym_table(model.lie, multi).items():
+            k = len(multi) - len(v)
+            if any(g[: order + 1 - k]):
+                acc = sums.setdefault(v, [{} for _ in range(order + 1)])
+                unit = {origin: r * _IMAG_POWERS[k % 4]}
+                for s, terms in enumerate(g[: order + 1 - k]):
+                    _mul_into(acc[s + k], terms, unit)
+    return SymbolOp(model, {v: f._like(LambdaSeries._trusted(
+        Poly._trusted_orders(gens, acc), order)) for v, acc in sums.items()})
 
 
 def stdrep(model: ModelSpace, f: Func) -> SymbolOp:
@@ -482,11 +511,12 @@ def _symbol_product(model: ModelSpace, a: SymbolOp, b: SymbolOp) -> Func:
     and each right term c2 F^{|w2|} L_w2 give mult F^{|sub|} L_sub c2 times
     _word_symbol(rest + w2).  They are summed on term dicts into one right
     operand R, and c1 R is one base product, exact because the base
-    product differentiates the base coordinates only.  The products become
-    one Func at the end, with their envelope and grade (all must agree).
-    A zero result is the plain zero: the inverse of the symmetrization is
-    triangular with unit diagonal, so the result vanishes exactly when
-    a o b is the zero operator."""
+    product differentiates the base coordinates only.  _moyal_into sums
+    the products into one Func, whose envelope and grade every nonzero c1 R
+    must share (c1 R is zero exactly when the lowest lam orders of c1 and
+    R add up past K).  A zero result is the plain zero: the
+    inverse of the symmetrization is triangular with unit diagonal, so the
+    result vanishes exactly when a o b is the zero operator."""
     gens, order = model.gens, model.order
     jidx = [gens.index(n) for n in model.momentum_names]
     right = _right_actions(model, b)
@@ -495,7 +525,7 @@ def _symbol_product(model: ModelSpace, a: SymbolOp, b: SymbolOp) -> Func:
     for c2 in carrier[1:]:
         carrier[0]._compatible(c2)
     acc = [{} for _ in range(order + 1)]
-    last = None
+    first = None
     for w1, c1 in a.terms.items():
         racc = [{} for _ in range(order + 1)]
         for word, k, mult, h in _leibniz_push(model, w1, right):
@@ -504,29 +534,21 @@ def _symbol_product(model: ModelSpace, a: SymbolOp, b: SymbolOp) -> Func:
                 j += k
                 if j > order:
                     continue
-                unit = _IMAG_POWERS[j % 4]
-                if mult != 1:
-                    unit = _scale(unit, mult)
-                mono = {e: t * unit for e, t in mono.items()}
+                unit = _scale(_IMAG_POWERS[j % 4], mult)
                 for s, p in enumerate(coeffs[: order + 1 - j]):
-                    if p.terms:
-                        _mul_into(racc[s + j], p.terms, mono)
+                    _mul_into(racc[s + j], p.terms, mono, unit)
         rhs = LambdaSeries._trusted(Poly._trusted_orders(gens, racc), order)
-        if rhs.is_zero():
+        low, _ = rhs.lowest_order()
+        if low is None:
             continue
-        term = moyal(model, c1, carrier[0]._like(rhs))
-        if term.is_zero():
-            continue
-        if last is not None:
-            last._compatible(term)
-        last = term
-        for total, p in zip(acc, term.series.coeffs):
-            for e, c in p.terms.items():
-                _accumulate(total, e, c)
+        if low + c1.series.lowest_order()[0] <= order:  # c1 R is not zero
+            first = first or c1
+            first._compatible(c1)
+        _moyal_into(acc, model, c1, carrier[0]._like(rhs))
     series = LambdaSeries._trusted(Poly._trusted_orders(gens, acc), order)
     if series.is_zero():
         return Func._trusted(gens, series, {}, 0)
-    return last._like(series)
+    return Func._product(series, first, carrier[0])
 
 
 # ---------------------------------------------------------------------------

@@ -473,11 +473,13 @@ class TestOperationCounts:
         m = ModelSpace(aff1(), base_dim=2, order=3)
         om = gaussian_base_weight(m, 1)
         rho = m.one() + (m.var("q") * m.var("q")).shift(1)
-        calls = self.count(monkeypatch, "moyal")
+        products = self.count(monkeypatch, "moyal")
+        calls = self.count(monkeypatch, "moyal_commutator")
         assert modular_inner_difference(m, om, om * rho, cap=1)["inner"]
         # 36 unknown monomials of degree <= 1 + 2K, each commuted with the
-        # 3 basis monomials of degree <= 1 on both sides, for all K shifts
-        assert len(calls) == 36 * 3 * 2
+        # 3 basis monomials of degree <= 1 in one pass, for all K shifts
+        assert len(calls) == 36 * 3
+        assert not products
 
     def test_density_ratio_integrates_no_gram_entry(self, monkeypatch, model_r):
         m = model_r

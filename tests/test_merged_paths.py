@@ -119,7 +119,15 @@ equal repr):
   comparison system integrating f times the fiber state of 1 and testing
   each column entry with Func.is_zero, which the envelope added by
   with_profile and a read of order 0 replace; and a Partials built on
-  every call of Func.partials, which one kept per Func replaces.
+  every call of Func.partials, which one kept per Func replaces;
+- the base product rescaling its left operand by each table coefficient
+  anew per entry and order, the product of two symbols as one moyal Func
+  per left word re-added through _accumulate, and the symmetrization as
+  one Func shift, scale and sum per table entry (SymbolOp._add_table),
+  which the kernel _moyal_into summing into one accumulator and one sum
+  of triples per output word replace; and each commutator as two moyal
+  products, which moyal_commutator's one pass over the odd levels
+  replaces.
 
 suites.py and koszul.py leave the envelope and grade bookkeeping to Func
 and never call its constructor.  Unvalidated Poly, LambdaSeries, Func and
@@ -189,7 +197,7 @@ from redstar.morita import (
     inner_product_red_closed_form,
     vertical_sqrt,
 )
-from redstar.poly import Poly, _diff_terms, _mul_into, _scale
+from redstar.poly import Poly, _accumulate, _diff_terms, _mul_into, _scale
 from redstar.integrate import gaussian_integrate_shifted
 from redstar.scalars import GaussRational, I as IMAG, _make, double_factorial, rational_sqrt
 from redstar.series import LambdaSeries, _leading_constant, series_inverse, series_sqrt
@@ -202,6 +210,7 @@ from redstar.starprod import (
     _sym_table,
     _symmetrize,
     moyal,
+    moyal_commutator,
     moyal_table,
     neumaier_N,
     neumaier_N_inverse,
@@ -990,19 +999,20 @@ def test_symbol_product_matches_composed_operator(name, K):
 
 
 def test_star_std_is_one_base_product_per_left_word(monkeypatch):
-    """star_std on heis3 makes exactly one moyal call per word of the left
-    operand stdrep(Nf)."""
+    """star_std on heis3 makes exactly one base-product pass per word of the
+    left operand stdrep(Nf), each into the one output accumulator, and no
+    moyal call."""
     m = ModelSpace(heisenberg3(), 2, 4)
     rng = random.Random(103)
     n = neumaier_N(m)
     calls = []
-    real = starprod.moyal
+    real = starprod._moyal_into
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(acc, *args):
+        calls.append(acc)
+        return real(acc, *args)
 
-    monkeypatch.setattr(starprod, "moyal", counted)
+    monkeypatch.setattr(starprod, "_moyal_into", counted)
     for _ in range(3):
         f = n.apply(rand_poly(rng, m, m.gens, 4, nterms=4))
         g = n.apply(rand_poly(rng, m, m.gens, 4, nterms=4))
@@ -1010,6 +1020,158 @@ def test_star_std_is_one_base_product_per_left_word(monkeypatch):
         del calls[:]
         star_std(m, f, g)
         assert len(calls) == words > 1
+        assert all(acc is calls[0] for acc in calls)
+
+
+# ---------------------------------------------------------------------------
+# reference: one Func per base product, per left word and per table entry
+# ---------------------------------------------------------------------------
+
+
+def ref_symbol_product(model, a, b):
+    """The former _symbol_product: each left word's base product built as a
+    Func by the rescaled-left loop, its terms added to the output through
+    _accumulate, with the envelope and grade of the last nonzero product
+    (all must agree)."""
+    gens, order = model.gens, model.order
+    jidx = [gens.index(n) for n in model.momentum_names]
+    right = starprod._right_actions(model, b)
+    carrier = [c2 for _, c2, _ in right]
+    for c2 in carrier[1:]:
+        carrier[0]._compatible(c2)
+    acc = [{} for _ in range(order + 1)]
+    last = None
+    for w1, c1 in a.terms.items():
+        racc = [{} for _ in range(order + 1)]
+        for word, k, mult, h in starprod._leibniz_push(model, w1, right):
+            coeffs = h.series.coeffs
+            for j, mono in starprod._word_symbol(model, word, jidx).items():
+                j += k
+                if j > order:
+                    continue
+                unit = _IMAG_POWERS[j % 4]
+                if mult != 1:
+                    unit = _scale(unit, mult)
+                mono = {e: t * unit for e, t in mono.items()}
+                for s, p in enumerate(coeffs[: order + 1 - j]):
+                    if p.terms:
+                        _mul_into(racc[s + j], p.terms, mono)
+        rhs = LambdaSeries._trusted(Poly._trusted_orders(gens, racc), order)
+        if rhs.is_zero():
+            continue
+        term = ref_moyal_total_cut(model, c1, carrier[0]._like(rhs))
+        if term.is_zero():
+            continue
+        if last is not None:
+            last._compatible(term)
+        last = term
+        for total, p in zip(acc, term.series.coeffs):
+            for e, c in p.terms.items():
+                _accumulate(total, e, c)
+    series = LambdaSeries._trusted(Poly._trusted_orders(gens, acc), order)
+    if series.is_zero():
+        return Func._trusted(gens, series, {}, 0)
+    return last._like(series)
+
+
+def ref_symmetrize_by_table(model, f):
+    """The former _symmetrize: the coefficients g grouped in one pass over
+    f's terms, each inserted through SymbolOp._add_table, one Func shift,
+    scale and sum per table entry."""
+    gens, order = f.gens, f.order
+    jidx = [gens.index(n) for n in model.momentum_names]
+    groups = {}
+    for r, p in enumerate(f.series.coeffs):
+        for e, c in p.terms.items():
+            multi = tuple(a for a, i in enumerate(jidx) for _ in range(e[i]))
+            weight = prod(factorial(e[i]) for i in jidx)
+            rest = list(e)
+            for i in jidx:
+                rest[i] = 0
+            g = groups.setdefault(multi, [{} for _ in range(order + 1)])
+            g[r][tuple(rest)] = c if weight == 1 else _scale(c, weight)
+    op = SymbolOp(model)
+    for multi in sorted(groups, key=lambda w: (len(w), w)):
+        g = f._like(LambdaSeries._trusted(
+            tuple([Poly._trusted(gens, t) for t in groups[multi]]), order))
+        op._add_table(_sym_table(model.lie, multi), len(multi), g)
+    return op
+
+
+def summed_inputs(m, seed):
+    """Degree-4 symbols over every generator: plain, lam-shifted by 1 and by
+    K, enveloped in a base coordinate with a pi-grade, repeated momentum
+    letters, a momentum-free symbol and the zero."""
+    rng = random.Random(seed)
+    base, K = m.base_names, m.order
+    j = m.momentum(m.lie.dim - 1)
+    return [rand_poly(rng, m, m.gens, 4, nterms=5),
+            rand_poly(rng, m, m.gens, 2) + lam_shifted(rand_poly(rng, m, m.gens, 3), 1),
+            lam_shifted(rand_poly(rng, m, m.gens, 3), K),
+            (rand_poly(rng, m, base, 2) * j * j + lam_shifted(j, 1))
+            .with_profile({base[0]: Fraction(1, 2)}).with_pi4(3),
+            j * j * j * rand_poly(rng, m, m.gens, 1),
+            rand_poly(rng, m, base + m.group_names, 3),
+            m.zero()]
+
+
+@pytest.mark.parametrize("K", range(5))
+@pytest.mark.parametrize("name", sorted(KERNEL_ALGEBRAS))
+def test_summed_products_match_one_func_per_product(name, K):
+    """moyal and moyal_commutator against the rescaled-left loop,
+    _symmetrize against SymbolOp._add_table and _symbol_product against one
+    moyal Func per left word: equal value, repr, hash, envelope and grade,
+    zero results included; operands of mixed grades raise in both."""
+    m = ModelSpace(KERNEL_ALGEBRAS[name](), 2, K)
+    fs = summed_inputs(m, 113 + K)
+    for f in fs:
+        got, expect = _symmetrize(m, f), ref_symmetrize_by_table(m, f)
+        assert list(got.terms) == list(expect.terms)
+        for w, c in expect.terms.items():
+            assert_identical(got.terms[w], c)
+        for g in fs:
+            fg, gf = ref_moyal_total_cut(m, f, g), ref_moyal_total_cut(m, g, f)
+            assert_identical(moyal(m, f, g), fg)
+            assert_identical(moyal_commutator(m, f, g), fg - gf)
+    ops = kernel_operands(m, 127 + K) + [_symmetrize(m, f) for f in fs[:2]]
+    for a in ops:
+        for b in ops:
+            assert_identical(starprod._symbol_product(m, a, b), ref_symbol_product(m, a, b))
+    dressed = next(iter(ops[2].terms.values()))
+    mixed = SymbolOp(m, {(): dressed, (m.lie.dim - 1,): dressed.with_pi4(1)})
+    for a, b in ((mixed, ops[0]), (ops[0], mixed)):
+        with pytest.raises(ValueError):
+            ref_symbol_product(m, a, b)
+        with pytest.raises(ValueError):
+            starprod._symbol_product(m, a, b)
+
+
+# a constant antisymmetric Poisson matrix on a 4-dimensional base that
+# couples every coordinate, with entries other than 0 and +-1
+NONCANONICAL_LAM = [[0, 2, 0, Fraction(-1, 3)], [-2, 0, 1, 0],
+                    [0, -1, 0, 2], [Fraction(1, 3), 0, -2, 0]]
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_moyal_commutator_is_twice_the_odd_levels(K):
+    """On a 4-dimensional base with a non-canonical Poisson matrix, at odd
+    and even K, moyal_commutator(f, g) is moyal(f, g) - moyal(g, f), value,
+    repr, envelope and grade, on random symbols."""
+    m = ModelSpace(aff1(), 4, K, poisson_matrix=NONCANONICAL_LAM)
+    rng = random.Random(131 + K)
+    base = m.base_names
+    fs = [rand_poly(rng, m, m.gens, 4, nterms=5) for _ in range(3)]
+    fs += [lam_shifted(rand_poly(rng, m, base, 4, nterms=4), 1).with_pi4(2),
+           rand_poly(rng, m, base, 3).with_profile({base[1]: Fraction(1, 3)}),
+           m.zero()]
+    for f in fs:
+        for g in fs:
+            got = moyal_commutator(m, f, g)
+            assert_identical(got, moyal(m, f, g) - moyal(m, g, f))
+            assert_identical(got, ref_moyal_total_cut(m, f, g) - ref_moyal_total_cut(m, g, f))
+    # the odd levels above the first take part, so a wrong parity would show
+    f, g = (rand_poly(rng, m, base, 4, nterms=4) for _ in range(2))
+    assert not moyal_commutator(m, f, g).series.coeffs[3].is_zero()
 
 
 @pytest.mark.parametrize("name", ["heis3", "filiform4", "aff1", "sl2"])
@@ -2709,7 +2871,19 @@ def test_density_ratio_matches_per_entry_integrals(name):
 
 @pytest.mark.parametrize("name", ["abelian_r", "aff1"])
 def test_inner_difference_columns_match_per_shift(monkeypatch, name):
-    m = RATIO_MODELS[name]()
+    check_inner_difference_columns(monkeypatch, RATIO_MODELS[name]())
+
+
+@pytest.mark.parametrize("K", [2, 4])
+@pytest.mark.parametrize("name", ["abelian_r", "aff1"])
+def test_inner_difference_columns_match_at_even_order(monkeypatch, name, K):
+    check_inner_difference_columns(monkeypatch, ModelSpace(RATIO_MODELS[name]().lie, 2, K))
+
+
+def check_inner_difference_columns(monkeypatch, m):
+    """The columns of modular_inner_difference, built from one commutator
+    pass per (unknown, basis) pair, equal those of two moyal products per
+    lam shift, entry by entry and in order."""
     systems = []
 
     def recording_solve_linear(columns, target):
@@ -2722,7 +2896,7 @@ def test_inner_difference_columns_match_per_shift(monkeypatch, name):
     assert modular_inner_difference(m, gauss, gauss * rho, cap=1)["inner"]
     (got,) = systems
     expect = ref_inner_difference_columns(m, 1)
-    assert len(got) == len(expect)
+    assert len(got) == len(expect) and any(got)
     for col, ref_col in zip(got, expect):
         assert col == ref_col
         assert list(col) == list(ref_col)

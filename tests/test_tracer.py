@@ -13,12 +13,17 @@ pass run untraced and fill the model's lazy caches, then the same pass runs
 traced.  A cache kept across calls that skips a required layer on repeat
 calls therefore passes a cold trace and fails only the benchmark, so a
 second test runs that traced pass through perfbench's own worker and checks
-every layer the benchmark requires on it.
+every layer the benchmark requires on it.  The verify workloads run traced
+end to end through perfbench/run.py, which checks their reports and every
+zero and nonzero layer counter of run.LAYER_EXPECTATIONS.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,3 +85,14 @@ def test_warm_call_pass_keeps_every_required_layer():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "warm"
+
+
+@pytest.mark.parametrize("workload", ["verify-aff1", "verify-heis3"])
+def test_traced_verify_workload_is_correct(workload):
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "0", "--trace", "1"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["correct"] and out["failed"] == 0, out
+    assert out["metrics"]["starprod.moyal.calls"]["value"] > 0
