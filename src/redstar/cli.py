@@ -93,6 +93,12 @@ def _rational(value, what: str) -> Fraction:
         raise SceneError(f"{what} must be a rational number, got {value!r}") from None
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SceneError(f"{what} must be a string, got {_json_type(value)}")
+    return value
+
+
 def _at_least(value, low: int, what: str, high: int | None = None) -> int:
     value = _integer(value, what)
     if value < low:
@@ -112,6 +118,19 @@ def _object(value, what: str, keys=None) -> dict:
     return value
 
 
+def _structure_constant(entry, n: int, dim: int) -> tuple:
+    """((a, b, c), value) from entry n of a scene's structure_constants,
+    [a, b, c, value] with 1-based indices; the key is 0-based."""
+    name = f"structure_constants entry {n} {json.dumps(entry)}:"
+    if not (isinstance(entry, list) and len(entry) == 4):
+        raise SceneError(f"{name} must be a JSON list of four items [a, b, c, value]")
+    index = [_integer(i, f"{name} structure constant index") for i in entry[:3]]
+    bad = next((i for i in index if not 1 <= i <= dim), None)
+    if bad is not None:
+        raise SceneError(f"{name} structure constant index {bad} is outside 1..{dim}")
+    return tuple(i - 1 for i in index), _rational(entry[3], f"{name} structure constant")
+
+
 class Scene:
     def __init__(self, data: dict, path: str = "<memory>"):
         self.path = path
@@ -121,13 +140,15 @@ class Scene:
         try:
             lie_spec = _object(data["lie_algebra"], "lie_algebra",
                                ("dim", "structure_constants", "label"))
-            structure = {}
-            for entry in lie_spec.get("structure_constants", []):
-                a, b, c, v = entry
-                key = tuple(_integer(i, "structure constant index") - 1 for i in (a, b, c))
-                structure[key] = _rational(v, "structure constant")
             dim = _at_least(lie_spec["dim"], 1, "lie_algebra dim", MAX_LIE_DIM)
-            self.lie = LieAlgebraData(dim, structure, lie_spec.get("label", ""))
+            entries = lie_spec.get("structure_constants", [])
+            if not isinstance(entries, list):
+                raise SceneError("structure_constants must be a JSON list, got "
+                                 f"{_json_type(entries)}")
+            structure = dict(_structure_constant(entry, n, dim)
+                             for n, entry in enumerate(entries, 1))
+            self.lie = LieAlgebraData(dim, structure,
+                                      _string(lie_spec.get("label", ""), "lie_algebra label"))
         except (KeyError, TypeError, IndexError) as exc:
             raise SceneError(f"bad lie_algebra block: {exc}") from exc
         except ValueError as exc:
@@ -185,7 +206,7 @@ class Scene:
                      else _json_type(self.star_product))
             raise SceneError(f"star_product must be one of {', '.join(STAR_PRODUCTS)}, "
                              f"got {shown}")
-        self.label = data.get("label", self.lie.label)
+        self.label = _string(data.get("label", self.lie.label), "label")
 
     def model(self) -> ModelSpace:
         try:

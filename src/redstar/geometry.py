@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import wraps
 from itertools import product
 from math import factorial
 
@@ -33,6 +34,25 @@ from .poly import Poly
 from .scalars import GaussRational
 
 FIBER_EXPONENT = Fraction(1, 2)
+_UNBUILT = object()
+
+
+def memo(tag: str):
+    """Run the builder f(owner, *args) once per owner and args and keep the
+    value, falsy or not, in the owner's dict (ModelSpace._field_cache or
+    LieAlgebraData.pbw_tables) under (tag, *args), or tag without args."""
+    def decorate(build):
+        @wraps(build)
+        def get(owner, *args):
+            cache = (owner.pbw_tables if isinstance(owner, LieAlgebraData)
+                     else owner._field_cache)
+            key = (tag, *args) if args else tag
+            value = cache.get(key, _UNBUILT)
+            if value is _UNBUILT:
+                value = cache[key] = build(owner, *args)
+            return value
+        return get
+    return decorate
 
 
 class LieAlgebraData:
@@ -60,8 +80,7 @@ class LieAlgebraData:
             for a in range(self.dim)
         )
         self.nilpotency_class = self._nilpotency_class()
-        # starprod's memoised PBW tables; they depend on the structure
-        # constants only, so every model over this algebra shares them
+        # the memo's tables of the algebra, shared by every model over it
         self.pbw_tables: dict = {}
 
     def c(self, a, b, k) -> Fraction:
@@ -147,10 +166,6 @@ class LieAlgebraData:
     @property
     def is_nilpotent(self) -> bool:
         return self.nilpotency_class is not None
-
-    @property
-    def is_unimodular(self) -> bool:
-        return all(v == 0 for v in self.modular)
 
     def __repr__(self):
         return f"LieAlgebraData({self.label!r}, dim={self.dim})"
@@ -246,12 +261,10 @@ class ModelSpace:
     def var(self, name: str) -> Func:
         return Func.var(self.gens, name, self.order)
 
+    @memo("momentum")
     def momentum(self, a: int) -> Func:
-        """J_a as a function (zero-indexed basis label), built once per model."""
-        key = ("momentum", a)
-        if key not in self._field_cache:
-            self._field_cache[key] = self.var(self.momentum_names[a])
-        return self._field_cache[key]
+        """J_a as a function (zero-indexed basis label)."""
+        return self.var(self.momentum_names[a])
 
     def momentum_of(self, xi) -> Func:
         out = self.zero()
@@ -278,12 +291,10 @@ class ModelSpace:
 
     # -- vector fields -------------------------------------------------------
 
+    @memo("liv")
     def left_invariant_field(self, a: int) -> DiffOperator:
         """X_a = (psi(ad_g) e_a)^c d/dg_c in exponential coordinates, each
         word of LieAlgebraData.psi_terms a group monomial g_{w1} ... g_{wk}."""
-        key = ("liv", a)
-        if key in self._field_cache:
-            return self._field_cache[key]
         if not self.has_group:
             raise ValueError("no group coordinates in this model")
         op = DiffOperator.zero(self.gens, self.order)
@@ -291,7 +302,6 @@ class ModelSpace:
             expo = tuple(sum(self.group_names[b] == g for b in word) for g in self.gens)
             op = op + DiffOperator.first_order(self.gens, self.order, {
                 n: Poly(self.gens, {expo: x}) for n, x in zip(self.group_names, v) if x})
-        self._field_cache[key] = op
         return op
 
     def fundamental_field_C(self, xi) -> DiffOperator:
@@ -302,11 +312,9 @@ class ModelSpace:
                 out = out + self.left_invariant_field(a) * GaussRational.coerce(-Fraction(c))
         return out
 
-    def fundamental_field_M(self, xi) -> DiffOperator:
+    @memo("ffm")
+    def fundamental_field_M(self, xi: tuple) -> DiffOperator:
         """(xi)_M: group part -X_xi plus the coadjoint part on the momenta."""
-        key = ("ffm", tuple(xi))
-        if key in self._field_cache:
-            return self._field_cache[key]
         out = DiffOperator.zero(self.gens, self.order)
         if self.has_group:
             out = out + self.fundamental_field_C(xi)
@@ -325,7 +333,6 @@ class ModelSpace:
                         coeffs[name] = coeffs.get(name, Poly.zero(self.gens)) + add
         if coeffs:
             out = out + DiffOperator.first_order(self.gens, self.order, coeffs)
-        self._field_cache[key] = out
         return out
 
     def basis_vector(self, a: int):

@@ -35,7 +35,8 @@ from fractions import Fraction
 
 from .diffop import DiffOperator, adjoint_sum
 from .funcs import Func
-from .geometry import ModelSpace, density_weight, modular_vector_field, monomial, monomials
+from .geometry import (ModelSpace, density_weight, memo, modular_vector_field, monomial,
+                       monomials)
 from .integrate import gaussian_integrate
 from .koszul import (
     ReductionConfig,
@@ -204,10 +205,10 @@ def gns_check(cfg: ReductionConfig, f: Func, g: Func, mu: Func) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@memo("involution_steps")
 def _involution_steps(model: ModelSpace, omega: Func) -> tuple:
-    """(P, P^-1) for the weight, with P(w) = T(L_w), built once per model
-    and weight on first use and shared by reduced_involution and
-    density_ratio_hat.
+    """(P, P^-1) for the weight, with P(w) = T(L_w), shared by
+    reduced_involution and density_ratio_hat.
 
     T(D) = conj(D^+(1)) is the transpose at 1 for the pairing integral(f g
     omega), and L_w = sum lam^r c^r_(alpha beta) (d^alpha w) d^beta over
@@ -227,23 +228,19 @@ def _involution_steps(model: ModelSpace, omega: Func) -> tuple:
     0.63 ms, at K = 4 1.62 against 2.16 ms, heis3 on a 4-dimensional base
     at K = 5 37.1 against 64.1 ms).
     """
-    key = ("involution_steps", omega)
-    ops = model._field_cache.get(key)
-    if ops is None:
-        gens, order = model.gens, model.order
-        tails = {}
-        for r, level in enumerate(moyal_table(model, order)):
-            for (alpha, beta), c in level.items():
-                tails.setdefault(beta, [{} for _ in range(order + 1)])[r][alpha] = c
-        tails = {beta: DiffOperator(gens, order, tabs) for beta, tabs in tails.items()}
-        step = adjoint_sum(omega, gens, order, tails)
-        rest = DiffOperator.identity(gens, order) - step
-        inverse = DiffOperator.identity(gens, 0)
-        for k in range(1, order + 1):
-            inverse = DiffOperator.identity(gens, k) + DiffOperator(
-                gens, k, rest.tables).compose(DiffOperator(gens, k, inverse.tables))
-        ops = model._field_cache[key] = (step, inverse)
-    return ops
+    gens, order = model.gens, model.order
+    tails = {}
+    for r, level in enumerate(moyal_table(model, order)):
+        for (alpha, beta), c in level.items():
+            tails.setdefault(beta, [{} for _ in range(order + 1)])[r][alpha] = c
+    tails = {beta: DiffOperator(gens, order, tabs) for beta, tabs in tails.items()}
+    step = adjoint_sum(omega, gens, order, tails)
+    rest = DiffOperator.identity(gens, order) - step
+    inverse = DiffOperator.identity(gens, 0)
+    for k in range(1, order + 1):
+        inverse = DiffOperator.identity(gens, k) + DiffOperator(
+            gens, k, rest.tables).compose(DiffOperator(gens, k, inverse.tables))
+    return step, inverse
 
 
 def _check_plain_base(model: ModelSpace, f: Func, what: str) -> None:

@@ -146,9 +146,6 @@ class LambdaSeries:
     def is_zero(self) -> bool:
         return not any(c.terms for c in self.coeffs)
 
-    def classical(self):
-        return self.coeffs[0]
-
     def lowest_order(self):
         for r, c in enumerate(self.coeffs):
             if not c.is_zero():

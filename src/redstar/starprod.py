@@ -10,9 +10,9 @@ The cotangent factor carries products built from one PBW word calculus:
 normal ordering of words
 in the generators with [J_a, J_b] = i lam C_ab^c J_c, symmetrized
 quantization of momentum polynomials and its inverse.  All three are linear
-over the coefficients, so each reads a memoised table of rationals that
-depends on the structure constants only (_normal_order, _sym_table,
-_inverse_table, cached in LieAlgebraData.pbw_tables).  Normal ordering does
+over the coefficients, so each reads a table of rationals that depends on
+the structure constants only (_normal_order, _sym_table, _inverse_table,
+built once per algebra by geometry.memo).  Normal ordering does
 one Func operation per output word; symmetrization sums each output word's
 coefficient on triples from one pass over the symbol's terms.  On
 group models the words are left-invariant derivatives, group fields act on
@@ -31,7 +31,7 @@ nilpotent), so the quantized Koszul differential needs no product call
 and no PBW table.
 
 A left word is pushed past a right coefficient by one Leibniz rule: the
-split table _splits(w), also in pbw_tables, lists each way of moving a
+split table _splits(w), another per-algebra table, lists each way of moving a
 subsequence of the sorted word onto the coefficient, with its multiplicity,
 and the right coefficients' field actions come from word_actions.
 SymbolOp.compose normal-orders the pushed words and makes one base product
@@ -61,7 +61,7 @@ from operator import add, gt
 
 from .diffop import DiffOperator, _leibniz_splits
 from .funcs import Func
-from .geometry import ModelSpace
+from .geometry import ModelSpace, memo
 from .poly import Poly, _mul_into, _scale
 from .scalars import GaussRational, I as IMAG
 from .series import LambdaSeries, terminating_series
@@ -72,31 +72,29 @@ from .series import LambdaSeries, terminating_series
 # ---------------------------------------------------------------------------
 
 
+@memo("moyal_table")
 def moyal_table(model: ModelSpace, order: int) -> list:
     """Per lam order r, {(alpha, beta): c} over the model's generators, with
     c = (i/2)^r / r! times the sum of Lam^{i_1 j_1} ... Lam^{i_r j_r} over
     the pair sequences with e_{i_1} + ... + e_{i_r} = alpha and
-    e_{j_1} + ... + e_{j_r} = beta.  Built once per model and order."""
-    key = ("moyal_table", order)
-    if key not in model._field_cache:
-        names = model.base_names
-        unit = {a: tuple(int(g == a) for g in model.gens) for a in names}
-        pairs = [(unit[a], unit[b], lam) for a, row in zip(names, model.poisson_matrix)
-                 for b, lam in zip(names, row) if lam]
-        origin = (0,) * len(model.gens)
-        level, table = {(origin, origin): 1}, []
-        for r in range(order + 1):
-            if r:
-                nxt: dict = {}
-                for (alpha, beta), s in level.items():
-                    for da, db, lam in pairs:
-                        k = (tuple(map(add, alpha, da)), tuple(map(add, beta, db)))
-                        nxt[k] = nxt.get(k, 0) + s * lam
-                level = {k: v for k, v in nxt.items() if v}
-            scale = GaussRational(0, Fraction(1, 2)) ** r * Fraction(1, factorial(r))
-            table.append({k: scale * v for k, v in level.items()})
-        model._field_cache[key] = table
-    return model._field_cache[key]
+    e_{j_1} + ... + e_{j_r} = beta."""
+    names = model.base_names
+    unit = {a: tuple(int(g == a) for g in model.gens) for a in names}
+    pairs = [(unit[a], unit[b], lam) for a, row in zip(names, model.poisson_matrix)
+             for b, lam in zip(names, row) if lam]
+    origin = (0,) * len(model.gens)
+    level, table = {(origin, origin): 1}, []
+    for r in range(order + 1):
+        if r:
+            nxt: dict = {}
+            for (alpha, beta), s in level.items():
+                for da, db, lam in pairs:
+                    k = (tuple(map(add, alpha, da)), tuple(map(add, beta, db)))
+                    nxt[k] = nxt.get(k, 0) + s * lam
+            level = {k: v for k, v in nxt.items() if v}
+        scale = GaussRational(0, Fraction(1, 2)) ** r * Fraction(1, factorial(r))
+        table.append({k: scale * v for k, v in level.items()})
+    return table
 
 
 def _moyal_into(acc: list, model: ModelSpace, f: Func, g: Func,
@@ -357,29 +355,26 @@ def _add_scaled(into: dict, table: dict, s) -> None:
             into[v] = t
 
 
+@memo("order")
 def _normal_order(lie, word: tuple) -> dict:
     """{sorted v: r_v} with F^{|w|} L_w = sum_v r_v F^{|w|-|v|} F^{|v|} L_v.
 
     The first descent of the word is swapped, and its bracket
     [L_a, L_b] = C_ab^c L_c gives one shorter word per structure constant;
     the rationals r_v depend on the structure constants only."""
-    key = ("order", word)
-    table = lie.pbw_tables.get(key)
-    if table is None:
-        k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
-        if k is None:
-            table = {word: _ONE}
-        else:
-            a, b = word[k], word[k + 1]
-            table = dict(_normal_order(lie, word[:k] + (b, a) + word[k + 2:]))
-            for c in range(lie.dim):
-                v = lie.c(a, b, c)
-                if v:
-                    _add_scaled(table, _normal_order(lie, word[:k] + (c,) + word[k + 2:]), v)
-        lie.pbw_tables[key] = table
+    k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
+    if k is None:
+        return {word: _ONE}
+    a, b = word[k], word[k + 1]
+    table = dict(_normal_order(lie, word[:k] + (b, a) + word[k + 2:]))
+    for c in range(lie.dim):
+        v = lie.c(a, b, c)
+        if v:
+            _add_scaled(table, _normal_order(lie, word[:k] + (c,) + word[k + 2:]), v)
     return table
 
 
+@memo("splits")
 def _splits(lie, word: tuple) -> tuple:
     """((sub, rest, mult), ...) for a sorted word, with
     L_word o M_c = sum mult M_{L_sub c} L_rest by the Leibniz rule.
@@ -387,14 +382,9 @@ def _splits(lie, word: tuple) -> tuple:
     The splits are those of the word's letter counts by _leibniz_splits,
     the kept counts spelling rest and the moved ones sub, both sorted; the
     multiplicity is the product of the binomials C(n, k) of the letters."""
-    key = ("splits", word)
-    table = lie.pbw_tables.get(key)
-    if table is None:
-        counts = tuple(map(word.count, range(lie.dim)))
-        table = tuple((_spell(n - k for n, k in zip(counts, kept)), _spell(kept), mult)
-                      for kept, mult in _leibniz_splits(counts))
-        lie.pbw_tables[key] = table
-    return table
+    counts = tuple(map(word.count, range(lie.dim)))
+    return tuple((_spell(n - k for n, k in zip(counts, kept)), _spell(kept), mult)
+                 for kept, mult in _leibniz_splits(counts))
 
 
 def _spell(counts) -> tuple:
@@ -402,37 +392,31 @@ def _spell(counts) -> tuple:
     return tuple(a for a, n in enumerate(counts) for _ in range(n))
 
 
+@memo("sym")
 def _sym_table(lie, multi: tuple) -> dict:
     """The normal-ordered sum of the distinct arrangements of a sorted word
     alpha, divided by |alpha|!.  _symmetrize(J^alpha) is alpha! times this
     table, alpha! the product of the factorials of the letter
     multiplicities, so its leading entry alpha is 1/alpha!."""
-    key = ("sym", multi)
-    table = lie.pbw_tables.get(key)
-    if table is None:
-        table = {}
-        weight = GaussRational(Fraction(1, factorial(len(multi))))
-        for arrangement in dict.fromkeys(permutations(multi)):
-            _add_scaled(table, _normal_order(lie, arrangement), weight)
-        lie.pbw_tables[key] = table
+    table = {}
+    weight = GaussRational(Fraction(1, factorial(len(multi))))
+    for arrangement in dict.fromkeys(permutations(multi)):
+        _add_scaled(table, _normal_order(lie, arrangement), weight)
     return table
 
 
+@memo("inverse")
 def _inverse_table(lie, word: tuple) -> dict:
     """{sorted beta: t_beta} with
     _symmetrize(sum_beta t_beta F^{|w|-|beta|} J^beta) = F^{|w|} L_w.
 
     _symmetrize(J^w) is F^{|w|} L_w plus shorter words, so the table is
     the triangular inverse of _sym_table."""
-    key = ("inverse", word)
-    table = lie.pbw_tables.get(key)
-    if table is None:
-        table = {word: _ONE}
-        mult = prod(factorial(word.count(a)) for a in set(word))
-        for v, s in _sym_table(lie, word).items():
-            if v != word:
-                _add_scaled(table, _inverse_table(lie, v), -s * mult)
-        lie.pbw_tables[key] = table
+    table = {word: _ONE}
+    mult = prod(factorial(word.count(a)) for a in set(word))
+    for v, s in _sym_table(lie, word).items():
+        if v != word:
+            _add_scaled(table, _inverse_table(lie, v), -s * mult)
     return table
 
 
@@ -562,42 +546,38 @@ def star_std(model: ModelSpace, f: Func, g: Func) -> Func:
     return _symbol_product(model, stdrep(model, f), stdrep(model, g))
 
 
+@memo("norm_exponent")
 def _normalization_exponent(model: ModelSpace) -> DiffOperator:
-    """A = (lam/2i)(Delta_0 - Delta_ver), the exponent of N, once per model,
-    with Delta_0 - Delta_ver = sum_a xi_a o d/dJ_a: its modular term is zero
+    """A = (lam/2i)(Delta_0 - Delta_ver), the exponent of N, with
+    Delta_0 - Delta_ver = sum_a xi_a o d/dJ_a: its modular term is zero
     on the nilpotent, hence unimodular, algebras that carry group coordinates."""
     if not model.has_group:
         raise ValueError("the normalization operator needs group coordinates")
-    if "norm_exponent" not in model._field_cache:
-        gens, order = model.gens, model.order
-        delta = DiffOperator.zero(gens, order)
-        for a in range(model.lie.dim):
-            delta = delta + model.fundamental_field_M(model.basis_vector(a)).compose(
-                DiffOperator.partial(gens, model.momentum_names[a], order))
-        model._field_cache["norm_exponent"] = delta.lam_shift(1) * (
-            IMAG * GaussRational(Fraction(-1, 2)))
-    return model._field_cache["norm_exponent"]
+    gens, order = model.gens, model.order
+    delta = DiffOperator.zero(gens, order)
+    for a in range(model.lie.dim):
+        delta = delta + model.fundamental_field_M(model.basis_vector(a)).compose(
+            DiffOperator.partial(gens, model.momentum_names[a], order))
+    return delta.lam_shift(1) * (IMAG * GaussRational(Fraction(-1, 2)))
 
 
+@memo("norm_op")
 def neumaier_N(model: ModelSpace) -> DiffOperator:
-    """N = exp(A) on momentum-polynomial symbols, built once per model."""
-    if "norm_op" not in model._field_cache:
-        model._field_cache["norm_op"] = _normalization_exponent(model).exp()
-    return model._field_cache["norm_op"]
+    """N = exp(A) on momentum-polynomial symbols."""
+    return _normalization_exponent(model).exp()
 
 
+@memo("norm_op_inverse")
 def neumaier_N_inverse(model: ModelSpace) -> DiffOperator:
-    """exp(-A) = sigma(N), N with its odd lam tables negated, made once per
-    model with no composition.  Operator coefficients carry no lam, so
+    """exp(-A) = sigma(N), N with its odd lam tables negated, made with no
+    composition.  Operator coefficients carry no lam, so
     sigma: lam -> -lam respects composition and sigma(exp A) = exp(sigma A);
     A is lam times a lam-free operator, so sigma(A) = -A, checked first."""
-    if "norm_op_inverse" not in model._field_cache:
-        if any(_normalization_exponent(model).tables[::2]):
-            raise ValueError("the normalization exponent is not odd in lam")
-        n = neumaier_N(model)
-        model._field_cache["norm_op_inverse"] = DiffOperator(n.gens, n.order, [
-            {d: -c for d, c in t.items()} if r % 2 else t for r, t in enumerate(n.tables)])
-    return model._field_cache["norm_op_inverse"]
+    if any(_normalization_exponent(model).tables[::2]):
+        raise ValueError("the normalization exponent is not odd in lam")
+    n = neumaier_N(model)
+    return DiffOperator(n.gens, n.order, [
+        {d: -c for d, c in t.items()} if r % 2 else t for r, t in enumerate(n.tables)])
 
 
 def _gutt_right_operator(model: ModelSpace, a: int) -> DiffOperator:
@@ -615,8 +595,9 @@ def _gutt_right_operator(model: ModelSpace, a: int) -> DiffOperator:
     return op
 
 
+@memo("right_momentum")
 def right_momentum_operator(model: ModelSpace, a: int) -> DiffOperator:
-    """R_a with R_a f = star_G(f, J_a), built once per model on first use.
+    """R_a with R_a f = star_G(f, J_a).
 
     On momentum-level models R_a is the Gutt right multiplication S_a of
     _gutt_right_operator.  On group models star_G(f, J_a) =
@@ -635,17 +616,12 @@ def right_momentum_operator(model: ModelSpace, a: int) -> DiffOperator:
     every order of derivative in the momenta costs one lam and the orders
     above K vanish modulo lam^(K+1).
     """
-    key = ("right_momentum", a)
-    op = model._field_cache.get(key)
-    if op is None:
-        op = _gutt_right_operator(model, a)
-        if model.has_group:
-            arg = _normalization_exponent(model)
-            op = terminating_series(op, lambda t, k: (
-                arg.compose(t) - t.compose(arg)) * GaussRational(Fraction(-1, k)),
-                model.order)
-        model._field_cache[key] = op
-    return op
+    op = _gutt_right_operator(model, a)
+    if not model.has_group:
+        return op
+    arg = _normalization_exponent(model)
+    return terminating_series(op, lambda t, k: (
+        arg.compose(t) - t.compose(arg)) * GaussRational(Fraction(-1, k)), model.order)
 
 
 # ---------------------------------------------------------------------------

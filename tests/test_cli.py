@@ -167,6 +167,30 @@ class TestMalformedScenes:
         ({}, ["--out", "{tmp}"], "cannot write report: [Errno 21] Is a directory"),
         ({}, ["--out", "{tmp}/missing/x.json"],
          "cannot write report: [Errno 2] No such file or directory"),
+        ({"lie_algebra": {"dim": 3, "structure_constants": ["1230"]}}, [],
+         'structure_constants entry 1 "1230": must be a JSON list of four items '
+         '[a, b, c, value]'),
+        ({"lie_algebra": {"dim": 3, "structure_constants": [
+            [1, 2, 3, "1"], {"a": 2, "b": 1, "c": 3, "value": "-1"}]}}, [],
+         'structure_constants entry 2 {"a": 2, "b": 1, "c": 3, "value": "-1"}: '
+         "must be a JSON list of four items [a, b, c, value]"),
+        ({"lie_algebra": {"dim": 3, "structure_constants": [[1, 2, 3]]}}, [],
+         "structure_constants entry 1 [1, 2, 3]: must be a JSON list of four items"),
+        ({"lie_algebra": {"dim": 3, "structure_constants": "1230"}}, [],
+         "structure_constants must be a JSON list, got str"),
+        ({"lie_algebra": {"dim": 3, "structure_constants": [[0, 2, 3, "1"],
+                                                            [2, 0, 3, "-1"]]}}, [],
+         'structure_constants entry 1 [0, 2, 3, "1"]: structure constant index 0 '
+         "is outside 1..3"),
+        ({"lie_algebra": {"dim": 3, "structure_constants": [[1, 2, 3, "1"],
+                                                            [2, 1, 4, "-1"]]}}, [],
+         'structure_constants entry 2 [2, 1, 4, "-1"]: structure constant index 4 '
+         "is outside 1..3"),
+        ({"label": ["x"]}, [], "label must be a string, got list"),
+        ({"lie_algebra": {**HEIS_SCENE["lie_algebra"], "label": 7}}, [],
+         "lie_algebra label must be a string, got int"),
+        ({"lie_algebra": {**HEIS_SCENE["lie_algebra"], "label": 0}}, [],
+         "lie_algebra label must be a string, got int"),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
             "negative_degree_cap", "negative_degree_cap_override",
@@ -182,7 +206,10 @@ class TestMalformedScenes:
             "weight_kind_unknown", "star_product_unknown", "star_product_list",
             "weight_exponent_negative", "weight_exponent_zero", "suites_empty",
             "suites_repeated", "suites_all_beside_others", "out_is_directory",
-            "out_directory_missing"])
+            "out_directory_missing", "structure_entry_string", "structure_entry_object",
+            "structure_entry_short", "structure_not_list", "structure_index_zero",
+            "structure_index_above_dim", "label_list", "lie_label_int",
+            "lie_label_zero"])
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []

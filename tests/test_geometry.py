@@ -52,7 +52,7 @@ class TestLieAlgebraData:
     def test_modular_covector(self):
         assert aff1().modular == (Fraction(1), Fraction(0))
         assert heisenberg3().modular == (0, 0, 0)
-        assert heisenberg3().is_unimodular and not aff1().is_unimodular
+        assert not any(heisenberg3().modular) and any(aff1().modular)
 
     def test_nilpotency_detection(self):
         assert abelian_lie(2).nilpotency_class == 1

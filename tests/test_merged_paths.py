@@ -3684,6 +3684,26 @@ def test_cross_module_private_imports_are_the_allow_list():
     assert found == PRIVATE_IMPORTS
 
 
+def test_only_geometry_names_the_memo_dicts():
+    """ModelSpace._field_cache and LieAlgebraData.pbw_tables are read and
+    written by geometry.memo alone: no other module of redstar names either
+    dict, as an attribute, a variable or a string."""
+    names = {"_field_cache", "pbw_tables"}
+    found = {}
+    for info in pkgutil.iter_modules(redstar.__path__):
+        with open(importlib.util.find_spec(f"redstar.{info.name}").origin) as fh:
+            tree = ast.parse(fh.read())
+        found[info.name] = {
+            node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name) else node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Constant) and node.value in names}
+    assert found.pop("geometry") == names
+    assert {module: seen for module, seen in found.items() if seen} == {}
+
+
 def test_every_private_function_is_used():
     """Every module-level _private function of redstar is read somewhere in
     the package outside its own definition, so a deletion leaves no
