@@ -145,8 +145,14 @@ class Scene:
             if not isinstance(entries, list):
                 raise SceneError("structure_constants must be a JSON list, got "
                                  f"{_json_type(entries)}")
-            structure = dict(_structure_constant(entry, n, dim)
-                             for n, entry in enumerate(entries, 1))
+            structure, given = {}, {}  # (a, b, c) -> value, and -> its entry number
+            for n, entry in enumerate(entries, 1):
+                key, value = _structure_constant(entry, n, dim)
+                if key in given:
+                    m = given[key]
+                    raise SceneError(f"structure_constants entry {n} {json.dumps(entry)} "
+                                     f"repeats entry {m} {json.dumps(entries[m - 1])}")
+                structure[key], given[key] = value, n
             self.lie = LieAlgebraData(dim, structure,
                                       _string(lie_spec.get("label", ""), "lie_algebra label"))
         except (KeyError, TypeError, IndexError) as exc:

@@ -8,13 +8,17 @@ Application and composition work on flat term dicts {exponent:
 GaussRational}, one per lam order, with the kernels of poly: products are
 summed as unnormalised triples and each output Poly, LambdaSeries and Func
 (and DiffOperator, through DiffOperator._trusted) is built once, at the
-end.  Application reads partial^d f from the input's Func.partials cache,
-envelope terms included, and is pruned by degree: it stops at the first
-total derivative order above the input's total degree and skips an entry
-d with some d_i above the input's degree in coordinate i, so an entry that
-must give zero costs nothing.  apply_sum adds several applications into
-one accumulator, for the quantized Koszul differential; every empty lam
-order of their output is one shared zero Poly (Poly._trusted_orders).
+end.  Application picks the entries through one index per operator, built
+on first use and kept on it: per coordinate i it differentiates, a bitmask
+per degree v of the entries with d_i <= v.  A term x^e of a plain input
+ANDs the masks at its e_i, so only the entries d <= e are read, and gives
+partial^d x^e = prod_i perm(e_i, d_i) x^(e - d) on the spot, with no
+Partials built; under an envelope a derivative is not a monomial, so the
+masks are taken at Partials.bound and partial^d f comes from the input's
+Func.partials cache.  An entry that must give zero costs nothing.
+apply_sum adds several applications into one accumulator, for the
+quantized Koszul differential; every empty lam order of their output is
+one shared zero Poly (Poly._trusted_orders).
 at_one reads an operator applied to 1 off its d = 0 column, with no
 application.
 Composition differentiates the right factor's coefficients by the Leibniz
@@ -36,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb, perm
-from operator import add, gt, sub
+from operator import add, sub
 
 from .funcs import Func
 from .poly import Poly, _mul_into, _scale
@@ -45,7 +49,7 @@ from .series import LambdaSeries, series_inverse, terminating_series
 
 
 class DiffOperator:
-    __slots__ = ("gens", "order", "tables", "_by_degree")
+    __slots__ = ("gens", "order", "tables", "_index")
 
     def __init__(self, gens, order: int, tables=None):
         object.__setattr__(self, "gens", tuple(gens))
@@ -61,7 +65,7 @@ class DiffOperator:
                     clean[tuple(d)] = c
             tabs.append(clean)
         object.__setattr__(self, "tables", tuple(tabs))
-        object.__setattr__(self, "_by_degree", None)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOperator is immutable")
@@ -75,7 +79,7 @@ class DiffOperator:
         _set_gens(op, gens)
         _set_order(op, order)
         _set_tables(op, tables)
-        _set_by_degree(op, None)
+        _set_index(op, None)
         return op
 
     # -- constructors ------------------------------------------------------
@@ -152,16 +156,12 @@ class DiffOperator:
     # -- application and composition -----------------------------------------
 
     def apply(self, f: Func) -> Func:
-        """Exact application, evaluated on the term dicts of f.
-
-        partial^d f comes from f.partials(), taken once per multi-index and
-        skipped where it vanishes by degree: the entries are read grouped by
-        total derivative order, grouped once per operator, the orders above
-        the input's total degree (Partials.top, unbounded under an
-        envelope) are never asked for, and neither is an entry d with some
-        d_i above the input's degree in coordinate i (Partials.bound).  The
-        result is truncated at f.order and carries f's envelope and
-        pi-grade; an operator without entries gives f.zero_like().
+        """Exact application, evaluated on the term dicts of f: the
+        entries are picked by f's degrees through _entry_index, and
+        partial^d f is taken term by term on a plain f, from f.partials()
+        under an envelope.  The result is truncated at f.order and carries
+        f's envelope and pi-grade; an operator without entries gives
+        f.zero_like().
         """
         if f.gens != self.gens:
             raise ValueError("operator and function live on different generators")
@@ -175,17 +175,37 @@ class DiffOperator:
         """Add the lam orders of self(f) into acc, one triple accumulator
         per order of f, as apply does."""
         order = f.order
-        partials = f.partials()
-        top, bound = partials.top, partials.bound
-        for degree, entries in self._entries_by_degree():
-            if degree > top:
-                break
-            for r, d, c in entries:
-                if r > order or any(map(gt, d, bound)):
-                    continue
-                for s, terms in enumerate(partials[d][: order + 1 - r]):
-                    if terms:
-                        _mul_into(acc[r + s], terms, c)
+        entries, axes, firsts, full = self._entry_index()
+        rows = {}  # first entry of each picked d -> lam coefficients of partial^d f
+        if f.profile:
+            partials = f.partials()
+            picked = _pick(axes, partials.bound, full) if partials.top >= 0 else 0
+            for k in _bits(picked & firsts):
+                rows[k] = partials[entries[k][0]]
+        else:
+            picked = 0
+            for s, p in enumerate(f.series.coeffs):
+                for e, c in p.terms.items():
+                    mask = _pick(axes, e, full)
+                    picked |= mask
+                    for k in _bits(mask & firsts):
+                        d, nonzero = entries[k][:2]
+                        row = rows.get(k)
+                        if row is None:
+                            row = rows[k] = [{} for _ in range(order + 1)]
+                        if nonzero:
+                            n = 1
+                            for i in nonzero:
+                                n *= perm(e[i], d[i])
+                            row[s][tuple(map(sub, e, d))] = _scale(c, n)
+                        else:
+                            row[s][e] = c
+        for k in _bits(picked):
+            _, _, first, r, terms = entries[k]
+            if r <= order:
+                for s, derived in enumerate(rows[first][: order + 1 - r]):
+                    if derived:
+                        _mul_into(acc[r + s], derived, terms)
 
     def at_one(self) -> Func:
         """self applied to the constant function 1 at the operator's order,
@@ -197,18 +217,35 @@ class DiffOperator:
         return Func._trusted(gens, LambdaSeries._trusted(
             tuple([t.get(origin, zero) for t in self.tables]), self.order), {}, 0)
 
-    def _entries_by_degree(self) -> tuple:
-        """((|d|, ((r, d, c.terms), ...)), ...) in increasing |d|, built on
-        the first call and held on the operator, which is immutable."""
-        groups = self._by_degree
-        if groups is None:
-            by: dict = {}
-            for r, table in enumerate(self.tables):
-                for d, c in table.items():
-                    by.setdefault(sum(d), []).append((r, d, c.terms))
-            groups = tuple((n, tuple(by[n])) for n in sorted(by))
-            object.__setattr__(self, "_by_degree", groups)
-        return groups
+    def _entry_index(self) -> tuple:
+        """(entries, axes, firsts, full), built on the first call and held
+        on the operator, which is immutable.  entries holds the table
+        entries as (d, (i for d_i > 0), first, r, c.terms) in
+        increasing |d|, lam order and table order, first being the first
+        entry with the same d; bit k of a mask stands for entries[k], full
+        has every bit and firsts those of the first entries.  axes holds
+        (i, top, masks) per coordinate i the operator differentiates: top
+        is the largest d_i and masks[v], for v < top, the entries with
+        d_i <= v (a degree of top or more keeps every entry)."""
+        index = self._index
+        if index is None:
+            flat = sorted(((d, r, c.terms) for r, table in enumerate(self.tables)
+                           for d, c in table.items()), key=lambda x: sum(x[0]))
+            first: dict = {}
+            entries = tuple((d, tuple(i for i, di in enumerate(d) if di),
+                             first.setdefault(d, k), r, terms)
+                            for k, (d, r, terms) in enumerate(flat))
+            axes = []
+            for i in range(len(self.gens)):
+                top = max((d[i] for d in first), default=0)
+                if top:
+                    axes.append((i, top, tuple(
+                        sum(1 << k for k, x in enumerate(entries) if x[0][i] <= v)
+                        for v in range(top))))
+            index = (entries, tuple(axes), sum(1 << k for k in first.values()),
+                     (1 << len(entries)) - 1)
+            _set_index(self, index)
+        return index
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """self after other, in normal form via the multi-index Leibniz rule.
@@ -395,6 +432,22 @@ def _diff_monomials(terms: dict, m) -> dict:
     return out
 
 
+def _pick(axes, degrees, picked: int) -> int:
+    """The entries of picked with d_i <= degrees[i] on every axis."""
+    for i, top, masks in axes:
+        if degrees[i] < top:
+            picked &= masks[degrees[i]]
+    return picked
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 @cache
 def _leibniz_splits(d: tuple) -> tuple:
     """All ways to split the multi-index d over (operator, coefficient), as
@@ -411,4 +464,4 @@ _new = object.__new__
 _set_gens = DiffOperator.gens.__set__
 _set_order = DiffOperator.order.__set__
 _set_tables = DiffOperator.tables.__set__
-_set_by_degree = DiffOperator._by_degree.__set__
+_set_index = DiffOperator._index.__set__

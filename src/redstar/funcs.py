@@ -11,9 +11,10 @@ kappa of koszul, the inverse and square root of series.  There is no
 series of scalars, so the grade rules below hold for scalars too.  All
 differential operators act through profile-aware differentiation, so the
 class is closed under every operation of the engine.  Func.partials is the
-one derivative cache of DiffOperator.apply, the base product and its
-multiplication operators, built once per Func and kept on it; it
-differentiates only the nonempty lam orders.
+one derivative cache of the base product, its multiplication operators
+and DiffOperator.apply on an enveloped input, built once per Func and kept
+on it; it differentiates only the nonempty lam orders.  The hash is kept
+on the Func the same way.
 
 Func owns the envelope and grade rules: sums need equal envelopes and
 grades (zero matches anything), products add both, and the lam-shift
@@ -47,8 +48,8 @@ from .series import LambdaSeries
 
 
 class Func:
-    # _partials stays unset until partials() first builds it
-    __slots__ = ("gens", "series", "profile", "pi4", "_partials")
+    # _partials and _hash stay unset until partials() and hash() first build them
+    __slots__ = ("gens", "series", "profile", "pi4", "_partials", "_hash")
 
     def __init__(self, series: LambdaSeries, profile=None, pi4: int = 0):
         p0 = series.coeffs[0]
@@ -286,9 +287,16 @@ class Func:
         )
 
     def __hash__(self):
-        if self.is_zero():
-            return hash("Func.zero")
-        return hash((self.gens, self.series, tuple(self.profile.items()), self.pi4))
+        """Computed on the first call and kept, since a Func never changes."""
+        try:
+            return self._hash
+        except AttributeError:
+            if self.is_zero():
+                out = hash("Func.zero")
+            else:
+                out = hash((self.gens, self.series, tuple(self.profile.items()), self.pi4))
+            _set_hash(self, out)
+            return out
 
     def __repr__(self):
         body = repr(self.series)
@@ -310,7 +318,9 @@ class Partials(dict):
 
     top is f's total degree, the highest |e| over its terms (-1 for zero),
     or inf under an envelope: every partial^alpha f with |alpha| > top
-    vanishes, which DiffOperator.apply reads before it asks for one."""
+    vanishes, which the base product reads before it asks for one.  bound
+    holds f's degree per coordinate, inf under an envelope there, which
+    the base product and DiffOperator.apply read the same way."""
 
     def __init__(self, f: Func):
         coeffs = [p.terms for p in f.series.coeffs]
@@ -437,3 +447,4 @@ _set_series = Func.series.__set__
 _set_profile = Func.profile.__set__
 _set_pi4 = Func.pi4.__set__
 _set_partials = Func._partials.__set__
+_set_hash = Func._hash.__set__

@@ -191,6 +191,12 @@ class TestMalformedScenes:
          "lie_algebra label must be a string, got int"),
         ({"lie_algebra": {**HEIS_SCENE["lie_algebra"], "label": 0}}, [],
          "lie_algebra label must be a string, got int"),
+        ({"lie_algebra": {"dim": 3, "structure_constants": [
+            [1, 2, 3, "1"], [2, 1, 3, "-1"], [1, 2, 3, "2/2"]]}}, [],
+         'structure_constants entry 3 [1, 2, 3, "2/2"] repeats entry 1 [1, 2, 3, "1"]'),
+        ({"lie_algebra": {"dim": 3, "structure_constants": [
+            [1, 2, 3, "1"], [2, 1, 3, "-1"], [2, 1, 3, "5"]]}}, [],
+         'structure_constants entry 3 [2, 1, 3, "5"] repeats entry 2 [2, 1, 3, "-1"]'),
     ], ids=["poisson_too_small", "poisson_ragged", "negative_order",
             "negative_order_override", "negative_trials", "zero_trials",
             "negative_degree_cap", "negative_degree_cap_override",
@@ -209,7 +215,8 @@ class TestMalformedScenes:
             "out_directory_missing", "structure_entry_string", "structure_entry_object",
             "structure_entry_short", "structure_not_list", "structure_index_zero",
             "structure_index_above_dim", "label_list", "lie_label_int",
-            "lie_label_zero"])
+            "lie_label_zero", "structure_repeated_equal",
+            "structure_repeated_contradicting"])
     def test_verify_rejects(self, tmp_path, capsys, monkeypatch, changes, extra,
                             message):
         ran = []

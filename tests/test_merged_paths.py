@@ -42,9 +42,10 @@ equal repr):
 - that split table built letter by letter with a binomial per letter, which
   the multi-index splits of diffop's Leibniz rule on the word's letter
   counts replace;
-- DiffOperator.apply asking for the derivative of every entry, which the
-  cut at the input's total degree replaces, and apply and moyal cut at the
-  total degree only, which the cut at each coordinate's degree replaces;
+- DiffOperator.apply asking Partials for the derivative of every entry,
+  which the entries picked per term through the operator's index replace,
+  and moyal cut at the total degree only, which the cut at each
+  coordinate's degree replaces;
 - the Koszul homotopy, the classical differential and the R_a sum of the
   quantized differential in SuperObservable and Func arithmetic (one
   Func.diff, degree weighting and wedge per component and momentum, one
@@ -1244,12 +1245,27 @@ def pruning_operators(m, omega):
     return ops
 
 
+def enveloped_inputs(m, op, rng):
+    """A random input enveloped on the first coordinate op differentiates
+    and one enveloped on the first coordinate it does not, where those
+    exist."""
+    touched = {i for t in op.tables for d in t for i, k in enumerate(d) if k}
+    on = [i for i in range(len(m.gens)) if i in touched][:1]
+    off = [i for i in range(len(m.gens)) if i not in touched][:1]
+    return [lam_shifted(rand_poly(rng, m, m.gens, 3, nterms=4), i % 2)
+            .with_profile({m.gens[i]: Fraction(1, 2 + i)}) for i in on + off]
+
+
 @pytest.mark.parametrize("K", [3, 4])
 def test_apply_pruned_by_degree_matches_full_loop(K):
-    """apply with the entries read by total order and cut at the input's
-    degree gives the full loop's value, repr, hash, envelope and grade, on
-    plain inputs of every degree up to K + 1, lam-shifted and pi-graded
-    inputs, enveloped inputs (no cut) and the zero."""
+    """apply with the entries picked by the input's degrees gives the full
+    loop's value, repr, hash, envelope and grade, on plain inputs of every
+    degree up to K + 1, the call stream's inputs, star_std outputs, inputs
+    whose degree in a coordinate passes every entry's, lam-shifted and
+    pi-graded inputs, inputs enveloped on a coordinate the operator
+    differentiates and on one it does not, and the zero; for the zero
+    operator and operators of d = 0 entries only too; and apply_sum over
+    all the operators gives the sum of the full loops."""
     m = ModelSpace(heisenberg3(), 2, K)
     rng = random.Random(113 + K)
     rest = m.base_names + m.group_names
@@ -1259,29 +1275,51 @@ def test_apply_pruned_by_degree_matches_full_loop(K):
                m.fiber_state(rand_poly(rng, m, rest, 2) * m.momentum(2)),
                rand_poly(rng, m, m.base_names, 2).with_profile({m.base_names[0]: 1}),
                m.zero()]
+    inputs += stream_inputs(m, 41 + K)
+    inputs += [star_std(m, rand_poly(rng, m, m.gens, 2), rand_poly(rng, m, m.gens, 2))
+               for _ in range(2)]
+    inputs += [monomial(m, [name], [2 * K + 2]) * rand_poly(rng, m, m.gens, 2)
+               for name in (m.group_names[0], m.momentum_names[1], m.base_names[0])]
     ops = pruning_operators(m, gaussian_base_weight(m, 1))
-    assert max(n for op in ops for n, _ in op._entries_by_degree()) > K
+    assert max(sum(d) for op in ops for t in op.tables for d in t) > K
+    origin = (0,) * len(m.gens)
+    ops += [DiffOperator.zero(m.gens, K),
+            DiffOperator.multiplication(rand_poly(rng, m, m.gens, 2).series.coeffs[0], K),
+            DiffOperator(m.gens, K, [{origin: Poly.one(m.gens)}, {},
+                                     {origin: Poly.var(m.gens, m.base_names[1])}])]
     for op in ops:
-        for f in inputs:
+        for f in inputs + enveloped_inputs(m, op, rng):
             assert_identical(op.apply(f), ref_apply_unpruned(op, f))
+    for f in inputs:
+        want = ref_apply_unpruned(ops[0], f)
+        for op in ops[1:]:
+            want = want + ref_apply_unpruned(op, f)
+        assert_identical(diffop.apply_sum([(op, f) for op in ops]), want)
 
 
 def test_apply_asks_for_no_partial_above_the_input_degree(monkeypatch):
-    """N applied to a momentum at K = 4 asks Partials for no derivative of
-    total order above 1; an enveloped input has no cut."""
+    """N applied to a momentum at K = 4 builds no Partials for it and asks
+    for none; an enveloped input has no cut."""
     m = ModelSpace(heisenberg3(), 2, 4)
     n = neumaier_N(m)
-    asked = []
-    missing = Partials.__missing__
+    asked, built = [], []
+    missing, init = Partials.__missing__, Partials.__init__
 
     def recorded(self, d):
         asked.append(d)
         return missing(self, d)
 
+    def recorded_init(self, f):
+        built.append(f)
+        init(self, f)
+
     monkeypatch.setattr(Partials, "__missing__", recorded)
-    n.apply(m.momentum(0))
-    assert all(sum(d) <= 1 for d in asked)
-    del asked[:]
+    monkeypatch.setattr(Partials, "__init__", recorded_init)
+    plain = m.momentum(0) * 1
+    assert not n.apply(plain).is_zero()
+    assert built == [] and asked == []
+    with pytest.raises(AttributeError):
+        plain._partials
     n.apply(m.fiber_state(m.momentum(0)))
     assert max(map(sum, asked)) > 1
 
@@ -1373,6 +1411,26 @@ def test_apply_and_moyal_ask_for_no_partial_beyond_a_coordinate_degree(monkeypat
         for g in inputs:
             ref_moyal_total_cut(m, f, g)
     assert any(beyond)
+
+
+def test_plain_apply_takes_no_derivative_beyond_a_term_degree(monkeypatch):
+    """On heis3 at K = 4, apply (N, N^-1, the fields, R_a and P^-1)
+    differentiates each term x^e of a plain input by the entries d <= e
+    only: every perm(e_i, d_i) it takes is nonzero."""
+    m = ModelSpace(heisenberg3(), 2, 4)
+    inputs = [f for f in stream_inputs(m, 37) if not f.profile]
+    ops = pruning_operators(m, gaussian_base_weight(m, 1))
+    taken = []
+
+    def recorded(n, k):
+        taken.append(n >= k)
+        return perm(n, k)
+
+    monkeypatch.setattr(diffop, "perm", recorded)
+    for f in inputs:
+        for op in ops:
+            op.apply(f)
+    assert taken and all(taken)
 
 
 def test_apply_and_moyal_cut_per_coordinate_match_the_former_loops():

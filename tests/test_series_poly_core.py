@@ -304,6 +304,24 @@ class TestFuncArithmetic:
         with pytest.raises(TypeError):
             one() - object()
 
+    def test_hash_is_kept_and_agrees_with_equality(self):
+        """Equal Funcs built apart hash alike; zero Funcs of any envelope
+        and grade hash alike; the hash is kept on the Func and does not
+        move when partials() fills."""
+        f = (var("q") * var("p") + lam_times(var("q"))).with_profile({"p": Fraction(1, 2)})
+        g = Func((lam_times(var("q")) + var("p") * var("q")).series, {"p": "1/2"})
+        assert f == g and f is not g and hash(f) == hash(g)
+        assert hash(f) != hash(f.with_pi4(1))
+        zeros = [Func.zero(GENS, K), (var("q") - var("q")).with_profile({"q": 1}),
+                 Func.zero(GENS, K).with_pi4(2), lam_times(one(), K + 1)]
+        assert all(z == zeros[0] for z in zeros)
+        assert {hash(z) for z in zeros} == {hash(Func.zero(GENS, K))}
+        before = hash(f)
+        assert f._hash == before
+        partials = f.partials()
+        assert partials[(1, 2)] and partials[(0, 3)]
+        assert hash(f) == before == hash(Func(f.series, f.profile, f.pi4))
+
 
 class TestDiffOperator:
     def test_apply_examples(self):
