@@ -40,7 +40,9 @@ _UNBUILT = object()
 def memo(tag: str):
     """Run the builder f(owner, *args) once per owner and args and keep the
     value, falsy or not, in the owner's dict (ModelSpace._field_cache or
-    LieAlgebraData.pbw_tables) under (tag, *args), or tag without args."""
+    LieAlgebraData.pbw_tables) under (tag, *args), or tag without args.
+    Nothing is evicted, so a builder's args must range over a bounded set
+    (the PBW tables take sorted words only)."""
     def decorate(build):
         @wraps(build)
         def get(owner, *args):
@@ -80,7 +82,8 @@ class LieAlgebraData:
             for a in range(self.dim)
         )
         self.nilpotency_class = self._nilpotency_class()
-        # the memo's tables of the algebra, shared by every model over it
+        # the memo's tables of the algebra, shared by every model over it;
+        # keyed by sorted words only, so they stop growing in a warm process
         self.pbw_tables: dict = {}
 
     def c(self, a, b, k) -> Fraction:

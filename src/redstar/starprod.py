@@ -10,11 +10,15 @@ The cotangent factor carries products built from one PBW word calculus:
 normal ordering of words
 in the generators with [J_a, J_b] = i lam C_ab^c J_c, symmetrized
 quantization of momentum polynomials and its inverse.  All three are linear
-over the coefficients, so each reads a table of rationals that depends on
-the structure constants only (_normal_order, _sym_table, _inverse_table,
-built once per algebra by geometry.memo).  Normal ordering does
-one Func operation per output word; symmetrization sums each output word's
-coefficient on triples from one pass over the symbol's terms.  On
+over the coefficients, so each reads tables of rationals that depend on
+the structure constants only, built once per algebra by geometry.memo and
+keyed by sorted words only: _insert (a letter put before a sorted word),
+_sym_table and _inverse_table.  _normal_order keeps nothing: it inserts the
+letters of a word before its longest sorted suffix, so a warm process holds
+one table per sorted word met, however many unsorted words it pushes.
+Normal ordering does one Func operation per output word; symmetrization
+sums each output word's coefficient on triples from one pass over the
+symbol's terms.  On
 group models the words are left-invariant derivatives, group fields act on
 the coefficients, and the calculus gives the standard-ordered product; its
 Hermitian normalization conjugates with N = exp(A), A = (lam/2i)(Delta_0 -
@@ -38,11 +42,12 @@ SymbolOp.compose normal-orders the pushed words and makes one base product
 per left word and output word.  The product of two symbols
 (_symbol_product, behind star_std and the momentum-level star_G) goes
 further: for each left word it sums the pushed coefficients, each times the
-symbol of its word read from _normal_order and _inverse_table, into one
-right operand on term dicts, and makes one base product with the left
-coefficient, since the base product differentiates the base coordinates
-only and the momenta, group coordinates and lam-shifts act pointwise.  The
-products are summed by _moyal_into into one Func.
+symbol of its word (_word_symbol: the word's normal ordering, then the
+exponent-form symbol of each sorted word, _sorted_symbol, kept per
+model), into one right operand on term dicts, and makes one base product
+with the left coefficient, since the base product differentiates the base
+coordinates only and the momenta, group coordinates and lam-shifts act
+pointwise.  The products are summed by _moyal_into into one Func.
 
 Operators coming from the symbol calculus are held in a "stripped" normal
 form sum_w c_w (i lam)^{|w|} L_{w_1} ... L_{w_k}: every stored word is
@@ -355,22 +360,48 @@ def _add_scaled(into: dict, table: dict, s) -> None:
             into[v] = t
 
 
-@memo("order")
 def _normal_order(lie, word: tuple) -> dict:
     """{sorted v: r_v} with F^{|w|} L_w = sum_v r_v F^{|w|-|v|} F^{|v|} L_v.
 
-    The first descent of the word is swapped, and its bracket
-    [L_a, L_b] = C_ab^c L_c gives one shorter word per structure constant;
-    the rationals r_v depend on the structure constants only."""
-    k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
-    if k is None:
+    A sorted word is its own table.  Otherwise the word's longest sorted
+    suffix takes the remaining letters, last first, each through _insert;
+    the rationals r_v depend on the structure constants only.  Nothing is
+    kept here, so the tables held stay keyed by sorted words."""
+    k = len(word) - 1
+    while k > 0 and word[k - 1] <= word[k]:
+        k -= 1
+    if k <= 0:
         return {word: _ONE}
-    a, b = word[k], word[k + 1]
-    table = dict(_normal_order(lie, word[:k] + (b, a) + word[k + 2:]))
+    table = _insert(lie, word[k - 1], word[k:])
+    for a in reversed(word[:k - 1]):
+        nxt: dict = {}
+        for v, r in table.items():
+            _add_scaled(nxt, _insert(lie, a, v), r)
+        table = nxt
+    return table
+
+
+@memo("insert")
+def _insert(lie, a: int, v: tuple) -> dict:
+    """{sorted u: s_u} with F L_a F^{|v|} L_v = sum_u s_u F^{|v|+1-|u|}
+    F^{|u|} L_u, for a letter a and a sorted word v.
+
+    If a <= v[0] the word (a,) + v is sorted.  Otherwise, with b = v[0],
+    L_a L_b = L_b L_a + C_ab^c L_c: a goes into the rest of v, b into each
+    word of that table, and each bracket letter c into the rest of v.  The
+    longest word of a's table is sorted(v[1:] + (a,)), whose letters are
+    all >= b, so b goes before it with no swap and every other call is on
+    a shorter word."""
+    if not v or a <= v[0]:
+        return {(a,) + v: _ONE}
+    b, rest = v[0], v[1:]
+    table: dict = {}
+    for u, r in _insert(lie, a, rest).items():
+        _add_scaled(table, _insert(lie, b, u), r)
     for c in range(lie.dim):
-        v = lie.c(a, b, c)
-        if v:
-            _add_scaled(table, _normal_order(lie, word[:k] + (c,) + word[k + 2:]), v)
+        s = lie.c(a, b, c)
+        if s:
+            _add_scaled(table, _insert(lie, c, rest), s)
     return table
 
 
@@ -469,21 +500,40 @@ def stdrep(model: ModelSpace, f: Func) -> SymbolOp:
     return _symmetrize(model, f)
 
 
-def _word_symbol(model: ModelSpace, word: tuple, jidx: list) -> dict:
-    """{j: {exponent of J^beta: t}} with F^{|w|} L_w the symmetrized
-    quantization of sum t F^j J^beta, j = |w| - |beta|, for any word: its
-    normal ordering, then the inverse table of each sorted word; jidx[a] is
-    the place of momentum a among the model's generators."""
+@memo("sorted_symbol")
+def _sorted_symbol(model: ModelSpace, v: tuple) -> dict:
+    """{j: {exponent of J^beta: t}} with F^{|v|} L_v the symmetrized
+    quantization of sum t F^j J^beta, j = |v| - |beta|, for a sorted word
+    v: _inverse_table(v) with each beta spelled as its exponent over the
+    model's generators."""
+    jidx = [model.gens.index(n) for n in model.momentum_names]
     out: dict = {}
-    lie = model.lie
-    for v, r in _normal_order(lie, word).items():
-        for beta, t in _inverse_table(lie, v).items():
-            expo = [0] * len(model.gens)
-            for x in beta:
-                expo[jidx[x]] += 1
-            group = out.setdefault(len(word) - len(beta), {})
-            e = tuple(expo)
-            group[e] = group[e] + r * t if e in group else r * t
+    for beta, t in _inverse_table(model.lie, v).items():
+        expo = [0] * len(model.gens)
+        for x in beta:
+            expo[jidx[x]] += 1
+        out.setdefault(len(v) - len(beta), {})[tuple(expo)] = t
+    return out
+
+
+def _word_symbol(model: ModelSpace, word: tuple, jidx=None) -> dict:
+    """{j: {exponent of J^beta: t}} with F^{|w|} L_w the symmetrized
+    quantization of sum t F^j J^beta, j = |w| - |beta|, for any word: the
+    _sorted_symbol of each word v of its normal ordering, times r_v and
+    shifted by |w| - |v|; a sorted word's is returned as it is kept.
+    Nothing is kept per word: the words met (rest + w2 of each push) are
+    mostly unsorted, and a table per word would grow with the run.  jidx
+    is not read; the exponents come from the model."""
+    table = _normal_order(model.lie, word)
+    if word in table:  # a sorted word is its own table
+        return _sorted_symbol(model, word)
+    out: dict = {}
+    for v, r in table.items():
+        k = len(word) - len(v)
+        for j, mono in _sorted_symbol(model, v).items():
+            group = out.setdefault(j + k, {})
+            for e, t in mono.items():
+                group[e] = group[e] + r * t if e in group else r * t
     return out
 
 
@@ -502,7 +552,6 @@ def _symbol_product(model: ModelSpace, a: SymbolOp, b: SymbolOp) -> Func:
     inverse of the symmetrization is triangular with unit diagonal, so the
     result vanishes exactly when a o b is the zero operator."""
     gens, order = model.gens, model.order
-    jidx = [gens.index(n) for n in model.momentum_names]
     right = _right_actions(model, b)
     # R carries the envelope and grade of the right coefficients
     carrier = [c2 for _, c2, _ in right]
@@ -514,7 +563,7 @@ def _symbol_product(model: ModelSpace, a: SymbolOp, b: SymbolOp) -> Func:
         racc = [{} for _ in range(order + 1)]
         for word, k, mult, h in _leibniz_push(model, w1, right):
             coeffs = h.series.coeffs
-            for j, mono in _word_symbol(model, word, jidx).items():
+            for j, mono in _word_symbol(model, word).items():
                 j += k
                 if j > order:
                     continue

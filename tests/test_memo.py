@@ -25,8 +25,10 @@ def weight(m, exponent=1):
 BUILDERS = {
     "moyal_table": (starprod, "model", lambda m: (K,), ("moyal_table", K),
                     lambda m: (m, (K - 1,))),
-    "_normal_order": (starprod, "lie", lambda m: ((2, 1, 0),), ("order", (2, 1, 0)),
-                      lambda m: (heisenberg3(), ((2, 1, 0),))),
+    "_insert": (starprod, "lie", lambda m: (2, (0, 1)), ("insert", 2, (0, 1)),
+                lambda m: (heisenberg3(), (2, (0, 1)))),
+    "_sorted_symbol": (starprod, "model", lambda m: ((0, 1, 2),),
+                       ("sorted_symbol", (0, 1, 2)), lambda m: (model(K - 1), ((0, 1, 2),))),
     "_splits": (starprod, "lie", lambda m: ((0, 1, 1),), ("splits", (0, 1, 1)),
                 lambda m: (heisenberg3(), ((0, 1, 1),))),
     "_sym_table": (starprod, "lie", lambda m: ((0, 1, 2),), ("sym", (0, 1, 2)),

@@ -164,6 +164,7 @@ from redstar.geometry import (
     lebesgue_weight,
     monomial,
     monomials,
+    random_poly,
 )
 from redstar import integrate, involution
 from redstar.involution import (
@@ -677,7 +678,102 @@ def test_normal_order_matches_recursion(name):
                 ref._add_normal_ordered(word, c)
                 assert_same_terms(got.terms, ref.terms)
     assert brackets > 0
-    assert _normal_order(lie, (1, 0)) is lie.pbw_tables[("order", (1, 0))]
+    assert starprod._insert(lie, 1, (0,)) is lie.pbw_tables[("insert", 1, (0,))]
+    assert all(k[0] != "order" for k in lie.pbw_tables)
+
+
+def ref_normal_order(lie, word, seen):
+    """The recursion _normal_order once was: the first descent of the word
+    swapped, its bracket giving one shorter word per structure constant,
+    each word's table kept in seen."""
+    if word in seen:
+        return seen[word]
+    k = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
+    if k is None:
+        table = {word: GaussRational(1)}
+    else:
+        a, b = word[k], word[k + 1]
+        table = dict(ref_normal_order(lie, word[:k] + (b, a) + word[k + 2:], seen))
+        for c in range(lie.dim):
+            v = lie.c(a, b, c)
+            if v:
+                for u, r in ref_normal_order(lie, word[:k] + (c,) + word[k + 2:],
+                                             seen).items():
+                    t = table[u] + r * v if u in table else r * v
+                    if t.is_zero():
+                        table.pop(u, None)
+                    else:
+                        table[u] = t
+    seen[word] = table
+    return table
+
+
+def ref_word_symbol(model, word, jidx):
+    """The per-push exponent loop _word_symbol once was: the word's normal
+    ordering, then the inverse table of each sorted word, each beta spelled
+    as an exponent afresh."""
+    out = {}
+    lie = model.lie
+    for v, r in ref_normal_order(lie, word, {}).items():
+        for beta, t in _inverse_table(lie, v).items():
+            expo = [0] * len(model.gens)
+            for x in beta:
+                expo[jidx[x]] += 1
+            group = out.setdefault(len(word) - len(beta), {})
+            e = tuple(expo)
+            group[e] = group[e] + r * t if e in group else r * t
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PBW_MODELS))
+def test_normal_order_matches_recursion_on_random_words(name):
+    """400 random words up to length 7: insertion into the longest sorted
+    suffix gives the first-descent recursion's table, and a sorted word is
+    its own table."""
+    lie = PBW_MODELS[name]().lie
+    rng = random.Random(41)
+    seen = {}
+    brackets = 0
+    for _ in range(400):
+        word = tuple(rng.randrange(lie.dim) for _ in range(rng.randint(0, 7)))
+        table = _normal_order(lie, word)
+        assert table == ref_normal_order(lie, word, seen), word
+        brackets += any(len(v) < len(word) for v in table)
+        if list(word) == sorted(word):
+            assert table == {word: 1}
+    assert brackets > 0
+
+
+def test_pbw_tables_hold_sorted_words_only(monkeypatch):
+    """200 star_G calls on degree-4 heis3 inputs at K = 4, as in the
+    benchmark's call stream: every word in a key of pbw_tables and every
+    sorted_symbol key is sorted, though most words pushed are not; and
+    _word_symbol gives the per-push exponent loop's symbol on every word
+    met."""
+    m = ModelSpace(heisenberg3(), 2, 4)
+    rng = random.Random(3)
+    met = set()
+    word_symbol = starprod._word_symbol
+
+    def recording(model, word, jidx=None):
+        met.add(word)
+        return word_symbol(model, word)
+
+    monkeypatch.setattr(starprod, "_word_symbol", recording)
+    for _ in range(200):
+        star_G(m, random_poly(rng, m, 4), random_poly(rng, m, 4))
+
+    def is_sorted(w):
+        return list(w) == sorted(w)
+
+    words = [w for key in m.lie.pbw_tables for w in key[1:] if isinstance(w, tuple)]
+    assert words and all(map(is_sorted, words))
+    symbols = [k[1] for k in m._field_cache if k[0] == "sorted_symbol"]
+    assert symbols and all(map(is_sorted, symbols))
+    assert sum(not is_sorted(w) for w in met) > len(symbols)
+    jidx = [m.gens.index(n) for n in m.momentum_names]
+    for word in met:
+        assert word_symbol(m, word) == ref_word_symbol(m, word, jidx), word
 
 
 @pytest.mark.parametrize("name", sorted(PBW_MODELS))
