@@ -29,8 +29,8 @@ from .linalg import is_psd_hermitian, poly_equations, solve_linear
 from .poly import Poly
 from .scalars import GaussRational
 from .series import LambdaSeries, series_inverse, series_sqrt, terminating_series
-from .starprod import (SymbolOp, moyal, neumaier_N, pbw_words, schroedinger_rep,
-                       word_actions)
+from .starprod import (SymbolOp, _normal_order, moyal, neumaier_N, pbw_words,
+                       schroedinger_rep, word_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +153,14 @@ def complete_positivity_sample(cfg: ReductionConfig, states, points) -> dict:
 class VerticalOperator(SymbolOp):
     """A vertical operator sum_I D^I e_I in fundamental-field words.
 
-    It is the word calculus of SymbolOp with generator factor F = 1: the
-    words are PBW-ordered left-invariant derivatives, each fundamental
-    generator contributing one sign.  The deformed action
-    D bullet' phi = sum_I D^I *_red e_I(phi) is apply, and the deformed
-    composition star' is compose.
+    It is the word calculus of SymbolOp with generator factor F = 1
+    (_factor_order 0): the words are PBW-ordered left-invariant
+    derivatives, each fundamental generator contributing one sign.  The
+    deformed action D bullet' phi = sum_I D^I *_red e_I(phi) is apply, and
+    the deformed composition star' is compose.
     """
+
+    _factor_order = 0
 
     def __init__(self, model: ModelSpace, terms=None):
         if not model.has_group:
@@ -166,22 +168,17 @@ class VerticalOperator(SymbolOp):
         super().__init__(model, terms)
 
     @staticmethod
-    def _factor(f: Func, times: int = 1) -> Func:
-        return f
-
-    @staticmethod
     def identity(model: ModelSpace) -> "VerticalOperator":
-        return VerticalOperator.from_fundamental_terms(
-            model, {(): Func.one(model.gens, model.order)}
-        )
+        return VerticalOperator.multiplication(model, Func.one(model.gens, model.order))
 
     @staticmethod
     def from_fundamental_terms(model: ModelSpace, terms: dict) -> "VerticalOperator":
         op = VerticalOperator(model)
         for word, coeff in terms.items():
             word = tuple(word)
-            sign = GaussRational(-1 if len(word) % 2 else 1)
-            op._add_normal_ordered(word, coeff * sign)
+            coeff = coeff * GaussRational(-1 if len(word) % 2 else 1)
+            for v, r in _normal_order(model.lie, word).items():
+                op._add_term(v, coeff * r)
         return op
 
     @staticmethod

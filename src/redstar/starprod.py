@@ -7,60 +7,44 @@ triple accumulators, and mult_operator apply that table to Func.partials on
 term dicts, reading no level above an operand's total degree.  Lam is
 antisymmetric, so moyal_commutator is twice the odd levels of one pass.
 The cotangent factor carries products built from one PBW word calculus:
-normal ordering of words
-in the generators with [J_a, J_b] = i lam C_ab^c J_c, symmetrized
-quantization of momentum polynomials and its inverse.  All three are linear
-over the coefficients, so each reads tables of rationals that depend on
-the structure constants only, built once per algebra by geometry.memo and
-keyed by sorted words only: _insert (a letter put before a sorted word),
-_sym_table and _inverse_table.  _normal_order keeps nothing: it inserts the
-letters of a word before its longest sorted suffix, so a warm process holds
-one table per sorted word met, however many unsorted words it pushes.
-Normal ordering does one Func operation per output word; symmetrization
-sums each output word's coefficient on triples from one pass over the
-symbol's terms.  On
-group models the words are left-invariant derivatives, group fields act on
-the coefficients, and the calculus gives the standard-ordered product; its
-Hermitian normalization conjugates with N = exp(A), A = (lam/2i)(Delta_0 -
-Delta_ver): N from left-composed powers of A, N^{-1} by negating N's odd
-lam orders.  On momentum-level models no field acts, and the calculus gives
-Gutt's product on g*.  The total product acts blockwise.  The right
-multiplication f -> star_G(f, J_a) by a momentum is one differential operator
-per model (right_momentum_operator): the Gutt right multiplication, the
-psi-series of the right BCH derivative (LieAlgebraData.psi_terms, the series
-that also gives the left-invariant fields) with each letter a momentum
-derivative, and, on group models, conjugated by N as an ad-series summed
-by series.terminating_series (N(J_a) = J_a there, the algebra being
-nilpotent), so the quantized Koszul differential needs no product call
-and no PBW table.
+normal ordering of words in the generators with [J_a, J_b] = i lam C_ab^c
+J_c, symmetrized quantization of momentum polynomials and its inverse.  All
+three are linear over the coefficients, so each reads tables of rationals
+that depend on the structure constants only, built once per algebra by
+geometry.memo and keyed by sorted words only: _insert (a letter put before a
+sorted word), _sym_table and _inverse_table.  _normal_order keeps nothing:
+it puts the letters of a word before its longest sorted suffix, so a warm
+process holds one table per sorted word met, however many unsorted words it
+pushes.  On group models the words are left-invariant derivatives, group
+fields act on the coefficients, and the calculus gives the standard-ordered
+product; its Hermitian normalization conjugates with N = exp(A), A =
+(lam/2i)(Delta_0 - Delta_ver): N from left-composed powers of A, N^{-1} by
+negating N's odd lam orders.  On momentum-level models no field acts, and
+the calculus gives Gutt's product on g*.  The total product acts blockwise.
+The right multiplication f -> star_G(f, J_a) by a momentum is one
+differential operator per model (right_momentum_operator): the Gutt right
+multiplication, the psi-series of the right BCH derivative
+(LieAlgebraData.psi_terms, the series that also gives the left-invariant
+fields) with each letter a momentum derivative, and, on group models,
+conjugated by N as an ad-series summed by series.terminating_series (N(J_a)
+= J_a there, the algebra being nilpotent), so the quantized Koszul
+differential needs no product call and no PBW table.
 
-A left word is pushed past a right coefficient by one Leibniz rule: the
-split table _splits(w), another per-algebra table, lists each way of moving a
-subsequence of the sorted word onto the coefficient, with its multiplicity,
-and the right coefficients' field actions come from word_actions.
-SymbolOp.compose normal-orders the pushed words and makes one base product
-per left word and output word.  The product of two symbols
-(_symbol_product, behind star_std and the momentum-level star_G) goes
-further: for each left word it sums the pushed coefficients, each times the
-symbol of its word (_word_symbol: the word's normal ordering, then the
-exponent-form symbol of each sorted word, _sorted_symbol, kept per
-model), into one right operand on term dicts, and makes one base product
-with the left coefficient, since the base product differentiates the base
-coordinates only and the momenta, group coordinates and lam-shifts act
-pointwise.  The products are summed by _moyal_into into one Func.
-
-Operators coming from the symbol calculus are held in a "stripped" normal
-form sum_w c_w (i lam)^{|w|} L_{w_1} ... L_{w_k}: every stored word is
-non-decreasing, and the per-generator factor (i lam) is implicit, so all
-explicit factors generated by reordering and Leibniz pushes are nonnegative
-powers of lam.  Identities then hold exactly modulo lam^(K+1) at every
-momentum degree simultaneously.
+One kernel, _push_sums, pushes a left word past a right operator by the
+Leibniz rule (_splits, another per-algebra table, lists the ways of moving
+part of a sorted word onto a right coefficient) and sums the pushed
+coefficients per output key on term dicts: per normal-ordered word for
+SymbolOp.compose, and into one key, each pushed word times its symbol
+_word_symbol, for _symbol_product (behind star_std and the momentum-level
+star_G).  _sum_products makes one base product per left word and key,
+exact because the base product differentiates the base coordinates only,
+summed by _moyal_into per key.  Symmetrization sums each output word's
+coefficient on triples from one pass over the symbol's terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import factorial, prod
 from operator import add, gt
 
@@ -205,10 +189,15 @@ class SymbolOp:
     product and pointwise in the group coordinates.  On momentum-level
     models the L_a are the abstract generators J_a of the enveloping
     algebra, which commute with every coefficient.  The per-generator
-    factor F is a property of the type, applied by _factor: (i lam) here,
-    for the symbol calculus; morita.VerticalOperator is the same calculus
-    with F = 1.  Operators of different types do not compose.
+    factor F = (i lam)^_factor_order is data of the type: F = i lam here,
+    for the symbol calculus, one lam order and one factor i per letter, so
+    every explicit factor from reordering and Leibniz pushes is a
+    nonnegative power of lam and identities hold exactly modulo
+    lam^(K+1) at every momentum degree; morita.VerticalOperator is the same
+    calculus with F = 1.  Operators of different types do not compose.
     """
+
+    _factor_order = 1
 
     def __init__(self, model: ModelSpace, terms=None):
         self.model = model
@@ -217,8 +206,6 @@ class SymbolOp:
             for w, c in terms.items():
                 if not c.is_zero():
                     self._add_term(tuple(w), c)
-
-    _factor = staticmethod(_mul_ilam)
 
     def _add_term(self, word, coeff):
         if word in self.terms:
@@ -230,24 +217,6 @@ class SymbolOp:
         elif not coeff.is_zero():
             self.terms[word] = coeff
 
-    def _add_normal_ordered(self, word, coeff):
-        """Insert c * F^{|w|} L_w, reordering out-of-order words."""
-        self._add_table(_normal_order(self.model.lie, word), len(word), coeff)
-
-    def _add_table(self, table, length, coeff):
-        """Insert sum_v r_v F^{length - |v|} c * F^{|v|} L_v for a table
-        {v: r_v}; the F-shift of c is built once per length difference."""
-        if coeff.is_zero():
-            return
-        shifted = {}
-        for v, r in table.items():
-            k = length - len(v)
-            c = shifted.get(k)
-            if c is None:
-                c = shifted[k] = self._factor(coeff, k)
-            if not c.is_zero():
-                self._add_term(v, c if r == _ONE else c * r)
-
     def _new(self, terms=None) -> "SymbolOp":
         return type(self)(self.model, terms)
 
@@ -258,8 +227,7 @@ class SymbolOp:
         return out
 
     def __sub__(self, other: "SymbolOp") -> "SymbolOp":
-        neg = self._new({w: -c for w, c in other.terms.items()})
-        return self + neg
+        return self + self._new({w: -c for w, c in other.terms.items()})
 
     def scale(self, c) -> "SymbolOp":
         return self._new({w: f * c for w, f in self.terms.items()})
@@ -268,32 +236,35 @@ class SymbolOp:
         return not self.terms
 
     def apply(self, phi: Func) -> Func:
-        """Apply to a fiber function (no momentum dependence)."""
+        """Apply to a fiber function (no momentum dependence): the base
+        products c_w F^{|w|} L_w phi summed into one accumulator; a zero sum
+        has the envelope and grade of the last one, as a sum of Funcs has."""
         if not self.model.is_momentum_free(phi):
             raise ValueError("symbol operators act on momentum-free functions")
-        act = word_actions(self.model, phi)
-        out = phi.zero_like()
-        for word, c in self.terms.items():
-            out = out + moyal(self.model, c, self._factor(act(word), len(word)))
-        return out
+        act, n = word_actions(self.model, phi), self._factor_order
+        out = _sum_products(self.model, ((None, c, _mul_ilam(act(w), len(w) * n))
+                                         for w, c in self.terms.items())).get(None)
+        if out is not None and not out.is_zero():
+            return out
+        last, zero = next(reversed(self.terms.values()), None), phi.zero_like()
+        return zero if last is None else Func._product(zero.series, last, phi)
 
     def compose(self, other: "SymbolOp") -> "SymbolOp":
-        """self after other: each left word is pushed past the right
-        operator by _leibniz_push and normal-ordered, then multiplied by its
-        coefficient with one base product per output word."""
+        """self after other: _push_sums sums the pushed coefficients of each
+        left word per normal-ordered word v, and _sum_products their base
+        products with the left coefficient, one per (left word, v)."""
         if type(self) is not type(other):
             raise ValueError("cannot mix calculi with different generator factors")
-        model = self.model
-        right = _right_actions(model, other)
-        out = self._new()
-        for w1, c1 in self.terms.items():
-            pushed = self._new()
-            for word, k, mult, h in _leibniz_push(model, w1, right):
-                h = self._factor(h, k)
-                pushed._add_normal_ordered(word, h if mult == 1 else h * mult)
-            for v, c in pushed.terms.items():
-                out._add_term(v, moyal(model, c1, c))
-        return out
+        model, right = self.model, _right_actions(self.model, other)
+        origin = (0,) * len(model.gens)
+
+        def symbols(word):
+            return [(v, {len(word) - len(v): {origin: r}})
+                    for v, r in _normal_order(model.lie, word).items()]
+
+        return self._new(_sum_products(model, (
+            (v, c1, c) for w1, c1 in self.terms.items()
+            for v, c in _push_sums(model, w1, right, symbols, self._factor_order).items())))
 
 
 def word_actions(model: ModelSpace, phi: Func):
@@ -316,9 +287,8 @@ def _right_actions(model: ModelSpace, op: SymbolOp) -> list:
     """(w2, c2, act) per term of op, act(sub) = L_sub c2 from word_actions
     on group models; without group coordinates no field acts and act is
     None."""
-    if not model.has_group:
-        return [(w2, c2, None) for w2, c2 in op.terms.items()]
-    return [(w2, c2, word_actions(model, c2)) for w2, c2 in op.terms.items()]
+    return [(w2, c2, word_actions(model, c2) if model.has_group else None)
+            for w2, c2 in op.terms.items()]
 
 
 def _leibniz_push(model: ModelSpace, word: tuple, right: list):
@@ -337,6 +307,54 @@ def _leibniz_push(model: ModelSpace, word: tuple, right: list):
             h = act(sub) if sub else c2
             if not h.is_zero():
                 yield rest + w2, len(sub), mult, h
+
+
+def _push_sums(model: ModelSpace, word: tuple, right: list, symbols, step: int) -> dict:
+    """{key: Func}: the pushes (pushed, k, mult, h) of _leibniz_push summed
+    per key on triple accumulators, each (key, {j: mono}) of
+    symbols(pushed) adding mult F^{j + k} h mono.  F = (i lam)^step is data:
+    step lam orders and a factor i^step per letter.  A key takes the
+    envelope and grade of its first term below the order; later ones must
+    share them, as in a sum of Funcs, since right coefficients may not."""
+    order = model.order
+    sums: dict = {}
+    for pushed, k, mult, h in _leibniz_push(model, word, right):
+        coeffs, top = h.series.coeffs, order - h.series.lowest_order()[0]
+        for key, symbol in symbols(pushed):
+            for j, mono in symbol.items():
+                j = (j + k) * step
+                if j > top:
+                    continue
+                slot = sums.get(key)
+                if slot is None:
+                    slot = sums[key] = (h, [{} for _ in range(order + 1)])
+                elif slot[0].pi4 != h.pi4 or slot[0].profile != h.profile:
+                    slot[0]._same_grade(h)
+                unit = _scale(_IMAG_POWERS[j % 4], mult)
+                for s, p in enumerate(coeffs[: order + 1 - j]):
+                    _mul_into(slot[1][s + j], p.terms, mono, unit)
+    return {key: h._like(LambdaSeries._trusted(Poly._trusted_orders(h.gens, accs), order))
+            for key, (h, accs) in sums.items()}
+
+
+def _sum_products(model: ModelSpace, triples) -> dict:
+    """{key: Func}: the base products f g of the triples (key, f, g) summed
+    per key by _moyal_into, with the envelope and grade of the key's first
+    product, which every later one must share.  A product is zero, and
+    skipped, when the lowest lam orders of f and g add up past the order."""
+    accs, carriers = {}, {}
+    for key, f, g in triples:
+        low_f, low_g = f.series.lowest_order()[0], g.series.lowest_order()[0]
+        if low_f is None or low_g is None or low_f + low_g > f.order:
+            continue
+        grade = Func._product(g.series, f, g)  # the product's envelope and grade
+        if key in carriers:
+            carriers[key]._same_grade(grade)
+        else:
+            carriers[key], accs[key] = grade, [{} for _ in range(f.order + 1)]
+        _moyal_into(accs[key], model, f, g)
+    return {k: c._like(LambdaSeries._trusted(Poly._trusted_orders(c.gens, accs[k]), c.order))
+            for k, c in carriers.items()}
 
 
 def pbw_words(dim: int, cap: int) -> list:
@@ -431,9 +449,20 @@ def _sym_table(lie, multi: tuple) -> dict:
     multiplicities, so its leading entry alpha is 1/alpha!."""
     table = {}
     weight = GaussRational(Fraction(1, factorial(len(multi))))
-    for arrangement in dict.fromkeys(permutations(multi)):
+    for arrangement in _arrangements(multi):
         _add_scaled(table, _normal_order(lie, arrangement), weight)
     return table
+
+
+def _arrangements(word: tuple):
+    """The distinct arrangements of a sorted word in lexicographic order,
+    each distinct letter before those of the rest: not |word|! of them."""
+    if not word:
+        yield word
+    for a in dict.fromkeys(word):
+        i = word.index(a)
+        for rest in _arrangements(word[:i] + word[i + 1:]):
+            yield (a,) + rest
 
 
 @memo("inverse")
@@ -516,14 +545,13 @@ def _sorted_symbol(model: ModelSpace, v: tuple) -> dict:
     return out
 
 
-def _word_symbol(model: ModelSpace, word: tuple, jidx=None) -> dict:
+def _word_symbol(model: ModelSpace, word: tuple) -> dict:
     """{j: {exponent of J^beta: t}} with F^{|w|} L_w the symmetrized
     quantization of sum t F^j J^beta, j = |w| - |beta|, for any word: the
     _sorted_symbol of each word v of its normal ordering, times r_v and
     shifted by |w| - |v|; a sorted word's is returned as it is kept.
     Nothing is kept per word: the words met (rest + w2 of each push) are
-    mostly unsorted, and a table per word would grow with the run.  jidx
-    is not read; the exponents come from the model."""
+    mostly unsorted, and a table per word would grow with the run."""
     table = _normal_order(model.lie, word)
     if word in table:  # a sorted word is its own table
         return _sorted_symbol(model, word)
@@ -538,50 +566,24 @@ def _word_symbol(model: ModelSpace, word: tuple, jidx=None) -> dict:
 
 
 def _symbol_product(model: ModelSpace, a: SymbolOp, b: SymbolOp) -> Func:
-    """The momentum polynomial whose symmetrized quantization is a o b,
-    with one base product per left word.
+    """The momentum polynomial whose symmetrized quantization is a o b.
 
-    For a left term c1 F^{|w1|} L_w1, each split (sub, rest, mult) of w1
-    and each right term c2 F^{|w2|} L_w2 give mult F^{|sub|} L_sub c2 times
-    _word_symbol(rest + w2).  They are summed on term dicts into one right
-    operand R, and c1 R is one base product, exact because the base
-    product differentiates the base coordinates only.  _moyal_into sums
-    the products into one Func, whose envelope and grade every nonzero c1 R
-    must share (c1 R is zero exactly when the lowest lam orders of c1 and
-    R add up past K).  A zero result is the plain zero: the
-    inverse of the symmetrization is triangular with unit diagonal, so the
-    result vanishes exactly when a o b is the zero operator."""
-    gens, order = model.gens, model.order
+    For each left term c1 F^{|w1|} L_w1, _push_sums sums the pushed
+    coefficients, each times _word_symbol of its word, into one operand R,
+    and _sum_products sums the base products c1 R.  A zero result is the
+    plain zero: the inverse of the symmetrization is triangular with unit
+    diagonal, so the result vanishes exactly when a o b is zero."""
     right = _right_actions(model, b)
-    # R carries the envelope and grade of the right coefficients
-    carrier = [c2 for _, c2, _ in right]
-    for c2 in carrier[1:]:
-        carrier[0]._compatible(c2)
-    acc = [{} for _ in range(order + 1)]
-    first = None
-    for w1, c1 in a.terms.items():
-        racc = [{} for _ in range(order + 1)]
-        for word, k, mult, h in _leibniz_push(model, w1, right):
-            coeffs = h.series.coeffs
-            for j, mono in _word_symbol(model, word).items():
-                j += k
-                if j > order:
-                    continue
-                unit = _scale(_IMAG_POWERS[j % 4], mult)
-                for s, p in enumerate(coeffs[: order + 1 - j]):
-                    _mul_into(racc[s + j], p.terms, mono, unit)
-        rhs = LambdaSeries._trusted(Poly._trusted_orders(gens, racc), order)
-        low, _ = rhs.lowest_order()
-        if low is None:
-            continue
-        if low + c1.series.lowest_order()[0] <= order:  # c1 R is not zero
-            first = first or c1
-            first._compatible(c1)
-        _moyal_into(acc, model, c1, carrier[0]._like(rhs))
-    series = LambdaSeries._trusted(Poly._trusted_orders(gens, acc), order)
-    if series.is_zero():
-        return Func._trusted(gens, series, {}, 0)
-    return Func._product(series, first, carrier[0])
+    for _, c2, _ in right[1:]:  # every R sums pushes of the right coefficients
+        right[0][1]._compatible(c2)
+
+    def symbols(word):
+        return ((None, _word_symbol(model, word)),)
+
+    out = _sum_products(model, (
+        (None, c1, r) for w1, c1 in a.terms.items()
+        for r in _push_sums(model, w1, right, symbols, 1).values())).get(None)
+    return out if out is not None and not out.is_zero() else Func.zero(model.gens, model.order)
 
 
 # ---------------------------------------------------------------------------

@@ -745,6 +745,21 @@ def test_only_verify_loads_the_verification_layer():
         "verify": [0, ["redstar.suites", "redstar.morita"]]}
 
 
+def test_high_power_of_one_letter_multiplies_in_time():
+    """J1^13 star_std 1 at order 3 on heisenberg exits 0 within 30 s: the
+    symmetrization of J1^13 walks the word's one distinct arrangement, not
+    its 13! permutations."""
+    src = Path(redstar.__file__).parent.parent
+    scene = src.parent / "scenes" / "heisenberg.json"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "redstar.cli", "star", "--scene", str(scene), "--left",
+         "J1^13", "--right", "1", "--product", "std", "--order", "3"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "lam^0: J1^13" in proc.stdout
+
+
 class TestReports:
     def test_determinism_byte_identical(self, tmp_path):
         from redstar.cli import load_scene

@@ -94,6 +94,21 @@ def test_report_digest(tmp_path, suite, scene):
     assert digest == GOLDEN[(suite, scene)]
 
 
+@pytest.mark.parametrize("scene", ["filiform4", "heisenberg"])
+def test_report_digest_at_order_6(tmp_path, scene):
+    """At order 6 every record of these scenes still passes, so the report
+    is byte-identical to the pinned full report at the scene's order.  The
+    checks then read the lam^4 to lam^6 coefficients that no order-3
+    report reads, on filiform4 those of the Morita comparison's vertical
+    compose and apply too."""
+    out = tmp_path / "report.json"
+    code = main(["verify", "--scene", str(SCENES / f"{scene}.json"), "--order", "6",
+                 "--format", "json", "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN[("all", scene)]
+
+
 INVOLVE_GOLDEN = {
     ("heisenberg", "q^4 + 2*i*q^2*p - 3*p^3*q + p", "4"):
         "d4e82a59abb608ad2c9a17685d4cced98853e4d1a6139c0c98a8824a8ac74a75",

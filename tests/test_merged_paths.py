@@ -631,6 +631,28 @@ def assert_same_terms(got, expect):
         assert_same(got[w], expect[w])
 
 
+def ref_factor(op, f, times):
+    """F^times f for the generator factor of op's type: (i lam)^times for
+    the symbol calculus, none for vertical operators."""
+    return _mul_ilam(f, times) if type(op) is SymbolOp else f
+
+
+def ref_add_table(op, table, length, coeff):
+    """The former SymbolOp._add_table: insert sum_v r_v F^{length - |v|}
+    coeff F^{|v|} L_v into op for a table {v: r_v}, one Func shift, scale
+    and sum per entry."""
+    if coeff.is_zero():
+        return
+    shifted = {}
+    for v, r in table.items():
+        k = length - len(v)
+        c = shifted.get(k)
+        if c is None:
+            c = shifted[k] = ref_factor(op, coeff, k)
+        if not c.is_zero():
+            op._add_term(v, c if r == 1 else c * r)
+
+
 def symbol_inputs(m, seed):
     """Momentum polynomials: plain, lam-shifted, enveloped in a base
     coordinate, pi-graded, the repeated letters J2^2 and J2^4, and zero."""
@@ -650,9 +672,10 @@ def symbol_inputs(m, seed):
 
 @pytest.mark.parametrize("name", sorted(PBW_MODELS))
 def test_normal_order_matches_recursion(name):
-    """Every word up to length 4, sorted or not: the table read by
-    _add_normal_ordered gives the recursion's terms, on the coefficient one
-    and on a lam-shifted, enveloped, pi-graded coefficient."""
+    """Every word up to length 4, sorted or not: its _normal_order table
+    gives the recursion's terms on the coefficient one, and the coefficient
+    composed with the word's letters one by one gives them on a
+    lam-shifted, enveloped, pi-graded coefficient."""
     m = PBW_MODELS[name]()
     lie = m.lie
     rng = random.Random(13)
@@ -672,8 +695,9 @@ def test_normal_order_matches_recursion(name):
                 assert_same(ref.terms[v], _mul_ilam(m.one(), k) * r)
             brackets += any(len(v) < n for v in table)
             for c in coeffs[1:]:
-                got = SymbolOp(m)
-                got._add_normal_ordered(word, c)
+                got = SymbolOp(m, {(): c})
+                for a in word:
+                    got = got.compose(SymbolOp(m, {(a,): m.one()}))
                 ref = RefUElement(m)
                 ref._add_normal_ordered(word, c)
                 assert_same_terms(got.terms, ref.terms)
@@ -755,7 +779,7 @@ def test_pbw_tables_hold_sorted_words_only(monkeypatch):
     met = set()
     word_symbol = starprod._word_symbol
 
-    def recording(model, word, jidx=None):
+    def recording(model, word):
         met.add(word)
         return word_symbol(model, word)
 
@@ -819,9 +843,32 @@ def test_symmetrize_weights_repeated_letters():
         for a in alpha:
             mono = mono * m.momentum(a)
         expect = SymbolOp(m)
-        expect._add_table(table, len(alpha), m.one() * mult)
+        ref_add_table(expect, table, len(alpha), m.one() * mult)
         assert_same_terms(_symmetrize(m, mono).terms, expect.terms)
     assert len(_sym_table(m.lie, (0, 1, 2))) > 1  # brackets reach shorter words
+
+
+SYM_ALGEBRAS = {
+    "abelian2": lambda: abelian_lie(2),
+    "heis3": heisenberg3,
+    "filiform4": lambda: filiform4(),
+    "aff1": aff1,
+    "sl2": sl2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYM_ALGEBRAS))
+def test_sym_table_matches_the_permutation_walk(name):
+    """Every sorted word up to length 7: _sym_table equals the table summed
+    over dict.fromkeys(permutations(word)), the walk over all |word|!
+    permutations, in value and in key order."""
+    lie = SYM_ALGEBRAS[name]()
+    for word in pbw_words(lie.dim, 7):
+        expect = {}
+        weight = GaussRational(Fraction(1, factorial(len(word))))
+        for arrangement in dict.fromkeys(permutations(word)):
+            starprod._add_scaled(expect, _normal_order(lie, arrangement), weight)
+        assert list(_sym_table(lie, word).items()) == list(expect.items()), word
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +887,7 @@ def ref_symmetrize(model, f):
         for a in multi:
             g = g.diff(jnames[a])
         g = g.set_zero(jnames)
-        op._add_table(_sym_table(model.lie, multi), len(multi), g)
+        ref_add_table(op, _sym_table(model.lie, multi), len(multi), g)
     return op
 
 
@@ -997,7 +1044,7 @@ def ref_compose(a, b):
             return {word: coeff}
         head, x = word[:-1], word[-1]
         branches = {}
-        hit = a._factor(fields[x].apply(coeff))
+        hit = ref_factor(a, fields[x].apply(coeff), 1)
         if not hit.is_zero():
             for v, cv in push(head, hit).items():
                 branches[v] = branches.get(v, coeff.zero_like()) + cv
@@ -1009,7 +1056,9 @@ def ref_compose(a, b):
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
             for v, cv in push(w1, c2).items():
-                out._add_normal_ordered(v + w2, moyal(model, c1, cv))
+                word = v + w2
+                ref_add_table(out, _normal_order(model.lie, word), len(word),
+                              moyal(model, c1, cv))
     return out
 
 
@@ -1096,9 +1145,12 @@ def test_symbol_product_matches_composed_operator(name, K):
 
 
 def test_star_std_is_one_base_product_per_left_word(monkeypatch):
-    """star_std on heis3 makes exactly one base-product pass per word of the
-    left operand stdrep(Nf), each into the one output accumulator, and no
-    moyal call."""
+    """On heis3, star_std makes exactly one base-product pass per word of
+    the left operand stdrep(Nf), each into the one output accumulator;
+    compose one per (left word, output word) whose product is nonzero, into
+    one accumulator per output word; apply, on symbol and vertical
+    operators, one per word whose product is nonzero, all into one
+    accumulator; and none of them calls moyal."""
     m = ModelSpace(heisenberg3(), 2, 4)
     rng = random.Random(103)
     n = neumaier_N(m)
@@ -1109,15 +1161,62 @@ def test_star_std_is_one_base_product_per_left_word(monkeypatch):
         calls.append(acc)
         return real(acc, *args)
 
-    monkeypatch.setattr(starprod, "_moyal_into", counted)
+    def no_moyal(*args):
+        raise AssertionError("moyal called")
+
     for _ in range(3):
         f = n.apply(rand_poly(rng, m, m.gens, 4, nterms=4))
         g = n.apply(rand_poly(rng, m, m.gens, 4, nterms=4))
-        words = len(stdrep(m, f).terms)
+        a, b = stdrep(m, f), stdrep(m, g)
+        vert = VerticalOperator(m, a.terms)
+        phi = m.fiber_state(rand_poly(rng, m, m.base_names + m.group_names, 2))
+        # the nonzero products, from the references one left word at a time
+        pairs = [(w1, v) for w1, c1 in a.terms.items()
+                 for v in ref_compose(a._new({w1: c1}), b).terms]
+        applied = [sum(not ref_apply(op._new({w: c}), phi).is_zero()
+                       for w, c in op.terms.items()) for op in (a, vert)]
+        monkeypatch.setattr(starprod, "_moyal_into", counted)
+        monkeypatch.setattr(starprod, "moyal", no_moyal)
         del calls[:]
         star_std(m, f, g)
-        assert len(calls) == words > 1
+        assert len(calls) == len(a.terms) > 1
         assert all(acc is calls[0] for acc in calls)
+        del calls[:]
+        a.compose(b)
+        assert len(calls) == len(pairs) > len(a.terms)
+        assert len({id(acc) for acc in calls}) == len({v for _, v in pairs})
+        for op, words in zip((a, vert), applied):
+            del calls[:]
+            op.apply(phi)
+            assert len(calls) == words > 1
+            assert all(acc is calls[0] for acc in calls)
+        monkeypatch.undo()
+
+
+def test_compose_checks_grades_where_pushes_meet():
+    """heis3 at K = 3 with right coefficients d and d pi^(1/4) on the words
+    (0, 1) and (2,), d a fiber state: pushing (1,) past them puts both into
+    the word (1, 2), (1, 0, 1) through its bracket, which raises as the
+    former sums of Funcs did; () and (0,) keep them apart and give the
+    former composition's values and grades, its words in the order it
+    gave them.  Symbol and vertical operators alike."""
+    m = ModelSpace(heisenberg3(), 2, 3)
+    d = m.fiber_state(m.var(m.base_names[0]))
+    grades = {(): {(0, 1): 0, (2,): 1},
+              (0,): {(0, 1): 0, (2,): 1, (0, 0, 1): 0, (0, 2): 1}}
+    for cls in (SymbolOp, VerticalOperator):
+        right = cls(m, {(0, 1): d, (2,): d.with_pi4(1)})
+        for build in (cls.compose, ref_compose):
+            with pytest.raises(ValueError, match=r"cannot add pi-grades 0/4 and 1/4"):
+                build(cls(m, {(1,): m.one()}), right)
+        for word, expect_grades in grades.items():
+            left = cls(m, {word: m.one()})
+            got, expect = left.compose(right), ref_compose(left, right)
+            assert list(got.terms) == list(expect_grades)
+            assert set(expect.terms) == set(expect_grades)
+            assert {v: c.pi4 for v, c in got.terms.items()} == expect_grades
+            for v, c in expect.terms.items():
+                assert_identical(got.terms[v], c)
 
 
 # ---------------------------------------------------------------------------
@@ -1131,7 +1230,6 @@ def ref_symbol_product(model, a, b):
     _accumulate, with the envelope and grade of the last nonzero product
     (all must agree)."""
     gens, order = model.gens, model.order
-    jidx = [gens.index(n) for n in model.momentum_names]
     right = starprod._right_actions(model, b)
     carrier = [c2 for _, c2, _ in right]
     for c2 in carrier[1:]:
@@ -1142,7 +1240,7 @@ def ref_symbol_product(model, a, b):
         racc = [{} for _ in range(order + 1)]
         for word, k, mult, h in starprod._leibniz_push(model, w1, right):
             coeffs = h.series.coeffs
-            for j, mono in starprod._word_symbol(model, word, jidx).items():
+            for j, mono in starprod._word_symbol(model, word).items():
                 j += k
                 if j > order:
                     continue
@@ -1173,7 +1271,7 @@ def ref_symbol_product(model, a, b):
 
 def ref_symmetrize_by_table(model, f):
     """The former _symmetrize: the coefficients g grouped in one pass over
-    f's terms, each inserted through SymbolOp._add_table, one Func shift,
+    f's terms, each inserted through ref_add_table, one Func shift,
     scale and sum per table entry."""
     gens, order = f.gens, f.order
     jidx = [gens.index(n) for n in model.momentum_names]
@@ -1191,7 +1289,7 @@ def ref_symmetrize_by_table(model, f):
     for multi in sorted(groups, key=lambda w: (len(w), w)):
         g = f._like(LambdaSeries._trusted(
             tuple([Poly._trusted(gens, t) for t in groups[multi]]), order))
-        op._add_table(_sym_table(model.lie, multi), len(multi), g)
+        ref_add_table(op, _sym_table(model.lie, multi), len(multi), g)
     return op
 
 
@@ -1216,7 +1314,7 @@ def summed_inputs(m, seed):
 @pytest.mark.parametrize("name", sorted(KERNEL_ALGEBRAS))
 def test_summed_products_match_one_func_per_product(name, K):
     """moyal and moyal_commutator against the rescaled-left loop,
-    _symmetrize against SymbolOp._add_table and _symbol_product against one
+    _symmetrize against ref_add_table and _symbol_product against one
     moyal Func per left word: equal value, repr, hash, envelope and grade,
     zero results included; operands of mixed grades raise in both."""
     m = ModelSpace(KERNEL_ALGEBRAS[name](), 2, K)
@@ -1594,6 +1692,37 @@ def test_apply_matches_per_word_loop():
             assert_identical(op.apply(phi), ref_apply(op, phi))
     assert {len(w) for op in ops for w in op.terms} == {0, 1, 2, 3}
     assert any(not op.apply(phi).is_zero() for op in ops[:3] for phi in states)
+
+
+def top_order(f):
+    """The highest lam order at which f has a term."""
+    return max(r for r, p in enumerate(f.series.coeffs) if p.terms)
+
+
+def test_word_calculus_matches_the_references_at_depth():
+    """heis3 at K = 6: compose, apply and _symbol_product against
+    ref_compose, ref_apply and ref_symbol_product, on symbols of momentum
+    degree 4 and a lam-shifted vertical operator, each result reaching
+    lam^4 or beyond."""
+    m = ModelSpace(heisenberg3(), 2, 6)
+    rng = random.Random(61)
+    fiber = m.base_names + m.group_names
+    j1, j2 = m.momentum(0), m.momentum(1)
+    a = stdrep(m, rand_poly(rng, m, fiber, 1) * j1 * j1 * j2 * j2 + j1 * j2)
+    b = stdrep(m, rand_poly(rng, m, fiber, 2) * j2 * j2 * j1 * j1 + j2)
+    got, expect = a.compose(b), ref_compose(a, b)
+    assert_same_terms(got.terms, expect.terms)
+    assert max(map(top_order, got.terms.values())) >= 4
+    product = starprod._symbol_product(m, a, b)
+    assert_identical(product, ref_symbol_product(m, a, b))
+    assert top_order(product) >= 4
+    vert = VerticalOperator(m, {w: lam_shifted(rand_poly(rng, m, fiber, 1), 4)
+                                for w in pbw_words(m.lie.dim, 2)})
+    phi = m.fiber_state(rand_poly(rng, m, fiber, 2))
+    for op in (a, b, vert):
+        out = op.apply(phi)
+        assert_identical(out, ref_apply(op, phi))
+        assert top_order(out) >= 4
 
 
 def test_calculi_do_not_mix():
@@ -3817,10 +3946,10 @@ def test_every_import_is_used(module):
 
 # the private helpers that one module of redstar may import from another:
 # the term-dict kernels of poly, the scalar constructor, the Leibniz splits,
-# the multiplication by i lam and the Koszul resolvent
+# the multiplication by i lam, the PBW normal ordering and the Koszul resolvent
 PRIVATE_IMPORTS = {"poly._mul_into", "poly._scale", "poly._accumulate", "poly._diff_terms",
                    "scalars._make", "diffop._leibniz_splits", "starprod._mul_ilam",
-                   "koszul._neumann_resolve"}
+                   "starprod._normal_order", "koszul._neumann_resolve"}
 
 
 def test_cross_module_private_imports_are_the_allow_list():
