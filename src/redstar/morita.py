@@ -175,9 +175,8 @@ class VerticalOperator(SymbolOp):
     def from_fundamental_terms(model: ModelSpace, terms: dict) -> "VerticalOperator":
         op = VerticalOperator(model)
         for word, coeff in terms.items():
-            word = tuple(word)
             coeff = coeff * GaussRational(-1 if len(word) % 2 else 1)
-            for v, r in _normal_order(model.lie, word).items():
+            for v, r in _normal_order(model.lie, tuple(word)).items():
                 op._add_term(v, coeff * r)
         return op
 

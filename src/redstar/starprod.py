@@ -330,9 +330,10 @@ def _push_sums(model: ModelSpace, word: tuple, right: list, symbols, step: int) 
                     slot = sums[key] = (h, [{} for _ in range(order + 1)])
                 elif slot[0].pi4 != h.pi4 or slot[0].profile != h.profile:
                     slot[0]._same_grade(h)
-                unit = _scale(_IMAG_POWERS[j % 4], mult)
+                unit = _IMAG_POWERS[j % 4] if mult == 1 else _scale(_IMAG_POWERS[j % 4], mult)
                 for s, p in enumerate(coeffs[: order + 1 - j]):
-                    _mul_into(slot[1][s + j], p.terms, mono, unit)
+                    if p.terms:
+                        _mul_into(slot[1][s + j], p.terms, mono, unit)
     return {key: h._like(LambdaSeries._trusted(Poly._trusted_orders(h.gens, accs), order))
             for key, (h, accs) in sums.items()}
 
