@@ -12,15 +12,16 @@ J_c, symmetrized quantization of momentum polynomials and its inverse.  All
 three are linear over the coefficients, so each reads tables of rationals
 that depend on the structure constants only, built once per algebra by
 geometry.memo and keyed by sorted words only: _insert (a letter put before a
-sorted word), _sym_table and _inverse_table.  _normal_order keeps nothing:
-it puts the letters of a word before its longest sorted suffix, so a warm
-process holds one table per sorted word met, however many unsorted words it
-pushes.  On group models the words are left-invariant derivatives, group
-fields act on the coefficients, and the calculus gives the standard-ordered
-product; its Hermitian normalization conjugates with N = exp(A), A =
-(lam/2i)(Delta_0 - Delta_ver): N from left-composed powers of A, N^{-1} by
-negating N's odd lam orders.  On momentum-level models no field acts, and
-the calculus gives Gutt's product on g*.  The total product acts blockwise.
+sorted word), _sym_table (_insert on the tables one letter shorter) and
+_inverse_table.  _normal_order keeps nothing: it puts the letters of a word
+before its longest sorted suffix, so a warm process holds one table per
+sorted word met, however many unsorted words it pushes.  On group models the
+words are left-invariant derivatives, group fields act on the coefficients,
+and the calculus gives the standard-ordered product; its Hermitian
+normalization conjugates with N = exp(A), A = (lam/2i)(Delta_0 -
+Delta_ver): N from left-composed powers of A, N^{-1} by negating N's odd
+lam orders.  On momentum-level models no field acts, and the calculus gives
+Gutt's product on g*.  The total product acts blockwise.
 The right multiplication f -> star_G(f, J_a) by a momentum is one
 differential operator per model (right_momentum_operator): the Gutt right
 multiplication, the psi-series of the right BCH derivative
@@ -444,26 +445,24 @@ def _spell(counts) -> tuple:
 
 @memo("sym")
 def _sym_table(lie, multi: tuple) -> dict:
-    """The normal-ordered sum of the distinct arrangements of a sorted word
-    alpha, divided by |alpha|!.  _symmetrize(J^alpha) is alpha! times this
-    table, alpha! the product of the factorials of the letter
-    multiplicities, so its leading entry alpha is 1/alpha!."""
-    table = {}
-    weight = GaussRational(Fraction(1, factorial(len(multi))))
-    for arrangement in _arrangements(multi):
-        _add_scaled(table, _normal_order(lie, arrangement), weight)
-    return table
-
-
-def _arrangements(word: tuple):
-    """The distinct arrangements of a sorted word in lexicographic order,
-    each distinct letter before those of the rest: not |word|! of them."""
-    if not word:
-        yield word
-    for a in dict.fromkeys(word):
-        i = word.index(a)
-        for rest in _arrangements(word[:i] + word[i + 1:]):
-            yield (a,) + rest
+    """{sorted v: r_v}, the normal-ordered sum of the distinct arrangements
+    of a sorted word alpha over |alpha|!, longest v first, lexicographic
+    within a length.  _symmetrize(J^alpha) is alpha! (the product of the
+    letter counts' factorials) times it, so its entry alpha is 1/alpha!.
+    An arrangement is a distinct letter a before one of alpha - a, so the
+    table is 1/|alpha| times the sum of r_v _insert(a, v) over those a and
+    the entries v of alpha - a: polynomial, where the arrangements are
+    multinomially many.  The sum meets the keys in an order that depends on
+    which entries cancel, hence the sort."""
+    if not multi:
+        return {(): _ONE}
+    table: dict = {}
+    weight = GaussRational(Fraction(1, len(multi)))
+    for a in dict.fromkeys(multi):
+        i = multi.index(a)
+        for v, r in _sym_table(lie, multi[:i] + multi[i + 1:]).items():
+            _add_scaled(table, _insert(lie, a, v), r * weight)
+    return {v: table[v] for v in sorted(table, key=lambda v: (-len(v), v))}
 
 
 @memo("inverse")
@@ -486,10 +485,10 @@ def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
 
     Each sorted multi-index alpha inserts g = d^alpha f at J = 0, which is
     alpha! times the coefficient of J^alpha, through _sym_table(alpha): its
-    entry r_v adds r_v (i lam)^{|alpha| - |v|} g to the word v.  Every g is
-    read from one pass over the terms of f grouped by their momentum
-    exponent, shortest alpha first, and each word's sum is built once.
-    """
+    entry r_v adds r_v (i lam)^k g to the word v, k = |alpha| - |v|, if
+    k <= K.  Every g is read from one pass over the terms of f grouped by
+    their momentum exponent, shortest alpha first; each word's sum is built
+    once."""
     for n in model.momentum_names:
         if n in f.profile:
             raise ValueError(f"cannot restrict through the envelope in {n}")
@@ -513,7 +512,7 @@ def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
         g = groups[multi]
         for v, r in _sym_table(model.lie, multi).items():
             k = len(multi) - len(v)
-            if any(g[: order + 1 - k]):
+            if k <= order and any(g[: order + 1 - k]):
                 acc = sums.setdefault(v, [{} for _ in range(order + 1)])
                 unit = {origin: r * _IMAG_POWERS[k % 4]}
                 for s, terms in enumerate(g[: order + 1 - k]):

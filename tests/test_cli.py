@@ -1,5 +1,6 @@
 """Scene loading, the command-line verbs, report determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -745,19 +746,71 @@ def test_only_verify_loads_the_verification_layer():
         "verify": [0, ["redstar.suites", "redstar.morita"]]}
 
 
-def test_high_power_of_one_letter_multiplies_in_time():
-    """J1^13 star_std 1 at order 3 on heisenberg exits 0 within 30 s: the
-    symmetrization of J1^13 walks the word's one distinct arrangement, not
-    its 13! permutations."""
+def heisenberg_star(left, right, product, order):
+    """`redstar star` on the heisenberg scene in a fresh interpreter, which
+    must finish within 30 s."""
     src = Path(redstar.__file__).parent.parent
     scene = src.parent / "scenes" / "heisenberg.json"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "redstar.cli", "star", "--scene", str(scene), "--left",
-         "J1^13", "--right", "1", "--product", "std", "--order", "3"],
+         left, "--right", right, "--product", product, "--order", order],
         capture_output=True, text=True, env=env, timeout=30)
+
+
+def test_high_power_of_one_letter_multiplies_in_time():
+    """J1^13 star_std 1 at order 3 on heisenberg exits 0 within 30 s: the
+    symmetrization of J1^13 reads one table per shorter power, not the
+    13! permutations of the word."""
+    proc = heisenberg_star("J1^13", "1", "std", "3")
     assert proc.returncode == 0, proc.stderr
     assert "lam^0: J1^13" in proc.stdout
+
+
+@pytest.mark.parametrize("left,product,right,order", [
+    ("J1^9", "std", "J2^9", "3"), ("J1^12", "weyl_g", "J2^12", "4")])
+def test_mixed_powers_multiply_in_time(left, product, right, order):
+    """Powers of two letters exit 0 within 30 s: the symmetrization table of
+    J1^m J2^n is built from the tables of the words one letter shorter, not
+    from its (m + n)! / (m! n!) arrangements (J1^9 with J2^9 did not finish
+    in 100 s that way)."""
+    proc = heisenberg_star(left, right, product, order)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_mixed_powers_keep_their_product():
+    """J1^7 star_std J2^7 at order 3 prints the output recorded while the
+    symmetrization tables were summed over every arrangement of a word."""
+    proc = heisenberg_star("J1^7", "J2^7", "std", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "e02469bf71d21ddd842dd51f78e6c4785c61b2ec39e6c1f76bdf07b9abc1c7e1")
+
+
+def star_lines(capsys, scene, argv):
+    """The lam^r lines that `redstar star` prints on a committed scene."""
+    path = Path(redstar.__file__).parent.parent.parent / "scenes" / f"{scene}.json"
+    assert main(["star", "--scene", str(path), *argv]) == 0, capsys.readouterr().err
+    return [line for line in capsys.readouterr().out.splitlines() if line.startswith("lam^")]
+
+
+@pytest.mark.parametrize("scene,product,left,right,order", [
+    ("heisenberg", "std", "J1^5*J2^5", "1", 3),
+    ("so3", "total", "J1^3*J2^3", "1", 1),
+    ("heisenberg", "std", "J1^5*J2^5", "J2^3*J3+J1", 3),
+    ("so3", "total", "J1^3*J2^3", "J3^2+J1", 1),
+    ("sl2", "total", "(J1+J2+J3)^5", "J1*J2^2", 2),
+    ("filiform4", "weyl_g", "J1^4*J2^4", "J3*J1^2", 3)])
+def test_product_at_an_order_truncates_the_deeper_product(capsys, scene, product, left,
+                                                          right, order):
+    """The product at order K is the first K + 1 coefficients of the same
+    product at order K + 4.  The symmetrization tables of these left words
+    hold words more than K letters shorter, whose terms fall past the
+    truncation (the first four cases raised IndexError once)."""
+    def lines(k):
+        return star_lines(capsys, scene, ["--left", left, "--right", right,
+                                          "--product", product, "--order", str(k)])
+    assert lines(order) == lines(order + 4)[: order + 1]
 
 
 class TestReports:

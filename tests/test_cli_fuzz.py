@@ -3,7 +3,8 @@
 Mutated scenes (one or two fields set to odd values or dropped) go through
 `verify --suite star`, `star`, `reduce` and `involve`; random and garbled
 expressions, products, weights and orders go through the three calculation
-verbs on three valid scenes.  Every run must end in exit 0, or in exit 2
+verbs on three valid scenes, and momentum words of degree 6 to 12 through
+`star` at orders 0 to 5 on three.  Every run must end in exit 0, or in exit 2
 with exactly one line on stderr and nothing on stdout, and never in a
 traceback: a malformed input is a configuration error, not an engine error
 (exit 3) or a failed identity (exit 1).  The mutations keep every model
@@ -50,6 +51,19 @@ ABELIAN = {
     "trials": 1,
     "suites": ["star"],
     "weights": {"wide": {"kind": "gaussian", "exponent": "1/4"}},
+}
+SO3 = {
+    "label": "fuzz-so3",
+    "lie_algebra": {"dim": 3,
+                    "structure_constants": [[1, 2, 3, "1"], [2, 1, 3, "-1"],
+                                            [2, 3, 1, "1"], [3, 2, 1, "-1"],
+                                            [3, 1, 2, "1"], [1, 3, 2, "-1"]],
+                    "label": "so3"},
+    "base": {"dim": 2},
+    "truncation_order": 2,
+    "seed": 11,
+    "trials": 1,
+    "suites": ["star"],
 }
 SCENES = [HEIS, AFF, ABELIAN]
 # the coordinates of each scene's model: base, then group (nilpotent
@@ -174,6 +188,33 @@ def test_random_calls_exit_zero_or_two_with_one_line(tmp_path, capsys):
             argv.append(f"--order={rng.choice(ORDERS)}")
         codes.append(run(tmp_path, capsys, scene, argv))
     assert codes.count(2) >= 20 and codes.count(0) >= 20
+
+
+def momentum_word(rng, letters):
+    """A monomial of degree 6 to 12 in at least two of the momenta."""
+    counts = dict.fromkeys(letters, 0)
+    for a in rng.sample(letters, 2) + [rng.choice(letters) for _ in range(rng.randint(4, 10))]:
+        counts[a] += 1
+    return "*".join(f"{a}^{n}" for a, n in counts.items() if n)
+
+
+def test_long_momentum_words_exit_zero_or_two(tmp_path, capsys):
+    """star on mixed-letter momentum words of degree 6 to 12 at orders 0 to
+    5: their symmetrization tables hold words many letters shorter than the
+    word, whose terms fall past the truncation order."""
+    rng = random.Random(1213)
+    codes = []
+    for _ in range(30):
+        scene = rng.choice([HEIS, AFF, SO3])
+        letters = [f"J{a + 1}" for a in range(scene["lie_algebra"]["dim"])]
+        right = rng.choice(["1", "q", f"{rng.choice(letters)}^2 + p",
+                            f"{rng.choice(letters)}*{rng.choice(letters)}"])
+        argv = ["star", f"--left={momentum_word(rng, letters)}", f"--right={right}",
+                f"--order={rng.randint(0, 5)}"]
+        if rng.random() < 0.5:
+            argv.append(f"--product={rng.choice(['std', 'weyl_g', 'total'])}")
+        codes.append(run(tmp_path, capsys, scene, argv))
+    assert codes.count(0) >= 15
 
 
 @pytest.mark.parametrize("scene", SCENES, ids=[s["label"] for s in SCENES])

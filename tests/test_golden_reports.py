@@ -40,6 +40,12 @@ the affine line.  They were recorded while the formal adjoint still composed
 a chain of twisted partials per entry, series_inverse recomputed the whole
 product at every order and the involution transposed the full left
 multiplication operator at every step.
+
+The depth digests are the sha256 of the standard output of `involve` at
+order 12 on the same two inputs and of `star` and `reduce` at order 8.  They
+and the order-6 reports of abelian_r, abelian_r2, affine_line, sl2 and so3
+were recorded while the symmetrization tables were still summed over every
+distinct arrangement of a word.
 """
 
 import hashlib
@@ -94,11 +100,12 @@ def test_report_digest(tmp_path, suite, scene):
     assert digest == GOLDEN[(suite, scene)]
 
 
-@pytest.mark.parametrize("scene", ["filiform4", "heisenberg"])
+@pytest.mark.parametrize("scene", ["abelian_r", "abelian_r2", "affine_line", "filiform4",
+                                   "heisenberg", "sl2", "so3"])
 def test_report_digest_at_order_6(tmp_path, scene):
-    """At order 6 every record of these scenes still passes, so the report
-    is byte-identical to the pinned full report at the scene's order.  The
-    checks then read the lam^4 to lam^6 coefficients that no order-3
+    """At order 6 every record of every runnable scene still passes, so the
+    report is byte-identical to the pinned full report at the scene's order.
+    The checks then read the lam^4 to lam^6 coefficients that no order-3
     report reads, on filiform4 those of the Morita comparison's vertical
     compose and apply too."""
     out = tmp_path / "report.json"
@@ -126,3 +133,32 @@ def test_involve_digest(capsys, scene, expr, order):
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == INVOLVE_GOLDEN[(scene, expr, order)]
+
+
+DEPTH_GOLDEN = {
+    ("involve", "--scene", "heisenberg", "--input", "q^4 + 2*i*q^2*p - 3*p^3*q + p",
+     "--order", "12"):
+        "48d9541e7864f2a33992f91a2b4ea2ffcd56b5c8e44242e3c3372b7a6a6b3310",
+    ("involve", "--scene", "affine_line", "--input", "q^3*p - 2*i*p^2 + q", "--order", "12"):
+        "7372dcd772a3a6b25d3ed675a00f9fd2f70d47445a244dc910e0bfb394d9f3c2",
+    ("star", "--scene", "sl2", "--left", "J1^2*J2^2*J3^2", "--right", "J1*J2*J3^2+J2^3",
+     "--order", "8"):
+        "a031663146b7c446f84f0b1e2a969a2216abb7894817c23d96f4f005a2fbf5a1",
+    ("star", "--scene", "heisenberg", "--left", "J1^2*J2*q", "--right", "J2^2*J3*p+g1",
+     "--product", "std", "--order", "8"):
+        "1128c1bf221a44353e344906870874878c818b2a4ea4ddfb91f2e35fc5e38c50",
+    ("reduce", "--scene", "heisenberg", "--left", "q^3*p+2*q", "--right", "p^3-q*p",
+     "--order", "8"):
+        "78f1b9de44fe4f00b7a55cd7a103a1e1546e24ead2a0a80ef290a0718c214928",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DEPTH_GOLDEN),
+                         ids=[f"{a[0]}-{a[2]}-{a[-1]}" for a in sorted(DEPTH_GOLDEN)])
+def test_output_digest_at_depth(capsys, argv):
+    """The values that a pass record does not pin, at orders no other test
+    reaches: involve at order 12, star and reduce at order 8."""
+    verb, _, scene, *rest = argv
+    assert main([verb, "--scene", str(SCENES / f"{scene}.json"), *rest]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == DEPTH_GOLDEN[argv]
