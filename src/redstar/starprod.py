@@ -8,27 +8,28 @@ term dicts, reading no level above an operand's total degree.  Lam is
 antisymmetric, so moyal_commutator is twice the odd levels of one pass.
 The cotangent factor carries products built from one PBW word calculus:
 normal ordering of words in the generators with [J_a, J_b] = i lam C_ab^c
-J_c, symmetrized quantization of momentum polynomials and its inverse.  All
-three are linear over the coefficients, so each reads tables of rationals
-that depend on the structure constants only, built once per algebra by
-geometry.memo and keyed by sorted words only: _insert (a letter put before a
-sorted word), _sym_table (_insert on the tables one letter shorter) and
-_inverse_table.  _normal_order keeps nothing: it puts the letters of a word
-before its longest sorted suffix, so a warm process holds one table per
-sorted word met, however many unsorted words it pushes.  On group models the
-words are left-invariant derivatives, group fields act on the coefficients,
-and the calculus gives the standard-ordered product; its Hermitian
-normalization conjugates with N = exp(A), A = (lam/2i)(Delta_0 -
-Delta_ver): N from left-composed powers of A, N^{-1} by negating N's odd
-lam orders.  On momentum-level models no field acts, and the calculus gives
-Gutt's product on g*.  The total product acts blockwise.
+J_c, symmetrized quantization of momentum polynomials and its inverse.  The
+first two read tables of rationals that depend on the structure constants
+only, built once per algebra by geometry.memo and keyed by sorted words
+only: _insert (a letter put before a sorted word) and _sym_table (_insert on
+the tables one letter shorter).  _normal_order keeps nothing: it puts the
+letters of a word before its longest sorted suffix, so a warm process holds
+one table per sorted word met, however many unsorted words it pushes.  The
+inverse reads each sorted word's symbol to lam^K (_sorted_symbol), the Gutt
+right multiplication of its prefix's.  On group models the words are
+left-invariant derivatives, group fields act on the coefficients, and the
+calculus gives the standard-ordered product; its Hermitian normalization
+conjugates with N = exp(A), A = (lam/2i)(Delta_0 - Delta_ver): N from
+left-composed powers of A, N^{-1} by negating N's odd lam orders.  On
+momentum-level models no field acts, and the calculus gives Gutt's product
+on g*.  The total product acts blockwise.
 The right multiplication f -> star_G(f, J_a) by a momentum is one
 differential operator per model (right_momentum_operator): the Gutt right
-multiplication, the psi-series of the right BCH derivative
-(LieAlgebraData.psi_terms, the series that also gives the left-invariant
-fields) with each letter a momentum derivative, and, on group models,
-conjugated by N as an ad-series summed by series.terminating_series (N(J_a)
-= J_a there, the algebra being nilpotent), so the quantized Koszul
+multiplication (also behind _sorted_symbol), the psi-series of the right BCH
+derivative (LieAlgebraData.psi_terms, the series that also gives the
+left-invariant fields) with each letter a momentum derivative, and, on group
+models, conjugated by N as an ad-series summed by series.terminating_series
+(N(J_a) = J_a there, the algebra being nilpotent), so the quantized Koszul
 differential needs no product call and no PBW table.
 
 One kernel, _push_sums, pushes a left word past a right operator by the
@@ -49,7 +50,7 @@ from fractions import Fraction
 from math import factorial, prod
 from operator import add, gt
 
-from .diffop import DiffOperator, _leibniz_splits
+from .diffop import DiffOperator, _diff_monomials, _leibniz_splits
 from .funcs import Func
 from .geometry import ModelSpace, memo
 from .poly import Poly, _mul_into, _scale
@@ -465,21 +466,6 @@ def _sym_table(lie, multi: tuple) -> dict:
     return {v: table[v] for v in sorted(table, key=lambda v: (-len(v), v))}
 
 
-@memo("inverse")
-def _inverse_table(lie, word: tuple) -> dict:
-    """{sorted beta: t_beta} with
-    _symmetrize(sum_beta t_beta F^{|w|-|beta|} J^beta) = F^{|w|} L_w.
-
-    _symmetrize(J^w) is F^{|w|} L_w plus shorter words, so the table is
-    the triangular inverse of _sym_table."""
-    table = {word: _ONE}
-    mult = prod(factorial(word.count(a)) for a in set(word))
-    for v, s in _sym_table(lie, word).items():
-        if v != word:
-            _add_scaled(table, _inverse_table(lie, v), -s * mult)
-    return table
-
-
 def _symmetrize(model: ModelSpace, f: Func) -> SymbolOp:
     """Symmetrized quantization of a momentum-polynomial symbol.
 
@@ -532,26 +518,32 @@ def stdrep(model: ModelSpace, f: Func) -> SymbolOp:
 @memo("sorted_symbol")
 def _sorted_symbol(model: ModelSpace, v: tuple) -> dict:
     """{j: {exponent of J^beta: t}} with F^{|v|} L_v the symmetrized
-    quantization of sum t F^j J^beta, j = |v| - |beta|, for a sorted word
-    v: _inverse_table(v) with each beta spelled as its exponent over the
-    model's generators."""
-    jidx = [model.gens.index(n) for n in model.momentum_names]
-    out: dict = {}
-    for beta, t in _inverse_table(model.lie, v).items():
-        expo = [0] * len(model.gens)
-        for x in beta:
-            expo[jidx[x]] += 1
-        out.setdefault(len(v) - len(beta), {})[tuple(expo)] = t
-    return out
+    quantization of sum t F^j J^beta, j = |v| - |beta| <= K, for a sorted
+    word v: S_a of the symbol of v[:-1], a = v[-1], as F L_a quantizes J_a.
+    Each entry (i lam)^k p d_J^beta of S_a (_gutt_right_operator) adds
+    i^{-k} p d^beta t to level j + k <= K, i^{-k} turning (i lam)^k into F^k."""
+    if not v:
+        return {0: {(0,) * len(model.gens): _ONE}}
+    order, prefix = model.order, _sorted_symbol(model, v[:-1])
+    acc = [{} for _ in range(order + 1)]
+    for k, table in enumerate(_gutt_right_operator(model, v[-1]).tables):
+        for d, coeff in table.items():
+            for j, mono in prefix.items():
+                if j + k <= order:
+                    _mul_into(acc[j + k], _diff_monomials(mono, d), coeff.terms,
+                              _IMAG_POWERS[-k % 4])
+    levels = ((j, Poly._trusted_sums(model.gens, a).terms) for j, a in enumerate(acc))
+    return {j: terms for j, terms in levels if terms}
 
 
 def _word_symbol(model: ModelSpace, word: tuple) -> dict:
     """{j: {exponent of J^beta: t}} with F^{|w|} L_w the symmetrized
-    quantization of sum t F^j J^beta, j = |w| - |beta|, for any word: the
-    _sorted_symbol of each word v of its normal ordering, times r_v and
-    shifted by |w| - |v|; a sorted word's is returned as it is kept.
-    Nothing is kept per word: the words met (rest + w2 of each push) are
-    mostly unsorted, and a table per word would grow with the run."""
+    quantization of sum t F^j J^beta, j = |w| - |beta| <= K, for any word:
+    the _sorted_symbol of each word v of its normal ordering, times r_v and
+    shifted by |w| - |v|, the levels shifted past K skipped; a sorted
+    word's is returned as it is kept.  Nothing is kept per word: the words
+    met (rest + w2 of each push) are mostly unsorted, and a table per word
+    would grow with the run."""
     table = _normal_order(model.lie, word)
     if word in table:  # a sorted word is its own table
         return _sorted_symbol(model, word)
@@ -559,6 +551,8 @@ def _word_symbol(model: ModelSpace, word: tuple) -> dict:
     for v, r in table.items():
         k = len(word) - len(v)
         for j, mono in _sorted_symbol(model, v).items():
+            if j + k > model.order:
+                continue
             group = out.setdefault(j + k, {})
             for e, t in mono.items():
                 group[e] = group[e] + r * t if e in group else r * t
@@ -631,12 +625,14 @@ def neumaier_N_inverse(model: ModelSpace) -> DiffOperator:
         {d: -c for d, c in t.items()} if r % 2 else t for r, t in enumerate(n.tables)])
 
 
+@memo("gutt_right")
 def _gutt_right_operator(model: ModelSpace, a: int) -> DiffOperator:
     """S_a = sum_{k <= K} (i lam)^k <b_k ad_{e_b1} ... ad_{e_bk} e_a, J>
     d_J^{b1 ... bk} with S_a(f) = f * J_a for the symmetrization product on
     the momenta: on f = e^{<xi, J>} the right multiplication by e_a is the
     right BCH derivative psi(i lam ad_xi) e_a paired with J, and each letter
-    of xi is a derivative d/dJ_b.  The terms are LieAlgebraData.psi_terms."""
+    of xi is a derivative d/dJ_b.  The terms are LieAlgebraData.psi_terms;
+    kept per model for right_momentum_operator and _sorted_symbol."""
     gens, order, names = model.gens, model.order, model.momentum_names
     op = DiffOperator.zero(gens, order)
     for word, v in model.lie.psi_terms(a, order):

@@ -768,12 +768,15 @@ def test_high_power_of_one_letter_multiplies_in_time():
 
 
 @pytest.mark.parametrize("left,product,right,order", [
-    ("J1^9", "std", "J2^9", "3"), ("J1^12", "weyl_g", "J2^12", "4")])
+    ("J1^9", "std", "J2^9", "3"), ("J1^12", "weyl_g", "J2^12", "4"),
+    ("J1^64", "std", "J2^64", "2")])
 def test_mixed_powers_multiply_in_time(left, product, right, order):
     """Powers of two letters exit 0 within 30 s: the symmetrization table of
     J1^m J2^n is built from the tables of the words one letter shorter, not
     from its (m + n)! / (m! n!) arrangements (J1^9 with J2^9 did not finish
-    in 100 s that way)."""
+    in 100 s that way), and a sorted word's symbol from its prefix's by one
+    right multiplication, up to level K, not by inverting the symmetrization
+    tables of all its sub-words (J1^64 with J2^64 took over 40 s that way)."""
     proc = heisenberg_star(left, right, product, order)
     assert proc.returncode == 0, proc.stderr
 

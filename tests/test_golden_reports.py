@@ -150,6 +150,15 @@ DEPTH_GOLDEN = {
     ("reduce", "--scene", "heisenberg", "--left", "q^3*p+2*q", "--right", "p^3-q*p",
      "--order", "8"):
         "78f1b9de44fe4f00b7a55cd7a103a1e1546e24ead2a0a80ef290a0718c214928",
+    ("star", "--scene", "heisenberg", "--left", "J1^32*J2^32", "--right", "1",
+     "--product", "std", "--order", "3"):
+        "f4713942759a731c928bd0a000431985c161f7934971044ddfd2df5c397e75d5",
+    ("star", "--scene", "heisenberg", "--left", "J1^20*J2^20", "--right", "J3^4*J2",
+     "--product", "weyl_g", "--order", "6"):
+        "7dd9853a2e0ea2d440f56d1f2200318f0562080a4fb2e91bea3bc9fc479157ad",
+    ("star", "--scene", "so3", "--left", "J1^6*J2^6*J3^6", "--right", "J1",
+     "--product", "total", "--order", "4"):
+        "c897d1c749a7a8f91acb9151395c22149d34e5d9f8bed343435cefadd677f9a4",
 }
 
 
@@ -157,7 +166,9 @@ DEPTH_GOLDEN = {
                          ids=[f"{a[0]}-{a[2]}-{a[-1]}" for a in sorted(DEPTH_GOLDEN)])
 def test_output_digest_at_depth(capsys, argv):
     """The values that a pass record does not pin, at orders no other test
-    reaches: involve at order 12, star and reduce at order 8."""
+    reaches: involve at order 12, star and reduce at order 8; and star on
+    the long words whose sorted symbols stop at level K: J1^32 J2^32 and
+    J1^20 J2^20 on heisenberg, J1^6 J2^6 J3^6 on so3."""
     verb, _, scene, *rest = argv
     assert main([verb, "--scene", str(SCENES / f"{scene}.json"), *rest]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

@@ -1,10 +1,13 @@
 """geometry.memo: every per-model and per-algebra table is built once per
 owner and arguments, and kept in the owner's dict under its key."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import redstar
 from redstar import involution, starprod
 from redstar.geometry import (LieAlgebraData, ModelSpace, gaussian_base_weight,
                               heisenberg3, memo)
@@ -33,8 +36,8 @@ BUILDERS = {
                 lambda m: (heisenberg3(), ((0, 1, 1),))),
     "_sym_table": (starprod, "lie", lambda m: ((0, 1, 2),), ("sym", (0, 1, 2)),
                    lambda m: (heisenberg3(), ((0, 1, 2),))),
-    "_inverse_table": (starprod, "lie", lambda m: ((0, 1, 2),), ("inverse", (0, 1, 2)),
-                       lambda m: (heisenberg3(), ((0, 1, 2),))),
+    "_gutt_right_operator": (starprod, "model", lambda m: (1,), ("gutt_right", 1),
+                             lambda m: (model(K - 1), (1,))),
     "_normalization_exponent": (starprod, "model", lambda m: (), "norm_exponent",
                                 lambda m: (model(K - 1), ())),
     "neumaier_N": (starprod, "model", lambda m: (), "norm_op",
@@ -114,3 +117,17 @@ def test_a_falsy_value_counts_as_built():
     assert m._field_cache[("empty", 1)] == {}
     empty(m.lie, 1)
     assert built == [1, 1] and m.lie.pbw_tables[("empty", 1)] == {}
+
+
+def test_every_memo_tag_has_a_builder_test():
+    """The tags of the @memo(...) decorators in redstar's modules are
+    exactly the tags of BUILDERS' keys, so no memoised table escapes the
+    once-per-key test above."""
+    tags = set()
+    for path in Path(redstar.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "memo"):
+                tags.add(ast.literal_eval(node.args[0]))
+    keys = {key if isinstance(key, str) else key[0] for _, _, _, key, _ in BUILDERS.values()}
+    assert tags == keys

@@ -162,6 +162,7 @@ from redstar.geometry import (
     gaussian_base_weight,
     heisenberg3,
     lebesgue_weight,
+    memo,
     monomial,
     monomials,
     random_poly,
@@ -206,7 +207,6 @@ from redstar.series import LambdaSeries, _leading_constant, series_inverse, seri
 from redstar.starprod import (
     SymbolOp,
     _IMAG_POWERS,
-    _inverse_table,
     _mul_ilam,
     _normal_order,
     _sym_table,
@@ -732,14 +732,28 @@ def ref_normal_order(lie, word, seen):
     return table
 
 
+@memo("ref_inverse")
+def ref_inverse_table(lie, word):
+    """{sorted beta: t_beta} with
+    _symmetrize(sum_beta t_beta F^{|w|-|beta|} J^beta) = F^{|w|} L_w, the
+    triangular inverse of _sym_table, which _sorted_symbol read once:
+    _symmetrize(J^w) is F^{|w|} L_w plus shorter words."""
+    table = {word: GaussRational(1)}
+    mult = prod(factorial(word.count(a)) for a in set(word))
+    for v, s in _sym_table(lie, word).items():
+        if v != word:
+            starprod._add_scaled(table, ref_inverse_table(lie, v), -s * mult)
+    return table
+
+
 def ref_word_symbol(model, word, jidx):
     """The per-push exponent loop _word_symbol once was: the word's normal
     ordering, then the inverse table of each sorted word, each beta spelled
-    as an exponent afresh."""
+    as an exponent afresh, every level kept."""
     out = {}
     lie = model.lie
     for v, r in ref_normal_order(lie, word, {}).items():
-        for beta, t in _inverse_table(lie, v).items():
+        for beta, t in ref_inverse_table(lie, v).items():
             expo = [0] * len(model.gens)
             for x in beta:
                 expo[jidx[x]] += 1
@@ -773,7 +787,7 @@ def test_pbw_tables_hold_sorted_words_only(monkeypatch):
     benchmark's call stream: every word in a key of pbw_tables and every
     sorted_symbol key is sorted, though most words pushed are not; and
     _word_symbol gives the per-push exponent loop's symbol on every word
-    met."""
+    met, on the levels j <= K that it keeps."""
     m = ModelSpace(heisenberg3(), 2, 4)
     rng = random.Random(3)
     met = set()
@@ -797,7 +811,41 @@ def test_pbw_tables_hold_sorted_words_only(monkeypatch):
     assert sum(not is_sorted(w) for w in met) > len(symbols)
     jidx = [m.gens.index(n) for n in m.momentum_names]
     for word in met:
-        assert word_symbol(m, word) == ref_word_symbol(m, word, jidx), word
+        expect = {j: t for j, t in ref_word_symbol(m, word, jidx).items() if j <= m.order}
+        assert word_symbol(m, word) == expect, word
+
+
+# the algebras and orders on which the sorted words' symbols are checked:
+# (algebra, group level, orders, longest word)
+SORTED_SYMBOL_CASES = {
+    "heis3": (heisenberg3, False, range(7), 7),
+    "heis3_group": (heisenberg3, True, range(7), 7),
+    "aff1": (aff1, None, range(7), 7),
+    "sl2": (sl2, None, range(7), 7),
+    "so3": (so3, None, range(7), 7),
+    "filiform4": (lambda: filiform4(), False, range(9), 6),
+    "filiform4_group": (lambda: filiform4(), True, range(9), 6),
+    "abelian2": (lambda: abelian_lie(2), None, range(9), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SORTED_SYMBOL_CASES))
+def test_sorted_symbol_matches_the_inverse_table(name):
+    """Every sorted word up to the longest length, at every order K listed:
+    _sorted_symbol, built by the Gutt right multiplication, holds the
+    levels j <= K of the inverse table with each beta spelled as an
+    exponent, and no level above K (sl2 and so3 have a psi-series that
+    does not terminate)."""
+    build, group_level, orders, longest = SORTED_SYMBOL_CASES[name]
+    lie = build()
+    for order in orders:
+        m = ModelSpace(lie, 2, order, group_level=group_level)
+        jidx = [m.gens.index(n) for n in m.momentum_names]
+        for word in pbw_words(lie.dim, longest):
+            got = starprod._sorted_symbol(m, word)
+            assert all(j <= order for j in got), (word, order)
+            expect = {j: t for j, t in ref_word_symbol(m, word, jidx).items() if j <= order}
+            assert got == expect, (word, order)
 
 
 @pytest.mark.parametrize("name", sorted(PBW_MODELS))
@@ -838,7 +886,7 @@ def test_symmetrize_weights_repeated_letters():
     for alpha, mult in (((1, 1), 2), ((0, 1, 1), 2), ((1, 1, 1), 6), ((0, 1, 2), 1)):
         table = _sym_table(m.lie, alpha)
         assert table[alpha] * mult == 1
-        assert next(iter(_inverse_table(m.lie, alpha).items())) == (alpha, 1)
+        assert next(iter(ref_inverse_table(m.lie, alpha).items())) == (alpha, 1)
         mono = m.one()
         for a in alpha:
             mono = mono * m.momentum(a)
@@ -900,7 +948,7 @@ def ref_dequantize(model, op):
     jidx = [gens.index(n) for n in model.momentum_names]
     total = Func.zero(gens, order)
     for w, c in op.terms.items():
-        for beta, t in _inverse_table(model.lie, w).items():
+        for beta, t in ref_inverse_table(model.lie, w).items():
             ck = _mul_ilam(c, len(w) - len(beta))
             if ck.is_zero():
                 continue
@@ -1000,7 +1048,7 @@ def test_dequantize_matches_func_sums(name):
 def _dequantize(model, op):
     """The former inverse of _symmetrize on a PBW-sorted operator: each
     stored c_w L_w reads its momentum polynomial
-    sum_beta t_beta F^{|w|-|beta|} c_w J^beta from _inverse_table(w), summed
+    sum_beta t_beta F^{|w|-|beta|} c_w J^beta from ref_inverse_table(w), summed
     per lam order on term dicts into one Func, with the envelope and grade
     of the last coefficient that reaches the order (all must agree);
     without one it is the plain zero."""
@@ -1010,7 +1058,7 @@ def _dequantize(model, op):
     last = None
     for w, c in op.terms.items():
         coeffs = c.series.coeffs
-        for beta, t in _inverse_table(model.lie, w).items():
+        for beta, t in ref_inverse_table(model.lie, w).items():
             k = len(w) - len(beta)
             if k > order or not any(p.terms for p in coeffs[: order + 1 - k]):
                 continue
@@ -1851,7 +1899,7 @@ def ref_gutt_right_operator(model, a):
     """S_a = sum_{|beta| <= K} p_beta d_J^beta with S_a(f) = f * J_a, read
     from the PBW tables: q_alpha = (J^alpha * J_a) / alpha! is the sum over
     v in _sym_table(alpha), u in _normal_order(v + (a,)) and beta in
-    _inverse_table(u) of s_v r_u t_beta F^{|alpha|+1-|beta|} J^beta, and
+    ref_inverse_table(u) of s_v r_u t_beta F^{|alpha|+1-|beta|} J^beta, and
     p_alpha = sum_{beta <= alpha} q_beta (-J)^{alpha-beta}/(alpha-beta)!
     inverts the Taylor relation S_a(J^alpha) = sum_beta p_beta
     alpha!/(alpha-beta)! J^{alpha-beta}."""
@@ -1869,7 +1917,7 @@ def ref_gutt_right_operator(model, a):
         acc = [{} for _ in range(order + 1)]
         for v, s in _sym_table(lie, alpha).items():
             for u, r in _normal_order(lie, v + (a,)).items():
-                for beta, t in _inverse_table(lie, u).items():
+                for beta, t in ref_inverse_table(lie, u).items():
                     k = len(alpha) + 1 - len(beta)
                     if k <= order:
                         e, c = expo(beta), s * r * t * _IMAG_POWERS[k % 4]
@@ -3951,7 +3999,8 @@ def test_every_import_is_used(module):
 # the term-dict kernels of poly, the scalar constructor, the Leibniz splits,
 # the multiplication by i lam, the PBW normal ordering and the Koszul resolvent
 PRIVATE_IMPORTS = {"poly._mul_into", "poly._scale", "poly._accumulate", "poly._diff_terms",
-                   "scalars._make", "diffop._leibniz_splits", "starprod._mul_ilam",
+                   "scalars._make", "diffop._leibniz_splits", "diffop._diff_monomials",
+                   "starprod._mul_ilam",
                    "starprod._normal_order", "koszul._neumann_resolve"}
 
 
